@@ -6,7 +6,7 @@ GO ?= go
 # installed, so `make check` stays green on offline builders.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race vet lint vulncheck check bench explain-smoke chaos-smoke cluster-smoke trace-smoke parallel-race sched-race sched-soak
+.PHONY: all build test race fmt vet lint vulncheck check bench explain-smoke chaos-smoke cluster-smoke trace-smoke parallel-race sched-race sched-soak resultpath-race
 
 all: build
 
@@ -15,6 +15,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# fmt fails when any file (bench/ included) is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet -all ./...
@@ -60,6 +64,17 @@ sched-race:
 	$(GO) test -race -run 'TestSchedulerGrantEquivalence|TestExplainGoldenSchedulerBudgetWorkers' -count=1 ./internal/core
 	$(GO) test -race -run 'TestSchedStormBudgets' -count=1 .
 
+# resultpath-race exercises the no-copy result path under the race
+# detector: the serializer's escaper against encoding/xml on the fuzz
+# seed corpus and the reference writer, the no-copy <results> root
+# against Document() byte for byte, and eight goroutines serving one
+# cached answer in place while a ninth copies and edits it — any write to
+# a node shared with the cache is a reported race.
+resultpath-race:
+	$(GO) test -race -run 'FuzzSerializeEscape|TestSerializeMatchesReference|TestBufferReuse' -count=1 ./internal/xmlparse
+	$(GO) test -race -run 'TestView' -count=1 ./internal/core
+	$(GO) test -race -run 'TestCachedValuesStayImmutable|TestQueryContentLength' -count=10 ./internal/server
+
 # sched-soak runs the extended scheduler workload behind the soak tag:
 # 64 concurrent mixed-class queries per budget on a fixed seed and a
 # fake clock, each answer byte-identical to a serial twin, with zero
@@ -67,12 +82,13 @@ sched-race:
 sched-soak:
 	$(GO) test -tags soak -race -run 'TestSchedSoakMixedClasses' -count=1 -v .
 
-# check is the full gate: go vet, the nimble-lint invariant suite, the
-# race-enabled tests (includes the dedicated concurrency tests in
-# internal/obs and internal/server), the parallel-execution and
-# scheduler race suites, and a vulnerability scan when the tooling is
-# available.
-check: vet lint race parallel-race sched-race vulncheck
+# check is the full gate: gofmt, go vet, the nimble-lint invariant suite,
+# the plain tests (the allocation pins only run without the race
+# detector), the race-enabled tests (includes the dedicated concurrency
+# tests in internal/obs and internal/server), the parallel-execution,
+# scheduler and result-path race suites, and a vulnerability scan when
+# the tooling is available.
+check: fmt vet lint test race parallel-race sched-race resultpath-race vulncheck
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -723,6 +723,29 @@ func TestCopyNodeDeep(t *testing.T) {
 	}
 }
 
+// TestCopyNodeSlabsDoNotAlias checks the slab-carved copy behaves like
+// separately allocated nodes: appending to one node's attributes or
+// children must not overwrite the next node's.
+func TestCopyNodeSlabsDoNotAlias(t *testing.T) {
+	doc := mustDoc(t, `<a k="v"><b x="1">one</b><c y="2">two<d/></c></a>`)
+	c := CopyNode(doc)
+	b := c.Child("b")
+	if b.Parent != c || c.Child("c").Child("d").Parent != c.Child("c") || c.Parent != nil {
+		t.Error("copy has wrong parent links")
+	}
+	c.Attrs = append(c.Attrs, xmldm.Attr{Name: "extra", Value: "!"})
+	b.Attrs = append(b.Attrs, xmldm.Attr{Name: "extra", Value: "!"})
+	b.Children = append(b.Children, xmldm.String("!"))
+	c.Children = append(c.Children, &xmldm.Node{Name: "extra"})
+	want := `<a k="v" extra="!"><b x="1" extra="!">one!</b><c y="2">two<d/></c><extra/></a>`
+	if c.String() != want {
+		t.Errorf("after appends the copy reads %s, want %s", c.String(), want)
+	}
+	if doc.String() != `<a k="v"><b x="1">one</b><c y="2">two<d/></c></a>` {
+		t.Errorf("the original changed: %s", doc.String())
+	}
+}
+
 func TestStatsCounters(t *testing.T) {
 	ctx := &Context{}
 	ctx.AddTuples(3)

@@ -34,12 +34,20 @@ func buildElem(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, erro
 		}
 	}
 	n := &xmldm.Node{Name: name}
+	if len(tmpl.Attrs) > 0 {
+		n.Attrs = make([]xmldm.Attr, 0, len(tmpl.Attrs))
+	}
 	for _, a := range tmpl.Attrs {
 		v, err := Eval(ctx, a.Value, b)
 		if err != nil {
 			return nil, err
 		}
 		n.Attrs = append(n.Attrs, xmldm.Attr{Name: a.Name, Value: xmldm.Stringify(v)})
+	}
+	// Most template items yield exactly one child; spliced collections
+	// and nested queries grow past the estimate.
+	if len(tmpl.Content) > 0 {
+		n.Children = make([]xmldm.Value, 0, len(tmpl.Content))
 	}
 	for _, item := range tmpl.Content {
 		switch it := item.(type) {
@@ -97,7 +105,7 @@ func spliceValue(n *xmldm.Node, v xmldm.Value) {
 		n.Children = append(n.Children, c)
 	case xmldm.String:
 		if x != "" {
-			n.Children = append(n.Children, x)
+			n.Children = append(n.Children, v) // v, not x: already boxed
 		}
 	default:
 		n.Children = append(n.Children, xmldm.String(v.String()))
@@ -106,22 +114,58 @@ func spliceValue(n *xmldm.Node, v xmldm.Value) {
 
 // CopyNode returns a deep copy of a node subtree with fresh parent
 // pointers (ordinals are assigned when the enclosing result is
-// finalized).
+// finalized). The copy is carved from three slabs sized by a counting
+// pass — nodes, child slots, attributes — with every sub-slice capped at
+// its own length, so copying costs three allocations whatever the size
+// of the tree and the copy's nodes can still be appended to one by one.
 func CopyNode(n *xmldm.Node) *xmldm.Node {
-	c := &xmldm.Node{Name: n.Name}
-	if len(n.Attrs) > 0 {
-		c.Attrs = append([]xmldm.Attr(nil), n.Attrs...)
+	var c treeCopier
+	c.count(n)
+	c.nodes = make([]xmldm.Node, c.nNodes)
+	c.slots = make([]xmldm.Value, c.nSlots)
+	if c.nAttrs > 0 {
+		c.attrs = make([]xmldm.Attr, c.nAttrs)
 	}
+	return c.copy(n, nil)
+}
+
+type treeCopier struct {
+	nNodes, nSlots, nAttrs int
+	nodes                  []xmldm.Node
+	slots                  []xmldm.Value
+	attrs                  []xmldm.Attr
+}
+
+func (c *treeCopier) count(n *xmldm.Node) {
+	c.nNodes++
+	c.nSlots += len(n.Children)
+	c.nAttrs += len(n.Attrs)
 	for _, child := range n.Children {
 		if e, ok := child.(*xmldm.Node); ok {
-			ce := CopyNode(e)
-			ce.Parent = c
-			c.Children = append(c.Children, ce)
-		} else {
-			c.Children = append(c.Children, child)
+			c.count(e)
 		}
 	}
-	return c
+}
+
+func (c *treeCopier) copy(n, parent *xmldm.Node) *xmldm.Node {
+	out := &c.nodes[0]
+	c.nodes = c.nodes[1:]
+	out.Name, out.Parent = n.Name, parent
+	if k := len(n.Attrs); k > 0 {
+		out.Attrs, c.attrs = c.attrs[:k:k], c.attrs[k:]
+		copy(out.Attrs, n.Attrs)
+	}
+	if k := len(n.Children); k > 0 {
+		out.Children, c.slots = c.slots[:k:k], c.slots[k:]
+		for i, child := range n.Children {
+			if e, ok := child.(*xmldm.Node); ok {
+				out.Children[i] = c.copy(e, out)
+			} else {
+				out.Children[i] = child
+			}
+		}
+	}
+	return out
 }
 
 // ConstructAll builds one result per binding.

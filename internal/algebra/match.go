@@ -167,9 +167,11 @@ func contentValue(e *xmldm.Node) xmldm.Value {
 
 func childValue(c xmldm.Value) xmldm.Value {
 	if s, ok := c.(xmldm.String); ok {
-		return xmldm.String(strings.TrimSpace(string(s)))
+		if t := strings.TrimSpace(string(s)); len(t) != len(s) {
+			return xmldm.String(t)
+		}
 	}
-	return c
+	return c // nothing to trim: the boxed value as it is
 }
 
 // bindUnify binds var to v in b, or checks equality if already bound.

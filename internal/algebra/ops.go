@@ -212,7 +212,9 @@ func sharedVars(l Binding, rights []Binding) []string {
 
 // mergeBindings combines l and r; on shared names the values must agree
 // (callers pass the join vars, but non-join shared names are checked
-// too, keeping the natural-join semantics sound).
+// too, keeping the natural-join semantics sound). The merged fields are
+// allocated once, at their final size, on the first name r adds; when r
+// adds none the result is l itself.
 func mergeBindings(l, r Binding, joinVars []string) (Binding, bool) {
 	for _, v := range joinVars {
 		lv, _ := l.Get(v)
@@ -221,17 +223,26 @@ func mergeBindings(l, r Binding, joinVars []string) (Binding, bool) {
 			return nil, false
 		}
 	}
-	out := l
+	fields := l.Fields() // l's own until r adds a name
+next:
 	for _, f := range r.Fields() {
-		if existing, ok := out.Get(f.Name); ok {
-			if !xmldm.Equal(existing, f.Value) {
-				return nil, false
+		for _, have := range fields {
+			if have.Name == f.Name {
+				if !xmldm.Equal(have.Value, f.Value) {
+					return nil, false
+				}
+				continue next
 			}
-			continue
 		}
-		out = out.With(f.Name, f.Value)
+		if len(fields) == l.Len() {
+			fields = append(make([]xmldm.Field, 0, l.Len()+r.Len()), fields...)
+		}
+		fields = append(fields, f)
 	}
-	return out, true
+	if len(fields) == l.Len() {
+		return l, true
+	}
+	return xmldm.NewTuple(fields...), true
 }
 
 // NestedLoopJoin joins with an arbitrary predicate; it materializes the

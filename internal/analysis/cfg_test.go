@@ -273,10 +273,10 @@ func f(b bool) {
 // kill.
 type testLattice struct{}
 
-func (l *testLattice) entry() siteFact                   { return siteFact{} }
-func (l *testLattice) unreached() siteFact               { return nil }
-func (l *testLattice) join(a, b siteFact) siteFact       { return joinSites(a, b) }
-func (l *testLattice) equal(a, b siteFact) bool          { return equalSites(a, b) }
+func (l *testLattice) entry() siteFact                      { return siteFact{} }
+func (l *testLattice) unreached() siteFact                  { return nil }
+func (l *testLattice) join(a, b siteFact) siteFact          { return joinSites(a, b) }
+func (l *testLattice) equal(a, b siteFact) bool             { return equalSites(a, b) }
 func (l *testLattice) edgeFact(e Edge, f siteFact) siteFact { return f }
 
 func (l *testLattice) transfer(b *Block, in siteFact) siteFact {

@@ -59,11 +59,11 @@ type lockEdge struct {
 
 // lockState is the suite-level accumulator.
 type lockState struct {
-	classes map[string]bool       // every lock class seen or annotated
-	edges   []lockEdge            // direct nesting edges
-	acq     map[string][]lockAcq  // function key -> locks its body acquires
-	calls   map[string][]string   // function key -> module functions it calls
-	pending []pendingCall         // calls made while holding locks
+	classes map[string]bool      // every lock class seen or annotated
+	edges   []lockEdge           // direct nesting edges
+	acq     map[string][]lockAcq // function key -> locks its body acquires
+	calls   map[string][]string  // function key -> module functions it calls
+	pending []pendingCall        // calls made while holding locks
 }
 
 type lockAcq struct {

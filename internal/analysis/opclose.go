@@ -121,7 +121,7 @@ func opCheckUnit(pass *Pass, u funcUnit) {
 	lat := &opLattice{p: pass, sites: sites}
 	res := forward(g, lat)
 
-	reportedLocal := make(map[int]bool)  // rule-2 dedup, by site
+	reportedLocal := make(map[int]bool)   // rule-2 dedup, by site
 	reportedPair := make(map[[2]int]bool) // rule-1 dedup, by (guard, leaked)
 
 	for _, pe := range g.Preds(g.Exit) {

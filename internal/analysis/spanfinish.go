@@ -206,10 +206,10 @@ type spanLattice struct {
 	sites []*spanSite
 }
 
-func (l *spanLattice) entry() siteFact         { return siteFact{} }
-func (l *spanLattice) unreached() siteFact     { return nil }
-func (l *spanLattice) join(a, b siteFact) siteFact  { return joinSites(a, b) }
-func (l *spanLattice) equal(a, b siteFact) bool     { return equalSites(a, b) }
+func (l *spanLattice) entry() siteFact                        { return siteFact{} }
+func (l *spanLattice) unreached() siteFact                    { return nil }
+func (l *spanLattice) join(a, b siteFact) siteFact            { return joinSites(a, b) }
+func (l *spanLattice) equal(a, b siteFact) bool               { return equalSites(a, b) }
 func (l *spanLattice) edgeFact(e Edge, out siteFact) siteFact { return out }
 
 func (l *spanLattice) transfer(b *Block, in siteFact) siteFact {

@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,7 +56,6 @@ type Engine struct {
 	// and the per-instance metric labels.
 	idMu sync.RWMutex
 	id   string // guarded by idMu
-
 
 	// inflight guards against cyclic schema materialization: per query
 	// execution (per Access), the set of schemas being materialized.
@@ -273,25 +273,32 @@ type Result struct {
 	Trace *obs.Span
 }
 
-// Document wraps the result values under a <results> element.
-func (r *Result) Document() *xmldm.Node {
-	root := &xmldm.Node{Name: "results"}
+// View wraps the result values under a read-only <results> element
+// without copying them: its children are the Values themselves (capped
+// at their length, so nothing can be appended into Values' spare
+// capacity), their Parent and Ord still say what BuildResult left there,
+// and the root is not finalized. It is what the serialize-only paths
+// render — serializers read only names, attributes and children — and
+// since Values may be shared with the query cache, nothing reachable
+// from it may be modified; callers that edit the tree take Document.
+func (r *Result) View() *xmldm.Node {
+	root := &xmldm.Node{Name: "results", Children: r.Values[:len(r.Values):len(r.Values)]}
 	if !r.Completeness.Complete {
 		root.Attrs = append(root.Attrs, xmldm.Attr{Name: "complete", Value: "false"})
-		for _, s := range r.Completeness.FailedSources() {
-			root.Attrs = append(root.Attrs, xmldm.Attr{Name: "failed", Value: s})
-			break // first failed source in the attribute; full list in Completeness
+		// The first failed source goes in the attribute; the full list is
+		// in Completeness.
+		if failed := r.Completeness.FailedSources(); len(failed) > 0 {
+			root.Attrs = append(root.Attrs, xmldm.Attr{Name: "failed", Value: failed[0]})
 		}
 	}
-	for _, v := range r.Values {
-		if n, ok := v.(*xmldm.Node); ok {
-			c := algebra.CopyNode(n)
-			c.Parent = root
-			root.Children = append(root.Children, c)
-		} else {
-			root.Children = append(root.Children, v)
-		}
-	}
+	return root
+}
+
+// Document wraps the result values under a <results> element. The tree
+// is a finalized deep copy, the caller's to modify (the HTTP front end
+// appends <explain> and <profile> to it, lenses re-parent its children).
+func (r *Result) Document() *xmldm.Node {
+	root := algebra.CopyNode(r.View())
 	xmldm.Finalize(root)
 	return root
 }
@@ -645,8 +652,12 @@ func (e *Engine) run(ctx context.Context, q *xmlql.Query, outer algebra.Binding,
 		}
 		aq.SetPhase("construct")
 		spCons := spRw.StartChild("construct")
+		items = slices.Grow(items, len(bindings))
 		for _, b := range bindings {
 			it := item{}
+			if len(plan.OrderBy) > 0 {
+				it.keys = make([]xmldm.Value, 0, len(plan.OrderBy))
+			}
 			for _, k := range plan.OrderBy {
 				v, err := algebra.Eval(actx, k.Expr, b)
 				if err != nil {

@@ -476,11 +476,11 @@ type SourceFetchStat struct {
 	// Reads higher than Fetches means plan operators re-read the
 	// prefetched buffer (re-Open, exchange workers) without new source
 	// work — Fetches and Rows stay single-counted.
-	Reads int
-	Nanos int64
-	Rows  int
-	Bytes int
-	Local bool
+	Reads   int
+	Nanos   int64
+	Rows    int
+	Bytes   int
+	Local   bool
 	Err     string
 	Retries int
 	Breaker string

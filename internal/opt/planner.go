@@ -455,6 +455,10 @@ func fragmentScan(access Access, spec FetchSpec, frag *sqlgen.Fragment) algebra.
 		vars = append(vars, v)
 	}
 	sort.Strings(vars)
+	cols := make([]string, len(vars))
+	for i, v := range vars {
+		cols[i] = frag.VarColumns[v]
+	}
 	return &algebra.FuncScan{
 		OpenFn: func(ctx *algebra.Context) (func() (algebra.Binding, error), error) {
 			roots, err := access.Roots(spec.Source, spec.Req)
@@ -467,6 +471,15 @@ func fragmentScan(access Access, spec FetchSpec, frag *sqlgen.Fragment) algebra.
 					rows = append(rows, doc.ChildrenNamed(frag.RowElement)...)
 				}
 			}
+			// A relational export lays every row out alike, so each
+			// variable's cell position is resolved once, on the first
+			// row, and only checked after that.
+			pos := make([]int, len(cols))
+			if len(rows) > 0 {
+				for i, name := range cols {
+					pos[i] = childIndex(rows[0], name)
+				}
+			}
 			i := 0
 			return func() (algebra.Binding, error) {
 				if i >= len(rows) {
@@ -474,17 +487,58 @@ func fragmentScan(access Access, spec FetchSpec, frag *sqlgen.Fragment) algebra.
 				}
 				row := rows[i]
 				i++
-				b := xmldm.NewTuple()
-				for _, v := range vars {
-					col := row.Child(frag.VarColumns[v])
-					if col == nil {
-						b = b.With(v, xmldm.Null{})
-						continue
-					}
-					b = b.With(v, xmldm.String(col.Text()))
-				}
-				return b, nil
+				return rowBinding(row, vars, cols, pos), nil
 			}, nil
 		},
 	}
+}
+
+// rowBinding binds vars[i] to the text of row's child element cols[i],
+// looked for at pos[i] first and by name if something else sits there;
+// a row without the column binds Null. The tuple's fields are built in
+// one allocation.
+func rowBinding(row *xmldm.Node, vars, cols []string, pos []int) algebra.Binding {
+	fields := make([]xmldm.Field, len(vars))
+	for i, v := range vars {
+		var cell *xmldm.Node
+		if p := pos[i]; p >= 0 && p < len(row.Children) {
+			if e, ok := row.Children[p].(*xmldm.Node); ok && e.Name == cols[i] {
+				cell = e
+			}
+		}
+		if cell == nil {
+			cell = row.Child(cols[i])
+		}
+		fields[i] = xmldm.Field{Name: v, Value: cellValue(cell)}
+	}
+	return xmldm.NewTuple(fields...)
+}
+
+// cellValue is the atom a column element carries: its text, or Null for
+// a column the row lacks. An exported cell holds at most one string, and
+// that boxed string is reused rather than rebuilt.
+func cellValue(cell *xmldm.Node) xmldm.Value {
+	if cell == nil {
+		return xmldm.Null{}
+	}
+	switch len(cell.Children) {
+	case 0:
+		return xmldm.String("")
+	case 1:
+		if _, ok := cell.Children[0].(xmldm.String); ok {
+			return cell.Children[0]
+		}
+	}
+	return xmldm.String(cell.Text())
+}
+
+// childIndex is the position of row's first child element called name,
+// or -1.
+func childIndex(row *xmldm.Node, name string) int {
+	for i, c := range row.Children {
+		if e, ok := c.(*xmldm.Node); ok && e.Name == name {
+			return i
+		}
+	}
+	return -1
 }

@@ -178,8 +178,7 @@ func (s *Server) handleTraceLast(w http.ResponseWriter, r *http.Request) {
 			root.Children = append(root.Children, sn)
 		}
 		xmldm.Finalize(root)
-		w.Header().Set("Content-Type", "application/xml")
-		io.WriteString(w, xmlparse.SerializeString(root, 2))
+		writeXML(w, root)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -187,6 +186,20 @@ func (s *Server) handleTraceLast(w http.ResponseWriter, r *http.Request) {
 		traces = []*obs.Span{}
 	}
 	json.NewEncoder(w).Encode(traces)
+}
+
+// writeXML sends n as the indented XML body of a 200 response. The body
+// is serialized whole into a pooled buffer first, so the response carries
+// its Content-Length and reaches the connection in one write instead of
+// being chunked; serializing reads only names, attributes and children,
+// so n may be an unfinalized view over shared nodes.
+func writeXML(w http.ResponseWriter, n *xmldm.Node) {
+	buf := xmlparse.NewBuffer()
+	defer buf.Release()
+	buf.WriteNode(n, 2)
+	w.Header().Set("Content-Type", "application/xml")
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf.Bytes())))
+	w.Write(buf.Bytes())
 }
 
 // handleTraces is the searchable trace store:
@@ -432,19 +445,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		xmldm.Finalize(doc)
 	} else {
-		var err error
-		doc, err = s.runQueryClass(ctx, q, class)
+		res, err := s.runQuery(ctx, q, class)
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 			s.logger().WarnContext(ctx, "query failed", "query", q, "error", err.Error())
 			writeQueryError(w, err)
 			return
 		}
+		// Nothing is added to a plain answer, so it is rendered
+		// straight from the result values, without the copy.
+		doc = res.View()
 	}
 	s.logger().InfoContext(ctx, "query served", "query", q,
 		"elapsed_ms", float64(time.Since(start))/float64(time.Millisecond))
-	w.Header().Set("Content-Type", "application/xml")
-	io.WriteString(w, xmlparse.SerializeString(doc, 2))
+	writeXML(w, doc)
 }
 
 // NewHTTPServer wraps a handler in an http.Server with the timeouts a
@@ -461,20 +475,18 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// runQuery consults the cache (complete results only) and dispatches.
-func (s *Server) runQuery(ctx context.Context, q string) (*xmldm.Node, error) {
-	return s.runQueryClass(ctx, q, "")
-}
-
-// runQueryClass is runQuery under an explicit scheduling class. The
+// runQuery consults the cache (complete results only) and dispatches
+// under the given scheduling class (empty for the engine's default). The
 // class does not bypass caches: a hit serves from memory and never
-// reaches the scheduler, which is exactly the cheap path.
-func (s *Server) runQueryClass(ctx context.Context, q, class string) (*xmldm.Node, error) {
+// reaches the scheduler, which is exactly the cheap path. The result's
+// Values may be shared with the cache and with other requests: render
+// them through View, or take Document to edit.
+func (s *Server) runQuery(ctx context.Context, q, class string) (*core.Result, error) {
 	if s.Cache != nil {
 		if cached, ok := s.Cache.Get(q); ok {
 			res := &core.Result{Values: cached.Values}
 			res.Completeness.Complete = true
-			return res.Document(), nil
+			return res, nil
 		}
 	}
 	res, err := s.Cluster.QueryOpt(ctx, q, core.QueryOptions{Class: class})
@@ -494,7 +506,7 @@ func (s *Server) runQueryClass(ctx context.Context, q, class string) (*xmldm.Nod
 		}
 		s.Cache.Put(q, qcache.Result{Values: res.Values, Sources: srcs})
 	}
-	return res.Document(), nil
+	return res, nil
 }
 
 func (s *Server) handleLensList(w http.ResponseWriter, _ *http.Request) {
@@ -540,13 +552,14 @@ func (s *Server) handleLens(w http.ResponseWriter, r *http.Request) {
 	combined := &xmldm.Node{Name: "results"}
 	complete := true
 	for _, q := range queries {
-		doc, err := s.runQuery(ctx, q)
+		res, err := s.runQuery(ctx, q, "")
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 			s.logger().WarnContext(ctx, "lens query failed", "lens", name, "error", err.Error())
 			writeQueryError(w, err)
 			return
 		}
+		doc := res.Document() // a copy: its children move under combined
 		if v, ok := doc.Attr("complete"); ok && v == "false" {
 			complete = false
 		}
@@ -572,7 +585,6 @@ func (s *Server) handleLens(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/xml")
 	cat := s.Cluster.Engine(0).Catalog()
 	root := &xmldm.Node{Name: "catalog"}
 	for _, n := range cat.SourceNames() {
@@ -584,7 +596,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 		root.Children = append(root.Children, c)
 	}
 	xmldm.Finalize(root)
-	io.WriteString(w, xmlparse.SerializeString(root, 2))
+	writeXML(w, root)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

@@ -8,6 +8,7 @@ package sources
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -129,15 +130,39 @@ func resultToXML(rootName, rowElem string, res *rdb.Result) *xmldm.Node {
 	return root
 }
 
+// appendResultRows appends one rowElem element per result row, each with
+// one child element per column. The whole result is carved from two slabs
+// (one of nodes, one of child slots), every sub-slice capped at its own
+// length so that an append to one node's children can never reach its
+// neighbour's; a string cell is shared with the database, not re-boxed.
 func appendResultRows(root *xmldm.Node, rowElem string, res *rdb.Result) {
+	rows, cols := len(res.Rows), len(res.Columns)
+	if rows == 0 {
+		return
+	}
+	nodes := make([]xmldm.Node, rows*(1+cols))
+	slots := make([]xmldm.Value, 2*rows*cols)
+	root.Children = slices.Grow(root.Children, rows)
 	for _, row := range res.Rows {
-		r := &xmldm.Node{Name: rowElem, Parent: root}
+		r, cells := &nodes[0], nodes[1:1+cols]
+		nodes = nodes[1+cols:]
+		kids, texts := slots[:cols:cols], slots[cols:2*cols]
+		slots = slots[2*cols:]
+		r.Name, r.Parent, r.Children = rowElem, root, kids
 		for i, col := range res.Columns {
-			c := &xmldm.Node{Name: col, Parent: r}
-			if row[i] != nil && row[i].Kind() != xmldm.KindNull {
-				c.Children = append(c.Children, xmldm.String(xmldm.Stringify(row[i])))
+			c := &cells[i]
+			c.Name, c.Parent = col, r
+			switch v := row[i].(type) {
+			case nil, xmldm.Null:
+				// NULL exports as an empty element
+			case xmldm.String:
+				c.Children = texts[i : i+1 : i+1]
+				c.Children[0] = row[i]
+			default:
+				c.Children = texts[i : i+1 : i+1]
+				c.Children[0] = xmldm.String(xmldm.Stringify(v))
 			}
-			r.Children = append(r.Children, c)
+			kids[i] = c
 		}
 		root.Children = append(root.Children, r)
 	}

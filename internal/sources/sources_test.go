@@ -11,6 +11,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/rdb"
+	"repro/internal/testkit"
 	"repro/internal/xmldm"
 )
 
@@ -337,5 +338,63 @@ func TestInstrumentedSource(t *testing.T) {
 	// Nil registry: pass-through, no wrapper.
 	if got := Instrument(inner, nil); got != catalog.Source(inner) {
 		t.Error("nil registry should return the source unchanged")
+	}
+}
+
+// TestResultRowsAreSlabBuilt pins what exporting a SQL result costs: the
+// two slabs, the root's child list and the root, plus at most one boxed
+// string per non-NULL cell — nothing per row and nothing per node. String
+// cells are shared with the database and cost nothing; the id column pays
+// for its digits and their box, which the three free cells of its row
+// more than cover.
+func TestResultRowsAreSlabBuilt(t *testing.T) {
+	db := rdb.NewDatabase("crm")
+	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR, tier VARCHAR)`)
+	const rows = 300
+	for i := 0; i < rows; i++ {
+		var tier xmldm.Value = xmldm.String("gold")
+		if i%10 == 0 {
+			tier = xmldm.Null{}
+		}
+		if err := db.Insert("customers", rdb.Row{xmldm.Int(1000 + i), xmldm.String(fmt.Sprintf("Name %d", i)), xmldm.String("Oslo"), tier}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := db.Exec(`SELECT id, name, city, tier FROM customers`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := resultToXML("crmdb", "customer", res)
+	if got := doc.CountElements(); got != 1+rows*5 {
+		t.Fatalf("%d elements, want %d", got, 1+rows*5)
+	}
+	first, twelfth := doc.Children[0].(*xmldm.Node), doc.Children[11].(*xmldm.Node)
+	if first.Child("tier").Text() != "" || len(first.Child("tier").Children) != 0 {
+		t.Errorf("NULL cell exported %v, want an empty element", first.Child("tier").Children)
+	}
+	if twelfth.Child("id").Text() != "1011" || twelfth.Child("name").Text() != "Name 11" || twelfth.Child("tier").Text() != "gold" {
+		t.Errorf("row 11 exported as %s", twelfth)
+	}
+	if twelfth.Parent != doc || twelfth.Child("city").Parent != twelfth || twelfth.Ord != 1+11*5+1 {
+		t.Errorf("row 11 has parent %v ord %d", twelfth.Parent, twelfth.Ord)
+	}
+	// Every child list ends at its own length: appending to one cannot
+	// reach into its neighbour's slots.
+	name := first.Child("name")
+	name.Children = append(name.Children, xmldm.String("!"))
+	first.Children = append(first.Children, &xmldm.Node{Name: "extra"})
+	if got := first.Child("city").Text(); got != "Oslo" {
+		t.Errorf("appending to one cell changed its neighbour to %q", got)
+	}
+	if got := doc.Children[1].(*xmldm.Node).Child("id").Text(); got != "1001" {
+		t.Errorf("appending to one row changed the next row's id to %q", got)
+	}
+
+	if testkit.Race {
+		t.Skip("the race detector allocates")
+	}
+	cells := rows * 4
+	if n := testing.AllocsPerRun(20, func() { resultToXML("crmdb", "customer", res) }); n > float64(cells+4) {
+		t.Errorf("exporting %d rows of 4 cells allocates %v times, want at most %d", rows, n, cells+4)
 	}
 }

@@ -1,0 +1,8 @@
+//go:build !race
+
+// Package testkit holds what tests in several packages share.
+package testkit
+
+// Race reports whether the binary was built with the race detector, whose
+// instrumentation allocates: allocation pins skip themselves under it.
+const Race = false

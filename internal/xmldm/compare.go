@@ -128,13 +128,33 @@ func numericValue(v Value) (float64, bool) {
 		}
 		return f, true
 	case String:
-		f, err := strconv.ParseFloat(strings.TrimSpace(string(x)), 64)
+		s := strings.TrimSpace(string(x))
+		if !mayBeNumber(s) {
+			return 0, false
+		}
+		f, err := strconv.ParseFloat(s, 64)
 		if err != nil || math.IsNaN(f) {
 			return 0, false
 		}
 		return f, true
 	default:
 		return 0, false
+	}
+}
+
+// mayBeNumber reports whether s starts the way something ParseFloat
+// accepts must: a digit, a sign, a point, or the first letter of
+// inf/infinity/nan. ParseFloat allocates an error for every string it
+// rejects, and most strings compared are plain text.
+func mayBeNumber(s string) bool {
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; c {
+	case '+', '-', '.', 'i', 'I', 'n', 'N':
+		return true
+	default:
+		return '0' <= c && c <= '9'
 	}
 }
 
@@ -162,6 +182,9 @@ func classRank(v Value, numeric bool) int {
 // number if it parses as one, else a string.
 func atomizeNode(n *Node) Value {
 	t := n.Text()
+	if !mayBeNumber(t) {
+		return String(t)
+	}
 	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
 		return Int(i)
 	}

@@ -1,6 +1,12 @@
 package xmlparse
 
-import "testing"
+import (
+	"bytes"
+	"encoding/xml"
+	"testing"
+
+	"repro/internal/xmldm"
+)
 
 // FuzzParse is the native fuzz target for the XML reader: inputs that
 // parse must re-serialize and re-parse to the same element count. Run
@@ -32,6 +38,35 @@ func FuzzParse(f *testing.F) {
 		if back.CountElements() != doc.CountElements() {
 			t.Fatalf("element count changed %d -> %d\nin: %q\nout: %q",
 				doc.CountElements(), back.CountElements(), src, out)
+		}
+	})
+}
+
+// FuzzSerializeEscape holds the serializer's string-native escaper to
+// encoding/xml.EscapeText, byte for byte, in text and in attribute
+// position.
+func FuzzSerializeEscape(f *testing.F) {
+	seeds := []string{
+		"", "plain", `"`, `'`, "&", "<", ">", "\t", "\r", "\n", `a"b'c&d<e>f`,
+		"\x00", "\x01\x1f", "\x7f", "\xff", "a\xc3", "\xed\xa0\x80", // lone bytes, truncated rune, surrogate
+		"\ufffd", "\ufffe", "\uffff", "\ud7ff\ue000", "\U00010000\U0010ffff", "héllo wörld ١٢",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var ref bytes.Buffer
+		if err := xml.EscapeText(&ref, []byte(s)); err != nil {
+			t.Fatal(err)
+		}
+		want := `<e a="` + ref.String() + `">` + ref.String() + `</e>`
+		n := &xmldm.Node{
+			Name:     "e",
+			Attrs:    []xmldm.Attr{{Name: "a", Value: s}},
+			Children: []xmldm.Value{xmldm.String(s)},
+		}
+		if got := SerializeString(n, 0); got != want {
+			t.Fatalf("escape of %q:\n got %q\nwant %q", s, got, want)
 		}
 	})
 }

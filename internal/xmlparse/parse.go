@@ -123,72 +123,3 @@ func isXMLName(s string) bool {
 	}
 	return true
 }
-
-// Serialize writes n as XML to w, optionally indented. indent <= 0 means
-// compact output.
-func Serialize(w io.Writer, n *xmldm.Node, indent int) error {
-	var sb strings.Builder
-	writeNode(&sb, n, indent, 0)
-	if indent > 0 {
-		sb.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// SerializeString renders n as an XML string, indented by indent spaces
-// per level (compact when indent <= 0).
-func SerializeString(n *xmldm.Node, indent int) string {
-	var sb strings.Builder
-	writeNode(&sb, n, indent, 0)
-	return sb.String()
-}
-
-func writeNode(sb *strings.Builder, n *xmldm.Node, indent, depth int) {
-	pad := func(d int) {
-		if indent > 0 {
-			if sb.Len() > 0 {
-				sb.WriteByte('\n')
-			}
-			for i := 0; i < d*indent; i++ {
-				sb.WriteByte(' ')
-			}
-		}
-	}
-	pad(depth)
-	sb.WriteByte('<')
-	sb.WriteString(n.Name)
-	for _, a := range n.Attrs {
-		sb.WriteByte(' ')
-		sb.WriteString(a.Name)
-		sb.WriteString(`="`)
-		xml.EscapeText(sb, []byte(a.Value))
-		sb.WriteByte('"')
-	}
-	if len(n.Children) == 0 {
-		sb.WriteString("/>")
-		return
-	}
-	sb.WriteByte('>')
-	onlyText := true
-	for _, c := range n.Children {
-		if _, ok := c.(*xmldm.Node); ok {
-			onlyText = false
-			break
-		}
-	}
-	for _, c := range n.Children {
-		switch v := c.(type) {
-		case *xmldm.Node:
-			writeNode(sb, v, indent, depth+1)
-		default:
-			xml.EscapeText(sb, []byte(xmldm.Stringify(v)))
-		}
-	}
-	if !onlyText {
-		pad(depth)
-	}
-	sb.WriteString("</")
-	sb.WriteString(n.Name)
-	sb.WriteByte('>')
-}

@@ -229,8 +229,8 @@ type Config struct {
 // Result is a query answer.
 type Result struct {
 	// Values are the constructed result elements in order. Treat them
-	// as immutable: cached results share them across callers (XML and
-	// Document render copies).
+	// as immutable: cached results share them across callers (XML reads
+	// them in place; Document returns a copy that is the caller's own).
 	Values []Value
 	// Complete reports whether every source answered.
 	Complete bool
@@ -246,14 +246,14 @@ type Result struct {
 }
 
 // XML renders the result document (indented).
-func (r *Result) XML() string { return xmlparse.SerializeString(r.doc(), 2) }
+func (r *Result) XML() string { return xmlparse.SerializeString(r.coreResult().View(), 2) }
 
-// Document returns the result wrapped under a <results> element.
-func (r *Result) Document() *Node { return r.doc() }
+// Document returns the result wrapped under a <results> element, as a
+// deep copy the caller may modify.
+func (r *Result) Document() *Node { return r.coreResult().Document() }
 
-func (r *Result) doc() *Node {
-	cr := &core.Result{Values: r.Values, Completeness: r.Completeness}
-	return cr.Document()
+func (r *Result) coreResult() *core.Result {
+	return &core.Result{Values: r.Values, Completeness: r.Completeness}
 }
 
 // System is one assembled deployment of the integration product.
