@@ -6,7 +6,7 @@ GO ?= go
 # installed, so `make check` stays green on offline builders.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race fmt vet lint vulncheck check bench explain-smoke chaos-smoke cluster-smoke trace-smoke parallel-race sched-race sched-soak resultpath-race
+.PHONY: all build test race fmt vet lint vulncheck check bench bench-smoke explain-smoke chaos-smoke cluster-smoke trace-smoke parallel-race sched-race sched-soak resultpath-race
 
 all: build
 
@@ -41,16 +41,27 @@ vulncheck:
 race:
 	$(GO) test -race ./...
 
+# run-named is `go test -run PATTERN …` that fails when the pattern
+# selects nothing in a package: the steps below pick tests by name, and a
+# renamed test must not drop out of its race step unnoticed.
+define run-named
+	@echo "$(GO) test $(1)"; out=$$($(GO) test $(1) 2>&1); status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	if echo "$$out" | grep -q 'no tests to run'; then echo "$@: the pattern selects no tests"; exit 1; fi
+endef
+
 # parallel-race exercises the intra-query parallel execution machinery
-# under the race detector: the serial-vs-parallel differential suite,
-# the exchange/partitioned-join unit and fuzz seeds, and the concurrent
-# storm through the cluster front end under chaos faults (dead + slow
-# sources) asserting byte-identical results — no lost or duplicated
-# tuples.
+# under the race detector: the serial-vs-parallel differential suite and
+# the view-join equivalence, the exchange and hash-join (every degree,
+# keyed and natural) unit, property and fuzz seeds, the planner's
+# join-key recognition, and the concurrent storm through the cluster
+# front end under chaos faults (dead + slow sources) asserting
+# byte-identical results — no lost or duplicated tuples.
 parallel-race:
-	$(GO) test -race -run 'TestParallelEquivalence|TestExplainParallelPlanShape' -count=1 ./internal/core
-	$(GO) test -race -run 'TestExchange|TestParallelHashJoin|TestParallelMatch|TestStableSort|FuzzPartition' -count=1 ./internal/algebra
-	$(GO) test -race -run 'TestParallelStormUnderChaos' -count=1 .
+	$(call run-named,-race -run 'TestParallelEquivalence|TestUnfoldingEquivalence_ViewJoin|TestExplainParallelPlanShape' -count=1 ./internal/core)
+	$(call run-named,-race -run 'TestExchange|TestHashJoin|TestParallelClose|TestParallelMatch|TestStableSort|FuzzPartition' -count=1 ./internal/algebra)
+	$(call run-named,-race -run 'TestPlanJoinKey|TestPlanNonKeyPredicates|TestPlanThreeSourceChain' -count=1 ./internal/opt)
+	$(call run-named,-race -run 'TestParallelStormUnderChaos' -count=1 .)
 
 # sched-race exercises the shared inter-query scheduler under the race
 # detector: the unit/property/starvation battery plus the grant fuzz
@@ -92,6 +103,14 @@ check: fmt vet lint test race parallel-race sched-race resultpath-race vulncheck
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-smoke builds the repository benchmark (bench/ is a module of its
+# own, which `go build ./...` does not see), runs its unit tests, and
+# drives two seconds of fed-join, which exits non-zero when any answer's
+# digest differs from the serial twin's.
+bench-smoke:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh --workload fed-join --seed 7 --seconds 2 --trace 0
 
 # chaos-smoke runs the extended fault-injection soak (1000 mixed
 # queries per seed under a seeded fault schedule, each seed replayed

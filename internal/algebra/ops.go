@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"sort"
+	"strings"
 
 	"repro/internal/xmldm"
 	"repro/internal/xmlql"
@@ -80,22 +81,47 @@ func (p *Project) Close() error {
 	return p.Input.Close()
 }
 
+// KeyPair is an equality predicate $Left = $Right turned into a join key:
+// Left must be bound only by the join's left input and Right only by its
+// right input, so the pair can be hashed and checked on the two rows
+// before they are merged.
+type KeyPair struct {
+	Left, Right string
+}
+
 // HashJoin joins two binding streams on their shared variables (natural
-// join). The right input is built into a hash table at Open; the left
-// streams. With no shared variables it degenerates to a Cartesian
-// product.
+// join) and on Pairs, the equality predicates the planner recognized as
+// spanning the two inputs. The right input is built into a hash table
+// on the first Next; the left streams. With no key it degenerates to a
+// Cartesian product.
+//
+// A bucket hit is verified before merging: natural variables by Equal
+// (mergeBindings), pairs by predicate semantics — Null on either side
+// never matches, otherwise Compare == 0, which Hash is consistent with.
+// Output is left-major with each left row's matches in right-input
+// order, the sequence the cross product followed by a Select on the
+// pairs would emit.
+//
+// Workers > 1 runs the partitioned build and probe in parallel.go over
+// the same keys; the output is byte-identical at every degree.
 type HashJoin struct {
 	Left, Right Operator
-	// On lists the join variables; empty means "the shared variables of
-	// the first left and right bindings", resolved lazily.
-	On []string
+	// On lists the natural join variables; empty means "the shared
+	// variables of the first left and right bindings", resolved lazily.
+	On      []string
+	Pairs   []KeyPair
+	Workers int
 
 	ctx     *Context
-	table   map[uint64][]Binding
-	right   []Binding
 	vars    []string
-	varsSet bool
-	pending []Binding
+	started bool
+	right   []Binding
+	first   Binding              // the left row start pulled to resolve vars
+	table   map[uint64][]Binding // serial build side
+	pending []Binding            // serial: matches of the current left row
+	pos     int
+	fan     *fanout // the probe pool, when Workers > 1
+	sp      traceSpan
 }
 
 // Open implements Operator.
@@ -108,35 +134,91 @@ func (j *HashJoin) Open(ctx *Context) error {
 		return err
 	}
 	j.ctx = ctx
-	j.table = nil
-	j.right = nil
-	j.pending = nil
 	j.vars = j.On
-	j.varsSet = len(j.On) > 0
+	j.started = false
+	j.right, j.first, j.table, j.pending, j.pos, j.fan = nil, nil, nil, nil, 0, nil
 	return nil
 }
 
-func (j *HashJoin) buildRight() error {
-	j.table = make(map[uint64][]Binding)
+// start drains the right side, pulls the first left row to resolve the
+// natural variables against it, and builds the table (or, with Workers >
+// 1, the partitioned tables and the probe pool). It runs on the
+// consumer goroutine at the first Next.
+func (j *HashJoin) start() error {
+	j.started = true
 	for {
 		b, err := j.Right.Next()
 		if err != nil {
 			return err
 		}
 		if b == nil {
-			return nil
+			break
 		}
 		j.right = append(j.right, b)
 	}
+	first, err := j.Left.Next()
+	if err != nil || first == nil {
+		return err
+	}
+	j.first = first
+	if len(j.vars) == 0 {
+		j.vars = sharedVars(first, j.right)
+	}
+	if j.Workers > 1 {
+		j.startParallel()
+		return nil
+	}
+	j.table = make(map[uint64][]Binding, len(j.right))
+	for _, r := range j.right {
+		k := j.keyOf(r, true)
+		j.table[k] = append(j.table[k], r)
+	}
+	return nil
 }
 
-func (j *HashJoin) keyOf(b Binding) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, v := range j.vars {
-		val, _ := b.Get(v)
-		h = h*1099511628211 ^ xmldm.Hash(val)
+// keyOf hashes a row's join key: the natural variables (PartitionKey,
+// so routing and buckets agree), then each pair's variable for the
+// row's side.
+func (j *HashJoin) keyOf(b Binding, rightSide bool) uint64 {
+	h := PartitionKey(b, j.vars)
+	for _, p := range j.Pairs {
+		if rightSide {
+			h = foldVar(h, b, p.Right)
+		} else {
+			h = foldVar(h, b, p.Left)
+		}
 	}
 	return h
+}
+
+// probe appends to outs the merge of l with every row of its bucket
+// that really matches, in bucket (right-input) order.
+func (j *HashJoin) probe(table map[uint64][]Binding, l Binding, outs []Binding) []Binding {
+next:
+	for _, r := range table[j.keyOf(l, false)] {
+		for _, p := range j.Pairs {
+			lv, _ := l.Get(p.Left)
+			rv, _ := r.Get(p.Right)
+			if isNull(lv) || isNull(rv) || xmldm.Compare(lv, rv) != 0 {
+				continue next
+			}
+		}
+		if m, ok := mergeBindings(l, r, j.vars); ok {
+			outs = append(outs, m)
+		}
+	}
+	return outs
+}
+
+func isNull(v xmldm.Value) bool { return v == nil || v.Kind() == xmldm.KindNull }
+
+// nextLeft yields the row start already pulled, then the rest.
+func (j *HashJoin) nextLeft() (Binding, error) {
+	if l := j.first; l != nil {
+		j.first = nil
+		return l, nil
+	}
+	return j.Left.Next()
 }
 
 // Next implements Operator.
@@ -144,51 +226,70 @@ func (j *HashJoin) Next() (Binding, error) {
 	if j.ctx == nil {
 		return nil, ErrNotOpen
 	}
-	if j.table == nil {
-		if err := j.buildRight(); err != nil {
+	if !j.started {
+		if err := j.start(); err != nil {
 			return nil, err
 		}
 	}
+	if j.fan != nil {
+		return j.fan.next()
+	}
+	if j.table == nil {
+		return nil, nil // empty left: nothing was built
+	}
 	for {
-		if len(j.pending) > 0 {
-			b := j.pending[0]
-			j.pending = j.pending[1:]
+		if j.pos < len(j.pending) {
+			b := j.pending[j.pos]
+			j.pos++
 			return b, nil
 		}
-		l, err := j.Left.Next()
+		l, err := j.nextLeft()
 		if err != nil || l == nil {
 			return nil, err
 		}
-		if !j.varsSet {
-			// Resolve shared variables from the first left binding and
-			// the right bindings.
-			j.vars = sharedVars(l, j.right)
-			j.varsSet = true
-		}
-		if len(j.table) == 0 && len(j.right) > 0 {
-			for _, r := range j.right {
-				k := j.keyOf(r)
-				j.table[k] = append(j.table[k], r)
-			}
-		}
-		for _, r := range j.table[j.keyOf(l)] {
-			if m, ok := mergeBindings(l, r, j.vars); ok {
-				j.pending = append(j.pending, m)
-			}
-		}
+		j.pending, j.pos = j.probe(j.table, l, j.pending[:0]), 0
 	}
 }
 
 // BufferedTuples reports the tuples held materialized (the built right
-// side plus the pending output queue) for peak-memory instrumentation.
-func (j *HashJoin) BufferedTuples() int { return len(j.right) + len(j.pending) }
+// side plus the pending output queue or merge buffer) for peak-memory
+// instrumentation.
+func (j *HashJoin) BufferedTuples() int {
+	if j.fan != nil {
+		return len(j.right) + j.fan.buffered()
+	}
+	return len(j.right) + len(j.pending) - j.pos
+}
+
+// KeyString renders the join key for EXPLAIN: natural variables as $v,
+// pairs as $l=$r; empty for a key not known before the join runs.
+func (j *HashJoin) KeyString() string { return keyString(j.On, j.Pairs) }
+
+func keyString(vars []string, pairs []KeyPair) string {
+	keys := make([]string, 0, len(vars)+len(pairs))
+	for _, v := range vars {
+		keys = append(keys, "$"+v)
+	}
+	for _, p := range pairs {
+		keys = append(keys, "$"+p.Left+"=$"+p.Right)
+	}
+	return strings.Join(keys, ", ")
+}
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
+	// j.ctx doubles as the "already closed" marker, as in Exchange.Close:
+	// a second Close must neither stop the pool twice nor unbalance the
+	// worker gauge. j.fan stays set so WorkerStats remains readable.
+	if j.fan != nil && j.ctx != nil {
+		j.fan.finish(j.ctx)
+		if j.sp != nil {
+			j.sp.Finish()
+			j.sp = nil
+		}
+	}
 	j.ctx = nil
-	j.table = nil
-	j.right = nil
-	j.pending = nil
+	j.right, j.first, j.table, j.pending = nil, nil, nil, nil
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
 	if err1 != nil {

@@ -46,10 +46,15 @@ type workerStater interface {
 func PartitionKey(b Binding, vars []string) uint64 {
 	var h uint64 = 14695981039346656037
 	for _, v := range vars {
-		val, _ := b.Get(v)
-		h = h*1099511628211 ^ xmldm.Hash(val)
+		h = foldVar(h, b, v)
 	}
 	return h
+}
+
+// foldVar folds the hash of b's value for name into a key hash.
+func foldVar(h uint64, b Binding, name string) uint64 {
+	val, _ := b.Get(name)
+	return h*1099511628211 ^ xmldm.Hash(val)
 }
 
 // PartitionOf maps a partition key onto one of n partitions.
@@ -70,8 +75,8 @@ type outBatch struct {
 // enough to keep workers busy without materializing whole streams.
 const chanBuf = 64
 
-// fanout is the shared fan-out/merge machinery behind Exchange and
-// ParallelHashJoin. The producer routes each input tuple to a worker
+// fanout is the shared fan-out/merge machinery behind Exchange and the
+// partitioned HashJoin. The producer routes each input tuple to a worker
 // and records the route; the merger replays the routes in input order,
 // reading exactly one batch per route, so output order equals serial
 // evaluation order regardless of worker scheduling. The producer sends
@@ -216,6 +221,18 @@ func (f *fanout) stop() {
 	close(f.done)
 	f.wg.Wait()
 	f.cur = nil
+}
+
+// finish stops the pool and settles its accounts with the context: the
+// workers' busy time is recorded and the worker gauge credited back.
+func (f *fanout) finish(ctx *Context) {
+	f.stop()
+	var busy int64
+	for _, ws := range f.stats {
+		busy += ws.Nanos
+	}
+	ctx.AddWorkerTime(busy)
+	ctx.AddWorkers(-len(f.stats))
 }
 
 // buffered reports the merge-side buffer (owned by the consumer
@@ -364,13 +381,7 @@ func (x *Exchange) Close() error {
 	// gauge. x.fan stays set so WorkerStats remains readable after
 	// Close.
 	if x.fan != nil && x.ctx != nil {
-		x.fan.stop()
-		var busy int64
-		for _, ws := range x.fan.stats {
-			busy += ws.Nanos
-		}
-		x.ctx.AddWorkerTime(busy)
-		x.ctx.AddWorkers(-x.workers)
+		x.fan.finish(x.ctx)
 		if x.sp != nil {
 			for _, ws := range x.fan.stats {
 				x.sp.SetInt(fmt.Sprintf("worker%d_rows", ws.Worker), ws.Rows)
@@ -383,88 +394,20 @@ func (x *Exchange) Close() error {
 	return x.Input.Close()
 }
 
-// ParallelHashJoin is HashJoin with a partitioned build and probe: the
-// right side is split into Workers per-partition hash tables by join-
-// key hash, the left stream is routed by the same hash, and each worker
-// probes only its own table. Because all rows with one join-key hash
-// live in one partition, and bucket lists preserve right-input order,
-// the merged output is byte-identical to the serial HashJoin.
-type ParallelHashJoin struct {
-	Left, Right Operator
-	// On lists the join variables; empty resolves the shared variables
-	// of the first left binding and the right bindings, lazily — the
-	// same contract as HashJoin.
-	On      []string
-	Workers int
-
-	ctx     *Context
-	fan     *fanout
-	workers int
-	right   []Binding
-	tables  []map[uint64][]Binding
-	vars    []string
-	started bool
-	drained bool
-	sp      traceSpan
-}
-
-// Open implements Operator.
-func (j *ParallelHashJoin) Open(ctx *Context) error {
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.Right.Open(ctx); err != nil {
-		j.Left.Close()
-		return err
-	}
-	j.ctx = ctx
-	j.fan = nil
-	j.right = nil
-	j.tables = nil
-	j.vars = j.On
-	j.started = false
-	j.drained = false
-	j.workers = j.Workers
-	if j.workers < 1 {
-		j.workers = 1
-	}
-	return nil
-}
-
-// start drains the right side, resolves the join variables from the
-// first left binding (like HashJoin), builds the per-partition tables
-// in parallel, and launches the probe pool. It runs on the consumer
-// goroutine at first Next.
-func (j *ParallelHashJoin) start() error {
-	j.started = true
-	for {
-		b, err := j.Right.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		j.right = append(j.right, b)
-	}
-	first, err := j.Left.Next()
-	if err != nil {
-		return err
-	}
-	if first == nil {
-		j.drained = true
-		return nil
-	}
-	if len(j.vars) == 0 {
-		j.vars = sharedVars(first, j.right)
-	}
-
+// startParallel is HashJoin at Workers > 1: the right side is split into
+// Workers per-partition hash tables by join-key hash, the left stream is
+// routed by the same hash, and each worker probes only its own table.
+// Because all rows with one join-key hash live in one partition, and
+// bucket lists preserve right-input order, the merged output is
+// byte-identical to the serial loop.
+func (j *HashJoin) startParallel() {
+	workers := j.Workers
 	// Partition the build side: precompute every row's key hash in
 	// parallel chunks, then each worker keeps its partition's rows in
 	// right-input order (bucket order is what makes output identical to
 	// the serial join).
 	keys := make([]uint64, len(j.right))
-	chunk := (len(j.right) + j.workers - 1) / j.workers
+	chunk := (len(j.right) + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(j.right); lo += chunk {
 		hi := lo + chunk
@@ -475,124 +418,52 @@ func (j *ParallelHashJoin) start() error {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				keys[i] = PartitionKey(j.right[i], j.vars)
+				keys[i] = j.keyOf(j.right[i], true)
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	j.tables = make([]map[uint64][]Binding, j.workers)
-	for w := 0; w < j.workers; w++ {
+	tables := make([]map[uint64][]Binding, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			t := make(map[uint64][]Binding)
 			for i, r := range j.right {
-				if PartitionOf(keys[i], j.workers) == w {
+				if PartitionOf(keys[i], workers) == w {
 					t[keys[i]] = append(t[keys[i]], r)
 				}
 			}
-			j.tables[w] = t
+			tables[w] = t
 		}(w)
 	}
 	wg.Wait()
 
 	if sp := j.ctx.Trace.StartChild("exchange"); sp != nil {
-		sp.SetAttr("op", "ParallelHashJoin")
-		sp.SetInt("workers", int64(j.workers))
-		sp.SetAttr("partition", "hash("+strings.Join(j.vars, ",")+")")
+		sp.SetAttr("op", "HashJoin")
+		sp.SetInt("workers", int64(workers))
+		sp.SetAttr("partition", "hash("+keyString(j.vars, j.Pairs)+")")
 		sp.SetInt("build_rows", int64(len(j.right)))
 		j.sp = sp
 	}
-	j.ctx.AddWorkers(j.workers)
-	j.fan = newFanout(j.workers)
-	j.fan.runWorkers(j.workers, func(w int) (func(Binding) ([]Binding, error), func(), error) {
-		table := j.tables[w]
-		vars := j.vars
-		return func(l Binding) ([]Binding, error) {
-			var outs []Binding
-			for _, r := range table[PartitionKey(l, vars)] {
-				if m, ok := mergeBindings(l, r, vars); ok {
-					outs = append(outs, m)
-				}
-			}
-			return outs, nil
-		}, nil, nil
+	j.ctx.AddWorkers(workers)
+	j.fan = newFanout(workers)
+	j.fan.runWorkers(workers, func(w int) (func(Binding) ([]Binding, error), func(), error) {
+		table := tables[w]
+		return func(l Binding) ([]Binding, error) { return j.probe(table, l, nil), nil }, nil, nil
 	})
-	pulledFirst := false
-	j.fan.produce(func() (Binding, error) {
-		if !pulledFirst {
-			pulledFirst = true
-			return first, nil
-		}
-		return j.Left.Next()
-	}, func(l Binding) int {
-		return PartitionOf(PartitionKey(l, j.vars), j.workers)
+	j.fan.produce(j.nextLeft, func(l Binding) int {
+		return PartitionOf(j.keyOf(l, false), workers)
 	})
-	return nil
 }
 
-// Next implements Operator.
-func (j *ParallelHashJoin) Next() (Binding, error) {
-	if j.ctx == nil {
-		return nil, ErrNotOpen
-	}
-	if !j.started {
-		if err := j.start(); err != nil {
-			return nil, err
-		}
-	}
-	if j.drained {
-		return nil, nil
-	}
-	return j.fan.next()
-}
-
-// BufferedTuples reports the materialized build side plus the merge
-// buffer, for peak-memory instrumentation.
-func (j *ParallelHashJoin) BufferedTuples() int {
-	n := len(j.right)
-	if j.fan != nil {
-		n += j.fan.buffered()
-	}
-	return n
-}
-
-// WorkerStats reports per-worker probe rows and busy time; valid after
-// Close.
-func (j *ParallelHashJoin) WorkerStats() []WorkerStat {
+// WorkerStats reports per-worker probe rows and busy time when the
+// join ran partitioned; valid after Close.
+func (j *HashJoin) WorkerStats() []WorkerStat {
 	if j.fan == nil {
 		return nil
 	}
 	return j.fan.stats
-}
-
-// Close implements Operator.
-func (j *ParallelHashJoin) Close() error {
-	// As with Exchange.Close, j.ctx marks "not yet closed": double
-	// Close must neither stop the fanout twice nor unbalance the
-	// worker gauge.
-	if j.fan != nil && j.ctx != nil {
-		j.fan.stop()
-		var busy int64
-		for _, ws := range j.fan.stats {
-			busy += ws.Nanos
-		}
-		j.ctx.AddWorkerTime(busy)
-		j.ctx.AddWorkers(-j.workers)
-	}
-	if j.sp != nil {
-		j.sp.Finish()
-		j.sp = nil
-	}
-	j.ctx = nil
-	j.right = nil
-	j.tables = nil
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
 }
 
 // StableSortIndices returns the permutation that sorts n items under

@@ -195,9 +195,9 @@ func TestExchangeEarlyClose(t *testing.T) {
 	}
 }
 
-// TestParallelHashJoinMatchesSerial: the partitioned join is
-// byte-identical to HashJoin for explicit and inferred join variables.
-func TestParallelHashJoinMatchesSerial(t *testing.T) {
+// TestHashJoinDegreesMatchSerial: the partitioned join is byte-identical
+// to the serial loop for explicit and inferred join variables.
+func TestHashJoinDegreesMatchSerial(t *testing.T) {
 	left := randTuples(120, 6)
 	right := make([]Binding, 0, 40)
 	rng := rand.New(rand.NewSource(7))
@@ -210,7 +210,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 		want := drainAll(t, &Context{}, &HashJoin{
 			Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right}, On: on})
 		for _, workers := range []int{1, 2, 8} {
-			got := drainAll(t, &Context{}, &ParallelHashJoin{
+			got := drainAll(t, &Context{}, &HashJoin{
 				Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right},
 				On: on, Workers: workers})
 			if !bindingsEqual(got, want) {
@@ -221,7 +221,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParallelHashJoinEmptySides(t *testing.T) {
+func TestHashJoinDegreesEmptySides(t *testing.T) {
 	tuples := randTuples(10, 8)
 	for _, tc := range []struct {
 		name        string
@@ -231,15 +231,17 @@ func TestParallelHashJoinEmptySides(t *testing.T) {
 		{"empty right", tuples, nil},
 		{"both empty", nil, nil},
 	} {
-		j := &ParallelHashJoin{
-			Left:    &TupleScan{Tuples: tc.left},
-			Right:   &TupleScan{Tuples: tc.right},
-			On:      []string{"k"},
-			Workers: 4,
-		}
-		out := drainAll(t, &Context{}, j)
-		if len(out) != 0 {
-			t.Errorf("%s: rows = %d, want 0", tc.name, len(out))
+		for _, workers := range []int{1, 4} {
+			j := &HashJoin{
+				Left:    &TupleScan{Tuples: tc.left},
+				Right:   &TupleScan{Tuples: tc.right},
+				On:      []string{"k"},
+				Workers: workers,
+			}
+			out := drainAll(t, &Context{}, j)
+			if len(out) != 0 {
+				t.Errorf("%s workers=%d: rows = %d, want 0", tc.name, workers, len(out))
+			}
 		}
 	}
 }
@@ -280,7 +282,7 @@ func TestParallelCloseIdempotent(t *testing.T) {
 		t.Fatalf("WorkerStats lost after close: %v", ex.WorkerStats())
 	}
 
-	j := &ParallelHashJoin{
+	j := &HashJoin{
 		Left:    &TupleScan{Tuples: tuples},
 		Right:   &TupleScan{Tuples: tuples},
 		On:      []string{"k"},
@@ -300,6 +302,9 @@ func TestParallelCloseIdempotent(t *testing.T) {
 	}
 	if workers != 0 {
 		t.Fatalf("worker gauge = %d after double join close, want 0", workers)
+	}
+	if len(j.WorkerStats()) != 3 {
+		t.Fatalf("WorkerStats lost after close: %v", j.WorkerStats())
 	}
 }
 
@@ -354,7 +359,7 @@ func TestParallelMatchMatchesSerial(t *testing.T) {
 
 // FuzzPartition: the hash partitioner must place every tuple in exactly
 // one partition (0 <= p < n) and co-locate equal join keys — the
-// invariant ParallelHashJoin's correctness rests on.
+// invariant the partitioned HashJoin's correctness rests on.
 func FuzzPartition(f *testing.F) {
 	f.Add("", "", 2)
 	f.Add("héllo wörld 💾", "héllo wörld 💾", 4)

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -187,5 +188,159 @@ func TestHashJoinEqualsNestedLoop_Property(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// joinValue draws one join-cell value from the kinds that meet at a
+// federated join: integers, floats, numeric-looking and plain strings,
+// the empty string, Null, booleans and bound elements.
+func joinValue(rng *rand.Rand) xmldm.Value {
+	switch rng.Intn(14) {
+	case 0:
+		return xmldm.Null{}
+	case 1:
+		return xmldm.String("")
+	case 2:
+		return xmldm.Int(int64(rng.Intn(3)))
+	case 3:
+		return xmldm.Float(float64(rng.Intn(3)))
+	case 4:
+		return xmldm.Float(2.5)
+	case 5:
+		return xmldm.String(fmt.Sprintf("%d", rng.Intn(3)))
+	case 6:
+		return xmldm.String(fmt.Sprintf("00%d", rng.Intn(3)))
+	case 7:
+		return xmldm.String(fmt.Sprintf(" %d ", rng.Intn(3)))
+	case 8:
+		return xmldm.String("2.50")
+	case 9:
+		return xmldm.String([]string{"x", "y"}[rng.Intn(2)])
+	case 10:
+		return xmldm.NewBuilder().Elem("v", fmt.Sprintf("%d", rng.Intn(3)))
+	case 11:
+		return xmldm.NewBuilder().Elem("v", "x")
+	case 12:
+		return xmldm.NewBuilder().Elem("v")
+	default:
+		return xmldm.Bool(rng.Intn(2) == 0)
+	}
+}
+
+// joinSide builds one input of the keyed-join property: key is the
+// side's pair variable (now and then left unbound), g a natural variable
+// both sides share, id a per-side payload that makes order visible.
+func joinSide(rng *rand.Rand, n int, key, id string) []Binding {
+	out := make([]Binding, n)
+	for i := range out {
+		fields := []xmldm.Field{{Name: id, Value: xmldm.Int(int64(i))}}
+		if rng.Intn(10) > 0 {
+			fields = append(fields, xmldm.Field{Name: key, Value: joinValue(rng)})
+		}
+		g := []xmldm.Value{xmldm.Int(0), xmldm.String("0"), xmldm.Int(1), xmldm.Null{}}[rng.Intn(4)]
+		out[i] = xmldm.NewTuple(append(fields, xmldm.Field{Name: "g", Value: g})...)
+	}
+	return out
+}
+
+// TestHashJoinKeyPairsAreTheSameRelation_Property: a HashJoin keyed on
+// the pair $a=$b (beside the natural variable $g) emits, at every degree,
+// exactly the sequence of the nested-loop join with the predicate and of
+// the pair-less HashJoin under a Select — the plan the planner used to
+// build for a join predicate.
+func TestHashJoinKeyPairsAreTheSameRelation_Property(t *testing.T) {
+	pred := &xmlql.BinExpr{Op: "=", L: &xmlql.VarExpr{Name: "a"}, R: &xmlql.VarExpr{Name: "b"}}
+	pairs := []KeyPair{{Left: "a", Right: "b"}}
+	matched := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nl, nr := rng.Intn(14), rng.Intn(14)
+		if seed%10 == 0 {
+			nl = 0
+		}
+		if seed%10 == 1 {
+			nr = 0
+		}
+		left, right := joinSide(rng, nl, "a", "l"), joinSide(rng, nr, "b", "r")
+		scans := func() (Operator, Operator) {
+			return &TupleScan{Tuples: left}, &TupleScan{Tuples: right}
+		}
+
+		l, r := scans()
+		want := drainAll(t, &Context{}, &NestedLoopJoin{Left: l, Right: r, Pred: pred})
+		matched += len(want)
+
+		l, r = scans()
+		viaSelect := drainAll(t, &Context{}, &Select{Input: &HashJoin{Left: l, Right: r}, Pred: pred})
+		if !bindingsEqual(viaSelect, want) {
+			t.Fatalf("seed %d: HashJoin+Select emits %v, nested loop %v", seed, viaSelect, want)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			for _, on := range [][]string{nil, {"g"}} {
+				l, r = scans()
+				got := drainAll(t, &Context{}, &HashJoin{Left: l, Right: r, On: on, Pairs: pairs, Workers: workers})
+				if !bindingsEqual(got, want) {
+					t.Fatalf("seed %d workers=%d on=%v: keyed join emits\n%v\nnested loop\n%v\nleft %v\nright %v",
+						seed, workers, on, got, want, left, right)
+				}
+			}
+		}
+	}
+	if matched < 300 {
+		t.Fatalf("only %d matches over all seeds: the generator no longer exercises the key", matched)
+	}
+}
+
+// TestHashJoinErrorPositions: at every degree a failing build side
+// surfaces on the first Next, and a left input that fails after k rows
+// delivers every match of those k rows first — the serial position.
+func TestHashJoinErrorPositions(t *testing.T) {
+	boom := errors.New("input boom")
+	tuples := randTuples(60, 12)
+	want := drainAll(t, &Context{}, &HashJoin{
+		Left: &TupleScan{Tuples: tuples}, Right: &TupleScan{Tuples: tuples}, On: []string{"k"}})
+	for _, workers := range []int{1, 2, 8} {
+		j := &HashJoin{
+			Left:    &errAfterScan{tuples: tuples, err: boom},
+			Right:   &TupleScan{Tuples: tuples},
+			On:      []string{"k"},
+			Workers: workers,
+		}
+		if err := j.Open(&Context{}); err != nil {
+			t.Fatal(err)
+		}
+		var got []Binding
+		var err error
+		for {
+			var b Binding
+			if b, err = j.Next(); b == nil {
+				break
+			}
+			got = append(got, b)
+		}
+		if !errors.Is(err, boom) || !bindingsEqual(got, want) {
+			t.Errorf("workers=%d: left error: %d rows then %v, want all %d rows then %v", workers, len(got), err, len(want), boom)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		j = &HashJoin{
+			Left:    &TupleScan{Tuples: tuples},
+			Right:   &errAfterScan{tuples: tuples[:5], err: boom},
+			Workers: workers,
+		}
+		if err := j.Open(&Context{}); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := j.Next(); b != nil || !errors.Is(err, boom) {
+			t.Errorf("workers=%d: build error: first Next = %v, %v", workers, b, err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil { // a torn-down tree may be closed again
+			t.Fatal(err)
+		}
 	}
 }

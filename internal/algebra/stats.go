@@ -43,7 +43,7 @@ type ExplainNode struct {
 	// materialized at once (hash tables, sort buffers, pending queues).
 	PeakBuffered int `json:"peak_buffered,omitempty"`
 	// Workers holds per-worker rows/busy-time for parallel operators
-	// (Exchange, ParallelHashJoin, parallel Match), captured at Close.
+	// (Exchange, partitioned HashJoin, parallel Match), captured at Close.
 	Workers []WorkerStat `json:"workers,omitempty"`
 	// Children mirror the operator tree.
 	Children []*ExplainNode `json:"children,omitempty"`
@@ -251,9 +251,6 @@ func Instrument(op Operator, labels map[Operator]string) (Operator, *ExplainNode
 		x.Input = child(x.Input)
 	case *Exchange:
 		x.Input = child(x.Input)
-	case *ParallelHashJoin:
-		x.Left = child(x.Left)
-		x.Right = child(x.Right)
 	}
 	w := &Instrumented{Inner: op, Node: node}
 	w.buf, _ = op.(buffered)
@@ -280,8 +277,11 @@ func describe(op Operator, labels map[Operator]string) string {
 	case *Project:
 		parts = append(parts, strings.Join(x.Vars, ","))
 	case *HashJoin:
-		if len(x.On) > 0 {
-			parts = append(parts, "on "+strings.Join(x.On, ","))
+		if x.Workers > 1 {
+			parts = append(parts, fmt.Sprintf("workers=%d", x.Workers))
+		}
+		if keys := x.KeyString(); keys != "" {
+			parts = append(parts, "on "+keys)
 		}
 	case *NestedLoopJoin:
 		if x.Pred != nil {
@@ -306,12 +306,6 @@ func describe(op Operator, labels map[Operator]string) string {
 		} else {
 			parts = append(parts, fmt.Sprintf("workers=%d round-robin", x.Workers))
 		}
-	case *ParallelHashJoin:
-		d := fmt.Sprintf("workers=%d", x.Workers)
-		if len(x.On) > 0 {
-			d += " on " + strings.Join(x.On, ",")
-		}
-		parts = append(parts, d)
 	}
 	return strings.Join(parts, " ")
 }
@@ -348,8 +342,6 @@ func CountOps(op Operator) int {
 		n += CountOps(x.Input)
 	case *Exchange:
 		n += CountOps(x.Input)
-	case *ParallelHashJoin:
-		n += CountOps(x.Left) + CountOps(x.Right)
 	}
 	return n
 }
@@ -392,8 +384,6 @@ func childOps(op Operator) []Operator {
 		return []Operator{x.Input}
 	case *Exchange:
 		return []Operator{x.Input}
-	case *ParallelHashJoin:
-		return []Operator{x.Left, x.Right}
 	default:
 		return nil
 	}

@@ -4,15 +4,18 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/rdb"
 	"repro/internal/sched"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
+	"repro/internal/xmlql"
 )
 
 // The unfolding equivalence property: for any query over a mediated
@@ -325,6 +328,268 @@ func TestSchedulerGrantEquivalence_MixedClasses(t *testing.T) {
 	}
 	if snap.Starved != 0 {
 		t.Fatalf("interactive starvation detected: %+v", snap)
+	}
+}
+
+// The view-join equivalence: the benchmark's federated shape — a
+// relational table reached through a mediated schema, joined to an XML
+// feed on a variable the unfolder renames (so the join arrives as the
+// predicate $i = $_uN_i) and on to a directory on a shared variable —
+// over data chosen to sit on every edge of the join's equality: a ticket
+// for customer "007" against code 7, duplicate join values on both sides
+// of both joins, customers whose code is NULL or empty, tickets whose
+// cust is empty or matches nobody.
+
+// viewJoinDeployment builds that deployment from rng and returns the
+// engine and its catalog (the reference reads the sources through it).
+func viewJoinDeployment(t *testing.T, rng *rand.Rand) (*Engine, *catalog.Catalog) {
+	t.Helper()
+	db := rdb.NewDatabase("crm")
+	db.MustExec(`CREATE TABLE customers (pk INT PRIMARY KEY, code VARCHAR, name VARCHAR)`)
+	codes := []string{`'7'`, `'7'`, `NULL`, `''`, `'12'`, `'3'`, `'5'`, `'7'`, `NULL`, `''`}
+	for pk, n := 0, 6+rng.Intn(10); pk < n; pk++ {
+		code := codes[pk%len(codes)]
+		if pk >= 4 {
+			code = codes[rng.Intn(len(codes))]
+		}
+		db.MustExec(fmt.Sprintf(`INSERT INTO customers VALUES (%d, %s, 'N%d')`, pk, code, rng.Intn(4)))
+	}
+	custs := []string{"007", "7", "7", "", "12", "3", " 5 ", "99", "x", "7.0"}
+	owners := []string{"s1", "s2", "s3", "s9"}
+	tickets := "<tickets>"
+	for k, n := 0, 8+rng.Intn(12); k < n; k++ {
+		cust := custs[k%len(custs)]
+		if k >= 4 {
+			cust = custs[rng.Intn(len(custs))]
+		}
+		tickets += fmt.Sprintf(`<ticket pri="%s"><cust>%s</cust><subject>S%d</subject><owner>%s</owner></ticket>`,
+			[]string{"high", "low"}[rng.Intn(2)], cust, rng.Intn(5), owners[rng.Intn(len(owners))])
+	}
+	tickets += `<ticket pri="low"><subject>no customer</subject><owner>s1</owner></ticket></tickets>`
+	ticketSrc, err := sources.NewXMLSource("tickets", tickets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staff := sources.NewDirectorySource("staff", "org")
+	for _, path := range []string{"support/s1", "billing/s1", "field/s2", "support/s3"} {
+		sid := path[len(path)-2:]
+		if err := staff.Put(path, map[string]string{"sid": sid, "name": fmt.Sprintf("A%d", rng.Intn(3))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := catalog.New()
+	for _, src := range []catalog.Source{sources.NewRelationalSource("crm", db), ticketSrc, staff} {
+		if err := cat.AddSource(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.DefineViewQL("custs", `
+		WHERE <customer><code>$i</code><name>$n</name></customer> IN "crm"
+		CONSTRUCT <cust><cid>$i</cid><who>$n</who></cust>`); err != nil {
+		t.Fatal(err)
+	}
+	return New(cat), cat
+}
+
+// viewJoinQueries are the shape with and without ORDER-BY; the second
+// and third leave ties for the stable sort to keep in join order.
+var viewJoinQueries = []string{"", " ORDER-BY $w", " ORDER-BY $n DESCENDING, $s"}
+
+func viewJoinQuery(orderBy string) string {
+	return `WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "custs",
+	      <ticket pri=$p><cust>$i</cust><subject>$s</subject><owner>$o</owner></ticket> IN "tickets",
+	      <*><sid>$o</sid><name>$n</name></> IN "staff"
+	CONSTRUCT <case pri=$p><customer>$w</customer><subject>$s</subject><agent>$n</agent></case>` + orderBy
+}
+
+// viewJoinReference answers viewJoinQuery with no planner at all: every
+// source fetched whole, nested loops in query order, the two join
+// conditions evaluated as the predicates they are, a stable sort.
+func viewJoinReference(t *testing.T, cat *catalog.Catalog, q string) []string {
+	t.Helper()
+	scan := func(source, pattern string) []algebra.Binding {
+		src, err := cat.Source(source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, _, err := src.Fetch(context.Background(), catalog.Request{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pat := xmlql.MustParse(`WHERE ` + pattern + ` IN "s" CONSTRUCT <r/>`).Where[0].(*xmlql.PatternCond).Pattern
+		bs, err := algebra.MatchPattern(&algebra.Context{}, doc, pat, xmldm.NewTuple())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bs
+	}
+	customers := scan("crm", `<customer><code>$code</code><name>$w</name></customer>`)
+	tickets := scan("tickets", `<ticket pri=$p><cust>$i</cust><subject>$s</subject><owner>$o</owner></ticket>`)
+	staff := scan("staff", `<*><sid>$sid</sid><name>$n</name></>`)
+	joins := xmlql.MustParse(`WHERE <a>$x</a> IN "s", $i = $code, $o = $sid CONSTRUCT <r/>`)
+	query := xmlql.MustParse(q)
+
+	type row struct {
+		out  string
+		keys []xmldm.Value
+	}
+	var rows []row
+	ctx := &algebra.Context{}
+	for _, c := range customers {
+		for _, tk := range tickets {
+		staff:
+			for _, st := range staff {
+				b := xmldm.NewTuple(append(append(append([]xmldm.Field{}, c.Fields()...), tk.Fields()...), st.Fields()...)...)
+				for _, cond := range joins.Where[1:] {
+					v, err := algebra.Eval(ctx, cond.(*xmlql.PredicateCond).Expr, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !xmldm.Truthy(v) {
+						continue staff
+					}
+				}
+				n, err := algebra.BuildResult(ctx, query.Construct, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := row{out: n.String()}
+				for _, k := range query.OrderBy {
+					v, err := algebra.Eval(ctx, k.Expr, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r.keys = append(r.keys, v)
+				}
+				rows = append(rows, r)
+			}
+		}
+	}
+	sort.SliceStable(rows, func(a, b int) bool {
+		for k, key := range query.OrderBy {
+			if c := xmldm.Compare(rows[a].keys[k], rows[b].keys[k]); c != 0 {
+				return (c < 0) != key.Desc
+			}
+		}
+		return false
+	})
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.out
+	}
+	return out
+}
+
+// viewJoinMaterialized answers q with the schema materialized: the
+// customers become a static document and the join on the user's $i is
+// a natural join, no rewriting involved.
+func viewJoinMaterialized(t *testing.T, e *Engine, cat *catalog.Catalog, q string) []string {
+	t.Helper()
+	doc, comp, err := e.MaterializeSchema(context.Background(), "custs")
+	if err != nil || !comp.Complete {
+		t.Fatalf("materialize: %v %+v", err, comp)
+	}
+	refCat := catalog.New()
+	if err := refCat.AddSource(catalog.NewStaticSource("custs", doc)); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"tickets", "staff"} {
+		src, err := cat.Source(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := refCat.AddSource(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := New(refCat).Query(context.Background(), q)
+	if err != nil {
+		t.Fatalf("materialized query: %v", err)
+	}
+	return renderAll(res.Values)
+}
+
+// TestUnfoldingEquivalence_ViewJoin: the unfolded plan (two keyed hash
+// joins) answers exactly as the nested-loop reference and as the
+// materialized schema do, row for row and in the same order — NULL and
+// empty join cells included: a NULL code exports as an empty element,
+// which matches an empty <cust/> under the predicate and under the
+// natural join alike, so there is no divergence to carve out.
+func TestUnfoldingEquivalence_ViewJoin(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		e, cat := viewJoinDeployment(t, rand.New(rand.NewSource(seed)))
+		for _, orderBy := range viewJoinQueries {
+			q := viewJoinQuery(orderBy)
+			res, err := e.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("seed %d: %v\nquery: %s", seed, err, q)
+			}
+			if !res.Completeness.Complete {
+				t.Fatalf("seed %d: incomplete answer %+v", seed, res.Completeness)
+			}
+			got := renderAll(res.Values)
+			if len(got) < 4 {
+				t.Fatalf("seed %d: %d rows (weak test)", seed, len(got))
+			}
+			for name, want := range map[string][]string{
+				"nested-loop reference": viewJoinReference(t, cat, q),
+				"materialized schema":   viewJoinMaterialized(t, e, cat, q),
+			} {
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d%s: unfolded answer differs from the %s\ngot  %d: %v\nwant %d: %v",
+						seed, orderBy, name, len(got), got, len(want), want)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelEquivalence_ViewJoin: the keyed joins at degrees 2 and 8
+// are byte-identical to degree 1, completeness included.
+func TestParallelEquivalence_ViewJoin(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		e, _ := viewJoinDeployment(t, rand.New(rand.NewSource(seed)))
+		for _, orderBy := range viewJoinQueries {
+			q := viewJoinQuery(orderBy)
+			oracle, ores := runAt(t, e, q, 1)
+			for _, par := range parallelDegrees[1:] {
+				got, res := runAt(t, e, q, par)
+				if got != oracle {
+					t.Fatalf("seed %d%s parallelism %d: output differs from serial\ngot:  %s\nwant: %s", seed, orderBy, par, got, oracle)
+				}
+				if res.Completeness.Complete != ores.Completeness.Complete || res.Stats.TuplesEmitted != ores.Stats.TuplesEmitted {
+					t.Fatalf("seed %d%s parallelism %d: complete=%v tuples=%d vs serial complete=%v tuples=%d", seed, orderBy, par,
+						res.Completeness.Complete, res.Stats.TuplesEmitted, ores.Completeness.Complete, ores.Stats.TuplesEmitted)
+				}
+				if res.Stats.ParallelWorkers == 0 {
+					t.Fatalf("seed %d%s parallelism %d: no parallel workers spawned", seed, orderBy, par)
+				}
+			}
+		}
+	}
+}
+
+// TestSchedulerGrantEquivalence_ViewJoin: whatever degree the scheduler
+// grants the keyed joins, the answer is the serial one and the budget
+// drains.
+func TestSchedulerGrantEquivalence_ViewJoin(t *testing.T) {
+	for _, budget := range []int{1, 2, 8} {
+		for seed := int64(0); seed < 4; seed++ {
+			e, _ := viewJoinDeployment(t, rand.New(rand.NewSource(seed)))
+			q := viewJoinQuery(viewJoinQueries[seed%int64(len(viewJoinQueries))])
+			oracle, ores := runAt(t, e, q, 1)
+			schd := sched.New(sched.Config{Budget: budget})
+			e.SetScheduler(schd)
+			for _, desired := range []int{0, 2, 8} {
+				got, res := runAt(t, e, q, desired)
+				if got != oracle || res.Completeness.Complete != ores.Completeness.Complete {
+					t.Fatalf("budget %d seed %d desired %d: output differs from serial\ngot:  %s\nwant: %s", budget, seed, desired, got, oracle)
+				}
+				if snap := schd.Snap(); snap.Granted != 0 || snap.Queries != 0 || snap.Waiting != 0 || snap.Free != snap.Budget {
+					t.Fatalf("budget %d seed %d desired %d: scheduler not idle after query: %+v", budget, seed, desired, snap)
+				}
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/sched"
 )
 
@@ -28,6 +29,22 @@ func scrubTimes(s string) string {
 
 func scrubWorkerRows(s string) string {
 	return rowsPerWorkerRE.ReplaceAllString(s, "rows/worker=[?]")
+}
+
+// varEqualsVarRE matches the EXPLAIN text of a predicate of the exact
+// form $x = $y, alone in a Select or inside an Exchange's stage list.
+var varEqualsVarRE = regexp.MustCompile(`\(\$\w+ = \$\w+\)`)
+
+// assertJoinPredicatesAreKeys fails when a Select (serial, or lifted into
+// an Exchange) with a $x = $y predicate sits above a join: the planner
+// must have handed that predicate to the join as a key pair.
+func assertJoinPredicatesAreKeys(t *testing.T, root *algebra.ExplainNode) {
+	t.Helper()
+	root.Walk(func(n *algebra.ExplainNode) {
+		if (n.Op == "Select" || n.Op == "Exchange") && varEqualsVarRE.MatchString(n.Detail) && n.Find("HashJoin") != nil {
+			t.Errorf("%s [%s] filters a join on a $x = $y predicate; it should be the join's key:\n%s", n.Op, n.Detail, root.Render())
+		}
+	})
 }
 
 const twoSourceJoinQL = `
@@ -55,17 +72,17 @@ func TestExplainGoldenTwoSourceJoin(t *testing.T) {
 	got := scrubTimes(res.Explain.Render())
 	want := strings.TrimPrefix(`
 Query [rewrites=1] out=3 in=3 time=?ms
-├─ Select [($i = $_uN_i)] out=3 in=9 time=?ms
-│  └─ HashJoin out=9 in=6 time=?ms peak=5
-│     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
-│     └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2
-│        └─ Singleton out=1 time=?ms
+├─ HashJoin [on $_uN_i=$i] out=3 in=6 time=?ms peak=3
+│  ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
+│  └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2
+│     └─ Singleton out=1 time=?ms
 ├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
 └─ Fetch [tickets fetches=1 bytes=240] out=10 time=?ms
 `, "\n")
 	if got != want {
 		t.Errorf("explain tree:\n%s\nwant:\n%s", got, want)
 	}
+	assertJoinPredicatesAreKeys(t, res.Explain)
 
 	// The execution also lands in the slow log (threshold 0) with the
 	// same rendered plan, and the active registry is drained.
@@ -90,60 +107,66 @@ Query [rewrites=1] out=3 in=3 time=?ms
 	}
 }
 
-// TestExplainParallelPlanShape: at parallelism 2 the planner lifts the
-// residual Select into an Exchange and swaps the join for its
-// partitioned variant; the answer (and its EXPLAIN row counts) must
-// match the serial plan exactly, and the parallel operators must report
-// per-worker stats.
+// TestExplainParallelPlanShape: at parallelism 2 the join predicate the
+// unfolder left behind is the partitioned join's key, a residual
+// predicate that is not an equality of two variables is lifted into an
+// Exchange above it, the answer (and its EXPLAIN row counts) matches the
+// serial plan exactly, and the parallel operators report per-worker
+// stats.
 func TestExplainParallelPlanShape(t *testing.T) {
+	const ql = `
+	WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
+	      <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets",
+	      $w != $s
+	CONSTRUCT <r><who>$w</who><subject>$s</subject></r>`
 	e, _ := newTestEngine(t)
 	e.SetParallelism(2)
 
-	res, err := e.Query(context.Background(), twoSourceJoinQL)
+	res, err := e.Query(context.Background(), ql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Values) != 3 {
 		t.Fatalf("values = %d, want 3", len(res.Values))
 	}
-	ex := res.Explain.Find("Exchange")
-	if ex == nil {
-		t.Fatalf("no Exchange node in:\n%s", res.Explain.Render())
+	got := scrubWorkerRows(scrubTimes(res.Explain.Render()))
+	want := strings.TrimPrefix(`
+Query [rewrites=1] out=3 in=3 time=?ms
+├─ Exchange [runs Select(($_uN_n != $s)) workers=2 round-robin] out=3 in=3 time=?ms workers=2 rows/worker=[?]
+│  └─ HashJoin [workers=2 on $_uN_i=$i] out=3 in=6 time=?ms peak=3 workers=2 rows/worker=[?]
+│     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
+│     └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2 workers=2 rows/worker=[?]
+│        └─ Singleton out=1 time=?ms
+├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
+└─ Fetch [tickets fetches=1 bytes=240] out=10 time=?ms
+`, "\n")
+	if got != want {
+		t.Errorf("explain tree:\n%s\nwant:\n%s", got, want)
 	}
-	if !strings.Contains(ex.Detail, "runs Select") || !strings.Contains(ex.Detail, "workers=2") {
-		t.Errorf("Exchange detail = %q", ex.Detail)
+	assertJoinPredicatesAreKeys(t, res.Explain)
+
+	join := res.Explain.Find("HashJoin")
+	if join == nil {
+		t.Fatalf("no HashJoin node in:\n%s", res.Explain.Render())
 	}
-	if ex.RowsOut != 3 {
-		t.Errorf("Exchange rows out = %d, want 3", ex.RowsOut)
-	}
-	phj := res.Explain.Find("ParallelHashJoin")
-	if phj == nil {
-		t.Fatalf("no ParallelHashJoin node in:\n%s", res.Explain.Render())
-	}
-	if phj.RowsOut != 9 {
-		t.Errorf("ParallelHashJoin rows out = %d, want 9 (serial HashJoin count)", phj.RowsOut)
-	}
-	if len(phj.Workers) != 2 {
-		t.Errorf("ParallelHashJoin worker stats = %+v, want 2 workers", phj.Workers)
+	if len(join.Workers) != 2 {
+		t.Errorf("HashJoin worker stats = %+v, want 2 workers", join.Workers)
 	}
 	var rows int64
-	for _, w := range phj.Workers {
+	for _, w := range join.Workers {
 		rows += w.Rows
 	}
-	if rows != 9 {
-		t.Errorf("worker rows sum = %d, want 9", rows)
+	if rows != join.RowsOut {
+		t.Errorf("worker rows sum = %d, want the join's %d", rows, join.RowsOut)
 	}
 	if res.Stats.ParallelWorkers == 0 {
 		t.Error("Stats.ParallelWorkers = 0, want > 0")
-	}
-	if !strings.Contains(res.Explain.Render(), "rows/worker=") {
-		t.Errorf("rendered tree lacks per-worker rows:\n%s", res.Explain.Render())
 	}
 
 	// Same answer as the serial engine, byte for byte.
 	serial, _ := newTestEngine(t)
 	serial.SetParallelism(1)
-	sres, err := serial.Query(context.Background(), twoSourceJoinQL)
+	sres, err := serial.Query(context.Background(), ql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +200,17 @@ func TestExplainGoldenSchedulerBudgetWorkers(t *testing.T) {
 	got := scrubWorkerRows(scrubTimes(res.Explain.Render()))
 	want := strings.TrimPrefix(`
 Query [rewrites=1] out=3 in=3 time=?ms
-├─ Exchange [runs Select(($i = $_uN_i)) workers=2 round-robin] out=3 in=9 time=?ms workers=2 rows/worker=[?]
-│  └─ ParallelHashJoin [workers=2] out=9 in=6 time=?ms peak=5 workers=2 rows/worker=[?]
-│     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
-│     └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2 workers=2 rows/worker=[?]
-│        └─ Singleton out=1 time=?ms
+├─ HashJoin [workers=2 on $_uN_i=$i] out=3 in=6 time=?ms peak=3 workers=2 rows/worker=[?]
+│  ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
+│  └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2 workers=2 rows/worker=[?]
+│     └─ Singleton out=1 time=?ms
 ├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
 └─ Fetch [tickets fetches=1 bytes=240] out=10 time=?ms
 `, "\n")
 	if got != want {
 		t.Errorf("explain tree:\n%s\nwant:\n%s", got, want)
 	}
+	assertJoinPredicatesAreKeys(t, res.Explain)
 
 	// The grant went back at completion: the whole budget is free again
 	// and nothing is queued.

@@ -1,12 +1,13 @@
-// Parallelization pass: after a plan is built, the planner replaces its
-// hot operators with parallel variants when Options.Parallelism > 1.
+// Parallelization pass: after a plan is built, the planner gives its hot
+// operators a degree (and lifts per-tuple chains into exchanges) when
+// Options.Parallelism > 1.
 // The degree is not static configuration: the engine stamps
 // Options.Parallelism per query, per rewrite, from the degree the
 // shared inter-query scheduler (internal/sched) granted at that operator
 // boundary — so concurrent queries divide a global worker budget instead
 // of each claiming the configured maximum, and EXPLAIN's workers=N
 // reflects the granted, not requested, degree.
-// Hash joins become ParallelHashJoin (partitioned build+probe, routed by
+// Hash joins get Workers set (partitioned build+probe, routed by
 // join-key hash so equal keys co-locate); maximal chains of per-tuple
 // stages — Select, Project, Match over a bound variable — are lifted
 // into a round-robin Exchange whose workers each run a private clone of
@@ -48,12 +49,10 @@ func (p *Planner) parallelize(plan *Plan, op algebra.Operator) algebra.Operator 
 	}
 	switch x := op.(type) {
 	case *algebra.HashJoin:
-		return &algebra.ParallelHashJoin{
-			Left:    p.parallelize(plan, x.Left),
-			Right:   p.parallelize(plan, x.Right),
-			On:      x.On,
-			Workers: n,
-		}
+		x.Left = p.parallelize(plan, x.Left)
+		x.Right = p.parallelize(plan, x.Right)
+		x.Workers = n
+		return x
 	case *algebra.Select: // aggregate-bearing: keep serial, recurse below
 		x.Input = p.parallelize(plan, x.Input)
 		return x

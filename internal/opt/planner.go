@@ -148,6 +148,16 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 			continue
 		}
 
+		// What acc binds, before the group adds to bound. Copied by hand:
+		// maps.Clone would make bound escape to the heap on every plan,
+		// joins or not.
+		var inAcc map[string]bool
+		if acc != nil {
+			inAcc = make(map[string]bool, len(bound))
+			for v := range bound {
+				inAcc[v] = true
+			}
+		}
 		groupPlan, err := p.planSourceGroup(plan, g, &pendingPreds, bound, singleFragment && p.Opts.PushOrder, rw.Query.OrderBy)
 		if err != nil {
 			return nil, err
@@ -155,7 +165,7 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 		if acc == nil {
 			acc = groupPlan
 		} else {
-			acc = &algebra.HashJoin{Left: acc, Right: groupPlan}
+			acc = joinOn(plan, g.Source, acc, groupPlan, inAcc, g.GroupVars(), &pendingPreds)
 		}
 		acc = p.applyReadyPreds(acc, &pendingPreds, bound)
 	}
@@ -193,7 +203,7 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 	}
 
 	var groupPlan algebra.Operator
-	for _, pat := range g.Patterns {
+	for i, pat := range g.Patterns {
 		patVars := pat.Vars()
 		var leaf algebra.Operator
 
@@ -246,10 +256,67 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 		if groupPlan == nil {
 			groupPlan = leaf
 		} else {
-			groupPlan = &algebra.HashJoin{Left: groupPlan, Right: leaf}
+			inGroup := map[string]bool{} // what groupPlan binds: the earlier patterns' variables
+			for _, prev := range g.Patterns[:i] {
+				markBound(inGroup, prev.Vars())
+			}
+			groupPlan = joinOn(plan, g.Source, groupPlan, leaf, inGroup, patVars, pending)
 		}
 	}
 	return groupPlan, nil
+}
+
+// joinOn joins two binding streams on what the query says relates them:
+// the variables both bind (the natural key), plus every pending
+// predicate of the exact form $x = $y with one variable bound only by
+// the left stream and the other only by the right. Those predicates
+// leave pending and become hash-key pairs — the join checks them with
+// the predicate's own semantics, so no Select is planned for them.
+// Anything else (an expression operand, another operator, both
+// variables on one side) stays pending for applyReadyPreds.
+func joinOn(plan *Plan, source string, left, right algebra.Operator, inLeft map[string]bool, rightVars []string, pending *[]xmlql.Expr) algebra.Operator {
+	j := &algebra.HashJoin{Left: left, Right: right}
+	inRight := make(map[string]bool, len(rightVars))
+	for _, v := range rightVars {
+		if inLeft[v] && !inRight[v] {
+			j.On = append(j.On, v)
+		}
+		inRight[v] = true
+	}
+	still := (*pending)[:0]
+	for _, pred := range *pending {
+		if x, y, ok := varEquality(pred); ok {
+			if inLeft[y] {
+				x, y = y, x
+			}
+			if inLeft[x] && !inRight[x] && inRight[y] && !inLeft[y] {
+				j.Pairs = append(j.Pairs, algebra.KeyPair{Left: x, Right: y})
+				continue
+			}
+		}
+		still = append(still, pred)
+	}
+	*pending = still
+	if keys := j.KeyString(); keys != "" {
+		plan.Explain = append(plan.Explain, fmt.Sprintf("join %s on %s", source, keys))
+	} else {
+		plan.Explain = append(plan.Explain, fmt.Sprintf("join %s: cross product", source))
+	}
+	return j
+}
+
+// varEquality reports whether e is exactly $x = $y, and the two names.
+func varEquality(e xmlql.Expr) (x, y string, ok bool) {
+	eq, isBin := e.(*xmlql.BinExpr)
+	if !isBin || eq.Op != "=" {
+		return "", "", false
+	}
+	l, lok := eq.L.(*xmlql.VarExpr)
+	r, rok := eq.R.(*xmlql.VarExpr)
+	if !lok || !rok {
+		return "", "", false
+	}
+	return l.Name, r.Name, true
 }
 
 // reorderGroups emits source-targeted groups by descending selectivity

@@ -357,3 +357,184 @@ func TestPlanPredicateWithUnboundVarStillTotal(t *testing.T) {
 		t.Errorf("bindings = %d", len(bindings))
 	}
 }
+
+// newJoinEnv is newPlannerEnv plus two XML sources shaped like the
+// benchmark's federated join: tickets that name a customer id and an
+// owner, and the staff the owners are.
+func newJoinEnv(t *testing.T) *Planner {
+	t.Helper()
+	p, access := newPlannerEnv(t)
+	for name, doc := range map[string]string{
+		"tickets": `<tickets><ticket><cust>1</cust><owner>s1</owner><alt>9</alt></ticket>` +
+			`<ticket><cust>02</cust><owner>s2</owner><alt>2</alt></ticket>` +
+			`<ticket><cust>7</cust><owner>s1</owner><alt>7</alt></ticket></tickets>`,
+		"staff": `<staff><p><sid>s1</sid><who>Grace</who></p><p><sid>s2</sid><who>Edsger</who></p></staff>`,
+	} {
+		src, err := sources.NewXMLSource(name, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Cat.AddSource(src); err != nil {
+			t.Fatal(err)
+		}
+		access.docs[name] = doc
+	}
+	return p
+}
+
+// planOps flattens a plan to its EXPLAIN nodes, "Op [detail]" each.
+func planOps(plan *Plan) []string {
+	var out []string
+	algebra.Explain(plan.Root, nil).Walk(func(n *algebra.ExplainNode) {
+		out = append(out, strings.TrimSpace(n.Op+" ["+n.Detail+"]"))
+	})
+	return out
+}
+
+func countPrefix(ops []string, prefix string) int {
+	n := 0
+	for _, op := range ops {
+		if strings.HasPrefix(op, prefix) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPlanJoinKeyFromSpanningEquality: an equality of two variables, one
+// bound by each side of a join, leaves pending exactly once — as the
+// join's key pair, left name first whichever way the query wrote it —
+// and no Select is planned for it.
+func TestPlanJoinKeyFromSpanningEquality(t *testing.T) {
+	for _, pred := range []string{`$i = $c`, `$c = $i`} {
+		p := newJoinEnv(t)
+		p.Opts.ReorderJoins = false
+		plan, err := p.Plan(rewriteOf(t, `
+			WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb",
+			      <ticket><cust>$c</cust><owner>$o</owner></ticket> IN "tickets",
+			      `+pred+`
+			CONSTRUCT <r>$n</r>`), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		join, ok := plan.Root.(*algebra.HashJoin)
+		if !ok {
+			t.Fatalf("%s: root is %T, want the join itself (no Select above it): %v", pred, plan.Root, planOps(plan))
+		}
+		if len(join.On) != 0 || len(join.Pairs) != 1 || join.Pairs[0] != (algebra.KeyPair{Left: "i", Right: "c"}) {
+			t.Errorf("%s: join keys on=%v pairs=%v, want the one pair i=c", pred, join.On, join.Pairs)
+		}
+		if ops := planOps(plan); countPrefix(ops, "Select") != 0 || ops[0] != "HashJoin [on $i=$c]" {
+			t.Errorf("%s: plan = %v", pred, ops)
+		}
+		if joined := strings.Join(plan.Explain, "\n"); !strings.Contains(joined, "join tickets on $i=$c") {
+			t.Errorf("%s: explain lines = %q", pred, plan.Explain)
+		}
+		bindings, err := algebra.Drain(&algebra.Context{}, plan.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Customer 1 has ticket "1"; customer 2 has ticket "02" (weak
+		// typing, as the Select compared them); ticket 7 has no customer.
+		if len(bindings) != 2 {
+			t.Errorf("%s: bindings = %v, want 2", pred, bindings)
+		}
+	}
+}
+
+// TestPlanNonKeyPredicatesStaySelects: only $x = $y across the two sides
+// is a key. Everything else is filtered by a Select exactly as before.
+func TestPlanNonKeyPredicatesStaySelects(t *testing.T) {
+	for _, tc := range []struct{ pred, rendered string }{
+		{`$c = $a`, `($c = $a)`},                           // both bound by the ticket side
+		{`$i = $c + 1`, `($i = ($c + 1))`},                 // an expression operand
+		{`$i != $c`, `($i != $c)`},                         // not an equality
+		{`$c = "7"`, `($c = "7")`},                         // a literal
+		{`$i = $c OR $i = $a`, `(($i = $c) OR ($i = $a))`}, // a disjunction of equalities
+	} {
+		p := newJoinEnv(t)
+		plan, err := p.Plan(rewriteOf(t, `
+			WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb",
+			      <ticket><cust>$c</cust><alt>$a</alt></ticket> IN "tickets",
+			      `+tc.pred+`
+			CONSTRUCT <r>$n</r>`), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := planOps(plan)
+		if countPrefix(ops, "HashJoin []") != 1 || countPrefix(ops, "Select ["+tc.rendered+"]") != 1 {
+			t.Errorf("%s: plan = %v, want a key-less HashJoin and Select [%s]", tc.pred, ops, tc.rendered)
+		}
+		if _, err := algebra.Drain(&algebra.Context{}, plan.Root); err != nil {
+			t.Errorf("%s: %v", tc.pred, err)
+		}
+	}
+}
+
+// TestPlanJoinKeyPreBoundVariable: a variable the correlated outer
+// binding carries counts as bound by the left side of the first join.
+func TestPlanJoinKeyPreBoundVariable(t *testing.T) {
+	p := newJoinEnv(t)
+	outer := xmldm.NewTuple(xmldm.Field{Name: "want", Value: xmldm.Int(7)})
+	plan, err := p.Plan(rewriteOf(t, `
+		WHERE <ticket><cust>$c</cust><owner>$o</owner></ticket> IN "tickets", $c = $want
+		CONSTRUCT <r>$o</r>`), []string{"want"}, &algebra.TupleScan{Tuples: []algebra.Binding{outer}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops := planOps(plan); ops[0] != "HashJoin [on $want=$c]" || countPrefix(ops, "Select") != 0 {
+		t.Errorf("plan = %v", ops)
+	}
+	bindings, err := algebra.Drain(&algebra.Context{}, plan.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bindings) != 1 {
+		t.Fatalf("bindings = %v, want the one ticket of customer 7", bindings)
+	}
+	if o, _ := bindings[0].Get("o"); xmldm.Stringify(o) != "s1" {
+		t.Errorf("o = %v", o)
+	}
+}
+
+// TestPlanThreeSourceChainIsTwoKeyedJoins: the benchmark's fed-join
+// shape — a relational side whose variable the unfolder renamed, tickets
+// that name it, staff joined on a shared variable — plans two keyed
+// joins and nothing to filter them.
+func TestPlanThreeSourceChainIsTwoKeyedJoins(t *testing.T) {
+	for _, degree := range []int{1, 4} {
+		p := newJoinEnv(t)
+		p.Opts.Parallelism = degree
+		plan, err := p.Plan(rewriteOf(t, `
+			WHERE <customer><id>$_u1_i</id><name>$_u1_n</name></customer> IN "crmdb",
+			      $i = $_u1_i,
+			      <ticket><cust>$i</cust><owner>$o</owner></ticket> IN "tickets",
+			      <p><sid>$o</sid><who>$w</who></p> IN "staff"
+			CONSTRUCT <r><c>$_u1_n</c><a>$w</a></r>`), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := planOps(plan)
+		workers := ""
+		if degree > 1 {
+			workers = "workers=4 "
+		}
+		if countPrefix(ops, "HashJoin") != 2 || countPrefix(ops, "Select") != 0 || countPrefix(ops, "Exchange") != 0 ||
+			countPrefix(ops, "HashJoin ["+workers+"on $_u1_i=$i]") != 1 || countPrefix(ops, "HashJoin ["+workers+"on $o]") != 1 {
+			t.Errorf("degree %d: plan = %v, want one join on $_u1_i=$i, one on $o, no Select", degree, ops)
+		}
+		bindings, err := algebra.Drain(&algebra.Context{}, plan.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, b := range bindings {
+			c, _ := b.Get("_u1_n")
+			w, _ := b.Get("w")
+			got = append(got, xmldm.Stringify(c)+"/"+xmldm.Stringify(w))
+		}
+		if strings.Join(got, " ") != "Ada/Grace Alan/Edsger" {
+			t.Errorf("degree %d: answer = %v", degree, got)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package xmldm
 
 import (
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -232,81 +231,77 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // Hash returns a 64-bit hash consistent with Equal: Equal values hash
 // identically. Numeric atoms hash through their float64 image, and nodes
-// through their text, matching the cross-kind behaviour of Compare.
-func Hash(v Value) uint64 {
-	h := fnv.New64a()
-	hashInto(h64writer{h}, v)
-	return h.Sum64()
+// through their text, matching the cross-kind behaviour of Compare. It
+// is FNV-1a, folded in place: no hasher object and no copy of a string's
+// bytes, so hashing an atom does not allocate.
+func Hash(v Value) uint64 { return hashInto(fnvOffset64, v) }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
 
-type hasher interface{ write([]byte) }
-
-type h64writer struct {
-	h interface{ Write([]byte) (int, error) }
+// hashWord folds a class tag and eight little-endian bytes.
+func hashWord(h uint64, tag byte, bits uint64) uint64 {
+	h = hashByte(h, tag)
+	for i := 0; i < 8; i++ {
+		h = hashByte(h, byte(bits>>(8*i)))
+	}
+	return h
 }
 
-func (w h64writer) write(b []byte) { w.h.Write(b) }
+func hashNumeric(h uint64, f float64) uint64 {
+	if f == 0 {
+		f = 0 // normalize -0 to +0
+	}
+	return hashWord(h, 1, math.Float64bits(f))
+}
 
-func hashInto(w hasher, v Value) {
+func hashInto(h uint64, v Value) uint64 {
 	if v == nil {
 		v = Null{}
 	}
-	var buf [9]byte
-	writeNumeric := func(f float64) {
-		if f == 0 {
-			f = 0 // normalize -0 to +0
-		}
-		buf[0] = 1
-		bits := math.Float64bits(f)
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(bits >> (8 * i))
-		}
-		w.write(buf[:9])
-	}
 	switch x := v.(type) {
 	case Null:
-		buf[0] = 0
-		w.write(buf[:1])
+		return hashByte(h, 0)
 	case Bool, Int, Float:
 		f, _ := numericValue(x)
-		writeNumeric(f)
+		return hashNumeric(h, f)
 	case String:
 		// Numeric strings hash through the numeric path so that Hash
 		// stays consistent with Compare's weak typing.
 		if f, ok := numericValue(x); ok {
-			writeNumeric(f)
-			return
+			return hashNumeric(h, f)
 		}
-		buf[0] = 2
-		w.write(buf[:1])
-		w.write([]byte(x))
+		return hashString(hashByte(h, 2), string(x))
 	case Date:
-		buf[0] = 3
-		bits := uint64(time.Time(x).UnixNano())
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(bits >> (8 * i))
-		}
-		w.write(buf[:9])
+		return hashWord(h, 3, uint64(time.Time(x).UnixNano()))
 	case *Tuple:
-		buf[0] = 4
-		w.write(buf[:1])
+		h = hashByte(h, 4)
 		for _, f := range x.Fields() {
-			w.write([]byte(f.Name))
-			hashInto(w, f.Value)
+			h = hashInto(hashString(h, f.Name), f.Value)
 		}
+		return h
 	case *Collection:
-		buf[0] = 5
-		w.write(buf[:1])
+		h = hashByte(h, 5)
 		for _, it := range x.Items() {
-			hashInto(w, it)
+			h = hashInto(h, it)
 		}
+		return h
 	case *Node:
 		// Nodes hash by their atomized content so a node equal to an
 		// atom under Compare hashes equal to it too.
-		hashInto(w, atomizeNode(x))
+		return hashInto(h, atomizeNode(x))
 	default:
-		buf[0] = 255
-		w.write(buf[:1])
-		w.write([]byte(v.String()))
+		return hashString(hashByte(h, 255), v.String())
 	}
 }

@@ -1,10 +1,13 @@
 package xmldm
 
 import (
+	"hash"
+	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/testkit"
 )
@@ -94,4 +97,137 @@ func TestAtomizeNodeClassification(t *testing.T) {
 			t.Errorf("atomizeNode(%q) = %#v, want %#v", text, got, want)
 		}
 	}
+}
+
+// hashValues is the table the Hash tests share: one weakly-typed
+// equivalence class per line, plus values that belong to none.
+func hashValues() []Value {
+	b := NewBuilder()
+	negZero := math.Copysign(0, -1)
+	return []Value{
+		Int(12), Float(12), String("12"), String(" 12 "), String("12.0"), b.Elem("n", "12"),
+		Float(negZero), Float(0), Int(0), String("-0"), Bool(false),
+		Bool(true), Int(1), String("1"), b.Elem("one", "1"),
+		Null{}, nil,
+		String(""), b.Elem("empty"),
+		String("Seattle"), b.Elem("city", "Seattle"),
+		Float(math.NaN()), Float(math.Inf(-1)),
+		Date(time.Unix(986169600, 0)),
+		NewTuple(Field{"a", Int(1)}, Field{"b", String("x")}), NewTuple(Field{"a", String("1.0")}, Field{"b", String("x")}),
+		NewCollection(Int(1), String("x")), NewCollection(Bool(true), b.Elem("v", "x")),
+		// The FuzzPartition seed corpus of internal/algebra.
+		String("héllo wörld 💾"), String("costarring"), String("liquid"), String("a"), String("b"), String("key0"),
+	}
+}
+
+// TestHashFollowsCompare: whatever Compare calls equal, across kinds,
+// hashes alike — the property hash joins and partitioning stand on.
+func TestHashFollowsCompare(t *testing.T) {
+	vals := hashValues()
+	equal := 0
+	for _, a := range vals {
+		for _, b := range vals {
+			if Compare(a, b) != 0 {
+				continue
+			}
+			equal++
+			if Hash(a) != Hash(b) {
+				t.Errorf("Compare(%#v, %#v) == 0 but Hash %x != %x", a, b, Hash(a), Hash(b))
+			}
+		}
+	}
+	if equal <= len(vals) {
+		t.Fatalf("only %d equal pairs among %d values: the table lost its cross-kind classes", equal, len(vals))
+	}
+	b := NewBuilder()
+	for _, pair := range [][2]Value{
+		{Int(12), String("12.0")}, {String(" 12 "), b.Elem("n", "12")}, {Float(math.Copysign(0, -1)), Int(0)},
+		{Bool(true), String("1")}, {String("Seattle"), b.Elem("city", "Seattle")},
+	} {
+		if Compare(pair[0], pair[1]) != 0 {
+			t.Errorf("Compare(%#v, %#v) != 0: the table expects them equal", pair[0], pair[1])
+		}
+	}
+}
+
+// referenceHash is Hash as it was written over hash/fnv: a hasher
+// object fed byte slices. The in-place fold must produce the same
+// values, or partition assignment and EXPLAIN's rows/worker would move.
+func referenceHash(v Value) uint64 {
+	h := fnv.New64a()
+	referenceHashInto(h, v)
+	return h.Sum64()
+}
+
+func referenceHashInto(w hash.Hash64, v Value) {
+	if v == nil {
+		v = Null{}
+	}
+	var buf [9]byte
+	word := func(tag byte, bits uint64) {
+		buf[0] = tag
+		for i := 0; i < 8; i++ {
+			buf[1+i] = byte(bits >> (8 * i))
+		}
+		w.Write(buf[:9])
+	}
+	numeric := func(f float64) {
+		if f == 0 {
+			f = 0
+		}
+		word(1, math.Float64bits(f))
+	}
+	switch x := v.(type) {
+	case Null:
+		w.Write([]byte{0})
+	case Bool, Int, Float:
+		f, _ := numericValue(x)
+		numeric(f)
+	case String:
+		if f, ok := numericValue(x); ok {
+			numeric(f)
+			return
+		}
+		w.Write([]byte{2})
+		w.Write([]byte(x))
+	case Date:
+		word(3, uint64(time.Time(x).UnixNano()))
+	case *Tuple:
+		w.Write([]byte{4})
+		for _, f := range x.Fields() {
+			w.Write([]byte(f.Name))
+			referenceHashInto(w, f.Value)
+		}
+	case *Collection:
+		w.Write([]byte{5})
+		for _, it := range x.Items() {
+			referenceHashInto(w, it)
+		}
+	case *Node:
+		referenceHashInto(w, atomizeNode(x))
+	default:
+		w.Write([]byte{255})
+		w.Write([]byte(v.String()))
+	}
+}
+
+func TestHashMatchesReference(t *testing.T) {
+	for _, v := range hashValues() {
+		if got, want := Hash(v), referenceHash(v); got != want {
+			t.Errorf("Hash(%#v) = %x, hash/fnv reference %x", v, got, want)
+		}
+	}
+}
+
+func TestHashAtomsDoNotAllocate(t *testing.T) {
+	if testkit.Race {
+		t.Skip("the race detector allocates")
+	}
+	var sink uint64
+	for _, v := range []Value{String("Seattle"), String(" 12.5 "), Int(1 << 40), Float(2.5), Null{}} {
+		if n := testing.AllocsPerRun(100, func() { sink += Hash(v) }); n != 0 {
+			t.Errorf("Hash(%#v) allocates %v times, want 0", v, n)
+		}
+	}
+	_ = sink
 }
