@@ -6,7 +6,7 @@ GO ?= go
 # installed, so `make check` stays green on offline builders.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race fmt vet lint vulncheck check bench bench-smoke explain-smoke chaos-smoke cluster-smoke trace-smoke parallel-race sched-race sched-soak resultpath-race
+.PHONY: all build test race fmt vet lint vulncheck check bench bench-smoke bench-compare bench-compare-smoke explain-smoke chaos-smoke cluster-smoke trace-smoke parallel-race sched-race sched-soak resultpath-race
 
 all: build
 
@@ -53,14 +53,14 @@ endef
 # parallel-race exercises the intra-query parallel execution machinery
 # under the race detector: the serial-vs-parallel differential suite and
 # the view-join equivalence, the exchange and hash-join (every degree,
-# keyed and natural) unit, property and fuzz seeds, the planner's
-# join-key recognition, and the concurrent storm through the cluster
+# keyed, natural and bound) unit, property and fuzz seeds, the planner's
+# join-key and bind-join recognition, and the concurrent storm through the cluster
 # front end under chaos faults (dead + slow sources) asserting
 # byte-identical results — no lost or duplicated tuples.
 parallel-race:
 	$(call run-named,-race -run 'TestParallelEquivalence|TestUnfoldingEquivalence_ViewJoin|TestExplainParallelPlanShape' -count=1 ./internal/core)
-	$(call run-named,-race -run 'TestExchange|TestHashJoin|TestParallelClose|TestParallelMatch|TestStableSort|FuzzPartition' -count=1 ./internal/algebra)
-	$(call run-named,-race -run 'TestPlanJoinKey|TestPlanNonKeyPredicates|TestPlanThreeSourceChain' -count=1 ./internal/opt)
+	$(call run-named,-race -run 'TestExchange|TestHashJoin|TestBindJoin|TestParallelClose|TestParallelMatch|TestStableSort|FuzzPartition' -count=1 ./internal/algebra)
+	$(call run-named,-race -run 'TestPlanJoinKey|TestPlanBindJoin|TestPlanNonKeyPredicates|TestPlanThreeSourceChain' -count=1 ./internal/opt)
 	$(call run-named,-race -run 'TestParallelStormUnderChaos' -count=1 .)
 
 # sched-race exercises the shared inter-query scheduler under the race
@@ -111,6 +111,31 @@ bench:
 bench-smoke:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload fed-join --seed 7 --seconds 2 --trace 0
+
+# bench-compare measures the working tree against PARENT with the
+# repository benchmark and writes BENCH_$(ISSUE).json: ten alternating
+# pairs on seed 7 and on the held-out seed for the claimed workload
+# (CLAIM=workload:metric), three pairs for the others, the 9/10 +
+# inter-quartile rule, BENCHMARK.json's bounds, and a traced pass per
+# seed. Both sides build under .bench_build/; bench/ is not touched.
+#   make bench-compare PARENT=HEAD~1 ISSUE=16 CLAIM=fed-join:qps
+# CLAIM_TEXT records the claim in the issue's words, NOTE a free-text
+# note (the tool takes -note repeatedly when run directly).
+PARENT ?=
+ISSUE ?= 0
+CLAIM ?=
+CLAIM_TEXT ?=
+NOTE ?=
+bench-compare:
+	$(GO) run ./cmd/bench-compare -parent '$(PARENT)' -issue $(ISSUE) -claim '$(CLAIM)' \
+		$(if $(CLAIM_TEXT),-claim-text '$(CLAIM_TEXT)') $(if $(NOTE),-note '$(NOTE)')
+
+# bench-compare-smoke drives the same tool end to end at one pair of one
+# second per workload against HEAD itself, writing under .bench_build/:
+# it proves the protocol runs, not that anything got faster.
+bench-compare-smoke:
+	$(GO) run ./cmd/bench-compare -parent HEAD -claim fed-join:qps -pairs 1 -guard-pairs 1 -seconds 1 \
+		-report-only -out .bench_build/BENCH_smoke.json
 
 # chaos-smoke runs the extended fault-injection soak (1000 mixed
 # queries per seed under a seeded fault schedule, each seed replayed

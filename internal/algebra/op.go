@@ -62,6 +62,10 @@ type Stats struct {
 	// exchange-style operators and their cumulative busy wall time.
 	WorkersSpawned int64
 	WorkerNanos    int64
+	// BindJoins / BindFallbacks count bind joins by outcome: right side
+	// fetched by the left side's keys, or whole after all.
+	BindJoins     int64
+	BindFallbacks int64
 }
 
 // AddTuples adds to the emitted-tuple counter (atomically).
@@ -103,6 +107,8 @@ func (c *Context) Snapshot() Stats {
 		OperatorsRun:   atomic.LoadInt64(&c.stats.OperatorsRun),
 		WorkersSpawned: atomic.LoadInt64(&c.stats.WorkersSpawned),
 		WorkerNanos:    atomic.LoadInt64(&c.stats.WorkerNanos),
+		BindJoins:      atomic.LoadInt64(&c.stats.BindJoins),
+		BindFallbacks:  atomic.LoadInt64(&c.stats.BindFallbacks),
 	}
 }
 
@@ -214,6 +220,10 @@ type FuncScan struct {
 	OpenFn func(ctx *Context) (func() (Binding, error), error)
 	// CloseFn, if set, is called at Close.
 	CloseFn func() error
+	// Detail, if set, describes the access path for EXPLAIN and is read
+	// again once the scan has run: a leaf whose request is settled only
+	// at Open uses it in place of a planner label.
+	Detail func() string
 
 	ctx  *Context
 	pull func() (Binding, error)

@@ -1,8 +1,10 @@
 package algebra
 
 import (
+	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/xmldm"
 	"repro/internal/xmlql"
@@ -111,41 +113,86 @@ type HashJoin struct {
 	On      []string
 	Pairs   []KeyPair
 	Workers int
+	// Bind, when set, makes this a bind join: the right input is opened
+	// only after the left input's keys have been shipped to it.
+	Bind *Bind
 
-	ctx     *Context
-	vars    []string
-	started bool
-	right   []Binding
-	first   Binding              // the left row start pulled to resolve vars
-	table   map[uint64][]Binding // serial build side
-	pending []Binding            // serial: matches of the current left row
-	pos     int
-	fan     *fanout // the probe pool, when Workers > 1
-	sp      traceSpan
+	ctx       *Context
+	vars      []string
+	started   bool
+	rightOpen bool
+	right     []Binding
+	// held are left rows pulled ahead of the probe — the one start reads
+	// to resolve vars, or everything a bind join kept back while it
+	// collected keys; nextLeft replays them before reading on.
+	held     []Binding
+	heldPos  int
+	leftDone bool                 // the left input ended while being held
+	bindKeys int                  // keys a bind join shipped; -1 when it fell back
+	table    map[uint64][]Binding // serial build side
+	pending  []Binding            // serial: matches of the current left row
+	pos      int
+	fan      *fanout // the probe pool, when Workers > 1
+	sp       traceSpan
 }
 
-// Open implements Operator.
+// Bind turns a HashJoin into a bind join. Instead of opening both inputs
+// together, the join drains and holds its left input first, collects the
+// distinct values of Key, and ships them to the right leaf before opening
+// it, so the leaf can fetch only the rows those keys ask for. The join
+// then builds and probes as always: the keys only narrow what the right
+// side delivers, to a superset of every left row's partners, so the
+// output sequence is the unbound join's.
+type Bind struct {
+	// Key is the left input's variable whose values are shipped.
+	Key string
+	// MaxKeys is the most distinct keys worth shipping. At one more the
+	// join stops holding left rows back, asks the right side for
+	// everything, and streams the rest of the left input.
+	MaxKeys int
+	// Rows is the right side's size when planned; EXPLAIN shows it beside
+	// the key count.
+	Rows int
+	// Ship tells the right leaf what to fetch, before it is opened: the
+	// distinct key texts in first-seen order, or whole (and no keys) for
+	// everything. With nothing to ask for — no left row carries a key —
+	// the right side is told so and never opened.
+	Ship func(keys []string, whole bool)
+}
+
+// Open implements Operator. A bind join opens only its left input here;
+// the right one waits for the keys.
 func (j *HashJoin) Open(ctx *Context) error {
 	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
-	if err := j.Right.Open(ctx); err != nil {
-		j.Left.Close()
-		return err
+	j.rightOpen = false
+	if j.Bind == nil {
+		if err := j.Right.Open(ctx); err != nil {
+			j.Left.Close()
+			return err
+		}
+		j.rightOpen = true
 	}
 	j.ctx = ctx
 	j.vars = j.On
-	j.started = false
-	j.right, j.first, j.table, j.pending, j.pos, j.fan = nil, nil, nil, nil, 0, nil
+	j.started, j.leftDone = false, false
+	j.right, j.held, j.heldPos, j.table, j.pending, j.pos, j.fan = nil, nil, 0, nil, nil, 0, nil
 	return nil
 }
 
-// start drains the right side, pulls the first left row to resolve the
-// natural variables against it, and builds the table (or, with Workers >
-// 1, the partitioned tables and the probe pool). It runs on the
-// consumer goroutine at the first Next.
+// start drains the right side (a bind join first ships its keys and
+// opens it), pulls the first left row to resolve the natural variables
+// against it, and builds the table (or, with Workers > 1, the partitioned
+// tables and the probe pool). It runs on the consumer goroutine at the
+// first Next.
 func (j *HashJoin) start() error {
 	j.started = true
+	if j.Bind != nil {
+		if err := j.shipKeys(); err != nil || !j.rightOpen {
+			return err
+		}
+	}
 	for {
 		b, err := j.Right.Next()
 		if err != nil {
@@ -156,13 +203,15 @@ func (j *HashJoin) start() error {
 		}
 		j.right = append(j.right, b)
 	}
-	first, err := j.Left.Next()
-	if err != nil || first == nil {
-		return err
+	if j.Bind == nil {
+		first, err := j.Left.Next()
+		if err != nil || first == nil {
+			return err
+		}
+		j.held = []Binding{first}
 	}
-	j.first = first
 	if len(j.vars) == 0 {
-		j.vars = sharedVars(first, j.right)
+		j.vars = sharedVars(j.held[0], j.right)
 	}
 	if j.Workers > 1 {
 		j.startParallel()
@@ -174,6 +223,79 @@ func (j *HashJoin) start() error {
 		j.table[k] = append(j.table[k], r)
 	}
 	return nil
+}
+
+// shipKeys is the first half of a bind join's start: hold the left input
+// back while collecting its distinct keys, ship them, and open the right
+// side on what was shipped. A left row without the key (Null or unbound)
+// joins nothing and asks for nothing. One past MaxKeys, or at a key
+// keyText cannot ship, the join falls back to the whole right side and
+// stops holding: the rows held so far are replayed, the rest stream.
+func (j *HashJoin) shipKeys() error {
+	b := j.Bind
+	keys := make([]string, 0, 16)
+	seen := make(map[string]struct{}, 16)
+	whole := false
+	for !whole {
+		l, err := j.Left.Next()
+		if err != nil {
+			return err
+		}
+		if l == nil {
+			j.leftDone = true
+			break
+		}
+		j.held = append(j.held, l)
+		v, _ := l.Get(b.Key)
+		if isNull(v) {
+			continue
+		}
+		text, ok := keyText(v)
+		if _, dup := seen[text]; ok && dup {
+			continue
+		}
+		if !ok || len(keys) == b.MaxKeys {
+			whole = true
+			break
+		}
+		seen[text] = struct{}{}
+		keys = append(keys, text)
+	}
+	if whole {
+		keys = nil
+		j.bindKeys = -1
+		atomic.AddInt64(&j.ctx.stats.BindFallbacks, 1)
+	} else {
+		j.bindKeys = len(keys)
+		atomic.AddInt64(&j.ctx.stats.BindJoins, 1)
+	}
+	b.Ship(keys, whole)
+	if !whole && len(keys) == 0 {
+		return nil
+	}
+	if err := j.Right.Open(j.ctx); err != nil {
+		return err
+	}
+	j.rightOpen = true
+	return nil
+}
+
+// keyText is the text a bind join ships for a left key: a string's own
+// text or an element's content. ok is false for a value whose text would
+// not find, through an index over the stored values, every row Compare
+// matches the value to: the empty string (a NULL cell exports as empty
+// text, which it equals) and the atom kinds whose text leaves their
+// comparison class (true is the number 1, "true" is a string).
+func keyText(v xmldm.Value) (text string, ok bool) {
+	switch x := v.(type) {
+	case xmldm.String:
+		text = string(x)
+	case *xmldm.Node:
+		text = x.Text()
+	default:
+		return "", false
+	}
+	return text, text != ""
 }
 
 // keyOf hashes a row's join key: the natural variables (PartitionKey,
@@ -212,11 +334,15 @@ next:
 
 func isNull(v xmldm.Value) bool { return v == nil || v.Kind() == xmldm.KindNull }
 
-// nextLeft yields the row start already pulled, then the rest.
+// nextLeft replays the held rows, then reads on.
 func (j *HashJoin) nextLeft() (Binding, error) {
-	if l := j.first; l != nil {
-		j.first = nil
+	if j.heldPos < len(j.held) {
+		l := j.held[j.heldPos]
+		j.heldPos++
 		return l, nil
+	}
+	if j.leftDone {
+		return nil, nil
 	}
 	return j.Left.Next()
 }
@@ -235,7 +361,7 @@ func (j *HashJoin) Next() (Binding, error) {
 		return j.fan.next()
 	}
 	if j.table == nil {
-		return nil, nil // empty left: nothing was built
+		return nil, nil // empty left, or no key to ask the right side for: nothing was built
 	}
 	for {
 		if j.pos < len(j.pending) {
@@ -252,13 +378,33 @@ func (j *HashJoin) Next() (Binding, error) {
 }
 
 // BufferedTuples reports the tuples held materialized (the built right
-// side plus the pending output queue or merge buffer) for peak-memory
-// instrumentation.
+// side, the left rows a bind join kept back, and the pending output queue
+// or merge buffer) for peak-memory instrumentation. The held rows count
+// whole until Close: their slice is fixed once probing starts, so the
+// poll never reads what the probe pool's producer writes.
 func (j *HashJoin) BufferedTuples() int {
-	if j.fan != nil {
-		return len(j.right) + j.fan.buffered()
+	n := len(j.right)
+	if j.Bind != nil {
+		n += len(j.held)
 	}
-	return len(j.right) + len(j.pending) - j.pos
+	if j.fan != nil {
+		return n + j.fan.buffered()
+	}
+	return n + len(j.pending) - j.pos
+}
+
+// bindOutcome renders what a bind join did for EXPLAIN: the keys it
+// shipped over the right side's planned size, "fallback" when it fetched
+// the right side whole after all, "?" for the keys before it has run.
+func (j *HashJoin) bindOutcome() string {
+	switch {
+	case !j.started:
+		return fmt.Sprintf("?/%d", j.Bind.Rows)
+	case j.bindKeys < 0:
+		return "fallback"
+	default:
+		return fmt.Sprintf("%d/%d", j.bindKeys, j.Bind.Rows)
+	}
 }
 
 // KeyString renders the join key for EXPLAIN: natural variables as $v,
@@ -276,7 +422,9 @@ func keyString(vars []string, pairs []KeyPair) string {
 	return strings.Join(keys, ", ")
 }
 
-// Close implements Operator.
+// Close implements Operator. The right input is closed only if it was
+// opened: a bind join that failed before or while opening it, or had no
+// key to ask for, never did.
 func (j *HashJoin) Close() error {
 	// j.ctx doubles as the "already closed" marker, as in Exchange.Close:
 	// a second Close must neither stop the pool twice nor unbalance the
@@ -289,13 +437,15 @@ func (j *HashJoin) Close() error {
 		}
 	}
 	j.ctx = nil
-	j.right, j.first, j.table, j.pending = nil, nil, nil, nil
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
-	if err1 != nil {
-		return err1
+	j.right, j.held, j.table, j.pending = nil, nil, nil, nil
+	err := j.Left.Close()
+	if j.rightOpen {
+		j.rightOpen = false
+		if err2 := j.Right.Close(); err == nil {
+			err = err2
+		}
 	}
-	return err2
+	return err
 }
 
 func sharedVars(l Binding, rights []Binding) []string {

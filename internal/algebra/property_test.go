@@ -227,15 +227,41 @@ func joinValue(rng *rand.Rand) xmldm.Value {
 	}
 }
 
+// textJoinValue draws a join-cell value from the kinds a bind join can
+// ship as a key — non-empty strings and elements — beside Null, which
+// asks for nothing: numeric-looking text in every spelling ("007" vs 7,
+// " 12 "), plain text, and bound elements.
+func textJoinValue(rng *rand.Rand) xmldm.Value {
+	switch rng.Intn(8) {
+	case 0:
+		return xmldm.Null{}
+	case 1:
+		return xmldm.String(fmt.Sprintf("%d", rng.Intn(3)))
+	case 2:
+		return xmldm.String(fmt.Sprintf("00%d", rng.Intn(3)))
+	case 3:
+		return xmldm.String(fmt.Sprintf(" %d ", 10+rng.Intn(3)))
+	case 4:
+		return xmldm.String("2.50")
+	case 5:
+		return xmldm.String([]string{"x", "y"}[rng.Intn(2)])
+	case 6:
+		return xmldm.NewBuilder().Elem("v", fmt.Sprintf("%d", rng.Intn(3)))
+	default:
+		return xmldm.NewBuilder().Elem("v", "x")
+	}
+}
+
 // joinSide builds one input of the keyed-join property: key is the
-// side's pair variable (now and then left unbound), g a natural variable
-// both sides share, id a per-side payload that makes order visible.
-func joinSide(rng *rand.Rand, n int, key, id string) []Binding {
+// side's pair variable, drawn by value (now and then left unbound), g a
+// natural variable both sides share, id a per-side payload that makes
+// order visible.
+func joinSide(rng *rand.Rand, n int, key, id string, value func(*rand.Rand) xmldm.Value) []Binding {
 	out := make([]Binding, n)
 	for i := range out {
 		fields := []xmldm.Field{{Name: id, Value: xmldm.Int(int64(i))}}
 		if rng.Intn(10) > 0 {
-			fields = append(fields, xmldm.Field{Name: key, Value: joinValue(rng)})
+			fields = append(fields, xmldm.Field{Name: key, Value: value(rng)})
 		}
 		g := []xmldm.Value{xmldm.Int(0), xmldm.String("0"), xmldm.Int(1), xmldm.Null{}}[rng.Intn(4)]
 		out[i] = xmldm.NewTuple(append(fields, xmldm.Field{Name: "g", Value: g})...)
@@ -243,15 +269,61 @@ func joinSide(rng *rand.Rand, n int, key, id string) []Binding {
 	return out
 }
 
+// keyedScan stands in for the right leaf of a bind join: told keys, it
+// delivers the rows whose key cell equals one of them as text — what an
+// index over the stored values looks up — in input order; told whole, all
+// of them. It records what it was told, and fails the test if it is
+// opened untold or with nothing to look up.
+type keyedScan struct {
+	TupleScan
+	t     *testing.T
+	all   []Binding
+	key   string
+	told  bool
+	keys  int
+	whole bool
+}
+
+func (s *keyedScan) ship(keys []string, whole bool) {
+	s.told, s.keys, s.whole = true, len(keys), whole
+	s.Tuples = s.all
+	if whole {
+		return
+	}
+	s.Tuples = nil
+	for _, r := range s.all {
+		v, _ := r.Get(s.key)
+		for _, k := range keys {
+			if xmldm.Equal(v, xmldm.String(k)) {
+				s.Tuples = append(s.Tuples, r)
+				break
+			}
+		}
+	}
+}
+
+func (s *keyedScan) Open(ctx *Context) error {
+	if !s.told || (!s.whole && s.keys == 0) {
+		s.t.Errorf("right leaf opened with told=%v keys=%d whole=%v", s.told, s.keys, s.whole)
+	}
+	return s.TupleScan.Open(ctx)
+}
+
 // TestHashJoinKeyPairsAreTheSameRelation_Property: a HashJoin keyed on
 // the pair $a=$b (beside the natural variable $g) emits, at every degree,
 // exactly the sequence of the nested-loop join with the predicate and of
 // the pair-less HashJoin under a Select — the plan the planner used to
-// build for a join predicate.
+// build for a join predicate. So does the same join bound on $a, whose
+// right side delivers only what the left side's keys look up: on even
+// seeds the left keys are all text a bind join ships (or Null, or
+// unbound), on odd seeds they are of every kind and one unshippable key
+// makes the join fall back; every third seed the cap sits one under the
+// distinct keys.
 func TestHashJoinKeyPairsAreTheSameRelation_Property(t *testing.T) {
 	pred := &xmlql.BinExpr{Op: "=", L: &xmlql.VarExpr{Name: "a"}, R: &xmlql.VarExpr{Name: "b"}}
 	pairs := []KeyPair{{Left: "a", Right: "b"}}
 	matched := 0
+	var bound, noKeys, pastCap, unshippable int
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nl, nr := rng.Intn(14), rng.Intn(14)
@@ -261,7 +333,11 @@ func TestHashJoinKeyPairsAreTheSameRelation_Property(t *testing.T) {
 		if seed%10 == 1 {
 			nr = 0
 		}
-		left, right := joinSide(rng, nl, "a", "l"), joinSide(rng, nr, "b", "r")
+		leftValue := joinValue
+		if seed%2 == 0 {
+			leftValue = textJoinValue
+		}
+		left, right := joinSide(rng, nl, "a", "l", leftValue), joinSide(rng, nr, "b", "r", joinValue)
 		scans := func() (Operator, Operator) {
 			return &TupleScan{Tuples: left}, &TupleScan{Tuples: right}
 		}
@@ -275,6 +351,22 @@ func TestHashJoinKeyPairsAreTheSameRelation_Property(t *testing.T) {
 		if !bindingsEqual(viaSelect, want) {
 			t.Fatalf("seed %d: HashJoin+Select emits %v, nested loop %v", seed, viaSelect, want)
 		}
+
+		// What the bound join should do with this left side.
+		distinct, shippable := map[string]bool{}, true
+		for _, b := range left {
+			if v, _ := b.Get("a"); !isNull(v) {
+				text, ok := keyText(v)
+				distinct[text] = true
+				shippable = shippable && ok
+			}
+		}
+		maxKeys := 100
+		if seed%3 == 0 && len(distinct) > 0 {
+			maxKeys = len(distinct) - 1
+		}
+		wantWhole := !shippable || len(distinct) > maxKeys
+
 		for _, workers := range []int{1, 2, 8} {
 			for _, on := range [][]string{nil, {"g"}} {
 				l, r = scans()
@@ -283,11 +375,83 @@ func TestHashJoinKeyPairsAreTheSameRelation_Property(t *testing.T) {
 					t.Fatalf("seed %d workers=%d on=%v: keyed join emits\n%v\nnested loop\n%v\nleft %v\nright %v",
 						seed, workers, on, got, want, left, right)
 				}
+
+				l, _ = scans()
+				leaf := &keyedScan{t: t, all: right, key: "b"}
+				ctx := &Context{}
+				got = drainAll(t, ctx, &HashJoin{Left: l, Right: leaf, On: on, Pairs: pairs, Workers: workers,
+					Bind: &Bind{Key: "a", MaxKeys: maxKeys, Ship: leaf.ship}})
+				if !bindingsEqual(got, want) {
+					t.Fatalf("seed %d workers=%d on=%v maxKeys=%d: bound join emits\n%v\nnested loop\n%v\nleft %v\nright %v",
+						seed, workers, on, maxKeys, got, want, left, right)
+				}
+				snap := ctx.Snapshot()
+				if !leaf.told || leaf.whole != wantWhole || (!wantWhole && leaf.keys != len(distinct)) ||
+					snap.BindJoins+snap.BindFallbacks != 1 || (snap.BindFallbacks == 1) != wantWhole {
+					t.Fatalf("seed %d workers=%d: leaf told=%v whole=%v keys=%d, stats %+v; want whole=%v keys=%d\nleft %v",
+						seed, workers, leaf.told, leaf.whole, leaf.keys, snap, wantWhole, len(distinct), left)
+				}
 			}
+		}
+		switch {
+		case !shippable:
+			unshippable++
+		case wantWhole:
+			pastCap++
+		case len(distinct) == 0:
+			noKeys++
+		default:
+			bound++
 		}
 	}
 	if matched < 300 {
 		t.Fatalf("only %d matches over all seeds: the generator no longer exercises the key", matched)
+	}
+	if bound < 50 || noKeys < 5 || pastCap < 20 || unshippable < 50 {
+		t.Fatalf("bind outcomes bound=%d noKeys=%d pastCap=%d unshippable=%d: the generator no longer exercises them all",
+			bound, noKeys, pastCap, unshippable)
+	}
+}
+
+// TestBindKeyTextFindsEveryPartner states what makes a bind join exact:
+// whenever keyText ships a value, every stored cell the join's own test
+// (Compare == 0) matches the value to is also found by looking the text
+// up as a string (Equal) — so a keyed fetch can only drop rows that would
+// not have joined. The kinds keyText refuses are the ones that break
+// this: true equals the stored number 1, its text "true" does not.
+func TestBindKeyTextFindsEveryPartner(t *testing.T) {
+	b := xmldm.NewBuilder()
+	values := []xmldm.Value{
+		xmldm.Null{}, xmldm.String(""), xmldm.String("7"), xmldm.String("007"), xmldm.String(" 12 "), xmldm.String("7.0"),
+		xmldm.String("2.50"), xmldm.String("x"), xmldm.String("true"), xmldm.String("NaN"), xmldm.String("1"),
+		xmldm.Int(7), xmldm.Int(1), xmldm.Int(0), xmldm.Float(2.5), xmldm.Float(7), xmldm.Bool(true), xmldm.Bool(false),
+		xmldm.DateOf(2001, 4, 2), b.Elem("v", "7"), b.Elem("v", "x"), b.Elem("v"), b.Elem("v", b.Elem("w", "1"), "2"),
+	}
+	shipped := 0
+	for _, v := range values {
+		text, ok := keyText(v)
+		switch v.(type) {
+		case xmldm.String, *xmldm.Node:
+			if ok != (xmldm.Stringify(v) != "") {
+				t.Errorf("keyText(%v) ok = %v, want text shipped unless empty", v, ok)
+			}
+		default:
+			if ok {
+				t.Errorf("keyText(%v) ships %q; only text is exact", v, text)
+			}
+		}
+		if !ok {
+			continue
+		}
+		shipped++
+		for _, stored := range values {
+			if xmldm.Compare(v, stored) == 0 && !xmldm.Equal(stored, xmldm.String(text)) {
+				t.Errorf("left key %v joins stored %v, but looking up %q does not find it", v, stored, text)
+			}
+		}
+	}
+	if shipped < 10 {
+		t.Fatalf("only %d values shipped", shipped)
 	}
 }
 

@@ -156,6 +156,11 @@ type Instrumented struct {
 	Node  *ExplainNode
 
 	buf buffered // Inner's buffering view, nil when it has none
+	// label is the planner's access-path label; it is kept only for an
+	// operator whose detail running settles (a bind join's key count, the
+	// request its right leaf sent), which Close describes again.
+	label   string
+	settles bool
 }
 
 // Open implements Operator.
@@ -194,6 +199,9 @@ func (i *Instrumented) Close() error {
 	start := time.Now()
 	err := i.Inner.Close()
 	i.Node.CloseNanos += time.Since(start).Nanoseconds()
+	if i.settles {
+		i.Node.Detail = describe(i.Inner, i.label)
+	}
 	if ws, ok := i.Inner.(workerStater); ok {
 		if s := ws.WorkerStats(); len(s) > 0 {
 			i.Node.Workers = s
@@ -220,7 +228,7 @@ func Instrument(op Operator, labels map[Operator]string) (Operator, *ExplainNode
 	if inst, ok := op.(*Instrumented); ok {
 		return inst, inst.Node
 	}
-	node := &ExplainNode{Op: opName(op), Detail: describe(op, labels)}
+	node := &ExplainNode{Op: opName(op), Detail: describe(op, labels[op])}
 	child := func(c Operator) Operator {
 		w, n := Instrument(c, labels)
 		node.Children = append(node.Children, n)
@@ -254,18 +262,30 @@ func Instrument(op Operator, labels map[Operator]string) (Operator, *ExplainNode
 	}
 	w := &Instrumented{Inner: op, Node: node}
 	w.buf, _ = op.(buffered)
+	switch x := op.(type) {
+	case *HashJoin:
+		w.settles = x.Bind != nil
+	case *FuncScan:
+		w.settles = x.Detail != nil
+	}
+	if w.settles {
+		w.label = labels[op]
+	}
 	return w, node
 }
 
-// describe renders the operator-specific detail for an EXPLAIN line.
-func describe(op Operator, labels map[Operator]string) string {
+// describe renders the operator-specific detail for an EXPLAIN line;
+// label is the planner's access-path label, if it gave one.
+func describe(op Operator, label string) string {
 	var parts []string
-	if labels != nil {
-		if l, ok := labels[op]; ok && l != "" {
-			parts = append(parts, l)
-		}
+	if label != "" {
+		parts = append(parts, label)
 	}
 	switch x := op.(type) {
+	case *FuncScan:
+		if x.Detail != nil {
+			parts = append(parts, x.Detail())
+		}
 	case *Match:
 		d := "<" + x.Pattern.Tag.String() + ">"
 		if x.SourceVar != "" {
@@ -282,6 +302,9 @@ func describe(op Operator, labels map[Operator]string) string {
 		}
 		if keys := x.KeyString(); keys != "" {
 			parts = append(parts, "on "+keys)
+		}
+		if x.Bind != nil {
+			parts = append(parts, "bind="+x.bindOutcome())
 		}
 	case *NestedLoopJoin:
 		if x.Pred != nil {
@@ -349,7 +372,7 @@ func CountOps(op Operator) int {
 // Explain builds the ExplainNode tree for a plan without instrumenting
 // it — the static (no ANALYZE) plan shape.
 func Explain(op Operator, labels map[Operator]string) *ExplainNode {
-	node := &ExplainNode{Op: opName(op), Detail: describe(op, labels)}
+	node := &ExplainNode{Op: opName(op), Detail: describe(op, labels[op])}
 	if inst, ok := op.(*Instrumented); ok {
 		return inst.Node
 	}

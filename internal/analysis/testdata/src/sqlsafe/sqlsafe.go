@@ -64,7 +64,36 @@ func rawExec(db *rdb.Database, tag *xmlql.TagTest) error {
 	return err
 }
 
+// The key-list shape: values collected at run time joined into an IN
+// list. Joining them bare is an injection however they are delimited.
+func rawKeyList(keys []*xmlql.TextContent) *fragment {
+	var lits []string
+	for _, k := range keys {
+		lits = append(lits, "'"+k.Text+"'")
+	}
+	f := &fragment{}
+	f.SQL = "SELECT x FROM t WHERE x IN (" + strings.Join(lits, ", ") + ")" // want "query-derived string reaches the generated SQL statement"
+	return f
+}
+
 // ---- clean ----
+
+// sqlgen.Fragment.KeyedSQL's shape: every key through sqlString on its
+// way into the builder.
+func quotedKeyList(keys []*xmlql.TextContent) *fragment {
+	var sb strings.Builder
+	sb.WriteString("SELECT x FROM t WHERE x IN (")
+	for i, k := range keys {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(sqlString(k.Text))
+	}
+	sb.WriteString(")")
+	f := &fragment{}
+	f.SQL = sb.String()
+	return f
+}
 
 func quotedLiteral(c *xmlql.TextContent) *fragment {
 	f := &fragment{}

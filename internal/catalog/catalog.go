@@ -82,6 +82,26 @@ type RelationalDescriptor struct {
 	KeyColumn string
 	// IndexedColumns lists columns with indexes (including the key).
 	IndexedColumns []string
+	// TextExactColumns lists the columns whose exported text compares,
+	// under xmldm.Compare, exactly as the stored value does (integers and
+	// strings; a boolean's or a date's text leaves its comparison class).
+	// Only on these does a key the mediator holds as text find, through
+	// an index, every row the mediator itself would have joined it to.
+	TextExactColumns []string
+}
+
+// TableStats is what a source knows about one of its tables without
+// running a query.
+type TableStats struct {
+	// Rows is the live row count.
+	Rows int
+}
+
+// Stats is implemented by sources that can report table statistics; the
+// planner reads them when it chooses between fetching a table whole and
+// fetching only the rows a join's other side asks for.
+type Stats interface {
+	TableStats(table string) (TableStats, bool)
 }
 
 // Relational is implemented by sources that accept SQL; the compiler

@@ -426,8 +426,15 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	}
 	values, err := e.run(ctx, q, nil, access, actx, 0, &res.Stats, aq, res.Explain, grant)
 	elapsed := time.Since(start)
+	snap := actx.Snapshot()
 
 	metrics.Counter("nimble_queries_total").Inc()
+	if snap.BindJoins > 0 {
+		metrics.Counter("nimble_bind_join_total", "outcome", "bound").Add(snap.BindJoins)
+	}
+	if snap.BindFallbacks > 0 {
+		metrics.Counter("nimble_bind_join_total", "outcome", "fallback").Add(snap.BindFallbacks)
+	}
 	// The latency observation carries the trace id as a bucket exemplar:
 	// a bad percentile on the histogram links straight to a kept trace.
 	metrics.Histogram("nimble_query_seconds").ObserveExemplar(elapsed.Seconds(), root.TraceID().String())
@@ -452,7 +459,6 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	}
 	res.Values = values
 	res.Completeness = access.Report()
-	snap := actx.Snapshot()
 	res.Stats.TuplesEmitted = snap.TuplesEmitted
 	res.Stats.PatternMatches = snap.PatternMatches
 	res.Stats.DrainNanos = snap.DrainNanos

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -342,12 +344,26 @@ func TestSchedulerGrantEquivalence_MixedClasses(t *testing.T) {
 
 // viewJoinDeployment builds that deployment from rng and returns the
 // engine and its catalog (the reference reads the sources through it).
-func viewJoinDeployment(t *testing.T, rng *rand.Rand) (*Engine, *catalog.Catalog) {
+//
+// indexed makes the relational side one a bind join takes: the join
+// column carries an index and the table has bindMinRows more rows, so
+// with the customers last in the query the join ships the tickets' keys
+// instead of fetching the table. The same edge values now decide what
+// the index is asked and what it finds — non-unique codes, "007" looking
+// up '7', " 5 " looking up '5' — and on half the seeds a ticket with an
+// empty cust, which equals the empty text a NULL code exports as and so
+// cannot be shipped, makes the join fall back to the whole table.
+func viewJoinDeployment(t *testing.T, rng *rand.Rand, indexed bool) (*Engine, *catalog.Catalog) {
 	t.Helper()
 	db := rdb.NewDatabase("crm")
 	db.MustExec(`CREATE TABLE customers (pk INT PRIMARY KEY, code VARCHAR, name VARCHAR)`)
 	codes := []string{`'7'`, `'7'`, `NULL`, `''`, `'12'`, `'3'`, `'5'`, `'7'`, `NULL`, `''`}
-	for pk, n := 0, 6+rng.Intn(10); pk < n; pk++ {
+	n := 6 + rng.Intn(10)
+	if indexed {
+		db.MustExec(`CREATE INDEX ON customers (code)`)
+		n += 64
+	}
+	for pk := 0; pk < n; pk++ {
 		code := codes[pk%len(codes)]
 		if pk >= 4 {
 			code = codes[rng.Intn(len(codes))]
@@ -355,6 +371,9 @@ func viewJoinDeployment(t *testing.T, rng *rand.Rand) (*Engine, *catalog.Catalog
 		db.MustExec(fmt.Sprintf(`INSERT INTO customers VALUES (%d, %s, 'N%d')`, pk, code, rng.Intn(4)))
 	}
 	custs := []string{"007", "7", "7", "", "12", "3", " 5 ", "99", "x", "7.0"}
+	if indexed && rng.Intn(2) == 0 {
+		custs[3] = "3"
+	}
 	owners := []string{"s1", "s2", "s3", "s9"}
 	tickets := "<tickets>"
 	for k, n := 0, 8+rng.Intn(12); k < n; k++ {
@@ -395,17 +414,26 @@ func viewJoinDeployment(t *testing.T, rng *rand.Rand) (*Engine, *catalog.Catalog
 // and third leave ties for the stable sort to keep in join order.
 var viewJoinQueries = []string{"", " ORDER-BY $w", " ORDER-BY $n DESCENDING, $s"}
 
-func viewJoinQuery(orderBy string) string {
-	return `WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "custs",
-	      <ticket pri=$p><cust>$i</cust><subject>$s</subject><owner>$o</owner></ticket> IN "tickets",
-	      <*><sid>$o</sid><name>$n</name></> IN "staff"
+// viewJoinQuery lists the customers first, or — custLast — last, which
+// makes them the right side of the last join, where a bind join can take
+// them.
+func viewJoinQuery(orderBy string, custLast bool) string {
+	patterns := []string{
+		`<cust><cid>$i</cid><who>$w</who></cust> IN "custs"`,
+		`<ticket pri=$p><cust>$i</cust><subject>$s</subject><owner>$o</owner></ticket> IN "tickets"`,
+		`<*><sid>$o</sid><name>$n</name></> IN "staff"`,
+	}
+	if custLast {
+		patterns = append(patterns[1:], patterns[0])
+	}
+	return `WHERE ` + strings.Join(patterns, ",\n      ") + `
 	CONSTRUCT <case pri=$p><customer>$w</customer><subject>$s</subject><agent>$n</agent></case>` + orderBy
 }
 
 // viewJoinReference answers viewJoinQuery with no planner at all: every
 // source fetched whole, nested loops in query order, the two join
 // conditions evaluated as the predicates they are, a stable sort.
-func viewJoinReference(t *testing.T, cat *catalog.Catalog, q string) []string {
+func viewJoinReference(t *testing.T, cat *catalog.Catalog, q string, custLast bool) []string {
 	t.Helper()
 	scan := func(source, pattern string) []algebra.Binding {
 		src, err := cat.Source(source)
@@ -435,11 +463,15 @@ func viewJoinReference(t *testing.T, cat *catalog.Catalog, q string) []string {
 	}
 	var rows []row
 	ctx := &algebra.Context{}
-	for _, c := range customers {
-		for _, tk := range tickets {
+	sides := [3][]algebra.Binding{customers, tickets, staff}
+	if custLast {
+		sides = [3][]algebra.Binding{tickets, staff, customers}
+	}
+	for _, b0 := range sides[0] {
+		for _, b1 := range sides[1] {
 		staff:
-			for _, st := range staff {
-				b := xmldm.NewTuple(append(append(append([]xmldm.Field{}, c.Fields()...), tk.Fields()...), st.Fields()...)...)
+			for _, b2 := range sides[2] {
+				b := xmldm.NewTuple(append(append(append([]xmldm.Field{}, b0.Fields()...), b1.Fields()...), b2.Fields()...)...)
 				for _, cond := range joins.Where[1:] {
 					v, err := algebra.Eval(ctx, cond.(*xmlql.PredicateCond).Expr, b)
 					if err != nil {
@@ -509,60 +541,90 @@ func viewJoinMaterialized(t *testing.T, e *Engine, cat *catalog.Catalog, q strin
 	return renderAll(res.Values)
 }
 
+// bindOutcomeRE finds what a bind join did in a rendered EXPLAIN tree.
+var bindOutcomeRE = regexp.MustCompile(`bind=(fallback|[0-9]+/[0-9]+)`)
+
+// viewJoinFamilies are the two deployments the view-join tests run over:
+// the relational side fetched whole, and the indexed relational inner
+// side a bind join asks by key.
+var viewJoinFamilies = []struct {
+	name    string
+	indexed bool
+}{{"fetched whole", false}, {"indexed inner", true}}
+
 // TestUnfoldingEquivalence_ViewJoin: the unfolded plan (two keyed hash
 // joins) answers exactly as the nested-loop reference and as the
 // materialized schema do, row for row and in the same order — NULL and
 // empty join cells included: a NULL code exports as an empty element,
 // which matches an empty <cust/> under the predicate and under the
-// natural join alike, so there is no divergence to carve out.
+// natural join alike, so there is no divergence to carve out. In the
+// indexed-inner family the last join is a bind join — bound on some
+// seeds, fallen back on others — and the reference, which has no planner
+// and fetches every source whole, is what says it changed nothing.
 func TestUnfoldingEquivalence_ViewJoin(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		e, cat := viewJoinDeployment(t, rand.New(rand.NewSource(seed)))
-		for _, orderBy := range viewJoinQueries {
-			q := viewJoinQuery(orderBy)
-			res, err := e.Query(context.Background(), q)
-			if err != nil {
-				t.Fatalf("seed %d: %v\nquery: %s", seed, err, q)
-			}
-			if !res.Completeness.Complete {
-				t.Fatalf("seed %d: incomplete answer %+v", seed, res.Completeness)
-			}
-			got := renderAll(res.Values)
-			if len(got) < 4 {
-				t.Fatalf("seed %d: %d rows (weak test)", seed, len(got))
-			}
-			for name, want := range map[string][]string{
-				"nested-loop reference": viewJoinReference(t, cat, q),
-				"materialized schema":   viewJoinMaterialized(t, e, cat, q),
-			} {
-				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d%s: unfolded answer differs from the %s\ngot  %d: %v\nwant %d: %v",
-						seed, orderBy, name, len(got), got, len(want), want)
+	for _, fam := range viewJoinFamilies {
+		bound, fellBack := 0, 0
+		for seed := int64(0); seed < 20; seed++ {
+			e, cat := viewJoinDeployment(t, rand.New(rand.NewSource(seed)), fam.indexed)
+			for _, orderBy := range viewJoinQueries {
+				q := viewJoinQuery(orderBy, fam.indexed)
+				res, err := e.Query(context.Background(), q)
+				if err != nil {
+					t.Fatalf("%s seed %d: %v\nquery: %s", fam.name, seed, err, q)
+				}
+				if !res.Completeness.Complete {
+					t.Fatalf("%s seed %d: incomplete answer %+v", fam.name, seed, res.Completeness)
+				}
+				got := renderAll(res.Values)
+				if len(got) < 4 {
+					t.Fatalf("%s seed %d: %d rows (weak test)", fam.name, seed, len(got))
+				}
+				for name, want := range map[string][]string{
+					"nested-loop reference": viewJoinReference(t, cat, q, fam.indexed),
+					"materialized schema":   viewJoinMaterialized(t, e, cat, q),
+				} {
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s seed %d%s: unfolded answer differs from the %s\ngot  %d: %v\nwant %d: %v\n%s",
+							fam.name, seed, orderBy, name, len(got), got, len(want), want, res.Explain.Render())
+					}
+				}
+				switch m := bindOutcomeRE.FindStringSubmatch(res.Explain.Render()); {
+				case (m != nil) != fam.indexed:
+					t.Fatalf("%s seed %d: bind join planned = %v\n%s", fam.name, seed, m != nil, res.Explain.Render())
+				case m != nil && m[1] == "fallback":
+					fellBack++
+				case m != nil:
+					bound++
 				}
 			}
+		}
+		if fam.indexed && (bound < 10 || fellBack < 10) {
+			t.Fatalf("%s: %d joins bound, %d fell back: the family no longer exercises both", fam.name, bound, fellBack)
 		}
 	}
 }
 
 // TestParallelEquivalence_ViewJoin: the keyed joins at degrees 2 and 8
-// are byte-identical to degree 1, completeness included.
+// are byte-identical to degree 1, completeness included — bind joins too.
 func TestParallelEquivalence_ViewJoin(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		e, _ := viewJoinDeployment(t, rand.New(rand.NewSource(seed)))
-		for _, orderBy := range viewJoinQueries {
-			q := viewJoinQuery(orderBy)
-			oracle, ores := runAt(t, e, q, 1)
-			for _, par := range parallelDegrees[1:] {
-				got, res := runAt(t, e, q, par)
-				if got != oracle {
-					t.Fatalf("seed %d%s parallelism %d: output differs from serial\ngot:  %s\nwant: %s", seed, orderBy, par, got, oracle)
-				}
-				if res.Completeness.Complete != ores.Completeness.Complete || res.Stats.TuplesEmitted != ores.Stats.TuplesEmitted {
-					t.Fatalf("seed %d%s parallelism %d: complete=%v tuples=%d vs serial complete=%v tuples=%d", seed, orderBy, par,
-						res.Completeness.Complete, res.Stats.TuplesEmitted, ores.Completeness.Complete, ores.Stats.TuplesEmitted)
-				}
-				if res.Stats.ParallelWorkers == 0 {
-					t.Fatalf("seed %d%s parallelism %d: no parallel workers spawned", seed, orderBy, par)
+	for _, fam := range viewJoinFamilies {
+		for seed := int64(0); seed < 10; seed++ {
+			e, _ := viewJoinDeployment(t, rand.New(rand.NewSource(seed)), fam.indexed)
+			for _, orderBy := range viewJoinQueries {
+				q := viewJoinQuery(orderBy, fam.indexed)
+				oracle, ores := runAt(t, e, q, 1)
+				for _, par := range parallelDegrees[1:] {
+					got, res := runAt(t, e, q, par)
+					if got != oracle {
+						t.Fatalf("%s seed %d%s parallelism %d: output differs from serial\ngot:  %s\nwant: %s", fam.name, seed, orderBy, par, got, oracle)
+					}
+					if res.Completeness.Complete != ores.Completeness.Complete || res.Stats.TuplesEmitted != ores.Stats.TuplesEmitted {
+						t.Fatalf("%s seed %d%s parallelism %d: complete=%v tuples=%d vs serial complete=%v tuples=%d", fam.name, seed, orderBy, par,
+							res.Completeness.Complete, res.Stats.TuplesEmitted, ores.Completeness.Complete, ores.Stats.TuplesEmitted)
+					}
+					if res.Stats.ParallelWorkers == 0 {
+						t.Fatalf("%s seed %d%s parallelism %d: no parallel workers spawned", fam.name, seed, orderBy, par)
+					}
 				}
 			}
 		}
@@ -573,20 +635,22 @@ func TestParallelEquivalence_ViewJoin(t *testing.T) {
 // grants the keyed joins, the answer is the serial one and the budget
 // drains.
 func TestSchedulerGrantEquivalence_ViewJoin(t *testing.T) {
-	for _, budget := range []int{1, 2, 8} {
-		for seed := int64(0); seed < 4; seed++ {
-			e, _ := viewJoinDeployment(t, rand.New(rand.NewSource(seed)))
-			q := viewJoinQuery(viewJoinQueries[seed%int64(len(viewJoinQueries))])
-			oracle, ores := runAt(t, e, q, 1)
-			schd := sched.New(sched.Config{Budget: budget})
-			e.SetScheduler(schd)
-			for _, desired := range []int{0, 2, 8} {
-				got, res := runAt(t, e, q, desired)
-				if got != oracle || res.Completeness.Complete != ores.Completeness.Complete {
-					t.Fatalf("budget %d seed %d desired %d: output differs from serial\ngot:  %s\nwant: %s", budget, seed, desired, got, oracle)
-				}
-				if snap := schd.Snap(); snap.Granted != 0 || snap.Queries != 0 || snap.Waiting != 0 || snap.Free != snap.Budget {
-					t.Fatalf("budget %d seed %d desired %d: scheduler not idle after query: %+v", budget, seed, desired, snap)
+	for _, fam := range viewJoinFamilies {
+		for _, budget := range []int{1, 2, 8} {
+			for seed := int64(0); seed < 4; seed++ {
+				e, _ := viewJoinDeployment(t, rand.New(rand.NewSource(seed)), fam.indexed)
+				q := viewJoinQuery(viewJoinQueries[seed%int64(len(viewJoinQueries))], fam.indexed)
+				oracle, ores := runAt(t, e, q, 1)
+				schd := sched.New(sched.Config{Budget: budget})
+				e.SetScheduler(schd)
+				for _, desired := range []int{0, 2, 8} {
+					got, res := runAt(t, e, q, desired)
+					if got != oracle || res.Completeness.Complete != ores.Completeness.Complete {
+						t.Fatalf("%s budget %d seed %d desired %d: output differs from serial\ngot:  %s\nwant: %s", fam.name, budget, seed, desired, got, oracle)
+					}
+					if snap := schd.Snap(); snap.Granted != 0 || snap.Queries != 0 || snap.Waiting != 0 || snap.Free != snap.Budget {
+						t.Fatalf("%s budget %d seed %d desired %d: scheduler not idle after query: %+v", fam.name, budget, seed, desired, snap)
+					}
 				}
 			}
 		}

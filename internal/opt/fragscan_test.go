@@ -32,7 +32,7 @@ func scanAll(t *testing.T, doc string) []algebra.Binding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := fragmentScan(docAccess{root}, FetchSpec{Source: "crmdb"}, customerFragment)
+	op := fragmentScan(docAccess{root}, &FetchSpec{Source: "crmdb"}, customerFragment)
 	out, err := algebra.Drain(&algebra.Context{}, op)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestFragmentScanAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		op := fragmentScan(docAccess{root}, FetchSpec{Source: "crmdb"}, customerFragment)
+		op := fragmentScan(docAccess{root}, &FetchSpec{Source: "crmdb"}, customerFragment)
 		ctx := &algebra.Context{}
 		return testing.AllocsPerRun(20, func() {
 			if err := op.Open(ctx); err != nil {

@@ -82,6 +82,31 @@ type Plan struct {
 	Labels map[algebra.Operator]string
 	// Sources lists the distinct sources/schemas the plan touches.
 	Sources []string
+
+	// frags remembers, for each fragment-scan leaf, what joinOn needs to
+	// turn a join onto it into a bind join (a plan has a handful at most).
+	frags []*fragLeaf
+	// perOuterRow marks the plan of a correlated subquery, which runs once
+	// per outer binding.
+	perOuterRow bool
+}
+
+// fragLeaf is one planned fragment scan: the source it reads, the
+// compiled fragment, and the request the leaf sends when it opens (also
+// listed in Plan.Fetches, by value, for the prefetch). As the right leaf
+// of a bind join (bind.go) it also holds the column the join's keys
+// select on and what the join last shipped.
+type fragLeaf struct {
+	op     *algebra.FuncScan
+	source string
+	rel    catalog.Relational
+	caps   catalog.Capabilities
+	frag   *sqlgen.Fragment
+	spec   *FetchSpec
+
+	keyCol string // the table column a bind join's keys select on
+	keys   int    // keys shipped
+	whole  bool   // the join fell back to the whole fragment
 }
 
 // label records an access-path description for an operator.
@@ -110,7 +135,7 @@ func New(cat *catalog.Catalog, access Access) *Planner {
 // single empty binding).
 func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Operator) (*Plan, error) {
 	d := mediator.Decompose(rw.Query)
-	plan := &Plan{Construct: rw.Query.Construct, OrderBy: rw.Query.OrderBy}
+	plan := &Plan{Construct: rw.Query.Construct, OrderBy: rw.Query.OrderBy, perOuterRow: input != nil}
 
 	bound := map[string]bool{}
 	for _, v := range preBound {
@@ -165,7 +190,7 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 		if acc == nil {
 			acc = groupPlan
 		} else {
-			acc = joinOn(plan, g.Source, acc, groupPlan, inAcc, g.GroupVars(), &pendingPreds)
+			acc = p.joinOn(plan, g.Source, acc, groupPlan, inAcc, g.GroupVars(), &pendingPreds)
 		}
 		acc = p.applyReadyPreds(acc, &pendingPreds, bound)
 	}
@@ -199,7 +224,7 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 			return nil, err
 		}
 		caps = src.Capabilities()
-		rel = asRelational(src)
+		rel, _ = sourceAs[catalog.Relational](src)
 	}
 
 	var groupPlan algebra.Operator
@@ -223,14 +248,16 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 				if consumed > 0 {
 					removePreds(pending, offerIdx, offer, rest)
 				}
-				spec := FetchSpec{Source: g.Source, Req: catalog.Request{Native: frag.SQL, Collection: frag.Table}}
-				plan.Fetches = append(plan.Fetches, spec)
+				spec := &FetchSpec{Source: g.Source, Req: catalog.Request{Native: frag.SQL, Collection: frag.Table}}
+				plan.Fetches = append(plan.Fetches, *spec)
 				plan.Explain = append(plan.Explain, fmt.Sprintf("pushdown %s: %s", g.Source, frag.SQL))
 				if frag.PushedOrder {
 					plan.OrderPushed = true
 				}
-				leaf = fragmentScan(p.Access, spec, frag)
+				scan := fragmentScan(p.Access, spec, frag)
+				leaf = scan
 				plan.label(leaf, fmt.Sprintf("pushdown %s: %s", g.Source, frag.SQL))
+				plan.frags = append(plan.frags, &fragLeaf{op: scan, source: g.Source, rel: rel, caps: caps, frag: frag, spec: spec})
 			}
 		}
 		if leaf == nil {
@@ -260,7 +287,7 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 			for _, prev := range g.Patterns[:i] {
 				markBound(inGroup, prev.Vars())
 			}
-			groupPlan = joinOn(plan, g.Source, groupPlan, leaf, inGroup, patVars, pending)
+			groupPlan = p.joinOn(plan, g.Source, groupPlan, leaf, inGroup, patVars, pending)
 		}
 	}
 	return groupPlan, nil
@@ -273,8 +300,10 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 // leave pending and become hash-key pairs — the join checks them with
 // the predicate's own semantics, so no Select is planned for them.
 // Anything else (an expression operand, another operator, both
-// variables on one side) stays pending for applyReadyPreds.
-func joinOn(plan *Plan, source string, left, right algebra.Operator, inLeft map[string]bool, rightVars []string, pending *[]xmlql.Expr) algebra.Operator {
+// variables on one side) stays pending for applyReadyPreds. When the
+// right stream is a single fragment scan that can take one of the keys
+// as a list, the join becomes a bind join (bind.go).
+func (p *Planner) joinOn(plan *Plan, source string, left, right algebra.Operator, inLeft map[string]bool, rightVars []string, pending *[]xmlql.Expr) algebra.Operator {
 	j := &algebra.HashJoin{Left: left, Right: right}
 	inRight := make(map[string]bool, len(rightVars))
 	for _, v := range rightVars {
@@ -302,6 +331,7 @@ func joinOn(plan *Plan, source string, left, right algebra.Operator, inLeft map[
 	} else {
 		plan.Explain = append(plan.Explain, fmt.Sprintf("join %s: cross product", source))
 	}
+	p.bindJoin(plan, j)
 	return j
 }
 
@@ -420,17 +450,19 @@ func literalConstraints(p *xmlql.ElemPattern) int {
 	return n
 }
 
-// asRelational finds the Relational interface through transport wrappers
-// (network simulation and the like expose Inner); the compiler needs the
-// layout descriptors even when the source sits behind a simulated WAN.
-func asRelational(src catalog.Source) catalog.Relational {
+// sourceAs finds a capability interface on a source or on what it wraps:
+// transport wrappers (network simulation, fault injection, timing)
+// expose Inner, and the compiler needs the layout descriptors and the
+// statistics even when the source sits behind a simulated WAN.
+func sourceAs[T any](src catalog.Source) (T, bool) {
 	for {
-		if rel, ok := src.(catalog.Relational); ok {
-			return rel
+		if t, ok := src.(T); ok {
+			return t, true
 		}
 		w, ok := src.(interface{ Inner() catalog.Source })
 		if !ok {
-			return nil
+			var zero T
+			return zero, false
 		}
 		src = w.Inner()
 	}
@@ -515,8 +547,9 @@ func removePreds(pending *[]xmlql.Expr, offerIdx []int, offer, rest []xmlql.Expr
 // fragmentScan builds the leaf operator that runs a compiled SQL
 // fragment and turns the exported rows into bindings directly — no
 // pattern matching needed, because the compiler chose the output
-// aliases.
-func fragmentScan(access Access, spec FetchSpec, frag *sqlgen.Fragment) algebra.Operator {
+// aliases. The request is read from spec when the leaf opens: a bind
+// join writes it just before.
+func fragmentScan(access Access, spec *FetchSpec, frag *sqlgen.Fragment) *algebra.FuncScan {
 	vars := make([]string, 0, len(frag.VarColumns))
 	for v := range frag.VarColumns {
 		vars = append(vars, v)

@@ -252,22 +252,22 @@ func TestPlanUnknownSource(t *testing.T) {
 	}
 }
 
-func TestAsRelationalUnwraps(t *testing.T) {
+func TestSourceAsUnwraps(t *testing.T) {
 	db := rdb.NewDatabase("d")
 	db.MustExec(`CREATE TABLE t (a INT)`)
 	rel := sources.NewRelationalSource("s", db)
 	wrapped := sources.NewNetworkSim(rel, 0, 1, 1)
-	if asRelational(wrapped) == nil {
+	if _, ok := sourceAs[catalog.Relational](wrapped); !ok {
 		t.Error("network sim should unwrap to relational")
 	}
-	xmlSrc, _ := sources.NewXMLSource("x", `<x/>`)
-	if asRelational(xmlSrc) != nil {
-		t.Error("XML source is not relational")
+	if st, ok := sourceAs[catalog.Stats](wrapped); !ok {
+		t.Error("network sim should unwrap to the statistics")
+	} else if ts, ok := st.TableStats("t"); !ok || ts.Rows != 0 {
+		t.Errorf("TableStats(t) = %+v, %v", ts, ok)
 	}
-	if asRelational(sources.NewDowned(rel)) != nil {
-		// Downed does not expose Inner; relational compilation is moot
-		// for a hard-down source anyway.
-		t.Log("downed unwrapped (acceptable if Inner is added)")
+	xmlSrc, _ := sources.NewXMLSource("x", `<x/>`)
+	if _, ok := sourceAs[catalog.Relational](xmlSrc); ok {
+		t.Error("XML source is not relational")
 	}
 }
 

@@ -2,6 +2,7 @@ package rdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -92,6 +93,18 @@ func (ix *Index) lookupEq(v Value) []int {
 		}
 	}
 	return out
+}
+
+// lookupIn returns the row ids whose column equals any of vals, each
+// once and in ascending order — table order, the order a scan filtered
+// by the same list would deliver.
+func (ix *Index) lookupIn(vals []Value) []int {
+	var out []int
+	for _, v := range vals {
+		out = append(out, ix.lookupEq(v)...)
+	}
+	sort.Ints(out)
+	return slices.Compact(out)
 }
 
 // lookupRange returns row ids with lo <= value <= hi; nil bounds are

@@ -286,6 +286,74 @@ func TestIndexFilterFlippedOperands(t *testing.T) {
 	}
 }
 
+// TestIndexFilterRanksConjuncts: the index serves the most selective
+// indexable conjunct, not the first in the text. A range written before
+// an equality or an IN list used to win and scan every row it covered.
+func TestIndexFilterRanksConjuncts(t *testing.T) {
+	db := newTestDB(t)
+	db.MustExec(`CREATE INDEX ON customers (city)`)
+	rows := func(res *Result) string {
+		var ids []string
+		for _, r := range res.Rows {
+			ids = append(ids, xmldm.Stringify(r[0]))
+		}
+		return strings.Join(ids, ",")
+	}
+	for _, tc := range []struct {
+		where   string
+		scanned int
+		ids     string
+	}{
+		{`id >= 0 AND id IN (3, 1)`, 2, "1,3"},            // IN beats the range before it
+		{`id >= 0 AND city = 'London'`, 2, "1,2"},         // = beats the range before it
+		{`id IN (1, 2, 3) AND city = 'New York'`, 1, "3"}, // = beats IN
+		{`city = 'London' AND id = 2`, 1, "2"},            // = on the unique index beats = on a plain one
+		{`id IN (4, 4, '04', 2) AND id < 100`, 2, "2,4"},  // a row is found once however often it is listed
+		{`id IN (9, 10)`, 0, ""},                          // nothing found, nothing scanned
+		{`id IN (1, 2) AND name = 'Alan Turing'`, 2, "2"}, // the other conjuncts still filter
+	} {
+		res := db.MustExec(`SELECT id FROM customers WHERE ` + tc.where)
+		if !res.Stats.IndexUsed || res.Stats.RowsScanned != tc.scanned || rows(res) != tc.ids {
+			t.Errorf("%s: index=%v scanned=%d rows=%s; want true, %d, %s",
+				tc.where, res.Stats.IndexUsed, res.Stats.RowsScanned, rows(res), tc.scanned, tc.ids)
+		}
+		// The rows come in table order, as the scan delivers them.
+		scan := db.MustExec(`SELECT id FROM customers WHERE (` + tc.where + `) OR 1 = 0`)
+		if scan.Stats.IndexUsed || rows(scan) != rows(res) {
+			t.Errorf("%s: full scan (index=%v) finds %s, the index %s", tc.where, scan.Stats.IndexUsed, rows(scan), rows(res))
+		}
+	}
+}
+
+// TestIndexInListFindsWhatCompareMatches: the IN path looks keys up with
+// the data model's equality, so a key that reached the mediator as text
+// finds the number it names, and text finds text however it is spelled
+// as a number.
+func TestIndexInListFindsWhatCompareMatches(t *testing.T) {
+	db := NewDatabase("d")
+	db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, code VARCHAR)`)
+	db.MustExec(`CREATE INDEX ON t (code)`)
+	db.MustExec(`INSERT INTO t VALUES (7, '007'), (12, 'x'), (3, '7'), (5, NULL), (6, '')`)
+	for _, tc := range []struct {
+		where string
+		ids   string
+	}{
+		{`id IN ('007', ' 12 ', '7.0')`, "7,12"},
+		{`code IN ('7')`, "7,3"},
+		{`code IN ('x', 'y')`, "12"},
+		{`code IN ('')`, "6"}, // the empty string is not NULL to the database
+	} {
+		res := db.MustExec(`SELECT id FROM t WHERE ` + tc.where)
+		var ids []string
+		for _, r := range res.Rows {
+			ids = append(ids, xmldm.Stringify(r[0]))
+		}
+		if got := strings.Join(ids, ","); !res.Stats.IndexUsed || got != tc.ids {
+			t.Errorf("%s: index=%v rows=%s, want %s", tc.where, res.Stats.IndexUsed, got, tc.ids)
+		}
+	}
+}
+
 func TestUpdate(t *testing.T) {
 	db := newTestDB(t)
 	res := db.MustExec(`UPDATE orders SET status = 'closed', total = total + 1 WHERE cust_id = 1`)

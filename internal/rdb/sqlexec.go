@@ -160,16 +160,16 @@ func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
 	res := &Result{}
 
 	// Build the base row set from FROM and JOIN clauses.
-	rs, err := db.buildFrom(st, &res.Stats)
+	rs, where, err := db.buildFrom(st, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
 
 	// WHERE (any conjuncts not already consumed by the index path).
-	if st.Where != nil {
+	if where != nil {
 		filtered := rs.rows[:0:0]
 		for _, row := range rs.rows {
-			v, err := evalSQL(st.Where, rs, row)
+			v, err := evalSQL(where, rs, row)
 			if err != nil {
 				return nil, err
 			}
@@ -252,8 +252,10 @@ func itemName(item SelectItem, i int) string {
 }
 
 // buildFrom materializes the FROM/JOIN row set, applying index-assisted
-// scans for single-table queries when WHERE allows.
-func (db *Database) buildFrom(st *SelectStmt, stats *ExecStats) (*rowSet, error) {
+// scans for single-table queries when WHERE allows. It returns with it
+// the part of WHERE the rows have still to pass: all of it, except an IN
+// list the index has answered exactly.
+func (db *Database) buildFrom(st *SelectStmt, stats *ExecStats) (*rowSet, SQLExpr, error) {
 	load := func(tr TableRef, filter *indexFilter) (*rowSet, error) {
 		t, ok := db.tables[strings.ToLower(tr.Table)]
 		if !ok {
@@ -267,9 +269,12 @@ func (db *Database) buildFrom(st *SelectStmt, stats *ExecStats) (*rowSet, error)
 		if filter != nil {
 			idx := t.indexes[filter.column]
 			var rids []int
-			if filter.eq != nil {
+			switch {
+			case filter.eq != nil:
 				rids = idx.lookupEq(filter.eq)
-			} else {
+			case filter.in != nil:
+				rids = idx.lookupIn(filter.in)
+			default:
 				rids = idx.lookupRange(filter.lo, filter.hi, filter.loInc, filter.hiInc)
 			}
 			stats.IndexUsed = true
@@ -291,20 +296,24 @@ func (db *Database) buildFrom(st *SelectStmt, stats *ExecStats) (*rowSet, error)
 
 	// Index path: single table, WHERE has a usable conjunct.
 	var filter *indexFilter
+	where := st.Where
 	if len(st.From) == 1 && len(st.Joins) == 0 && st.Where != nil {
 		if t, ok := db.tables[strings.ToLower(st.From[0].Table)]; ok {
 			filter = chooseIndexFilter(st.Where, t, st.From[0].Ref())
+			if filter != nil && filter.in != nil {
+				where = filter.rest
+			}
 		}
 	}
 	rs, err := load(st.From[0], filter)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Additional FROM tables: cross product (WHERE applies later).
 	for _, tr := range st.From[1:] {
 		right, err := load(tr, nil)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rs = crossJoin(rs, right)
 	}
@@ -312,55 +321,122 @@ func (db *Database) buildFrom(st *SelectStmt, stats *ExecStats) (*rowSet, error)
 	for _, jc := range st.Joins {
 		right, err := load(jc.Table, nil)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		joined, err := joinOn(rs, right, jc.On)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rs = joined
 	}
-	return rs, nil
+	return rs, where, nil
 }
 
 type indexFilter struct {
-	column       string // lower-case
-	eq           Value
+	column       string  // lower-case
+	eq           Value   // col = lit
+	in           []Value // col IN (lit, …); non-nil even when the list is empty
 	lo, hi       Value
 	loInc, hiInc bool
+	// rest is, for an IN filter, the other conjuncts of WHERE (nil when
+	// there are none). IN tests with Equal, which is what the index
+	// looks up by, so the rows it returns need not be checked against
+	// the list again — a check that costs rows × list length.
+	rest SQLExpr
 }
 
 // chooseIndexFilter inspects the top-level AND conjuncts of where for a
-// comparison between an indexed column of t and a literal.
+// comparison between an indexed column of t and literals, and returns
+// the most selective kind present: = on a unique index, then =, then IN,
+// then a range; among equals the first in text order.
 func chooseIndexFilter(where SQLExpr, t *Table, ref string) *indexFilter {
-	conjuncts := splitConjuncts(where)
+	const (
+		rankUniqueEq = iota
+		rankEq
+		rankIn
+		rankRange
+		unranked
+	)
 	ref = strings.ToLower(ref)
-	for _, c := range conjuncts {
-		bin, ok := c.(*SQLBin)
-		if !ok {
-			continue
-		}
-		col, lit, op, ok := colLitComparison(bin, ref)
-		if !ok {
-			continue
-		}
-		if _, has := t.indexes[col]; !has {
-			continue
-		}
-		switch op {
-		case "=":
-			return &indexFilter{column: col, eq: lit}
-		case "<":
-			return &indexFilter{column: col, hi: lit}
-		case "<=":
-			return &indexFilter{column: col, hi: lit, hiInc: true}
-		case ">":
-			return &indexFilter{column: col, lo: lit}
-		case ">=":
-			return &indexFilter{column: col, lo: lit, loInc: true}
+	var best indexFilter
+	bestRank := unranked
+	offer := func(rank int, f indexFilter) {
+		if rank < bestRank {
+			best, bestRank = f, rank
 		}
 	}
-	return nil
+	conjuncts := splitConjuncts(where)
+	for i, c := range conjuncts {
+		switch x := c.(type) {
+		case *SQLIn:
+			if col, lits, ok := colInLiterals(x, ref); ok && t.indexes[col] != nil && bestRank > rankIn {
+				offer(rankIn, indexFilter{column: col, in: lits, rest: joinConjuncts(conjuncts, i)})
+			}
+		case *SQLBin:
+			col, lit, op, ok := colLitComparison(x, ref)
+			if !ok {
+				continue
+			}
+			idx := t.indexes[col]
+			if idx == nil {
+				continue
+			}
+			switch op {
+			case "=":
+				rank := rankEq
+				if idx.unique {
+					rank = rankUniqueEq
+				}
+				offer(rank, indexFilter{column: col, eq: lit})
+			case "<":
+				offer(rankRange, indexFilter{column: col, hi: lit})
+			case "<=":
+				offer(rankRange, indexFilter{column: col, hi: lit, hiInc: true})
+			case ">":
+				offer(rankRange, indexFilter{column: col, lo: lit})
+			case ">=":
+				offer(rankRange, indexFilter{column: col, lo: lit, loInc: true})
+			}
+		}
+	}
+	if bestRank == unranked {
+		return nil
+	}
+	return &best
+}
+
+// colInLiterals matches col IN (lit, …) with col belonging to the given
+// table reference and every list element a literal.
+func colInLiterals(in *SQLIn, ref string) (col string, lits []Value, ok bool) {
+	cr, isCol := in.E.(*ColRef)
+	if !isCol || (cr.Table != "" && !strings.EqualFold(cr.Table, ref)) {
+		return "", nil, false
+	}
+	lits = make([]Value, 0, len(in.List))
+	for _, e := range in.List {
+		l, isLit := e.(*SQLLit)
+		if !isLit {
+			return "", nil, false
+		}
+		lits = append(lits, l.Value)
+	}
+	return strings.ToLower(cr.Col), lits, true
+}
+
+// joinConjuncts is the AND of all conjuncts but the skip-th, nil if that
+// leaves none.
+func joinConjuncts(conjuncts []SQLExpr, skip int) SQLExpr {
+	var out SQLExpr
+	for i, c := range conjuncts {
+		switch {
+		case i == skip:
+		case out == nil:
+			out = c
+		default:
+			out = &SQLBin{Op: "AND", L: out, R: c}
+		}
+	}
+	return out
 }
 
 func splitConjuncts(e SQLExpr) []SQLExpr {

@@ -50,6 +50,10 @@ func NewRelationalSource(name string, db *rdb.Database) *RelationalSource {
 			} else if db.HasIndex(tn, c.Name) {
 				d.IndexedColumns = append(d.IndexedColumns, strings.ToLower(c.Name))
 			}
+			// FLOAT stays out: NaN exports as text outside the numeric class.
+			if c.Type == rdb.TInt || c.Type == rdb.TString {
+				d.TextExactColumns = append(d.TextExactColumns, strings.ToLower(c.Name))
+			}
 		}
 		s.desc = append(s.desc, d)
 	}
@@ -77,6 +81,14 @@ func (s *RelationalSource) Capabilities() catalog.Capabilities {
 
 // Descriptors implements catalog.Relational.
 func (s *RelationalSource) Descriptors() []catalog.RelationalDescriptor { return s.desc }
+
+// TableStats implements catalog.Stats from the database's live counters.
+func (s *RelationalSource) TableStats(table string) (catalog.TableStats, bool) {
+	if _, err := s.db.Table(table); err != nil {
+		return catalog.TableStats{}, false
+	}
+	return catalog.TableStats{Rows: s.db.RowCount(table)}, true
+}
 
 // DB exposes the underlying database for test fixtures and update
 // streams in experiments.

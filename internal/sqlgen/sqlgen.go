@@ -38,6 +38,53 @@ type Fragment struct {
 	PushedPredicates int
 	// PushedOrder reports whether ORDER BY was pushed.
 	PushedOrder bool
+	// Columns maps each bound variable to the table column it reads (the
+	// name WHERE conjuncts use; VarColumns holds the output alias).
+	Columns map[string]string
+
+	// The statement in parts, so that a key list can join the WHERE
+	// conjuncts after compilation: SELECT … FROM t, the conjuncts, and
+	// the ORDER BY clause if one was pushed.
+	head      string
+	conjuncts []string
+	orderBy   string
+}
+
+// KeyedSQL is the fragment's statement restricted to the rows whose col
+// equals one of keys: SQL with "col IN ('k', …)" as one more conjunct.
+// col must be a table column (a value of Columns); keys are data and
+// each is quoted as a string literal.
+func (f *Fragment) KeyedSQL(col string, keys []string) string {
+	var sb strings.Builder
+	sb.WriteString(col)
+	sb.WriteString(" IN (")
+	for i, k := range keys {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(sqlString(k))
+	}
+	sb.WriteString(")")
+	return f.render(sb.String())
+}
+
+// KeyedLabel is KeyedSQL for display, with the list elided to its
+// length: "… AND id IN (…24 keys)".
+func (f *Fragment) KeyedLabel(col string, keys int) string {
+	return f.render(fmt.Sprintf("%s IN (…%d keys)", col, keys))
+}
+
+// render assembles the statement, with extra (if not empty) as a last
+// WHERE conjunct.
+func (f *Fragment) render(extra string) string {
+	conjuncts := f.conjuncts
+	if extra != "" {
+		conjuncts = append(conjuncts[:len(conjuncts):len(conjuncts)], extra)
+	}
+	if len(conjuncts) == 0 {
+		return f.head + f.orderBy
+	}
+	return f.head + " WHERE " + strings.Join(conjuncts, " AND ") + f.orderBy
 }
 
 // Options tune compilation.
@@ -109,7 +156,7 @@ func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 		}
 	}
 
-	frag := &Fragment{Table: desc.Table, RowElement: desc.RowElement, VarColumns: make(map[string]string)}
+	frag := &Fragment{Table: desc.Table, RowElement: desc.RowElement, VarColumns: make(map[string]string), Columns: varCol}
 
 	// Predicate pushdown.
 	var remaining []xmlql.Expr
@@ -157,15 +204,8 @@ func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 		}
 	}
 
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
-	sb.WriteString(selectList)
-	sb.WriteString(" FROM ")
-	sb.WriteString(desc.Table)
-	if len(conjuncts) > 0 {
-		sb.WriteString(" WHERE ")
-		sb.WriteString(strings.Join(conjuncts, " AND "))
-	}
+	frag.head = "SELECT " + selectList + " FROM " + desc.Table
+	frag.conjuncts = conjuncts
 
 	// ORDER BY pushdown.
 	if caps.Ordering && len(opts.OrderBy) > 0 {
@@ -189,13 +229,12 @@ func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 			}
 		}
 		if ok && len(keys) > 0 {
-			sb.WriteString(" ORDER BY ")
-			sb.WriteString(strings.Join(keys, ", "))
+			frag.orderBy = " ORDER BY " + strings.Join(keys, ", ")
 			frag.PushedOrder = true
 		}
 	}
 
-	frag.SQL = sb.String()
+	frag.SQL = frag.render("")
 	return frag, remaining, nil
 }
 
