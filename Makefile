@@ -41,27 +41,34 @@ vulncheck:
 race:
 	$(GO) test -race ./...
 
-# run-named is `go test -run PATTERN …` that fails when the pattern
-# selects nothing in a package: the steps below pick tests by name, and a
-# renamed test must not drop out of its race step unnoticed.
+# run-named is `go test FLAGS -run 'A|B|…' PACKAGE` that first checks, with
+# `go test -list`, that every alternative of the pattern still selects a
+# test in the package: the steps below pick tests by name, and one name
+# renamed or deleted must not drop out of its race step while the others
+# keep the step green. $(1) flags, $(2) pattern, $(3) package.
 define run-named
-	@echo "$(GO) test $(1)"; out=$$($(GO) test $(1) 2>&1); status=$$?; echo "$$out"; \
-	if [ $$status -ne 0 ]; then exit $$status; fi; \
-	if echo "$$out" | grep -q 'no tests to run'; then echo "$@: the pattern selects no tests"; exit 1; fi
+	@for alt in $(subst |, ,$(2)); do \
+		listed=$$($(GO) test $(1) -list "$$alt" $(3) 2>&1) || { echo "$$listed"; exit 1; }; \
+		if ! echo "$$listed" | grep -qv '^ok'; then \
+			echo "$@: -run alternative $$alt selects no test in $(3)"; exit 1; \
+		fi; \
+	done
+	$(GO) test $(1) -run '$(2)' $(3)
 endef
 
 # parallel-race exercises the intra-query parallel execution machinery
-# under the race detector: the serial-vs-parallel differential suite and
-# the view-join equivalence, the exchange and hash-join (every degree,
-# keyed, natural and bound) unit, property and fuzz seeds, the planner's
-# join-key and bind-join recognition, and the concurrent storm through the cluster
+# under the race detector: the serial-vs-parallel differential suite, the
+# same-EXPLAIN-tree-at-every-degree check and the view-join equivalence,
+# the hash-join (every degree, keyed, natural and bound), parallel Match
+# and parallel sort unit, property and fuzz seeds, the planner's join-key
+# and bind-join recognition, and the concurrent storm through the cluster
 # front end under chaos faults (dead + slow sources) asserting
 # byte-identical results — no lost or duplicated tuples.
 parallel-race:
-	$(call run-named,-race -run 'TestParallelEquivalence|TestUnfoldingEquivalence_ViewJoin|TestExplainParallelPlanShape' -count=1 ./internal/core)
-	$(call run-named,-race -run 'TestExchange|TestHashJoin|TestBindJoin|TestParallelClose|TestParallelMatch|TestStableSort|FuzzPartition' -count=1 ./internal/algebra)
-	$(call run-named,-race -run 'TestPlanJoinKey|TestPlanBindJoin|TestPlanNonKeyPredicates|TestPlanThreeSourceChain' -count=1 ./internal/opt)
-	$(call run-named,-race -run 'TestParallelStormUnderChaos' -count=1 .)
+	$(call run-named,-race -count=1,TestParallelEquivalence|TestUnfoldingEquivalence_ViewJoin|TestExplainParallelPlanShape|TestExplainSameTree,./internal/core)
+	$(call run-named,-race -count=1,TestHashJoin|TestBindJoin|TestParallelClose|TestParallelMatch|TestStableSort|FuzzPartition,./internal/algebra)
+	$(call run-named,-race -count=1,TestPlanJoinKey|TestPlanBindJoin|TestPlanNonKeyPredicates|TestPlanThreeSourceChain,./internal/opt)
+	$(call run-named,-race -count=1,TestParallelStormUnderChaos,.)
 
 # sched-race exercises the shared inter-query scheduler under the race
 # detector: the unit/property/starvation battery plus the grant fuzz

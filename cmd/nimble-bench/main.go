@@ -3,17 +3,14 @@
 //
 // Usage:
 //
-//	nimble-bench [-full] [-only E5] [-bench9 [-out BENCH_9.json]]
+//	nimble-bench [-full] [-only E5]
 //
 // Without flags it runs every experiment at quick scale; -full uses the
 // larger sizes EXPERIMENTS.md reports; -only runs a single experiment by
-// id (F1, E1..E8). -bench9 runs only the intra-query parallelism
-// benchmark and writes its machine-readable report (schema documented
-// in EXPERIMENTS.md) so future PRs have a perf trajectory to compare.
+// id (F1, E1..E9).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,9 +23,7 @@ import (
 
 func main() {
 	full := flag.Bool("full", false, "run at full scale (slower; the EXPERIMENTS.md numbers)")
-	only := flag.String("only", "", "run a single experiment by id (F1, E1..E8)")
-	bench9 := flag.Bool("bench9", false, "run the intra-query parallelism benchmark and write its JSON report")
-	out := flag.String("out", "BENCH_9.json", "output path for the -bench9 report")
+	only := flag.String("only", "", "run a single experiment by id (F1, E1..E9)")
 	flag.Parse()
 
 	scale := experiments.QuickScale()
@@ -39,25 +34,6 @@ func main() {
 	}
 	fmt.Printf("nimble-bench: scale=%s customers=%d queries=%d trials=%d\n\n",
 		label, scale.Customers, scale.Queries, scale.Trials)
-
-	if *bench9 {
-		start := time.Now()
-		rep := experiments.Bench9Parallel(scale, label)
-		fmt.Print(rep.Table().String())
-		fmt.Printf("(B9 in %.1fs)\n\n", time.Since(start).Seconds())
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench9: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "bench9: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench9: wrote %s\n", *out)
-		return
-	}
 
 	runners := map[string]func(experiments.Scale) *experiments.Table{
 		"F1": experiments.F1Architecture,
@@ -75,13 +51,11 @@ func main() {
 
 	if *only != "" {
 		id := strings.ToUpper(*only)
-		run, ok := runners[id]
-		if !ok {
+		if _, ok := runners[id]; !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", *only, strings.Join(order, ", "))
 			os.Exit(2)
 		}
 		order = []string{id}
-		_ = run
 	}
 	for _, id := range order {
 		start := time.Now()

@@ -44,7 +44,7 @@ type Context struct {
 	Trace *obs.Span
 
 	// OnWorkers, when set, observes parallel worker-pool size changes:
-	// +n when an exchange-style operator spawns its pool, -n when the
+	// +n when a parallel operator spawns its pool, -n when the
 	// pool tears down. The engine wires the nimble_parallel_workers
 	// gauge here. Calls may come from any goroutine driving the plan.
 	OnWorkers func(delta int)
@@ -58,8 +58,8 @@ type Stats struct {
 	PatternMatches int64 // element pattern match attempts
 	DrainNanos     int64 // wall time spent draining operator trees
 	OperatorsRun   int64 // operators in the drained trees
-	// WorkersSpawned / WorkerNanos count parallel workers spawned by
-	// exchange-style operators and their cumulative busy wall time.
+	// WorkersSpawned / WorkerNanos count the workers parallel operators
+	// spawned and their cumulative busy wall time.
 	WorkersSpawned int64
 	WorkerNanos    int64
 	// BindJoins / BindFallbacks count bind joins by outcome: right side

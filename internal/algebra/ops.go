@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/xmldm"
 	"repro/internal/xmlql"
 )
@@ -133,7 +134,7 @@ type HashJoin struct {
 	pending  []Binding            // serial: matches of the current left row
 	pos      int
 	fan      *fanout // the probe pool, when Workers > 1
-	sp       traceSpan
+	sp       *obs.Span
 }
 
 // Bind turns a HashJoin into a bind join. Instead of opening both inputs
@@ -426,15 +427,13 @@ func keyString(vars []string, pairs []KeyPair) string {
 // opened: a bind join that failed before or while opening it, or had no
 // key to ask for, never did.
 func (j *HashJoin) Close() error {
-	// j.ctx doubles as the "already closed" marker, as in Exchange.Close:
-	// a second Close must neither stop the pool twice nor unbalance the
-	// worker gauge. j.fan stays set so WorkerStats remains readable.
+	// j.ctx doubles as the "already closed" marker: a second Close (a
+	// defensive caller, or an error path that already tore down the tree)
+	// must neither stop the pool twice nor unbalance the worker gauge.
+	// j.fan stays set so WorkerStats remains readable.
 	if j.fan != nil && j.ctx != nil {
 		j.fan.finish(j.ctx)
-		if j.sp != nil {
-			j.sp.Finish()
-			j.sp = nil
-		}
+		j.sp.Finish()
 	}
 	j.ctx = nil
 	j.right, j.held, j.table, j.pending = nil, nil, nil, nil

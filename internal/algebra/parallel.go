@@ -1,22 +1,18 @@
-// Intra-query parallelism for the physical algebra. The design follows
-// the exchange-operator tradition (Volcano) with a morsel-style twist:
-// an Exchange drains its single-consumer input on a producer goroutine,
-// routes each tuple to one of N workers (round-robin, or by hash of the
-// partition variables so equal keys co-locate), and each worker runs a
-// private clone of the per-tuple pipeline above it. Because every stage
-// the planner parallelizes is tuple-at-a-time and order-preserving
-// (Select, Project, Match over a bound variable), the outputs produced
-// for input tuple k are a contiguous batch, and merging batches back in
-// input-tuple order reconstructs the serial output exactly — parallel
-// plans are byte-identical to their serial twins, which is what lets
+// Intra-query parallelism for the physical algebra. Three things take a
+// degree: the partitioned HashJoin (build and probe split by join-key
+// hash), the source-scan Match (candidate elements claimed by index) and
+// the final ORDER-BY sort (chunk sorts plus a merge). Each knows its exact
+// input at run time and merges back in input order, so the output at any
+// degree is byte-identical to the serial operator's — which is what lets
 // ordering-sensitive consumers (Sort, Limit, the top-level construct)
-// ignore the parallelism entirely.
+// ignore the parallelism entirely. The per-tuple stages between them
+// (Select, Project, Match over a bound variable) run serially: handing
+// one tuple at a time to a worker costs more than those stages do
+// (DESIGN §12 has the measurements).
 package algebra
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,28 +61,22 @@ func PartitionOf(key uint64, n int) int {
 	return int(key % uint64(n))
 }
 
-// outBatch is the complete output of one worker for one input tuple.
-type outBatch struct {
-	outs []Binding
-	err  error
-}
-
 // chanBuf is the per-channel buffer depth of the fan-out machinery —
 // enough to keep workers busy without materializing whole streams.
 const chanBuf = 64
 
-// fanout is the shared fan-out/merge machinery behind Exchange and the
-// partitioned HashJoin. The producer routes each input tuple to a worker
-// and records the route; the merger replays the routes in input order,
-// reading exactly one batch per route, so output order equals serial
-// evaluation order regardless of worker scheduling. The producer sends
-// the route before the tuple: the merger always learns where to wait
-// before a worker can be blocked producing it, which makes the
+// fanout is the fan-out/merge machinery of the partitioned HashJoin. The
+// producer routes each left tuple to a worker and records the route; the
+// merger replays the routes in input order, reading exactly one batch
+// (the tuple's complete probe output) per route, so output order equals
+// serial evaluation order regardless of worker scheduling. The producer
+// sends the route before the tuple: the merger always learns where to
+// wait before a worker can be blocked producing it, which makes the
 // backpressure loop deadlock-free.
 type fanout struct {
 	routes chan int
 	parts  []chan Binding
-	outs   []chan outBatch
+	outs   []chan []Binding
 	done   chan struct{}
 	errc   chan error
 	wg     sync.WaitGroup
@@ -98,14 +88,14 @@ func newFanout(workers int) *fanout {
 	f := &fanout{
 		routes: make(chan int, chanBuf*workers),
 		parts:  make([]chan Binding, workers),
-		outs:   make([]chan outBatch, workers),
+		outs:   make([]chan []Binding, workers),
 		done:   make(chan struct{}),
 		errc:   make(chan error, 1),
 		stats:  make([]WorkerStat, workers),
 	}
 	for i := range f.parts {
 		f.parts[i] = make(chan Binding, chanBuf)
-		f.outs[i] = make(chan outBatch, chanBuf)
+		f.outs[i] = make(chan []Binding, chanBuf)
 	}
 	return f
 }
@@ -152,40 +142,26 @@ func (f *fanout) produce(next func() (Binding, error), route func(Binding) int) 
 	}()
 }
 
-// runWorkers starts the worker pool. mk builds worker w's processing
-// function (one input tuple in, its complete output batch out) plus an
-// optional cleanup; an mk error poisons the worker, which then answers
-// every routed tuple with that error so the merge stays aligned.
-func (f *fanout) runWorkers(workers int, mk func(w int) (func(Binding) ([]Binding, error), func(), error)) {
-	f.wg.Add(workers)
-	for w := 0; w < workers; w++ {
+// runWorkers starts the worker pool: worker w answers every tuple routed
+// to it with probe(w, tuple), the tuple's complete output batch.
+func (f *fanout) runWorkers(probe func(w int, l Binding) []Binding) {
+	f.wg.Add(len(f.parts))
+	for w := range f.parts {
 		go func(w int) {
 			defer f.wg.Done()
 			var rows, busy int64
 			defer func() {
 				f.stats[w] = WorkerStat{Worker: w, Rows: rows, Nanos: busy}
 			}()
-			process, cleanup, err := mk(w)
-			if cleanup != nil {
-				defer cleanup()
-			}
-			for b := range f.parts[w] {
-				var bt outBatch
-				if err != nil {
-					bt.err = err
-				} else {
-					start := time.Now()
-					bt.outs, bt.err = process(b)
-					busy += time.Since(start).Nanoseconds()
-				}
-				rows += int64(len(bt.outs))
+			for l := range f.parts[w] {
+				start := time.Now()
+				outs := probe(w, l)
+				busy += time.Since(start).Nanoseconds()
+				rows += int64(len(outs))
 				select {
-				case f.outs[w] <- bt:
+				case f.outs[w] <- outs:
 				case <-f.done:
 					return
-				}
-				if bt.err != nil {
-					err = bt.err // later tuples answer the same error
 				}
 			}
 		}(w)
@@ -207,26 +183,18 @@ func (f *fanout) next() (Binding, error) {
 		if r < 0 {
 			return nil, <-f.errc
 		}
-		bt := <-f.outs[r]
-		if bt.err != nil {
-			return nil, bt.err
-		}
-		f.cur = bt.outs
+		f.cur = <-f.outs[r]
 	}
 }
 
-// stop tears the machinery down: unblocks every goroutine and waits for
-// them, so the caller may safely close the upstream input afterwards.
-func (f *fanout) stop() {
+// finish tears the machinery down — unblocks every goroutine and waits
+// for them, so the caller may safely close the upstream input afterwards
+// — and settles its accounts with the context: the workers' busy time is
+// recorded and the worker gauge credited back.
+func (f *fanout) finish(ctx *Context) {
 	close(f.done)
 	f.wg.Wait()
 	f.cur = nil
-}
-
-// finish stops the pool and settles its accounts with the context: the
-// workers' busy time is recorded and the worker gauge credited back.
-func (f *fanout) finish(ctx *Context) {
-	f.stop()
 	var busy int64
 	for _, ws := range f.stats {
 		busy += ws.Nanos
@@ -238,161 +206,6 @@ func (f *fanout) finish(ctx *Context) {
 // buffered reports the merge-side buffer (owned by the consumer
 // goroutine, so safe to poll from the instrumentation shim).
 func (f *fanout) buffered() int { return len(f.cur) }
-
-// feedLeaf is the per-worker pipeline source: the worker loads one
-// tuple, drains the pipeline above it, loads the next. It does not
-// count tuples — the exchange's upstream input already did.
-type feedLeaf struct {
-	b    Binding
-	open bool
-}
-
-func (l *feedLeaf) Open(*Context) error { l.open = true; return nil }
-
-func (l *feedLeaf) Next() (Binding, error) {
-	if !l.open {
-		return nil, ErrNotOpen
-	}
-	b := l.b
-	l.b = nil
-	return b, nil
-}
-
-func (l *feedLeaf) Close() error { l.open = false; return nil }
-
-// Exchange fans its input stream across Workers goroutines, each
-// running a private pipeline built by Build over the routed tuples, and
-// merges the outputs back in input order. With PartitionBy set, tuples
-// are routed by hash of those variables (equal keys co-locate — the
-// layout partitioned joins and distincts need); otherwise round-robin.
-//
-// Build must construct fresh operator instances (workers must not share
-// mutable state); the planner clones per-tuple stages — Select, Project,
-// Match over a bound variable — whose shared predicate/pattern values
-// are read-only under evaluation.
-type Exchange struct {
-	Input       Operator
-	Workers     int
-	Build       func(src Operator) Operator
-	PartitionBy []string
-
-	ctx     *Context
-	fan     *fanout
-	workers int
-	rr      uint64
-	sp      traceSpan
-}
-
-// traceSpan is the minimal span surface parallel operators touch; it
-// keeps the obs import localized to op.go.
-type traceSpan interface {
-	SetAttr(key, value string)
-	SetInt(key string, v int64)
-	Finish()
-}
-
-// Open implements Operator: it opens the input, then starts the
-// producer and the worker pool.
-func (x *Exchange) Open(ctx *Context) error {
-	if err := x.Input.Open(ctx); err != nil {
-		return err
-	}
-	x.ctx = ctx
-	x.workers = x.Workers
-	if x.workers < 1 {
-		x.workers = 1
-	}
-	x.rr = 0
-	x.fan = newFanout(x.workers)
-	if sp := ctx.Trace.StartChild("exchange"); sp != nil {
-		sp.SetInt("workers", int64(x.workers))
-		if len(x.PartitionBy) > 0 {
-			sp.SetAttr("partition", "hash("+strings.Join(x.PartitionBy, ",")+")")
-		} else {
-			sp.SetAttr("partition", "round-robin")
-		}
-		x.sp = sp
-	}
-	ctx.AddWorkers(x.workers)
-
-	route := func(b Binding) int {
-		if len(x.PartitionBy) > 0 {
-			return PartitionOf(PartitionKey(b, x.PartitionBy), x.workers)
-		}
-		p := int(x.rr % uint64(x.workers))
-		x.rr++
-		return p
-	}
-	x.fan.runWorkers(x.workers, func(int) (func(Binding) ([]Binding, error), func(), error) {
-		leaf := &feedLeaf{}
-		pipe := x.Build(leaf)
-		if err := pipe.Open(ctx); err != nil {
-			return nil, nil, err
-		}
-		process := func(b Binding) ([]Binding, error) {
-			leaf.b = b
-			var outs []Binding
-			for {
-				ob, err := pipe.Next()
-				if err != nil {
-					return outs, err
-				}
-				if ob == nil {
-					return outs, nil
-				}
-				outs = append(outs, ob)
-			}
-		}
-		return process, func() { pipe.Close() }, nil
-	})
-	x.fan.produce(x.Input.Next, route)
-	return nil
-}
-
-// Next implements Operator.
-func (x *Exchange) Next() (Binding, error) {
-	if x.ctx == nil {
-		return nil, ErrNotOpen
-	}
-	return x.fan.next()
-}
-
-// BufferedTuples reports the merge-side batch buffer.
-func (x *Exchange) BufferedTuples() int {
-	if x.fan == nil {
-		return 0
-	}
-	return x.fan.buffered()
-}
-
-// WorkerStats reports per-worker rows and busy time; valid after Close.
-func (x *Exchange) WorkerStats() []WorkerStat {
-	if x.fan == nil {
-		return nil
-	}
-	return x.fan.stats
-}
-
-// Close implements Operator.
-func (x *Exchange) Close() error {
-	// x.ctx doubles as the "already closed" marker: a second Close (a
-	// defensive caller, or an error path that already tore down the
-	// tree) must not stop the fanout again or re-credit the worker
-	// gauge. x.fan stays set so WorkerStats remains readable after
-	// Close.
-	if x.fan != nil && x.ctx != nil {
-		x.fan.finish(x.ctx)
-		if x.sp != nil {
-			for _, ws := range x.fan.stats {
-				x.sp.SetInt(fmt.Sprintf("worker%d_rows", ws.Worker), ws.Rows)
-			}
-			x.sp.Finish()
-			x.sp = nil
-		}
-	}
-	x.ctx = nil
-	return x.Input.Close()
-}
 
 // startParallel is HashJoin at Workers > 1: the right side is split into
 // Workers per-partition hash tables by join-key hash, the left stream is
@@ -439,19 +252,15 @@ func (j *HashJoin) startParallel() {
 	}
 	wg.Wait()
 
-	if sp := j.ctx.Trace.StartChild("exchange"); sp != nil {
-		sp.SetAttr("op", "HashJoin")
-		sp.SetInt("workers", int64(workers))
-		sp.SetAttr("partition", "hash("+keyString(j.vars, j.Pairs)+")")
-		sp.SetInt("build_rows", int64(len(j.right)))
-		j.sp = sp
+	if j.sp = j.ctx.Trace.StartChild("exchange"); j.sp != nil {
+		j.sp.SetAttr("op", "HashJoin")
+		j.sp.SetInt("workers", int64(workers))
+		j.sp.SetAttr("partition", "hash("+keyString(j.vars, j.Pairs)+")")
+		j.sp.SetInt("build_rows", int64(len(j.right)))
 	}
 	j.ctx.AddWorkers(workers)
 	j.fan = newFanout(workers)
-	j.fan.runWorkers(workers, func(w int) (func(Binding) ([]Binding, error), func(), error) {
-		table := tables[w]
-		return func(l Binding) ([]Binding, error) { return j.probe(table, l, nil), nil }, nil, nil
-	})
+	j.fan.runWorkers(func(w int, l Binding) []Binding { return j.probe(tables[w], l, nil) })
 	j.fan.produce(j.nextLeft, func(l Binding) int {
 		return PartitionOf(j.keyOf(l, false), workers)
 	})

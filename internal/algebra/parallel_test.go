@@ -1,15 +1,15 @@
 package algebra
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/xmldm"
-	"repro/internal/xmlql"
 )
 
 // randTuples builds n deterministic tuples with a join key k (small
@@ -46,53 +46,26 @@ func bindingsEqual(a, b []Binding) bool {
 	return true
 }
 
-// TestExchangeMatchesSerial: an Exchange running a cloned Select stage
-// produces exactly the serial stage's output, in order, for every
-// worker count and both routing modes.
-func TestExchangeMatchesSerial(t *testing.T) {
-	pred := &xmlql.BinExpr{Op: ">", L: &xmlql.VarExpr{Name: "p"}, R: &xmlql.LitExpr{Value: int64(20)}}
-	tuples := randTuples(200, 1)
-	want := drainAll(t, &Context{}, &Select{Input: &TupleScan{Tuples: tuples}, Pred: pred})
-
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, partition := range [][]string{nil, {"k"}} {
-			ex := &Exchange{
-				Input:       &TupleScan{Tuples: tuples},
-				Workers:     workers,
-				PartitionBy: partition,
-				Build:       func(src Operator) Operator { return &Select{Input: src, Pred: pred} },
-			}
-			got := drainAll(t, &Context{}, ex)
-			if !bindingsEqual(got, want) {
-				t.Errorf("workers=%d partition=%v: %d rows, want %d (or order differs)",
-					workers, partition, len(got), len(want))
-			}
-		}
-	}
-}
-
-// TestExchangeWorkerStats: per-worker row counts must sum to the output
+// TestHashJoinWorkerStats: per-worker probe rows must sum to the output
 // and the context counters must record spawn and busy time.
-func TestExchangeWorkerStats(t *testing.T) {
+func TestHashJoinWorkerStats(t *testing.T) {
 	tuples := randTuples(100, 2)
 	ctx := &Context{}
 	var deltas []int
 	ctx.OnWorkers = func(d int) { deltas = append(deltas, d) }
-	ex := &Exchange{
-		Input:   &TupleScan{Tuples: tuples},
+	j := &HashJoin{
+		Left:    &TupleScan{Tuples: tuples},
+		Right:   &TupleScan{Tuples: tuples[:20]},
+		On:      []string{"k"},
 		Workers: 4,
-		Build:   func(src Operator) Operator { return &Project{Input: src, Vars: []string{"p"}} },
 	}
-	got := drainAll(t, ctx, ex)
-	if len(got) != len(tuples) {
-		t.Fatalf("rows = %d", len(got))
-	}
+	got := drainAll(t, ctx, j)
 	var sum int64
-	for _, ws := range ex.WorkerStats() {
+	for _, ws := range j.WorkerStats() {
 		sum += ws.Rows
 	}
-	if sum != int64(len(tuples)) {
-		t.Errorf("worker rows sum = %d, want %d", sum, len(tuples))
+	if len(got) == 0 || sum != int64(len(got)) {
+		t.Errorf("worker rows sum = %d, want the %d output rows", sum, len(got))
 	}
 	snap := ctx.Snapshot()
 	if snap.WorkersSpawned != 4 {
@@ -126,71 +99,41 @@ func (s *errAfterScan) Next() (Binding, error) {
 }
 func (s *errAfterScan) Close() error { s.open = false; return nil }
 
-func TestExchangeUpstreamErrorInOrder(t *testing.T) {
-	boom := errors.New("upstream boom")
-	tuples := randTuples(50, 3)
-	ex := &Exchange{
-		Input:   &errAfterScan{tuples: tuples, err: boom},
-		Workers: 3,
-		Build:   func(src Operator) Operator { return &Project{Input: src, Vars: []string{"k", "p"}} },
-	}
-	ctx := &Context{}
-	if err := ex.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var rows int
-	var err error
-	for {
-		var b Binding
-		b, err = ex.Next()
-		if b == nil {
-			break
+// TestHashJoinEarlyClose: a Limit above a partitioned join closes it long
+// before the left stream is drained; the pool must tear down without
+// deadlock, leave no goroutine behind and the worker gauge at zero, and
+// the rows that did come out are the serial join's first rows.
+func TestHashJoinEarlyClose(t *testing.T) {
+	left := randTuples(5000, 5)
+	right := randTuples(30, 6)
+	want := drainAll(t, &Context{}, &Limit{N: 3, Input: &HashJoin{
+		Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right}, On: []string{"k"}}})
+	for _, workers := range []int{2, 8} {
+		before := runtime.NumGoroutine()
+		var gauge int
+		ctx := &Context{}
+		ctx.OnWorkers = func(d int) { gauge += d }
+		j := &HashJoin{
+			Left:    &TupleScan{Tuples: left},
+			Right:   &TupleScan{Tuples: right},
+			On:      []string{"k"},
+			Workers: workers,
 		}
-		rows++
-	}
-	if rows != len(tuples) {
-		t.Errorf("rows before error = %d, want %d (error must arrive in input order)", rows, len(tuples))
-	}
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want %v", err, boom)
-	}
-	if err := ex.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExchangeWorkerErrorPropagates(t *testing.T) {
-	// Predicate fails on an unknown function — every tuple errors; the
-	// first Next must surface it and Close must terminate cleanly.
-	pred := &xmlql.FuncExpr{Name: "no_such_fn", Args: []xmlql.Expr{&xmlql.VarExpr{Name: "p"}}}
-	ex := &Exchange{
-		Input:   &TupleScan{Tuples: randTuples(40, 4)},
-		Workers: 4,
-		Build:   func(src Operator) Operator { return &Select{Input: src, Pred: pred} },
-	}
-	if _, err := Drain(&Context{}, ex); err == nil {
-		t.Fatal("expected worker error to propagate")
-	}
-}
-
-// TestExchangeEarlyClose: a Limit above an Exchange closes it long
-// before the stream is drained; the pool must tear down without
-// deadlock and the upstream must still be closed.
-func TestExchangeEarlyClose(t *testing.T) {
-	tuples := randTuples(5000, 5)
-	ex := &Exchange{
-		Input:   &TupleScan{Tuples: tuples},
-		Workers: 4,
-		Build:   func(src Operator) Operator { return &Project{Input: src, Vars: []string{"p"}} },
-	}
-	out := drainAll(t, &Context{}, &Limit{Input: ex, N: 3})
-	if len(out) != 3 {
-		t.Fatalf("rows = %d, want 3", len(out))
-	}
-	for i, b := range out {
-		p, _ := b.Get("p")
-		if xmldm.Stringify(p) != fmt.Sprintf("%d", i) {
-			t.Errorf("row %d = %v, want p=%d (input order)", i, b, i)
+		got := drainAll(t, ctx, &Limit{Input: j, N: 3})
+		if !bindingsEqual(got, want) {
+			t.Errorf("workers=%d: got %v, want the serial join's first rows %v", workers, got, want)
+		}
+		if gauge != 0 {
+			t.Errorf("workers=%d: worker gauge = %d after early close, want 0", workers, gauge)
+		}
+		// Close waited for the producer and every worker to finish; give
+		// the runtime a moment to retire them before counting.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("workers=%d: %d goroutines before, %d after early close", workers, before, after)
 		}
 	}
 }
@@ -246,41 +189,17 @@ func TestHashJoinDegreesEmptySides(t *testing.T) {
 	}
 }
 
-// TestParallelCloseIdempotent: closing a parallel operator twice (a
+// TestParallelCloseIdempotent: closing a partitioned join twice (a
 // defensive caller, or an error path that already tore the tree down)
-// must not panic, must not stop the fanout twice, and must leave the
-// worker gauge balanced at zero — the cancel-path invariant the storm
-// tests assert end to end.
+// must not panic, must not stop the fanout twice, and must credit the
+// worker gauge once — the cancel-path invariant the storm tests assert
+// end to end.
 func TestParallelCloseIdempotent(t *testing.T) {
 	tuples := randTuples(50, 11)
 
-	var workers int
+	var deltas []int
 	ctx := &Context{}
-	ctx.OnWorkers = func(d int) { workers += d }
-
-	ex := &Exchange{
-		Input:   &TupleScan{Tuples: tuples},
-		Workers: 3,
-		Build:   func(src Operator) Operator { return &Project{Input: src, Vars: []string{"p"}} },
-	}
-	if err := ex.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Close(); err != nil { // second close: no panic, no double credit
-		t.Fatal(err)
-	}
-	if workers != 0 {
-		t.Fatalf("worker gauge = %d after double Exchange close, want 0", workers)
-	}
-	if len(ex.WorkerStats()) != 3 {
-		t.Fatalf("WorkerStats lost after close: %v", ex.WorkerStats())
-	}
+	ctx.OnWorkers = func(d int) { deltas = append(deltas, d) }
 
 	j := &HashJoin{
 		Left:    &TupleScan{Tuples: tuples},
@@ -297,11 +216,11 @@ func TestParallelCloseIdempotent(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
+	if err := j.Close(); err != nil { // second close: no panic, no double credit
 		t.Fatal(err)
 	}
-	if workers != 0 {
-		t.Fatalf("worker gauge = %d after double join close, want 0", workers)
+	if !reflect.DeepEqual(deltas, []int{3, -3}) {
+		t.Fatalf("OnWorkers deltas = %v after double join close, want [3 -3]", deltas)
 	}
 	if len(j.WorkerStats()) != 3 {
 		t.Fatalf("WorkerStats lost after close: %v", j.WorkerStats())

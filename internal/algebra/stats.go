@@ -43,7 +43,7 @@ type ExplainNode struct {
 	// materialized at once (hash tables, sort buffers, pending queues).
 	PeakBuffered int `json:"peak_buffered,omitempty"`
 	// Workers holds per-worker rows/busy-time for parallel operators
-	// (Exchange, partitioned HashJoin, parallel Match), captured at Close.
+	// (partitioned HashJoin, parallel Match), captured at Close.
 	Workers []WorkerStat `json:"workers,omitempty"`
 	// Children mirror the operator tree.
 	Children []*ExplainNode `json:"children,omitempty"`
@@ -257,8 +257,6 @@ func Instrument(op Operator, labels map[Operator]string) (Operator, *ExplainNode
 		x.Input = child(x.Input)
 	case *Match:
 		x.Input = child(x.Input)
-	case *Exchange:
-		x.Input = child(x.Input)
 	}
 	w := &Instrumented{Inner: op, Node: node}
 	w.buf, _ = op.(buffered)
@@ -323,12 +321,6 @@ func describe(op Operator, label string) string {
 		parts = append(parts, strings.Join(keys, ", "))
 	case *TupleScan:
 		parts = append(parts, fmt.Sprintf("%d tuples", len(x.Tuples)))
-	case *Exchange:
-		if len(x.PartitionBy) > 0 {
-			parts = append(parts, fmt.Sprintf("workers=%d hash(%s)", x.Workers, strings.Join(x.PartitionBy, ",")))
-		} else {
-			parts = append(parts, fmt.Sprintf("workers=%d round-robin", x.Workers))
-		}
 	}
 	return strings.Join(parts, " ")
 }
@@ -362,8 +354,6 @@ func CountOps(op Operator) int {
 	case *Limit:
 		n += CountOps(x.Input)
 	case *Match:
-		n += CountOps(x.Input)
-	case *Exchange:
 		n += CountOps(x.Input)
 	}
 	return n
@@ -404,8 +394,6 @@ func childOps(op Operator) []Operator {
 	case *Limit:
 		return []Operator{x.Input}
 	case *Match:
-		return []Operator{x.Input}
-	case *Exchange:
 		return []Operator{x.Input}
 	default:
 		return nil

@@ -26,10 +26,6 @@ import (
 	"repro/internal/xmlql"
 )
 
-// maxDepth bounds recursion through nested queries and schema
-// materialization; well-formed catalogs stay far below it.
-const maxDepth = 64
-
 // Engine is one instance of the integration engine. It is safe for
 // concurrent queries; configuration methods are not meant to race with
 // queries.
@@ -142,11 +138,12 @@ func (e *Engine) SetPlannerOptions(o opt.Options) {
 }
 
 // SetParallelism sets the intra-query degree of parallelism a query
-// *requests*: n > 1 asks the planner to place exchange operators and
-// partitioned joins so a single query's pipelines run on up to n worker
-// goroutines; 1 forces serial plans (the pre-parallelism behavior);
-// 0 — the default — requests the scheduler's whole worker budget
-// (GOMAXPROCS unless configured otherwise). The degree actually used is
+// *requests*: n > 1 asks for hash joins, source-scan pattern matches and
+// the final ORDER-BY sort to run on up to n worker goroutines (the
+// per-tuple stages between them stay serial; DESIGN §12); 1 forces
+// serial plans; 0 — the default — requests the scheduler's whole worker
+// budget (GOMAXPROCS unless configured otherwise). The degree actually
+// used is
 // admitted per query by the shared scheduler (SetScheduler), which
 // grants min(desired, 1+available) with a floor of 1, so concurrent
 // queries share the budget instead of each claiming n workers. EXPLAIN
@@ -245,9 +242,9 @@ type Stats struct {
 	// time and tree sizes across the query (including subqueries).
 	DrainNanos   int64
 	OperatorsRun int64
-	// ParallelWorkers / WorkerNanos count the parallel workers spawned
-	// by exchange-style operators during the query and their cumulative
-	// busy wall time (0 / 0 for serial plans).
+	// ParallelWorkers / WorkerNanos count the workers that partitioned
+	// joins and source-scan pattern matches spawned during the query and
+	// their cumulative busy wall time (0 / 0 for serial plans).
 	ParallelWorkers int64
 	WorkerNanos     int64
 	Explain         []string
@@ -421,10 +418,13 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	workersGauge := metrics.Gauge("nimble_parallel_workers")
 	actx.OnWorkers = func(delta int) { workersGauge.Add(float64(delta)) }
 	res := &Result{Explain: &ExplainTree{Op: "Query"}}
+	qs := &queryState{ctx: ctx, access: access, actx: actx, grant: grant,
+		top: true, stats: &res.Stats, aq: aq, ex: res.Explain}
+	sub := &queryState{ctx: ctx, access: access, actx: actx, grant: grant}
 	actx.SubqueryEval = func(subq *xmlql.Query, outer algebra.Binding) ([]xmldm.Value, error) {
-		return e.run(ctx, subq, outer, access, actx, 1, nil, nil, nil, grant)
+		return e.run(sub, subq, outer)
 	}
-	values, err := e.run(ctx, q, nil, access, actx, 0, &res.Stats, aq, res.Explain, grant)
+	values, err := e.run(qs, q, nil)
 	elapsed := time.Since(start)
 	snap := actx.Snapshot()
 
@@ -438,56 +438,45 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	// The latency observation carries the trace id as a bucket exemplar:
 	// a bad percentile on the histogram links straight to a kept trace.
 	metrics.Histogram("nimble_query_seconds").ObserveExemplar(elapsed.Seconds(), root.TraceID().String())
-	if err != nil {
-		metrics.Counter("nimble_query_errors_total").Inc()
-		res.Explain.Finalize()
-		attachFetchStats(res.Explain, access.FetchStats(), elapsed)
-		slow.Record(SlowEntry{
-			Query:      text,
-			TraceID:    root.TraceID().String(),
-			Start:      start,
-			DurationMS: float64(elapsed) / float64(time.Millisecond),
-			Error:      err.Error(),
-			Plan:       res.Explain.Render(),
-		})
-		root.SetAttr("error", err.Error())
-		root.Finish()
-		if ownRoot {
-			traces.Record(root)
-		}
-		return nil, err
-	}
-	res.Values = values
-	res.Completeness = access.Report()
-	res.Stats.TuplesEmitted = snap.TuplesEmitted
-	res.Stats.PatternMatches = snap.PatternMatches
-	res.Stats.DrainNanos = snap.DrainNanos
-	res.Stats.OperatorsRun = snap.OperatorsRun
-	res.Stats.ParallelWorkers = snap.WorkersSpawned
-	res.Stats.WorkerNanos = snap.WorkerNanos
-	res.Explain.RowsOut = int64(len(values))
-	res.Explain.Finalize()
-	attachFetchStats(res.Explain, access.FetchStats(), elapsed)
-	slow.Record(SlowEntry{
+	entry := SlowEntry{
 		Query:      text,
 		TraceID:    root.TraceID().String(),
 		Start:      start,
 		DurationMS: float64(elapsed) / float64(time.Millisecond),
-		Tuples:     snap.TuplesEmitted,
-		Complete:   res.Completeness.Complete,
-		Plan:       res.Explain.Render(),
-	})
-	if root != nil {
+	}
+	if err != nil {
+		metrics.Counter("nimble_query_errors_total").Inc()
+		entry.Error = err.Error()
+		root.SetAttr("error", err.Error())
+	} else {
+		res.Values = values
+		res.Completeness = access.Report()
+		res.Stats.TuplesEmitted = snap.TuplesEmitted
+		res.Stats.PatternMatches = snap.PatternMatches
+		res.Stats.DrainNanos = snap.DrainNanos
+		res.Stats.OperatorsRun = snap.OperatorsRun
+		res.Stats.ParallelWorkers = snap.WorkersSpawned
+		res.Stats.WorkerNanos = snap.WorkerNanos
+		res.Explain.RowsOut = int64(len(values))
+		entry.Tuples = snap.TuplesEmitted
+		entry.Complete = res.Completeness.Complete
 		root.SetInt("results", int64(len(values)))
 		root.SetInt("tuples", snap.TuplesEmitted)
 		root.SetBool("complete", res.Completeness.Complete)
-		root.Finish()
-		if ownRoot {
-			traces.Record(root)
-		}
-		if qo.Profile {
-			res.Trace = root
-		}
+	}
+	res.Explain.Finalize()
+	attachFetchStats(res.Explain, access.FetchStats(), elapsed)
+	// The plan is rendered only if the slow log keeps the entry.
+	slow.Record(entry, res.Explain.Render)
+	root.Finish()
+	if ownRoot {
+		traces.Record(root)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if qo.Profile {
+		res.Trace = root
 	}
 	return res, nil
 }
@@ -524,20 +513,31 @@ func attachFetchStats(ex *ExplainTree, fetches []exec.SourceFetchStat, elapsed t
 	}
 }
 
-// run executes one query (possibly correlated under an outer binding)
-// and returns the constructed values in result order. aq (the active-
-// query handle) and ex (the EXPLAIN tree collecting one instrumented
-// plan per rewrite) are set only for the top-level query; both are
-// nil-safe to thread through. grant is the query's admitted degree of
-// parallelism from the shared scheduler; nil plans serially (the
-// materialization paths).
-func (e *Engine) run(ctx context.Context, q *xmlql.Query, outer algebra.Binding,
-	access *exec.Access, actx *algebra.Context, depth int, stats *Stats,
-	aq *ActiveQuery, ex *algebra.ExplainNode, grant *sched.Grant) ([]xmldm.Value, error) {
+// queryState is what every run of one query execution shares: the query
+// itself, the correlated subqueries evaluated beneath it, and the view
+// definitions of a schema it materializes.
+type queryState struct {
+	ctx    context.Context
+	access *exec.Access
+	actx   *algebra.Context
+	// grant is the degree of parallelism the shared scheduler admitted;
+	// nil (schema materialization) plans serially.
+	grant *sched.Grant
+	// top marks the query itself, as opposed to what runs beneath it.
+	// Only it reports: stats, aq (the active-query handle) and ex (the
+	// EXPLAIN tree collecting one instrumented plan per rewrite) are set
+	// for it alone, and each is nil-safe to use.
+	top   bool
+	stats *Stats
+	aq    *ActiveQuery
+	ex    *algebra.ExplainNode
+}
 
-	if depth > maxDepth {
-		return nil, fmt.Errorf("core: query nesting exceeds %d levels (cyclic schema definitions?)", maxDepth)
-	}
+// run executes one query (possibly correlated under an outer binding)
+// and returns the constructed values in result order.
+func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]xmldm.Value, error) {
+	ctx, access, actx := qs.ctx, qs.access, qs.actx
+	stats, aq, ex := qs.stats, qs.aq, qs.ex
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -551,11 +551,9 @@ func (e *Engine) run(ctx context.Context, q *xmlql.Query, outer algebra.Binding,
 	// checkpoints (batch queries yield slack to interactive demand
 	// there); subquery evaluation can run while outer-plan operators are
 	// live, so it only observes the current degree.
-	degree := func() int {
-		if depth == 0 {
-			return grant.Checkpoint()
-		}
-		return grant.Degree()
+	degree := qs.grant.Degree
+	if qs.top {
+		degree = qs.grant.Checkpoint
 	}
 
 	sp := obs.FromContext(ctx)
@@ -761,12 +759,13 @@ func (e *Engine) materializeSchema(ctx context.Context, schema string, access *e
 	funcs := e.funcs
 	e.mu.RUnlock()
 	actx := &algebra.Context{Funcs: funcs}
+	qs := &queryState{ctx: ctx, access: access, actx: actx}
 	actx.SubqueryEval = func(subq *xmlql.Query, outer algebra.Binding) ([]xmldm.Value, error) {
-		return e.run(ctx, subq, outer, access, actx, maxDepth/2+1, nil, nil, nil, nil)
+		return e.run(qs, subq, outer)
 	}
 	root := &xmldm.Node{Name: schema}
 	for _, vd := range views {
-		vals, err := e.run(ctx, vd.Query, nil, access, actx, maxDepth/2+1, nil, nil, nil, nil)
+		vals, err := e.run(qs, vd.Query, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -193,32 +193,50 @@ func TestParallelEquivalence_Differential(t *testing.T) {
 	}
 }
 
-// TestParallelEquivalence_Workload runs the fixed multi-source workload
-// queries (joins across relational and XML sources, IN-$var chaining,
-// residual predicates, ORDER-BY) through every parallel degree.
+// parallelWorkload is the fixed multi-source workload over newTestEngine:
+// joins across relational and XML sources, residual predicates, ORDER-BY,
+// and the shapes that run a correlated subquery while the outer plan's
+// parallel operators are live.
+var parallelWorkload = []string{
+	// Two-source join with a residual cross-source predicate: a Select
+	// the mediator keeps above the partitioned join.
+	`WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
+	       <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets",
+	       $w != $s
+	 CONSTRUCT <r><who>$w</who><subject>$s</subject></r>`,
+	// Relational-relational join with ORDER-BY (exercises the
+	// parallel final sort) and a selection.
+	`WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb",
+	       <order><cust>$i</cust><total>$t</total></order> IN "salesdb",
+	       $t > 100
+	 CONSTRUCT <big><who>$n</who><total>$t</total></big> ORDER-BY $t DESCENDING`,
+	// Mediated-schema scan with attribute pattern and predicate.
+	`WHERE <ticket pri=$p><subject>$s</subject></ticket> IN "tickets", $p = "high"
+	 CONSTRUCT <hot>$s</hot>`,
+	// Three-way join across all sources.
+	`WHERE <cust><cid>$i</cid><who>$w</who><where>$c</where></cust> IN "customers",
+	       <order><cust>$i</cust><total>$t</total></order> IN "salesdb",
+	       <ticket><cust>$i</cust></ticket> IN "tickets"
+	 CONSTRUCT <row><who>$w</who><city>$c</city><total>$t</total></row> ORDER-BY $w, $t`,
+	// An aggregate-bearing Select above a join (it reads a variable of
+	// each side): the predicate runs a correlated subquery per joined row.
+	`WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
+	       <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets",
+	       $w != $s AND count({ WHERE <order><cust>$i</cust></order> IN "salesdb" CONSTRUCT <o/> }) < 2
+	 CONSTRUCT <quiet><who>$w</who><subject>$s</subject></quiet> ORDER-BY $w`,
+	// A correlated subquery in CONSTRUCT above a join.
+	`WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
+	       <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets"
+	 CONSTRUCT <case who=$w><subject>$s</subject>
+	     { WHERE <order><cust>$i</cust><total>$t</total></order> IN "salesdb" CONSTRUCT <amt>$t</amt> }
+	 </case> ORDER-BY $w`,
+}
+
+// TestParallelEquivalence_Workload runs parallelWorkload through every
+// parallel degree.
 func TestParallelEquivalence_Workload(t *testing.T) {
-	workload := []string{
-		// Two-source join with a residual cross-source predicate.
-		`WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
-		       <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets"
-		 CONSTRUCT <r><who>$w</who><subject>$s</subject></r>`,
-		// Relational-relational join with ORDER-BY (exercises the
-		// parallel final sort) and a selection.
-		`WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb",
-		       <order><cust>$i</cust><total>$t</total></order> IN "salesdb",
-		       $t > 100
-		 CONSTRUCT <big><who>$n</who><total>$t</total></big> ORDER-BY $t DESCENDING`,
-		// Mediated-schema scan with attribute pattern and predicate.
-		`WHERE <ticket pri=$p><subject>$s</subject></ticket> IN "tickets", $p = "high"
-		 CONSTRUCT <hot>$s</hot>`,
-		// Three-way join across all sources.
-		`WHERE <cust><cid>$i</cid><who>$w</who><where>$c</where></cust> IN "customers",
-		       <order><cust>$i</cust><total>$t</total></order> IN "salesdb",
-		       <ticket><cust>$i</cust></ticket> IN "tickets"
-		 CONSTRUCT <row><who>$w</who><city>$c</city><total>$t</total></row> ORDER-BY $w, $t`,
-	}
 	e, _ := newTestEngine(t)
-	for qi, q := range workload {
+	for qi, q := range parallelWorkload {
 		oracle, ores := runAt(t, e, q, 1)
 		if len(ores.Values) == 0 {
 			t.Fatalf("workload %d: oracle produced no rows (weak test)", qi)
@@ -238,6 +256,64 @@ func TestParallelEquivalence_Workload(t *testing.T) {
 			}
 			if par > 1 && res.Stats.ParallelWorkers == 0 {
 				t.Fatalf("workload %d parallelism %d: no parallel workers spawned (plan not parallelized?)", qi, par)
+			}
+		}
+	}
+}
+
+// explainShape renders what of an EXPLAIN tree the granted degree may not
+// change: operator names, nesting, details and rows in and out. The
+// degree itself (workers=N in a join's detail; the per-worker rows live
+// outside Detail), wall times and the unfolder's process-global variable
+// counter are left out.
+func explainShape(n *algebra.ExplainNode) string {
+	var b strings.Builder
+	var walk func(n *algebra.ExplainNode, depth int)
+	walk = func(n *algebra.ExplainNode, depth int) {
+		detail := strings.TrimSpace(workersDetailRE.ReplaceAllString(unfRE.ReplaceAllString(n.Detail, "_uN_"), ""))
+		fmt.Fprintf(&b, "%s%s [%s] in=%d out=%d\n", strings.Repeat("  ", depth), n.Op, detail, n.RowsIn, n.RowsOut)
+		for _, c := range n.Children {
+			walk(c, depth+1)
+		}
+	}
+	walk(n, 0)
+	return b.String()
+}
+
+var workersDetailRE = regexp.MustCompile(`workers=[0-9]+ ?`)
+
+// TestExplainSameTreeAtEveryDegree: over the differential corpus — the
+// randomized deployments, the fixed workload and both view-join families
+// — the EXPLAIN tree at granted degree 2 and 8 is the degree-1 tree:
+// same operators, same nesting, same rows in and out of every node. Only
+// workers= and rows/worker= say what degree ran.
+func TestExplainSameTreeAtEveryDegree(t *testing.T) {
+	check := func(name string, e *Engine, q string) {
+		t.Helper()
+		_, ores := runAt(t, e, q, 1)
+		want := explainShape(ores.Explain)
+		for _, par := range parallelDegrees[1:] {
+			_, res := runAt(t, e, q, par)
+			if got := explainShape(res.Explain); got != want {
+				t.Fatalf("%s parallelism %d: EXPLAIN tree differs from the serial plan's\nquery: %s\ngot:\n%s\nwant:\n%s",
+					name, par, q, got, want)
+			}
+		}
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e, _ := randomDeployment(t, rng)
+		check(fmt.Sprintf("seed %d", seed), e, randomQuery(rng, false))
+	}
+	e, _ := newTestEngine(t)
+	for qi, q := range parallelWorkload {
+		check(fmt.Sprintf("workload %d", qi), e, q)
+	}
+	for _, fam := range viewJoinFamilies {
+		for seed := int64(0); seed < 4; seed++ {
+			e, _ := viewJoinDeployment(t, rand.New(rand.NewSource(seed)), fam.indexed)
+			for _, orderBy := range viewJoinQueries {
+				check(fmt.Sprintf("%s seed %d%s", fam.name, seed, orderBy), e, viewJoinQuery(orderBy, fam.indexed))
 			}
 		}
 	}

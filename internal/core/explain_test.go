@@ -31,17 +31,17 @@ func scrubWorkerRows(s string) string {
 	return rowsPerWorkerRE.ReplaceAllString(s, "rows/worker=[?]")
 }
 
-// varEqualsVarRE matches the EXPLAIN text of a predicate of the exact
-// form $x = $y, alone in a Select or inside an Exchange's stage list.
+// varEqualsVarRE matches the EXPLAIN text of a Select on a predicate of
+// the exact form $x = $y.
 var varEqualsVarRE = regexp.MustCompile(`\(\$\w+ = \$\w+\)`)
 
-// assertJoinPredicatesAreKeys fails when a Select (serial, or lifted into
-// an Exchange) with a $x = $y predicate sits above a join: the planner
-// must have handed that predicate to the join as a key pair.
+// assertJoinPredicatesAreKeys fails when a Select with a $x = $y
+// predicate sits above a join: the planner must have handed that
+// predicate to the join as a key pair.
 func assertJoinPredicatesAreKeys(t *testing.T, root *algebra.ExplainNode) {
 	t.Helper()
 	root.Walk(func(n *algebra.ExplainNode) {
-		if (n.Op == "Select" || n.Op == "Exchange") && varEqualsVarRE.MatchString(n.Detail) && n.Find("HashJoin") != nil {
+		if n.Op == "Select" && varEqualsVarRE.MatchString(n.Detail) && n.Find("HashJoin") != nil {
 			t.Errorf("%s [%s] filters a join on a $x = $y predicate; it should be the join's key:\n%s", n.Op, n.Detail, root.Render())
 		}
 	})
@@ -109,8 +109,8 @@ Query [rewrites=1] out=3 in=3 time=?ms
 
 // TestExplainParallelPlanShape: at parallelism 2 the join predicate the
 // unfolder left behind is the partitioned join's key, a residual
-// predicate that is not an equality of two variables is lifted into an
-// Exchange above it, the answer (and its EXPLAIN row counts) matches the
+// predicate that is not an equality of two variables stays the serial
+// Select above it, the answer (and its EXPLAIN row counts) matches the
 // serial plan exactly, and the parallel operators report per-worker
 // stats.
 func TestExplainParallelPlanShape(t *testing.T) {
@@ -132,7 +132,7 @@ func TestExplainParallelPlanShape(t *testing.T) {
 	got := scrubWorkerRows(scrubTimes(res.Explain.Render()))
 	want := strings.TrimPrefix(`
 Query [rewrites=1] out=3 in=3 time=?ms
-├─ Exchange [runs Select(($_uN_n != $s)) workers=2 round-robin] out=3 in=3 time=?ms workers=2 rows/worker=[?]
+├─ Select [($_uN_n != $s)] out=3 in=3 time=?ms
 │  └─ HashJoin [workers=2 on $_uN_i=$i] out=3 in=6 time=?ms peak=3 workers=2 rows/worker=[?]
 │     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
 │     └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2 workers=2 rows/worker=[?]
@@ -236,16 +236,74 @@ Query [rewrites=1] out=3 in=3 time=?ms
 
 func TestSlowLogThresholdAndOrder(t *testing.T) {
 	l := NewSlowLog(2, 5*time.Millisecond)
-	l.Record(SlowEntry{Query: "fast", DurationMS: 1})
-	l.Record(SlowEntry{Query: "slow", DurationMS: 50})
-	l.Record(SlowEntry{Query: "slower", DurationMS: 80})
-	l.Record(SlowEntry{Query: "mid", DurationMS: 20})
+	l.Record(SlowEntry{Query: "fast", DurationMS: 1}, nil)
+	l.Record(SlowEntry{Query: "slow", DurationMS: 50}, nil)
+	l.Record(SlowEntry{Query: "slower", DurationMS: 80}, nil)
+	l.Record(SlowEntry{Query: "mid", DurationMS: 20}, nil)
 	entries := l.Entries()
 	if len(entries) != 2 {
 		t.Fatalf("entries = %d, want 2", len(entries))
 	}
 	if entries[0].Query != "slower" || entries[1].Query != "slow" {
 		t.Errorf("order = %q, %q", entries[0].Query, entries[1].Query)
+	}
+}
+
+// TestSlowLogRendersOnlyKeptPlans: Record renders a plan only for an
+// entry it keeps. A query faster than every entry of a full log, one
+// under the threshold and one offered to no log at all cost no render,
+// and every entry a reader can see carries its plan.
+func TestSlowLogRendersOnlyKeptPlans(t *testing.T) {
+	renders := 0
+	plan := func() string { renders++; return "the plan" }
+	l := NewSlowLog(2, 5*time.Millisecond)
+	l.Record(SlowEntry{Query: "slow", DurationMS: 50}, plan)
+	l.Record(SlowEntry{Query: "slower", DurationMS: 80}, plan)
+	if renders != 2 {
+		t.Fatalf("renders = %d after two kept entries, want 2", renders)
+	}
+	l.Record(SlowEntry{Query: "fast, log full", DurationMS: 20}, plan)
+	l.Record(SlowEntry{Query: "under the threshold", DurationMS: 1}, plan)
+	var nilLog *SlowLog
+	nilLog.Record(SlowEntry{Query: "no log", DurationMS: 100}, plan)
+	if renders != 2 {
+		t.Errorf("renders = %d after three dropped entries, want still 2", renders)
+	}
+	l.Record(SlowEntry{Query: "slowest", DurationMS: 90}, plan)
+	if renders != 3 {
+		t.Errorf("renders = %d after an entry that displaces one, want 3", renders)
+	}
+	for _, e := range l.Entries() {
+		if e.Plan != "the plan" {
+			t.Errorf("kept entry %q has plan %q", e.Query, e.Plan)
+		}
+	}
+}
+
+// TestSlowLogKeepsPlanOfFailedQuery: a query that fails while its plan
+// runs lands in the slow log with the error and the plan as far as it
+// ran, like one that succeeds (TestExplainGoldenTwoSourceJoin).
+func TestSlowLogKeepsPlanOfFailedQuery(t *testing.T) {
+	e, _ := newTestEngine(t)
+	slow := NewSlowLog(4, 0)
+	e.SetIntrospection(slow, nil)
+	_, err := e.Query(context.Background(), `
+		WHERE <ticket><subject>$s</subject></ticket> IN "tickets", no_such_fn($s) = 1
+		CONSTRUCT <r>$s</r>`)
+	if err == nil {
+		t.Fatal("query with an unknown function succeeded")
+	}
+	entries := slow.Entries()
+	if len(entries) != 1 {
+		t.Fatalf("slow entries = %d, want 1", len(entries))
+	}
+	if entries[0].Error != err.Error() || entries[0].Complete {
+		t.Errorf("slow entry = %+v, want the query's error %q", entries[0], err)
+	}
+	for _, want := range []string{"Query [rewrites=1]", "Select [", "Match [fetch tickets <ticket>]", "Fetch [tickets"} {
+		if !strings.Contains(entries[0].Plan, want) {
+			t.Errorf("failed query's plan lacks %q:\n%s", want, entries[0].Plan)
+		}
 	}
 }
 
@@ -269,5 +327,5 @@ func TestActiveRegistrySnapshot(t *testing.T) {
 	var nilAQ *ActiveQuery
 	nilAQ.SetPhase("eval")
 	var nilLog *SlowLog
-	nilLog.Record(SlowEntry{DurationMS: 100})
+	nilLog.Record(SlowEntry{DurationMS: 100}, nil)
 }

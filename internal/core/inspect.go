@@ -183,8 +183,10 @@ func (l *SlowLog) Threshold() time.Duration {
 
 // Record offers one completed query to the log (nil-safe). Entries below
 // the threshold, or faster than every retained entry of a full log, are
-// dropped.
-func (l *SlowLog) Record(e SlowEntry) {
+// dropped. plan, when not nil, renders e.Plan; it is called only for an
+// entry the log keeps, and under the log's lock, so that no reader sees a
+// kept entry without its plan.
+func (l *SlowLog) Record(e SlowEntry, plan func() string) {
 	if l == nil || e.DurationMS < float64(l.threshold)/float64(time.Millisecond) {
 		return
 	}
@@ -195,6 +197,9 @@ func (l *SlowLog) Record(e SlowEntry) {
 	})
 	if i >= l.limit {
 		return
+	}
+	if plan != nil {
+		e.Plan = plan()
 	}
 	l.entries = append(l.entries, SlowEntry{})
 	copy(l.entries[i+1:], l.entries[i:])

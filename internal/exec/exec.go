@@ -137,10 +137,9 @@ type Access struct {
 // fetchTiming accumulates per-source fetch wall time for EXPLAIN
 // attribution (distinct fetches to the same source aggregate). reads
 // counts logical read-throughs — every fetch() call, including ones
-// served from the memo when an operator re-Opens its child or an
-// exchange worker re-reads a prefetched buffer — while fetches counts
-// only physical source fetches, so attribution never double-counts a
-// re-read as new source work.
+// served from the memo when an operator re-Opens its child — while
+// fetches counts only physical source fetches, so attribution never
+// double-counts a re-read as new source work.
 type fetchTiming struct {
 	fetches int
 	reads   int
@@ -474,8 +473,8 @@ type SourceFetchStat struct {
 	Fetches int
 	// Reads counts logical read-throughs of the memoized result; a
 	// Reads higher than Fetches means plan operators re-read the
-	// prefetched buffer (re-Open, exchange workers) without new source
-	// work — Fetches and Rows stay single-counted.
+	// prefetched buffer (re-Open) without new source work — Fetches and
+	// Rows stay single-counted.
 	Reads   int
 	Nanos   int64
 	Rows    int

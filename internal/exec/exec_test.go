@@ -45,7 +45,7 @@ func newRunner(t *testing.T, srcs ...catalog.Source) *Runner {
 }
 
 // TestFetchStatsSingleCountOnReRead: when plan operators re-read a
-// prefetched buffer (an operator re-Opening its child, exchange workers
+// prefetched buffer (an operator re-Opening its child, two leaves
 // pulling the same memoized document), FetchStats must keep Fetches at
 // the physical count and attribute the re-reads to Reads instead —
 // never double-counting source work.

@@ -44,10 +44,10 @@ type Options struct {
 	// their binders. Answers are order-insensitive at this level — the
 	// engine sorts after construction — so reordering is safe.
 	ReorderJoins bool
-	// Parallelism is the intra-query degree of parallelism: > 1 makes
-	// the planner place exchange operators and partitioned joins (see
+	// Parallelism is the intra-query degree of parallelism: > 1 is
+	// stamped on the plan's hash joins and source-scan Match leaves (see
 	// parallel.go); <= 1 keeps plans serial. The engine stamps it from
-	// its resolved configuration before planning.
+	// the degree the scheduler granted before planning.
 	Parallelism int
 }
 
@@ -206,7 +206,7 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 	}
 	plan.Root = acc
 	if p.Opts.Parallelism > 1 {
-		plan.Root = p.parallelize(plan, plan.Root)
+		p.parallelize(plan.Root)
 	}
 	return plan, nil
 }

@@ -519,7 +519,7 @@ func TestPlanThreeSourceChainIsTwoKeyedJoins(t *testing.T) {
 		if degree > 1 {
 			workers = "workers=4 "
 		}
-		if countPrefix(ops, "HashJoin") != 2 || countPrefix(ops, "Select") != 0 || countPrefix(ops, "Exchange") != 0 ||
+		if countPrefix(ops, "HashJoin") != 2 || countPrefix(ops, "Select") != 0 ||
 			countPrefix(ops, "HashJoin ["+workers+"on $_u1_i=$i]") != 1 || countPrefix(ops, "HashJoin ["+workers+"on $o]") != 1 {
 			t.Errorf("degree %d: plan = %v, want one join on $_u1_i=$i, one on $o, no Select", degree, ops)
 		}

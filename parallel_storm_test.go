@@ -4,7 +4,7 @@ package nimble
 // cluster front end while chaos keeps one source dead and another slow.
 // Every healthy response must be byte-identical to a serial oracle
 // computed up front — the no-lost-no-duplicated-tuples property of the
-// exchange machinery under scheduler pressure — and the parallel-worker
+// parallel operators under scheduler pressure — and the parallel-worker
 // gauge must return to zero afterwards (no leaked worker accounting).
 // CI runs this under -race (the parallel-race step).
 
@@ -154,7 +154,7 @@ func TestParallelStormUnderChaos(t *testing.T) {
 		t.Fatal(e)
 	}
 
-	// Every exchange tore its pool down: the worker gauge is balanced.
+	// Every parallel operator tore its pool down: the worker gauge is balanced.
 	if v := reg.Gauge("nimble_parallel_workers").Value(); v != 0 {
 		t.Fatalf("nimble_parallel_workers = %v after storm, want 0 (leaked worker accounting)", v)
 	}
