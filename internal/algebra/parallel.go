@@ -336,35 +336,47 @@ func StableSortIndices(n, workers int, cmp func(i, j int) int) []int {
 	}
 }
 
-// matchParallel evaluates the candidate elements of a leaf Match across
-// the worker pool: candidates are claimed by atomic index into a result
-// table, then concatenated in candidate order — the exact order the
-// serial candidate loop produces.
-func matchParallel(ctx *Context, cands []candidate, base Binding, workers int, stats *[]WorkerStat) ([]Binding, error) {
-	results := make([][]Binding, len(cands))
-	errs := make([]error, len(cands))
+// matchParallel matches the candidate elements of one input binding of a
+// leaf Match across the worker pool: workers claim candidates by atomic
+// index, each with its own matcher appending to its own slab of
+// bindings, and the runs each candidate left in a slab are concatenated
+// onto out in candidate order — the exact order the serial loop
+// produces.
+func (m *Match) matchParallel(cands []*xmldm.Node, base Binding, out []Binding) ([]Binding, error) {
+	workers := m.Workers
+	if len(m.par) != workers {
+		m.par = make([]matcher, workers)
+	}
+	type run struct{ w, lo, hi int }
+	runs := make([]run, len(cands))
+	failed := make([]int, workers) // candidate at which each worker stopped on an error
+	errs := make([]error, workers)
 	ws := make([]WorkerStat, workers)
-	var next int64
+	var next atomic.Int64
+	ctx := m.ctx
 	ctx.AddWorkers(workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range m.par {
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, mt *matcher) {
 			defer wg.Done()
 			start := time.Now()
-			var rows int64
+			mt.begin(base, mt.out[:0])
 			for {
-				i := int(atomic.AddInt64(&next, 1) - 1)
+				i := int(next.Add(1) - 1)
 				if i >= len(cands) {
 					break
 				}
-				bs, err := matchElement(ctx, cands[i].elem, cands[i].pat, base)
-				results[i] = bs
-				errs[i] = err
-				rows += int64(len(bs))
+				lo := len(mt.out)
+				if err := mt.elem(cands[i], m.Pattern); err != nil {
+					failed[w], errs[w] = i, err
+					break
+				}
+				runs[i] = run{w, lo, len(mt.out)}
 			}
-			ws[w] = WorkerStat{Worker: w, Rows: rows, Nanos: time.Since(start).Nanoseconds()}
-		}(w)
+			mt.end(ctx)
+			ws[w] = WorkerStat{Worker: w, Rows: int64(len(mt.out)), Nanos: time.Since(start).Nanoseconds()}
+		}(w, &m.par[w])
 	}
 	wg.Wait()
 	var busy int64
@@ -373,19 +385,22 @@ func matchParallel(ctx *Context, cands []candidate, base Binding, workers int, s
 	}
 	ctx.AddWorkerTime(busy)
 	ctx.AddWorkers(-workers)
-	if stats != nil {
-		*stats = append(*stats, ws...)
-	}
+	m.wstats = append(m.wstats, ws...)
 	// The first error in candidate order wins, matching serial
-	// evaluation (which stops there).
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	// evaluation (which stops there): every candidate before it was
+	// claimed before it and matched by a worker that had not stopped.
+	var first error
+	at := len(cands)
+	for w, err := range errs {
+		if err != nil && failed[w] < at {
+			first, at = err, failed[w]
 		}
 	}
-	var out []Binding
-	for _, bs := range results {
-		out = append(out, bs...)
+	if first != nil {
+		return out, first
+	}
+	for _, r := range runs {
+		out = append(out, m.par[r.w].out[r.lo:r.hi]...)
 	}
 	return out, nil
 }

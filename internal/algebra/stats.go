@@ -158,7 +158,8 @@ type Instrumented struct {
 	buf buffered // Inner's buffering view, nil when it has none
 	// label is the planner's access-path label; it is kept only for an
 	// operator whose detail running settles (a bind join's key count, the
-	// request its right leaf sent), which Close describes again.
+	// request its right leaf sent, whether a leaf Match read its index),
+	// which Close describes again.
 	label   string
 	settles bool
 }
@@ -265,6 +266,8 @@ func Instrument(op Operator, labels map[Operator]string) (Operator, *ExplainNode
 		w.settles = x.Bind != nil
 	case *FuncScan:
 		w.settles = x.Detail != nil
+	case *Match:
+		w.settles = x.Index != nil
 	}
 	if w.settles {
 		w.label = labels[op]
@@ -290,6 +293,9 @@ func describe(op Operator, label string) string {
 			d += " in $" + x.SourceVar
 		}
 		parts = append(parts, d)
+		if x.Index != nil {
+			parts = append(parts, x.access())
+		}
 	case *Select:
 		parts = append(parts, xmlql.ExprString(x.Pred))
 	case *Project:

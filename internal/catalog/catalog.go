@@ -104,6 +104,47 @@ type Stats interface {
 	TableStats(table string) (TableStats, bool)
 }
 
+// Indexed is implemented by sources that serve one immutable document
+// and keep an element index over it; the planner hands it to the leaf
+// that matches the document. IndexFor answers only for the document the
+// source serves now, compared by pointer: a copy, a truncated transfer,
+// a materialized view or a document from before an update gets nil, and
+// whoever holds it walks the tree instead.
+type Indexed interface {
+	IndexFor(doc *xmldm.Node) *xmldm.ElemIndex
+}
+
+// Snapshot is one version of a source's document with the element index
+// over it, built on first use. A source that serves the same tree to
+// every fetch until it changes keeps one and swaps it whole, so a query
+// that fetched one version reads that version to the end.
+type Snapshot struct {
+	doc  *xmldm.Node
+	once sync.Once
+	ix   *xmldm.ElemIndex
+}
+
+// NewSnapshot wraps a document that will not change again.
+func NewSnapshot(doc *xmldm.Node) *Snapshot { return &Snapshot{doc: doc} }
+
+// Doc is the snapshot's document.
+func (s *Snapshot) Doc() *xmldm.Node { return s.doc }
+
+// Index is the element index over Doc, built by the first caller.
+func (s *Snapshot) Index() *xmldm.ElemIndex {
+	s.once.Do(func() { s.ix = xmldm.NewElemIndex(s.doc) })
+	return s.ix
+}
+
+// IndexFor implements Indexed for the snapshot's own document; a nil
+// snapshot indexes nothing.
+func (s *Snapshot) IndexFor(doc *xmldm.Node) *xmldm.ElemIndex {
+	if s == nil || doc == nil || doc != s.doc {
+		return nil
+	}
+	return s.Index()
+}
+
 // Relational is implemented by sources that accept SQL; the compiler
 // checks for it when translating fragments.
 type Relational interface {
@@ -406,18 +447,19 @@ func queryDeps(q *xmlql.Query) []string {
 func QueryDeps(q *xmlql.Query) []string { return queryDeps(q) }
 
 // StaticSource is a Source over a fixed in-memory document; useful for
-// XML file sources and tests.
+// XML file sources and tests. Every fetch returns the same tree, which
+// callers must not mutate, and the source indexes it (Indexed).
 type StaticSource struct {
 	name string
 	caps Capabilities
 
-	mu  sync.RWMutex
-	doc *xmldm.Node
+	mu   sync.RWMutex
+	snap *Snapshot // guarded by mu
 }
 
 // NewStaticSource wraps a document as a source with no query capability.
 func NewStaticSource(name string, doc *xmldm.Node) *StaticSource {
-	return &StaticSource{name: name, doc: doc}
+	return &StaticSource{name: name, snap: NewSnapshot(doc)}
 }
 
 // Name implements Source.
@@ -426,19 +468,29 @@ func (s *StaticSource) Name() string { return s.name }
 // Capabilities implements Source.
 func (s *StaticSource) Capabilities() Capabilities { return s.caps }
 
-// Fetch implements Source.
-func (s *StaticSource) Fetch(_ context.Context, _ Request) (*xmldm.Node, Cost, error) {
+func (s *StaticSource) current() *Snapshot {
 	s.mu.RLock()
-	doc := s.doc
-	s.mu.RUnlock()
-	n := doc.CountElements()
-	return doc, Cost{RowsReturned: n, BytesMoved: n * 24}, nil
+	defer s.mu.RUnlock()
+	return s.snap
+}
+
+// Fetch implements Source. The cost counts the document's elements, which
+// the index holds.
+func (s *StaticSource) Fetch(_ context.Context, _ Request) (*xmldm.Node, Cost, error) {
+	snap := s.current()
+	n := snap.Index().Len()
+	return snap.Doc(), Cost{RowsReturned: n, BytesMoved: n * 24}, nil
+}
+
+// IndexFor implements Indexed.
+func (s *StaticSource) IndexFor(doc *xmldm.Node) *xmldm.ElemIndex {
+	return s.current().IndexFor(doc)
 }
 
 // Replace swaps the document; used to simulate source-side updates in
-// freshness experiments.
+// freshness experiments. The new document is indexed when first fetched.
 func (s *StaticSource) Replace(doc *xmldm.Node) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.doc = doc
+	s.snap = NewSnapshot(doc)
 }

@@ -132,6 +132,31 @@ func TestStaticSourceFetchAndReplace(t *testing.T) {
 	}
 }
 
+// TestStaticSourceIndexesOnlyItsCurrentDocument: IndexFor answers for the
+// document Fetch returns now — the same index every time — and for
+// nothing else: not an equal copy, not the document before a Replace.
+func TestStaticSourceIndexesOnlyItsCurrentDocument(t *testing.T) {
+	b := xmldm.NewBuilder()
+	first := b.Elem("doc", b.Elem("item", "1"), b.Elem("item", "2"))
+	s := NewStaticSource("s", first)
+	doc, _, _ := s.Fetch(context.Background(), Request{})
+	ix := s.IndexFor(doc)
+	if ix == nil || ix.All()[0] != doc || len(ix.Named("item")) != 2 || s.IndexFor(doc) != ix {
+		t.Fatalf("IndexFor(current) = %+v", ix)
+	}
+	if s.IndexFor(b.Elem("doc", b.Elem("item", "1"), b.Elem("item", "2"))) != nil || s.IndexFor(nil) != nil {
+		t.Error("an equal copy or nil must get no index")
+	}
+	s.Replace(b.Elem("doc2"))
+	if s.IndexFor(first) != nil {
+		t.Error("the document from before Replace must get no index")
+	}
+	doc, cost, _ := s.Fetch(context.Background(), Request{})
+	if s.IndexFor(doc) == nil || cost.RowsReturned != 1 {
+		t.Errorf("after Replace: index %v, cost %+v", s.IndexFor(doc), cost)
+	}
+}
+
 func TestSchemaAndSourceNames(t *testing.T) {
 	c := New()
 	doc := xmldm.NewBuilder().Elem("d")

@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
+	"repro/internal/xmlql"
 )
 
 // stubSource answers every fetch with a four-child document.
@@ -130,6 +132,44 @@ func TestSourceMalformedTruncates(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("err text = %q", err)
+	}
+}
+
+// TestTruncatedDocumentIsWalked: a truncated transfer of an indexed
+// source is another document, so the source's index does not answer for
+// it, and a leaf handed it walks it — finding what matching it finds.
+func TestTruncatedDocumentIsWalked(t *testing.T) {
+	src, err := sources.NewXMLSource("tickets", `<tickets><ticket pri="high"><s>a</s></ticket><ticket pri="high"><s>b</s></ticket>`+
+		`<ticket pri="low"><s>c</s></ticket><ticket pri="high"><s>d</s></ticket></tickets>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, err := src.Fetch(context.Background(), catalog.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := truncateDoc(doc)
+	if src.IndexFor(doc) == nil || src.IndexFor(cut) != nil {
+		t.Fatalf("IndexFor(served)=%v IndexFor(truncated)=%v: the index must answer for exactly the served document",
+			src.IndexFor(doc) != nil, src.IndexFor(cut) != nil)
+	}
+	pat := xmlql.MustParse(`WHERE <ticket pri="high"><s>$s</s></ticket> IN "tickets" CONSTRUCT <r/>`).Where[0].(*xmlql.PatternCond).Pattern
+	leaf := &algebra.Match{Input: &algebra.Singleton{}, Pattern: pat, Index: src.IndexFor,
+		Roots: func(*algebra.Context) ([]xmldm.Value, error) { return []xmldm.Value{cut}, nil }}
+	op, node := algebra.Instrument(leaf, nil)
+	got, err := algebra.Drain(&algebra.Context{}, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := algebra.MatchPattern(&algebra.Context{}, cut, pat, xmldm.NewTuple())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || len(got) != 2 {
+		t.Errorf("leaf over the truncated document = %v, want %v", got, want)
+	}
+	if node.Detail != "<ticket> walk" {
+		t.Errorf("leaf detail = %q, want the walk", node.Detail)
 	}
 }
 

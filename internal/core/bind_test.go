@@ -88,7 +88,7 @@ func TestExplainGoldenBindJoin(t *testing.T) {
 	want := strings.TrimPrefix(`
 Query [rewrites=1] out=4 in=4 time=?ms
 ├─ HashJoin [on $i=$_uN_i bind=5/100] out=4 in=8 time=?ms peak=8
-│  ├─ Match [fetch tickets <ticket>] out=5 in=1 time=?ms peak=4
+│  ├─ Match [fetch tickets <ticket> index ticket[@pri='high']] out=5 in=1 time=?ms peak=4
 │  │  └─ Singleton out=1 time=?ms
 │  └─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers WHERE id IN (…5 keys)] out=3 time=?ms
 ├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms

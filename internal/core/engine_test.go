@@ -220,6 +220,32 @@ func TestCorrelatedSubqueryThroughUnfolding(t *testing.T) {
 	}
 }
 
+// TestAggregatePredicateWaitsForItsCorrelation: a predicate whose only
+// variable is the one its aggregate subquery correlates on — $i, bound
+// by the tickets, the second group, while unfolding renamed the view's
+// $i — is placed where $i is bound, not under the join with $i free
+// (where the subquery counted every order and the predicate dropped
+// every row).
+func TestAggregatePredicateWaitsForItsCorrelation(t *testing.T) {
+	e, _ := newTestEngine(t)
+	for _, par := range parallelDegrees {
+		e.SetParallelism(par)
+		res, err := e.Query(context.Background(), `
+			WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
+			      <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets",
+			      count({ WHERE <order><cust>$i</cust></order> IN "salesdb" CONSTRUCT <o/> }) < 2
+			CONSTRUCT <quiet><who>$w</who><subject>$s</subject></quiet> ORDER-BY $w`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Ada (customer 1) has two orders; Alan and Grace one each.
+		got := strings.Join(texts(res.Values), "; ")
+		if want := "Alan TuringManual unclear; Grace HopperCrash on start"; got != want {
+			t.Errorf("parallelism %d: answer %q, want %q\n%s", par, got, want, res.Explain.Render())
+		}
+	}
+}
+
 func TestPartialResults(t *testing.T) {
 	e, _ := newTestEngine(t)
 	// Take salesdb down.

@@ -74,7 +74,7 @@ func TestExplainGoldenTwoSourceJoin(t *testing.T) {
 Query [rewrites=1] out=3 in=3 time=?ms
 ├─ HashJoin [on $_uN_i=$i] out=3 in=6 time=?ms peak=3
 │  ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
-│  └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2
+│  └─ Match [fetch tickets <ticket> index ticket] out=3 in=1 time=?ms peak=2
 │     └─ Singleton out=1 time=?ms
 ├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
 └─ Fetch [tickets fetches=1 bytes=240] out=10 time=?ms
@@ -135,7 +135,7 @@ Query [rewrites=1] out=3 in=3 time=?ms
 ├─ Select [($_uN_n != $s)] out=3 in=3 time=?ms
 │  └─ HashJoin [workers=2 on $_uN_i=$i] out=3 in=6 time=?ms peak=3 workers=2 rows/worker=[?]
 │     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
-│     └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2 workers=2 rows/worker=[?]
+│     └─ Match [fetch tickets <ticket> index ticket] out=3 in=1 time=?ms peak=2 workers=2 rows/worker=[?]
 │        └─ Singleton out=1 time=?ms
 ├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
 └─ Fetch [tickets fetches=1 bytes=240] out=10 time=?ms
@@ -202,7 +202,7 @@ func TestExplainGoldenSchedulerBudgetWorkers(t *testing.T) {
 Query [rewrites=1] out=3 in=3 time=?ms
 ├─ HashJoin [workers=2 on $_uN_i=$i] out=3 in=6 time=?ms peak=3 workers=2 rows/worker=[?]
 │  ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
-│  └─ Match [fetch tickets <ticket>] out=3 in=1 time=?ms peak=2 workers=2 rows/worker=[?]
+│  └─ Match [fetch tickets <ticket> index ticket] out=3 in=1 time=?ms peak=2 workers=2 rows/worker=[?]
 │     └─ Singleton out=1 time=?ms
 ├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
 └─ Fetch [tickets fetches=1 bytes=240] out=10 time=?ms
@@ -300,7 +300,7 @@ func TestSlowLogKeepsPlanOfFailedQuery(t *testing.T) {
 	if entries[0].Error != err.Error() || entries[0].Complete {
 		t.Errorf("slow entry = %+v, want the query's error %q", entries[0], err)
 	}
-	for _, want := range []string{"Query [rewrites=1]", "Select [", "Match [fetch tickets <ticket>]", "Fetch [tickets"} {
+	for _, want := range []string{"Query [rewrites=1]", "Select [", "Match [fetch tickets <ticket> index ticket]", "Fetch [tickets"} {
 		if !strings.Contains(entries[0].Plan, want) {
 			t.Errorf("failed query's plan lacks %q:\n%s", want, entries[0].Plan)
 		}

@@ -217,6 +217,7 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 
 	isSchema := p.Cat.IsSchema(g.Source)
 	var rel catalog.Relational
+	var indexed catalog.Indexed
 	var caps catalog.Capabilities
 	if !isSchema {
 		src, err := p.Cat.Source(g.Source)
@@ -225,6 +226,7 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 		}
 		caps = src.Capabilities()
 		rel, _ = sourceAs[catalog.Relational](src)
+		indexed, _ = sourceAs[catalog.Indexed](src)
 	}
 
 	var groupPlan algebra.Operator
@@ -270,13 +272,19 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 			}
 			plan.Explain = append(plan.Explain, fmt.Sprintf("%s %s, match <%s>", what, g.Source, pat.Tag))
 			access := p.Access
-			leaf = &algebra.Match{
+			m := &algebra.Match{
 				Input:   &algebra.Singleton{},
 				Pattern: pat,
 				Roots: func(*algebra.Context) ([]xmldm.Value, error) {
 					return access.Roots(spec.Source, spec.Req)
 				},
 			}
+			// The index answers only for the document the source serves
+			// now; whatever else the fetch returns is walked.
+			if indexed != nil {
+				m.Index = indexed.IndexFor
+			}
+			leaf = m
 			plan.label(leaf, fmt.Sprintf("%s %s", what, g.Source))
 		}
 		markBound(bound, patVars)

@@ -3,6 +3,7 @@ package sources
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
@@ -16,11 +17,17 @@ import (
 // (optionally with a trailing wildcard selecting all children). It
 // advertises KeyLookupOnly, so the optimizer knows that anything beyond
 // a path lookup must be evaluated in the mediator.
+//
+// The whole-directory export — the only request the planner sends — is
+// built once after a change and shared by every fetch until the next
+// Put, like a StaticSource's document, and indexed (catalog.Indexed).
 type DirectorySource struct {
 	name string
 
-	mu   sync.RWMutex
-	root *entry
+	mu         sync.RWMutex
+	root       *entry            // guarded by mu
+	export     *catalog.Snapshot // guarded by mu; nil until fetched after a Put
+	exportRows int               // guarded by mu
 }
 
 type entry struct {
@@ -36,7 +43,9 @@ func NewDirectorySource(name, rootEntry string) *DirectorySource {
 }
 
 // Put creates (or updates) the entry at the slash-separated path,
-// creating intermediate entries as needed, and sets its attributes.
+// creating intermediate entries as needed, and sets its attributes. The
+// next whole export sees the change; fetches already made keep the
+// document they got.
 func (s *DirectorySource) Put(path string, attrs map[string]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -44,6 +53,7 @@ func (s *DirectorySource) Put(path string, attrs map[string]string) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("sources: empty path")
 	}
+	s.export = nil
 	cur := s.root
 	for _, p := range parts {
 		var next *entry
@@ -85,33 +95,64 @@ func (s *DirectorySource) Capabilities() catalog.Capabilities {
 
 // Fetch implements catalog.Source. Request.Native is a path: "a/b/c"
 // returns that entry's subtree; "a/b/*" returns all children of a/b; an
-// empty path exports the whole directory.
+// empty path exports the whole directory, the shared snapshot.
 func (s *DirectorySource) Fetch(ctx context.Context, req catalog.Request) (*xmldm.Node, catalog.Cost, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, catalog.Cost{}, err
 	}
+	if req.Native == "" {
+		snap, count := s.snapshot()
+		return snap.Doc(), catalog.Cost{RowsReturned: count, BytesMoved: count * 32}, nil
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	targets := []*entry{s.root}
-	if req.Native != "" {
-		parts := splitPath(req.Native)
-		cur := []*entry{s.root}
-		for _, p := range parts {
-			var next []*entry
-			for _, e := range cur {
-				for _, c := range e.children {
-					if p == "*" || c.name == p {
-						next = append(next, c)
-					}
+	cur := []*entry{s.root}
+	for _, p := range splitPath(req.Native) {
+		var next []*entry
+		for _, e := range cur {
+			for _, c := range e.children {
+				if p == "*" || c.name == p {
+					next = append(next, c)
 				}
 			}
-			cur = next
-			if len(cur) == 0 {
-				break
-			}
 		}
-		targets = cur
+		cur = next
+		if len(cur) == 0 {
+			break
+		}
 	}
+	root, count := s.exportOf(cur)
+	return root, catalog.Cost{RowsReturned: count, BytesMoved: count * 32}, nil
+}
+
+// IndexFor implements catalog.Indexed for the current whole export.
+func (s *DirectorySource) IndexFor(doc *xmldm.Node) *xmldm.ElemIndex {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.export.IndexFor(doc)
+}
+
+// snapshot returns the whole export and its entry count, building it if
+// a Put has invalidated it.
+func (s *DirectorySource) snapshot() (*catalog.Snapshot, int) {
+	s.mu.RLock()
+	snap, count := s.export, s.exportRows
+	s.mu.RUnlock()
+	if snap != nil {
+		return snap, count
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.export == nil {
+		doc, count := s.exportOf([]*entry{s.root})
+		s.export, s.exportRows = catalog.NewSnapshot(doc), count
+	}
+	return s.export, s.exportRows
+}
+
+// exportOf builds the document for the target entries and counts the
+// entries in it; the caller holds mu.
+func (s *DirectorySource) exportOf(targets []*entry) (*xmldm.Node, int) {
 	root := &xmldm.Node{Name: s.name}
 	count := 0
 	for _, e := range targets {
@@ -120,26 +161,19 @@ func (s *DirectorySource) Fetch(ctx context.Context, req catalog.Request) (*xmld
 		root.Children = append(root.Children, n)
 	}
 	xmldm.Finalize(root)
-	return root, catalog.Cost{RowsReturned: count, BytesMoved: count * 32}, nil
+	return root, count
 }
 
 func entryToNode(e *entry, count *int) *xmldm.Node {
 	*count++
 	n := &xmldm.Node{Name: e.name}
 	// Attributes export as child elements so patterns can bind them the
-	// same way as relational columns.
+	// same way as relational columns, in name order for stable documents.
 	keys := make([]string, 0, len(e.attrs))
 	for k := range e.attrs {
 		keys = append(keys, k)
 	}
-	// Deterministic order for stable documents.
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
+	sort.Strings(keys)
 	for _, k := range keys {
 		c := &xmldm.Node{Name: k, Parent: n, Children: []xmldm.Value{xmldm.String(e.attrs[k])}}
 		n.Children = append(n.Children, c)

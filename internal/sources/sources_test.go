@@ -164,6 +164,44 @@ func TestDirectorySource(t *testing.T) {
 	}
 }
 
+// TestDirectoryExportIsOneIndexedSnapshot: whole exports between two Puts
+// are one shared, indexed document with the cost the export always had
+// (one row per entry); a Put makes the next export a new document, and
+// the old one loses its index. Path lookups still build fresh trees.
+func TestDirectoryExportIsOneIndexedSnapshot(t *testing.T) {
+	d := NewDirectorySource("ldap", "org")
+	d.Put("eng/alice", map[string]string{"mail": "a@x", "role": "dev"})
+	d.Put("eng/bob", map[string]string{"mail": "b@x"})
+	ctx := context.Background()
+	first, cost, err := d.Fetch(ctx, catalog.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _, _ := d.Fetch(ctx, catalog.Request{}); again != first {
+		t.Error("two exports with no Put between are different documents")
+	}
+	// ldap root aside, entries org, eng, alice, bob.
+	if cost.RowsReturned != 4 || cost.BytesMoved != 4*32 {
+		t.Errorf("cost = %+v, want 4 entries", cost)
+	}
+	ix := d.IndexFor(first)
+	if ix == nil || len(ix.Named("mail")) != 2 || ix.Len() != first.CountElements() {
+		t.Fatalf("IndexFor(export) = %+v", ix)
+	}
+	path, _, _ := d.Fetch(ctx, catalog.Request{Native: "eng/alice"})
+	if d.IndexFor(path) != nil {
+		t.Error("a path lookup's document must get no index")
+	}
+	d.Put("eng/carol", map[string]string{"mail": "c@x"})
+	if d.IndexFor(first) != nil {
+		t.Error("the export from before a Put must get no index")
+	}
+	next, cost, _ := d.Fetch(ctx, catalog.Request{})
+	if next == first || cost.RowsReturned != 5 || len(d.IndexFor(next).Named("mail")) != 3 {
+		t.Errorf("after Put: same doc %v, cost %+v", next == first, cost)
+	}
+}
+
 func TestXMLSource(t *testing.T) {
 	s, err := NewXMLSource("bib", `<bib><book><title>T</title></book></bib>`)
 	if err != nil {

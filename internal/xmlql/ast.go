@@ -262,19 +262,29 @@ func (p *ElemPattern) Vars() []string {
 	return out
 }
 
-// ExprVars returns the variables an expression references (not including
-// variables bound inside nested aggregate queries).
+// ExprVars returns the variables an expression references. For an
+// aggregate's nested query that is every variable the query mentions —
+// in its patterns, their IN clauses, its predicates and its CONSTRUCT,
+// recursively — because any of them may be a correlation variable bound
+// by the outer query; which ones are cannot be told without the outer
+// scope. Reporting one that is only local is harmless: a predicate that
+// waits for it is placed after every join.
 func ExprVars(e Expr) []string {
 	var out []string
 	seen := map[string]bool{}
+	add := func(v string) {
+		if v != "" && !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
 	var walk func(Expr)
+	var walkQuery func(*Query)
+	var walkTmpl func(*TmplElem)
 	walk = func(e Expr) {
 		switch x := e.(type) {
 		case *VarExpr:
-			if !seen[x.Name] {
-				seen[x.Name] = true
-				out = append(out, x.Name)
-			}
+			add(x.Name)
 		case *BinExpr:
 			walk(x.L)
 			walk(x.R)
@@ -283,16 +293,41 @@ func ExprVars(e Expr) []string {
 				walk(a)
 			}
 		case *AggExpr:
-			// A nested query's free variables are the correlation
-			// variables it uses from the outer scope; conservatively
-			// report all variables its patterns' IN clauses reference.
-			for _, c := range x.Query.Where {
-				if pc, ok := c.(*PatternCond); ok && pc.Source.Var != "" {
-					if !seen[pc.Source.Var] {
-						seen[pc.Source.Var] = true
-						out = append(out, pc.Source.Var)
-					}
+			walkQuery(x.Query)
+		}
+	}
+	walkQuery = func(q *Query) {
+		for _, c := range q.Where {
+			switch x := c.(type) {
+			case *PatternCond:
+				for _, v := range x.Pattern.Vars() {
+					add(v)
 				}
+				add(x.Source.Var)
+			case *PredicateCond:
+				walk(x.Expr)
+			}
+		}
+		if q.Construct != nil {
+			walkTmpl(q.Construct)
+		}
+		for _, k := range q.OrderBy {
+			walk(k.Expr)
+		}
+	}
+	walkTmpl = func(t *TmplElem) {
+		add(t.TagVar)
+		for _, a := range t.Attrs {
+			walk(a.Value)
+		}
+		for _, c := range t.Content {
+			switch x := c.(type) {
+			case *TmplChild:
+				walkTmpl(x.Elem)
+			case *TmplExpr:
+				walk(x.Expr)
+			case *TmplQuery:
+				walkQuery(x.Query)
 			}
 		}
 	}

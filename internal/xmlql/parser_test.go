@@ -419,6 +419,22 @@ func TestExprVars(t *testing.T) {
 	}
 }
 
+// TestExprVarsReportsAggregateCorrelations: an aggregate's subquery may
+// correlate on any variable it mentions — in a pattern, an IN clause, a
+// predicate, its CONSTRUCT or a nested aggregate — so all are reported.
+func TestExprVarsReportsAggregateCorrelations(t *testing.T) {
+	q := MustParse(`WHERE <a>$x</a> IN "s",
+		count({ WHERE <o><cust>$i</cust></o> ELEMENT_AS $e IN "t", <l>$m</l> IN $e, $q > $r,
+		        sum({ WHERE <p>$z</p> IN "u" CONSTRUCT <v>$y</v> }) > 1
+		        CONSTRUCT <c k=$k>$w</c> }) < $x
+		CONSTRUCT <r/>`)
+	got := ExprVars(q.Where[1].(*PredicateCond).Expr)
+	want := []string{"e", "i", "m", "q", "r", "z", "y", "k", "w", "x"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ExprVars = %v, want %v", got, want)
+	}
+}
+
 func TestParseOnUnavailablePrelude(t *testing.T) {
 	q, err := Parse(`ON-UNAVAILABLE FAIL WHERE <a>$x</a> IN "s" CONSTRUCT <r>$x</r>`)
 	if err != nil {
