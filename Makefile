@@ -91,10 +91,14 @@ sched-race:
 # seed corpus and the reference writer, the no-copy <results> root
 # against Document() byte for byte, and eight goroutines serving one
 # cached answer in place while a ninth copies and edits it — any write to
-# a node shared with the cache is a reported race.
+# a node shared with the cache is a reported race. The construct builder
+# is held to its reference (property and fuzz seeds), its slab-carved
+# results to not aliasing one another, and a tuple spliced from concurrent
+# queries to copying the source nodes it holds.
 resultpath-race:
 	$(GO) test -race -run 'FuzzSerializeEscape|TestSerializeMatchesReference|TestBufferReuse' -count=1 ./internal/xmlparse
-	$(GO) test -race -run 'TestView' -count=1 ./internal/core
+	$(call run-named,-race -count=1,TestBuilderEqualsReference|FuzzConstruct,./internal/algebra)
+	$(call run-named,-race -count=1,TestView|TestBuilderSlabsDoNotAlias|TestTupleSpliceCopiesBoundNodes,./internal/core)
 	$(GO) test -race -run 'TestCachedValuesStayImmutable|TestQueryContentLength' -count=10 ./internal/server
 
 # sched-soak runs the extended scheduler workload behind the soak tag:

@@ -8,20 +8,98 @@ import (
 )
 
 // BuildResult instantiates a CONSTRUCT template under one binding and
-// returns the constructed element. Nodes spliced from bindings are
-// deep-copied: constructed trees own their children, and the source
-// documents must never be mutated (the paper's virtual integration
-// leaves "the source data unchanged", §3.2).
+// returns the constructed element: a Builder for one result.
 func BuildResult(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, error) {
-	n, err := buildElem(ctx, tmpl, b)
+	return NewBuilder(tmpl, 1).Build(ctx, b)
+}
+
+// ConstructAll builds one result per binding, from one Builder.
+func ConstructAll(ctx *Context, tmpl *xmlql.TmplElem, bindings []Binding) ([]xmldm.Value, error) {
+	bld := NewBuilder(tmpl, len(bindings))
+	out := make([]xmldm.Value, 0, len(bindings))
+	for _, b := range bindings {
+		n, err := bld.Build(ctx, b)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
+// Builder instantiates one CONSTRUCT template under a run of bindings.
+// The template's shape is counted once — one element per TmplElem, and
+// for each element one child slot per content item and its attributes —
+// and every result's elements, Children and Attrs are carved from three
+// slabs sized for rows results: three allocations per rows results
+// whatever the template, refilled for another rows only when Build is
+// called more often. Every sub-slice is capped at its own length
+// (CopyNode's rule), so an append past it — a spliced collection or
+// nested query, or a caller editing the result — reallocates instead of
+// writing into a neighbour. Parent and Ord are assigned in preorder while
+// building; a result into which a node was copied is finalized
+// afterwards, since CopyNode leaves Ord unset.
+//
+// Nodes spliced from bindings are deep-copied: constructed trees own
+// their children, and the source documents must never be mutated (the
+// paper's virtual integration leaves "the source data unchanged", §3.2).
+// A retained result keeps its whole slab alive.
+type Builder struct {
+	tmpl                   *xmlql.TmplElem
+	rows                   int
+	nNodes, nSlots, nAttrs int // per result
+	nodes                  []xmldm.Node
+	slots                  []xmldm.Value
+	attrs                  []xmldm.Attr
+	// ord is the last ordinal assigned in the result being built; copied
+	// records that a splice copied a node into it.
+	ord    int
+	copied bool
+}
+
+// NewBuilder returns a Builder for tmpl whose slabs hold rows results.
+func NewBuilder(tmpl *xmlql.TmplElem, rows int) *Builder {
+	bld := &Builder{tmpl: tmpl, rows: max(rows, 1)}
+	bld.count(tmpl)
+	return bld
+}
+
+func (bld *Builder) count(t *xmlql.TmplElem) {
+	bld.nNodes++
+	bld.nSlots += len(t.Content)
+	bld.nAttrs += len(t.Attrs)
+	for _, item := range t.Content {
+		if c, ok := item.(*xmlql.TmplChild); ok {
+			bld.count(c.Elem)
+		}
+	}
+}
+
+// Build instantiates the template under one binding.
+func (bld *Builder) Build(ctx *Context, b Binding) (*xmldm.Node, error) {
+	// A result that failed part way leaves a partly used slab; the check
+	// is for a whole result's worth, not for a count of calls.
+	if len(bld.nodes) < bld.nNodes || len(bld.slots) < bld.nSlots || len(bld.attrs) < bld.nAttrs {
+		bld.nodes = make([]xmldm.Node, bld.rows*bld.nNodes)
+		if bld.nSlots > 0 {
+			bld.slots = make([]xmldm.Value, bld.rows*bld.nSlots)
+		}
+		if bld.nAttrs > 0 {
+			bld.attrs = make([]xmldm.Attr, bld.rows*bld.nAttrs)
+		}
+	}
+	bld.ord, bld.copied = 0, false
+	n, err := bld.elem(ctx, bld.tmpl, b, nil)
 	if err != nil {
 		return nil, err
 	}
-	xmldm.Finalize(n)
+	if bld.copied {
+		xmldm.Finalize(n)
+	}
 	return n, nil
 }
 
-func buildElem(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, error) {
+func (bld *Builder) elem(ctx *Context, tmpl *xmlql.TmplElem, b Binding, parent *xmldm.Node) (*xmldm.Node, error) {
 	name := tmpl.Tag
 	if tmpl.TagVar != "" {
 		v, ok := b.Get(tmpl.TagVar)
@@ -33,30 +111,32 @@ func buildElem(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, erro
 			return nil, fmt.Errorf("algebra: construct tag variable $%s is empty", tmpl.TagVar)
 		}
 	}
-	n := &xmldm.Node{Name: name}
-	if len(tmpl.Attrs) > 0 {
-		n.Attrs = make([]xmldm.Attr, 0, len(tmpl.Attrs))
-	}
-	for _, a := range tmpl.Attrs {
-		v, err := Eval(ctx, a.Value, b)
-		if err != nil {
-			return nil, err
+	n := &bld.nodes[0]
+	bld.nodes = bld.nodes[1:]
+	bld.ord++
+	n.Name, n.Parent, n.Ord = name, parent, bld.ord
+	if k := len(tmpl.Attrs); k > 0 {
+		n.Attrs, bld.attrs = bld.attrs[:0:k], bld.attrs[k:]
+		for _, a := range tmpl.Attrs {
+			v, err := Eval(ctx, a.Value, b)
+			if err != nil {
+				return nil, err
+			}
+			n.Attrs = append(n.Attrs, xmldm.Attr{Name: a.Name, Value: xmldm.Stringify(v)})
 		}
-		n.Attrs = append(n.Attrs, xmldm.Attr{Name: a.Name, Value: xmldm.Stringify(v)})
 	}
 	// Most template items yield exactly one child; spliced collections
-	// and nested queries grow past the estimate.
-	if len(tmpl.Content) > 0 {
-		n.Children = make([]xmldm.Value, 0, len(tmpl.Content))
+	// and nested queries grow past the slots reserved.
+	if k := len(tmpl.Content); k > 0 {
+		n.Children, bld.slots = bld.slots[:0:k], bld.slots[k:]
 	}
 	for _, item := range tmpl.Content {
 		switch it := item.(type) {
 		case *xmlql.TmplChild:
-			child, err := buildElem(ctx, it.Elem, b)
+			child, err := bld.elem(ctx, it.Elem, b, n)
 			if err != nil {
 				return nil, err
 			}
-			child.Parent = n
 			n.Children = append(n.Children, child)
 		case *xmlql.TmplText:
 			n.Children = append(n.Children, xmldm.String(it.Text))
@@ -65,7 +145,7 @@ func buildElem(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, erro
 			if err != nil {
 				return nil, err
 			}
-			spliceValue(n, v)
+			bld.splice(n, v)
 		case *xmlql.TmplQuery:
 			if ctx == nil || ctx.SubqueryEval == nil {
 				return nil, fmt.Errorf("algebra: nested query requires a subquery evaluator")
@@ -75,7 +155,7 @@ func buildElem(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, erro
 				return nil, err
 			}
 			for _, v := range vals {
-				spliceValue(n, v)
+				bld.splice(n, v)
 			}
 		default:
 			return nil, fmt.Errorf("algebra: unknown template content %T", item)
@@ -84,10 +164,11 @@ func buildElem(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, erro
 	return n, nil
 }
 
-// spliceValue appends a computed value into constructed content: nodes
-// are deep-copied, collections splice item by item, nulls vanish, atoms
-// become text.
-func spliceValue(n *xmldm.Node, v xmldm.Value) {
+// splice appends a computed value into constructed content: nodes are
+// deep-copied, collections splice item by item, nulls vanish, atoms
+// become text, and a tuple becomes a <tuple> element whose nodes are
+// copies too.
+func (bld *Builder) splice(n *xmldm.Node, v xmldm.Value) {
 	switch x := v.(type) {
 	case nil, xmldm.Null:
 		// nothing
@@ -95,14 +176,18 @@ func spliceValue(n *xmldm.Node, v xmldm.Value) {
 		c := CopyNode(x)
 		c.Parent = n
 		n.Children = append(n.Children, c)
+		bld.copied = true
 	case *xmldm.Collection:
 		for _, it := range x.Items() {
-			spliceValue(n, it)
+			bld.splice(n, it)
 		}
 	case *xmldm.Tuple:
-		c := xmldm.TupleToNode("tuple", x)
+		// TupleToNode's element holds the fields' nodes by reference;
+		// copying it takes them off their source tree.
+		c := CopyNode(xmldm.TupleToNode("tuple", x))
 		c.Parent = n
 		n.Children = append(n.Children, c)
+		bld.copied = true
 	case xmldm.String:
 		if x != "" {
 			n.Children = append(n.Children, v) // v, not x: already boxed
@@ -166,17 +251,4 @@ func (c *treeCopier) copy(n, parent *xmldm.Node) *xmldm.Node {
 		}
 	}
 	return out
-}
-
-// ConstructAll builds one result per binding.
-func ConstructAll(ctx *Context, tmpl *xmlql.TmplElem, bindings []Binding) ([]xmldm.Value, error) {
-	out := make([]xmldm.Value, 0, len(bindings))
-	for _, b := range bindings {
-		n, err := BuildResult(ctx, tmpl, b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -1,0 +1,365 @@
+package algebra
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/testkit"
+	"repro/internal/xmldm"
+	"repro/internal/xmlql"
+)
+
+// The construct implementation the Builder replaced, kept as the
+// reference: one allocation per element, child list and attribute list,
+// numbered by Finalize afterwards. Its tuple arm copies, as the Builder's
+// does; the original adopted the tuple's nodes in place.
+
+func refBuildResult(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, error) {
+	n, err := refBuildElem(ctx, tmpl, b)
+	if err != nil {
+		return nil, err
+	}
+	xmldm.Finalize(n)
+	return n, nil
+}
+
+func refBuildElem(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, error) {
+	name := tmpl.Tag
+	if tmpl.TagVar != "" {
+		v, ok := b.Get(tmpl.TagVar)
+		if !ok {
+			return nil, fmt.Errorf("algebra: construct tag variable $%s is unbound", tmpl.TagVar)
+		}
+		name = xmldm.Stringify(v)
+		if name == "" {
+			return nil, fmt.Errorf("algebra: construct tag variable $%s is empty", tmpl.TagVar)
+		}
+	}
+	n := &xmldm.Node{Name: name}
+	if len(tmpl.Attrs) > 0 {
+		n.Attrs = make([]xmldm.Attr, 0, len(tmpl.Attrs))
+	}
+	for _, a := range tmpl.Attrs {
+		v, err := Eval(ctx, a.Value, b)
+		if err != nil {
+			return nil, err
+		}
+		n.Attrs = append(n.Attrs, xmldm.Attr{Name: a.Name, Value: xmldm.Stringify(v)})
+	}
+	if len(tmpl.Content) > 0 {
+		n.Children = make([]xmldm.Value, 0, len(tmpl.Content))
+	}
+	for _, item := range tmpl.Content {
+		switch it := item.(type) {
+		case *xmlql.TmplChild:
+			child, err := refBuildElem(ctx, it.Elem, b)
+			if err != nil {
+				return nil, err
+			}
+			child.Parent = n
+			n.Children = append(n.Children, child)
+		case *xmlql.TmplText:
+			n.Children = append(n.Children, xmldm.String(it.Text))
+		case *xmlql.TmplExpr:
+			v, err := Eval(ctx, it.Expr, b)
+			if err != nil {
+				return nil, err
+			}
+			refSpliceValue(n, v)
+		case *xmlql.TmplQuery:
+			if ctx == nil || ctx.SubqueryEval == nil {
+				return nil, fmt.Errorf("algebra: nested query requires a subquery evaluator")
+			}
+			vals, err := ctx.SubqueryEval(it.Query, b)
+			if err != nil {
+				return nil, err
+			}
+			for _, v := range vals {
+				refSpliceValue(n, v)
+			}
+		default:
+			return nil, fmt.Errorf("algebra: unknown template content %T", item)
+		}
+	}
+	return n, nil
+}
+
+func refSpliceValue(n *xmldm.Node, v xmldm.Value) {
+	switch x := v.(type) {
+	case nil, xmldm.Null:
+	case *xmldm.Node:
+		c := CopyNode(x)
+		c.Parent = n
+		n.Children = append(n.Children, c)
+	case *xmldm.Collection:
+		for _, it := range x.Items() {
+			refSpliceValue(n, it)
+		}
+	case *xmldm.Tuple:
+		c := CopyNode(xmldm.TupleToNode("tuple", x))
+		c.Parent = n
+		n.Children = append(n.Children, c)
+	case xmldm.String:
+		if x != "" {
+			n.Children = append(n.Children, v)
+		}
+	default:
+		n.Children = append(n.Children, xmldm.String(v.String()))
+	}
+}
+
+// constructCtx evaluates what the generated templates call: boom($s)
+// fails when $s is empty or unbound — an Eval error part way through a
+// result — and a nested query fails without $i, else splices "sub", $e
+// and $c.
+func constructCtx() *Context {
+	return &Context{
+		Funcs: map[string]func([]xmldm.Value) (xmldm.Value, error){
+			"boom": func(args []xmldm.Value) (xmldm.Value, error) {
+				if xmldm.Stringify(args[0]) == "" {
+					return nil, errors.New("boom")
+				}
+				return args[0], nil
+			},
+		},
+		SubqueryEval: func(_ *xmlql.Query, outer Binding) ([]xmldm.Value, error) {
+			if _, ok := outer.Get("i"); !ok {
+				return nil, errors.New("subquery failed")
+			}
+			e, _ := outer.Get("e")
+			c, _ := outer.Get("c")
+			return []xmldm.Value{xmldm.String("sub"), e, c}, nil
+		},
+	}
+}
+
+var genConstructVars = []string{"s", "n", "i", "e", "c", "u", "missing"}
+
+func genConstructExpr(rng *rand.Rand) xmlql.Expr {
+	switch rng.Intn(12) {
+	case 0:
+		return &xmlql.FuncExpr{Name: "boom", Args: []xmlql.Expr{&xmlql.VarExpr{Name: "s"}}}
+	case 1:
+		return &xmlql.LitExpr{Value: 2.5}
+	default:
+		return &xmlql.VarExpr{Name: genConstructVars[rng.Intn(len(genConstructVars))]}
+	}
+}
+
+func genTemplate(rng *rand.Rand, depth int) *xmlql.TmplElem {
+	t := &xmlql.TmplElem{Tag: genNames[rng.Intn(len(genNames))]}
+	if rng.Intn(8) == 0 {
+		t.Tag, t.TagVar = "", "t"
+	}
+	for _, name := range []string{"k", "m"} {
+		if rng.Intn(3) == 0 {
+			t.Attrs = append(t.Attrs, xmlql.TmplAttr{Name: name, Value: genConstructExpr(rng)})
+		}
+	}
+	items := rng.Intn(4)
+	for i := 0; i < items; i++ {
+		switch k := rng.Intn(10); {
+		case k <= 2 && depth > 0:
+			t.Content = append(t.Content, &xmlql.TmplChild{Elem: genTemplate(rng, depth-1)})
+		case k <= 3:
+			t.Content = append(t.Content, &xmlql.TmplText{Text: genValues[rng.Intn(len(genValues))]})
+		case k <= 8:
+			t.Content = append(t.Content, &xmlql.TmplExpr{Expr: genConstructExpr(rng)})
+		default:
+			t.Content = append(t.Content, &xmlql.TmplQuery{Query: &xmlql.Query{}})
+		}
+	}
+	return t
+}
+
+// genConstructBinding binds each variable a template may splice, most of
+// the time: $t a tag name (sometimes empty), $s a string (sometimes
+// empty), $n Null, $i an Int, $e an element, $c a collection of all of
+// those, $u a tuple holding a string, an element, a collection and Null.
+func genConstructBinding(rng *rand.Rand) Binding {
+	var fields []xmldm.Field
+	add := func(name string, v xmldm.Value) {
+		if rng.Intn(6) > 0 {
+			fields = append(fields, xmldm.Field{Name: name, Value: v})
+		}
+	}
+	tag := genNames[rng.Intn(len(genNames))]
+	if rng.Intn(10) == 0 {
+		tag = ""
+	}
+	add("t", xmldm.String(tag))
+	add("s", xmldm.String(genValues[rng.Intn(len(genValues))]))
+	add("n", xmldm.Null{})
+	add("i", xmldm.Int(int64(rng.Intn(100))))
+	add("e", genDoc(rng, 2))
+	add("c", xmldm.NewCollection(xmldm.String("c"), genDoc(rng, 1), xmldm.Null{}, xmldm.Int(7), xmldm.String("")))
+	add("u", xmldm.NewTuple(
+		xmldm.Field{Name: "f", Value: xmldm.String(genValues[rng.Intn(len(genValues))])},
+		xmldm.Field{Name: "g", Value: genDoc(rng, 1)},
+		xmldm.Field{Name: "h", Value: xmldm.NewCollection(genDoc(rng, 0), xmldm.Int(3))},
+		xmldm.Field{Name: "z", Value: xmldm.Null{}},
+	))
+	return xmldm.NewTuple(fields...)
+}
+
+// collectNodes adds every element reachable from v to set.
+func collectNodes(v xmldm.Value, set map[*xmldm.Node]bool) {
+	switch x := v.(type) {
+	case *xmldm.Node:
+		x.Walk(func(n *xmldm.Node) bool { set[n] = true; return true })
+	case *xmldm.Collection:
+		for _, it := range x.Items() {
+			collectNodes(it, set)
+		}
+	case *xmldm.Tuple:
+		for _, f := range x.Fields() {
+			collectNodes(f.Value, set)
+		}
+	}
+}
+
+// dumpTree renders what DeepEqual compares and String does not show.
+func dumpTree(n *xmldm.Node) string {
+	if n == nil {
+		return "<nil>"
+	}
+	var sb strings.Builder
+	n.Walk(func(e *xmldm.Node) bool {
+		parent := "-"
+		if e.Parent != nil {
+			parent = fmt.Sprintf("%s#%d", e.Parent.Name, e.Parent.Ord)
+		}
+		fmt.Fprintf(&sb, "%s#%d parent=%s attrs=%v\n", e.Name, e.Ord, parent, e.Attrs)
+		return true
+	})
+	return sb.String() + n.String()
+}
+
+type constructTally struct{ built, failed, tuples, refills int }
+
+// checkConstruct draws one template and up to six bindings and holds the
+// Builder to the reference at rows 1, fewer than the bindings (the refill
+// path), exactly the bindings and more: the same error, or a tree
+// deep-equal to the reference's — names, attributes, children, parents
+// and ordinals — that shares no element with the bindings. Every result
+// is compared after the last Build, so a result clobbered by a later one
+// from the same slab shows.
+func checkConstruct(t testing.TB, rng *rand.Rand) constructTally {
+	t.Helper()
+	tmpl := genTemplate(rng, 3)
+	bs := make([]Binding, 1+rng.Intn(6))
+	inputs := map[*xmldm.Node]bool{}
+	for i := range bs {
+		bs[i] = genConstructBinding(rng)
+		collectNodes(bs[i], inputs)
+	}
+	ctx := constructCtx()
+	want := make([]*xmldm.Node, len(bs))
+	wantErr := make([]error, len(bs))
+	for i, b := range bs {
+		want[i], wantErr[i] = refBuildResult(ctx, tmpl, b)
+	}
+	var tally constructTally
+	for _, rows := range []int{1, (len(bs) + 1) / 2, len(bs), len(bs) + 2} {
+		if rows < len(bs) {
+			tally.refills++
+		}
+		bld := NewBuilder(tmpl, rows)
+		got := make([]*xmldm.Node, len(bs))
+		gotErr := make([]error, len(bs))
+		for i, b := range bs {
+			got[i], gotErr[i] = bld.Build(ctx, b)
+		}
+		for i := range bs {
+			if (gotErr[i] == nil) != (wantErr[i] == nil) || (gotErr[i] != nil && gotErr[i].Error() != wantErr[i].Error()) {
+				t.Fatalf("rows=%d binding %d: error %v, want %v", rows, i, gotErr[i], wantErr[i])
+			}
+			if wantErr[i] != nil {
+				tally.failed++
+				continue
+			}
+			tally.built++
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("rows=%d binding %d %v:\nbuilt:\n%s\nreference:\n%s", rows, i, bs[i], dumpTree(got[i]), dumpTree(want[i]))
+			}
+			got[i].Walk(func(n *xmldm.Node) bool {
+				if inputs[n] {
+					t.Fatalf("rows=%d binding %d: the result holds a bound element <%s> itself", rows, i, n.Name)
+				}
+				if n.Name == "tuple" {
+					tally.tuples++
+				}
+				return true
+			})
+		}
+	}
+	return tally
+}
+
+// TestBuilderEqualsReference_Property: over random templates — literal
+// and variable tags, attributes, literal text, spliced strings, empty
+// strings, Null, Ints, elements, collections and tuples, nested queries,
+// nested elements — and random bindings, including the error paths
+// (unbound or empty tag variable, an Eval error and a failing nested
+// query part way through a result), the Builder builds what the
+// reference builds.
+func TestBuilderEqualsReference_Property(t *testing.T) {
+	var sum constructTally
+	for seed := int64(0); seed < 500; seed++ {
+		tl := checkConstruct(t, rand.New(rand.NewSource(seed)))
+		sum.built += tl.built
+		sum.failed += tl.failed
+		sum.tuples += tl.tuples
+		sum.refills += tl.refills
+	}
+	t.Logf("%+v", sum)
+	if sum.built < 2000 || sum.failed < 300 || sum.tuples < 200 || sum.refills < 500 {
+		t.Fatalf("%+v: the generator no longer exercises the builder", sum)
+	}
+}
+
+// FuzzConstruct runs the property's generator from fuzzed seeds.
+func FuzzConstruct(f *testing.F) {
+	for _, seed := range []int64{0, 1, 7, 42, 20010402} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkConstruct(t, rand.New(rand.NewSource(seed)))
+	})
+}
+
+const bulkExportTemplate = `WHERE <a>$q</a> IN "s"
+	CONSTRUCT <row id=$i><contact><name>$w</name><city>$c</city></contact><status><tier>$t</tier></status></row>`
+
+// TestBuilderAllocatesThreeSlabs pins the point of the Builder: a result
+// of bulk-export's template is three allocations (elements, child slots,
+// attributes), and a run of results is three for all of them.
+func TestBuilderAllocatesThreeSlabs(t *testing.T) {
+	if testkit.Race {
+		t.Skip("the race detector allocates")
+	}
+	tmpl := xmlql.MustParse(bulkExportTemplate).Construct
+	b := bind("i", xmldm.String("7"), "w", xmldm.String("Ada"), "c", xmldm.String("London"), "t", xmldm.String("gold"))
+	ctx := &Context{}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := BuildResult(ctx, tmpl, b); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("BuildResult allocates %v times, want 3", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		bld := NewBuilder(tmpl, 100)
+		for i := 0; i < 100; i++ {
+			if _, err := bld.Build(ctx, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n > 4 {
+		t.Errorf("100 results allocate %v times, want 3 slabs and the builder", n)
+	}
+}

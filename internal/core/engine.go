@@ -273,7 +273,7 @@ type Result struct {
 // View wraps the result values under a read-only <results> element
 // without copying them: its children are the Values themselves (capped
 // at their length, so nothing can be appended into Values' spare
-// capacity), their Parent and Ord still say what BuildResult left there,
+// capacity), their Parent and Ord still say what the builder left there,
 // and the root is not finalized. It is what the serialize-only paths
 // render — serializers read only names, attributes and children — and
 // since Values may be shared with the query cache, nothing reachable
@@ -574,11 +574,10 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		ex.Detail = fmt.Sprintf("rewrites=%d", len(rewrites))
 	}
 
-	type item struct {
-		value xmldm.Value
-		keys  []xmldm.Value
-	}
-	var items []item
+	// out holds the results in the order they are built; with an ORDER-BY,
+	// keys[i] holds out[i]'s sort keys.
+	var out []xmldm.Value
+	var keys [][]xmldm.Value
 	orderPushed := len(rewrites) == 1
 
 	for ri, rw := range rewrites {
@@ -656,29 +655,32 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		}
 		aq.SetPhase("construct")
 		spCons := spRw.StartChild("construct")
-		items = slices.Grow(items, len(bindings))
+		bld := algebra.NewBuilder(plan.Construct, len(bindings))
+		out = slices.Grow(out, len(bindings))
+		if len(q.OrderBy) > 0 {
+			keys = slices.Grow(keys, len(bindings))
+		}
 		for _, b := range bindings {
-			it := item{}
-			if len(plan.OrderBy) > 0 {
-				it.keys = make([]xmldm.Value, 0, len(plan.OrderBy))
-			}
-			for _, k := range plan.OrderBy {
-				v, err := algebra.Eval(actx, k.Expr, b)
-				if err != nil {
-					spCons.Finish()
-					spRw.Finish()
-					return nil, err
+			if len(q.OrderBy) > 0 {
+				k := make([]xmldm.Value, 0, len(plan.OrderBy))
+				for _, key := range plan.OrderBy {
+					v, err := algebra.Eval(actx, key.Expr, b)
+					if err != nil {
+						spCons.Finish()
+						spRw.Finish()
+						return nil, err
+					}
+					k = append(k, v)
 				}
-				it.keys = append(it.keys, v)
+				keys = append(keys, k)
 			}
-			v, err := algebra.BuildResult(actx, plan.Construct, b)
+			v, err := bld.Build(actx, b)
 			if err != nil {
 				spCons.Finish()
 				spRw.Finish()
 				return nil, err
 			}
-			it.value = v
-			items = append(items, it)
+			out = append(out, v)
 		}
 		spCons.SetInt("values", int64(len(bindings)))
 		spCons.Finish()
@@ -695,12 +697,12 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		// comparator only reads them — safe for the parallel chunk sorts
 		// of StableSortIndices, whose index tie-break reproduces exactly
 		// the sort.SliceStable order.
-		perm := algebra.StableSortIndices(len(items), degree(), func(i, j int) int {
+		perm := algebra.StableSortIndices(len(out), degree(), func(i, j int) int {
 			for k := range descs {
-				if k >= len(items[i].keys) || k >= len(items[j].keys) {
+				if k >= len(keys[i]) || k >= len(keys[j]) {
 					return 0
 				}
-				c := xmldm.Compare(items[i].keys[k], items[j].keys[k])
+				c := xmldm.Compare(keys[i][k], keys[j][k])
 				if c == 0 {
 					continue
 				}
@@ -711,16 +713,11 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 			}
 			return 0
 		})
-		sorted := make([]item, len(items))
+		sorted := make([]xmldm.Value, len(out))
 		for i, p := range perm {
-			sorted[i] = items[p]
+			sorted[i] = out[p]
 		}
-		items = sorted
-	}
-
-	out := make([]xmldm.Value, len(items))
-	for i, it := range items {
-		out[i] = it.value
+		out = sorted
 	}
 	return out, nil
 }

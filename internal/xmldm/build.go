@@ -68,7 +68,9 @@ func Finalize(root *Node) {
 // TupleToNode converts a tuple to an element: each field becomes a child
 // element whose text is the field value. It is the canonical embedding of
 // relational rows into the XML model (§3.1's "accommodating relational
-// data more naturally" works both ways).
+// data more naturally" works both ways). A node in a field is placed by
+// reference and not adopted — its Parent still names its own tree, which
+// the tuple does not own — so a caller that keeps the element copies it.
 func TupleToNode(name string, t *Tuple) *Node {
 	n := &Node{Name: name}
 	for _, f := range t.Fields() {
@@ -77,12 +79,10 @@ func TupleToNode(name string, t *Tuple) *Node {
 		case nil, Null:
 			// empty element
 		case *Node:
-			v.Parent = child
 			child.Children = append(child.Children, v)
 		case *Collection:
 			for _, it := range v.Items() {
 				if e, ok := it.(*Node); ok {
-					e.Parent = child
 					child.Children = append(child.Children, e)
 				} else {
 					child.Children = append(child.Children, String(Stringify(it)))
