@@ -57,20 +57,22 @@ define run-named
 endef
 
 # parallel-race exercises the intra-query parallel execution machinery
-# under the race detector: the serial-vs-parallel differential suite, the
+# under the race detector: the serial-vs-parallel differential suite
+# (small families that hold every gate, wide ones that fan out), the
 # same-EXPLAIN-tree-at-every-degree check and the view-join equivalence,
-# the hash-join (every degree, keyed, natural and bound), parallel Match
-# and parallel sort unit, property and fuzz seeds, the matcher against its
-# list-based reference and the indexed leaf against the walk (degrees
-# 1/2/8, fuzz seeds), the indexed sources under chaos, under concurrent
-# Replace/Put (ten rounds) and behind ELEMENT_AS/CONSTRUCT, the planner's
-# join-key and bind-join recognition, and the concurrent storm through the
-# cluster front end under chaos faults (dead + slow sources) asserting
-# byte-identical results — no lost or duplicated tuples.
+# the hash-join (every degree, keyed, natural and bound) and parallel
+# sort unit, property and fuzz seeds, both at their committed gates and
+# one input short of them, the matcher against its list-based reference
+# and the indexed leaf against the walk (fuzz seeds), the indexed sources
+# under chaos, under concurrent Replace/Put (ten rounds) and behind
+# ELEMENT_AS/CONSTRUCT, the planner's join-key and bind-join recognition,
+# and the concurrent storm through the cluster front end under chaos
+# faults (dead + slow sources) asserting byte-identical results — no lost
+# or duplicated tuples.
 parallel-race:
 	$(call run-named,-race -count=1,TestParallelEquivalence|TestUnfoldingEquivalence_ViewJoin|TestExplainParallelPlanShape|TestExplainSameTree|TestIndexedSourceUnderChaos|TestSharedSnapshot|TestAggregatePredicateWaits,./internal/core)
 	$(call run-named,-race -count=10,TestStaticReplaceRaces|TestDirectoryPutRaces,./internal/core)
-	$(call run-named,-race -count=1,TestHashJoin|TestBindJoin|TestParallelClose|TestParallelMatch|TestStableSort|FuzzPartition|TestMatcherEqualsReference|TestIndexedMatch|FuzzMatchPattern,./internal/algebra)
+	$(call run-named,-race -count=1,TestHashJoin|TestBindJoin|TestParallelClose|TestStableSort|FuzzPartition|TestHashJoinGateBoundary|TestStableSortGateBoundary|TestMatcherEqualsReference|TestIndexedMatch|FuzzMatchPattern,./internal/algebra)
 	$(call run-named,-race -count=1,TestPlanJoinKey|TestPlanBindJoin|TestPlanNonKeyPredicates|TestPlanThreeSourceChain,./internal/opt)
 	$(call run-named,-race -count=1,TestParallelStormUnderChaos,.)
 

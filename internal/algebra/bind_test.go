@@ -51,6 +51,7 @@ func boundJoin(t *testing.T, left, right []Binding, maxKeys, workers int) (*Hash
 // right one opens at the first Next, after the keys, exactly once, and
 // both are closed exactly once however often the join is closed.
 func TestBindJoinOpensRightAfterLeft(t *testing.T) {
+	lowerGates(t, 0)
 	for _, workers := range []int{1, 2} {
 		j, l, r, leaf := boundJoin(t, keyRows("a", "1", "2", "1", "9"), keyRows("b", "2", "1", "3", "01"), 10, workers)
 		ctx := &Context{}
@@ -96,6 +97,7 @@ func TestBindJoinOpensRightAfterLeft(t *testing.T) {
 // closes the left input and leaves the right one, which never opened,
 // alone.
 func TestBindJoinFailedLazyOpen(t *testing.T) {
+	lowerGates(t, 0)
 	boom := errors.New("keyed fetch failed")
 	for _, workers := range []int{1, 2} {
 		j, l, r, _ := boundJoin(t, keyRows("a", "1", "2"), keyRows("b", "1"), 10, workers)
@@ -141,6 +143,7 @@ func TestBindJoinNothingToAskFor(t *testing.T) {
 // stops holding the left side back — it has read only up to that row —
 // fetches the right side whole, and still emits the unbound join's rows.
 func TestBindJoinPastTheCapStreams(t *testing.T) {
+	lowerGates(t, 0)
 	var vals []string
 	for i := 0; i < 40; i++ {
 		vals = append(vals, fmt.Sprint(i%20))

@@ -348,20 +348,12 @@ type Match struct {
 	// for any other, which is then walked (see candidates). The planner
 	// sets it from a catalog.Indexed source.
 	Index func(doc *xmldm.Node) *xmldm.ElemIndex
-	// Workers > 1 fans the candidate elements of each input binding
-	// across that many goroutines (pattern matching is pure, so the
-	// per-candidate results are computed independently and concatenated
-	// in candidate order — identical to the serial loop). The planner
-	// sets it on plan leaves when intra-query parallelism is on.
-	Workers int
 
 	ctx     *Context
 	fixed   []xmldm.Value
 	pending []Binding
 	pos     int
 	mt      matcher
-	par     []matcher // one per worker, kept across input bindings
-	wstats  []WorkerStat
 	walked  bool // a root was walked although Index was set
 }
 
@@ -373,7 +365,6 @@ func (m *Match) Open(ctx *Context) error {
 	m.ctx = ctx
 	m.pending, m.pos = nil, 0
 	m.fixed = nil
-	m.wstats = nil
 	m.walked = false
 	if m.Roots != nil {
 		roots, err := m.Roots(ctx)
@@ -417,20 +408,12 @@ func (m *Match) Next() (Binding, error) {
 		// Every binding handed out is the consumer's now: the queue's
 		// backing array is reused.
 		m.pending, m.pos = m.pending[:0], 0
-		if m.Workers > 1 && len(cands) > 1 {
-			m.pending, err = m.matchParallel(cands, in, m.pending)
-		} else {
-			m.pending, err = m.mt.match(m.ctx, cands, m.Pattern, in, m.pending)
-		}
+		m.pending, err = m.mt.match(m.ctx, cands, m.Pattern, in, m.pending)
 		if err != nil {
 			return nil, err
 		}
 	}
 }
-
-// WorkerStats reports per-worker match rows and busy time when Workers
-// fan-out ran; valid after the operator is drained.
-func (m *Match) WorkerStats() []WorkerStat { return m.wstats }
 
 // access names where the leaf's candidates come from, for EXPLAIN: the
 // index list its pattern reads, or "walk" — for a pattern no list serves

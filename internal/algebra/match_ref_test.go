@@ -170,7 +170,7 @@ func indexOver(docs ...*xmldm.Node) func(*xmldm.Node) *xmldm.ElemIndex {
 
 // runMatch drains a Match over roots, one input binding per base, and
 // returns the bindings and the match attempts it counted.
-func runMatch(t testing.TB, roots []xmldm.Value, index func(*xmldm.Node) *xmldm.ElemIndex, pat *xmlql.ElemPattern, bases []Binding, workers int) ([]Binding, int64) {
+func runMatch(t testing.TB, roots []xmldm.Value, index func(*xmldm.Node) *xmldm.ElemIndex, pat *xmlql.ElemPattern, bases []Binding) ([]Binding, int64) {
 	t.Helper()
 	ctx := &Context{}
 	m := &Match{
@@ -178,20 +178,18 @@ func runMatch(t testing.TB, roots []xmldm.Value, index func(*xmldm.Node) *xmldm.
 		Pattern: pat,
 		Roots:   func(*Context) ([]xmldm.Value, error) { return roots, nil },
 		Index:   index,
-		Workers: workers,
 	}
 	out, err := drain(ctx, m)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	return out, ctx.Snapshot().PatternMatches
 }
 
 // checkMatcher holds the matcher to the reference over one case: the
 // same bindings in the same order with the same fields, and the same
-// match count, through MatchPattern and through Match at degrees 1, 2
-// and 8; with every root indexed, the same bindings again from no more
-// match attempts.
+// match count, through MatchPattern and through Match; with every root
+// indexed, the same bindings again from no more match attempts.
 func checkMatcher(t testing.TB, docs []*xmldm.Node, pat *xmlql.ElemPattern, bases []Binding) int {
 	t.Helper()
 	refCtx := &Context{}
@@ -241,21 +239,19 @@ func checkMatcher(t testing.TB, docs []*xmldm.Node, pat *xmlql.ElemPattern, base
 	for i, d := range docs {
 		roots[i] = d
 	}
-	for _, workers := range []int{1, 2, 8} {
-		got, n := runMatch(t, roots, nil, pat, bases, workers)
-		if keys := strings.Join(bindingKeys(got), "\n"); keys != wantKeys {
-			t.Fatalf("walked Match at workers=%d differs from the reference\n%s\ngot:\n%s\nwant:\n%s", workers, describe(), keys, wantKeys)
-		}
-		if n != wantMatches {
-			t.Fatalf("walked Match at workers=%d counted %d matches, the reference %d\n%s", workers, n, wantMatches, describe())
-		}
-		got, n = runMatch(t, roots, indexOver(docs...), pat, bases, workers)
-		if keys := strings.Join(bindingKeys(got), "\n"); keys != wantKeys {
-			t.Fatalf("indexed Match at workers=%d differs from the walk\n%s\ngot:\n%s\nwant:\n%s", workers, describe(), keys, wantKeys)
-		}
-		if n > wantMatches {
-			t.Fatalf("indexed Match at workers=%d counted %d matches, more than the walk's %d\n%s", workers, n, wantMatches, describe())
-		}
+	got, n := runMatch(t, roots, nil, pat, bases)
+	if keys := strings.Join(bindingKeys(got), "\n"); keys != wantKeys {
+		t.Fatalf("walked Match differs from the reference\n%s\ngot:\n%s\nwant:\n%s", describe(), keys, wantKeys)
+	}
+	if n != wantMatches {
+		t.Fatalf("walked Match counted %d matches, the reference %d\n%s", n, wantMatches, describe())
+	}
+	got, n = runMatch(t, roots, indexOver(docs...), pat, bases)
+	if keys := strings.Join(bindingKeys(got), "\n"); keys != wantKeys {
+		t.Fatalf("indexed Match differs from the walk\n%s\ngot:\n%s\nwant:\n%s", describe(), keys, wantKeys)
+	}
+	if n > wantMatches {
+		t.Fatalf("indexed Match counted %d matches, more than the walk's %d\n%s", n, wantMatches, describe())
 	}
 	return len(want)
 }
@@ -386,8 +382,8 @@ func TestIndexedMatchSkipsNonCandidates(t *testing.T) {
 	doc := mustDoc(t, `<t><x pri="high"><c>1</c></x><x pri="low"><c>2</c></x><y pri="high"><c>3</c></y><x pri="high"><c>4</c></x></t>`)
 	pat := patOf(t, `WHERE <x pri="high"><c>$c</c></x> IN "s" CONSTRUCT <r/>`)
 	roots := []xmldm.Value{doc}
-	walked, walkedN := runMatch(t, roots, nil, pat, []Binding{xmldm.NewTuple()}, 1)
-	indexed, indexedN := runMatch(t, roots, indexOver(doc), pat, []Binding{xmldm.NewTuple()}, 1)
+	walked, walkedN := runMatch(t, roots, nil, pat, []Binding{xmldm.NewTuple()})
+	indexed, indexedN := runMatch(t, roots, indexOver(doc), pat, []Binding{xmldm.NewTuple()})
 	if got, want := strings.Join(bindingKeys(indexed), "\n"), strings.Join(bindingKeys(walked), "\n"); got != want || len(walked) != 2 {
 		t.Fatalf("indexed %q, walked %q", got, want)
 	}

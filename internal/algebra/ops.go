@@ -105,8 +105,9 @@ type KeyPair struct {
 // order, the sequence the cross product followed by a Select on the
 // pairs would emit.
 //
-// Workers > 1 runs the partitioned build and probe in parallel.go over
-// the same keys; the output is byte-identical at every degree.
+// Workers > 1 probes the left rows in slabs on that many goroutines
+// (parallel.go) once the build side reaches joinParallelMin rows; the
+// output is byte-identical at every degree.
 type HashJoin struct {
 	Left, Right Operator
 	// On lists the natural join variables; empty means "the shared
@@ -133,7 +134,8 @@ type HashJoin struct {
 	table    map[uint64][]Binding // serial build side
 	pending  []Binding            // serial: matches of the current left row
 	pos      int
-	fan      *fanout // the probe pool, when Workers > 1
+	built    int        // build rows, for EXPLAIN after Close
+	pool     *probePool // the parallel probe, when the degree was used
 	sp       *obs.Span
 }
 
@@ -178,15 +180,15 @@ func (j *HashJoin) Open(ctx *Context) error {
 	j.ctx = ctx
 	j.vars = j.On
 	j.started, j.leftDone = false, false
-	j.right, j.held, j.heldPos, j.table, j.pending, j.pos, j.fan = nil, nil, 0, nil, nil, 0, nil
+	j.right, j.held, j.heldPos, j.table, j.pending, j.pos, j.built, j.pool = nil, nil, 0, nil, nil, 0, 0, nil
 	return nil
 }
 
 // start drains the right side (a bind join first ships its keys and
 // opens it), pulls the first left row to resolve the natural variables
-// against it, and builds the table (or, with Workers > 1, the partitioned
-// tables and the probe pool). It runs on the consumer goroutine at the
-// first Next.
+// against it, builds the table and, granted Workers > 1 over a build side
+// past the gate, starts the probe pool. It runs on the consumer goroutine
+// at the first Next.
 func (j *HashJoin) start() error {
 	j.started = true
 	if j.Bind != nil {
@@ -204,6 +206,7 @@ func (j *HashJoin) start() error {
 		}
 		j.right = append(j.right, b)
 	}
+	j.built = len(j.right)
 	if j.Bind == nil {
 		first, err := j.Left.Next()
 		if err != nil || first == nil {
@@ -214,14 +217,13 @@ func (j *HashJoin) start() error {
 	if len(j.vars) == 0 {
 		j.vars = sharedVars(j.held[0], j.right)
 	}
-	if j.Workers > 1 {
-		j.startParallel()
-		return nil
-	}
 	j.table = make(map[uint64][]Binding, len(j.right))
 	for _, r := range j.right {
 		k := j.keyOf(r, true)
 		j.table[k] = append(j.table[k], r)
+	}
+	if w := degreeFor(j.Workers, len(j.right), joinGate); w > 1 {
+		j.startParallel(w)
 	}
 	return nil
 }
@@ -299,9 +301,8 @@ func keyText(v xmldm.Value) (text string, ok bool) {
 	return text, text != ""
 }
 
-// keyOf hashes a row's join key: the natural variables (PartitionKey,
-// so routing and buckets agree), then each pair's variable for the
-// row's side.
+// keyOf hashes a row's join key: the natural variables (PartitionKey),
+// then each pair's variable for the row's side.
 func (j *HashJoin) keyOf(b Binding, rightSide bool) uint64 {
 	h := PartitionKey(b, j.vars)
 	for _, p := range j.Pairs {
@@ -358,8 +359,8 @@ func (j *HashJoin) Next() (Binding, error) {
 			return nil, err
 		}
 	}
-	if j.fan != nil {
-		return j.fan.next()
+	if j.pool != nil {
+		return j.pool.next()
 	}
 	if j.table == nil {
 		return nil, nil // empty left, or no key to ask the right side for: nothing was built
@@ -388,8 +389,8 @@ func (j *HashJoin) BufferedTuples() int {
 	if j.Bind != nil {
 		n += len(j.held)
 	}
-	if j.fan != nil {
-		return n + j.fan.buffered()
+	if j.pool != nil {
+		return n + len(j.pool.cur)
 	}
 	return n + len(j.pending) - j.pos
 }
@@ -430,9 +431,9 @@ func (j *HashJoin) Close() error {
 	// j.ctx doubles as the "already closed" marker: a second Close (a
 	// defensive caller, or an error path that already tore down the tree)
 	// must neither stop the pool twice nor unbalance the worker gauge.
-	// j.fan stays set so WorkerStats remains readable.
-	if j.fan != nil && j.ctx != nil {
-		j.fan.finish(j.ctx)
+	// j.pool stays set so WorkerStats remains readable.
+	if j.pool != nil && j.ctx != nil {
+		j.pool.finish(j.ctx)
 		j.sp.Finish()
 	}
 	j.ctx = nil

@@ -1,20 +1,21 @@
-// Intra-query parallelism for the physical algebra. Three things take a
-// degree: the partitioned HashJoin (build and probe split by join-key
-// hash), the source-scan Match (candidate elements claimed by index) and
-// the final ORDER-BY sort (chunk sorts plus a merge). Each knows its exact
-// input at run time and merges back in input order, so the output at any
-// degree is byte-identical to the serial operator's — which is what lets
-// ordering-sensitive consumers (Sort, Limit, the top-level construct)
-// ignore the parallelism entirely. The per-tuple stages between them
-// (Select, Project, Match over a bound variable) run serially: handing
-// one tuple at a time to a worker costs more than those stages do
-// (DESIGN §12 has the measurements).
+// Intra-query parallelism for the physical algebra. Two things take a
+// degree: HashJoin (left rows probed in slabs against the shared table)
+// and the final ORDER-BY sort (chunk sorts plus a merge). Each uses a
+// granted degree only once the input it holds when it starts reaches its
+// own crossover — the size from which degree 2 measured faster than
+// degree 1 in BenchmarkParallelCrossover (DESIGN §12 has the table) — and
+// runs serially below it. Each merges back in input order, so the output
+// at any degree is byte-identical to the serial operator's — which is
+// what lets ordering-sensitive consumers (Sort, Limit, the top-level
+// construct) ignore the parallelism entirely. Everything else runs
+// serially: the per-tuple stages (Select, Project, Match over a bound
+// variable) cost less than handing tuples to a worker, and the leaf Match
+// fan-out lost to the serial loop at every size the sweep tried.
 package algebra
 
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/xmldm"
@@ -29,16 +30,24 @@ type WorkerStat struct {
 	Nanos  int64 `json:"nanos"`
 }
 
-// workerStater is implemented by parallel operators; the EXPLAIN shim
-// polls it after Close to attach per-worker rows/wall-time to the node.
-type workerStater interface {
-	WorkerStats() []WorkerStat
+// The gates the operators read: their crossovers, which only in-package
+// tests and the crossover sweep lower.
+var (
+	joinGate = joinParallelMin
+	sortGate = sortParallelMin
+)
+
+// degreeFor is the degree an operator granted workers uses on an input of
+// n: the grant from its gate on, 1 below it.
+func degreeFor(workers, n, gate int) int {
+	if n < gate {
+		return 1
+	}
+	return max(workers, 1)
 }
 
 // PartitionKey hashes the named variables of a binding with FNV-1a —
-// the same hash the hash join uses for its buckets, so a build row and
-// the probe rows with equal join-variable values always land in the
-// same partition.
+// the hash the hash join keys its buckets by.
 func PartitionKey(b Binding, vars []string) uint64 {
 	var h uint64 = 14695981039346656037
 	for _, v := range vars {
@@ -53,235 +62,176 @@ func foldVar(h uint64, b Binding, name string) uint64 {
 	return h*1099511628211 ^ xmldm.Hash(val)
 }
 
-// PartitionOf maps a partition key onto one of n partitions.
-func PartitionOf(key uint64, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(key % uint64(n))
+// joinParallelMin is the HashJoin crossover, in build rows: DESIGN §12's
+// table has slab probing at degree 2 ahead of the serial loop from here
+// on, 1.33× at this size.
+const joinParallelMin = 2048
+
+// slabRows is how many left rows travel to a probe worker at once: one
+// channel hand-off and one merge step per slab, not per row.
+const slabRows = 256
+
+// slab is one hand-off of the parallel probe: up to slabRows left rows in
+// input order, the worker's output for them, and the left input's error
+// when it ended the slab.
+type slab struct {
+	in   []Binding
+	out  []Binding
+	err  error
+	done chan struct{} // closed once out is complete
 }
 
-// chanBuf is the per-channel buffer depth of the fan-out machinery —
-// enough to keep workers busy without materializing whole streams.
-const chanBuf = 64
-
-// fanout is the fan-out/merge machinery of the partitioned HashJoin. The
-// producer routes each left tuple to a worker and records the route; the
-// merger replays the routes in input order, reading exactly one batch
-// (the tuple's complete probe output) per route, so output order equals
-// serial evaluation order regardless of worker scheduling. The producer
-// sends the route before the tuple: the merger always learns where to
-// wait before a worker can be blocked producing it, which makes the
-// backpressure loop deadlock-free.
-type fanout struct {
-	routes chan int
-	parts  []chan Binding
-	outs   []chan []Binding
-	done   chan struct{}
-	errc   chan error
-	wg     sync.WaitGroup
-	cur    []Binding
-	stats  []WorkerStat
+// probePool is HashJoin's probe at degree > 1. A producer reads the left
+// input into slabs and hands each one to the merger's queue and then to
+// the workers, which probe the shared, read-only table; the merger
+// replays the queue, waiting for each slab in turn, so the output is the
+// serial loop's sequence whichever worker probed what. The queue is sent
+// before the work: the slab the merger waits for is always with a worker
+// or done, which makes the bounded queue deadlock-free.
+type probePool struct {
+	queue chan *slab
+	work  chan *slab
+	stop  chan struct{}
+	wg    sync.WaitGroup
+	cur   []Binding
+	err   error
+	stats []WorkerStat
 }
 
-func newFanout(workers int) *fanout {
-	f := &fanout{
-		routes: make(chan int, chanBuf*workers),
-		parts:  make([]chan Binding, workers),
-		outs:   make([]chan []Binding, workers),
-		done:   make(chan struct{}),
-		errc:   make(chan error, 1),
-		stats:  make([]WorkerStat, workers),
-	}
-	for i := range f.parts {
-		f.parts[i] = make(chan Binding, chanBuf)
-		f.outs[i] = make(chan []Binding, chanBuf)
-	}
-	return f
-}
-
-// produce drains next (the upstream single-consumer stream) on its own
-// goroutine, routing every tuple via route. An upstream error is
-// reported in input order through the -1 route sentinel, so the merger
-// surfaces it only after every earlier tuple's outputs.
-func (f *fanout) produce(next func() (Binding, error), route func(Binding) int) {
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		defer func() {
-			for _, p := range f.parts {
-				close(p)
-			}
-			close(f.routes)
-		}()
-		for {
-			b, err := next()
-			if err != nil {
-				f.errc <- err
-				select {
-				case f.routes <- -1:
-				case <-f.done:
-				}
-				return
-			}
-			if b == nil {
-				return
-			}
-			p := route(b)
-			select {
-			case f.routes <- p:
-			case <-f.done:
-				return
-			}
-			select {
-			case f.parts[p] <- b:
-			case <-f.done:
-				return
-			}
-		}
-	}()
-}
-
-// runWorkers starts the worker pool: worker w answers every tuple routed
-// to it with probe(w, tuple), the tuple's complete output batch.
-func (f *fanout) runWorkers(probe func(w int, l Binding) []Binding) {
-	f.wg.Add(len(f.parts))
-	for w := range f.parts {
-		go func(w int) {
-			defer f.wg.Done()
-			var rows, busy int64
-			defer func() {
-				f.stats[w] = WorkerStat{Worker: w, Rows: rows, Nanos: busy}
-			}()
-			for l := range f.parts[w] {
-				start := time.Now()
-				outs := probe(w, l)
-				busy += time.Since(start).Nanoseconds()
-				rows += int64(len(outs))
-				select {
-				case f.outs[w] <- outs:
-				case <-f.done:
-					return
-				}
-			}
-		}(w)
-	}
-}
-
-// next merges worker outputs back into input order.
-func (f *fanout) next() (Binding, error) {
-	for {
-		if len(f.cur) > 0 {
-			b := f.cur[0]
-			f.cur = f.cur[1:]
-			return b, nil
-		}
-		r, ok := <-f.routes
-		if !ok {
-			return nil, nil
-		}
-		if r < 0 {
-			return nil, <-f.errc
-		}
-		f.cur = <-f.outs[r]
-	}
-}
-
-// finish tears the machinery down — unblocks every goroutine and waits
-// for them, so the caller may safely close the upstream input afterwards
-// — and settles its accounts with the context: the workers' busy time is
-// recorded and the worker gauge credited back.
-func (f *fanout) finish(ctx *Context) {
-	close(f.done)
-	f.wg.Wait()
-	f.cur = nil
-	var busy int64
-	for _, ws := range f.stats {
-		busy += ws.Nanos
-	}
-	ctx.AddWorkerTime(busy)
-	ctx.AddWorkers(-len(f.stats))
-}
-
-// buffered reports the merge-side buffer (owned by the consumer
-// goroutine, so safe to poll from the instrumentation shim).
-func (f *fanout) buffered() int { return len(f.cur) }
-
-// startParallel is HashJoin at Workers > 1: the right side is split into
-// Workers per-partition hash tables by join-key hash, the left stream is
-// routed by the same hash, and each worker probes only its own table.
-// Because all rows with one join-key hash live in one partition, and
-// bucket lists preserve right-input order, the merged output is
-// byte-identical to the serial loop.
-func (j *HashJoin) startParallel() {
-	workers := j.Workers
-	// Partition the build side: precompute every row's key hash in
-	// parallel chunks, then each worker keeps its partition's rows in
-	// right-input order (bucket order is what makes output identical to
-	// the serial join).
-	keys := make([]uint64, len(j.right))
-	chunk := (len(j.right) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(j.right); lo += chunk {
-		hi := lo + chunk
-		if hi > len(j.right) {
-			hi = len(j.right)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				keys[i] = j.keyOf(j.right[i], true)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	tables := make([]map[uint64][]Binding, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t := make(map[uint64][]Binding)
-			for i, r := range j.right {
-				if PartitionOf(keys[i], workers) == w {
-					t[keys[i]] = append(t[keys[i]], r)
-				}
-			}
-			tables[w] = t
-		}(w)
-	}
-	wg.Wait()
-
+// startParallel starts the probe pool over the built table.
+func (j *HashJoin) startParallel(workers int) {
 	if j.sp = j.ctx.Trace.StartChild("exchange"); j.sp != nil {
 		j.sp.SetAttr("op", "HashJoin")
 		j.sp.SetInt("workers", int64(workers))
-		j.sp.SetAttr("partition", "hash("+keyString(j.vars, j.Pairs)+")")
 		j.sp.SetInt("build_rows", int64(len(j.right)))
 	}
+	p := &probePool{
+		// Two slabs in flight per worker: one being probed, one read and
+		// waiting, so no worker idles while the merger drains the oldest.
+		queue: make(chan *slab, 2*workers),
+		work:  make(chan *slab),
+		stop:  make(chan struct{}),
+		stats: make([]WorkerStat, workers),
+	}
 	j.ctx.AddWorkers(workers)
-	j.fan = newFanout(workers)
-	j.fan.runWorkers(func(w int, l Binding) []Binding { return j.probe(tables[w], l, nil) })
-	j.fan.produce(j.nextLeft, func(l Binding) int {
-		return PartitionOf(j.keyOf(l, false), workers)
-	})
+	p.wg.Add(workers + 1)
+	for w := range p.stats {
+		go p.probe(w, func(l Binding, out []Binding) []Binding { return j.probe(j.table, l, out) })
+	}
+	go p.produce(j.nextLeft)
+	j.pool = p
+}
+
+// produce reads the left input into slabs on its own goroutine. A left
+// error ends the slab it falls in, so the merger returns it after every
+// earlier row's output, as the serial loop does.
+func (p *probePool) produce(next func() (Binding, error)) {
+	defer p.wg.Done()
+	defer close(p.work)
+	defer close(p.queue)
+	for {
+		s := &slab{in: make([]Binding, 0, slabRows), done: make(chan struct{})}
+		for len(s.in) < slabRows {
+			b, err := next()
+			if b == nil {
+				s.err = err
+				break
+			}
+			s.in = append(s.in, b)
+		}
+		last := len(s.in) < slabRows
+		if last && len(s.in) == 0 && s.err == nil {
+			return
+		}
+		select {
+		case p.queue <- s:
+		case <-p.stop:
+			return
+		}
+		select {
+		case p.work <- s:
+		case <-p.stop:
+			return
+		}
+		if last {
+			return
+		}
+	}
+}
+
+// probe is worker w: it answers every slab it takes with probe's output
+// for the slab's rows, in order.
+func (p *probePool) probe(w int, probe func(l Binding, out []Binding) []Binding) {
+	defer p.wg.Done()
+	var rows, busy int64
+	for s := range p.work {
+		start := time.Now()
+		for _, l := range s.in {
+			s.out = probe(l, s.out)
+		}
+		busy += time.Since(start).Nanoseconds()
+		rows += int64(len(s.out))
+		close(s.done)
+	}
+	p.stats[w] = WorkerStat{Worker: w, Rows: rows, Nanos: busy}
+}
+
+// next replays the slabs in input order.
+func (p *probePool) next() (Binding, error) {
+	for len(p.cur) == 0 {
+		if p.err != nil {
+			return nil, p.err
+		}
+		s, ok := <-p.queue
+		if !ok {
+			return nil, nil
+		}
+		<-s.done
+		p.cur, p.err = s.out, s.err
+	}
+	b := p.cur[0]
+	p.cur = p.cur[1:]
+	return b, nil
+}
+
+// finish stops the pool — unblocks the producer and waits for it and
+// every worker, so the caller may close the left input afterwards — and
+// settles with the context: the workers' busy time is recorded and the
+// worker gauge credited back.
+func (p *probePool) finish(ctx *Context) {
+	close(p.stop)
+	p.wg.Wait()
+	p.cur = nil
+	var busy int64
+	for _, ws := range p.stats {
+		busy += ws.Nanos
+	}
+	ctx.AddWorkerTime(busy)
+	ctx.AddWorkers(-len(p.stats))
 }
 
 // WorkerStats reports per-worker probe rows and busy time when the
-// join ran partitioned; valid after Close.
+// join probed in parallel; valid after Close.
 func (j *HashJoin) WorkerStats() []WorkerStat {
-	if j.fan == nil {
+	if j.pool == nil {
 		return nil
 	}
-	return j.fan.stats
+	return j.pool.stats
 }
+
+// sortParallelMin is the StableSortIndices crossover, in items: DESIGN
+// §12's table has the chunk sorts and merge at degree 2 ahead of one sort
+// from here on.
+const sortParallelMin = 128
 
 // StableSortIndices returns the permutation that sorts n items under
 // cmp (cmp(i,j) < 0 puts i first) with ties resolved by original index
-// — exactly the order sort.SliceStable produces. With workers > 1 the
-// index space is chunk-sorted in parallel and the sorted runs merged;
-// because the index tie-break makes the order total, the merged result
-// is deterministic and identical to the serial sort. cmp must be safe
-// for concurrent calls (compare precomputed keys, not live state).
+// — exactly the order sort.SliceStable produces. Granted workers > 1 and
+// n at least its crossover, the index space is chunk-sorted in parallel
+// and the sorted runs merged; because the index tie-break makes the
+// order total, the merged result is deterministic and identical to the
+// serial sort. cmp must be safe for concurrent calls (compare
+// precomputed keys, not live state).
 func StableSortIndices(n, workers int, cmp func(i, j int) int) []int {
 	idx := make([]int, n)
 	for i := range idx {
@@ -293,7 +243,8 @@ func StableSortIndices(n, workers int, cmp func(i, j int) int) []int {
 		}
 		return a < b
 	}
-	if workers <= 1 || n < 2*workers {
+	workers = degreeFor(workers, n, sortGate)
+	if workers <= 1 {
 		sort.Slice(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
 		return idx
 	}
@@ -302,10 +253,7 @@ func StableSortIndices(n, workers int, cmp func(i, j int) int) []int {
 	var bounds [][2]int
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		bounds = append(bounds, [2]int{lo, hi})
 		wg.Add(1)
 		go func(lo, hi int) {
@@ -334,73 +282,4 @@ func StableSortIndices(n, workers int, cmp func(i, j int) int) []int {
 		out = append(out, idx[bounds[best][0]+heads[best]])
 		heads[best]++
 	}
-}
-
-// matchParallel matches the candidate elements of one input binding of a
-// leaf Match across the worker pool: workers claim candidates by atomic
-// index, each with its own matcher appending to its own slab of
-// bindings, and the runs each candidate left in a slab are concatenated
-// onto out in candidate order — the exact order the serial loop
-// produces.
-func (m *Match) matchParallel(cands []*xmldm.Node, base Binding, out []Binding) ([]Binding, error) {
-	workers := m.Workers
-	if len(m.par) != workers {
-		m.par = make([]matcher, workers)
-	}
-	type run struct{ w, lo, hi int }
-	runs := make([]run, len(cands))
-	failed := make([]int, workers) // candidate at which each worker stopped on an error
-	errs := make([]error, workers)
-	ws := make([]WorkerStat, workers)
-	var next atomic.Int64
-	ctx := m.ctx
-	ctx.AddWorkers(workers)
-	var wg sync.WaitGroup
-	for w := range m.par {
-		wg.Add(1)
-		go func(w int, mt *matcher) {
-			defer wg.Done()
-			start := time.Now()
-			mt.begin(base, mt.out[:0])
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(cands) {
-					break
-				}
-				lo := len(mt.out)
-				if err := mt.elem(cands[i], m.Pattern); err != nil {
-					failed[w], errs[w] = i, err
-					break
-				}
-				runs[i] = run{w, lo, len(mt.out)}
-			}
-			mt.end(ctx)
-			ws[w] = WorkerStat{Worker: w, Rows: int64(len(mt.out)), Nanos: time.Since(start).Nanoseconds()}
-		}(w, &m.par[w])
-	}
-	wg.Wait()
-	var busy int64
-	for _, s := range ws {
-		busy += s.Nanos
-	}
-	ctx.AddWorkerTime(busy)
-	ctx.AddWorkers(-workers)
-	m.wstats = append(m.wstats, ws...)
-	// The first error in candidate order wins, matching serial
-	// evaluation (which stops there): every candidate before it was
-	// claimed before it and matched by a worker that had not stopped.
-	var first error
-	at := len(cands)
-	for w, err := range errs {
-		if err != nil && failed[w] < at {
-			first, at = err, failed[w]
-		}
-	}
-	if first != nil {
-		return out, first
-	}
-	for _, r := range runs {
-		out = append(out, m.par[r.w].out[r.lo:r.hi]...)
-	}
-	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +50,7 @@ func bindingsEqual(a, b []Binding) bool {
 // TestHashJoinWorkerStats: per-worker probe rows must sum to the output
 // and the context counters must record spawn and busy time.
 func TestHashJoinWorkerStats(t *testing.T) {
+	lowerGates(t, 0)
 	tuples := randTuples(100, 2)
 	ctx := &Context{}
 	var deltas []int
@@ -99,11 +101,12 @@ func (s *errAfterScan) Next() (Binding, error) {
 }
 func (s *errAfterScan) Close() error { s.open = false; return nil }
 
-// TestHashJoinEarlyClose: a Limit above a partitioned join closes it long
+// TestHashJoinEarlyClose: a Limit above a parallel join closes it long
 // before the left stream is drained; the pool must tear down without
 // deadlock, leave no goroutine behind and the worker gauge at zero, and
 // the rows that did come out are the serial join's first rows.
 func TestHashJoinEarlyClose(t *testing.T) {
+	lowerGates(t, 0)
 	left := randTuples(5000, 5)
 	right := randTuples(30, 6)
 	want := drainAll(t, &Context{}, &Limit{N: 3, Input: &HashJoin{
@@ -138,10 +141,12 @@ func TestHashJoinEarlyClose(t *testing.T) {
 	}
 }
 
-// TestHashJoinDegreesMatchSerial: the partitioned join is byte-identical
-// to the serial loop for explicit and inferred join variables.
+// TestHashJoinDegreesMatchSerial: the slab-probing join is byte-identical
+// to the serial loop for explicit and inferred join variables, over a
+// left side of several slabs and a partial last one.
 func TestHashJoinDegreesMatchSerial(t *testing.T) {
-	left := randTuples(120, 6)
+	lowerGates(t, 0)
+	left := randTuples(3*slabRows+17, 6)
 	right := make([]Binding, 0, 40)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
@@ -165,6 +170,7 @@ func TestHashJoinDegreesMatchSerial(t *testing.T) {
 }
 
 func TestHashJoinDegreesEmptySides(t *testing.T) {
+	lowerGates(t, 0)
 	tuples := randTuples(10, 8)
 	for _, tc := range []struct {
 		name        string
@@ -189,12 +195,13 @@ func TestHashJoinDegreesEmptySides(t *testing.T) {
 	}
 }
 
-// TestParallelCloseIdempotent: closing a partitioned join twice (a
+// TestParallelCloseIdempotent: closing a parallel join twice (a
 // defensive caller, or an error path that already tore the tree down)
-// must not panic, must not stop the fanout twice, and must credit the
+// must not panic, must not stop the pool twice, and must credit the
 // worker gauge once — the cancel-path invariant the storm tests assert
 // end to end.
 func TestParallelCloseIdempotent(t *testing.T) {
+	lowerGates(t, 0)
 	tuples := randTuples(50, 11)
 
 	var deltas []int
@@ -230,6 +237,7 @@ func TestParallelCloseIdempotent(t *testing.T) {
 // TestStableSortIndicesMatchesSliceStable: the parallel permutation sort
 // equals sort.SliceStable for data with heavy key duplication.
 func TestStableSortIndicesMatchesSliceStable(t *testing.T) {
+	lowerGates(t, 0)
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{0, 1, 5, 64, 500} {
 		keys := make([]int, n)
@@ -257,28 +265,9 @@ func TestStableSortIndicesMatchesSliceStable(t *testing.T) {
 	}
 }
 
-// TestParallelMatchMatchesSerial: a leaf Match with Workers set emits
-// the same bindings, in the same order, as the serial candidate loop.
-func TestParallelMatchMatchesSerial(t *testing.T) {
-	doc := mustDoc(t, bibXML)
-	pat := patOf(t, `WHERE <book><title>$t</title><author>$a</author></book> IN "b" CONSTRUCT <r/>`)
-	roots := func(*Context) ([]xmldm.Value, error) { return []xmldm.Value{doc}, nil }
-	want := drainAll(t, &Context{}, &Match{Input: &Singleton{}, Pattern: pat, Roots: roots})
-	for _, workers := range []int{2, 4} {
-		m := &Match{Input: &Singleton{}, Pattern: pat, Roots: roots, Workers: workers}
-		got := drainAll(t, &Context{}, m)
-		if !bindingsEqual(got, want) {
-			t.Errorf("workers=%d: %d rows vs serial %d (or order differs)", workers, len(got), len(want))
-		}
-		if len(m.WorkerStats()) != workers {
-			t.Errorf("workers=%d: stats = %+v", workers, m.WorkerStats())
-		}
-	}
-}
-
-// FuzzPartition: the hash partitioner must place every tuple in exactly
-// one partition (0 <= p < n) and co-locate equal join keys — the
-// invariant the partitioned HashJoin's correctness rests on.
+// FuzzPartition: the join key hash must give equal keys the same hash
+// and depend on the key variables only — the invariant HashJoin's
+// buckets rest on.
 func FuzzPartition(f *testing.F) {
 	f.Add("", "", 2)
 	f.Add("héllo wörld 💾", "héllo wörld 💾", 4)
@@ -288,24 +277,98 @@ func FuzzPartition(f *testing.F) {
 	f.Add("a", "b", 1)
 	f.Add("key0", "key0", 3)
 	f.Fuzz(func(t *testing.T, k1, k2 string, n int) {
-		if n < 1 || n > 64 {
-			return
+		vars := []string{"k"}
+		if n%2 == 0 {
+			vars = append(vars, "y") // a variable neither tuple binds
 		}
-		b1 := xmldm.NewTuple().With("k", xmldm.String(k1)).With("x", xmldm.Int(1))
+		b1 := xmldm.NewTuple().With("k", xmldm.String(k1)).With("x", xmldm.Int(int64(n)))
 		b2 := xmldm.NewTuple().With("k", xmldm.String(k2)).With("x", xmldm.Int(2))
-		p1 := PartitionOf(PartitionKey(b1, []string{"k"}), n)
-		p2 := PartitionOf(PartitionKey(b2, []string{"k"}), n)
-		if p1 < 0 || p1 >= n || p2 < 0 || p2 >= n {
-			t.Fatalf("partition out of range: %d, %d (n=%d)", p1, p2, n)
+		h1, h2 := PartitionKey(b1, vars), PartitionKey(b2, vars)
+		if k1 == k2 && h1 != h2 {
+			t.Fatalf("equal keys %q hash apart: %x and %x", k1, h1, h2)
 		}
-		if k1 == k2 && p1 != p2 {
-			t.Fatalf("equal keys %q split across partitions %d and %d", k1, p1, p2)
-		}
-		// The non-key payload must not influence routing: a tuple's
-		// partition is a function of the partition variables only.
-		b1b := xmldm.NewTuple().With("k", xmldm.String(k1)).With("x", xmldm.Int(99))
-		if p := PartitionOf(PartitionKey(b1b, []string{"k"}), n); p != p1 {
-			t.Fatalf("payload changed partition: %d vs %d", p, p1)
+		// The non-key payload must not influence the hash: a tuple's
+		// key hash is a function of the key variables only.
+		b1b := xmldm.NewTuple().With("x", xmldm.Int(99)).With("k", xmldm.String(k1))
+		if h := PartitionKey(b1b, vars); h != h1 {
+			t.Fatalf("payload changed the key hash: %x vs %x", h, h1)
 		}
 	})
+}
+
+// TestHashJoinGateBoundary: granted degree 2, a join whose build side is
+// one row short of joinParallelMin starts no worker and EXPLAIN shows the
+// gate that held; at joinParallelMin two workers start and no gate is
+// shown. Both emit the serial join's rows.
+func TestHashJoinGateBoundary(t *testing.T) {
+	if joinGate != joinParallelMin {
+		t.Fatalf("joinGate = %d, want the committed %d", joinGate, joinParallelMin)
+	}
+	// Each left row matches at most one right row; three slabs of them.
+	rng := rand.New(rand.NewSource(12))
+	left := make([]Binding, 2*slabRows+5)
+	for i := range left {
+		left[i] = xmldm.NewTuple().With("k", xmldm.String(fmt.Sprintf("k%d", rng.Intn(2*joinParallelMin)))).With("l", xmldm.Int(int64(i)))
+	}
+	for _, n := range []int{joinParallelMin - 1, joinParallelMin} {
+		right := make([]Binding, n)
+		for i := range right {
+			right[i] = xmldm.NewTuple().With("k", xmldm.String(fmt.Sprintf("k%d", i))).With("r", xmldm.Int(int64(i)))
+		}
+		join := func(workers int) *HashJoin {
+			return &HashJoin{Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right}, On: []string{"k"}, Workers: workers}
+		}
+		want := drainAll(t, &Context{}, join(1))
+		ctx := &Context{}
+		var deltas []int
+		ctx.OnWorkers = func(d int) { deltas = append(deltas, d) }
+		op, node := Instrument(join(2), nil)
+		if got := drainAll(t, ctx, op); len(want) < slabRows || !bindingsEqual(got, want) {
+			t.Fatalf("n=%d: %d rows, the serial join %d (or order differs)", n, len(got), len(want))
+		}
+		spawned := ctx.Snapshot().WorkersSpawned
+		if n < joinParallelMin {
+			if len(deltas) != 0 || spawned != 0 || len(node.Workers) != 0 {
+				t.Errorf("n=%d: workers started under the gate: deltas %v, spawned %d, stats %v", n, deltas, spawned, node.Workers)
+			}
+			if held := fmt.Sprintf("workers=2 serial n=%d<%d", n, joinParallelMin); !strings.Contains(node.Detail, held) {
+				t.Errorf("n=%d: detail %q, want it to show %s", n, node.Detail, held)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(deltas, []int{2, -2}) || spawned != 2 || len(node.Workers) != 2 {
+			t.Errorf("n=%d: at the gate deltas %v, spawned %d, stats %v; want two workers", n, deltas, spawned, node.Workers)
+		}
+		if !strings.Contains(node.Detail, "workers=2") || strings.Contains(node.Detail, "serial") {
+			t.Errorf("n=%d: detail %q, want workers=2 and no held gate", n, node.Detail)
+		}
+	}
+}
+
+// TestStableSortGateBoundary: on either side of sortParallelMin, and at
+// every degree, the permutation is sort.SliceStable's.
+func TestStableSortGateBoundary(t *testing.T) {
+	if sortGate != sortParallelMin {
+		t.Fatalf("sortGate = %d, want the committed %d", sortGate, sortParallelMin)
+	}
+	if degreeFor(2, sortParallelMin-1, sortGate) != 1 || degreeFor(2, sortParallelMin, sortGate) != 2 {
+		t.Fatalf("the sort's degree does not change at its gate %d", sortParallelMin)
+	}
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{sortParallelMin - 1, sortParallelMin, sortParallelMin + 1} {
+		keys := make([]xmldm.Value, n)
+		for i := range keys {
+			keys[i] = xmldm.String(fmt.Sprint(rng.Intn(n / 4)))
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return xmldm.Compare(keys[want[a]], keys[want[b]]) < 0 })
+		for _, workers := range []int{1, 2, 8} {
+			if got := StableSortIndices(n, workers, func(i, j int) int { return xmldm.Compare(keys[i], keys[j]) }); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d workers=%d: permutation differs from sort.SliceStable", n, workers)
+			}
+		}
+	}
 }

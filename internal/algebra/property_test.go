@@ -320,6 +320,7 @@ func (s *keyedScan) Open(ctx *Context) error {
 // makes the join fall back; every third seed the cap sits one under the
 // distinct keys.
 func TestHashJoinKeyPairsAreTheSameRelation_Property(t *testing.T) {
+	lowerGates(t, 0)
 	pred := &xmlql.BinExpr{Op: "=", L: &xmlql.VarExpr{Name: "a"}, R: &xmlql.VarExpr{Name: "b"}}
 	pairs := []KeyPair{{Left: "a", Right: "b"}}
 	matched := 0
@@ -459,6 +460,7 @@ func TestBindKeyTextFindsEveryPartner(t *testing.T) {
 // surfaces on the first Next, and a left input that fails after k rows
 // delivers every match of those k rows first — the serial position.
 func TestHashJoinErrorPositions(t *testing.T) {
+	lowerGates(t, 0)
 	boom := errors.New("input boom")
 	tuples := randTuples(60, 12)
 	want := drainAll(t, &Context{}, &HashJoin{

@@ -42,8 +42,8 @@ type ExplainNode struct {
 	// PeakBuffered is the largest number of tuples the operator held
 	// materialized at once (hash tables, sort buffers, pending queues).
 	PeakBuffered int `json:"peak_buffered,omitempty"`
-	// Workers holds per-worker rows/busy-time for parallel operators
-	// (partitioned HashJoin, parallel Match), captured at Close.
+	// Workers holds per-worker rows/busy-time for a HashJoin that probed
+	// in parallel, captured at Close.
 	Workers []WorkerStat `json:"workers,omitempty"`
 	// Children mirror the operator tree.
 	Children []*ExplainNode `json:"children,omitempty"`
@@ -158,8 +158,8 @@ type Instrumented struct {
 	buf buffered // Inner's buffering view, nil when it has none
 	// label is the planner's access-path label; it is kept only for an
 	// operator whose detail running settles (a bind join's key count, the
-	// request its right leaf sent, whether a leaf Match read its index),
-	// which Close describes again.
+	// request its right leaf sent, whether a leaf Match read its index,
+	// whether a granted degree was used), which Close describes again.
 	label   string
 	settles bool
 }
@@ -188,23 +188,16 @@ func (i *Instrumented) Next() (Binding, error) {
 // Close implements Operator.
 func (i *Instrumented) Close() error {
 	i.poll()
-	// Worker stats must be read before Close tears the pool state down
-	// for operators that reset on Close, but after the pool has stopped;
-	// parallel operators keep the slice valid through Close, and Match
-	// keeps it until the next Open — so capture both before and after.
-	if ws, ok := i.Inner.(workerStater); ok {
-		if s := ws.WorkerStats(); len(s) > 0 {
-			i.Node.Workers = s
-		}
-	}
 	start := time.Now()
 	err := i.Inner.Close()
 	i.Node.CloseNanos += time.Since(start).Nanoseconds()
 	if i.settles {
 		i.Node.Detail = describe(i.Inner, i.label)
 	}
-	if ws, ok := i.Inner.(workerStater); ok {
-		if s := ws.WorkerStats(); len(s) > 0 {
+	// A join's worker stats are complete once Close has stopped its pool,
+	// and stay readable after it.
+	if j, ok := i.Inner.(*HashJoin); ok {
+		if s := j.WorkerStats(); len(s) > 0 {
 			i.Node.Workers = s
 		}
 	}
@@ -263,7 +256,7 @@ func Instrument(op Operator, labels map[Operator]string) (Operator, *ExplainNode
 	w.buf, _ = op.(buffered)
 	switch x := op.(type) {
 	case *HashJoin:
-		w.settles = x.Bind != nil
+		w.settles = x.Bind != nil || x.Workers > 1
 	case *FuncScan:
 		w.settles = x.Detail != nil
 	case *Match:
@@ -303,6 +296,10 @@ func describe(op Operator, label string) string {
 	case *HashJoin:
 		if x.Workers > 1 {
 			parts = append(parts, fmt.Sprintf("workers=%d", x.Workers))
+			if x.started && x.pool == nil {
+				// The degree went unused: the build side held is under the gate.
+				parts = append(parts, fmt.Sprintf("serial n=%d<%d", x.built, joinGate))
+			}
 		}
 		if keys := x.KeyString(); keys != "" {
 			parts = append(parts, "on "+keys)

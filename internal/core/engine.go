@@ -138,9 +138,9 @@ func (e *Engine) SetPlannerOptions(o opt.Options) {
 }
 
 // SetParallelism sets the intra-query degree of parallelism a query
-// *requests*: n > 1 asks for hash joins, source-scan pattern matches and
-// the final ORDER-BY sort to run on up to n worker goroutines (the
-// per-tuple stages between them stay serial; DESIGN §12); 1 forces
+// *requests*: n > 1 asks for hash joins and the final ORDER-BY sort to
+// run on up to n worker goroutines once their input reaches its measured
+// crossover (everything else stays serial; DESIGN §12); 1 forces
 // serial plans; 0 — the default — requests the scheduler's whole worker
 // budget (GOMAXPROCS unless configured otherwise). The degree actually
 // used is
@@ -242,9 +242,9 @@ type Stats struct {
 	// time and tree sizes across the query (including subqueries).
 	DrainNanos   int64
 	OperatorsRun int64
-	// ParallelWorkers / WorkerNanos count the workers that partitioned
-	// joins and source-scan pattern matches spawned during the query and
-	// their cumulative busy wall time (0 / 0 for serial plans).
+	// ParallelWorkers / WorkerNanos count the workers that joins past
+	// their gate spawned during the query and their cumulative busy wall
+	// time (0 / 0 when every join ran serially).
 	ParallelWorkers int64
 	WorkerNanos     int64
 	Explain         []string

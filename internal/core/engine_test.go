@@ -20,6 +20,17 @@ import (
 // tables (the paper's scattered-customer scenario).
 func newTestEngine(t testing.TB) (*Engine, *sources.RelationalSource) {
 	t.Helper()
+	return newTestEngineOver(t, `<tickets>
+		<ticket pri="high"><cust>1</cust><subject>Engine overheats</subject></ticket>
+		<ticket pri="low"><cust>2</cust><subject>Manual unclear</subject></ticket>
+		<ticket pri="high"><cust>3</cust><subject>Crash on start</subject></ticket>
+	</tickets>`)
+}
+
+// newTestEngineOver is newTestEngine's deployment with the given tickets
+// document.
+func newTestEngineOver(t testing.TB, ticketsXML string) (*Engine, *sources.RelationalSource) {
+	t.Helper()
 	crm := rdb.NewDatabase("crm")
 	crm.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
 	crm.MustExec(`INSERT INTO customers VALUES
@@ -41,11 +52,7 @@ func newTestEngine(t testing.TB) (*Engine, *sources.RelationalSource) {
 	if err := cat.AddSource(sources.NewRelationalSource("salesdb", sales)); err != nil {
 		t.Fatal(err)
 	}
-	tickets, err := sources.NewXMLSource("tickets", `<tickets>
-		<ticket pri="high"><cust>1</cust><subject>Engine overheats</subject></ticket>
-		<ticket pri="low"><cust>2</cust><subject>Manual unclear</subject></ticket>
-		<ticket pri="high"><cust>3</cust><subject>Crash on start</subject></ticket>
-	</tickets>`)
+	tickets, err := sources.NewXMLSource("tickets", ticketsXML)
 	if err != nil {
 		t.Fatal(err)
 	}

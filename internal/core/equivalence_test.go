@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
+	"repro/internal/obs"
 	"repro/internal/rdb"
 	"repro/internal/sched"
 	"repro/internal/sources"
@@ -199,7 +202,7 @@ func TestParallelEquivalence_Differential(t *testing.T) {
 // parallel operators are live.
 var parallelWorkload = []string{
 	// Two-source join with a residual cross-source predicate: a Select
-	// the mediator keeps above the partitioned join.
+	// the mediator keeps above the join.
 	`WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
 	       <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets",
 	       $w != $s
@@ -233,30 +236,114 @@ var parallelWorkload = []string{
 	 </case> ORDER-BY $w`,
 }
 
-// TestParallelEquivalence_Workload runs parallelWorkload through every
-// parallel degree.
-func TestParallelEquivalence_Workload(t *testing.T) {
-	e, _ := newTestEngine(t)
-	for qi, q := range parallelWorkload {
-		oracle, ores := runAt(t, e, q, 1)
-		if len(ores.Values) == 0 {
-			t.Fatalf("workload %d: oracle produced no rows (weak test)", qi)
+// wideTickets is the size of the wide deployments: algebra's join
+// crossover (joinParallelMin), so a join that builds the tickets or the
+// customers uses a granted degree, and an answer row per ticket takes the
+// final sort past its own crossover too.
+const wideTickets = 2048
+
+// newWideTestEngine is newTestEngine's deployment with wideTickets
+// customers and one ticket each: a join of the two builds past the join's
+// gate and probes more than one slab.
+func newWideTestEngine(t testing.TB) *Engine {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString("<tickets>")
+	for k := 1; k <= wideTickets; k++ {
+		fmt.Fprintf(&sb, `<ticket pri="%s"><cust>%d</cust><subject>S%d</subject></ticket>`, []string{"high", "low"}[k%2], k, k%97)
+	}
+	sb.WriteString("</tickets>")
+	e, crm := newTestEngineOver(t, sb.String())
+	for i := 4; i <= wideTickets; i++ {
+		if err := crm.DB().Insert("customers", rdb.Row{xmldm.Int(int64(i)), xmldm.String(fmt.Sprintf("C%d", i)), xmldm.String(fmt.Sprintf("City%d", i%7))}); err != nil {
+			t.Fatal(err)
 		}
-		for _, par := range parallelDegrees[1:] {
-			got, res := runAt(t, e, q, par)
-			if got != oracle {
-				t.Fatalf("workload %d parallelism %d: output differs from serial\ngot:  %s\nwant: %s",
-					qi, par, got, oracle)
+	}
+	return e
+}
+
+// wideWorkload runs over newWideTestEngine; in every query a join builds
+// past its gate.
+var wideWorkload = []string{
+	parallelWorkload[0], // residual Select above the join
+	parallelWorkload[3], // three-way join with ORDER-BY
+	parallelWorkload[4], // a correlated subquery per probe row, evaluated while the join's pool runs
+	parallelWorkload[5], // a correlated subquery in CONSTRUCT above the join
+}
+
+// heldGates watches the worker gauge and the goroutine count across runs
+// that must hold every gate.
+type heldGates struct {
+	gauge      *obs.Gauge
+	before     float64
+	goroutines int
+}
+
+// watchGates points e's metrics at a fresh registry and notes the worker
+// gauge and the goroutine count before the runs.
+func watchGates(e *Engine) *heldGates {
+	reg := obs.NewRegistry()
+	e.SetMetrics(reg)
+	g := reg.Gauge("nimble_parallel_workers")
+	return &heldGates{gauge: g, before: g.Value(), goroutines: runtime.NumGoroutine()}
+}
+
+// check fails unless res ran serially — no worker spawned — and the
+// gauge and the goroutine count are back where they started.
+func (h *heldGates) check(t *testing.T, name string, res *Result) {
+	t.Helper()
+	if res.Stats.ParallelWorkers != 0 {
+		t.Fatalf("%s: %d workers spawned under the gates", name, res.Stats.ParallelWorkers)
+	}
+	if d := h.gauge.Value() - h.before; d != 0 {
+		t.Fatalf("%s: nimble_parallel_workers moved by %v", name, d)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > h.goroutines && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > h.goroutines {
+		t.Fatalf("%s: %d goroutines after the query, %d before", name, n, h.goroutines)
+	}
+}
+
+// TestParallelEquivalence_Workload runs parallelWorkload through every
+// parallel degree, where each operator holds its gate, and wideWorkload,
+// where each query fans out.
+func TestParallelEquivalence_Workload(t *testing.T) {
+	small, _ := newTestEngine(t)
+	wide := newWideTestEngine(t)
+	for _, fam := range []struct {
+		name    string
+		e       *Engine
+		queries []string
+		fansOut bool
+	}{{"workload", small, parallelWorkload, false}, {"wide workload", wide, wideWorkload, true}} {
+		for qi, q := range fam.queries {
+			oracle, ores := runAt(t, fam.e, q, 1)
+			if len(ores.Values) == 0 {
+				t.Fatalf("%s %d: oracle produced no rows (weak test)", fam.name, qi)
 			}
-			if res.Completeness.Complete != ores.Completeness.Complete {
-				t.Fatalf("workload %d parallelism %d: completeness differs", qi, par)
-			}
-			if res.Stats.TuplesEmitted != ores.Stats.TuplesEmitted {
-				t.Fatalf("workload %d parallelism %d: tuples %d vs serial %d",
-					qi, par, res.Stats.TuplesEmitted, ores.Stats.TuplesEmitted)
-			}
-			if par > 1 && res.Stats.ParallelWorkers == 0 {
-				t.Fatalf("workload %d parallelism %d: no parallel workers spawned (plan not parallelized?)", qi, par)
+			held := watchGates(fam.e)
+			for _, par := range parallelDegrees[1:] {
+				got, res := runAt(t, fam.e, q, par)
+				if got != oracle {
+					t.Fatalf("%s %d parallelism %d: output differs from serial\ngot:  %s\nwant: %s",
+						fam.name, qi, par, got, oracle)
+				}
+				if res.Completeness.Complete != ores.Completeness.Complete {
+					t.Fatalf("%s %d parallelism %d: completeness differs", fam.name, qi, par)
+				}
+				if res.Stats.TuplesEmitted != ores.Stats.TuplesEmitted {
+					t.Fatalf("%s %d parallelism %d: tuples %d vs serial %d",
+						fam.name, qi, par, res.Stats.TuplesEmitted, ores.Stats.TuplesEmitted)
+				}
+				switch {
+				case fam.fansOut && res.Stats.ParallelWorkers == 0:
+					t.Fatalf("%s %d parallelism %d: no parallel workers spawned (plan not parallelized?)", fam.name, qi, par)
+				case !fam.fansOut && par == 8:
+					held.check(t, fmt.Sprintf("%s %d parallelism %d", fam.name, qi, par), res)
+				}
 			}
 		}
 	}
@@ -264,9 +351,9 @@ func TestParallelEquivalence_Workload(t *testing.T) {
 
 // explainShape renders what of an EXPLAIN tree the granted degree may not
 // change: operator names, nesting, details and rows in and out. The
-// degree itself (workers=N in a join's detail; the per-worker rows live
-// outside Detail), wall times and the unfolder's process-global variable
-// counter are left out.
+// degree itself (workers=N and a held gate's serial n=… in a detail; the
+// per-worker rows live outside Detail), wall times and the unfolder's
+// process-global variable counter are left out.
 func explainShape(n *algebra.ExplainNode) string {
 	var b strings.Builder
 	var walk func(n *algebra.ExplainNode, depth int)
@@ -281,13 +368,14 @@ func explainShape(n *algebra.ExplainNode) string {
 	return b.String()
 }
 
-var workersDetailRE = regexp.MustCompile(`workers=[0-9]+ ?`)
+var workersDetailRE = regexp.MustCompile(`(workers=[0-9]+|serial n=[0-9]+<[0-9]+) ?`)
 
 // TestExplainSameTreeAtEveryDegree: over the differential corpus — the
-// randomized deployments, the fixed workload and both view-join families
-// — the EXPLAIN tree at granted degree 2 and 8 is the degree-1 tree:
-// same operators, same nesting, same rows in and out of every node. Only
-// workers= and rows/worker= say what degree ran.
+// randomized deployments, the fixed workload and the view-join families,
+// small and wide — the EXPLAIN tree at granted degree 2 and 8 is the
+// degree-1 tree: same operators, same nesting, same rows in and out of
+// every node. Only workers=, a held gate and rows/worker= say what degree
+// ran.
 func TestExplainSameTreeAtEveryDegree(t *testing.T) {
 	check := func(name string, e *Engine, q string) {
 		t.Helper()
@@ -310,9 +398,9 @@ func TestExplainSameTreeAtEveryDegree(t *testing.T) {
 	for qi, q := range parallelWorkload {
 		check(fmt.Sprintf("workload %d", qi), e, q)
 	}
-	for _, fam := range viewJoinFamilies {
-		for seed := int64(0); seed < 4; seed++ {
-			e, _ := viewJoinDeployment(t, rand.New(rand.NewSource(seed)), fam.indexed)
+	for _, fam := range allViewJoinFamilies() {
+		for seed := int64(0); seed < fam.seeds(4); seed++ {
+			e, _ := fam.deploy(t, seed)
 			for _, orderBy := range viewJoinQueries {
 				check(fmt.Sprintf("%s seed %d%s", fam.name, seed, orderBy), e, viewJoinQuery(orderBy, fam.indexed))
 			}
@@ -430,7 +518,9 @@ func TestSchedulerGrantEquivalence_MixedClasses(t *testing.T) {
 // up '7', " 5 " looking up '5' — and on half the seeds a ticket with an
 // empty cust, which equals the empty text a NULL code exports as and so
 // cannot be shipped, makes the join fall back to the whole table.
-func viewJoinDeployment(t *testing.T, rng *rand.Rand, indexed bool) (*Engine, *catalog.Catalog) {
+//
+// tickets > 0 sets the ticket count; 0 draws 8–19.
+func viewJoinDeployment(t *testing.T, rng *rand.Rand, indexed bool, tickets int) (*Engine, *catalog.Catalog) {
 	t.Helper()
 	db := rdb.NewDatabase("crm")
 	db.MustExec(`CREATE TABLE customers (pk INT PRIMARY KEY, code VARCHAR, name VARCHAR)`)
@@ -452,17 +542,21 @@ func viewJoinDeployment(t *testing.T, rng *rand.Rand, indexed bool) (*Engine, *c
 		custs[3] = "3"
 	}
 	owners := []string{"s1", "s2", "s3", "s9"}
-	tickets := "<tickets>"
-	for k, n := 0, 8+rng.Intn(12); k < n; k++ {
+	n = 8 + rng.Intn(12)
+	if tickets > 0 {
+		n = tickets
+	}
+	ticketsDoc := "<tickets>"
+	for k := 0; k < n; k++ {
 		cust := custs[k%len(custs)]
 		if k >= 4 {
 			cust = custs[rng.Intn(len(custs))]
 		}
-		tickets += fmt.Sprintf(`<ticket pri="%s"><cust>%s</cust><subject>S%d</subject><owner>%s</owner></ticket>`,
+		ticketsDoc += fmt.Sprintf(`<ticket pri="%s"><cust>%s</cust><subject>S%d</subject><owner>%s</owner></ticket>`,
 			[]string{"high", "low"}[rng.Intn(2)], cust, rng.Intn(5), owners[rng.Intn(len(owners))])
 	}
-	tickets += `<ticket pri="low"><subject>no customer</subject><owner>s1</owner></ticket></tickets>`
-	ticketSrc, err := sources.NewXMLSource("tickets", tickets)
+	ticketsDoc += `<ticket pri="low"><subject>no customer</subject><owner>s1</owner></ticket></tickets>`
+	ticketSrc, err := sources.NewXMLSource("tickets", ticketsDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,13 +715,37 @@ func viewJoinMaterialized(t *testing.T, e *Engine, cat *catalog.Catalog, q strin
 // bindOutcomeRE finds what a bind join did in a rendered EXPLAIN tree.
 var bindOutcomeRE = regexp.MustCompile(`bind=(fallback|[0-9]+/[0-9]+)`)
 
-// viewJoinFamilies are the two deployments the view-join tests run over:
-// the relational side fetched whole, and the indexed relational inner
-// side a bind join asks by key.
-var viewJoinFamilies = []struct {
+// viewJoinFamily is a deployment the view-join tests run over.
+type viewJoinFamily struct {
 	name    string
-	indexed bool
-}{{"fetched whole", false}, {"indexed inner", true}}
+	indexed bool // the indexed relational inner side a bind join asks by key
+	tickets int  // 0: the small family's 8–19
+}
+
+// viewJoinFamilies are the small deployments: the relational side fetched
+// whole, and the indexed inner side. Every operator holds its gate.
+var viewJoinFamilies = []viewJoinFamily{{"fetched whole", false, 0}, {"indexed inner", true, 0}}
+
+// wideViewJoinFamilies are the fetched-whole family with wideTickets
+// tickets: the join that builds them fans out. (The indexed family puts
+// the tickets on the left, and its bound right side stays small.)
+var wideViewJoinFamilies = []viewJoinFamily{{"wide fetched whole", false, wideTickets}}
+
+func allViewJoinFamilies() []viewJoinFamily {
+	return append(append([]viewJoinFamily(nil), viewJoinFamilies...), wideViewJoinFamilies...)
+}
+
+func (f viewJoinFamily) deploy(t *testing.T, seed int64) (*Engine, *catalog.Catalog) {
+	return viewJoinDeployment(t, rand.New(rand.NewSource(seed)), f.indexed, f.tickets)
+}
+
+// seeds caps a test's seed count at one for a wide family.
+func (f viewJoinFamily) seeds(n int64) int64 {
+	if f.tickets > 0 {
+		return 1
+	}
+	return n
+}
 
 // TestUnfoldingEquivalence_ViewJoin: the unfolded plan (two keyed hash
 // joins) answers exactly as the nested-loop reference and as the
@@ -642,7 +760,7 @@ func TestUnfoldingEquivalence_ViewJoin(t *testing.T) {
 	for _, fam := range viewJoinFamilies {
 		bound, fellBack := 0, 0
 		for seed := int64(0); seed < 20; seed++ {
-			e, cat := viewJoinDeployment(t, rand.New(rand.NewSource(seed)), fam.indexed)
+			e, cat := fam.deploy(t, seed)
 			for _, orderBy := range viewJoinQueries {
 				q := viewJoinQuery(orderBy, fam.indexed)
 				res, err := e.Query(context.Background(), q)
@@ -682,14 +800,16 @@ func TestUnfoldingEquivalence_ViewJoin(t *testing.T) {
 }
 
 // TestParallelEquivalence_ViewJoin: the keyed joins at degrees 2 and 8
-// are byte-identical to degree 1, completeness included — bind joins too.
+// are byte-identical to degree 1, completeness included — bind joins too;
+// the small families hold every gate, the wide ones fan out.
 func TestParallelEquivalence_ViewJoin(t *testing.T) {
-	for _, fam := range viewJoinFamilies {
-		for seed := int64(0); seed < 10; seed++ {
-			e, _ := viewJoinDeployment(t, rand.New(rand.NewSource(seed)), fam.indexed)
+	for _, fam := range allViewJoinFamilies() {
+		for seed := int64(0); seed < fam.seeds(10); seed++ {
+			e, _ := fam.deploy(t, seed)
 			for _, orderBy := range viewJoinQueries {
 				q := viewJoinQuery(orderBy, fam.indexed)
 				oracle, ores := runAt(t, e, q, 1)
+				held := watchGates(e)
 				for _, par := range parallelDegrees[1:] {
 					got, res := runAt(t, e, q, par)
 					if got != oracle {
@@ -699,8 +819,11 @@ func TestParallelEquivalence_ViewJoin(t *testing.T) {
 						t.Fatalf("%s seed %d%s parallelism %d: complete=%v tuples=%d vs serial complete=%v tuples=%d", fam.name, seed, orderBy, par,
 							res.Completeness.Complete, res.Stats.TuplesEmitted, ores.Completeness.Complete, ores.Stats.TuplesEmitted)
 					}
-					if res.Stats.ParallelWorkers == 0 {
+					switch {
+					case fam.tickets > 0 && res.Stats.ParallelWorkers == 0:
 						t.Fatalf("%s seed %d%s parallelism %d: no parallel workers spawned", fam.name, seed, orderBy, par)
+					case fam.tickets == 0 && par == 8:
+						held.check(t, fmt.Sprintf("%s seed %d%s parallelism %d", fam.name, seed, orderBy, par), res)
 					}
 				}
 			}
@@ -710,12 +833,13 @@ func TestParallelEquivalence_ViewJoin(t *testing.T) {
 
 // TestSchedulerGrantEquivalence_ViewJoin: whatever degree the scheduler
 // grants the keyed joins, the answer is the serial one and the budget
-// drains.
+// drains; in the wide families a granted degree fans out.
 func TestSchedulerGrantEquivalence_ViewJoin(t *testing.T) {
-	for _, fam := range viewJoinFamilies {
+	for _, fam := range allViewJoinFamilies() {
+		fanned := 0
 		for _, budget := range []int{1, 2, 8} {
-			for seed := int64(0); seed < 4; seed++ {
-				e, _ := viewJoinDeployment(t, rand.New(rand.NewSource(seed)), fam.indexed)
+			for seed := int64(0); seed < fam.seeds(4); seed++ {
+				e, _ := fam.deploy(t, seed)
 				q := viewJoinQuery(viewJoinQueries[seed%int64(len(viewJoinQueries))], fam.indexed)
 				oracle, ores := runAt(t, e, q, 1)
 				schd := sched.New(sched.Config{Budget: budget})
@@ -728,8 +852,17 @@ func TestSchedulerGrantEquivalence_ViewJoin(t *testing.T) {
 					if snap := schd.Snap(); snap.Granted != 0 || snap.Queries != 0 || snap.Waiting != 0 || snap.Free != snap.Budget {
 						t.Fatalf("%s budget %d seed %d desired %d: scheduler not idle after query: %+v", fam.name, budget, seed, desired, snap)
 					}
+					if granted := strings.Contains(res.Explain.Render(), "workers="); granted && fam.tickets > 0 {
+						if res.Stats.ParallelWorkers == 0 {
+							t.Fatalf("%s budget %d seed %d desired %d: granted a degree, no worker spawned", fam.name, budget, seed, desired)
+						}
+						fanned++
+					}
 				}
 			}
+		}
+		if fam.tickets > 0 && fanned == 0 {
+			t.Fatalf("%s: no run was granted a degree", fam.name)
 		}
 	}
 }

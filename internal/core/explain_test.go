@@ -17,9 +17,10 @@ import (
 var (
 	timeRE = regexp.MustCompile(`time=[0-9.]+ms`)
 	unfRE  = regexp.MustCompile(`_u[0-9]+_`)
-	// Leaf Match workers claim candidate elements atomically, so their
-	// per-worker row split is scheduling-dependent even though the output
-	// is deterministic; golden comparisons scrub the split.
+	// Leaf Match workers claim candidate elements atomically and join
+	// workers claim slabs, so the per-worker row split is
+	// scheduling-dependent even though the output is deterministic;
+	// golden comparisons scrub the split.
 	rowsPerWorkerRE = regexp.MustCompile(`rows/worker=\[[^\]]*\]`)
 )
 
@@ -107,38 +108,38 @@ Query [rewrites=1] out=3 in=3 time=?ms
 	}
 }
 
-// TestExplainParallelPlanShape: at parallelism 2 the join predicate the
-// unfolder left behind is the partitioned join's key, a residual
-// predicate that is not an equality of two variables stays the serial
-// Select above it, the answer (and its EXPLAIN row counts) matches the
-// serial plan exactly, and the parallel operators report per-worker
-// stats.
+// TestExplainParallelPlanShape: at parallelism 2, over the wide
+// deployment, the join predicate the unfolder left behind is the parallel
+// join's key, a residual predicate that is not an equality of two
+// variables stays the serial Select above it, the answer (and its
+// EXPLAIN row counts) matches the serial plan exactly, and the join,
+// its build side past the gate, reports per-worker stats.
 func TestExplainParallelPlanShape(t *testing.T) {
 	const ql = `
 	WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
 	      <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets",
 	      $w != $s
 	CONSTRUCT <r><who>$w</who><subject>$s</subject></r>`
-	e, _ := newTestEngine(t)
+	e := newWideTestEngine(t)
 	e.SetParallelism(2)
 
 	res, err := e.Query(context.Background(), ql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Values) != 3 {
-		t.Fatalf("values = %d, want 3", len(res.Values))
+	if len(res.Values) != wideTickets {
+		t.Fatalf("values = %d, want %d", len(res.Values), wideTickets)
 	}
 	got := scrubWorkerRows(scrubTimes(res.Explain.Render()))
 	want := strings.TrimPrefix(`
-Query [rewrites=1] out=3 in=3 time=?ms
-├─ Select [($_uN_n != $s)] out=3 in=3 time=?ms
-│  └─ HashJoin [workers=2 on $_uN_i=$i] out=3 in=6 time=?ms peak=3 workers=2 rows/worker=[?]
-│     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
-│     └─ Match [fetch tickets <ticket> index ticket] out=3 in=1 time=?ms peak=2 workers=2 rows/worker=[?]
+Query [rewrites=1] out=2048 in=2048 time=?ms
+├─ Select [($_uN_n != $s)] out=2048 in=2048 time=?ms
+│  └─ HashJoin [workers=2 on $_uN_i=$i] out=2048 in=4096 time=?ms peak=2303 workers=2 rows/worker=[?]
+│     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=2048 time=?ms
+│     └─ Match [fetch tickets <ticket> index ticket] out=2048 in=1 time=?ms peak=2047
 │        └─ Singleton out=1 time=?ms
-├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
-└─ Fetch [tickets fetches=1 bytes=240] out=10 time=?ms
+├─ Fetch [crmdb fetches=1 bytes=98304] out=2048 time=?ms
+└─ Fetch [tickets fetches=1 bytes=147480] out=6145 time=?ms
 `, "\n")
 	if got != want {
 		t.Errorf("explain tree:\n%s\nwant:\n%s", got, want)
@@ -164,7 +165,7 @@ Query [rewrites=1] out=3 in=3 time=?ms
 	}
 
 	// Same answer as the serial engine, byte for byte.
-	serial, _ := newTestEngine(t)
+	serial := newWideTestEngine(t)
 	serial.SetParallelism(1)
 	sres, err := serial.Query(context.Background(), ql)
 	if err != nil {
@@ -181,11 +182,13 @@ Query [rewrites=1] out=3 in=3 time=?ms
 // TestExplainGoldenSchedulerBudgetWorkers: SetParallelism(0) — "use the
 // machine" — resolves through the shared scheduler's budget, not
 // through GOMAXPROCS at query time. With a budget of 2, a lone query's
-// EXPLAIN must show workers=2 regardless of the host's core count, and
-// the granted degree must return to the pool at completion. This is the
-// regression test for the granted-vs-requested EXPLAIN contract.
+// EXPLAIN must show workers=2 regardless of the host's core count — with
+// the gate that held it, three rows being far under every crossover —
+// and the granted degree must return to the pool at completion. This is
+// the regression test for the granted-vs-requested EXPLAIN contract.
 func TestExplainGoldenSchedulerBudgetWorkers(t *testing.T) {
 	e, _ := newTestEngine(t)
+	held := watchGates(e)
 	schd := sched.New(sched.Config{Budget: 2})
 	e.SetScheduler(schd)
 	e.SetParallelism(0) // auto: whatever the scheduler grants
@@ -197,12 +200,12 @@ func TestExplainGoldenSchedulerBudgetWorkers(t *testing.T) {
 	if len(res.Values) != 3 {
 		t.Fatalf("values = %d, want 3", len(res.Values))
 	}
-	got := scrubWorkerRows(scrubTimes(res.Explain.Render()))
+	got := scrubTimes(res.Explain.Render())
 	want := strings.TrimPrefix(`
 Query [rewrites=1] out=3 in=3 time=?ms
-├─ HashJoin [workers=2 on $_uN_i=$i] out=3 in=6 time=?ms peak=3 workers=2 rows/worker=[?]
+├─ HashJoin [workers=2 serial n=3<2048 on $_uN_i=$i] out=3 in=6 time=?ms peak=3
 │  ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
-│  └─ Match [fetch tickets <ticket> index ticket] out=3 in=1 time=?ms peak=2 workers=2 rows/worker=[?]
+│  └─ Match [fetch tickets <ticket> index ticket] out=3 in=1 time=?ms peak=2
 │     └─ Singleton out=1 time=?ms
 ├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
 └─ Fetch [tickets fetches=1 bytes=240] out=10 time=?ms
@@ -211,6 +214,7 @@ Query [rewrites=1] out=3 in=3 time=?ms
 		t.Errorf("explain tree:\n%s\nwant:\n%s", got, want)
 	}
 	assertJoinPredicatesAreKeys(t, res.Explain)
+	held.check(t, "budget 2", res)
 
 	// The grant went back at completion: the whole budget is free again
 	// and nothing is queued.
