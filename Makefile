@@ -76,17 +76,22 @@ parallel-race:
 	$(call run-named,-race -count=1,TestPlanJoinKey|TestPlanBindJoin|TestPlanNonKeyPredicates|TestPlanThreeSourceChain,./internal/opt)
 	$(call run-named,-race -count=1,TestParallelStormUnderChaos,.)
 
-# sched-race exercises the shared inter-query scheduler under the race
-# detector: the unit/property/starvation battery plus the grant fuzz
-# seeds, the scheduler differential suite (budgets 1/2/8, byte-identical
-# to serial) with the golden budget-workers EXPLAIN, and the mixed-class
-# storm through the cluster front end asserting granted <= budget at
-# every sampled instant and full drain (no leaked slots or workers) on
+# sched-race exercises the shared worker scheduler under the race
+# detector: the unit/property battery (acquire, serial floor, the batch
+# last-slot rule, idempotent and panic-path release, a concurrent storm)
+# plus the grant fuzz seeds; the join's grant held from its first Next
+# to Close; the scheduler differential suite (budgets 1/2/8, byte-identical
+# to serial) with the golden budget-workers EXPLAIN and the check that
+# queries under every gate hold no slot; and the mixed-class storm through
+# the cluster front end, where a join past its gate takes workers beside
+# small queries that take none, asserting granted <= budget at every
+# sampled instant and full drain (no leaked slots or workers) on
 # completion, cancellation, and fault paths.
 sched-race:
 	$(GO) test -race -count=1 ./internal/sched
-	$(GO) test -race -run 'TestSchedulerGrantEquivalence|TestExplainGoldenSchedulerBudgetWorkers' -count=1 ./internal/core
-	$(GO) test -race -run 'TestSchedStormBudgets' -count=1 .
+	$(call run-named,-race -count=1,TestHashJoinGrantLivesWithThePool|TestParallelCloseIdempotent,./internal/algebra)
+	$(call run-named,-race -count=1,TestSchedulerGrantEquivalence|TestExplainGoldenSchedulerBudgetWorkers|TestSmallQueriesHoldNoWorkerSlots,./internal/core)
+	$(call run-named,-race -count=1,TestSchedStormBudgets,.)
 
 # resultpath-race exercises the no-copy result path under the race
 # detector: the serializer's escaper against encoding/xml on the fuzz
@@ -104,11 +109,11 @@ resultpath-race:
 	$(GO) test -race -run 'TestCachedValuesStayImmutable|TestQueryContentLength' -count=10 ./internal/server
 
 # sched-soak runs the extended scheduler workload behind the soak tag:
-# 64 concurrent mixed-class queries per budget on a fixed seed and a
-# fake clock, each answer byte-identical to a serial twin, with zero
-# starvation events and a fully drained budget afterwards.
+# 64 concurrent mixed-class queries per budget on a fixed seed, one shape
+# a join past its gate, each answer byte-identical to a serial twin,
+# workers spawned, and a fully drained budget afterwards.
 sched-soak:
-	$(GO) test -tags soak -race -run 'TestSchedSoakMixedClasses' -count=1 -v .
+	$(call run-named,-tags soak -race -count=1 -v,TestSchedSoakMixedClasses,.)
 
 # check is the full gate: gofmt, go vet, the nimble-lint invariant suite,
 # the plain tests (the allocation pins only run without the race

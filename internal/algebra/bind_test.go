@@ -54,7 +54,7 @@ func TestBindJoinOpensRightAfterLeft(t *testing.T) {
 	lowerGates(t, 0)
 	for _, workers := range []int{1, 2} {
 		j, l, r, leaf := boundJoin(t, keyRows("a", "1", "2", "1", "9"), keyRows("b", "2", "1", "3", "01"), 10, workers)
-		ctx := &Context{}
+		ctx := schedCtx()
 		if err := j.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestBindJoinFailedLazyOpen(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		j, l, r, _ := boundJoin(t, keyRows("a", "1", "2"), keyRows("b", "1"), 10, workers)
 		r.openErr = boom
-		if err := j.Open(&Context{}); err != nil {
+		if err := j.Open(schedCtx()); err != nil {
 			t.Fatal(err)
 		}
 		if b, err := j.Next(); b != nil || !errors.Is(err, boom) {
@@ -154,7 +154,7 @@ func TestBindJoinPastTheCapStreams(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		j, _, _, leaf := boundJoin(t, left, right, 4, workers)
 		op, node := Instrument(j, nil)
-		ctx := &Context{}
+		ctx := schedCtx()
 		got := drainAll(t, ctx, op)
 		if !bindingsEqual(got, want) {
 			t.Fatalf("workers=%d: fallback join emits %d rows, unbound %d", workers, len(got), len(want))

@@ -46,7 +46,7 @@ func BenchmarkParallelCrossover(b *testing.B) {
 			run  func(degree int) int
 		}{
 			{"join", n, func(degree int) int {
-				out, err := Drain(&Context{}, &HashJoin{Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right}, On: []string{"k"}, Workers: degree})
+				out, err := Drain(schedCtx(), &HashJoin{Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right}, On: []string{"k"}, Workers: degree})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/xmldm"
 	"repro/internal/xmlql"
 )
@@ -48,6 +49,11 @@ type Context struct {
 	// pool tears down. The engine wires the nimble_parallel_workers
 	// gauge here. Calls may come from any goroutine driving the plan.
 	OnWorkers func(delta int)
+
+	// Sched is the worker budget an operator past its gate acquires from,
+	// under Class (parallel.go); nil runs every operator serially.
+	Sched *sched.Scheduler
+	Class sched.Class
 
 	stats Stats
 }

@@ -105,9 +105,10 @@ type KeyPair struct {
 // order, the sequence the cross product followed by a Select on the
 // pairs would emit.
 //
-// Workers > 1 probes the left rows in slabs on that many goroutines
-// (parallel.go) once the build side reaches joinParallelMin rows; the
-// output is byte-identical at every degree.
+// Workers > 1 is the degree the join asks the context's scheduler for
+// once its build side reaches joinParallelMin rows; granted more than
+// one, it probes the left rows in slabs on that many goroutines
+// (parallel.go). The output is byte-identical at every degree.
 type HashJoin struct {
 	Left, Right Operator
 	// On lists the natural join variables; empty means "the shared
@@ -135,7 +136,8 @@ type HashJoin struct {
 	pending  []Binding            // serial: matches of the current left row
 	pos      int
 	built    int        // build rows, for EXPLAIN after Close
-	pool     *probePool // the parallel probe, when the degree was used
+	granted  int        // the degree the scheduler granted; 0 when none was asked for
+	pool     *probePool // the parallel probe, when more than one worker was granted
 	sp       *obs.Span
 }
 
@@ -180,15 +182,15 @@ func (j *HashJoin) Open(ctx *Context) error {
 	j.ctx = ctx
 	j.vars = j.On
 	j.started, j.leftDone = false, false
-	j.right, j.held, j.heldPos, j.table, j.pending, j.pos, j.built, j.pool = nil, nil, 0, nil, nil, 0, 0, nil
+	j.right, j.held, j.heldPos, j.table, j.pending, j.pos, j.built = nil, nil, 0, nil, nil, 0, 0
+	j.granted, j.pool, j.sp = 0, nil, nil
 	return nil
 }
 
 // start drains the right side (a bind join first ships its keys and
 // opens it), pulls the first left row to resolve the natural variables
-// against it, builds the table and, granted Workers > 1 over a build side
-// past the gate, starts the probe pool. It runs on the consumer goroutine
-// at the first Next.
+// against it, builds the table and, past the gate, asks for its workers
+// (fanOut). It runs on the consumer goroutine at the first Next.
 func (j *HashJoin) start() error {
 	j.started = true
 	if j.Bind != nil {
@@ -222,9 +224,7 @@ func (j *HashJoin) start() error {
 		k := j.keyOf(r, true)
 		j.table[k] = append(j.table[k], r)
 	}
-	if w := degreeFor(j.Workers, len(j.right), joinGate); w > 1 {
-		j.startParallel(w)
-	}
+	j.fanOut()
 	return nil
 }
 

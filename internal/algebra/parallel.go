@@ -1,16 +1,17 @@
 // Intra-query parallelism for the physical algebra. Two things take a
 // degree: HashJoin (left rows probed in slabs against the shared table)
-// and the final ORDER-BY sort (chunk sorts plus a merge). Each uses a
-// granted degree only once the input it holds when it starts reaches its
-// own crossover — the size from which degree 2 measured faster than
-// degree 1 in BenchmarkParallelCrossover (DESIGN §12 has the table) — and
-// runs serially below it. Each merges back in input order, so the output
-// at any degree is byte-identical to the serial operator's — which is
-// what lets ordering-sensitive consumers (Sort, Limit, the top-level
-// construct) ignore the parallelism entirely. Everything else runs
-// serially: the per-tuple stages (Select, Project, Match over a bound
-// variable) cost less than handing tuples to a worker, and the leaf Match
-// fan-out lost to the serial loop at every size the sweep tried.
+// and the final ORDER-BY sort (chunk sorts plus a merge). Each asks the
+// scheduler for workers only once the input it holds when it starts
+// reaches its own crossover — the size from which degree 2 measured
+// faster than degree 1 in BenchmarkParallelCrossover (DESIGN §12 has the
+// table) — holds the grant while it spends it, and runs serially below
+// it without touching the scheduler. Each merges back in input order, so
+// the output at any degree is byte-identical to the serial operator's —
+// which is what lets ordering-sensitive consumers (Sort, Limit, the
+// top-level construct) ignore the parallelism entirely. Everything else
+// runs serially: the per-tuple stages (Select, Project, Match over a
+// bound variable) cost less than handing tuples to a worker, and the leaf
+// Match fan-out lost to the serial loop at every size the sweep tried.
 package algebra
 
 import (
@@ -18,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/xmldm"
 )
 
@@ -37,13 +39,16 @@ var (
 	sortGate = sortParallelMin
 )
 
-// degreeFor is the degree an operator granted workers uses on an input of
-// n: the grant from its gate on, 1 below it.
-func degreeFor(workers, n, gate int) int {
-	if n < gate {
-		return 1
+// acquire is the one place an operator asks for workers. Past its gate
+// (n ≥ gate), wanting more than one and with a scheduler to ask, it
+// acquires want under the context's class; the operator holds the grant
+// while it spends it. Otherwise it returns nil — serial — without
+// touching the scheduler. Grant methods are nil-safe.
+func (c *Context) acquire(want, n, gate int) *sched.Grant {
+	if n < gate || want <= 1 || c.Sched == nil {
+		return nil
 	}
-	return max(workers, 1)
+	return c.Sched.Acquire(want, c.Class)
 }
 
 // PartitionKey hashes the named variables of a binding with FNV-1a —
@@ -89,6 +94,7 @@ type slab struct {
 // before the work: the slab the merger waits for is always with a worker
 // or done, which makes the bounded queue deadlock-free.
 type probePool struct {
+	grant *sched.Grant // the workers, held until finish
 	queue chan *slab
 	work  chan *slab
 	stop  chan struct{}
@@ -98,14 +104,31 @@ type probePool struct {
 	stats []WorkerStat
 }
 
-// startParallel starts the probe pool over the built table.
-func (j *HashJoin) startParallel(workers int) {
+// fanOut asks the scheduler for the join's workers once the table is
+// built. The exchange span records the degree wanted and granted. A join
+// granted more than one worker starts the probe pool over the table,
+// which holds the grant until finish; one granted a single worker gives
+// it back at once and probes serially.
+func (j *HashJoin) fanOut() {
+	g := j.ctx.acquire(j.Workers, len(j.right), joinGate)
+	if g == nil {
+		return
+	}
+	j.granted = g.Degree()
 	if j.sp = j.ctx.Trace.StartChild("exchange"); j.sp != nil {
 		j.sp.SetAttr("op", "HashJoin")
-		j.sp.SetInt("workers", int64(workers))
+		j.sp.SetInt("want", int64(j.Workers))
+		j.sp.SetInt("granted", int64(j.granted))
 		j.sp.SetInt("build_rows", int64(len(j.right)))
 	}
+	workers := j.granted
+	if workers == 1 {
+		g.Release()
+		j.sp.Finish()
+		return
+	}
 	p := &probePool{
+		grant: g,
 		// Two slabs in flight per worker: one being probed, one read and
 		// waiting, so no worker idles while the merger drains the oldest.
 		queue: make(chan *slab, 2*workers),
@@ -195,12 +218,13 @@ func (p *probePool) next() (Binding, error) {
 }
 
 // finish stops the pool — unblocks the producer and waits for it and
-// every worker, so the caller may close the left input afterwards — and
-// settles with the context: the workers' busy time is recorded and the
-// worker gauge credited back.
+// every worker, so the caller may close the left input afterwards — gives
+// the workers back to the scheduler, and settles with the context: the
+// workers' busy time is recorded and the worker gauge credited back.
 func (p *probePool) finish(ctx *Context) {
 	close(p.stop)
 	p.wg.Wait()
+	p.grant.Release()
 	p.cur = nil
 	var busy int64
 	for _, ws := range p.stats {
@@ -224,9 +248,18 @@ func (j *HashJoin) WorkerStats() []WorkerStat {
 // from here on.
 const sortParallelMin = 128
 
+// SortIndices is StableSortIndices at the degree the context's scheduler
+// grants a sort that wants workers, asked for only from the sort's gate
+// on and given back when the sort returns.
+func (c *Context) SortIndices(n, want int, cmp func(i, j int) int) []int {
+	g := c.acquire(want, n, sortGate)
+	defer g.Release()
+	return StableSortIndices(n, g.Degree(), cmp)
+}
+
 // StableSortIndices returns the permutation that sorts n items under
 // cmp (cmp(i,j) < 0 puts i first) with ties resolved by original index
-// — exactly the order sort.SliceStable produces. Granted workers > 1 and
+// — exactly the order sort.SliceStable produces. Given workers > 1 and
 // n at least its crossover, the index space is chunk-sorted in parallel
 // and the sorted runs merged; because the index tie-break makes the
 // order total, the merged result is deterministic and identical to the
@@ -243,8 +276,7 @@ func StableSortIndices(n, workers int, cmp func(i, j int) int) []int {
 		}
 		return a < b
 	}
-	workers = degreeFor(workers, n, sortGate)
-	if workers <= 1 {
+	if workers <= 1 || n < sortGate {
 		sort.Slice(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
 		return idx
 	}

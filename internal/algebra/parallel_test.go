@@ -6,12 +6,16 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/xmldm"
 )
+
+// schedCtx is a context whose operators past their gate are granted the
+// degree they want, up to 9 (a budget of 8 extra workers).
+func schedCtx() *Context { return &Context{Sched: sched.New(sched.Config{Budget: 8})} }
 
 // randTuples builds n deterministic tuples with a join key k (small
 // domain, so joins and partitions collide) and a payload p.
@@ -52,7 +56,7 @@ func bindingsEqual(a, b []Binding) bool {
 func TestHashJoinWorkerStats(t *testing.T) {
 	lowerGates(t, 0)
 	tuples := randTuples(100, 2)
-	ctx := &Context{}
+	ctx := schedCtx()
 	var deltas []int
 	ctx.OnWorkers = func(d int) { deltas = append(deltas, d) }
 	j := &HashJoin{
@@ -114,7 +118,7 @@ func TestHashJoinEarlyClose(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		before := runtime.NumGoroutine()
 		var gauge int
-		ctx := &Context{}
+		ctx := schedCtx()
 		ctx.OnWorkers = func(d int) { gauge += d }
 		j := &HashJoin{
 			Left:    &TupleScan{Tuples: left},
@@ -158,7 +162,7 @@ func TestHashJoinDegreesMatchSerial(t *testing.T) {
 		want := drainAll(t, &Context{}, &HashJoin{
 			Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right}, On: on})
 		for _, workers := range []int{1, 2, 8} {
-			got := drainAll(t, &Context{}, &HashJoin{
+			got := drainAll(t, schedCtx(), &HashJoin{
 				Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right},
 				On: on, Workers: workers})
 			if !bindingsEqual(got, want) {
@@ -187,7 +191,7 @@ func TestHashJoinDegreesEmptySides(t *testing.T) {
 				On:      []string{"k"},
 				Workers: workers,
 			}
-			out := drainAll(t, &Context{}, j)
+			out := drainAll(t, schedCtx(), j)
 			if len(out) != 0 {
 				t.Errorf("%s workers=%d: rows = %d, want 0", tc.name, workers, len(out))
 			}
@@ -198,14 +202,14 @@ func TestHashJoinDegreesEmptySides(t *testing.T) {
 // TestParallelCloseIdempotent: closing a parallel join twice (a
 // defensive caller, or an error path that already tore the tree down)
 // must not panic, must not stop the pool twice, and must credit the
-// worker gauge once — the cancel-path invariant the storm tests assert
-// end to end.
+// worker gauge and the scheduler once — the cancel-path invariant the
+// storm tests assert end to end.
 func TestParallelCloseIdempotent(t *testing.T) {
 	lowerGates(t, 0)
 	tuples := randTuples(50, 11)
 
 	var deltas []int
-	ctx := &Context{}
+	ctx := schedCtx()
 	ctx.OnWorkers = func(d int) { deltas = append(deltas, d) }
 
 	j := &HashJoin{
@@ -231,6 +235,68 @@ func TestParallelCloseIdempotent(t *testing.T) {
 	}
 	if len(j.WorkerStats()) != 3 {
 		t.Fatalf("WorkerStats lost after close: %v", j.WorkerStats())
+	}
+	if snap := ctx.Sched.Snap(); snap.Granted != 0 || snap.Queries != 0 {
+		t.Fatalf("scheduler after double close: %+v, want every slot back", snap)
+	}
+}
+
+// TestHashJoinGrantLivesWithThePool: the join takes its grant at the
+// first Next, once the table is built, and holds it until Close. Granted
+// less than it wants, it probes on what it got; granted one worker, it
+// gives it back at once and runs serially. Another operator's grant (the
+// hog) is what makes the pool short.
+func TestHashJoinGrantLivesWithThePool(t *testing.T) {
+	lowerGates(t, 0)
+	tuples := randTuples(40, 13)
+	want := drainAll(t, &Context{}, &HashJoin{Left: &TupleScan{Tuples: tuples}, Right: &TupleScan{Tuples: tuples}, On: []string{"k"}})
+	for _, tc := range []struct {
+		budget, hog, workers, granted, spawned int
+		detail                                 string
+	}{
+		{8, 1, 4, 4, 4, "workers=4 on $k"},
+		{2, 1, 4, 3, 3, "workers=3 want=4 on $k"},
+		{2, 3, 2, 1, 0, "workers=1 want=2 on $k"},
+	} {
+		ctx := &Context{Sched: sched.New(sched.Config{Budget: tc.budget})}
+		hog := ctx.Sched.Acquire(tc.hog, sched.Interactive)
+		op, node := Instrument(&HashJoin{Left: &TupleScan{Tuples: tuples}, Right: &TupleScan{Tuples: tuples}, On: []string{"k"}, Workers: tc.workers}, nil)
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if snap := ctx.Sched.Snap(); snap.Queries != 1 {
+			t.Fatalf("budget %d: %d grants live after Open, want only the hog's", tc.budget, snap.Queries)
+		}
+		var got []Binding
+		for {
+			b, err := op.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			if len(got) == 0 {
+				out := tc.hog - 1 + tc.granted - 1
+				if snap := ctx.Sched.Snap(); snap.Granted != out || (snap.Queries == 2) != (tc.spawned > 0) {
+					t.Fatalf("budget %d: while probing %+v, want %d slots out and the join's grant held iff it fanned out", tc.budget, snap, out)
+				}
+			}
+			got = append(got, b)
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		hog.Release()
+		if !bindingsEqual(got, want) {
+			t.Fatalf("budget %d: %d rows, the serial join %d (or order differs)", tc.budget, len(got), len(want))
+		}
+		if snap := ctx.Sched.Snap(); snap.Granted != 0 || snap.Queries != 0 {
+			t.Fatalf("budget %d: scheduler after Close: %+v", tc.budget, snap)
+		}
+		if spawned := ctx.Snapshot().WorkersSpawned; node.Detail != tc.detail || spawned != int64(tc.spawned) {
+			t.Errorf("budget %d: detail %q, %d workers spawned; want %q and %d", tc.budget, node.Detail, spawned, tc.detail, tc.spawned)
+		}
 	}
 }
 
@@ -296,10 +362,11 @@ func FuzzPartition(f *testing.F) {
 	})
 }
 
-// TestHashJoinGateBoundary: granted degree 2, a join whose build side is
-// one row short of joinParallelMin starts no worker and EXPLAIN shows the
-// gate that held; at joinParallelMin two workers start and no gate is
-// shown. Both emit the serial join's rows.
+// TestHashJoinGateBoundary: wanting degree 2, a join whose build side is
+// one row short of joinParallelMin asks the scheduler for nothing, starts
+// no worker and EXPLAIN shows the gate that held and no degree; at
+// joinParallelMin it is granted two workers, starts them and shows
+// workers=2 and no gate. Both emit the serial join's rows.
 func TestHashJoinGateBoundary(t *testing.T) {
 	if joinGate != joinParallelMin {
 		t.Fatalf("joinGate = %d, want the committed %d", joinGate, joinParallelMin)
@@ -319,7 +386,7 @@ func TestHashJoinGateBoundary(t *testing.T) {
 			return &HashJoin{Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right}, On: []string{"k"}, Workers: workers}
 		}
 		want := drainAll(t, &Context{}, join(1))
-		ctx := &Context{}
+		ctx := schedCtx()
 		var deltas []int
 		ctx.OnWorkers = func(d int) { deltas = append(deltas, d) }
 		op, node := Instrument(join(2), nil)
@@ -328,32 +395,39 @@ func TestHashJoinGateBoundary(t *testing.T) {
 		}
 		spawned := ctx.Snapshot().WorkersSpawned
 		if n < joinParallelMin {
-			if len(deltas) != 0 || spawned != 0 || len(node.Workers) != 0 {
+			if len(deltas) != 0 || spawned != 0 || len(node.Workers) != 0 || ctx.Sched.Snap().Downgrades != 0 {
 				t.Errorf("n=%d: workers started under the gate: deltas %v, spawned %d, stats %v", n, deltas, spawned, node.Workers)
 			}
-			if held := fmt.Sprintf("workers=2 serial n=%d<%d", n, joinParallelMin); !strings.Contains(node.Detail, held) {
-				t.Errorf("n=%d: detail %q, want it to show %s", n, node.Detail, held)
+			if held := fmt.Sprintf("serial n=%d<%d on $k", n, joinParallelMin); node.Detail != held {
+				t.Errorf("n=%d: detail %q, want %q", n, node.Detail, held)
 			}
 			continue
 		}
 		if !reflect.DeepEqual(deltas, []int{2, -2}) || spawned != 2 || len(node.Workers) != 2 {
 			t.Errorf("n=%d: at the gate deltas %v, spawned %d, stats %v; want two workers", n, deltas, spawned, node.Workers)
 		}
-		if !strings.Contains(node.Detail, "workers=2") || strings.Contains(node.Detail, "serial") {
+		if node.Detail != "workers=2 on $k" {
 			t.Errorf("n=%d: detail %q, want workers=2 and no held gate", n, node.Detail)
 		}
 	}
 }
 
-// TestStableSortGateBoundary: on either side of sortParallelMin, and at
-// every degree, the permutation is sort.SliceStable's.
+// TestStableSortGateBoundary: a sort one item short of sortParallelMin
+// asks the scheduler for nothing, at it for its degree; on either side,
+// and at every degree, the permutation is sort.SliceStable's.
 func TestStableSortGateBoundary(t *testing.T) {
 	if sortGate != sortParallelMin {
 		t.Fatalf("sortGate = %d, want the committed %d", sortGate, sortParallelMin)
 	}
-	if degreeFor(2, sortParallelMin-1, sortGate) != 1 || degreeFor(2, sortParallelMin, sortGate) != 2 {
-		t.Fatalf("the sort's degree does not change at its gate %d", sortParallelMin)
+	ctx := schedCtx()
+	if g := ctx.acquire(2, sortParallelMin-1, sortGate); g != nil {
+		t.Fatalf("a sort under its gate %d acquired degree %d", sortParallelMin, g.Degree())
 	}
+	g := ctx.acquire(2, sortParallelMin, sortGate)
+	if g.Degree() != 2 {
+		t.Fatalf("a sort at its gate %d was granted degree %d, want 2", sortParallelMin, g.Degree())
+	}
+	g.Release()
 	rng := rand.New(rand.NewSource(14))
 	for _, n := range []int{sortParallelMin - 1, sortParallelMin, sortParallelMin + 1} {
 		keys := make([]xmldm.Value, n)
@@ -366,9 +440,12 @@ func TestStableSortGateBoundary(t *testing.T) {
 		}
 		sort.SliceStable(want, func(a, b int) bool { return xmldm.Compare(keys[want[a]], keys[want[b]]) < 0 })
 		for _, workers := range []int{1, 2, 8} {
-			if got := StableSortIndices(n, workers, func(i, j int) int { return xmldm.Compare(keys[i], keys[j]) }); !reflect.DeepEqual(got, want) {
+			if got := ctx.SortIndices(n, workers, func(i, j int) int { return xmldm.Compare(keys[i], keys[j]) }); !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d workers=%d: permutation differs from sort.SliceStable", n, workers)
 			}
 		}
+	}
+	if snap := ctx.Sched.Snap(); snap.Queries != 0 || snap.Downgrades != 0 {
+		t.Fatalf("scheduler after the sorts: %+v, want every grant back in full", snap)
 	}
 }

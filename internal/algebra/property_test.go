@@ -371,7 +371,7 @@ func TestHashJoinKeyPairsAreTheSameRelation_Property(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			for _, on := range [][]string{nil, {"g"}} {
 				l, r = scans()
-				got := drainAll(t, &Context{}, &HashJoin{Left: l, Right: r, On: on, Pairs: pairs, Workers: workers})
+				got := drainAll(t, schedCtx(), &HashJoin{Left: l, Right: r, On: on, Pairs: pairs, Workers: workers})
 				if !bindingsEqual(got, want) {
 					t.Fatalf("seed %d workers=%d on=%v: keyed join emits\n%v\nnested loop\n%v\nleft %v\nright %v",
 						seed, workers, on, got, want, left, right)
@@ -379,7 +379,7 @@ func TestHashJoinKeyPairsAreTheSameRelation_Property(t *testing.T) {
 
 				l, _ = scans()
 				leaf := &keyedScan{t: t, all: right, key: "b"}
-				ctx := &Context{}
+				ctx := schedCtx()
 				got = drainAll(t, ctx, &HashJoin{Left: l, Right: leaf, On: on, Pairs: pairs, Workers: workers,
 					Bind: &Bind{Key: "a", MaxKeys: maxKeys, Ship: leaf.ship}})
 				if !bindingsEqual(got, want) {
@@ -472,7 +472,7 @@ func TestHashJoinErrorPositions(t *testing.T) {
 			On:      []string{"k"},
 			Workers: workers,
 		}
-		if err := j.Open(&Context{}); err != nil {
+		if err := j.Open(schedCtx()); err != nil {
 			t.Fatal(err)
 		}
 		var got []Binding
@@ -496,7 +496,7 @@ func TestHashJoinErrorPositions(t *testing.T) {
 			Right:   &errAfterScan{tuples: tuples[:5], err: boom},
 			Workers: workers,
 		}
-		if err := j.Open(&Context{}); err != nil {
+		if err := j.Open(schedCtx()); err != nil {
 			t.Fatal(err)
 		}
 		if b, err := j.Next(); b != nil || !errors.Is(err, boom) {

@@ -108,8 +108,8 @@ func (n *ExplainNode) TreeLabel() string {
 		fmt.Fprintf(&b, " peak=%d", n.PeakBuffered)
 	}
 	if len(n.Workers) > 0 {
-		// Render rows only: row counts are deterministic per worker for
-		// hash partitioning, wall times are not.
+		// Render rows only: wall times differ run to run (which worker
+		// probes which slab does too; the goldens scrub the split).
 		rows := make([]string, len(n.Workers))
 		for i, w := range n.Workers {
 			rows[i] = fmt.Sprintf("%d", w.Rows)
@@ -159,7 +159,7 @@ type Instrumented struct {
 	// label is the planner's access-path label; it is kept only for an
 	// operator whose detail running settles (a bind join's key count, the
 	// request its right leaf sent, whether a leaf Match read its index,
-	// whether a granted degree was used), which Close describes again.
+	// a join's gate and granted degree), which Close describes again.
 	label   string
 	settles bool
 }
@@ -294,11 +294,17 @@ func describe(op Operator, label string) string {
 	case *Project:
 		parts = append(parts, strings.Join(x.Vars, ","))
 	case *HashJoin:
-		if x.Workers > 1 {
-			parts = append(parts, fmt.Sprintf("workers=%d", x.Workers))
-			if x.started && x.pool == nil {
-				// The degree went unused: the build side held is under the gate.
-				parts = append(parts, fmt.Sprintf("serial n=%d<%d", x.built, joinGate))
+		switch {
+		case x.Workers <= 1:
+		case !x.started:
+			parts = append(parts, fmt.Sprintf("want=%d", x.Workers))
+		case x.built < joinGate:
+			// The gate held: no grant was asked for.
+			parts = append(parts, fmt.Sprintf("serial n=%d<%d", x.built, joinGate))
+		case x.granted > 0:
+			parts = append(parts, fmt.Sprintf("workers=%d", x.granted))
+			if x.granted < x.Workers {
+				parts = append(parts, fmt.Sprintf("want=%d", x.Workers))
 			}
 		}
 		if keys := x.KeyString(); keys != "" {

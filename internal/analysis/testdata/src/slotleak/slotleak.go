@@ -84,8 +84,8 @@ func cleanHandoff(ctx context.Context, p *pool) (*slot, error) {
 
 type grant struct{ n int }
 
-func (g *grant) Release()        {}
-func (g *grant) Checkpoint() int { return g.n }
+func (g *grant) Release()    {}
+func (g *grant) Degree() int { return g.n }
 
 type scheduler struct{}
 
@@ -103,7 +103,7 @@ func grantLeakOnErrorPath(s *scheduler, work func() error) error {
 func grantCleanDeferred(s *scheduler, work func() error) error {
 	g := s.Acquire(4)
 	defer g.Release()
-	_ = g.Checkpoint() // other methods on the grant are neutral
+	_ = g.Degree() // other methods on the grant are neutral
 	return work()
 }
 

@@ -185,14 +185,13 @@ type Cluster struct {
 	sched *sched.Scheduler // guarded by mu; surfaced on /debug/cluster
 }
 
-// SetScheduler attaches the shared inter-query worker scheduler so its
-// accounting appears in the /debug/cluster snapshot. The two admission
-// layers compose without double-counting: cluster capacity slots bound
-// how many *queries* run per instance, scheduler slots bound how many
-// extra *workers* all running queries may spread across, process-wide.
-// A query holds one cluster slot for its whole run and a worker grant
-// that breathes (downgrades, upgrades, batch-yield) at operator
-// boundaries inside that run.
+// SetScheduler attaches the shared worker scheduler so its accounting
+// appears in the /debug/cluster snapshot. The two admission layers
+// compose without double-counting: cluster capacity slots bound how many
+// *queries* run per instance, scheduler slots bound how many extra
+// *workers* all running operators may spread across, process-wide. A
+// query holds one cluster slot for its whole run; inside it, only a join
+// or sort past its gate holds a worker grant, for as long as it runs.
 func (c *Cluster) SetScheduler(s *sched.Scheduler) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

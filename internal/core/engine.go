@@ -137,36 +137,36 @@ func (e *Engine) SetPlannerOptions(o opt.Options) {
 	e.opts = o
 }
 
-// SetParallelism sets the intra-query degree of parallelism a query
-// *requests*: n > 1 asks for hash joins and the final ORDER-BY sort to
-// run on up to n worker goroutines once their input reaches its measured
-// crossover (everything else stays serial; DESIGN §12); 1 forces
-// serial plans; 0 — the default — requests the scheduler's whole worker
-// budget (GOMAXPROCS unless configured otherwise). The degree actually
-// used is
-// admitted per query by the shared scheduler (SetScheduler), which
-// grants min(desired, 1+available) with a floor of 1, so concurrent
-// queries share the budget instead of each claiming n workers. EXPLAIN
-// `workers=N` reflects the granted, not requested, degree. Parallel
-// plans produce output byte-identical to their serial twins at any
-// granted degree.
+// SetParallelism sets the intra-query degree of parallelism a query's
+// operators *request*: n > 1 asks for hash joins and the final ORDER-BY
+// sort to run on up to n worker goroutines once their input reaches its
+// measured crossover (everything else stays serial; DESIGN §12); 1
+// forces serial plans; 0 — the default — requests the scheduler's whole
+// worker budget (GOMAXPROCS unless configured otherwise), resolved before
+// planning. An operator past its gate acquires its degree from the
+// shared scheduler (SetScheduler) for as long as it runs, which grants
+// min(requested, 1+available) with a floor of 1, so concurrent
+// operators share the budget and a query under every gate never asks.
+// EXPLAIN `workers=N` is the granted degree, with `want=M` beside it
+// when less was granted than requested. Parallel plans produce output
+// byte-identical to their serial twins at any granted degree.
 func (e *Engine) SetParallelism(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.par = n
 }
 
-// SetScheduler attaches the shared inter-query scheduler this engine
-// admits query parallelism against. All engine instances of a process
-// normally share one scheduler (nimble.New wires this); nil — the
-// default — falls back to the process-wide sched.Default().
+// SetScheduler attaches the shared worker budget this engine's parallel
+// operators acquire from. All engine instances of a process normally
+// share one scheduler (nimble.New wires this); nil — the default — falls
+// back to the process-wide sched.Default().
 func (e *Engine) SetScheduler(s *sched.Scheduler) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.scheduler = s
 }
 
-// Scheduler reports the scheduler queries are admitted against.
+// Scheduler reports the scheduler this engine's operators acquire from.
 func (e *Engine) Scheduler() *sched.Scheduler {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -354,6 +354,9 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	if schd == nil {
 		schd = sched.Default()
 	}
+	if par <= 0 {
+		par = schd.Budget()
+	}
 	if qo.Class != "" {
 		c, err := sched.ParseClass(qo.Class)
 		if err != nil {
@@ -397,30 +400,16 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 		ctx = obs.ContextWithSpan(ctx, root)
 	}
 
-	// Admission: the query's desired degree (SetParallelism; 0 = the
-	// scheduler's whole budget) is granted against the shared worker
-	// pool. Release is deferred unconditionally — it is idempotent, so
-	// completion, error, cancellation, and panic paths all return the
-	// slots exactly once.
-	grant := schd.Acquire(par, class)
-	defer grant.Release()
-	if root != nil {
-		spGrant := root.StartChild("sched.grant")
-		spGrant.SetAttr("class", class.String())
-		spGrant.SetInt("desired", int64(grant.Desired()))
-		spGrant.SetInt("granted", int64(grant.Degree()))
-		spGrant.SetBool("downgraded", grant.Degree() < grant.Desired())
-		spGrant.Finish()
-	}
-
 	access := e.runner.NewAccess(ctx, policy)
-	actx := &algebra.Context{Funcs: funcs, Trace: root}
+	// The query holds no workers: a join or sort past its gate acquires
+	// them from schd under the query's class while it runs.
+	actx := &algebra.Context{Funcs: funcs, Trace: root, Sched: schd, Class: class}
 	workersGauge := metrics.Gauge("nimble_parallel_workers")
 	actx.OnWorkers = func(delta int) { workersGauge.Add(float64(delta)) }
 	res := &Result{Explain: &ExplainTree{Op: "Query"}}
-	qs := &queryState{ctx: ctx, access: access, actx: actx, grant: grant,
+	qs := &queryState{ctx: ctx, access: access, actx: actx, par: par,
 		top: true, stats: &res.Stats, aq: aq, ex: res.Explain}
-	sub := &queryState{ctx: ctx, access: access, actx: actx, grant: grant}
+	sub := &queryState{ctx: ctx, access: access, actx: actx, par: par}
 	actx.SubqueryEval = func(subq *xmlql.Query, outer algebra.Binding) ([]xmldm.Value, error) {
 		return e.run(sub, subq, outer)
 	}
@@ -520,9 +509,9 @@ type queryState struct {
 	ctx    context.Context
 	access *exec.Access
 	actx   *algebra.Context
-	// grant is the degree of parallelism the shared scheduler admitted;
-	// nil (schema materialization) plans serially.
-	grant *sched.Grant
+	// par is the degree the query's joins and sort ask for; 0 (schema
+	// materialization) plans serially.
+	par int
 	// top marks the query itself, as opposed to what runs beneath it.
 	// Only it reports: stats, aq (the active-query handle) and ex (the
 	// EXPLAIN tree collecting one instrumented plan per rewrite) are set
@@ -545,16 +534,7 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 	skip := e.skipUnfold
 	opts := e.opts
 	e.mu.RUnlock()
-	// degree reads the granted degree of parallelism at an operator
-	// boundary — a point where none of this query's plan operators are
-	// running, so degree changes are safe. Only the top-level query
-	// checkpoints (batch queries yield slack to interactive demand
-	// there); subquery evaluation can run while outer-plan operators are
-	// live, so it only observes the current degree.
-	degree := qs.grant.Degree
-	if qs.top {
-		degree = qs.grant.Checkpoint
-	}
+	opts.Parallelism = qs.par
 
 	sp := obs.FromContext(ctx)
 	aq.SetPhase("unfold")
@@ -585,10 +565,6 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		if sp != nil {
 			spRw = sp.StartChild(fmt.Sprintf("rewrite[%d]", ri))
 		}
-		// Every rewrite is re-admitted: the stamped degree picks up
-		// upgrades granted since the last boundary and, for batch
-		// queries, yields slack reclaimed by interactive arrivals.
-		opts.Parallelism = degree()
 		planner := opt.New(e.cat, access)
 		planner.Opts = opts
 		var preBound []string
@@ -697,7 +673,7 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		// comparator only reads them — safe for the parallel chunk sorts
 		// of StableSortIndices, whose index tie-break reproduces exactly
 		// the sort.SliceStable order.
-		perm := algebra.StableSortIndices(len(out), degree(), func(i, j int) int {
+		perm := actx.SortIndices(len(out), qs.par, func(i, j int) int {
 			for k := range descs {
 				if k >= len(keys[i]) || k >= len(keys[j]) {
 					return 0

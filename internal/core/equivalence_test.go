@@ -351,9 +351,9 @@ func TestParallelEquivalence_Workload(t *testing.T) {
 
 // explainShape renders what of an EXPLAIN tree the granted degree may not
 // change: operator names, nesting, details and rows in and out. The
-// degree itself (workers=N and a held gate's serial n=… in a detail; the
-// per-worker rows live outside Detail), wall times and the unfolder's
-// process-global variable counter are left out.
+// degree itself (workers=N, want=M and a held gate's serial n=… in a
+// detail; the per-worker rows live outside Detail), wall times and the
+// unfolder's process-global variable counter are left out.
 func explainShape(n *algebra.ExplainNode) string {
 	var b strings.Builder
 	var walk func(n *algebra.ExplainNode, depth int)
@@ -368,14 +368,14 @@ func explainShape(n *algebra.ExplainNode) string {
 	return b.String()
 }
 
-var workersDetailRE = regexp.MustCompile(`(workers=[0-9]+|serial n=[0-9]+<[0-9]+) ?`)
+var workersDetailRE = regexp.MustCompile(`(workers=[0-9]+|want=[0-9]+|serial n=[0-9]+<[0-9]+) ?`)
 
 // TestExplainSameTreeAtEveryDegree: over the differential corpus — the
 // randomized deployments, the fixed workload and the view-join families,
 // small and wide — the EXPLAIN tree at granted degree 2 and 8 is the
 // degree-1 tree: same operators, same nesting, same rows in and out of
-// every node. Only workers=, a held gate and rows/worker= say what degree
-// ran.
+// every node. Only workers=, want=, a held gate and rows/worker= say what
+// degree ran.
 func TestExplainSameTreeAtEveryDegree(t *testing.T) {
 	check := func(name string, e *Engine, q string) {
 		t.Helper()
@@ -409,12 +409,12 @@ func TestExplainSameTreeAtEveryDegree(t *testing.T) {
 }
 
 // The scheduler differential property: whatever degree the shared
-// scheduler grants — full, downgraded to the floor, or upgraded at a
-// rewrite boundary — the answer must stay byte-identical to the serial
-// oracle, and every grant must be back in the pool when the query
-// completes. Serial execution (no scheduler involvement beyond the free
-// floor) is the oracle; budgets bracket the interesting regimes: 1
-// (everything downgraded), 2 (partial grants), 8 (demand fully met).
+// scheduler grants an operator — full, or downgraded as far as the floor
+// — the answer must stay byte-identical to the serial oracle, and every
+// grant must be back in the pool when the query completes. Serial
+// execution (no scheduler involvement) is the oracle; budgets bracket the
+// interesting regimes: 1 (everything downgraded), 2 (partial grants), 8
+// (demand fully met).
 func TestSchedulerGrantEquivalence_Differential(t *testing.T) {
 	for _, budget := range []int{1, 2, 8} {
 		for seed := int64(0); seed < 8; seed++ {
@@ -438,7 +438,7 @@ func TestSchedulerGrantEquivalence_Differential(t *testing.T) {
 						budget, seed, desired, res.Stats.TuplesEmitted, ores.Stats.TuplesEmitted)
 				}
 				snap := schd.Snap()
-				if snap.Granted != 0 || snap.Queries != 0 || snap.Waiting != 0 {
+				if snap.Granted != 0 || snap.Queries != 0 {
 					t.Fatalf("budget %d seed %d desired %d: scheduler not idle after query: %+v",
 						budget, seed, desired, snap)
 				}
@@ -490,11 +490,8 @@ func TestSchedulerGrantEquivalence_MixedClasses(t *testing.T) {
 		}
 	}
 	snap := schd.Snap()
-	if snap.Granted != 0 || snap.Queries != 0 || snap.Waiting != 0 || snap.Free != snap.Budget {
+	if snap.Granted != 0 || snap.Queries != 0 || snap.Free != snap.Budget {
 		t.Fatalf("scheduler not idle after mixed-class run: %+v", snap)
-	}
-	if snap.Starved != 0 {
-		t.Fatalf("interactive starvation detected: %+v", snap)
 	}
 }
 
@@ -849,7 +846,7 @@ func TestSchedulerGrantEquivalence_ViewJoin(t *testing.T) {
 					if got != oracle || res.Completeness.Complete != ores.Completeness.Complete {
 						t.Fatalf("%s budget %d seed %d desired %d: output differs from serial\ngot:  %s\nwant: %s", fam.name, budget, seed, desired, got, oracle)
 					}
-					if snap := schd.Snap(); snap.Granted != 0 || snap.Queries != 0 || snap.Waiting != 0 || snap.Free != snap.Budget {
+					if snap := schd.Snap(); snap.Granted != 0 || snap.Queries != 0 || snap.Free != snap.Budget {
 						t.Fatalf("%s budget %d seed %d desired %d: scheduler not idle after query: %+v", fam.name, budget, seed, desired, snap)
 					}
 					if granted := strings.Contains(res.Explain.Render(), "workers="); granted && fam.tickets > 0 {

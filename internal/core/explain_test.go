@@ -180,18 +180,20 @@ Query [rewrites=1] out=2048 in=2048 time=?ms
 }
 
 // TestExplainGoldenSchedulerBudgetWorkers: SetParallelism(0) — "use the
-// machine" — resolves through the shared scheduler's budget, not
-// through GOMAXPROCS at query time. With a budget of 2, a lone query's
-// EXPLAIN must show workers=2 regardless of the host's core count — with
-// the gate that held it, three rows being far under every crossover —
-// and the granted degree must return to the pool at completion. This is
-// the regression test for the granted-vs-requested EXPLAIN contract.
+// machine" — resolves through the shared scheduler's budget, not through
+// GOMAXPROCS at query time. A small query's join holds its gate — three
+// rows being far under every crossover — so it asks the scheduler for
+// nothing and EXPLAIN shows the gate, no degree. Past the gate EXPLAIN
+// shows the degree granted, whatever the host's core count: workers=2 at
+// budget 2, and workers=1 want=2 for a batch query at budget 1, which
+// leaves the one slot to interactive work. Every grant is back in the
+// pool at completion and every answer is the serial twin's.
 func TestExplainGoldenSchedulerBudgetWorkers(t *testing.T) {
 	e, _ := newTestEngine(t)
 	held := watchGates(e)
 	schd := sched.New(sched.Config{Budget: 2})
 	e.SetScheduler(schd)
-	e.SetParallelism(0) // auto: whatever the scheduler grants
+	e.SetParallelism(0) // auto: the scheduler's budget
 
 	res, err := e.Query(context.Background(), twoSourceJoinQL)
 	if err != nil {
@@ -203,7 +205,7 @@ func TestExplainGoldenSchedulerBudgetWorkers(t *testing.T) {
 	got := scrubTimes(res.Explain.Render())
 	want := strings.TrimPrefix(`
 Query [rewrites=1] out=3 in=3 time=?ms
-├─ HashJoin [workers=2 serial n=3<2048 on $_uN_i=$i] out=3 in=6 time=?ms peak=3
+├─ HashJoin [serial n=3<2048 on $_uN_i=$i] out=3 in=6 time=?ms peak=3
 │  ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
 │  └─ Match [fetch tickets <ticket> index ticket] out=3 in=1 time=?ms peak=2
 │     └─ Singleton out=1 time=?ms
@@ -215,18 +217,10 @@ Query [rewrites=1] out=3 in=3 time=?ms
 	}
 	assertJoinPredicatesAreKeys(t, res.Explain)
 	held.check(t, "budget 2", res)
-
-	// The grant went back at completion: the whole budget is free again
-	// and nothing is queued.
-	snap := schd.Snap()
-	if snap.Granted != 0 || snap.Queries != 0 || snap.Waiting != 0 {
-		t.Errorf("scheduler not idle after query: %+v", snap)
-	}
-	if snap.Budget != 2 || snap.Free != 2 {
-		t.Errorf("budget accounting = %+v, want budget 2 fully free", snap)
+	if snap := schd.Snap(); snap != (sched.Snapshot{Budget: 2, Free: 2}) {
+		t.Errorf("scheduler after a query under every gate: %+v, want untouched", snap)
 	}
 
-	// Same answer as the serial twin, byte for byte.
 	serial, _ := newTestEngine(t)
 	serial.SetParallelism(1)
 	sres, err := serial.Query(context.Background(), twoSourceJoinQL)
@@ -235,6 +229,43 @@ Query [rewrites=1] out=3 in=3 time=?ms
 	}
 	if gotDoc, wantDoc := res.Document().String(), sres.Document().String(); gotDoc != wantDoc {
 		t.Errorf("budget-granted result differs from serial:\n%s\nwant:\n%s", gotDoc, wantDoc)
+	}
+
+	// The wide deployment's join builds past the gate.
+	const wideQL = `
+	WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
+	      <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets"
+	CONSTRUCT <r><who>$w</who><subject>$s</subject></r>`
+	wide := newWideTestEngine(t)
+	oracle, _ := runAt(t, wide, wideQL, 1)
+	for _, tc := range []struct {
+		budget, par int
+		class       string
+		join        string
+		spawned     int64
+	}{
+		{2, 0, "", "HashJoin [workers=2 on $_uN_i=$i]", 2},
+		{1, 2, "batch", "HashJoin [workers=1 want=2 on $_uN_i=$i]", 0},
+	} {
+		schd := sched.New(sched.Config{Budget: tc.budget})
+		wide.SetScheduler(schd)
+		wide.SetParallelism(tc.par)
+		res, err := wide.QueryOpt(context.Background(), wideQL, QueryOptions{Class: tc.class})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := scrubTimes(res.Explain.Render()); !strings.Contains(got, tc.join+" out=2048") {
+			t.Errorf("budget %d: explain tree lacks %q:\n%s", tc.budget, tc.join, got)
+		}
+		if res.Stats.ParallelWorkers != tc.spawned {
+			t.Errorf("budget %d: %d workers spawned, want %d", tc.budget, res.Stats.ParallelWorkers, tc.spawned)
+		}
+		if res.Document().String() != oracle {
+			t.Errorf("budget %d: answer differs from the serial twin's", tc.budget)
+		}
+		if snap := schd.Snap(); snap.Granted != 0 || snap.Queries != 0 || snap.Free != tc.budget {
+			t.Errorf("budget %d: scheduler not idle after the query: %+v", tc.budget, snap)
+		}
 	}
 }
 

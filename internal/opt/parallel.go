@@ -2,16 +2,14 @@
 // that degree on the plan's hash joins — the operator that knows its
 // build size when it starts and probes the left rows in slabs, merged
 // back in input order, so a parallel plan's output is byte-identical to
-// its serial twin's. A stamped degree is a grant, not an order: the join
-// uses it only once its build side reaches the crossover measured for it
-// (algebra's joinParallelMin, DESIGN §12), and EXPLAIN says when the gate
-// held. Everything else runs as planned at every degree.
-// The degree is not static configuration: the engine stamps
-// Options.Parallelism per query, per rewrite, from the degree the
-// shared inter-query scheduler (internal/sched) granted at that operator
-// boundary — so concurrent queries divide a global worker budget instead
-// of each claiming the configured maximum, and EXPLAIN's workers=N
-// reflects the granted, not requested, degree.
+// its serial twin's. A stamped degree is a request, not a grant: the join
+// asks the shared scheduler (internal/sched) for it only once its build
+// side reaches the crossover measured for it (algebra's joinParallelMin,
+// DESIGN §12), holds what it is granted while it probes, and EXPLAIN says
+// which degree it ran at or that the gate held. Everything else runs as
+// planned at every degree. The engine resolves its requested degree
+// (0 = the scheduler's budget) before planning, so the stamp is the same
+// for every rewrite of a query.
 package opt
 
 import "repro/internal/algebra"

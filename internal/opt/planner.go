@@ -45,9 +45,8 @@ type Options struct {
 	// engine sorts after construction — so reordering is safe.
 	ReorderJoins bool
 	// Parallelism is the intra-query degree of parallelism: > 1 is
-	// stamped on the plan's hash joins (see parallel.go); <= 1 keeps
-	// plans serial. The engine stamps it from the degree the scheduler
-	// granted before planning.
+	// stamped on the plan's hash joins as the degree they request (see
+	// parallel.go); <= 1 keeps plans serial.
 	Parallelism int
 }
 

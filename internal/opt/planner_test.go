@@ -517,7 +517,7 @@ func TestPlanThreeSourceChainIsTwoKeyedJoins(t *testing.T) {
 		ops := planOps(plan)
 		workers := ""
 		if degree > 1 {
-			workers = "workers=4 "
+			workers = "want=4 " // the stamped request, before any grant
 		}
 		if countPrefix(ops, "HashJoin") != 2 || countPrefix(ops, "Select") != 0 ||
 			countPrefix(ops, "HashJoin ["+workers+"on $_u1_i=$i]") != 1 || countPrefix(ops, "HashJoin ["+workers+"on $o]") != 1 {

@@ -1,49 +1,35 @@
-// Package sched is the shared inter-query scheduler: one process-wide
-// worker budget that every concurrent query's intra-query parallelism is
-// admitted against. PR 8 made a single query's pipelines parallel
-// (exchanges and partitioned joins in internal/algebra), but each query
-// claimed its configured degree unconditionally — N concurrent queries at
-// parallelism P spun up N·P workers on a machine with GOMAXPROCS cores,
-// exactly the oversubscription a mediator stack hits first under fan-in
-// load. The scheduler replaces that with admission:
+// Package sched is the shared worker budget: one process-wide pool of
+// worker slots that the parallel operators of every concurrent query
+// acquire from. A query's joins and its final sort run serially until
+// their input reaches a measured crossover (internal/algebra); only past
+// it does an operator ask for workers, and it holds what it was granted
+// for exactly as long as it spends it.
 //
-//   - the budget counts *extra* worker slots — the worker goroutines a
-//     query may use beyond the one goroutine every query already has. A
-//     granted degree of d costs d−1 slots, so a serial query costs zero
-//     and is always admitted immediately: the floor of one never blocks.
-//     The default budget is GOMAXPROCS;
-//   - Acquire never blocks: a query asking for degree d receives
-//     min(d, 1+free) at once. Queries admitted below their desired degree
-//     are counted as downgrades and parked in a per-class FIFO for
-//     upgrades as slots free;
-//   - two priority classes, interactive and batch. Freed slots go to
-//     interactive waiters first, and batch queries *yield* slack to unmet
-//     interactive demand at operator boundaries (Grant.Checkpoint, which
-//     the engine calls between rewrites, where no plan operators are
-//     running) — so an interactive query is never queued behind batch
-//     longer than one operator boundary;
-//   - grants are released on query completion or cancellation (Release is
-//     idempotent, so defer-on-every-path is safe), returning the slots to
-//     the pool and re-dispatching waiters.
+//   - the budget counts *extra* worker slots — goroutines beyond the one
+//     driving the query. A granted degree of d costs d−1 slots, so the
+//     serial floor costs nothing. The default budget is GOMAXPROCS;
+//   - Acquire never blocks: an operator asking for degree d receives
+//     min(d, 1+free) at once, and one granted less than it asked for is
+//     counted as a downgrade;
+//   - two priority classes, interactive and batch. A batch acquire never
+//     takes the pool's last free slot, so an interactive operator that
+//     arrives while only batch operators run is granted at least degree
+//     2, and none waits behind batch for longer than one batch operator
+//     runs — which is how long a grant lives;
+//   - Release is idempotent, so an operator may release on every path.
 //
 // The accounting invariant, asserted by the storm and fuzz suites at
-// every instant: granted + free == budget and granted ≤ budget. Gauges
-// (nimble_sched_budget / _granted / _waiting) and counters
-// (nimble_sched_downgrades_total / _upgrades_total / _reclaimed_total)
-// expose the same numbers; everything balances to zero at idle.
-//
-// The scheduler composes with, and does not double-count, the cluster
-// front end's admission control: cluster slots bound how many *queries*
-// run per instance, scheduler slots bound how many *workers* all running
-// queries may spread across, process-wide.
+// every instant: granted + free == budget and granted ≤ budget. The
+// gauges nimble_sched_budget / _granted and the counter
+// nimble_sched_downgrades_total expose it; granted is zero at idle.
+// Cluster slots bound how many *queries* run per instance; these slots
+// bound how many *workers* running operators spread across, process-wide.
 package sched
 
 import (
-	"container/list"
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -52,13 +38,11 @@ import (
 type Class int
 
 const (
-	// Interactive queries are latency-sensitive: freed slots go to them
-	// first, and batch queries yield slack to them at operator
-	// boundaries.
+	// Interactive queries are latency-sensitive: their operators may take
+	// every free slot.
 	Interactive Class = iota
-	// Batch queries are throughput work: they receive slots after
-	// interactive demand is met and give slack back when interactive
-	// queries arrive.
+	// Batch queries are throughput work: their operators leave the last
+	// free slot for an interactive one.
 	Batch
 )
 
@@ -83,49 +67,26 @@ func ParseClass(s string) (Class, error) {
 	return Interactive, fmt.Errorf("sched: unknown query class %q (want interactive or batch)", s)
 }
 
-// Clock abstracts time for grant ages and queue-wait measurement;
-// chaos.FakeClock satisfies it, so scheduler tests run on virtual time.
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
-
 // Config tunes a Scheduler.
 type Config struct {
 	// Budget is the global pool of extra worker slots shared by all
-	// concurrent queries (a granted degree of d consumes d−1 slots).
+	// concurrent operators (a granted degree of d consumes d−1 slots).
 	// 0 resolves to runtime.GOMAXPROCS(0).
 	Budget int
-	// Clock drives grant timestamps and wait measurement; nil = real
-	// time. Tests inject chaos.FakeClock for determinism.
-	Clock Clock
 	// Metrics receives the nimble_sched_* series; nil disables metrics.
 	Metrics *obs.Registry
 }
 
 // Scheduler owns the worker budget. Safe for concurrent use.
 type Scheduler struct {
-	clock Clock
+	budget int // immutable after New
 
-	mu      sync.Mutex
-	budget  int                 // immutable after New, read under mu for Snap coherence
-	free    int                 // guarded by mu; slots not granted
-	grants  map[*Grant]struct{} // guarded by mu; live grants
-	waitInt *list.List          // guarded by mu; interactive grants awaiting upgrades (FIFO)
-	waitBat *list.List          // guarded by mu; batch grants awaiting upgrades (FIFO)
-
-	downgrades int64 // guarded by mu; grants admitted below their desired degree
-	upgrades   int64 // guarded by mu; slots later granted to waiting grants
-	reclaimed  int64 // guarded by mu; slots yielded by batch grants at checkpoints
-	starved    int64 // guarded by mu; see Checkpoint's starvation detector
+	mu         sync.Mutex
+	free       int                 // guarded by mu; slots not granted
+	grants     map[*Grant]struct{} // guarded by mu; live grants
+	downgrades int64               // guarded by mu; grants below their request
 
 	mDowngrades *obs.Counter
-	mUpgrades   *obs.Counter
-	mReclaimed  *obs.Counter
-	mWait       *obs.Histogram
 }
 
 // New builds a scheduler over the configured budget.
@@ -134,246 +95,80 @@ func New(cfg Config) *Scheduler {
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
-	if budget < 1 {
-		budget = 1
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = realClock{}
-	}
-	s := &Scheduler{
-		clock:   clock,
-		budget:  budget,
-		free:    budget,
-		grants:  map[*Grant]struct{}{},
-		waitInt: list.New(),
-		waitBat: list.New(),
-	}
+	budget = max(budget, 1)
+	s := &Scheduler{budget: budget, free: budget, grants: map[*Grant]struct{}{}}
 	if reg := cfg.Metrics; reg != nil {
 		reg.GaugeFunc("nimble_sched_budget", func() float64 { return float64(s.Budget()) })
 		reg.GaugeFunc("nimble_sched_granted", func() float64 { return float64(s.Snap().Granted) })
-		reg.GaugeFunc("nimble_sched_waiting", func() float64 { return float64(s.Snap().Waiting) })
 		s.mDowngrades = reg.Counter("nimble_sched_downgrades_total")
-		s.mUpgrades = reg.Counter("nimble_sched_upgrades_total")
-		s.mReclaimed = reg.Counter("nimble_sched_reclaimed_total")
-		s.mWait = reg.Histogram("nimble_sched_wait_seconds")
 	}
 	return s
 }
 
-var (
-	defaultMu    sync.Mutex
-	defaultSched *Scheduler
-)
+// defaultSched is built on first use; later calls take no lock.
+var defaultSched = sync.OnceValue(func() *Scheduler { return New(Config{Metrics: obs.Default()}) })
 
 // Default returns the process-wide scheduler (budget GOMAXPROCS,
 // metrics on obs.Default()). Engines without an explicit SetScheduler
-// admit their queries here, so even ad-hoc core.Engine users share one
-// budget.
-func Default() *Scheduler {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultSched == nil {
-		defaultSched = New(Config{Metrics: obs.Default()})
-	}
-	return defaultSched
-}
+// acquire here, so even ad-hoc core.Engine users share one budget.
+func Default() *Scheduler { return defaultSched() }
 
 // Budget reports the configured slot budget.
-func (s *Scheduler) Budget() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.budget
-}
+func (s *Scheduler) Budget() int { return s.budget }
 
-// Grant is one query's admitted degree of parallelism. The engine
-// acquires a grant per top-level query, consults Degree/Checkpoint at
-// operator boundaries (each rewrite, the final sort), and releases it
-// when the query finishes — on success, error, cancellation, and panic
-// paths alike (Release is idempotent, so `defer g.Release()` is the
-// whole contract).
+// Grant is one operator's admitted degree of parallelism, held while the
+// operator runs and released when it stops — on success, error,
+// cancellation and panic paths alike (Release is idempotent).
 type Grant struct {
-	s     *Scheduler
-	class Class
-	start time.Time
-
-	desired  int           // guarded by s.mu
-	degree   int           // guarded by s.mu
-	elem     *list.Element // guarded by s.mu; non-nil while queued for an upgrade
-	enq      time.Time     // guarded by s.mu; when the grant started waiting
-	released bool          // guarded by s.mu
+	s        *Scheduler
+	degree   int  // guarded by s.mu
+	released bool // guarded by s.mu
 }
 
-// Acquire admits a query requesting the desired degree of parallelism
-// under the given class. desired <= 0 means "use the machine": it
-// resolves to the budget (the old SetParallelism(0) = GOMAXPROCS
-// behavior, now against the shared pool instead of per query). The
-// granted degree is min(desired, 1+free) with a floor of 1 — Acquire
-// never blocks and never fails; a query short of its desired degree is
-// queued for upgrades at its next operator boundary.
+// Acquire admits an operator asking for the desired degree under the
+// given class. desired <= 0 resolves to the budget. The granted degree is
+// min(desired, 1+free) with a floor of 1, and a batch acquire leaves the
+// last free slot alone; Acquire never blocks and never fails.
 func (s *Scheduler) Acquire(desired int, class Class) *Grant {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if desired <= 0 {
 		desired = s.budget
 	}
-	if desired < 1 {
-		desired = 1
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	room := s.free
+	if class == Batch {
+		room--
 	}
-	if desired > s.budget+1 {
-		// More workers than the budget can ever grant is demand that can
-		// never be met; cap it so waiters are always satisfiable.
-		desired = s.budget + 1
-	}
-	take := desired - 1
-	if take > s.free {
-		take = s.free
-	}
+	take := max(min(desired-1, room), 0)
 	s.free -= take
-	now := s.clock.Now()
-	g := &Grant{s: s, class: class, start: now, desired: desired, degree: 1 + take}
+	g := &Grant{s: s, degree: 1 + take}
 	s.grants[g] = struct{}{}
-	if g.degree < g.desired {
+	if g.degree < desired {
 		s.downgrades++
 		s.mDowngrades.Inc()
-		g.enq = now
-		g.elem = s.queueOfLocked(class).PushBack(g)
 	}
 	return g
 }
 
-// queueOfLocked returns the upgrade queue for a class.
-func (s *Scheduler) queueOfLocked(c Class) *list.List {
-	if c == Batch {
-		return s.waitBat
-	}
-	return s.waitInt
-}
-
-// dispatchLocked hands free slots to waiting grants: interactive FIFO
-// first, then batch FIFO. Partial upgrades are allowed; a grant leaves
-// the queue only when it reaches its desired degree.
-func (s *Scheduler) dispatchLocked() {
-	for s.free > 0 {
-		q := s.waitInt
-		if q.Len() == 0 {
-			q = s.waitBat
-		}
-		if q.Len() == 0 {
-			return
-		}
-		g := q.Front().Value.(*Grant)
-		take := g.desired - g.degree
-		if take > s.free {
-			take = s.free
-		}
-		g.degree += take
-		s.free -= take
-		s.upgrades += int64(take)
-		s.mUpgrades.Add(int64(take))
-		if g.degree >= g.desired {
-			q.Remove(q.Front())
-			g.elem = nil
-			s.mWait.Observe(s.clock.Now().Sub(g.enq).Seconds())
-		} else {
-			return // head of queue still unmet: the pool is dry
-		}
-	}
-}
-
-// unmetInteractiveLocked sums the slots interactive waiters still need.
-func (s *Scheduler) unmetInteractiveLocked() int {
-	unmet := 0
-	for e := s.waitInt.Front(); e != nil; e = e.Next() {
-		g := e.Value.(*Grant)
-		unmet += g.desired - g.degree
-	}
-	return unmet
-}
-
-// Class reports the grant's scheduling class.
-func (g *Grant) Class() Class {
-	if g == nil {
-		return Interactive
-	}
-	return g.class
-}
-
-// Desired reports the degree the query asked for (after resolution of
-// the 0 = budget default). Nil grants are serial.
-func (g *Grant) Desired() int {
-	if g == nil {
-		return 1
-	}
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return g.desired
-}
-
-// Degree reports the currently granted degree of parallelism. Nil
-// grants are serial (degree 1) — the engine's materialization paths run
-// without a grant.
+// Degree reports the granted degree of parallelism. A nil or released
+// grant is serial (degree 1).
 func (g *Grant) Degree() int {
 	if g == nil {
 		return 1
 	}
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
-	if g.released {
-		return 1
-	}
 	return g.degree
 }
 
-// Checkpoint is the operator-boundary yield point, called by the engine
-// between rewrites and before the final sort — moments when none of the
-// query's plan operators are running, so degree changes are safe. A
-// batch grant yields slack to unmet interactive demand here (the
-// reclaim path); any grant picks up upgrades granted since the last
-// boundary. Returns the degree to plan the next operator tree at.
-func (g *Grant) Checkpoint() int {
-	if g == nil {
-		return 1
-	}
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	s := g.s
-	if g.released {
-		return 1
-	}
-	if g.class == Batch && g.degree > 1 {
-		if demand := s.unmetInteractiveLocked(); demand > 0 {
-			yield := g.degree - 1
-			if yield > demand {
-				yield = demand
-			}
-			g.degree -= yield
-			s.free += yield
-			s.reclaimed += int64(yield)
-			s.mReclaimed.Add(int64(yield))
-			if g.degree < g.desired && g.elem == nil {
-				// The yielded slots come back when interactive pressure
-				// clears: rejoin the batch upgrade queue.
-				g.enq = s.clock.Now()
-				g.elem = s.waitBat.PushBack(g)
-			}
-			s.dispatchLocked()
-			// Starvation detector: after a batch boundary yielded, no
-			// interactive waiter may remain unmet while this grant still
-			// holds slack. Structurally unreachable; the soak asserts 0.
-			if g.degree > 1 && s.unmetInteractiveLocked() > 0 {
-				s.starved++
-			}
-			return g.degree
-		}
-	}
-	s.dispatchLocked()
-	return g.degree
-}
+// Checkpoint reports the granted degree.
+//
+// Deprecated: a grant's degree no longer changes while it is held; use
+// Degree.
+func (g *Grant) Checkpoint() int { return g.Degree() }
 
-// Release returns the grant's slots to the pool and re-dispatches
-// waiters. Idempotent: the second and later calls are no-ops, so the
-// engine defers it unconditionally and error/cancel/panic paths cannot
+// Release returns the grant's slots to the pool. Idempotent: the second
+// and later calls are no-ops, so error, cancel and panic paths cannot
 // double-release or leak.
 func (g *Grant) Release() {
 	if g == nil {
@@ -381,25 +176,19 @@ func (g *Grant) Release() {
 	}
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
-	s := g.s
 	if g.released {
 		return
 	}
 	g.released = true
-	if g.elem != nil {
-		s.queueOfLocked(g.class).Remove(g.elem)
-		g.elem = nil
-	}
-	s.free += g.degree - 1
+	g.s.free += g.degree - 1
 	g.degree = 1
-	delete(s.grants, g)
-	s.dispatchLocked()
+	delete(g.s.grants, g)
 }
 
 // Snapshot is the scheduler's instantaneous accounting, served on
 // /debug/cluster and asserted by the storm/fuzz invariants:
-// Granted + Free == Budget and Granted <= Budget, always; Granted,
-// Waiting, and Queries are zero at idle.
+// Granted + Free == Budget and Granted <= Budget, always; Granted and
+// Queries are zero at idle.
 type Snapshot struct {
 	// Budget is the configured extra-worker slot pool.
 	Budget int `json:"budget"`
@@ -407,21 +196,10 @@ type Snapshot struct {
 	Granted int `json:"granted"`
 	// Free is the slots available for new grants.
 	Free int `json:"free"`
-	// Waiting is the grants queued for an upgrade (admitted below
-	// their desired degree).
-	Waiting int `json:"waiting"`
-	// Queries is the live grant count.
+	// Queries is the live grant count: operators holding workers.
 	Queries int `json:"queries"`
 	// Downgrades counts grants admitted below their desired degree.
 	Downgrades int64 `json:"downgrades"`
-	// Upgrades counts slots later granted to waiting grants.
-	Upgrades int64 `json:"upgrades"`
-	// Reclaimed counts slots batch grants yielded at checkpoints.
-	Reclaimed int64 `json:"reclaimed"`
-	// Starved counts interactive waiters left unmet across a batch
-	// operator boundary that still held slack — always 0 unless the
-	// scheduler's priority logic is broken.
-	Starved int64 `json:"starved"`
 }
 
 // Snap returns the current accounting. Granted is recomputed from the
@@ -438,11 +216,7 @@ func (s *Scheduler) Snap() Snapshot {
 		Budget:     s.budget,
 		Granted:    granted,
 		Free:       s.free,
-		Waiting:    s.waitInt.Len() + s.waitBat.Len(),
 		Queries:    len(s.grants),
 		Downgrades: s.downgrades,
-		Upgrades:   s.upgrades,
-		Reclaimed:  s.reclaimed,
-		Starved:    s.starved,
 	}
 }

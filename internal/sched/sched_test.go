@@ -6,9 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/obs"
 )
 
@@ -34,12 +32,9 @@ func TestAcquireGrantsUpToBudget(t *testing.T) {
 	if got := g.Degree(); got != 3 {
 		t.Fatalf("degree = %d, want 3 (budget 4 has room)", got)
 	}
-	if got := g.Desired(); got != 3 {
-		t.Fatalf("desired = %d, want 3", got)
-	}
 	snap := s.Snap()
 	checkInvariants(t, snap)
-	if snap.Granted != 2 || snap.Queries != 1 || snap.Waiting != 0 {
+	if snap.Granted != 2 || snap.Queries != 1 || snap.Downgrades != 0 {
 		t.Fatalf("snap = %+v, want granted 2 (degree 3 costs 2 slots)", snap)
 	}
 	g.Release()
@@ -54,7 +49,7 @@ func TestAcquireNeverBlocksAtFloorOne(t *testing.T) {
 	s := New(Config{Budget: 1})
 	// Exhaust the budget, then keep admitting: every further query gets
 	// the serial floor immediately — Acquire never blocks.
-	first := s.Acquire(2, Batch)
+	first := s.Acquire(2, Interactive)
 	if first.Degree() != 2 {
 		t.Fatalf("first degree = %d, want 2", first.Degree())
 	}
@@ -74,34 +69,68 @@ func TestAcquireNeverBlocksAtFloorOne(t *testing.T) {
 	for _, g := range rest {
 		g.Release()
 	}
-	if snap := s.Snap(); snap.Granted != 0 || snap.Waiting != 0 {
-		t.Fatalf("idle snap = %+v, want zero granted/waiting", snap)
+	if snap := s.Snap(); snap.Granted != 0 || snap.Queries != 0 {
+		t.Fatalf("idle snap = %+v, want zero granted/queries", snap)
 	}
 }
 
 func TestAutoDesiredResolvesToBudget(t *testing.T) {
 	s := New(Config{Budget: 3})
 	g := s.Acquire(0, Interactive)
-	if g.Desired() != 3 || g.Degree() != 3 {
-		t.Fatalf("auto grant = desired %d degree %d, want 3/3 (budget)", g.Desired(), g.Degree())
+	if g.Degree() != 3 {
+		t.Fatalf("auto grant degree %d, want 3 (budget)", g.Degree())
+	}
+	if d := s.Snap().Downgrades; d != 0 {
+		t.Fatalf("downgrades = %d, want 0: the budget is all an auto request asks for", d)
 	}
 	g.Release()
 }
 
+// TestDesiredCappedAtBudgetPlusOne: a request past what the pool holds is
+// granted the whole pool, degree budget+1, and counted as a downgrade.
 func TestDesiredCappedAtBudgetPlusOne(t *testing.T) {
 	s := New(Config{Budget: 2})
 	g := s.Acquire(100, Interactive)
-	if g.Desired() != 3 {
-		t.Fatalf("desired = %d, want cap at budget+1 = 3", g.Desired())
-	}
 	if g.Degree() != 3 {
-		t.Fatalf("degree = %d, want 3", g.Degree())
+		t.Fatalf("degree = %d, want budget+1 = 3", g.Degree())
 	}
-	// Fully satisfied: must not sit in the upgrade queue forever.
-	if w := s.Snap().Waiting; w != 0 {
-		t.Fatalf("waiting = %d, want 0", w)
+	if snap := s.Snap(); snap.Downgrades != 1 || snap.Free != 0 {
+		t.Fatalf("snap = %+v, want one downgrade and the pool empty", snap)
 	}
 	g.Release()
+}
+
+// TestBatchLeavesLastSlotForInteractive: however many batch operators
+// hold workers, a batch acquire leaves the last free slot, so an
+// interactive operator arriving next is granted degree 2 — at budget 1
+// too, where batch never gets a worker at all.
+func TestBatchLeavesLastSlotForInteractive(t *testing.T) {
+	for _, budget := range []int{1, 2, 8} {
+		s := New(Config{Budget: budget})
+		b1 := s.Acquire(budget+1, Batch)
+		b2 := s.Acquire(budget+1, Batch)
+		if b1.Degree() != budget || b2.Degree() != 1 {
+			t.Fatalf("budget %d: batch degrees %d, %d; want %d, 1", budget, b1.Degree(), b2.Degree(), budget)
+		}
+		if free := s.Snap().Free; free != 1 {
+			t.Fatalf("budget %d: %d slots free under batch, want the last one", budget, free)
+		}
+		in := s.Acquire(budget+1, Interactive)
+		if in.Degree() != 2 {
+			t.Fatalf("budget %d: interactive degree %d behind batch, want 2", budget, in.Degree())
+		}
+		snap := s.Snap()
+		checkInvariants(t, snap)
+		if snap.Free != 0 || snap.Queries != 3 {
+			t.Fatalf("budget %d: snap = %+v, want three grants and the pool empty", budget, snap)
+		}
+		for _, g := range []*Grant{b1, b2, in} {
+			g.Release()
+		}
+		if snap := s.Snap(); snap.Free != budget || snap.Queries != 0 {
+			t.Fatalf("budget %d: not idle after release: %+v", budget, snap)
+		}
+	}
 }
 
 func TestReleaseIsIdempotent(t *testing.T) {
@@ -122,130 +151,10 @@ func TestReleaseIsIdempotent(t *testing.T) {
 
 func TestNilGrantIsSerial(t *testing.T) {
 	var g *Grant
-	if g.Degree() != 1 || g.Checkpoint() != 1 || g.Desired() != 1 {
+	if g.Degree() != 1 {
 		t.Fatal("nil grant must behave as serial degree 1")
 	}
 	g.Release() // must not panic
-}
-
-func TestUpgradeAtCheckpointAfterRelease(t *testing.T) {
-	s := New(Config{Budget: 4})
-	hog := s.Acquire(5, Interactive) // takes the whole budget
-	late := s.Acquire(3, Interactive)
-	if late.Degree() != 1 {
-		t.Fatalf("late degree = %d, want floor 1", late.Degree())
-	}
-	hog.Release()
-	// The released slots were dispatched to the waiter; the next
-	// operator boundary observes the upgrade.
-	if got := late.Checkpoint(); got != 3 {
-		t.Fatalf("late degree after release+checkpoint = %d, want 3", got)
-	}
-	if w := s.Snap().Waiting; w != 0 {
-		t.Fatalf("waiting = %d, want 0 after upgrade", w)
-	}
-	late.Release()
-	checkInvariants(t, s.Snap())
-}
-
-func TestInteractiveWaitersServedBeforeBatch(t *testing.T) {
-	s := New(Config{Budget: 2})
-	hog := s.Acquire(3, Interactive)
-	bat := s.Acquire(3, Batch)         // waits
-	inter := s.Acquire(3, Interactive) // waits, arrived later than batch
-	hog.Release()
-	// Freed slots must go to the interactive waiter even though the
-	// batch waiter is older.
-	if got := inter.Degree(); got != 3 {
-		t.Fatalf("interactive degree after release = %d, want 3", got)
-	}
-	if got := bat.Degree(); got != 1 {
-		t.Fatalf("batch degree = %d, want still 1", got)
-	}
-	inter.Release()
-	if got := bat.Checkpoint(); got != 3 {
-		t.Fatalf("batch degree after interactive release = %d, want 3", got)
-	}
-	bat.Release()
-	checkInvariants(t, s.Snap())
-}
-
-// TestBatchYieldsToInteractiveWithinOneBoundary is the starvation test:
-// on a FakeClock, an interactive query arriving while a batch query
-// holds the whole budget is granted workers at the very next operator
-// boundary — it is never queued behind batch longer than that.
-func TestBatchYieldsToInteractiveWithinOneBoundary(t *testing.T) {
-	fc := chaos.NewFakeClock()
-	reg := obs.NewRegistry()
-	s := New(Config{Budget: 2, Clock: fc, Metrics: reg})
-
-	bat := s.Acquire(3, Batch)
-	if bat.Degree() != 3 {
-		t.Fatalf("batch degree = %d, want 3 (whole budget)", bat.Degree())
-	}
-
-	fc.Advance(10 * time.Millisecond)
-	inter := s.Acquire(2, Interactive)
-	if inter.Degree() != 1 {
-		t.Fatalf("interactive admitted at degree %d, want floor 1 while batch holds budget", inter.Degree())
-	}
-
-	// One batch operator boundary: the batch grant yields its slack to
-	// the unmet interactive demand.
-	fc.Advance(10 * time.Millisecond)
-	if got := bat.Checkpoint(); got != 2 {
-		t.Fatalf("batch degree after yield = %d, want 2 (yielded 1 slot)", got)
-	}
-	if got := inter.Degree(); got != 2 {
-		t.Fatalf("interactive degree after one batch boundary = %d, want desired 2", got)
-	}
-
-	snap := s.Snap()
-	checkInvariants(t, snap)
-	if snap.Reclaimed != 1 {
-		t.Fatalf("reclaimed = %d, want 1", snap.Reclaimed)
-	}
-	if snap.Starved != 0 {
-		t.Fatalf("starved = %d, want 0", snap.Starved)
-	}
-
-	// The interactive waiter's queue time ran on the virtual clock.
-	h := reg.Histogram("nimble_sched_wait_seconds")
-	if h.Count() != 1 {
-		t.Fatalf("wait histogram count = %d, want 1", h.Count())
-	}
-	if got := h.Sum(); got < 0.009 || got > 0.011 {
-		t.Fatalf("wait histogram sum = %v, want ~0.010 (10ms of virtual time)", got)
-	}
-
-	inter.Release()
-	if got := bat.Checkpoint(); got != 3 {
-		t.Fatalf("batch degree after interactive done = %d, want regrown to 3", got)
-	}
-	bat.Release()
-	snap = s.Snap()
-	checkInvariants(t, snap)
-	if snap.Granted != 0 || snap.Waiting != 0 || snap.Queries != 0 {
-		t.Fatalf("idle snap = %+v, want zeros", snap)
-	}
-}
-
-func TestBatchKeepsSlackWithoutInteractiveDemand(t *testing.T) {
-	s := New(Config{Budget: 4})
-	bat := s.Acquire(4, Batch)
-	// No interactive demand: checkpoints must not shed workers.
-	for i := 0; i < 3; i++ {
-		if got := bat.Checkpoint(); got != 4 {
-			t.Fatalf("checkpoint %d degree = %d, want 4", i, got)
-		}
-	}
-	// A batch waiter does not trigger reclaim either (same class).
-	other := s.Acquire(2, Batch)
-	if got := bat.Checkpoint(); got != 4 {
-		t.Fatalf("degree after batch-only demand = %d, want 4", got)
-	}
-	bat.Release()
-	other.Release()
 }
 
 func promText(t *testing.T, reg *obs.Registry) string {
@@ -261,12 +170,11 @@ func TestMetricsGaugesBalance(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{Budget: 3, Metrics: reg})
 	g1 := s.Acquire(3, Interactive)
-	g2 := s.Acquire(3, Batch)
+	g2 := s.Acquire(3, Batch) // leaves the last slot: degree 1, a downgrade
 	text := promText(t, reg)
 	for _, want := range []string{
 		"nimble_sched_budget 3",
-		"nimble_sched_granted 3",
-		"nimble_sched_waiting 1",
+		"nimble_sched_granted 2",
 		"nimble_sched_downgrades_total 1",
 	} {
 		if !strings.Contains(text, want) {
@@ -275,11 +183,8 @@ func TestMetricsGaugesBalance(t *testing.T) {
 	}
 	g1.Release()
 	g2.Release()
-	text = promText(t, reg)
-	for _, want := range []string{"nimble_sched_granted 0", "nimble_sched_waiting 0"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("idle exposition missing %q:\n%s", want, text)
-		}
+	if text = promText(t, reg); !strings.Contains(text, "nimble_sched_granted 0") {
+		t.Fatalf("idle exposition missing nimble_sched_granted 0:\n%s", text)
 	}
 }
 
@@ -298,10 +203,10 @@ func TestParseClass(t *testing.T) {
 	}
 }
 
-// TestGrantReleaseProperty drives seeded random acquire / checkpoint /
-// release sequences and asserts the accounting invariants after every
-// step: no double-release effects, no leaked slots, waiters served once
-// capacity exists.
+// TestGrantReleaseProperty drives seeded random acquire / release
+// sequences and asserts the accounting invariants after every step: no
+// double-release effects, no leaked slots, the whole pool grantable once
+// everything is released.
 func TestGrantReleaseProperty(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -309,22 +214,19 @@ func TestGrantReleaseProperty(t *testing.T) {
 		s := New(Config{Budget: budget})
 		var live []*Grant
 		for step := 0; step < 400; step++ {
-			switch op := rng.Intn(10); {
-			case op < 4: // acquire
+			if op := rng.Intn(10); op < 5 || len(live) == 0 { // acquire
 				class := Interactive
 				if rng.Intn(2) == 0 {
 					class = Batch
 				}
 				live = append(live, s.Acquire(rng.Intn(budget+3), class))
-			case op < 7 && len(live) > 0: // release (sometimes double)
+			} else { // release (sometimes double)
 				i := rng.Intn(len(live))
 				live[i].Release()
 				if rng.Intn(3) == 0 {
 					live[i].Release()
 				}
 				live = append(live[:i], live[i+1:]...)
-			case len(live) > 0: // checkpoint
-				live[rng.Intn(len(live))].Checkpoint()
 			}
 			checkInvariants(t, s.Snap())
 		}
@@ -333,11 +235,10 @@ func TestGrantReleaseProperty(t *testing.T) {
 		}
 		snap := s.Snap()
 		checkInvariants(t, snap)
-		if snap.Granted != 0 || snap.Waiting != 0 || snap.Queries != 0 {
+		if snap.Granted != 0 || snap.Queries != 0 {
 			t.Fatalf("seed %d: idle snap = %+v, want zeros", seed, snap)
 		}
-		// Waiters eventually served: with the pool fully free, a maximal
-		// request is granted in full immediately.
+		// With the pool fully free, a maximal request is granted in full.
 		g := s.Acquire(budget+1, Interactive)
 		if g.Degree() != budget+1 {
 			t.Fatalf("seed %d: post-drain full acquire degree = %d, want %d", seed, g.Degree(), budget+1)
@@ -398,9 +299,7 @@ func TestConcurrentStorm(t *testing.T) {
 					class = Batch
 				}
 				g := s.Acquire(rng.Intn(6), class)
-				for c := 0; c < rng.Intn(3); c++ {
-					g.Checkpoint()
-				}
+				g.Degree()
 				g.Release()
 				if rng.Intn(4) == 0 {
 					g.Release() // racing double release must stay a no-op
@@ -414,7 +313,7 @@ func TestConcurrentStorm(t *testing.T) {
 
 	snap := s.Snap()
 	checkInvariants(t, snap)
-	if snap.Granted != 0 || snap.Waiting != 0 || snap.Queries != 0 {
+	if snap.Granted != 0 || snap.Queries != 0 {
 		t.Fatalf("storm left residue: %+v", snap)
 	}
 }

@@ -407,9 +407,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return v == "1" || v == "true"
 	}
 	profile, explain := flag("profile"), flag("explain")
-	// X-Nimble-Class picks the scheduling class the shared worker
-	// scheduler admits this query under: "interactive" (the default) or
-	// "batch". Validated up front so a typo is a 400, not a query error.
+	// X-Nimble-Class picks the scheduling class this query's operators
+	// acquire workers under: "interactive" (the default) or "batch".
+	// Validated up front so a typo is a 400, not a query error.
 	class := strings.TrimSpace(r.Header.Get("X-Nimble-Class"))
 	if _, err := sched.ParseClass(class); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -126,26 +126,27 @@ type Config struct {
 	// DisablePushdown turns off fragment compilation into sources (for
 	// ablation; the answer is unchanged, only slower).
 	DisablePushdown bool
-	// Parallelism is the intra-query degree of parallelism a query
-	// *requests*: how many worker goroutines one query's operator
-	// pipelines would like. 0 (the default) requests the scheduler's
-	// whole worker budget; 1 keeps plans serial. The degree actually
-	// used is admitted per query by the shared scheduler against
-	// WorkerBudget, so concurrent queries divide the budget instead of
+	// Parallelism is the intra-query degree of parallelism a query's
+	// joins and final sort *request*: how many worker goroutines each
+	// would like once its input is past its measured crossover. 0 (the
+	// default) requests the scheduler's whole worker budget; 1 keeps
+	// plans serial. The degree actually used is granted per operator by
+	// the shared scheduler against WorkerBudget, for as long as the
+	// operator runs, so concurrent operators divide the budget instead of
 	// each claiming this many workers. Parallel plans produce
 	// byte-identical output to serial ones at any granted degree, so
 	// this is purely a throughput knob.
 	Parallelism int
 	// WorkerBudget is the process-wide pool of extra worker goroutines
-	// shared by all concurrent queries across every instance (a query
+	// shared by all running operators across every instance (an operator
 	// granted degree d holds d−1 budget slots; the serial floor costs
 	// nothing and is never queued). 0 (the default) resolves to
 	// runtime.GOMAXPROCS(0).
 	WorkerBudget int
 	// QueryClass is the default scheduling class for this deployment's
-	// queries: "interactive" (the default) is served first; "batch"
-	// yields worker slack to interactive queries at operator
-	// boundaries. The per-request X-Nimble-Class header overrides it.
+	// queries: "interactive" (the default) may take every free worker
+	// slot; "batch" always leaves the last one for interactive work. The
+	// per-request X-Nimble-Class header overrides it.
 	QueryClass string
 	// Metrics is the registry observing this deployment; nil uses the
 	// process-wide default registry.
@@ -329,8 +330,8 @@ func New(cfg Config) *System {
 	if err != nil {
 		panic(err) // Config is programmer input; fail loudly, like a bad template
 	}
-	// One scheduler per deployment: every instance admits its queries
-	// against the same worker budget, so the fleet cannot oversubscribe
+	// One scheduler per deployment: every instance's operators acquire
+	// from the same worker budget, so the fleet cannot oversubscribe
 	// the machine no matter how many instances share it.
 	s.sched = sched.New(sched.Config{Budget: cfg.WorkerBudget, Metrics: reg})
 	for i := 0; i < cfg.Instances; i++ {
@@ -683,8 +684,8 @@ func (s *System) Metrics() *obs.Registry { return s.metrics }
 // /debug/trace/last (nil when Config.TraceBuffer is negative).
 func (s *System) Traces() *obs.TraceStore { return s.traces }
 
-// Scheduler returns the shared inter-query worker scheduler every
-// instance of this deployment admits parallelism against (see
+// Scheduler returns the shared worker scheduler the parallel operators
+// of every instance of this deployment acquire from (see
 // Config.WorkerBudget / Config.QueryClass).
 func (s *System) Scheduler() *sched.Scheduler { return s.sched }
 

