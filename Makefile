@@ -101,11 +101,21 @@ sched-race:
 # a node shared with the cache is a reported race. The construct builder
 # is held to its reference (property and fuzz seeds), its slab-carved
 # results to not aliasing one another, and a tuple spliced from concurrent
-# queries to copying the source nodes it holds.
+# queries to copying the source nodes it holds. A pushed fragment bound
+# from rows is held to binding from its XML export (table and property),
+# its fetch to one memo entry whose rendered export concurrent readers
+# share, and its faults and simulated transport to the XML twin's —
+# answers, reports, retries, breakers, outcomes and error text under a
+# seeded chaos schedule; projected rdb rows to not aliasing one another.
 resultpath-race:
 	$(GO) test -race -run 'FuzzSerializeEscape|TestSerializeMatchesReference|TestBufferReuse' -count=1 ./internal/xmlparse
 	$(call run-named,-race -count=1,TestBuilderEqualsReference|FuzzConstruct,./internal/algebra)
-	$(call run-named,-race -count=1,TestView|TestBuilderSlabsDoNotAlias|TestTupleSpliceCopiesBoundNodes,./internal/core)
+	$(call run-named,-race -count=1,TestView|TestBuilderSlabsDoNotAlias|TestTupleSpliceCopiesBoundNodes|TestRowFetchUnderChaosMatchesXMLTwin,./internal/core)
+	$(call run-named,-race -count=1,TestBindRowsEqualsExportReadBack,./internal/opt)
+	$(call run-named,-race -count=10,TestRowAnswerIsOneFetchAndRendersTheExport|TestConcurrentReadersShareOneRowAnswer,./internal/exec)
+	$(call run-named,-race -count=1,TestNetworkSimRowsMatchDocuments|TestWrappersForwardRows,./internal/sources)
+	$(call run-named,-race -count=1,TestRowFaultsShareTheSchedule,./internal/chaos)
+	$(call run-named,-race -count=1,TestProjectedRowsDoNotAlias,./internal/rdb)
 	$(GO) test -race -run 'TestCachedValuesStayImmutable|TestQueryContentLength' -count=10 ./internal/server
 
 # sched-soak runs the extended scheduler workload behind the soak tag:
@@ -138,8 +148,9 @@ bench-smoke:
 # repository benchmark and writes BENCH_$(ISSUE).json: ten alternating
 # pairs on seed 7 and on the held-out seed for the claimed workload
 # (CLAIM=workload:metric), three pairs for the others, the 9/10 +
-# inter-quartile rule, BENCHMARK.json's bounds, and a traced pass per
-# seed. Both sides build under .bench_build/; bench/ is not touched.
+# inter-quartile rule, BENCHMARK.json's bounds, and a traced pass of
+# every workload on seed 7 (of the claimed one on every seed). Both sides
+# build under .bench_build/; bench/ is not touched.
 #   make bench-compare PARENT=HEAD~1 ISSUE=16 CLAIM=fed-join:qps
 # CLAIM_TEXT records the claim in the issue's words, NOTE a free-text
 # note (the tool takes -note repeatedly when run directly).

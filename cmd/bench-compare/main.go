@@ -19,8 +19,10 @@
 //     worse than the parent by more than BENCHMARK.json's bound; where the
 //     parent's own spread is wider than the bound it is reported
 //     unresolved, not unchanged.
-//   - a traced pass per seed on the claimed workload records the per-layer
-//     metrics of both sides, so the record shows where the saving sits.
+//   - a traced pass of every workload on the first seed, and of the
+//     claimed workload on every seed, records the per-layer metrics of
+//     both sides, so the record shows where the saving sits and every
+//     layer number keeps a trajectory.
 //
 // Usage (through `make bench-compare PARENT=<rev> ISSUE=<n> CLAIM=fed-join:qps`):
 //
@@ -312,6 +314,29 @@ func (r *runner) traced(workload string, seed int64) (*tracedCompare, error) {
 	return tc, nil
 }
 
+// tracedRun is one traced pass: a workload on a seed.
+type tracedRun struct {
+	workload string
+	seed     int64
+}
+
+// tracePlan lists a run's traced passes: every workload on the first
+// seed, so each layer number has a trajectory from record to record, and
+// the claimed workload on every other seed as well.
+func tracePlan(workloads []string, claimWorkload string, seeds []int64) []tracedRun {
+	var plan []tracedRun
+	for _, w := range workloads {
+		wSeeds := seeds[:1]
+		if w == claimWorkload {
+			wSeeds = seeds
+		}
+		for _, seed := range wSeeds {
+			plan = append(plan, tracedRun{w, seed})
+		}
+	}
+	return plan
+}
+
 // failShare is the share of operations that failed on a side.
 func failShare(wc *workloadCompare, side string) float64 {
 	if wc.Attempted[side] == 0 {
@@ -475,13 +500,17 @@ func (o options) run() error {
 	}
 	if o.claim != "" {
 		rec.ClaimMet = &claimMet
-		for _, seed := range seeds {
-			tc, err := r.traced(claimWorkload, seed)
-			if err != nil {
-				return err
-			}
-			rec.Traced = append(rec.Traced, *tc)
+	}
+	var workloads []string
+	for _, w := range b.Workloads {
+		workloads = append(workloads, w.Name)
+	}
+	for _, tr := range tracePlan(workloads, claimWorkload, seeds) {
+		tc, err := r.traced(tr.workload, tr.seed)
+		if err != nil {
+			return err
 		}
+		rec.Traced = append(rec.Traced, *tc)
 	}
 	sort.Strings(rec.Regressed)
 	sort.Strings(rec.Unresolved)

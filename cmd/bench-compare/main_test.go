@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The quartiles are the ones BENCH_15.json was assembled with (linear
 // interpolation), so records stay comparable: its fed-join parent runs
@@ -86,5 +89,21 @@ func TestJudgeCountsFailuresAgainstAGain(t *testing.T) {
 	rec = &record{}
 	if !judge(wc, "fed-join", "qps", rec) || wc.Metrics["qps"].Verdict != "gain" || len(rec.Regressed) != 0 {
 		t.Errorf("clean gain: verdict %q, regressed %v", wc.Metrics["qps"].Verdict, rec.Regressed)
+	}
+}
+
+// TestTracePlanCoversEveryWorkload: every workload is traced on the first
+// seed, the claimed one on every seed, in BENCHMARK.json's order; with no
+// claim each workload is traced once.
+func TestTracePlanCoversEveryWorkload(t *testing.T) {
+	workloads := []string{"point-pushdown", "fed-join", "bulk-export", "cached-mix"}
+	seeds := []int64{7, 20010402}
+	got := fmt.Sprint(tracePlan(workloads, "bulk-export", seeds))
+	if want := "[{point-pushdown 7} {fed-join 7} {bulk-export 7} {bulk-export 20010402} {cached-mix 7}]"; got != want {
+		t.Errorf("claimed plan = %s, want %s", got, want)
+	}
+	got = fmt.Sprint(tracePlan(workloads, "", seeds))
+	if want := "[{point-pushdown 7} {fed-join 7} {bulk-export 7} {cached-mix 7}]"; got != want {
+		t.Errorf("unclaimed plan = %s, want %s", got, want)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/rdb"
 	"repro/internal/xmldm"
 	"repro/internal/xmlql"
 )
@@ -143,6 +144,40 @@ func (s *Snapshot) IndexFor(doc *xmldm.Node) *xmldm.ElemIndex {
 		return nil
 	}
 	return s.Index()
+}
+
+// RowFetcher is implemented by sources that can answer a native request
+// with the rows of its result instead of their XML export of them. The
+// cost is the one Fetch reports for the same request, and the export is
+// what Fetch would have returned. Unlike the metadata capabilities it is
+// honoured only on the registered object (RowsOf), never through Inner():
+// answering in rows there would skip the wrapper's own fetch — its
+// simulated latency, its faults, its metrics. A wrapper that forwards it
+// answers FetchesRows for what it wraps.
+type RowFetcher interface {
+	// FetchesRows reports whether FetchRows can answer.
+	FetchesRows() bool
+	FetchRows(ctx context.Context, req Request) (*rdb.Result, Cost, error)
+}
+
+// RowsOf returns src's row capability, if src itself has one that can
+// answer.
+func RowsOf(src Source) (RowFetcher, bool) {
+	rf, ok := src.(RowFetcher)
+	if !ok || !rf.FetchesRows() {
+		return nil, false
+	}
+	return rf, true
+}
+
+// FetchRows asks src for req's rows — the call a wrapper forwards
+// through. A source that cannot answer in rows is an error.
+func FetchRows(ctx context.Context, src Source, req Request) (*rdb.Result, Cost, error) {
+	rf, ok := RowsOf(src)
+	if !ok {
+		return nil, Cost{}, fmt.Errorf("catalog: source %q does not answer in rows", src.Name())
+	}
+	return rf.FetchRows(ctx, req)
 }
 
 // Relational is implemented by sources that accept SQL; the compiler

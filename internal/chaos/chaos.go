@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/rdb"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
 )
@@ -32,8 +33,9 @@ const (
 	Slow
 	// Unavailable fails with sources.ErrUnavailable (offline source).
 	Unavailable
-	// Malformed performs the fetch but delivers a truncated document
-	// together with sources.ErrMalformed — a transfer cut mid-stream.
+	// Malformed performs the fetch but delivers a truncated document (or
+	// the first half of the rows) together with sources.ErrMalformed — a
+	// transfer cut mid-stream.
 	Malformed
 	// Garbage fails with an opaque, non-transient error (a source-side
 	// rejection retrying cannot cure).
@@ -127,7 +129,29 @@ func (s *Source) Stats() (calls int, injected map[Kind]int) {
 
 // Fetch implements catalog.Source with the scheduled fault applied.
 func (s *Source) Fetch(ctx context.Context, req catalog.Request) (*xmldm.Node, catalog.Cost, error) {
-	var f Fault
+	return inject(ctx, s, func() (*xmldm.Node, catalog.Cost, error) { return s.inner.Fetch(ctx, req) }, truncateDoc)
+}
+
+// FetchesRows implements catalog.RowFetcher: rows are forwarded when the
+// inner source answers in them.
+func (s *Source) FetchesRows() bool {
+	_, ok := catalog.RowsOf(s.inner)
+	return ok
+}
+
+// FetchRows implements catalog.RowFetcher under the same call counter and
+// schedule as Fetch; a Malformed fault delivers the first half of the rows.
+func (s *Source) FetchRows(ctx context.Context, req catalog.Request) (*rdb.Result, catalog.Cost, error) {
+	return inject(ctx, s, func() (*rdb.Result, catalog.Cost, error) { return catalog.FetchRows(ctx, s.inner, req) }, truncateRows)
+}
+
+// inject applies the scheduled fault of the next call to one fetch of
+// either form; truncate cuts a Malformed answer.
+func inject[T any](ctx context.Context, s *Source, fetch func() (T, catalog.Cost, error), truncate func(T) T) (T, catalog.Cost, error) {
+	var (
+		f    Fault
+		none T
+	)
 	s.mu.Lock()
 	call := s.calls
 	s.calls++
@@ -139,28 +163,28 @@ func (s *Source) Fetch(ctx context.Context, req catalog.Request) (*xmldm.Node, c
 
 	if f.Latency > 0 {
 		if err := s.doSleep(ctx, f.Latency); err != nil {
-			return nil, catalog.Cost{}, err
+			return none, catalog.Cost{}, err
 		}
 	}
 	switch f.Kind {
 	case Unavailable:
-		return nil, catalog.Cost{}, fmt.Errorf("%w: chaos: %s offline", sources.ErrUnavailable, s.inner.Name())
+		return none, catalog.Cost{}, fmt.Errorf("%w: chaos: %s offline", sources.ErrUnavailable, s.inner.Name())
 	case Garbage:
-		return nil, catalog.Cost{}, fmt.Errorf("chaos: %s returned garbage", s.inner.Name())
+		return none, catalog.Cost{}, fmt.Errorf("chaos: %s returned garbage", s.inner.Name())
 	case Hang:
 		<-ctx.Done()
-		return nil, catalog.Cost{}, ctx.Err()
+		return none, catalog.Cost{}, ctx.Err()
 	case Malformed:
-		doc, cost, err := s.inner.Fetch(ctx, req)
+		got, cost, err := fetch()
 		if err != nil {
-			return nil, cost, err
+			return none, cost, err
 		}
-		// The transfer was cut mid-document: deliver what made it over
-		// the wire alongside the decode failure.
-		return truncateDoc(doc), cost,
+		// The transfer was cut mid-answer: deliver what made it over the
+		// wire alongside the decode failure.
+		return truncate(got), cost,
 			fmt.Errorf("%w: chaos: %s response truncated", sources.ErrMalformed, s.inner.Name())
 	}
-	return s.inner.Fetch(ctx, req)
+	return fetch()
 }
 
 // doSleep waits via the injected sleeper or the wall clock.
@@ -189,4 +213,13 @@ func truncateDoc(doc *xmldm.Node) *xmldm.Node {
 	cp := &xmldm.Node{Name: doc.Name, Attrs: doc.Attrs}
 	cp.Children = doc.Children[:len(doc.Children)/2]
 	return cp
+}
+
+// truncateRows is truncateDoc for a row answer: the first half of the
+// rows, sharing the original's (always accompanied by ErrMalformed).
+func truncateRows(res *rdb.Result) *rdb.Result {
+	if res == nil {
+		return nil
+	}
+	return &rdb.Result{Columns: res.Columns, Rows: res.Rows[: len(res.Rows)/2 : len(res.Rows)/2]}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
+	"repro/internal/rdb"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
 	"repro/internal/xmlql"
@@ -270,5 +271,33 @@ func TestWrappedSchedulePerCallCounter(t *testing.T) {
 	}
 	if ok != 5 || bad != 5 {
 		t.Errorf("ok=%d bad=%d, want 5/5 from a 1-up-1-down flap", ok, bad)
+	}
+}
+
+// TestRowFaultsShareTheSchedule: a relational source under chaos answers
+// in rows on the same call counter as documents; a Malformed row answer
+// is the first half of the rows with ErrMalformed; over a source that
+// does not answer in rows the wrapper does not claim to.
+func TestRowFaultsShareTheSchedule(t *testing.T) {
+	db := rdb.NewDatabase("crm")
+	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY)`)
+	db.MustExec(`INSERT INTO customers VALUES (1), (2), (3), (4), (5)`)
+	src := Wrap(sources.NewRelationalSource("crmdb", db), Script{Faults: []Fault{{Kind: Malformed}, {Kind: Unavailable}}})
+	req := catalog.Request{Native: `SELECT id FROM customers`}
+	res, _, err := src.FetchRows(context.Background(), req)
+	if !errors.Is(err, sources.ErrMalformed) || res == nil || len(res.Rows) != 2 || cap(res.Rows) != 2 {
+		t.Fatalf("malformed row answer = %v, %v", res, err)
+	}
+	if _, err := fetch(t, src); !errors.Is(err, sources.ErrUnavailable) {
+		t.Errorf("second call, a document: err = %v, want the scheduled unavailability", err)
+	}
+	if res, _, err := src.FetchRows(context.Background(), req); err != nil || len(res.Rows) != 5 {
+		t.Errorf("past the script: %v, %v", res, err)
+	}
+	if calls, injected := src.Stats(); calls != 3 || injected[Malformed] != 1 || injected[Unavailable] != 1 {
+		t.Errorf("stats = %d %v", calls, injected)
+	}
+	if _, ok := catalog.RowsOf(Wrap(stubSource{"s"}, nil)); ok {
+		t.Error("chaos over a document source claims to answer in rows")
 	}
 }

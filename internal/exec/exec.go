@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
+	"repro/internal/rdb"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
 )
@@ -136,8 +137,9 @@ type Access struct {
 
 // fetchTiming accumulates per-source fetch wall time for EXPLAIN
 // attribution (distinct fetches to the same source aggregate). reads
-// counts logical read-throughs — every fetch() call, including ones
-// served from the memo when an operator re-Opens its child — while
+// counts logical read-throughs — every Prefetch, Roots or Rows read,
+// including ones served from the memo when an operator re-Opens its
+// child; a Rows call that declines a document is not one — while
 // fetches counts only physical source fetches, so attribution never
 // double-counts a re-read as new source work.
 type fetchTiming struct {
@@ -146,10 +148,33 @@ type fetchTiming struct {
 	nanos   int64
 }
 
+// payload is what one fetch delivers: a document, or — for a native
+// request to a registered source that answers in rows — the rows of its
+// result, whose document is rendered only when someone asks for it.
+type payload struct {
+	doc  *xmldm.Node
+	rows *rdb.Result
+	// root names a row answer's export: the source's own name.
+	root string
+}
+
 type fetchResult struct {
 	once sync.Once
-	doc  *xmldm.Node
-	err  error
+	payload
+	err error
+	// render renders a row answer's export into doc, once.
+	render sync.Once
+}
+
+// document is the entry's document; a row answer renders its export on
+// the first call, the one every later caller shares.
+func (fr *fetchResult) document(req catalog.Request) *xmldm.Node {
+	fr.render.Do(func() {
+		if fr.rows != nil {
+			fr.doc = sources.RowsDocument(fr.root, req, fr.rows)
+		}
+	})
+	return fr.doc
 }
 
 // NewAccess creates the fetch state for one query execution.
@@ -172,17 +197,38 @@ func specKey(source string, req catalog.Request) string {
 // result document into match roots. Under PolicyPartial an unavailable
 // source yields zero roots and a completeness mark instead of an error.
 func (a *Access) Roots(source string, req catalog.Request) ([]xmldm.Value, error) {
-	doc, err := a.fetch(source, req)
-	if err != nil {
-		if a.policy == PolicyPartial && sources.Transient(err) {
-			return nil, nil
-		}
-		return nil, err
+	fr := a.fetch(source, req)
+	a.read(source)
+	if fr.err != nil {
+		return nil, a.absorb(fr.err)
 	}
+	doc := fr.document(req)
 	if doc == nil {
 		return nil, nil
 	}
 	return []xmldm.Value{doc}, nil
+}
+
+// Rows is the row form of Roots: the result rows of a native request
+// whose source answered in rows (nil when a failure was absorbed under
+// PolicyPartial). ok is false, and nothing is read, when the fetch was
+// answered with a document: Roots serves that.
+func (a *Access) Rows(source string, req catalog.Request) (res *rdb.Result, ok bool, err error) {
+	fr := a.fetch(source, req)
+	if fr.err == nil && fr.rows == nil {
+		return nil, false, nil
+	}
+	a.read(source)
+	return fr.rows, true, a.absorb(fr.err)
+}
+
+// absorb applies the policy to a fetch error: under PolicyPartial an
+// unavailable source reads as no data and a completeness mark.
+func (a *Access) absorb(err error) error {
+	if a.policy == PolicyPartial && sources.Transient(err) {
+		return nil
+	}
+	return err
 }
 
 // FetchSpec names one fetch for Prefetch.
@@ -207,15 +253,13 @@ func (a *Access) Prefetch(specs []FetchSpec) error {
 		wg.Add(1)
 		go func(i int, source string, req catalog.Request) {
 			defer wg.Done()
-			_, errs[i] = a.fetch(source, req)
+			errs[i] = a.fetch(source, req).err
+			a.read(source)
 		}(i, s.Source, s.Req)
 	}
 	wg.Wait()
 	for _, err := range errs {
-		if err != nil {
-			if a.policy == PolicyPartial && sources.Transient(err) {
-				continue
-			}
+		if err := a.absorb(err); err != nil {
 			return err
 		}
 	}
@@ -224,8 +268,10 @@ func (a *Access) Prefetch(specs []FetchSpec) error {
 
 // fetch performs one memoized source fetch, wrapped in a trace span and
 // latency metrics (each distinct fetch runs and is recorded exactly
-// once; later lookups share the memoized result).
-func (a *Access) fetch(source string, req catalog.Request) (*xmldm.Node, error) {
+// once; later lookups share the memoized result). The form is decided
+// here: rows for a native request to a registered source that answers
+// in rows, a document otherwise.
+func (a *Access) fetch(source string, req catalog.Request) *fetchResult {
 	key := specKey(source, req)
 	a.mu.Lock()
 	fr, ok := a.memo[key]
@@ -238,7 +284,7 @@ func (a *Access) fetch(source string, req catalog.Request) (*xmldm.Node, error) 
 		start := time.Now()
 		sp := obs.FromContext(a.ctx).StartChild("fetch " + source)
 		sp.SetAttr("source", source)
-		fr.doc, fr.err = a.doFetch(source, req, sp)
+		fr.payload, fr.err = a.doFetch(source, req, sp)
 		elapsed := time.Since(start)
 		a.addTiming(source, elapsed)
 		if fr.err != nil {
@@ -257,16 +303,14 @@ func (a *Access) fetch(source string, req catalog.Request) (*xmldm.Node, error) 
 			m.Histogram("nimble_fetch_seconds", "source", strings.ToLower(source)).Observe(elapsed.Seconds())
 		}
 	})
+	return fr
+}
+
+// read counts one logical read-through of a source's memoized fetches.
+func (a *Access) read(source string) {
 	a.mu.Lock()
-	key = strings.ToLower(source)
-	t := a.timings[key]
-	if t == nil {
-		t = &fetchTiming{}
-		a.timings[key] = t
-	}
-	t.reads++
-	a.mu.Unlock()
-	return fr.doc, fr.err
+	defer a.mu.Unlock()
+	a.timingLocked(source).reads++
 }
 
 // doFetch resolves one fetch: local store, schema materialization, or
@@ -274,7 +318,7 @@ func (a *Access) fetch(source string, req catalog.Request) (*xmldm.Node, error) 
 // onto the fetch span so per-source spans agree with the report, and
 // observes per-resolution latency histograms labeled by source name so
 // federation hot spots show up on /metrics without needing a trace.
-func (a *Access) doFetch(source string, req catalog.Request, sp *obs.Span) (*xmldm.Node, error) {
+func (a *Access) doFetch(source string, req catalog.Request, sp *obs.Span) (payload, error) {
 	record := func(st SourceStatus) {
 		a.record(source, st)
 		sp.SetInt("rows", int64(st.Rows))
@@ -288,12 +332,12 @@ func (a *Access) doFetch(source string, req catalog.Request, sp *obs.Span) (*xml
 		if doc, ok := a.runner.Local(source, req); ok {
 			m.Counter("nimble_fetch_local_total", "source", label).Inc()
 			record(SourceStatus{Source: source, Rows: doc.CountElements(), Local: true})
-			return doc, nil
+			return payload{doc: doc}, nil
 		}
 	}
 	if a.runner.Cat.IsSchema(source) {
 		if a.runner.Materialize == nil {
-			return nil, fmt.Errorf("exec: schema %q needs materialization but no materializer is configured", source)
+			return payload{}, fmt.Errorf("exec: schema %q needs materialization but no materializer is configured", source)
 		}
 		sp.SetAttr("kind", "schema")
 		start := time.Now()
@@ -301,17 +345,29 @@ func (a *Access) doFetch(source string, req catalog.Request, sp *obs.Span) (*xml
 		m.Histogram("nimble_materialize_seconds", "schema", label).Observe(time.Since(start).Seconds())
 		if err != nil {
 			record(SourceStatus{Source: source, Err: err.Error()})
-			return nil, err
+			return payload{}, err
 		}
 		record(SourceStatus{Source: source, Rows: doc.CountElements()})
-		return doc, nil
+		return payload{doc: doc}, nil
 	}
 	src, err := a.runner.Cat.Source(source)
 	if err != nil {
-		return nil, err
+		return payload{}, err
+	}
+	fetch := func(ctx context.Context) (payload, catalog.Cost, error) {
+		doc, cost, err := src.Fetch(ctx, req)
+		return payload{doc: doc}, cost, err
+	}
+	// Rows only from the registered object itself: a capability found
+	// through Inner() would skip what the wrapper does to a fetch.
+	if rf, ok := catalog.RowsOf(src); ok && req.Native != "" {
+		fetch = func(ctx context.Context) (payload, catalog.Cost, error) {
+			res, cost, err := rf.FetchRows(ctx, req)
+			return payload{rows: res, root: src.Name()}, cost, err
+		}
 	}
 	start := time.Now()
-	doc, cost, retries, breaker, err := a.fetchResilient(src, source, req, sp)
+	got, cost, retries, breaker, err := a.fetchResilient(src.Name(), source, fetch, sp)
 	// The remote-only histogram isolates the source round trip (all
 	// attempts plus backoff) from the memoization/local-store/
 	// materialization paths that share nimble_fetch_seconds.
@@ -327,21 +383,22 @@ func (a *Access) doFetch(source string, req catalog.Request, sp *obs.Span) (*xml
 	}
 	if err != nil {
 		record(SourceStatus{Source: source, Err: err.Error(), Retries: retries, Breaker: breaker})
-		return nil, err
+		return payload{}, err
 	}
 	record(SourceStatus{Source: source, Rows: cost.RowsReturned, Bytes: cost.BytesMoved, Retries: retries, Breaker: breaker})
-	return doc, nil
+	return got, nil
 }
 
-// fetchResilient runs one remote fetch through the resilience layer:
-// circuit-breaker admission, per-attempt timeout, and bounded retry
-// with jittered exponential backoff for transient failures. It returns
-// the retry count and the breaker involvement ("open" fail-fast,
-// "half-open" probe) for completeness/EXPLAIN attribution. Each attempt
-// runs under its own child of sp (the fetch span) carrying the breaker
-// decision and the attempt's error; backoff sleeps land on sp as
-// events, so a kept trace shows the full retry history.
-func (a *Access) fetchResilient(src catalog.Source, source string, req catalog.Request, sp *obs.Span) (*xmldm.Node, catalog.Cost, int, string, error) {
+// fetchResilient runs one remote fetch, of either form, through the
+// resilience layer: circuit-breaker admission, per-attempt timeout, and
+// bounded retry with jittered exponential backoff for transient
+// failures. It returns the retry count and the breaker involvement
+// ("open" fail-fast, "half-open" probe) for completeness/EXPLAIN
+// attribution. Each attempt runs under its own child of sp (the fetch
+// span) carrying the breaker decision and the attempt's error; backoff
+// sleeps land on sp as events, so a kept trace shows the full retry
+// history.
+func (a *Access) fetchResilient(name, source string, fetch func(context.Context) (payload, catalog.Cost, error), sp *obs.Span) (payload, catalog.Cost, int, string, error) {
 	r := a.runner
 	res := r.Resilience
 	br := r.breakerFor(source)
@@ -356,7 +413,7 @@ func (a *Access) fetchResilient(src catalog.Source, source string, req catalog.R
 	)
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if err := a.ctx.Err(); err != nil {
-			return nil, catalog.Cost{}, retries, breaker, err
+			return payload{}, catalog.Cost{}, retries, breaker, err
 		}
 		spAtt := sp.StartChild(fmt.Sprintf("attempt[%d]", attempt))
 		if br != nil {
@@ -365,7 +422,7 @@ func (a *Access) fetchResilient(src catalog.Source, source string, req catalog.R
 				spAtt.SetAttr("breaker", "open")
 				spAtt.SetAttr("error", "circuit breaker open")
 				spAtt.Finish()
-				return nil, catalog.Cost{}, retries, "open",
+				return payload{}, catalog.Cost{}, retries, "open",
 					fmt.Errorf("%w: %s: circuit breaker open", sources.ErrUnavailable, source)
 			}
 			if probe {
@@ -373,7 +430,7 @@ func (a *Access) fetchResilient(src catalog.Source, source string, req catalog.R
 				spAtt.SetAttr("breaker", "half-open")
 			}
 		}
-		doc, cost, err := a.attempt(src, req)
+		got, cost, err := a.attempt(name, fetch)
 		if br != nil {
 			// An answer — even a source-side rejection of the request —
 			// proves the source alive; only transient transport/decode
@@ -386,7 +443,7 @@ func (a *Access) fetchResilient(src catalog.Source, source string, req catalog.R
 		}
 		if err == nil {
 			spAtt.Finish()
-			return doc, cost, retries, breaker, nil
+			return got, cost, retries, breaker, nil
 		}
 		lastErr = err
 		spAtt.SetAttr("error", err.Error())
@@ -402,53 +459,54 @@ func (a *Access) fetchResilient(src catalog.Source, source string, req catalog.R
 			jitterNoise(source, attempt, r.clock().Now()))
 		sp.AddEvent("retry backoff", "attempt", fmt.Sprint(attempt), "delay", delay.String())
 		if err := r.clock().Sleep(a.ctx, delay); err != nil {
-			return nil, catalog.Cost{}, retries, breaker, err
+			return payload{}, catalog.Cost{}, retries, breaker, err
 		}
 	}
-	return nil, catalog.Cost{}, retries, breaker, lastErr
+	return payload{}, catalog.Cost{}, retries, breaker, lastErr
 }
 
-// attempt performs one fetch attempt under the per-attempt timeout. The
-// fetch runs in its own goroutine selected against the attempt context,
-// so even a source that ignores cancellation cannot hang the query — it
-// costs at most FetchTimeout (the abandoned goroutine drains into a
-// buffered channel). An attempt-deadline expiry is reported as a
-// transient unavailability; caller cancellation is passed through.
-func (a *Access) attempt(src catalog.Source, req catalog.Request) (*xmldm.Node, catalog.Cost, error) {
+// attempt performs one fetch attempt of the source called name under the
+// per-attempt timeout. The fetch runs in its own goroutine selected
+// against the attempt context, so even a source that ignores
+// cancellation cannot hang the query — it costs at most FetchTimeout
+// (the abandoned goroutine drains into a buffered channel). An
+// attempt-deadline expiry is reported as a transient unavailability;
+// caller cancellation is passed through.
+func (a *Access) attempt(name string, fetch func(context.Context) (payload, catalog.Cost, error)) (payload, catalog.Cost, error) {
 	timeout := a.runner.Resilience.FetchTimeout
 	if timeout <= 0 {
-		return src.Fetch(a.ctx, req)
+		return fetch(a.ctx)
 	}
 	actx, cancel := context.WithTimeout(a.ctx, timeout)
 	defer cancel()
 	type outcome struct {
-		doc  *xmldm.Node
+		got  payload
 		cost catalog.Cost
 		err  error
 	}
 	ch := make(chan outcome, 1)
 	if err := actx.Err(); err != nil {
-		return nil, catalog.Cost{}, err
+		return payload{}, catalog.Cost{}, err
 	}
 	go func() {
-		doc, cost, err := src.Fetch(actx, req)
-		ch <- outcome{doc, cost, err}
+		got, cost, err := fetch(actx)
+		ch <- outcome{got, cost, err}
 	}()
 	timedOut := func() error {
-		return fmt.Errorf("%w: %s: fetch attempt timed out after %v", sources.ErrUnavailable, src.Name(), timeout)
+		return fmt.Errorf("%w: %s: fetch attempt timed out after %v", sources.ErrUnavailable, name, timeout)
 	}
 	select {
 	case o := <-ch:
 		if o.err != nil && actx.Err() != nil && a.ctx.Err() == nil {
 			// The attempt deadline fired inside the source: transient.
-			return nil, o.cost, timedOut()
+			return payload{}, o.cost, timedOut()
 		}
-		return o.doc, o.cost, o.err
+		return o.got, o.cost, o.err
 	case <-actx.Done():
 		if err := a.ctx.Err(); err != nil {
-			return nil, catalog.Cost{}, err
+			return payload{}, catalog.Cost{}, err
 		}
-		return nil, catalog.Cost{}, timedOut()
+		return payload{}, catalog.Cost{}, timedOut()
 	}
 }
 
@@ -456,14 +514,21 @@ func (a *Access) attempt(src catalog.Source, req catalog.Request) (*xmldm.Node, 
 func (a *Access) addTiming(source string, d time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	t := a.timingLocked(source)
+	t.fetches++
+	t.nanos += d.Nanoseconds()
+}
+
+// timingLocked returns the source's timing record, creating it; the caller
+// holds a.mu.
+func (a *Access) timingLocked(source string) *fetchTiming {
 	key := strings.ToLower(source)
 	t := a.timings[key]
 	if t == nil {
 		t = &fetchTiming{}
 		a.timings[key] = t
 	}
-	t.fetches++
-	t.nanos += d.Nanoseconds()
+	return t
 }
 
 // SourceFetchStat summarizes one source's fetch work during a query:

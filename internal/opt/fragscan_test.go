@@ -1,12 +1,18 @@
 package opt
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
+	"repro/internal/rdb"
+	"repro/internal/sources"
 	"repro/internal/sqlgen"
 	"repro/internal/testkit"
 	"repro/internal/xmldm"
@@ -81,27 +87,34 @@ func TestFragmentScanEmptyAndForeignRoots(t *testing.T) {
 	}
 }
 
-// TestFragmentScanAllocations pins the cost of a binding: the field slice
-// and the tuple, whatever the number of variables. It is the difference
-// between a scan of 2n rows and one of n, so that what a fetch allocates
-// once (the positions, the closure) cancels; the row list's one more
-// doubling is the allowance over 2.
+// TestFragmentScanAllocations pins the cost of a binding: from the
+// export, the field slice and the tuple, whatever the number of
+// variables; from rows, the tuple alone, its fields carved from the
+// scan's slab. It is the difference between a scan of 2n rows and one of
+// n, so that what a fetch allocates once (the positions, the closure, the
+// slab) cancels; the row list's one more doubling is the allowance.
 func TestFragmentScanAllocations(t *testing.T) {
 	if testkit.Race {
 		t.Skip("the race detector allocates")
 	}
-	scan := func(n int) float64 {
+	scan := func(n int, fromRows bool) float64 {
 		var sb strings.Builder
+		res := &rdb.Result{Columns: []string{"id", "name", "city"}}
 		sb.WriteString("<crmdb>")
 		for i := 0; i < n; i++ {
 			fmt.Fprintf(&sb, "<customer><id>%d</id><name>Name %d</name><city>City %d</city></customer>", 1000+i, i, i%7)
+			res.Rows = append(res.Rows, rdb.Row{xmldm.String(fmt.Sprint(1000 + i)), xmldm.String(fmt.Sprint("Name ", i)), xmldm.String(fmt.Sprint("City ", i%7))})
 		}
 		sb.WriteString("</crmdb>")
 		root, err := xmlparse.ParseString(sb.String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		op := fragmentScan(docAccess{root}, &FetchSpec{Source: "crmdb"}, customerFragment)
+		var access Access = docAccess{root}
+		if fromRows {
+			access = rowsAccess{res}
+		}
+		op := fragmentScan(access, &FetchSpec{Source: "crmdb"}, customerFragment)
 		ctx := &algebra.Context{}
 		return testing.AllocsPerRun(20, func() {
 			if err := op.Open(ctx); err != nil {
@@ -120,7 +133,200 @@ func TestFragmentScanAllocations(t *testing.T) {
 		})
 	}
 	const n = 200
-	if perRow := (scan(2*n) - scan(n)) / n; perRow > 2.02 {
-		t.Errorf("fragmentScan allocates %.2f times per row, want at most 2", perRow)
+	if perRow := (scan(2*n, false) - scan(n, false)) / n; perRow > 2.02 {
+		t.Errorf("fragmentScan over the export allocates %.2f times per row, want at most 2", perRow)
+	}
+	if perRow := (scan(2*n, true) - scan(n, true)) / n; perRow > 1.02 {
+		t.Errorf("fragmentScan over rows allocates %.2f times per row, want at most 1", perRow)
+	}
+}
+
+// rowsAccess answers every request in rows with one result, as
+// exec.Access does for a source that answers in rows.
+type rowsAccess struct{ res *rdb.Result }
+
+func (a rowsAccess) Roots(string, catalog.Request) ([]xmldm.Value, error) {
+	return nil, errors.New("a row answer was read as a document")
+}
+
+func (a rowsAccess) Rows(string, catalog.Request) (*rdb.Result, bool, error) {
+	return a.res, true, nil
+}
+
+// bothPaths binds res through a fragment scan twice: from the rows, and
+// from the rows' XML export, as a source that hides the row capability
+// delivers them.
+func bothPaths(t testing.TB, res *rdb.Result, frag *sqlgen.Fragment) (fromRows, fromXML []algebra.Binding) {
+	t.Helper()
+	spec := &FetchSpec{Source: "crmdb", Req: catalog.Request{Collection: frag.Table}}
+	drain := func(a Access) []algebra.Binding {
+		out, err := algebra.Drain(&algebra.Context{}, fragmentScan(a, spec, frag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	return drain(rowsAccess{res}), drain(docAccess{sources.RowsDocument("crmdb", spec.Req, res)})
+}
+
+// sameBindings reports the first difference between two binding lists,
+// field for field and in field order, or "".
+func sameBindings(a, b []algebra.Binding) string {
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d bindings against %d", len(a), len(b))
+	}
+	for i := range a {
+		fa, fb := a[i].Fields(), b[i].Fields()
+		if len(fa) != len(fb) {
+			return fmt.Sprintf("binding %d: %v against %v", i, a[i], b[i])
+		}
+		for k := range fa {
+			if fa[k].Name != fb[k].Name || fa[k].Value != fb[k].Value {
+				return fmt.Sprintf("binding %d field %d: %s=%#v against %s=%#v", i, k, fa[k].Name, fa[k].Value, fb[k].Name, fb[k].Value)
+			}
+		}
+	}
+	return ""
+}
+
+// TestBindRowsEqualsExportReadBack: a cell binds from the rows exactly
+// what rowBinding reads back from its export — NULL the empty string,
+// strings as they are (markup included), other kinds their Stringify
+// text — a column the result lacks binds Null, and a duplicated alias
+// binds its first column.
+func TestBindRowsEqualsExportReadBack(t *testing.T) {
+	frag := &sqlgen.Fragment{Table: "customers", RowElement: "customer",
+		VarColumns: map[string]string{"v": "v", "d": "dup", "m": "missing"}}
+	for _, tc := range []struct {
+		name string
+		cell xmldm.Value
+		want xmldm.Value
+	}{
+		{"NULL", xmldm.Null{}, xmldm.String("")},
+		{"nil", nil, xmldm.String("")},
+		{"empty string", xmldm.String(""), xmldm.String("")},
+		{"negative int", xmldm.Int(-42), xmldm.String("-42")},
+		{"float", xmldm.Float(2.5), xmldm.String("2.5")},
+		{"bool", xmldm.Bool(true), xmldm.String("true")},
+		{"date", xmldm.DateOf(2001, 4, 2), xmldm.String("2001-04-02T00:00:00Z")},
+		{"markup", xmldm.String(`<a href="x">&amp;</a>`), xmldm.String(`<a href="x">&amp;</a>`)},
+	} {
+		res := &rdb.Result{Columns: []string{"dup", "v", "dup"},
+			Rows: []rdb.Row{{xmldm.String("first"), tc.cell, xmldm.String("second")}}}
+		fromRows, fromXML := bothPaths(t, res, frag)
+		if diff := sameBindings(fromRows, fromXML); diff != "" {
+			t.Errorf("%s: rows and export differ: %s", tc.name, diff)
+			continue
+		}
+		want := xmldm.NewTuple(xmldm.Field{Name: "d", Value: xmldm.String("first")},
+			xmldm.Field{Name: "m", Value: xmldm.Null{}}, xmldm.Field{Name: "v", Value: tc.want})
+		if diff := sameBindings(fromRows, []algebra.Binding{want}); diff != "" {
+			t.Errorf("%s: %s", tc.name, diff)
+		}
+	}
+}
+
+// TestBindRowsEqualsExportReadBack_Property: over random results — kinds,
+// NULLs, duplicated and missing columns, empty results — the two paths
+// bind the same fields.
+func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	names := []string{"a", "b", "c", "d"}
+	cell := func() xmldm.Value {
+		switch rng.Intn(8) {
+		case 0:
+			return xmldm.Null{}
+		case 1:
+			return xmldm.Int(rng.Int63n(2001) - 1000)
+		case 2:
+			return xmldm.Float(rng.NormFloat64() * 1e3)
+		case 3:
+			return xmldm.Bool(rng.Intn(2) == 0)
+		case 4:
+			return xmldm.DateOf(1990+rng.Intn(40), time.Month(1+rng.Intn(12)), 1+rng.Intn(28))
+		case 5:
+			return xmldm.String("")
+		default:
+			return xmldm.String([]string{"x", "a<b", "&amp;", " 7 ", "007"}[rng.Intn(5)])
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		res := &rdb.Result{}
+		for c := rng.Intn(5); c >= 0; c-- {
+			res.Columns = append(res.Columns, names[rng.Intn(len(names))])
+		}
+		for r := rng.Intn(6); r > 0; r-- {
+			row := make(rdb.Row, len(res.Columns))
+			for i := range row {
+				row[i] = cell()
+			}
+			res.Rows = append(res.Rows, row)
+		}
+		frag := &sqlgen.Fragment{Table: "customers", RowElement: "customer", VarColumns: map[string]string{}}
+		for v := rng.Intn(4); v >= 0; v-- {
+			frag.VarColumns[fmt.Sprint("v", v)] = names[rng.Intn(len(names))]
+		}
+		fromRows, fromXML := bothPaths(t, res, frag)
+		if diff := sameBindings(fromRows, fromXML); diff != "" {
+			t.Fatalf("trial %d, columns %v, vars %v: %s", trial, res.Columns, frag.VarColumns, diff)
+		}
+	}
+}
+
+// sourceAccess fetches from a relational source on every Open, as the
+// engine's access does on a memo miss: Roots through Fetch (the export),
+// and, with rows set, Rows through FetchRows.
+type sourceAccess struct {
+	src  *sources.RelationalSource
+	rows bool
+}
+
+func (a sourceAccess) Roots(_ string, req catalog.Request) ([]xmldm.Value, error) {
+	doc, _, err := a.src.Fetch(context.Background(), req)
+	return []xmldm.Value{doc}, err
+}
+
+func (a sourceAccess) Rows(_ string, req catalog.Request) (*rdb.Result, bool, error) {
+	if !a.rows {
+		return nil, false, nil
+	}
+	res, _, err := a.src.FetchRows(context.Background(), req)
+	return res, true, err
+}
+
+// BenchmarkFragmentScan is fetch + bind of bulk-export's fragment, 2000
+// customers × 4 columns, from the rows and from their XML export
+// (DESIGN § "Bind from rows" records a run):
+//
+//	go test -run '^$' -bench FragmentScan -benchmem ./internal/opt
+func BenchmarkFragmentScan(b *testing.B) {
+	db := rdb.NewDatabase("crm")
+	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR, tier VARCHAR)`)
+	for i := 0; i < 2000; i++ {
+		row := rdb.Row{xmldm.Int(i), xmldm.String(fmt.Sprint("Customer ", i)), xmldm.String(fmt.Sprint("City ", i%40)), xmldm.String("gold")}
+		if err := db.Insert("customers", row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	src := sources.NewRelationalSource("crmdb", db)
+	frag := &sqlgen.Fragment{Table: "customers", RowElement: "customer",
+		SQL:        `SELECT city AS v__u6_c, id AS v__u6_i, name AS v__u6_n, tier AS v__u6_t FROM customers`,
+		VarColumns: map[string]string{"_u6_c": "v__u6_c", "_u6_i": "v__u6_i", "_u6_n": "v__u6_n", "_u6_t": "v__u6_t"}}
+	spec := &FetchSpec{Source: "crmdb", Req: catalog.Request{Native: frag.SQL, Collection: frag.Table}}
+	for _, path := range []struct {
+		name string
+		rows bool
+	}{{"rows", true}, {"xml", false}} {
+		b.Run(path.name, func(b *testing.B) {
+			op := fragmentScan(sourceAccess{src: src, rows: path.rows}, spec, frag)
+			ctx := &algebra.Context{}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := algebra.Drain(ctx, op)
+				if err != nil || len(out) != 2000 {
+					b.Fatalf("%d bindings, %v", len(out), err)
+				}
+			}
+		})
 	}
 }

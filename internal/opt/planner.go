@@ -10,12 +10,14 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/mediator"
+	"repro/internal/rdb"
 	"repro/internal/sqlgen"
 	"repro/internal/xmldm"
 	"repro/internal/xmlql"
@@ -28,6 +30,13 @@ type Access interface {
 	// Roots returns the root values to match patterns against for a
 	// named source (or fallback mediated schema).
 	Roots(source string, req catalog.Request) ([]xmldm.Value, error)
+}
+
+// RowAccess is implemented by an Access that can hand a fragment scan
+// the rows of a native request's result when its source answered in
+// rows. ok false means it answered with a document, which Roots serves.
+type RowAccess interface {
+	Rows(source string, req catalog.Request) (res *rdb.Result, ok bool, err error)
 }
 
 // Options toggle optimizations — the ablation knobs for experiment E5.
@@ -552,10 +561,11 @@ func removePreds(pending *[]xmlql.Expr, offerIdx []int, offer, rest []xmlql.Expr
 }
 
 // fragmentScan builds the leaf operator that runs a compiled SQL
-// fragment and turns the exported rows into bindings directly — no
+// fragment and turns its result rows into bindings directly — no
 // pattern matching needed, because the compiler chose the output
-// aliases. The request is read from spec when the leaf opens: a bind
-// join writes it just before.
+// aliases. It binds from the rows when the access has them, and from
+// their XML export otherwise. The request is read from spec when the
+// leaf opens: a bind join writes it just before.
 func fragmentScan(access Access, spec *FetchSpec, frag *sqlgen.Fragment) *algebra.FuncScan {
 	vars := make([]string, 0, len(frag.VarColumns))
 	for v := range frag.VarColumns {
@@ -566,8 +576,18 @@ func fragmentScan(access Access, spec *FetchSpec, frag *sqlgen.Fragment) *algebr
 	for i, v := range vars {
 		cols[i] = frag.VarColumns[v]
 	}
+	rowAccess, _ := access.(RowAccess)
 	return &algebra.FuncScan{
 		OpenFn: func(ctx *algebra.Context) (func() (algebra.Binding, error), error) {
+			if rowAccess != nil {
+				res, ok, err := rowAccess.Rows(spec.Source, spec.Req)
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					return bindRows(res, vars, cols), nil
+				}
+			}
 			roots, err := access.Roots(spec.Source, spec.Req)
 			if err != nil {
 				return nil, err
@@ -597,6 +617,55 @@ func fragmentScan(access Access, spec *FetchSpec, frag *sqlgen.Fragment) *algebr
 				return rowBinding(row, vars, cols, pos), nil
 			}, nil
 		},
+	}
+}
+
+// bindRows is the pull function over a fragment's result rows: vars[i]
+// binds the cell of column cols[i], by the rules of the export cellValue
+// reads back — a NULL cell is the empty string, a string cell is shared
+// as is, any other value is its Stringify text, and a column the result
+// lacks is Null (a duplicated alias takes its first column). Positions
+// are resolved once, and every row's fields are carved from one slab,
+// each sub-slice capped at its own length. A nil result has no rows.
+func bindRows(res *rdb.Result, vars, cols []string) func() (algebra.Binding, error) {
+	var rows []rdb.Row
+	pos := make([]int, len(cols))
+	if res != nil {
+		rows = res.Rows
+		for i, name := range cols {
+			pos[i] = slices.Index(res.Columns, name)
+		}
+	}
+	n := len(vars)
+	slab := make([]xmldm.Field, len(rows)*n)
+	i := 0
+	return func() (algebra.Binding, error) {
+		if i >= len(rows) {
+			return nil, nil
+		}
+		row := rows[i]
+		fields := slab[i*n : (i+1)*n : (i+1)*n]
+		i++
+		for k, v := range vars {
+			fields[k] = xmldm.Field{Name: v, Value: rowCell(row, pos[k])}
+		}
+		return xmldm.NewTuple(fields...), nil
+	}
+}
+
+// rowCell is the value a result cell binds: what cellValue reads from
+// its exported element.
+func rowCell(row rdb.Row, p int) xmldm.Value {
+	if p < 0 {
+		return xmldm.Null{}
+	}
+	switch row[p].(type) {
+	case nil, xmldm.Null:
+		return xmldm.String("")
+	case xmldm.String:
+		return row[p] // the database's box, not a new one
+	default:
+		return xmldm.String(xmldm.Stringify(row[p]))
 	}
 }
 

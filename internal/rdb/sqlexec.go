@@ -218,8 +218,14 @@ func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
 		for i, item := range st.Items {
 			outCols = append(outCols, itemName(item, i))
 		}
+		// Every projected row is carved from one slab, capped at its own
+		// length so that an append to one row cannot reach the next.
+		n := len(st.Items)
+		slab := make([]Value, len(rs.rows)*n)
+		outRows = make([]Row, 0, len(rs.rows))
 		for _, row := range rs.rows {
-			out := make(Row, len(st.Items))
+			out := Row(slab[:n:n])
+			slab = slab[n:]
 			for i, item := range st.Items {
 				v, err := evalSQL(item.Expr, rs, row)
 				if err != nil {

@@ -95,29 +95,24 @@ func (s *RelationalSource) TableStats(table string) (catalog.TableStats, bool) {
 func (s *RelationalSource) DB() *rdb.Database { return s.db }
 
 // Fetch implements catalog.Source. With a SQL fragment, the result
-// columns become child elements named by the output column; without one,
-// the whole named table (or all tables) export in full.
+// columns become child elements named by the output column (the export
+// of FetchRows' answer); without one, the whole named table (or all
+// tables) export in full.
 func (s *RelationalSource) Fetch(ctx context.Context, req catalog.Request) (*xmldm.Node, catalog.Cost, error) {
+	if req.Native != "" {
+		res, cost, err := s.FetchRows(ctx, req)
+		if err != nil {
+			return nil, cost, err
+		}
+		return RowsDocument(s.name, req, res), cost, nil
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, catalog.Cost{}, err
 	}
-	if req.Native != "" {
-		res, err := s.db.Exec(req.Native)
-		if err != nil {
-			return nil, catalog.Cost{}, fmt.Errorf("sources: %s: %w", s.name, err)
-		}
-		rowElem := "row"
-		if req.Collection != "" {
-			rowElem = singular(req.Collection)
-		}
-		doc := resultToXML(s.name, rowElem, res)
-		cost := catalog.Cost{RowsReturned: len(res.Rows), BytesMoved: len(res.Rows) * len(res.Columns) * 16}
-		return doc, cost, nil
-	}
-	// Full export of one table or all tables.
+	// Full export of one table or all tables; each table's rows move with
+	// that table's width.
 	root := &xmldm.Node{Name: s.name}
-	rows := 0
-	cols := 0
+	var cost catalog.Cost
 	for _, d := range s.desc {
 		if req.Collection != "" && !strings.EqualFold(req.Collection, d.Table) {
 			continue
@@ -127,16 +122,43 @@ func (s *RelationalSource) Fetch(ctx context.Context, req catalog.Request) (*xml
 			return nil, catalog.Cost{}, fmt.Errorf("sources: %s: %w", s.name, err)
 		}
 		appendResultRows(root, d.RowElement, res)
-		rows += len(res.Rows)
-		cols = len(res.Columns)
+		cost.RowsReturned += len(res.Rows)
+		cost.BytesMoved += len(res.Rows) * (len(res.Columns) + 1) * 16
 	}
 	xmldm.Finalize(root)
-	return root, catalog.Cost{RowsReturned: rows, BytesMoved: rows * (cols + 1) * 16}, nil
+	return root, cost, nil
 }
 
-// resultToXML converts a SQL result into <source><rowElem>…</rowElem>…</source>.
-func resultToXML(rootName, rowElem string, res *rdb.Result) *xmldm.Node {
-	root := &xmldm.Node{Name: rootName}
+// FetchesRows implements catalog.RowFetcher.
+func (s *RelationalSource) FetchesRows() bool { return true }
+
+// FetchRows implements catalog.RowFetcher: it runs a SQL fragment and
+// returns its result, costed as Fetch costs the fragment's export. A
+// request without a fragment is an error: a whole-table export is a
+// document.
+func (s *RelationalSource) FetchRows(ctx context.Context, req catalog.Request) (*rdb.Result, catalog.Cost, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, catalog.Cost{}, err
+	}
+	if req.Native == "" {
+		return nil, catalog.Cost{}, fmt.Errorf("sources: %s: rows are answered for a SQL fragment only", s.name)
+	}
+	res, err := s.db.Exec(req.Native)
+	if err != nil {
+		return nil, catalog.Cost{}, fmt.Errorf("sources: %s: %w", s.name, err)
+	}
+	return res, catalog.Cost{RowsReturned: len(res.Rows), BytesMoved: len(res.Rows) * len(res.Columns) * 16}, nil
+}
+
+// RowsDocument is the XML export of a fragment's result rows:
+// <source><rowElem>…</rowElem>…</source>, one row element per row, named
+// after the request's collection (singularized), or "row".
+func RowsDocument(source string, req catalog.Request, res *rdb.Result) *xmldm.Node {
+	rowElem := "row"
+	if req.Collection != "" {
+		rowElem = singular(req.Collection)
+	}
+	root := &xmldm.Node{Name: source}
 	appendResultRows(root, rowElem, res)
 	xmldm.Finalize(root)
 	return root

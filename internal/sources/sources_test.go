@@ -402,7 +402,7 @@ func TestResultRowsAreSlabBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := resultToXML("crmdb", "customer", res)
+	doc := RowsDocument("crmdb", catalog.Request{Collection: "customers"}, res)
 	if got := doc.CountElements(); got != 1+rows*5 {
 		t.Fatalf("%d elements, want %d", got, 1+rows*5)
 	}
@@ -432,7 +432,120 @@ func TestResultRowsAreSlabBuilt(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	cells := rows * 4
-	if n := testing.AllocsPerRun(20, func() { resultToXML("crmdb", "customer", res) }); n > float64(cells+4) {
+	if n := testing.AllocsPerRun(20, func() { RowsDocument("crmdb", catalog.Request{Collection: "customers"}, res) }); n > float64(cells+4) {
 		t.Errorf("exporting %d rows of 4 cells allocates %v times, want at most %d", rows, n, cells+4)
+	}
+}
+
+// TestFullExportCostsEachTableAtItsWidth: a whole-source export moves
+// each table's rows at that table's width, Σ rows × (cols + 1) × 16.
+func TestFullExportCostsEachTableAtItsWidth(t *testing.T) {
+	db := newCRM(t) // customers: 3 rows × 3 columns
+	db.MustExec(`CREATE TABLE tags (tag VARCHAR)`)
+	db.MustExec(`INSERT INTO tags VALUES ('a'), ('b')`)
+	_, cost, err := NewRelationalSource("crmdb", db).Fetch(context.Background(), catalog.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (catalog.Cost{RowsReturned: 5, BytesMoved: (3*4 + 2*2) * 16}); cost != want {
+		t.Errorf("cost = %+v, want %+v", cost, want)
+	}
+}
+
+// TestRowAnswerCostsAsItsExport: FetchRows answers a fragment with the
+// rows whose export Fetch returns, at the same cost; a request without a
+// fragment is a document, not rows.
+func TestRowAnswerCostsAsItsExport(t *testing.T) {
+	s := NewRelationalSource("crmdb", newCRM(t))
+	req := catalog.Request{Native: `SELECT name, city FROM customers WHERE city = 'London'`, Collection: "customers"}
+	doc, docCost, err := s.Fetch(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, cost, err := s.FetchRows(context.Background(), req)
+	if err != nil || cost != docCost || len(res.Rows) != 2 {
+		t.Fatalf("FetchRows = %v rows, %+v, %v; Fetch cost %+v", res, cost, err, docCost)
+	}
+	if got := RowsDocument("crmdb", req, res); got.String() != doc.String() {
+		t.Errorf("export of the rows %s, Fetch %s", got, doc)
+	}
+	if _, _, err := s.FetchRows(context.Background(), catalog.Request{}); err == nil {
+		t.Error("rows without a fragment answered")
+	}
+}
+
+// TestWrappersForwardRows: the simulation and the instrumentation answer
+// in rows exactly when what they wrap does, and the instrumentation
+// records a row answer into the series a document goes to; Downed hides
+// the capability.
+func TestWrappersForwardRows(t *testing.T) {
+	rel := NewRelationalSource("crmdb", newCRM(t))
+	xml, err := NewXMLSource("feed", `<feed/>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	for _, tc := range []struct {
+		src  catalog.Source
+		want bool
+	}{
+		{NewNetworkSim(rel, 0, 1, 1), true},
+		{Instrument(rel, reg), true},
+		{Instrument(NewNetworkSim(rel, 0, 1, 1), reg), true},
+		{NewNetworkSim(xml, 0, 1, 1), false},
+		{Instrument(xml, reg), false},
+		{NewDowned(rel), false},
+	} {
+		if _, ok := catalog.RowsOf(tc.src); ok != tc.want {
+			t.Errorf("%T over %s: answers in rows %v, want %v", tc.src, tc.src.Name(), ok, tc.want)
+		}
+	}
+	inst := Instrument(rel, reg).(*Instrumented)
+	if _, _, err := inst.FetchRows(context.Background(), catalog.Request{Native: `SELECT name FROM customers`}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := inst.FetchRows(context.Background(), catalog.Request{Native: `garbage`}); err == nil {
+		t.Fatal("bad SQL answered")
+	}
+	ok := reg.Counter("nimble_source_fetch_total", "source", "crmdb", "outcome", "ok").Value()
+	bad := reg.Counter("nimble_source_fetch_total", "source", "crmdb", "outcome", "error").Value()
+	if ok != 1 || bad != 1 || reg.Counter("nimble_source_bytes_total", "source", "crmdb").Value() != 3*16 ||
+		reg.Histogram("nimble_source_fetch_seconds", "source", "crmdb").Count() != 2 {
+		t.Errorf("row answers recorded ok=%d error=%d", ok, bad)
+	}
+}
+
+// TestNetworkSimRowsMatchDocuments: one seeded simulation answering in
+// rows draws the same availability coins, fails the same calls and
+// sleeps the same per-byte delays as its twin answering with documents.
+func TestNetworkSimRowsMatchDocuments(t *testing.T) {
+	db := newCRM(t)
+	for i := 4; i < 200; i++ {
+		db.MustExec(fmt.Sprintf(`INSERT INTO customers VALUES (%d, 'N%d', 'Oslo')`, i, i))
+	}
+	rel := NewRelationalSource("crmdb", db)
+	sims := [2]*NetworkSim{NewNetworkSim(rel, time.Millisecond, 0.6, 26), NewNetworkSim(rel, time.Millisecond, 0.6, 26)}
+	var trails [2][]string
+	for k, sim := range sims {
+		sim.PerKB = 100 * time.Microsecond
+		sim.SleepFn = func(_ context.Context, d time.Duration) error {
+			trails[k] = append(trails[k], "slept "+d.String())
+			return nil
+		}
+	}
+	for i := 0; i < 40; i++ {
+		req := catalog.Request{Native: fmt.Sprintf(`SELECT id, name FROM customers WHERE id < %d`, 10*i), Collection: "customers"}
+		_, cost, err := sims[0].FetchRows(context.Background(), req)
+		trails[0] = append(trails[0], fmt.Sprintf("%+v %v", cost, err))
+		_, cost, err = sims[1].Fetch(context.Background(), req)
+		trails[1] = append(trails[1], fmt.Sprintf("%+v %v", cost, err))
+	}
+	if strings.Join(trails[0], "\n") != strings.Join(trails[1], "\n") {
+		t.Errorf("rows:\n%s\ndocuments:\n%s", strings.Join(trails[0], "\n"), strings.Join(trails[1], "\n"))
+	}
+	c0, f0, s0 := sims[0].Stats()
+	c1, f1, s1 := sims[1].Stats()
+	if c0 != c1 || f0 != f1 || s0 != s1 || f0 == 0 || f0 == c0 {
+		t.Errorf("stats: rows %d/%d/%v, documents %d/%d/%v", c0, f0, s0, c1, f1, s1)
 	}
 }

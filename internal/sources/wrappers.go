@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
+	"repro/internal/rdb"
 	"repro/internal/xmldm"
 	"repro/internal/xmlparse"
 )
@@ -140,6 +141,26 @@ func (n *NetworkSim) Inner() catalog.Source { return n.inner }
 
 // Fetch implements catalog.Source with the simulated transport applied.
 func (n *NetworkSim) Fetch(ctx context.Context, req catalog.Request) (*xmldm.Node, catalog.Cost, error) {
+	return simulate(ctx, n, func() (*xmldm.Node, catalog.Cost, error) { return n.inner.Fetch(ctx, req) })
+}
+
+// FetchesRows implements catalog.RowFetcher: the simulation forwards rows
+// when its inner source answers in them.
+func (n *NetworkSim) FetchesRows() bool {
+	_, ok := catalog.RowsOf(n.inner)
+	return ok
+}
+
+// FetchRows implements catalog.RowFetcher with the same transport as
+// Fetch: the same availability draw, and the delay of the same cost.
+func (n *NetworkSim) FetchRows(ctx context.Context, req catalog.Request) (*rdb.Result, catalog.Cost, error) {
+	return simulate(ctx, n, func() (*rdb.Result, catalog.Cost, error) { return catalog.FetchRows(ctx, n.inner, req) })
+}
+
+// simulate applies n's transport to one fetch of either form: the
+// availability coin flip before it, and the delay its cost implies after.
+func simulate[T any](ctx context.Context, n *NetworkSim, fetch func() (T, catalog.Cost, error)) (T, catalog.Cost, error) {
+	var none T
 	n.mu.Lock()
 	n.calls++
 	up := n.Availability >= 1 || n.rng.Float64() < n.Availability
@@ -148,11 +169,11 @@ func (n *NetworkSim) Fetch(ctx context.Context, req catalog.Request) (*xmldm.Nod
 	}
 	n.mu.Unlock()
 	if !up {
-		return nil, catalog.Cost{}, fmt.Errorf("%w: %s", ErrUnavailable, n.inner.Name())
+		return none, catalog.Cost{}, fmt.Errorf("%w: %s", ErrUnavailable, n.inner.Name())
 	}
-	doc, cost, err := n.inner.Fetch(ctx, req)
+	got, cost, err := fetch()
 	if err != nil {
-		return nil, cost, err
+		return none, cost, err
 	}
 	delay := n.Latency + time.Duration(cost.BytesMoved/1024)*n.PerKB
 	n.mu.Lock()
@@ -160,10 +181,10 @@ func (n *NetworkSim) Fetch(ctx context.Context, req catalog.Request) (*xmldm.Nod
 	n.mu.Unlock()
 	if n.Sleep && delay > 0 {
 		if err := n.doSleep(ctx, delay); err != nil {
-			return nil, cost, err
+			return none, cost, err
 		}
 	}
-	return doc, cost, nil
+	return got, cost, nil
 }
 
 // doSleep waits for the simulated delay, honouring cancellation, via
@@ -222,6 +243,27 @@ func (s *Instrumented) Inner() catalog.Source { return s.inner }
 func (s *Instrumented) Fetch(ctx context.Context, req catalog.Request) (*xmldm.Node, catalog.Cost, error) {
 	start := time.Now()
 	doc, cost, err := s.inner.Fetch(ctx, req)
+	s.record(start, cost, err)
+	return doc, cost, err
+}
+
+// FetchesRows implements catalog.RowFetcher: rows are forwarded when the
+// inner source answers in them.
+func (s *Instrumented) FetchesRows() bool {
+	_, ok := catalog.RowsOf(s.inner)
+	return ok
+}
+
+// FetchRows implements catalog.RowFetcher into the same series as Fetch.
+func (s *Instrumented) FetchRows(ctx context.Context, req catalog.Request) (*rdb.Result, catalog.Cost, error) {
+	start := time.Now()
+	res, cost, err := catalog.FetchRows(ctx, s.inner, req)
+	s.record(start, cost, err)
+	return res, cost, err
+}
+
+// record adds one fetch that began at start to the source's series.
+func (s *Instrumented) record(start time.Time, cost catalog.Cost, err error) {
 	name := strings.ToLower(s.inner.Name())
 	outcome := "ok"
 	switch {
@@ -233,7 +275,6 @@ func (s *Instrumented) Fetch(ctx context.Context, req catalog.Request) (*xmldm.N
 	s.reg.Counter("nimble_source_fetch_total", "source", name, "outcome", outcome).Inc()
 	s.reg.Counter("nimble_source_bytes_total", "source", name).Add(int64(cost.BytesMoved))
 	s.reg.Histogram("nimble_source_fetch_seconds", "source", name).Observe(time.Since(start).Seconds())
-	return doc, cost, err
 }
 
 // Downed is a source that is always unavailable; experiments use it to
