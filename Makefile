@@ -6,7 +6,7 @@ GO ?= go
 # installed, so `make check` stays green on offline builders.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race fmt vet lint vulncheck check bench bench-smoke bench-compare bench-compare-smoke explain-smoke chaos-smoke cluster-smoke trace-smoke parallel-race sched-race sched-soak resultpath-race
+.PHONY: all build test race fmt vet lint lint-corpus vulncheck check bench bench-smoke bench-compare bench-compare-smoke explain-smoke chaos-smoke cluster-smoke trace-smoke parallel-race sched-race sched-soak resultpath-race
 
 all: build
 
@@ -24,9 +24,9 @@ vet:
 	$(GO) vet -all ./...
 
 # lint runs nimble-lint, the repo's own invariant checkers (span
-# lifecycle, operator close discipline, ctx-before-fanout, guarded-by
-# annotations, lock-order cycles, admission-slot leaks, SQL taint).
-# See internal/analysis and `go run ./cmd/nimble-lint -list`.
+# lifecycle, operator close discipline, guarded-by annotations,
+# lock-order cycles, SQL taint). See internal/analysis and
+# `go run ./cmd/nimble-lint -list`.
 lint:
 	$(GO) run ./cmd/nimble-lint ./...
 
@@ -55,6 +55,13 @@ define run-named
 	done
 	$(GO) test $(1) -run '$(2)' $(3)
 endef
+
+# lint-corpus runs, under the race detector, every analyzer's corpus
+# test and the suppression-directive tests, each by name, so an analyzer
+# dropped from the roster or a renamed test fails the step instead of
+# leaving it green.
+lint-corpus:
+	$(call run-named,-race -count=1 -v,TestSpanFinish|TestOpClose|TestGuardedBy|TestLockOrder|TestSQLSafe|TestSuppression|TestFilterMultiAnalyzerDirective|TestFilterNewAnalyzerNames|TestFilterScopeIsTwoLines|TestCheckDirectivesUnknownName|TestCheckDirectivesIgnoresReasonless,./internal/analysis)
 
 # parallel-race exercises the intra-query parallel execution machinery
 # under the race detector: the serial-vs-parallel differential suite

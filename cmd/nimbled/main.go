@@ -4,7 +4,7 @@
 // deployment (three sources, two mediated schemas, two lenses) so the
 // server is explorable immediately:
 //
-//	nimbled -addr :8080 -cluster 4 -route affinity -cap 8 -queue 64 &
+//	nimbled -addr :8080 -instances 4 -route affinity -cap 8 -queue 64 &
 //	curl -XPOST -d 'WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>' localhost:8080/query
 //	curl 'localhost:8080/lens/by-city?city=Seattle&device=web'
 //	curl -XPOST 'localhost:8080/admin/materialize?schema=customers&token=admin'
@@ -40,7 +40,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	instances := flag.Int("instances", 2, "engine instances behind the cluster front end")
-	clusterN := flag.Int("cluster", 0, "shorthand for -instances (takes precedence when set)")
 	route := flag.String("route", "least", "routing policy: least, rr, p2c, affinity")
 	capPer := flag.Int("cap", 0, "per-instance concurrent query cap (0 unbounded)")
 	queue := flag.Int("queue", 0, "admission queue bound once all instances are saturated; excess sheds 503 + Retry-After (0 unbounded)")
@@ -70,13 +69,9 @@ func main() {
 	queryClass := flag.String("query-class", "interactive", "default scheduling class: interactive or batch (per-request X-Nimble-Class overrides)")
 	flag.Parse()
 
-	n := *instances
-	if *clusterN > 0 {
-		n = *clusterN
-	}
 	logger := obs.NewLogger(os.Stderr, slog.LevelInfo)
 	sys := nimble.New(nimble.Config{
-		Instances:        n,
+		Instances:        *instances,
 		CacheEntries:     *cacheSize,
 		CachePerInstance: *cachePer,
 		RoutePolicy:      *route,

@@ -8,10 +8,12 @@
 //     all paths, or escapes to an owner who will finish it.
 //   - opclose: every algebra operator whose Open succeeded has Close
 //     reachable, including the error paths of later Opens.
-//   - ctxbefore: goroutines that perform source I/O are only launched
-//     by code that consulted its context.Context first.
 //   - guardedby: struct fields annotated "guarded by <mu>" are only
 //     touched while that mutex is held.
+//   - lockorder: the lock-acquisition graph across the module has no
+//     cycle, and no function re-acquires a mutex it holds.
+//   - sqlsafe: strings derived from XML-QL query text reach SQL only
+//     through a quoting helper.
 //
 // The suite runs as `go run ./cmd/nimble-lint ./...` (wired into
 // `make check` and CI) and is exercised by analysistest-style corpora
@@ -147,7 +149,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SpanFinish, OpClose, CtxBefore, GuardedBy, LockOrder, SlotLeak, SQLSafe}
+	return []*Analyzer{SpanFinish, OpClose, GuardedBy, LockOrder, SQLSafe}
 }
 
 // ByName returns the named analyzer, or nil.

@@ -16,20 +16,12 @@ func TestOpClose(t *testing.T) {
 	atest.Run(t, "testdata/src/opclose", analysis.OpClose)
 }
 
-func TestCtxBefore(t *testing.T) {
-	atest.Run(t, "testdata/src/ctxbefore", analysis.CtxBefore)
-}
-
 func TestGuardedBy(t *testing.T) {
 	atest.Run(t, "testdata/src/guardedby", analysis.GuardedBy)
 }
 
 func TestLockOrder(t *testing.T) {
 	atest.Run(t, "testdata/src/lockorder", analysis.LockOrder)
-}
-
-func TestSlotLeak(t *testing.T) {
-	atest.Run(t, "testdata/src/slotleak", analysis.SlotLeak)
 }
 
 func TestSQLSafe(t *testing.T) {
@@ -88,7 +80,7 @@ func TestLoaderTypes(t *testing.T) {
 
 // TestRegistry keeps the suite roster and name lookup honest.
 func TestRegistry(t *testing.T) {
-	want := []string{"spanfinish", "opclose", "ctxbefore", "guardedby", "lockorder", "slotleak", "sqlsafe"}
+	want := []string{"spanfinish", "opclose", "guardedby", "lockorder", "sqlsafe"}
 	var got []string
 	for _, a := range analysis.Analyzers() {
 		got = append(got, a.Name)

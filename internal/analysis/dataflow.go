@@ -2,16 +2,15 @@
 // both flavors the analyzers need:
 //
 //   - may-analyses (union join): "this span MAY still be unfinished
-//     here" — spanfinish, opclose, slotleak, sqlsafe;
+//     here" — spanfinish, opclose, sqlsafe;
 //   - must-analyses (intersection join): "this mutex IS held on every
 //     path to here" — lockorder.
 //
 // A lattice supplies the transfer function per block and, crucially, an
 // edge transfer: the solver hands each outgoing Edge (with its branch
 // Cond) back to the lattice, which can refine facts — the true edge of
-// `if err != nil` kills the "Open succeeded" site, the false edge of
-// `if probe` kills the half-open token. That per-edge refinement is
-// what the position-based heuristics could never express.
+// `if err != nil` kills the "Open succeeded" site. That per-edge
+// refinement is what the position-based heuristics could never express.
 package analysis
 
 import (
@@ -160,15 +159,6 @@ func condAtom(cond ast.Expr, negate bool) (ast.Expr, bool) {
 // non-nil (i.e. the condition is `obj != nil` on the true edge or
 // `obj == nil` on the false edge).
 func edgeImpliesNonNil(p *Pass, e Edge, obj types.Object) bool {
-	return edgeNilCompare(p, e, obj, true)
-}
-
-// edgeImpliesNil is the complementary implication.
-func edgeImpliesNil(p *Pass, e Edge, obj types.Object) bool {
-	return edgeNilCompare(p, e, obj, false)
-}
-
-func edgeNilCompare(p *Pass, e Edge, obj types.Object, wantNonNil bool) bool {
 	if e.Cond == nil {
 		return false
 	}
@@ -194,32 +184,10 @@ func edgeNilCompare(p *Pass, e Edge, obj types.Object, wantNonNil bool) bool {
 		return false
 	}
 	// Edge taken ⇒ condition is (negate ? false : true).
-	condTrue := !negate
-	isNeq := op == "!="
-	nonNil := condTrue == isNeq
-	return nonNil == wantNonNil
+	return !negate == (op == "!=")
 }
 
 func isNilIdent(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "nil"
-}
-
-// edgeBool reports what taking e implies about a boolean variable: for
-// `if probe` the true edge implies probe==true; for `if !ok` the true
-// edge implies ok==false. known is false when the condition says
-// nothing about obj.
-func edgeBool(p *Pass, e Edge, obj types.Object) (val, known bool) {
-	if e.Cond == nil {
-		return false, false
-	}
-	atom, negate := condAtom(e.Cond, e.Negate)
-	id, ok := atom.(*ast.Ident)
-	if !ok {
-		return false, false
-	}
-	if o := p.objectOf(id); o == nil || o != obj {
-		return false, false
-	}
-	return !negate, true
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // walkStack visits every node under root, passing the ancestor stack
@@ -324,16 +323,6 @@ func isAssignLHS(id *ast.Ident, stack []ast.Node) bool {
 	}
 	for _, l := range as.Lhs {
 		if l == ast.Expr(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// hasSuffixAny reports whether s ends with any of the suffixes.
-func hasSuffixAny(s string, suffixes ...string) bool {
-	for _, suf := range suffixes {
-		if strings.HasSuffix(s, suf) {
 			return true
 		}
 	}

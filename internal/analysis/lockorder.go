@@ -377,7 +377,7 @@ func calleeKey(pass *Pass, call *ast.CallExpr) string {
 }
 
 // moduleLocalPath reports whether an import path belongs to this module
-// (or a lint corpus). Mirrors the module prefix used by ctxbefore.
+// (or a lint corpus): only module code contributes call summaries.
 func moduleLocalPath(path string) bool {
 	return strings.HasPrefix(path, "repro") || strings.HasPrefix(path, "testdata")
 }

@@ -56,22 +56,21 @@ var x = 1
 }
 
 // TestFilterNewAnalyzerNames: the directive machinery works for the
-// dataflow analyzers' names just like the original four.
+// dataflow analyzers' names just like the first generation's.
 func TestFilterNewAnalyzerNames(t *testing.T) {
 	fset, files := parseSrc(t, `package p
 
-//lint:ignore lockorder,slotleak,sqlsafe the probe is resolved by the janitor goroutine
+//lint:ignore lockorder,sqlsafe the alias is quoted by the caller under its lock
 var x = 1
 `)
 	pos := lineStart(fset, files, 4)
 	diags := []analysis.Diagnostic{
 		diagAt(pos, "lockorder"),
-		diagAt(pos, "slotleak"),
 		diagAt(pos, "sqlsafe"),
 	}
 	kept, suppressed := analysis.Filter(fset, files, diags)
-	if len(kept) != 0 || len(suppressed) != 3 {
-		t.Fatalf("kept %d / suppressed %d, want 0 / 3", len(kept), len(suppressed))
+	if len(kept) != 0 || len(suppressed) != 2 {
+		t.Fatalf("kept %d / suppressed %d, want 0 / 2", len(kept), len(suppressed))
 	}
 }
 
@@ -80,11 +79,11 @@ var x = 1
 func TestFilterScopeIsTwoLines(t *testing.T) {
 	fset, files := parseSrc(t, `package p
 
-//lint:ignore slotleak cleanup happens in the caller
+//lint:ignore opclose cleanup happens in the caller
 var x = 1
 var y = 2
 `)
-	diags := []analysis.Diagnostic{diagAt(lineStart(fset, files, 5), "slotleak")}
+	diags := []analysis.Diagnostic{diagAt(lineStart(fset, files, 5), "opclose")}
 	kept, suppressed := analysis.Filter(fset, files, diags)
 	if len(kept) != 1 || len(suppressed) != 0 {
 		t.Fatalf("kept %d / suppressed %d, want 1 / 0 (two lines past the directive)", len(kept), len(suppressed))

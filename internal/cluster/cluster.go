@@ -215,7 +215,7 @@ func New(cfg Config, engines ...*core.Engine) *Cluster {
 	}
 	clock := cfg.Clock
 	if clock == nil {
-		clock = realClock{}
+		clock = exec.RealClock
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -422,15 +422,15 @@ func (c *Cluster) QueryOpt(ctx context.Context, q string, qo core.QueryOptions) 
 	}
 	res, err := m.engine.QueryOpt(ctx, q, qo)
 	if err == nil && res.Completeness.Complete && m.cache != nil && !bypassCache {
-		m.cache.Put(key, qcache.Result{Values: res.Values, Sources: cacheTags(q, res)})
+		m.cache.Put(key, qcache.Result{Values: res.Values, Sources: CacheTags(q, res)})
 	}
 	return res, err
 }
 
-// cacheTags lists every name a cached result depends on: the sources
+// CacheTags lists every name a cached result depends on: the sources
 // that actually answered (post-unfolding) plus the schemas the query
 // text references, so invalidating either evicts the entry.
-func cacheTags(q string, res *core.Result) []string {
+func CacheTags(q string, res *core.Result) []string {
 	var srcs []string
 	for _, st := range res.Completeness.Statuses {
 		srcs = append(srcs, st.Source)

@@ -90,6 +90,26 @@ func waitInFlight(t testing.TB, c *Cluster, i int, want int64) {
 	}
 }
 
+// requireIdle fails the test unless every admission slot is back and
+// the wait queue is empty — counted and listed alike, so a cancelled
+// waiter left in the list shows up before a later dispatch grants it a
+// slot nobody will return. Call it once the test's callers have
+// returned.
+func requireIdle(t testing.TB, c *Cluster) {
+	t.Helper()
+	for i := 0; i < c.Instances(); i++ {
+		if n := c.InFlight(i); n != 0 {
+			t.Errorf("instance %d holds %d slots at idle", i, n)
+		}
+	}
+	c.mu.Lock()
+	listed := c.waiters.Len()
+	c.mu.Unlock()
+	if n := c.Queued(); n != 0 || listed != 0 {
+		t.Errorf("admission queue not empty at idle: %d counted, %d listed", n, listed)
+	}
+}
+
 func TestRoundRobinCycles(t *testing.T) {
 	c := New(Config{Policy: RoundRobin}, newEngines(t, 3)...)
 	for i := 0; i < 9; i++ {
@@ -318,6 +338,33 @@ func TestPerInstanceCacheHits(t *testing.T) {
 	if total != 1 {
 		t.Errorf("engines ran %d queries, want 1 (repeats must hit the cache)", total)
 	}
+	requireIdle(t, c)
+}
+
+// TestCacheHitReleasesItsSlot: a query answered from the instance's
+// cache returns its admission slot like one the engine ran. With
+// capacity 1, a slot leaked by the hit leaves the third caller nothing
+// to be admitted to, so under its 50 ms deadline it is shed or times
+// out instead of running. Every caller has a deadline, so a leak fails
+// the test instead of hanging it.
+func TestCacheHitReleasesItsSlot(t *testing.T) {
+	c := New(Config{Capacity: 1}, newEngine(t, nil))
+	c.SetCache(0, qcache.New(4, 0))
+	query := func(step string, d time.Duration) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		if _, err := c.Query(ctx, testQuery); err != nil {
+			t.Fatalf("%s not admitted: %v", step, err)
+		}
+	}
+	query("miss", time.Second)
+	query("hit", time.Second)
+	if st := c.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", st)
+	}
+	query("query after the hit", 50*time.Millisecond)
+	requireIdle(t, c)
 }
 
 func TestParsePolicy(t *testing.T) {

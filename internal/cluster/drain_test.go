@@ -213,6 +213,7 @@ func TestClusterStorm(t *testing.T) {
 	if _, err := c.Query(context.Background(), testQuery); err != nil {
 		t.Fatalf("query after storm: %v", err)
 	}
+	requireIdle(t, c)
 }
 
 // TestClusterSmoke is the `make cluster-smoke` target: a compact

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
-	"time"
 )
 
 // Policy selects how the cluster routes a query to an instance. All
@@ -194,23 +192,4 @@ func (s *splitmix) next() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// realClock is the production Clock (exec.Clock shape).
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
-
-func (realClock) Sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

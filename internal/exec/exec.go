@@ -109,7 +109,7 @@ func (r *Runner) clock() Clock {
 	if r.Clock != nil {
 		return r.Clock
 	}
-	return realClock{}
+	return RealClock
 }
 
 // breakerFor returns the source's breaker, or nil when breakers are

@@ -57,7 +57,10 @@ type Clock interface {
 	Sleep(ctx context.Context, d time.Duration) error
 }
 
-// realClock is the production Clock.
+// RealClock is the production Clock: wall time and timer sleeps. Every
+// layer that takes an injectable Clock defaults to it.
+var RealClock Clock = realClock{}
+
 type realClock struct{}
 
 func (realClock) Now() time.Time { return time.Now() }
@@ -272,7 +275,7 @@ func NewBreakerSet(threshold int, cooldown time.Duration, clock Clock, metrics *
 		cooldown = DefaultBreakerCooldown
 	}
 	if clock == nil {
-		clock = realClock{}
+		clock = RealClock
 	}
 	s := &BreakerSet{
 		threshold: threshold,

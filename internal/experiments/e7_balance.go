@@ -97,7 +97,6 @@ func E7LoadBalance(s Scale) *Table {
 		start := time.Now()
 		for c := 0; c < clients; c++ {
 			wg.Add(1)
-			//lint:ignore ctxbefore benchmark harness drives a fixed closed workload to completion; there is no cancellation to observe
 			go func() {
 				defer wg.Done()
 				for q := range work {

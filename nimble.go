@@ -53,7 +53,6 @@ import (
 	"repro/internal/sources"
 	"repro/internal/xmldm"
 	"repro/internal/xmlparse"
-	"repro/internal/xmlql"
 )
 
 // Re-exported types, so adopters never import internal packages.
@@ -390,9 +389,11 @@ func New(cfg Config) *System {
 			s.cluster.SetBreakers(i, s.breakers)
 		}
 	}
-	// The materialized store lives on the first instance's engine but
-	// serves all instances through the shared catalog? No — each engine
-	// has its own local-store hook, so install the manager on every one.
+	// One manager computes views through the first engine (NewManager
+	// installs it there). The local-store hook is per engine, not part of
+	// the shared catalog, so the same manager is installed on every other
+	// engine too: a view materialized once answers on whichever instance
+	// the cluster routes a query to.
 	s.views = matview.NewManager(s.engines[0])
 	s.views.SetMetrics(reg)
 	for _, e := range s.engines[1:] {
@@ -525,23 +526,9 @@ func (s *System) Query(ctx context.Context, q string) (*Result, error) {
 		Explain:       cr.Explain,
 	}
 	if s.cache != nil && res.Complete {
-		s.cache.Put(q, qcache.Result{Values: cr.Values, Sources: cacheTags(q, cr)})
+		s.cache.Put(q, qcache.Result{Values: cr.Values, Sources: cluster.CacheTags(q, cr)})
 	}
 	return res, nil
-}
-
-// cacheTags lists every name a cached result depends on: the sources
-// that actually answered (post-unfolding) plus the schemas the query
-// text references, so invalidating either evicts the entry.
-func cacheTags(q string, cr *core.Result) []string {
-	var srcs []string
-	for _, st := range cr.Completeness.Statuses {
-		srcs = append(srcs, st.Source)
-	}
-	if parsed, err := xmlql.Parse(q); err == nil {
-		srcs = append(srcs, catalog.QueryDeps(parsed)...)
-	}
-	return srcs
 }
 
 // Materialize stores a mediated schema's document locally; later queries

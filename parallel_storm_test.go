@@ -4,8 +4,8 @@ package nimble
 // cluster front end while chaos keeps one source dead and another slow.
 // Every healthy response must be byte-identical to a serial oracle
 // computed up front — the no-lost-no-duplicated-tuples property of the
-// parallel operators under scheduler pressure — and the parallel-worker
-// gauge must return to zero afterwards (no leaked worker accounting).
+// parallel operators under scheduler pressure — and the system must be
+// idle afterwards (assertIdle: no leaked slot, grant or worker).
 // CI runs this under -race (the parallel-race step).
 
 import (
@@ -90,8 +90,7 @@ func buildStormSystem(t *testing.T, reg *obs.Registry, parallelism, budget int) 
 }
 
 func TestParallelStormUnderChaos(t *testing.T) {
-	reg := obs.NewRegistry()
-	sys := buildStormSystem(t, reg, 4, 0)
+	sys := buildStormSystem(t, obs.NewRegistry(), 4, 0)
 	defer sys.Close()
 	ts := httptest.NewServer(sys.HTTPHandler("admin"))
 	defer ts.Close()
@@ -183,9 +182,5 @@ func TestParallelStormUnderChaos(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-
-	// Every parallel operator tore its pool down: the worker gauge is balanced.
-	if v := reg.Gauge("nimble_parallel_workers").Value(); v != 0 {
-		t.Fatalf("nimble_parallel_workers = %v after storm, want 0 (leaked worker accounting)", v)
-	}
+	assertIdle(t, sys)
 }

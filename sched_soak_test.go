@@ -5,7 +5,6 @@ package nimble
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,9 +49,8 @@ func TestSchedSoakMixedClasses(t *testing.T) {
 	}
 
 	for _, budget := range []int{2, 8} {
-		reg := obs.NewRegistry()
-		sys := buildStormSystem(t, reg, 4, budget)
-		schd := sys.Scheduler() // shared by every engine, so the queries contend
+		// One scheduler is shared by every engine, so the queries contend.
+		sys := buildStormSystem(t, obs.NewRegistry(), 4, budget)
 
 		rng := rand.New(rand.NewSource(20260808))
 		type job struct {
@@ -101,21 +99,10 @@ func TestSchedSoakMixedClasses(t *testing.T) {
 			t.Fatal(e)
 		}
 
-		snap := schd.Snap()
-		if snap.Granted != 0 || snap.Queries != 0 || snap.Free != snap.Budget {
-			t.Fatalf("budget %d: scheduler not idle after soak: %+v", budget, snap)
-		}
 		if spawned.Load() == 0 {
 			t.Fatalf("budget %d: no query spawned a worker: the soak never exercised a grant", budget)
 		}
-		var buf strings.Builder
-		if err := reg.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(buf.String(), "nimble_sched_granted 0") {
-			t.Fatalf("budget %d: exposition should report nimble_sched_granted 0 at idle:\n%s",
-				budget, buf.String())
-		}
+		assertIdle(t, sys)
 		sys.Close()
 	}
 }

@@ -52,8 +52,7 @@ func TestSchedStormBudgets(t *testing.T) {
 
 	for _, budget := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			reg := obs.NewRegistry()
-			sys := buildStormSystem(t, reg, 4, budget)
+			sys := buildStormSystem(t, obs.NewRegistry(), 4, budget)
 			defer sys.Close()
 			schd := sys.Scheduler()
 			if schd.Budget() != budget {
@@ -161,25 +160,8 @@ func TestSchedStormBudgets(t *testing.T) {
 				t.Fatal("no wide join spawned a worker: the storm never exercised a grant")
 			}
 
-			// Everything drained: grants back and the operator worker
-			// pools all torn down — including on the cancelled queries.
-			snap := schd.Snap()
-			if snap.Granted != 0 || snap.Queries != 0 {
-				t.Fatalf("scheduler not idle after storm: %+v", snap)
-			}
-			if snap.Free != snap.Budget {
-				t.Fatalf("%d of %d slots leaked: %+v", snap.Budget-snap.Free, snap.Budget, snap)
-			}
-			if v := reg.Gauge("nimble_parallel_workers").Value(); v != 0 {
-				t.Fatalf("nimble_parallel_workers = %v after storm, want 0 (leaked on cancel path)", v)
-			}
-			var buf strings.Builder
-			if err := reg.WritePrometheus(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(buf.String(), "nimble_sched_granted 0") {
-				t.Fatalf("exposition should report nimble_sched_granted 0 at idle:\n%s", buf.String())
-			}
+			// Everything drained, including on the cancelled queries.
+			assertIdle(t, sys)
 		})
 	}
 }

@@ -262,6 +262,7 @@ func runChaosSoak(t *testing.T, seed int64, n int) string {
 	if deadCalls >= deadQueries {
 		t.Errorf("dead source fetched %d times across %d queries — breaker did not quarantine it", deadCalls, deadQueries)
 	}
+	assertIdle(t, sys)
 
 	// Close the report with the final breaker positions and the injected
 	// fault census (sorted: the report is compared byte-for-byte).

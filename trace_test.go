@@ -203,6 +203,7 @@ func TestTraceSmokeEndToEnd(t *testing.T) {
 	if !strings.Contains(expo.String(), `# {trace_id="`) {
 		t.Error("nimble_query_seconds buckets carry no exemplars")
 	}
+	assertIdle(t, sys)
 }
 
 // TestKeptTraceSetDeterministic replays the same workload against two
