@@ -114,6 +114,12 @@ sched-race:
 # share, and its faults and simulated transport to the XML twin's —
 # answers, reports, retries, breakers, outcomes and error text under a
 # seeded chaos schedule; projected rdb rows to not aliasing one another.
+# Cached answers: eight goroutines render one lens from cached nodes,
+# cleaning functions are re-registered under running queries, and every
+# change to what a name answers (materialize, refresh, drop, a schema
+# definition, through the facade and over HTTP, two schema levels deep)
+# reaches every cache of both layouts, whose keys ignore whitespace and
+# whose metrics count them all.
 resultpath-race:
 	$(GO) test -race -run 'FuzzSerializeEscape|TestSerializeMatchesReference|TestBufferReuse' -count=1 ./internal/xmlparse
 	$(call run-named,-race -count=1,TestBuilderEqualsReference|FuzzConstruct,./internal/algebra)
@@ -123,7 +129,12 @@ resultpath-race:
 	$(call run-named,-race -count=1,TestNetworkSimRowsMatchDocuments|TestWrappersForwardRows,./internal/sources)
 	$(call run-named,-race -count=1,TestRowFaultsShareTheSchedule,./internal/chaos)
 	$(call run-named,-race -count=1,TestProjectedRowsDoNotAlias,./internal/rdb)
-	$(GO) test -race -run 'TestCachedValuesStayImmutable|TestQueryContentLength' -count=10 ./internal/server
+	$(call run-named,-race -count=10,TestCachedValuesStayImmutable|TestQueryContentLength,./internal/server)
+	$(call run-named,-race -count=1,TestAdminChangesReachEveryCache|TestCachingOnQueryEndpoint|TestAdminEndpoints|TestAdminDefineSchema,./internal/server)
+	$(call run-named,-race -count=1,TestFacadeRenderLensConcurrent|TestFacadeRegisterFunctionsWhileQuerying|TestFacadeDropInvalidatesCache|TestFacadeCacheTTL|TestFacadeRefreshReachesCache|TestFacadeDefineSchemaReachesCache|TestFacadeWhitespaceVariantsShareAnEntry,.)
+	$(call run-named,-race -count=1,TestInvalidateReachesDependents|TestSharedCacheHitTakesNoSlot|TestCacheMetricsCoverEveryCache|TestPerInstanceCacheHits,./internal/cluster)
+	$(call run-named,-race -count=1,TestDependents,./internal/catalog)
+	$(call run-named,-race -count=1,TestOnChangeHearsEveryMutator,./internal/matview)
 
 # sched-soak runs the extended scheduler workload behind the soak tag:
 # 64 concurrent mixed-class queries per budget on a fixed seed, one shape

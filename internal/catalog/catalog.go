@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -404,12 +405,10 @@ func (c *Catalog) CheckAcyclic() error {
 			return nil
 		}
 		color[key] = grey
-		for _, def := range c.views[key] {
-			for _, dep := range queryDeps(def.Query) {
-				if _, isView := c.views[strings.ToLower(dep)]; isView {
-					if err := visit(dep, append(trail, name)); err != nil {
-						return err
-					}
+		for _, dep := range c.readsLocked(key) {
+			if _, isView := c.views[strings.ToLower(dep)]; isView {
+				if err := visit(dep, append(trail, name)); err != nil {
+					return err
 				}
 			}
 		}
@@ -422,6 +421,35 @@ func (c *Catalog) CheckAcyclic() error {
 		}
 	}
 	return nil
+}
+
+// Dependents returns name and every mediated schema defined over it,
+// directly or through other schemas — the names whose answers change
+// when name's does: the graph CheckAcyclic checks, walked backwards.
+// Names come back lower-cased, as the catalog keys them.
+func (c *Catalog) Dependents(name string) []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := []string{strings.ToLower(name)}
+	for i := 0; i < len(out); i++ {
+		changed := out[i]
+		reads := func(dep string) bool { return strings.EqualFold(dep, changed) }
+		for key := range c.views {
+			if !slices.Contains(out, key) && slices.ContainsFunc(c.readsLocked(key), reads) {
+				out = append(out, key)
+			}
+		}
+	}
+	return out
+}
+
+// readsLocked lists the names schema key's definitions read: its edges.
+func (c *Catalog) readsLocked(key string) []string {
+	var out []string
+	for _, def := range c.views[key] {
+		out = append(out, queryDeps(def.Query)...)
+	}
+	return out
 }
 
 // queryDeps returns the source/schema names a query references, at any

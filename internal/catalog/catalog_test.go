@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -216,5 +217,39 @@ func TestDefineViewValidation(t *testing.T) {
 	}
 	if err := c.DefineViewQL("s", `not xmlql`); err == nil {
 		t.Error("bad query text should fail")
+	}
+}
+
+// TestDependents: a name's dependents are the schemas defined over it at
+// any depth — read in a pattern or in a nested query — and only those.
+func TestDependents(t *testing.T) {
+	c := New()
+	doc := xmldm.NewBuilder().Elem("d")
+	for _, s := range []string{"base", "other"} {
+		if err := c.AddSource(NewStaticSource(s, doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range [][2]string{
+		{"Level1", `WHERE <a>$x</a> IN "base" CONSTRUCT <b>$x</b>`},
+		{"level2", `WHERE <b>$x</b> IN "LEVEL1" CONSTRUCT <c>$x</c>`},
+		{"nested", `WHERE <o>$x</o> IN "other" CONSTRUCT <n>{ WHERE <c>$y</c> IN "level2" CONSTRUCT <y>$y</y> }</n>`},
+		{"apart", `WHERE <o>$x</o> IN "other" CONSTRUCT <p>$x</p>`},
+	} {
+		if err := c.DefineViewQL(v[0], v[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, want := range map[string]string{
+		"BASE":   "base level1 level2 nested",
+		"level2": "level2 nested",
+		"other":  "other apart nested",
+		"apart":  "apart",
+	} {
+		got := c.Dependents(name)
+		sort.Strings(got[1:])
+		if strings.Join(got, " ") != want {
+			t.Errorf("Dependents(%s) = %v, want %s", name, got, want)
+		}
 	}
 }

@@ -9,21 +9,24 @@ import (
 
 // TestQueueFullSheds: once every slot is held and the wait queue is at
 // its bound, further callers shed immediately with an OverloadError
-// carrying a usable Retry-After hint.
+// carrying a usable Retry-After hint. Every caller has a deadline, so a
+// slot that is never released fails the test instead of hanging it.
 func TestQueueFullSheds(t *testing.T) {
 	e, gate := gatedEngine(t)
 	c := New(Config{Policy: RoundRobin, Capacity: 1, QueueLimit: 1}, e)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 
 	held := make(chan error, 1)
 	go func() {
-		_, err := c.Query(context.Background(), testQuery)
+		_, err := c.Query(ctx, testQuery)
 		held <- err
 	}()
 	waitInFlight(t, c, 0, 1)
 
 	queued := make(chan error, 1)
 	go func() {
-		_, err := c.Query(context.Background(), testQuery)
+		_, err := c.Query(ctx, testQuery)
 		queued <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -35,7 +38,7 @@ func TestQueueFullSheds(t *testing.T) {
 	}
 
 	// Queue is at its bound: the third caller is refused immediately.
-	_, err := c.Query(context.Background(), testQuery)
+	_, err := c.Query(ctx, testQuery)
 	var oe *OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("err = %v, want OverloadError", err)

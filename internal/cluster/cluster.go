@@ -20,7 +20,10 @@
 //     instance while others idle (the head-of-line defect of the old
 //     balancer, which picked an instance before acquiring its slot);
 //   - graceful drain: stop routing to an instance, wait for its
-//     in-flight queries, then remove it from the registry.
+//     in-flight queries, then remove it from the registry;
+//   - result caches: the cluster owns every cached answer, in either
+//     layout (EnableCache), and Invalidate is the one rule for which of
+//     them a change reaches.
 //
 // Everything is observable: nimble_cluster_* metrics, and a Status
 // snapshot served on /debug/cluster.
@@ -128,7 +131,7 @@ type member struct {
 	name   string
 	engine *core.Engine
 
-	cache    *qcache.Cache    // optional per-instance result cache (affinity's target)
+	cache    *qcache.Cache    // the per-instance layout's cache (EnableCache); affinity's target
 	probe    Probe            // optional health probe
 	breakers *exec.BreakerSet // optional, surfaced in Status
 
@@ -183,6 +186,8 @@ type Cluster struct {
 	mQueueWait     *obs.Histogram
 
 	sched *sched.Scheduler // guarded by mu; surfaced on /debug/cluster
+
+	shared *qcache.Cache // the shared layout's cache; set by EnableCache before serving
 }
 
 // SetScheduler attaches the shared worker scheduler so its accounting
@@ -276,13 +281,64 @@ func New(cfg Config, engines ...*core.Engine) *Cluster {
 	return c
 }
 
-// SetCache gives instance i its own result cache: under the
-// CacheAffinity policy, repeated queries rendezvous-hash to the same
-// instance and answer from this cache without touching the engine.
-func (c *Cluster) SetCache(i int, cache *qcache.Cache) {
+// EnableCache gives the cluster result caches of entries answers expiring
+// after ttl (0 = never), before it serves: one shared cache, checked
+// before admission so a hit takes no slot, or with perInstance one per
+// instance, checked after routing (affinity's target). All count into
+// the nimble_qcache_* series.
+func (c *Cluster) EnableCache(entries int, ttl time.Duration, perInstance bool) {
+	caches := make([]*qcache.Cache, 1)
+	if perInstance {
+		caches = make([]*qcache.Cache, c.Instances())
+	}
+	for i := range caches {
+		caches[i] = qcache.New(entries, ttl)
+		caches[i].SetMetrics(c.cfg.Metrics)
+	}
+	c.mu.Lock()
+	if perInstance {
+		for i, m := range c.members {
+			m.cache = caches[i]
+		}
+	} else {
+		c.shared = caches[0]
+	}
+	c.mu.Unlock()
+	c.cfg.Metrics.GaugeFunc("nimble_qcache_entries", func() float64 { return float64(c.CacheStats().Entries) })
+}
+
+// caches lists every result cache the cluster holds.
+func (c *Cluster) caches() []*qcache.Cache {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.members[i].cache = cache
+	var out []*qcache.Cache
+	if c.shared != nil {
+		out = append(out, c.shared)
+	}
+	for _, m := range c.members {
+		if m.cache != nil {
+			out = append(out, m.cache)
+		}
+	}
+	return out
+}
+
+// Invalidate is the one rule for what a change to what name answers (a
+// view materialized, refreshed or dropped, a definition added) reaches:
+// the cached answers tagged with name or with any schema defined over it
+// (catalog.Dependents), in every cache the cluster holds.
+func (c *Cluster) Invalidate(name string) {
+	names := map[string]bool{}
+	for i, n := 0, c.Instances(); i < n; i++ {
+		for _, dep := range c.Engine(i).Catalog().Dependents(name) {
+			names[dep] = true
+		}
+	}
+	for _, q := range c.caches() {
+		for dep := range names {
+			q.InvalidateSource(dep)
+		}
+	}
 }
 
 // SetProbe installs instance i's health probe (see QueryProbe and
@@ -362,19 +418,11 @@ func (c *Cluster) Loads() []int64 {
 	return out
 }
 
-// CacheStats aggregates the per-instance result caches (zero value when
-// no instance has one).
+// CacheStats aggregates every result cache the cluster holds, in either
+// layout (zero value when caching is off).
 func (c *Cluster) CacheStats() qcache.Stats {
-	c.mu.Lock()
-	caches := make([]*qcache.Cache, 0, len(c.members))
-	for _, m := range c.members {
-		if m.cache != nil {
-			caches = append(caches, m.cache)
-		}
-	}
-	c.mu.Unlock()
 	var agg qcache.Stats
-	for _, q := range caches {
+	for _, q := range c.caches() {
 		st := q.Stats()
 		agg.Hits += st.Hits
 		agg.Misses += st.Misses
@@ -384,15 +432,15 @@ func (c *Cluster) CacheStats() qcache.Stats {
 	return agg
 }
 
-// Query routes one query to an instance per the policy, through
-// admission control and the instance's cache when it has one.
+// Query routes one query to an instance per the policy, through the
+// result cache and admission control.
 func (c *Cluster) Query(ctx context.Context, q string) (*core.Result, error) {
 	return c.QueryOpt(ctx, q, core.QueryOptions{})
 }
 
-// QueryOpt is Query with per-query options (the profile/explain path,
-// which bypasses per-instance caches so reports reflect a real
-// execution).
+// QueryOpt is Query with per-query options. A cached answer's values are
+// shared with every later hit: render them through View, or edit a
+// Document copy.
 func (c *Cluster) QueryOpt(ctx context.Context, q string, qo core.QueryOptions) (*core.Result, error) {
 	key := qcache.Key(q)
 	// The cluster hop hangs under the caller's span (nil-safe: without a
@@ -400,6 +448,12 @@ func (c *Cluster) QueryOpt(ctx context.Context, q string, qo core.QueryOptions) 
 	// the routing decision and cache outcome.
 	ctx, sp := obs.StartSpan(ctx, "cluster")
 	defer sp.Finish()
+	useCache := !qo.Profile && !qo.Explain // their reports need a real execution
+	if useCache && c.shared != nil {
+		if res, ok := cacheGet(c.shared, key, sp); ok {
+			return res, nil
+		}
+	}
 	m, err := c.acquire(ctx, key)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
@@ -410,27 +464,38 @@ func (c *Cluster) QueryOpt(ctx context.Context, q string, qo core.QueryOptions) 
 	start := c.clock.Now()
 	defer func() { c.release(m, c.clock.Now().Sub(start)) }()
 	m.mRequests.Inc()
-	bypassCache := qo.Profile || qo.Explain
-	if m.cache != nil && !bypassCache {
-		if hit, ok := m.cache.Get(key); ok {
-			sp.SetBool("cache_hit", true)
-			res := &core.Result{Values: hit.Values}
-			res.Completeness.Complete = true
-			return res, nil
+	cache := c.shared // checked above, before admission
+	if m.cache != nil {
+		cache = m.cache // the per-instance layout: checked after routing
+		if useCache {
+			if res, ok := cacheGet(cache, key, sp); ok {
+				return res, nil
+			}
 		}
-		sp.SetBool("cache_hit", false)
 	}
 	res, err := m.engine.QueryOpt(ctx, q, qo)
-	if err == nil && res.Completeness.Complete && m.cache != nil && !bypassCache {
-		m.cache.Put(key, qcache.Result{Values: res.Values, Sources: CacheTags(q, res)})
+	if err == nil && useCache && cache != nil && res.Completeness.Complete {
+		cache.Put(key, qcache.Result{Values: res.Values, Sources: cacheTags(q, res)})
 	}
 	return res, err
 }
 
-// CacheTags lists every name a cached result depends on: the sources
+// cacheGet answers from cache, recording the outcome on the span.
+func cacheGet(cache *qcache.Cache, key string, sp *obs.Span) (*core.Result, bool) {
+	hit, ok := cache.Get(key)
+	sp.SetBool("cache_hit", ok)
+	if !ok {
+		return nil, false
+	}
+	res := &core.Result{Values: hit.Values}
+	res.Completeness.Complete = true
+	return res, true
+}
+
+// cacheTags lists every name a cached result depends on: the sources
 // that actually answered (post-unfolding) plus the schemas the query
 // text references, so invalidating either evicts the entry.
-func CacheTags(q string, res *core.Result) []string {
+func cacheTags(q string, res *core.Result) []string {
 	var srcs []string
 	for _, st := range res.Completeness.Statuses {
 		srcs = append(srcs, st.Source)

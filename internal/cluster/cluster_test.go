@@ -315,9 +315,7 @@ func TestAffinitySpillsWhenOwnerSaturated(t *testing.T) {
 // touching the engine again.
 func TestPerInstanceCacheHits(t *testing.T) {
 	c := New(Config{Policy: CacheAffinity}, newEngines(t, 2)...)
-	for i := 0; i < c.Instances(); i++ {
-		c.SetCache(i, qcache.New(16, 0))
-	}
+	c.EnableCache(16, 0, true)
 	for i := 0; i < 4; i++ {
 		res, err := c.Query(context.Background(), testQuery)
 		if err != nil {
@@ -349,7 +347,7 @@ func TestPerInstanceCacheHits(t *testing.T) {
 // the test instead of hanging it.
 func TestCacheHitReleasesItsSlot(t *testing.T) {
 	c := New(Config{Capacity: 1}, newEngine(t, nil))
-	c.SetCache(0, qcache.New(4, 0))
+	c.EnableCache(4, 0, true)
 	query := func(step string, d time.Duration) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), d)
@@ -390,7 +388,7 @@ func TestParsePolicy(t *testing.T) {
 
 func TestStatusSnapshot(t *testing.T) {
 	c := New(Config{Policy: CacheAffinity, Capacity: 4, QueueLimit: 8}, newEngines(t, 2)...)
-	c.SetCache(0, qcache.New(4, 0))
+	c.EnableCache(4, 0, true)
 	if _, err := c.Query(context.Background(), testQuery); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -39,7 +40,7 @@ type Engine struct {
 	scheduler  *sched.Scheduler                                    // guarded by mu; nil = sched.Default()
 	class      sched.Class                                         // guarded by mu; default query class
 	policy     exec.Policy                                         // guarded by mu
-	funcs      map[string]func([]xmldm.Value) (xmldm.Value, error) // guarded by mu
+	funcs      map[string]func([]xmldm.Value) (xmldm.Value, error) // guarded by mu; replaced, never written
 	skipUnfold func(string) bool                                   // guarded by mu
 	metrics    *obs.Registry                                       // guarded by mu
 	traces     *obs.TraceStore                                     // guarded by mu
@@ -187,11 +188,14 @@ func (e *Engine) SetQueryClass(c sched.Class) {
 
 // RegisterFunc adds a scalar function visible to queries — the hook
 // through which the cleaning subsystem exposes normalization functions
-// for dynamic, query-time cleaning (§3.2).
+// for dynamic, query-time cleaning (§3.2). Running queries keep reading
+// the map they took, so it is replaced, never written.
 func (e *Engine) RegisterFunc(name string, fn func([]xmldm.Value) (xmldm.Value, error)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.funcs[name] = fn
+	funcs := maps.Clone(e.funcs)
+	funcs[name] = fn
+	e.funcs = funcs
 }
 
 // SetLocalStore installs the local materialized store consulted before

@@ -39,6 +39,7 @@ func E7LoadBalance(s Scale) *Table {
 	const clients = 8
 	const capacity = 2
 	const latency = 2 * time.Millisecond
+	const deadline = 10 * time.Second // a slot never given back fails the run, not hangs it
 	total := s.Queries
 
 	runs := []e7Run{
@@ -71,7 +72,13 @@ func E7LoadBalance(s Scale) *Table {
 		// Zipf-skewed repeats: the workload where affinity's warm caches
 		// pay off.
 		queries := workload.CityQueries(total, 0.9, 13)
-		ctx := context.Background()
+		query := func(q string) {
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			if _, err := sys.Query(ctx, q); err != nil {
+				panic(err)
+			}
+		}
 		if run.perCache {
 			// Warm each distinct query once before timing, so the hit
 			// rates compare steady-state routing behavior (where does a
@@ -85,9 +92,7 @@ func E7LoadBalance(s Scale) *Table {
 					continue
 				}
 				seen[q] = true
-				if _, err := sys.Query(ctx, q); err != nil {
-					panic(err)
-				}
+				query(q)
 			}
 		}
 		var wg sync.WaitGroup
@@ -101,9 +106,7 @@ func E7LoadBalance(s Scale) *Table {
 				defer wg.Done()
 				for q := range work {
 					qs := time.Now()
-					if _, err := sys.Query(ctx, q); err != nil {
-						panic(err)
-					}
+					query(q)
 					mu.Lock()
 					durs = append(durs, time.Since(qs))
 					mu.Unlock()

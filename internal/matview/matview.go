@@ -70,6 +70,17 @@ type Manager struct {
 	// observability, nil (no-op) until SetMetrics.
 	metrics    *obs.Registry // guarded by mu
 	mRefreshes *obs.Counter  // guarded by mu
+
+	onChange func(schema string) // guarded by mu
+}
+
+// OnChange has fn called, outside the lock, with every schema whose local
+// copy was stored, replaced or dropped — by any mutator, an on-demand
+// refresh, or an Advisor applying its decision (cluster.Invalidate).
+func (m *Manager) OnChange(fn func(schema string)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.onChange = fn
 }
 
 // SetMetrics mirrors the store into a metrics registry: a refresh
@@ -90,9 +101,10 @@ func (m *Manager) SetMetrics(reg *obs.Registry) {
 // NewManager creates a manager and installs it on the engine.
 func NewManager(eng *core.Engine) *Manager {
 	m := &Manager{
-		eng:     eng,
-		entries: make(map[string]*entry),
-		Clock:   time.Now,
+		eng:      eng,
+		entries:  make(map[string]*entry),
+		Clock:    time.Now,
+		onChange: func(string) {},
 	}
 	eng.SetLocalStore(m.lookup, m.holds)
 	return m
@@ -122,6 +134,7 @@ func (m *Manager) Materialize(ctx context.Context, schema string) error {
 	e.Refreshes++
 	reg := m.metrics
 	cnt := m.mRefreshes
+	changed := m.onChange
 	m.mu.Unlock()
 	cnt.Inc()
 	if reg != nil {
@@ -133,14 +146,17 @@ func (m *Manager) Materialize(ctx context.Context, schema string) error {
 			return age.Seconds()
 		}, "schema", key)
 	}
+	changed(schema)
 	return nil
 }
 
 // Drop removes a materialized schema.
 func (m *Manager) Drop(schema string) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	delete(m.entries, strings.ToLower(schema))
+	changed := m.onChange
+	m.mu.Unlock()
+	changed(schema)
 }
 
 // Refresh re-materializes an existing entry.

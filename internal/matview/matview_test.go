@@ -2,6 +2,7 @@ package matview
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -332,5 +333,41 @@ func TestMatviewMetrics(t *testing.T) {
 	}
 	if !strings.Contains(out, `nimble_matview_staleness_seconds{schema="customers"}`) {
 		t.Errorf("staleness gauge missing:\n%s", out)
+	}
+}
+
+// TestOnChangeHearsEveryMutator: each of the four mutators, and an
+// advisor applying its decision through them, names the schema whose
+// local copy changed, after the store has changed.
+func TestOnChangeHearsEveryMutator(t *testing.T) {
+	e, _, _ := newEnv(t)
+	m := NewManager(e)
+	var heard []string
+	m.OnChange(func(schema string) {
+		_, held := m.Staleness(schema) // the hook runs outside the lock
+		heard = append(heard, fmt.Sprintf("%s:%v", schema, held))
+	})
+	ctx := context.Background()
+	if err := m.Materialize(ctx, "customers"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Refresh(ctx, "customers"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RefreshAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m.Drop("customers")
+	a := NewAdvisor(e.Catalog())
+	a.NoteQuery(xmlql.MustParse(custQuery))
+	if _, err := a.Apply(ctx, m, a.Decide(1000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Apply(ctx, m, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := "customers:true customers:true customers:true customers:false customers:true customers:false"
+	if got := strings.Join(heard, " "); got != want {
+		t.Errorf("heard %s\nwant  %s", got, want)
 	}
 }

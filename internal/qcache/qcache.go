@@ -1,11 +1,13 @@
 // Package qcache is the query-result cache of the integration engine
 // (§3.3 cites Adali et al.'s query caching in mediator systems [1], and
 // lists "caching and other performance tuning capabilities" among the
-// product's needs in §4). Results are cached by the query text as
-// submitted (whitespace-different spellings are distinct entries), with
-// LRU eviction, optional TTL, and source-based
-// invalidation: an update known to touch a source invalidates exactly
-// the cached queries that read that source.
+// product's needs in §4). Results are cached under Key, the query text
+// with whitespace runs collapsed, so spellings that differ only in
+// whitespace share one entry; eviction is LRU, expiry an optional TTL,
+// and invalidation by name: every entry is tagged with the sources and
+// schemas its answer read, and invalidating a name drops exactly the
+// entries tagged with it. internal/cluster owns every cache and decides
+// which names a change reaches.
 package qcache
 
 import (
@@ -32,7 +34,7 @@ func Key(query string) string {
 // Result is a cached query answer.
 type Result struct {
 	Values  []xmldm.Value
-	Sources []string // sources the answer was computed from
+	Sources []string // the sources and schemas the answer read
 }
 
 type cacheEntry struct {
@@ -75,18 +77,15 @@ type Cache struct {
 }
 
 // SetMetrics mirrors the cache counters into a metrics registry
-// (nimble_qcache_{hits,misses,evictions}_total and an entries gauge).
+// (nimble_qcache_{hits,misses,evictions}_total). Caches sharing a
+// registry add into the same series; the entries gauge is registered
+// once by whoever holds the caches, over all of them.
 func (c *Cache) SetMetrics(reg *obs.Registry) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.mHits = reg.Counter("nimble_qcache_hits_total")
 	c.mMisses = reg.Counter("nimble_qcache_misses_total")
 	c.mEvictions = reg.Counter("nimble_qcache_evictions_total")
-	c.mu.Unlock()
-	reg.GaugeFunc("nimble_qcache_entries", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.entries))
-	})
 }
 
 // New creates a cache of the given entry capacity; ttl 0 disables
@@ -161,8 +160,8 @@ func (c *Cache) Put(key string, res Result) {
 	c.indexLocked(e)
 }
 
-// InvalidateSource drops every cached result computed from the source;
-// the refresh path for "the data may not be fresh" concerns.
+// InvalidateSource drops every cached result that read the named source
+// or schema.
 func (c *Cache) InvalidateSource(source string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -176,15 +175,6 @@ func (c *Cache) InvalidateSource(source string) int {
 		}
 	}
 	return n
-}
-
-// InvalidateAll empties the cache.
-func (c *Cache) InvalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*cacheEntry)
-	c.lru.Init()
-	c.bySource = make(map[string]map[string]bool)
 }
 
 // Stats returns a snapshot of the counters.

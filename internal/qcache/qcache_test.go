@@ -104,15 +104,6 @@ func TestInvalidateSource(t *testing.T) {
 	}
 }
 
-func TestInvalidateAll(t *testing.T) {
-	c := New(10, 0)
-	c.Put("q1", res("1", "s1"))
-	c.InvalidateAll()
-	if _, ok := c.Get("q1"); ok {
-		t.Error("cache should be empty")
-	}
-}
-
 func TestCapacityFloor(t *testing.T) {
 	c := New(0, 0) // clamps to 1
 	c.Put("a", res("1"))
@@ -163,10 +154,12 @@ func TestMetricsMirrorStats(t *testing.T) {
 	if n := reg.Counter("nimble_qcache_evictions_total").Value(); n != 1 {
 		t.Errorf("evictions = %d", n)
 	}
+	// The entries gauge belongs to the cluster, which sums it over every
+	// cache it holds (internal/cluster TestCacheMetricsCoverEveryCache).
 	var b strings.Builder
 	reg.WritePrometheus(&b)
-	if !strings.Contains(b.String(), "nimble_qcache_entries 2") {
-		t.Errorf("entries gauge missing:\n%s", b.String())
+	if strings.Contains(b.String(), "nimble_qcache_entries") {
+		t.Errorf("a lone cache registered the entries gauge:\n%s", b.String())
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Evictions != 1 {

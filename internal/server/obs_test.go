@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/lens"
 	"repro/internal/matview"
 	"repro/internal/obs"
-	"repro/internal/qcache"
 	"repro/internal/rdb"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
@@ -47,14 +47,14 @@ func newObsServer(t testing.TB) (*Server, *httptest.Server, *obs.Registry, *obs.
 		e.SetMetrics(reg)
 		e.SetTraceStore(tr)
 	}
-	cache := qcache.New(16, 0)
-	cache.SetMetrics(reg)
+	c := cluster.New(cluster.Config{Policy: cluster.RoundRobin, Metrics: reg}, e1, e2)
+	c.EnableCache(16, 0, false)
 	views := matview.NewManager(e1)
 	views.SetMetrics(reg)
+	views.OnChange(c.Invalidate)
 	srv := &Server{
-		Cluster:    cluster.New(cluster.Config{Policy: cluster.RoundRobin, Metrics: reg}, e1, e2),
+		Cluster:    c,
 		Lenses:     lens.NewRegistry(),
-		Cache:      cache,
 		Views:      views,
 		AdminToken: "admin",
 		Metrics:    reg,
@@ -157,13 +157,19 @@ func TestTraceLastEndpoint(t *testing.T) {
 	if spans[0].TraceID == "" || spans[0].TraceID == spans[1].TraceID {
 		t.Errorf("trace ids not distinct: %q %q", spans[0].TraceID, spans[1].TraceID)
 	}
-	// Most recent first: the cache hit has no engine subtree, the real
-	// execution underneath it does.
-	if len(spans[0].Children) != 0 {
-		t.Error("cache-hit trace should have no children")
+	// Most recent first: the cache hit stops at the cluster hop with no
+	// engine subtree, the real execution underneath it has one.
+	engineSpans := func(children []json.RawMessage) (n int) {
+		for _, c := range children {
+			n += strings.Count(string(c), `"name":"engine"`)
+		}
+		return n
 	}
-	if len(spans[1].Children) == 0 {
-		t.Error("executed trace has no children")
+	if n := engineSpans(spans[0].Children); n != 0 || !strings.Contains(fmt.Sprintf("%s", spans[0].Children), `"cache_hit":"true"`) {
+		t.Errorf("cache-hit trace has %d engine spans, or no cache_hit mark:\n%s", n, body)
+	}
+	if engineSpans(spans[1].Children) == 0 {
+		t.Error("executed trace has no engine subtree")
 	}
 	if !strings.Contains(body, `"complete":"true"`) {
 		t.Errorf("engine span attrs missing from trace:\n%s", body)
@@ -202,7 +208,7 @@ func TestProfileQueryOption(t *testing.T) {
 		t.Errorf("unexpected error attr:\n%s", body)
 	}
 	// Cache stats: the profiled run did not consume the cached entry.
-	if st := srv.Cache.Stats(); st.Hits != 0 {
+	if st := srv.Cluster.CacheStats(); st.Hits != 0 {
 		t.Errorf("profiled query hit the cache: %+v", st)
 	}
 }

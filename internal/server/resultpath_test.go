@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -58,7 +59,7 @@ func TestQueryContentLength(t *testing.T) {
 			t.Errorf("%s: Content-Type %q", c.name, ct)
 		}
 	}
-	if st := srv.Cache.Stats(); st.Hits != 1 {
+	if st := srv.Cluster.CacheStats(); st.Hits != 1 {
 		t.Errorf("cache stats %+v: the second request should have been the only hit", st)
 	}
 
@@ -107,9 +108,13 @@ func snapshot(values []xmldm.Value) []nodeState {
 func TestCachedValuesStayImmutable(t *testing.T) {
 	srv, ts := newTestServer(t)
 	_, want := postResp(t, ts.URL+"/query", bigQuery)
-	cached, ok := srv.Cache.Get(bigQuery)
-	if !ok {
-		t.Fatal("answer was not cached")
+	// A hit hands out the cache's own values.
+	cached, err := srv.Cluster.Query(context.Background(), bigQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Cluster.CacheStats(); st.Hits != 1 {
+		t.Fatalf("cache stats %+v: the answer was not cached", st)
 	}
 	before := snapshot(cached.Values)
 	wantLen, wantCap := len(cached.Values), cap(cached.Values)
@@ -161,7 +166,7 @@ func TestCachedValuesStayImmutable(t *testing.T) {
 			t.Fatalf("shared node %d <%s> changed: %+v, was %+v", i, b.node.Name, after[i], b)
 		}
 	}
-	if st := srv.Cache.Stats(); st.Hits < 160 {
+	if st := srv.Cluster.CacheStats(); st.Hits < 160 {
 		t.Errorf("cache stats %+v: the storm should have been served from the cache", st)
 	}
 }

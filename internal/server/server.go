@@ -25,27 +25,23 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/lens"
 	"repro/internal/matview"
 	"repro/internal/obs"
-	"repro/internal/qcache"
 	"repro/internal/sched"
 	"repro/internal/xmldm"
 	"repro/internal/xmlparse"
-	"repro/internal/xmlql"
 )
 
-// Server wires the cluster front end, lenses, cache, and materialized
-// store into an http.Handler.
+// Server wires the cluster front end (and the result caches it owns),
+// lenses, and materialized store into an http.Handler.
 type Server struct {
 	Cluster *cluster.Cluster
 	Lenses  *lens.Registry
-	Cache   *qcache.Cache    // optional shared front cache (nil when per-instance caches are in use)
-	Views   *matview.Manager // optional
+	Views   *matview.Manager // optional; its OnChange goes to Cluster.Invalidate
 	// AdminToken guards the admin endpoints when non-empty.
 	AdminToken string
 	// Metrics is the registry behind /metrics and the per-endpoint
@@ -361,9 +357,7 @@ func (s *Server) handleDefineSchema(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if s.Cache != nil {
-		s.Cache.InvalidateSource(name)
-	}
+	s.Cluster.Invalidate(name)
 	fmt.Fprintf(w, "schema %s extended\n", name)
 }
 
@@ -380,8 +374,8 @@ func (s *Server) adminOnly(h http.HandlerFunc) http.HandlerFunc {
 // handleQuery runs a raw XML-QL query (POST body, or GET ?q=) and
 // returns XML. ?profile=1 embeds the execution span tree as a <profile>
 // element; ?explain=1 embeds the per-operator EXPLAIN ANALYZE report as
-// an <explain> element. Both bypass the result cache so the report
-// reflects a real execution.
+// an <explain> element. Both bypass the result cache (the cluster
+// decides) so the report reflects a real execution.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q string
 	switch r.Method {
@@ -418,15 +412,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := s.startTrace(w, r, "request")
 	defer s.finishTrace(sp)
 	start := time.Now()
+	res, err := s.Cluster.QueryOpt(ctx, q, core.QueryOptions{Profile: profile, Explain: explain, Class: class})
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+		s.logger().WarnContext(ctx, "query failed", "query", q, "error", err.Error())
+		writeQueryError(w, err)
+		return
+	}
 	var doc *xmldm.Node
 	if profile || explain {
-		res, err := s.Cluster.QueryOpt(ctx, q, core.QueryOptions{Profile: profile, Explain: explain, Class: class})
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-			s.logger().WarnContext(ctx, "query failed", "query", q, "error", err.Error())
-			writeQueryError(w, err)
-			return
-		}
 		doc = res.Document()
 		if explain && res.Explain != nil {
 			ex := &xmldm.Node{Name: "explain", Parent: doc}
@@ -445,15 +439,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		xmldm.Finalize(doc)
 	} else {
-		res, err := s.runQuery(ctx, q, class)
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-			s.logger().WarnContext(ctx, "query failed", "query", q, "error", err.Error())
-			writeQueryError(w, err)
-			return
-		}
 		// Nothing is added to a plain answer, so it is rendered
-		// straight from the result values, without the copy.
+		// straight from the result values — the cache's own, on a hit —
+		// without the copy.
 		doc = res.View()
 	}
 	s.logger().InfoContext(ctx, "query served", "query", q,
@@ -475,38 +463,29 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// runQuery consults the cache (complete results only) and dispatches
-// under the given scheduling class (empty for the engine's default). The
-// class does not bypass caches: a hit serves from memory and never
-// reaches the scheduler, which is exactly the cheap path. The result's
-// Values may be shared with the cache and with other requests: render
-// them through View, or take Document to edit.
-func (s *Server) runQuery(ctx context.Context, q, class string) (*core.Result, error) {
-	if s.Cache != nil {
-		if cached, ok := s.Cache.Get(q); ok {
-			res := &core.Result{Values: cached.Values}
-			res.Completeness.Complete = true
-			return res, nil
+// RunLens runs a lens's bound queries through the cluster and joins Document
+// copies of their answers — never the cache's shared nodes — under one
+// <results> root, complete="false" if any was partial: the lens run behind
+// both /lens/ and System.RenderLens.
+func RunLens(ctx context.Context, c *cluster.Cluster, queries []string) (*xmldm.Node, error) {
+	combined := &xmldm.Node{Name: "results"}
+	complete := true
+	for _, q := range queries {
+		res, err := c.Query(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		complete = complete && res.Completeness.Complete
+		for _, e := range res.Document().ChildElements() {
+			e.Parent = combined
+			combined.Children = append(combined.Children, e)
 		}
 	}
-	res, err := s.Cluster.QueryOpt(ctx, q, core.QueryOptions{Class: class})
-	if err != nil {
-		return nil, err
+	if !complete {
+		combined.Attrs = append(combined.Attrs, xmldm.Attr{Name: "complete", Value: "false"})
 	}
-	if s.Cache != nil && res.Completeness.Complete {
-		// Tag with both the answering sources and the names the query
-		// references, so invalidating a schema evicts queries written
-		// against it even though execution unfolded them to sources.
-		var srcs []string
-		for _, st := range res.Completeness.Statuses {
-			srcs = append(srcs, st.Source)
-		}
-		if parsed, err := xmlql.Parse(q); err == nil {
-			srcs = append(srcs, catalog.QueryDeps(parsed)...)
-		}
-		s.Cache.Put(q, qcache.Result{Values: res.Values, Sources: srcs})
-	}
-	return res, nil
+	xmldm.Finalize(combined)
+	return combined, nil
 }
 
 func (s *Server) handleLensList(w http.ResponseWriter, _ *http.Request) {
@@ -547,31 +526,13 @@ func (s *Server) handleLens(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := s.startTrace(w, r, "lens")
 	defer s.finishTrace(sp)
 	sp.SetAttr("lens", name)
-	// A lens may hold several queries; their results concatenate under
-	// one document.
-	combined := &xmldm.Node{Name: "results"}
-	complete := true
-	for _, q := range queries {
-		res, err := s.runQuery(ctx, q, "")
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-			s.logger().WarnContext(ctx, "lens query failed", "lens", name, "error", err.Error())
-			writeQueryError(w, err)
-			return
-		}
-		doc := res.Document() // a copy: its children move under combined
-		if v, ok := doc.Attr("complete"); ok && v == "false" {
-			complete = false
-		}
-		for _, c := range doc.ChildElements() {
-			c.Parent = combined
-			combined.Children = append(combined.Children, c)
-		}
+	combined, err := RunLens(ctx, s.Cluster, queries)
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+		s.logger().WarnContext(ctx, "lens query failed", "lens", name, "error", err.Error())
+		writeQueryError(w, err)
+		return
 	}
-	if !complete {
-		combined.Attrs = append(combined.Attrs, xmldm.Attr{Name: "complete", Value: "false"})
-	}
-	xmldm.Finalize(combined)
 
 	switch device {
 	case lens.DeviceWeb:
@@ -604,11 +565,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for i, n := range s.Cluster.Loads() {
 		fmt.Fprintf(w, "engine[%d] queries=%d\n", i, n)
 	}
-	if s.Cache != nil {
-		st := s.Cache.Stats()
-		fmt.Fprintf(w, "cache hits=%d misses=%d entries=%d hit_rate=%.3f\n",
-			st.Hits, st.Misses, st.Entries, st.HitRate())
-	}
+	st := s.Cluster.CacheStats()
+	fmt.Fprintf(w, "cache hits=%d misses=%d entries=%d hit_rate=%.3f\n",
+		st.Hits, st.Misses, st.Entries, st.HitRate())
 	if s.Views != nil {
 		entries := s.Views.Entries()
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Schema < entries[j].Schema })
@@ -633,9 +592,6 @@ func (s *Server) handleMaterialize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if s.Cache != nil {
-		s.Cache.InvalidateSource(schema)
-	}
 	fmt.Fprintf(w, "materialized %s\n", schema)
 }
 
@@ -654,13 +610,6 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	if s.Cache != nil {
-		if schema == "" {
-			s.Cache.InvalidateAll()
-		} else {
-			s.Cache.InvalidateSource(schema)
-		}
 	}
 	fmt.Fprintln(w, "refreshed")
 }

@@ -19,14 +19,29 @@ import (
 	"repro/internal/exec"
 	"repro/internal/lens"
 	"repro/internal/matview"
-	"repro/internal/qcache"
 	"repro/internal/rdb"
 	"repro/internal/sources"
 )
 
 // newTestServer builds a 2-instance deployment over one catalog with a
-// lens, a cache, and a materialized-view manager.
+// lens, a shared result cache, and a materialized-view manager.
 func newTestServer(t testing.TB) (*Server, *httptest.Server) {
+	t.Helper()
+	srv, ts, _ := newLayoutServer(t, false)
+	return srv, ts
+}
+
+// forLayouts runs test once per cache layout: one shared cache, and one
+// per instance.
+func forLayouts(t *testing.T, test func(t *testing.T, perInstance bool)) {
+	for _, perInstance := range []bool{false, true} {
+		t.Run(fmt.Sprintf("perInstance=%v", perInstance), func(t *testing.T) { test(t, perInstance) })
+	}
+}
+
+// newLayoutServer is newTestServer in either cache layout, also returning
+// the database behind "crmdb" for source-side updates.
+func newLayoutServer(t testing.TB, perInstance bool) (*Server, *httptest.Server, *rdb.Database) {
 	t.Helper()
 	db := rdb.NewDatabase("crm")
 	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
@@ -79,11 +94,14 @@ func newTestServer(t testing.TB) (*Server, *httptest.Server) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	c := cluster.New(cluster.Config{Policy: cluster.RoundRobin}, e1, e2)
+	c.EnableCache(16, 0, perInstance)
+	views := matview.NewManager(e1)
+	views.OnChange(c.Invalidate)
 	srv := &Server{
-		Cluster:    cluster.New(cluster.Config{Policy: cluster.RoundRobin}, e1, e2),
+		Cluster:    c,
 		Lenses:     reg,
-		Cache:      qcache.New(16, 0),
-		Views:      matview.NewManager(e1),
+		Views:      views,
 		AdminToken: "admin",
 		Slow:       slow,
 		Active:     active,
@@ -91,7 +109,7 @@ func newTestServer(t testing.TB) (*Server, *httptest.Server) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return srv, ts
+	return srv, ts, db
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -209,15 +227,18 @@ func TestCachingOnQueryEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t)
 	q := `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`
 	post(t, ts.URL+"/query", q)
-	post(t, ts.URL+"/query", q)
-	st := srv.Cache.Stats()
+	// Spelled with other whitespace, it is the same query to the cache.
+	post(t, ts.URL+"/query", strings.ReplaceAll(q, " ", "\n  "))
+	st := srv.Cluster.CacheStats()
 	if st.Hits != 1 || st.Entries != 1 {
 		t.Errorf("cache stats = %+v", st)
 	}
 }
 
-func TestAdminEndpoints(t *testing.T) {
-	_, ts := newTestServer(t)
+func TestAdminEndpoints(t *testing.T) { forLayouts(t, testAdminEndpoints) }
+
+func testAdminEndpoints(t *testing.T, perInstance bool) {
+	_, ts, _ := newLayoutServer(t, perInstance)
 	// Token required.
 	resp, err := http.Post(ts.URL+"/admin/materialize?schema=customers", "", nil)
 	if err != nil {
@@ -253,8 +274,10 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 }
 
-func TestAdminDefineSchema(t *testing.T) {
-	_, ts := newTestServer(t)
+func TestAdminDefineSchema(t *testing.T) { forLayouts(t, testAdminDefineSchema) }
+
+func testAdminDefineSchema(t *testing.T, perInstance bool) {
+	_, ts, _ := newLayoutServer(t, perInstance)
 	// Define a new second-level schema over HTTP.
 	view := `WHERE <cust><who>$w</who><where>"London"</where></cust> IN "customers"
 	         CONSTRUCT <londoner><name>$w</name></londoner>`
@@ -431,4 +454,46 @@ func TestAdminDrainEndpoint(t *testing.T) {
 	if code, _ := post(t, ts.URL+"/admin/drain?instance=0", ""); code != http.StatusForbidden {
 		t.Errorf("tokenless drain code = %d", code)
 	}
+}
+
+// TestAdminChangesReachEveryCache: every admin path that changes what a
+// name answers — /admin/schema, /admin/materialize, /admin/refresh with
+// and without a schema — reaches the cached answers of queries over that
+// name and over schemas defined on top of it ("accounts" over
+// "customers"), in either cache layout. Each answer is asked for twice,
+// so that under round-robin both instances — and both per-instance
+// caches — answer it.
+func TestAdminChangesReachEveryCache(t *testing.T) {
+	forLayouts(t, func(t *testing.T, perInstance bool) {
+		_, ts, db := newLayoutServer(t, perInstance)
+		admin := func(path, body string) {
+			t.Helper()
+			if code, out := post(t, ts.URL+path, body); code != http.StatusOK {
+				t.Fatalf("%s: %d %s", path, code, out)
+			}
+		}
+		rows := func(step string, want int) {
+			t.Helper()
+			for i := 0; i < 2; i++ {
+				code, out := post(t, ts.URL+"/query", `WHERE <account><owner>$o</owner></account> IN "accounts" CONSTRUCT <r>$o</r>`)
+				if got := strings.Count(out, "<r>"); code != http.StatusOK || got != want {
+					t.Fatalf("%s, ask %d: %d rows (status %d), want %d:\n%s", step, i+1, got, code, want, out)
+				}
+			}
+		}
+		admin("/admin/schema?name=accounts&token=admin", `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <account><owner>$w</owner></account>`)
+		rows("accounts defined", 3)
+		admin("/admin/schema?name=customers&token=admin", `WHERE <customer><name>$n</name><city>"London"</city></customer> IN "crmdb"
+			CONSTRUCT <cust><who>$n</who><where>"London"</where></cust>`)
+		rows("a second definition of customers", 4)
+		admin("/admin/materialize?schema=customers&token=admin", "")
+		rows("customers materialized", 4)
+		db.MustExec(`INSERT INTO customers VALUES (4,'Linus','London')`)
+		rows("source updated under the local copy", 4)
+		admin("/admin/refresh?schema=customers&token=admin", "")
+		rows("customers refreshed", 6)
+		db.MustExec(`INSERT INTO customers VALUES (5,'Barbara','Paris')`)
+		admin("/admin/refresh?token=admin", "")
+		rows("every view refreshed", 7)
+	})
 }

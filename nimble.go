@@ -32,7 +32,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/catalog"
@@ -261,7 +260,6 @@ type System struct {
 	cat      *catalog.Catalog
 	engines  []*core.Engine
 	cluster  *cluster.Cluster
-	cache    *qcache.Cache
 	views    *matview.Manager
 	lenses   *lens.Registry
 	cleanReg *clean.Registry
@@ -367,17 +365,7 @@ func New(cfg Config) *System {
 	}, s.engines...)
 	s.cluster.SetScheduler(s.sched)
 	if cfg.CacheEntries > 0 {
-		if cfg.CachePerInstance {
-			// Per-instance caches, routed by affinity; no shared front
-			// cache on top (one entry would mask every instance).
-			for i := range s.engines {
-				pc := qcache.New(cfg.CacheEntries, cfg.CacheTTL)
-				s.cluster.SetCache(i, pc)
-			}
-		} else {
-			s.cache = qcache.New(cfg.CacheEntries, cfg.CacheTTL)
-			s.cache.SetMetrics(reg)
-		}
+		s.cluster.EnableCache(cfg.CacheEntries, cfg.CacheTTL, cfg.CachePerInstance)
 	}
 	if cfg.HealthProbe != "" {
 		for i, e := range s.engines {
@@ -396,6 +384,7 @@ func New(cfg Config) *System {
 	// the cluster routes a query to.
 	s.views = matview.NewManager(s.engines[0])
 	s.views.SetMetrics(reg)
+	s.views.OnChange(s.cluster.Invalidate)
 	for _, e := range s.engines[1:] {
 		mv := s.views
 		e.SetLocalStore(
@@ -501,76 +490,46 @@ func NewRelationalSource(name string, db *Database) Source {
 // that would make the schema hierarchy cyclic is rejected and not
 // recorded.
 func (s *System) DefineSchema(name, viewQL string) error {
-	return s.cat.DefineViewQLChecked(name, viewQL)
+	if err := s.cat.DefineViewQLChecked(name, viewQL); err != nil {
+		return err
+	}
+	s.cluster.Invalidate(name)
+	return nil
 }
 
-// Query runs an XML-QL query through the cluster front end and cache.
+// Query runs an XML-QL query through the cluster front end and its
+// result cache.
 func (s *System) Query(ctx context.Context, q string) (*Result, error) {
-	q = strings.TrimSpace(q)
-	if s.cache != nil {
-		if hit, ok := s.cache.Get(q); ok {
-			return &Result{Values: hit.Values, Complete: true,
-				Completeness: Completeness{Complete: true}}, nil
-		}
-	}
 	cr, err := s.cluster.Query(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	return &Result{
 		Values:        cr.Values,
 		Complete:      cr.Completeness.Complete,
 		FailedSources: cr.Completeness.FailedSources(),
 		Completeness:  cr.Completeness,
 		Stats:         cr.Stats,
 		Explain:       cr.Explain,
-	}
-	if s.cache != nil && res.Complete {
-		s.cache.Put(q, qcache.Result{Values: cr.Values, Sources: cluster.CacheTags(q, cr)})
-	}
-	return res, nil
+	}, nil
 }
 
 // Materialize stores a mediated schema's document locally; later queries
 // over it answer from the local copy until Refresh or Drop.
 func (s *System) Materialize(ctx context.Context, schema string) error {
-	if err := s.views.Materialize(ctx, schema); err != nil {
-		return err
-	}
-	if s.cache != nil {
-		s.cache.InvalidateSource(schema)
-	}
-	return nil
+	return s.views.Materialize(ctx, schema)
 }
 
 // Refresh re-materializes a schema (or all, with empty name).
 func (s *System) Refresh(ctx context.Context, schema string) error {
-	var err error
 	if schema == "" {
-		err = s.views.RefreshAll(ctx)
-	} else {
-		err = s.views.Refresh(ctx, schema)
+		return s.views.RefreshAll(ctx)
 	}
-	if err != nil {
-		return err
-	}
-	if s.cache != nil {
-		if schema == "" {
-			s.cache.InvalidateAll()
-		} else {
-			s.cache.InvalidateSource(schema)
-		}
-	}
-	return nil
+	return s.views.Refresh(ctx, schema)
 }
 
 // Drop removes a schema's local copy, restoring virtual querying.
-func (s *System) Drop(schema string) {
-	s.views.Drop(schema)
-	if s.cache != nil {
-		s.cache.InvalidateSource(schema)
-	}
-}
+func (s *System) Drop(schema string) { s.views.Drop(schema) }
 
 // Materialized lists locally materialized schemas.
 func (s *System) Materialized() []string { return s.views.Materialized() }
@@ -592,28 +551,11 @@ func (s *System) RenderLens(ctx context.Context, name string, params map[string]
 	if err != nil {
 		return "", err
 	}
-	combined := &xmldm.Node{Name: "results"}
-	complete := true
-	for _, q := range queries {
-		res, err := s.Query(ctx, q)
-		if err != nil {
-			return "", err
-		}
-		if !res.Complete {
-			complete = false
-		}
-		for _, v := range res.Values {
-			if n, ok := v.(*xmldm.Node); ok {
-				n.Parent = combined
-				combined.Children = append(combined.Children, n)
-			}
-		}
+	doc, err := server.RunLens(ctx, s.cluster, queries)
+	if err != nil {
+		return "", err
 	}
-	if !complete {
-		combined.Attrs = append(combined.Attrs, xmldm.Attr{Name: "complete", Value: "false"})
-	}
-	xmldm.Finalize(combined)
-	return l.Render(combined, device), nil
+	return l.Render(doc, device), nil
 }
 
 // CleanRegistry exposes the normalization/matching registry for
@@ -648,7 +590,6 @@ func (s *System) HTTPHandler(adminToken string) http.Handler {
 	srv := &server.Server{
 		Cluster:    s.cluster,
 		Lenses:     s.lenses,
-		Cache:      s.cache,
 		Views:      s.views,
 		AdminToken: adminToken,
 		Metrics:    s.metrics,
@@ -745,15 +686,10 @@ func (s *System) setResilience(res exec.Resilience, breakers *exec.BreakerSet, c
 	}
 }
 
-// CacheStats reports query-cache effectiveness: the shared front cache,
-// or the aggregate over per-instance caches under Config.CachePerInstance
-// (zero value when caching is disabled).
-func (s *System) CacheStats() qcache.Stats {
-	if s.cache == nil {
-		return s.cluster.CacheStats()
-	}
-	return s.cache.Stats()
-}
+// CacheStats reports query-cache effectiveness over every cache the
+// cluster holds: the shared one, or the per-instance ones under
+// Config.CachePerInstance (zero value when caching is disabled).
+func (s *System) CacheStats() qcache.Stats { return s.cluster.CacheStats() }
 
 // Sources lists registered source names.
 func (s *System) Sources() []string { return s.cat.SourceNames() }
@@ -768,12 +704,6 @@ func (s *System) Engine(i int) *core.Engine { return s.engines[i] }
 // capacity control, admission queue, health probing, graceful drain,
 // and the /debug/cluster snapshot.
 func (s *System) Cluster() *cluster.Cluster { return s.cluster }
-
-// LoadBalancer exposes the dispatch layer (capacity control, loads).
-//
-// Deprecated: the in-process balancer grew into the cluster front end;
-// use Cluster. Kept because the dispatch layer is still the same object.
-func (s *System) LoadBalancer() *cluster.Cluster { return s.cluster }
 
 // StartHealthProbes launches background health probing of every
 // instance (no-op unless Config.HealthProbe set probes) until ctx is

@@ -2,7 +2,9 @@ package nimble
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +16,14 @@ import (
 // tests: two relational sources, an XML feed, a directory, and two
 // mediated schemas.
 func buildSystem(t testing.TB, cfg Config) *System {
+	t.Helper()
+	sys, _ := buildSystemDB(t, cfg)
+	return sys
+}
+
+// buildSystemDB is buildSystem also returning the database behind
+// "crmdb", for source-side updates.
+func buildSystemDB(t testing.TB, cfg Config) (*System, *Database) {
 	t.Helper()
 	sys := New(cfg)
 
@@ -55,7 +65,22 @@ func buildSystem(t testing.TB, cfg Config) *System {
 		CONSTRUCT <account><owner>$n</owner><value>$t</value></account>`); err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	return sys, crm
+}
+
+// forCacheLayouts runs test in both cache layouts over two instances: one
+// shared cache, and one cache per instance with affinity routing, so that
+// a repeated query goes back to the instance whose cache holds it.
+func forCacheLayouts(t *testing.T, cfg Config, test func(t *testing.T, cfg Config)) {
+	for _, perInstance := range []bool{false, true} {
+		c := cfg
+		c.Instances = 2
+		c.CachePerInstance = perInstance
+		if perInstance {
+			c.RoutePolicy = "affinity"
+		}
+		t.Run(fmt.Sprintf("perInstance=%v", perInstance), func(t *testing.T) { test(t, c) })
+	}
 }
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -386,8 +411,8 @@ func TestFacadeResultDocument(t *testing.T) {
 
 func TestFacadeAccessors(t *testing.T) {
 	sys := buildSystem(t, Config{Instances: 2})
-	if sys.LoadBalancer() == nil || sys.LoadBalancer().Instances() != 2 {
-		t.Error("LoadBalancer accessor")
+	if sys.Cluster() == nil || sys.Cluster().Instances() != 2 {
+		t.Error("Cluster accessor")
 	}
 	if sys.Views() == nil {
 		t.Error("Views accessor")
@@ -401,27 +426,199 @@ func TestFacadeAccessors(t *testing.T) {
 }
 
 func TestFacadeDropInvalidatesCache(t *testing.T) {
-	sys := buildSystem(t, Config{CacheEntries: 8})
-	ctx := context.Background()
-	if err := sys.Materialize(ctx, "customers"); err != nil {
-		t.Fatal(err)
-	}
-	q := `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`
-	sys.Query(ctx, q)
-	sys.Drop("customers")
-	sys.Query(ctx, q)
-	if sys.CacheStats().Hits != 0 {
-		t.Error("drop should invalidate cached schema queries")
-	}
+	forCacheLayouts(t, Config{CacheEntries: 8}, func(t *testing.T, cfg Config) {
+		sys := buildSystem(t, cfg)
+		ctx := context.Background()
+		if err := sys.Materialize(ctx, "customers"); err != nil {
+			t.Fatal(err)
+		}
+		q := `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`
+		sys.Query(ctx, q)
+		sys.Drop("customers")
+		sys.Query(ctx, q)
+		if sys.CacheStats().Hits != 0 {
+			t.Error("drop should invalidate cached schema queries")
+		}
+	})
 }
 
 func TestFacadeCacheTTL(t *testing.T) {
-	sys := buildSystem(t, Config{CacheEntries: 4, CacheTTL: time.Nanosecond})
-	q := `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`
-	sys.Query(context.Background(), q)
-	time.Sleep(time.Millisecond)
-	sys.Query(context.Background(), q)
-	if sys.CacheStats().Hits != 0 {
-		t.Error("TTL should have expired the entry")
+	forCacheLayouts(t, Config{CacheEntries: 4, CacheTTL: time.Nanosecond}, func(t *testing.T, cfg Config) {
+		sys := buildSystem(t, cfg)
+		q := `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`
+		sys.Query(context.Background(), q)
+		time.Sleep(time.Millisecond)
+		sys.Query(context.Background(), q)
+		if sys.CacheStats().Hits != 0 {
+			t.Error("TTL should have expired the entry")
+		}
+	})
+}
+
+// rowsOf runs q and returns how many values it answered with.
+func rowsOf(t *testing.T, sys *System, q string) int {
+	t.Helper()
+	res, err := sys.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return len(res.Values)
+}
+
+const (
+	custNames  = `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`
+	ownerNames = `WHERE <account><owner>$o</owner></account> IN "accounts" CONSTRUCT <r>$o</r>`
+)
+
+// TestFacadeRefreshReachesCache: a refreshed view's new answer reaches
+// the next query in either cache layout, by name and refreshing all.
+func TestFacadeRefreshReachesCache(t *testing.T) {
+	forCacheLayouts(t, Config{CacheEntries: 8}, func(t *testing.T, cfg Config) {
+		sys, crm := buildSystemDB(t, cfg)
+		ctx := context.Background()
+		if err := sys.Materialize(ctx, "customers"); err != nil {
+			t.Fatal(err)
+		}
+		if n := rowsOf(t, sys, custNames); n != 3 {
+			t.Fatalf("%d rows before the update", n)
+		}
+		crm.MustExec(`INSERT INTO customers VALUES (4,'Edgar Codd','Oxford')`)
+		if err := sys.Refresh(ctx, "customers"); err != nil {
+			t.Fatal(err)
+		}
+		if n := rowsOf(t, sys, custNames); n != 4 {
+			t.Errorf("%d rows after Refresh(customers), want 4", n)
+		}
+		crm.MustExec(`INSERT INTO customers VALUES (5,'Barbara Liskov','Boston')`)
+		if err := sys.Refresh(ctx, ""); err != nil {
+			t.Fatal(err)
+		}
+		if n := rowsOf(t, sys, custNames); n != 5 {
+			t.Errorf("%d rows after Refresh(all), want 5", n)
+		}
+	})
+}
+
+// TestFacadeDefineSchemaReachesCache: a definition added to "customers"
+// changes what it answers, and what "accounts", defined over it, answers;
+// neither may come from the cache afterwards.
+func TestFacadeDefineSchemaReachesCache(t *testing.T) {
+	forCacheLayouts(t, Config{CacheEntries: 8}, func(t *testing.T, cfg Config) {
+		sys := buildSystem(t, cfg)
+		for _, q := range []string{custNames, ownerNames, custNames, ownerNames} {
+			rowsOf(t, sys, q)
+		}
+		if st := sys.CacheStats(); st.Hits != 2 {
+			t.Fatalf("cache stats %+v, want both repeats to hit", st)
+		}
+		// Ticket holders join the customers: two more, customers 1 and 2,
+		// with three orders between them.
+		if err := sys.DefineSchema("customers", `
+			WHERE <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets"
+			CONSTRUCT <cust><cid>$i</cid><who>$s</who></cust>`); err != nil {
+			t.Fatal(err)
+		}
+		if n := rowsOf(t, sys, custNames); n != 5 {
+			t.Errorf("customers: %d rows, want 5", n)
+		}
+		if n := rowsOf(t, sys, ownerNames); n != 7 {
+			t.Errorf("accounts over customers: %d rows, want 7", n)
+		}
+	})
+}
+
+// TestFacadeWhitespaceVariantsShareAnEntry: spellings of one query that
+// differ only in whitespace are one cache entry in either layout — the
+// key affinity routing hashes, too.
+func TestFacadeWhitespaceVariantsShareAnEntry(t *testing.T) {
+	forCacheLayouts(t, Config{CacheEntries: 8}, func(t *testing.T, cfg Config) {
+		sys := buildSystem(t, cfg)
+		rowsOf(t, sys, custNames)
+		rowsOf(t, sys, "\n  "+strings.ReplaceAll(custNames, " ", "\t \n")+"  ")
+		if st := sys.CacheStats(); st.Hits != 1 || st.Entries != 1 {
+			t.Errorf("cache stats %+v, want the second spelling to hit the first's entry", st)
+		}
+	})
+}
+
+// TestFacadeRenderLensConcurrent renders one lens from eight goroutines
+// with the cache on, so every call after the first is answered from the
+// same cached nodes. Under -race, a lens run that re-parents or
+// re-finalizes those nodes instead of a copy of them is a reported race.
+func TestFacadeRenderLensConcurrent(t *testing.T) {
+	forCacheLayouts(t, Config{CacheEntries: 8}, func(t *testing.T, cfg Config) {
+		sys := buildSystem(t, cfg)
+		if err := sys.PublishLens(&Lens{
+			Name:    "all",
+			Title:   "All customers",
+			Queries: []string{custNames, ownerNames},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want, err := sys.RenderLens(context.Background(), "all", nil, DeviceXML, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					got, err := sys.RenderLens(context.Background(), "all", nil, DeviceXML, "")
+					if err != nil || got != want {
+						t.Errorf("render changed (error %v):\n%s\nwant\n%s", err, got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if st := sys.CacheStats(); st.Hits < 8*20*2 {
+			t.Errorf("cache stats %+v: the renders should have been served from the cache", st)
+		}
+	})
+}
+
+// TestFacadeRegisterFunctionsWhileQuerying re-exports the cleaning
+// functions in a loop while queries call similarity(). Under -race, a
+// registration that writes the function map running queries read is a
+// reported race.
+func TestFacadeRegisterFunctionsWhileQuerying(t *testing.T) {
+	sys := New(Config{Instances: 2})
+	if err := sys.AddXMLSource("feed", `<feed><rec><name>Ada</name></rec><rec><name>Alan</name></rec></feed>`); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				sys.RegisterCleaningFunctions()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				res, err := sys.Query(context.Background(), `
+					WHERE <rec><name>$a</name></rec> IN "feed", similarity($a, "Ada") >= 1
+					CONSTRUCT <r>$a</r>`)
+				if err != nil || len(res.Values) != 1 {
+					t.Errorf("similarity query: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-done
 }
