@@ -6,7 +6,7 @@ GO ?= go
 # installed, so `make check` stays green on offline builders.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race fmt vet lint lint-corpus vulncheck check bench bench-smoke bench-compare bench-compare-smoke explain-smoke chaos-smoke cluster-smoke trace-smoke parallel-race sched-race sched-soak resultpath-race
+.PHONY: all build test race fmt vet lint lint-corpus vulncheck check bench bench-smoke bench-compare bench-compare-smoke explain-smoke chaos-smoke cluster-smoke trace-smoke parallel-race sched-race sched-soak resultpath-race prepared-race
 
 all: build
 
@@ -136,6 +136,31 @@ resultpath-race:
 	$(call run-named,-race -count=1,TestDependents,./internal/catalog)
 	$(call run-named,-race -count=1,TestOnChangeHearsEveryMutator,./internal/matview)
 
+# prepared-race exercises prepared queries under the race detector: the
+# shape key and parameter rule, a prepared query bound to its own and to
+# respelled literals against Parse (fuzz seeds), and Rebind copying only
+# what it changes; rdb's statement cache against ParseSQL (fuzz seeds),
+# bound statements answering as parsed ones, and a cached SELECT over a
+# table dropped and recreated; eight goroutines running two shapes with
+# changing literals against a fresh engine's answers (ten rounds), a warm
+# call that neither parses nor unfolds nor parses SQL, and the next call
+# unfolding again after a view definition, a local store installed, a
+# materialize, a TTL turning an entry stale, a refresh and a drop; a
+# lens called with three values sharing one entry, single quotes escaped
+# in lens values, and an answer read across Invalidate not stored. The
+# projection allocation pin runs without the race detector, which
+# allocates.
+prepared-race:
+	$(call run-named,-race -count=1,FuzzPrepare|TestShapeKey|TestPrepareParams|TestRebindSharesWhatItDoesNotChange,./internal/xmlql)
+	$(call run-named,-race -count=1,FuzzParseSQL|TestExecBindsPreparedSelect|TestPreparedSelectSurvivesTableChanges,./internal/rdb)
+	$(call run-named,-count=1,TestProjectionAllocatesPerResult,./internal/rdb)
+	$(call run-named,-race -count=10,TestPreparedMatchesFreshEngineConcurrently,./internal/core)
+	$(call run-named,-race -count=1,TestWarmCallBindsWithoutUnfoldOrParse|TestPreparedFollowsTheCatalog,./internal/core)
+	$(call run-named,-race -count=1,TestPreparedQueriesFollowTheStore,./internal/matview)
+	$(call run-named,-race -count=1,TestBindEscapesSingleQuotes,./internal/lens)
+	$(call run-named,-race -count=1,TestLensValuesShareOnePreparedEntry,.)
+	$(call run-named,-race -count=10,TestAnswerReadBeforeInvalidateIsNotStored,./internal/cluster)
+
 # sched-soak runs the extended scheduler workload behind the soak tag:
 # 64 concurrent mixed-class queries per budget on a fixed seed, one shape
 # a join past its gate, each answer byte-identical to a serial twin,
@@ -147,9 +172,9 @@ sched-soak:
 # the plain tests (the allocation pins only run without the race
 # detector), the race-enabled tests (includes the dedicated concurrency
 # tests in internal/obs and internal/server), the parallel-execution,
-# scheduler and result-path race suites, and a vulnerability scan when
-# the tooling is available.
-check: fmt vet lint test race parallel-race sched-race resultpath-race vulncheck
+# scheduler, result-path and prepared-query race suites, and a
+# vulnerability scan when the tooling is available.
+check: fmt vet lint test race parallel-race sched-race resultpath-race prepared-race vulncheck
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

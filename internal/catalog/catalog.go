@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/rdb"
 	"repro/internal/xmldm"
@@ -204,10 +205,17 @@ type Catalog struct {
 	mu      sync.RWMutex
 	sources map[string]Source
 	views   map[string][]*ViewDef // by schema name
+	gen     atomic.Uint64         // Generation
 }
 
 // ErrUnknownName is wrapped by lookups of unregistered sources/schemas.
 var ErrUnknownName = errors.New("catalog: unknown source or schema")
+
+// Generation counts the catalog's mutations: every registration,
+// replacement or wrapping of a source and every view definition added or
+// withdrawn changes it. Work derived from the catalog (a prepared query's
+// unfolding) is current while the generation it was derived at is.
+func (c *Catalog) Generation() uint64 { return c.gen.Load() }
 
 // New creates an empty catalog.
 func New() *Catalog {
@@ -233,6 +241,7 @@ func (c *Catalog) AddSource(s Source) error {
 		return fmt.Errorf("catalog: name %q already names a mediated schema", s.Name())
 	}
 	c.sources[key] = s
+	c.gen.Add(1)
 	return nil
 }
 
@@ -248,6 +257,7 @@ func (c *Catalog) ReplaceSource(s Source) error {
 		return fmt.Errorf("%w: source %q", ErrUnknownName, s.Name())
 	}
 	c.sources[key] = s
+	c.gen.Add(1)
 	return nil
 }
 
@@ -263,6 +273,7 @@ func (c *Catalog) WrapAll(wrap func(Source) Source) {
 			c.sources[key] = w
 		}
 	}
+	c.gen.Add(1)
 }
 
 // Source returns the named source.
@@ -294,6 +305,7 @@ func (c *Catalog) DefineView(schema string, q *xmlql.Query) error {
 		return fmt.Errorf("catalog: name %q already names a source", schema)
 	}
 	c.views[key] = append(c.views[key], &ViewDef{Schema: schema, Query: q})
+	c.gen.Add(1)
 	return nil
 }
 
@@ -323,6 +335,7 @@ func (c *Catalog) DefineViewQLChecked(schema, src string) error {
 				delete(c.views, key)
 			}
 		}
+		c.gen.Add(1)
 		c.mu.Unlock()
 		return err
 	}

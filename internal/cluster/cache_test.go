@@ -71,6 +71,48 @@ func TestInvalidateReachesDependents(t *testing.T) {
 	}
 }
 
+// TestAnswerReadBeforeInvalidateIsNotStored: a query whose source is
+// still answering when Invalidate drops what it reads does not store its
+// answer afterwards, in either layout; the next run is a miss that
+// stores.
+func TestAnswerReadBeforeInvalidateIsNotStored(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			cat := catalog.New()
+			src := &gatedSource{name: "db", gate: make(chan struct{}), started: make(chan struct{})}
+			if err := cat.AddSource(src); err != nil {
+				t.Fatal(err)
+			}
+			c := New(Config{}, core.New(cat))
+			c.EnableCache(4, 0, l.perInstance)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := c.Query(ctx, testQuery)
+				done <- err
+			}()
+			<-src.started
+			c.Invalidate("db")
+			close(src.gate)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if n := c.CacheStats().Entries; n != 0 {
+				t.Fatalf("%d entries after a query that read across Invalidate, want 0", n)
+			}
+			go func() { <-src.started }()
+			if _, err := c.Query(ctx, testQuery); err != nil {
+				t.Fatal(err)
+			}
+			if n := c.CacheStats().Entries; n != 1 {
+				t.Errorf("%d entries after a clean run, want 1", n)
+			}
+			requireIdle(t, c)
+		})
+	}
+}
+
 // TestSharedCacheHitTakesNoSlot: the shared cache answers before
 // admission. With the only slot held by a query that cannot finish, a
 // cached query still answers within its 50 ms deadline.

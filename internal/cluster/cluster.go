@@ -40,13 +40,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/qcache"
 	"repro/internal/sched"
-	"repro/internal/xmlql"
 )
 
 // Clock abstracts time for health probing and queue-wait estimation;
@@ -473,9 +471,15 @@ func (c *Cluster) QueryOpt(ctx context.Context, q string, qo core.QueryOptions) 
 			}
 		}
 	}
+	// An Invalidate while the engine runs may have dropped what its
+	// answer read: the answer is stored only if none did.
+	var gen uint64
+	if cache != nil {
+		gen = cache.Generation()
+	}
 	res, err := m.engine.QueryOpt(ctx, q, qo)
 	if err == nil && useCache && cache != nil && res.Completeness.Complete {
-		cache.Put(key, qcache.Result{Values: res.Values, Sources: cacheTags(q, res)})
+		cache.PutAt(key, qcache.Result{Values: res.Values, Sources: cacheTags(res)}, gen)
 	}
 	return res, err
 }
@@ -493,17 +497,14 @@ func cacheGet(cache *qcache.Cache, key string, sp *obs.Span) (*core.Result, bool
 }
 
 // cacheTags lists every name a cached result depends on: the sources
-// that actually answered (post-unfolding) plus the schemas the query
-// text references, so invalidating either evicts the entry.
-func cacheTags(q string, res *core.Result) []string {
-	var srcs []string
+// that actually answered (post-unfolding) plus the names the query text
+// reads, so invalidating either evicts the entry.
+func cacheTags(res *core.Result) []string {
+	srcs := make([]string, 0, len(res.Completeness.Statuses)+len(res.Deps))
 	for _, st := range res.Completeness.Statuses {
 		srcs = append(srcs, st.Source)
 	}
-	if parsed, err := xmlql.Parse(q); err == nil {
-		srcs = append(srcs, catalog.QueryDeps(parsed)...)
-	}
-	return srcs
+	return append(srcs, res.Deps...)
 }
 
 // acquire admits the caller and grants an instance slot: an immediate

@@ -50,13 +50,17 @@ func newEngines(t testing.TB, n int) []*core.Engine {
 // gatedSource blocks every fetch until the gate closes — the handle the
 // concurrency tests use to hold a slot open deterministically.
 type gatedSource struct {
-	name string
-	gate chan struct{}
+	name    string
+	gate    chan struct{}
+	started chan struct{} // if set, receives once per fetch before it blocks
 }
 
 func (g *gatedSource) Name() string                       { return g.name }
 func (g *gatedSource) Capabilities() catalog.Capabilities { return catalog.Capabilities{} }
 func (g *gatedSource) Fetch(ctx context.Context, _ catalog.Request) (*xmldm.Node, catalog.Cost, error) {
+	if g.started != nil {
+		g.started <- struct{}{}
+	}
 	select {
 	case <-g.gate:
 	case <-ctx.Done():

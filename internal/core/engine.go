@@ -19,7 +19,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/exec"
-	"repro/internal/mediator"
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/sched"
@@ -47,6 +46,10 @@ type Engine struct {
 	slow       *SlowLog                                            // guarded by mu
 	active     *ActiveRegistry                                     // guarded by mu
 
+	// nimble_prepared_total{outcome="hit"|"miss"}, from metrics.
+	mPreparedHit, mPreparedMiss *obs.Counter // guarded by mu
+
+	prepared   preparedCache
 	queriesRun atomic.Int64
 
 	// id names this instance in the cluster registry, /debug/cluster,
@@ -68,9 +71,9 @@ func New(cat *catalog.Catalog) *Engine {
 		policy:   exec.PolicyPartial,
 		funcs:    map[string]func([]xmldm.Value) (xmldm.Value, error){},
 		inflight: map[*exec.Access]map[string]bool{},
-		metrics:  obs.Default(),
 	}
-	e.runner = &exec.Runner{Cat: cat, Materialize: e.materializeSchema, Metrics: e.metrics}
+	e.runner = &exec.Runner{Cat: cat, Materialize: e.materializeSchema}
+	e.SetMetrics(obs.Default())
 	return e
 }
 
@@ -81,6 +84,8 @@ func (e *Engine) SetMetrics(reg *obs.Registry) {
 	defer e.mu.Unlock()
 	e.metrics = reg
 	e.runner.Metrics = reg
+	e.mPreparedHit = reg.Counter("nimble_prepared_total", "outcome", "hit")
+	e.mPreparedMiss = reg.Counter("nimble_prepared_total", "outcome", "miss")
 }
 
 // SetTraceStore installs the trace store: when the engine starts its
@@ -206,6 +211,7 @@ func (e *Engine) SetLocalStore(local func(source string, req catalog.Request) (*
 	defer e.mu.Unlock()
 	e.runner.Local = local
 	e.skipUnfold = skipUnfold
+	e.prepared.clear() // unfolded under the predicate replaced
 }
 
 // SetObserver installs a fetch observer (the materialization advisor's
@@ -263,6 +269,10 @@ type ExplainTree = algebra.ExplainNode
 type Result struct {
 	// Values are the constructed result elements, in result order.
 	Values []xmldm.Value
+	// Deps are the source and schema names the query text reads, at any
+	// depth (catalog.QueryDeps); shared with the prepared query, so
+	// read-only.
+	Deps []string
 	// Completeness reports which sources answered (§3.4).
 	Completeness exec.Completeness
 	Stats        Stats
@@ -326,23 +336,32 @@ func (e *Engine) Query(ctx context.Context, src string) (*Result, error) {
 	return e.QueryOpt(ctx, src, QueryOptions{})
 }
 
-// QueryOpt is Query with per-query options.
+// QueryOpt is Query with per-query options. The parse and the unfolding
+// are done once per query shape (xmlql.Shape) and set of pinned literals,
+// and a later text of that shape binds its own comparison literals into
+// the prepared rewrites (PreparedStats); planning runs per call.
 func (e *Engine) QueryOpt(ctx context.Context, src string, qo QueryOptions) (*Result, error) {
-	q, err := xmlql.Parse(src)
+	sh := shapes.Get().(*xmlql.Shape)
+	defer shapes.Put(sh)
+	if err := sh.Scan(src); err != nil {
+		return nil, err
+	}
+	call, err := e.prepare(sh)
 	if err != nil {
 		return nil, err
 	}
-	return e.queryAST(ctx, q, qo, src)
+	return e.queryAST(ctx, call.Query, qo, src, call)
 }
 
 // QueryAST executes a parsed query.
 func (e *Engine) QueryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions) (*Result, error) {
-	return e.queryAST(ctx, q, qo, q.String())
+	return e.queryAST(ctx, q, qo, q.String(), nil)
 }
 
 // queryAST executes a parsed query; text is the query's source form, as
-// reported by the active-query registry and the slow-query log.
-func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, text string) (*Result, error) {
+// reported by the active-query registry and the slow-query log, and call
+// its prepared entry, if it has one.
+func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, text string, call *preparedCall) (*Result, error) {
 	e.queriesRun.Add(1)
 	e.mu.RLock()
 	policy := e.policy
@@ -411,8 +430,13 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	workersGauge := metrics.Gauge("nimble_parallel_workers")
 	actx.OnWorkers = func(delta int) { workersGauge.Add(float64(delta)) }
 	res := &Result{Explain: &ExplainTree{Op: "Query"}}
+	if call != nil {
+		res.Deps = call.deps
+	} else {
+		res.Deps = catalog.QueryDeps(q)
+	}
 	qs := &queryState{ctx: ctx, access: access, actx: actx, par: par,
-		top: true, stats: &res.Stats, aq: aq, ex: res.Explain}
+		top: true, call: call, stats: &res.Stats, aq: aq, ex: res.Explain}
 	sub := &queryState{ctx: ctx, access: access, actx: actx, par: par}
 	actx.SubqueryEval = func(subq *xmlql.Query, outer algebra.Binding) ([]xmldm.Value, error) {
 		return e.run(sub, subq, outer)
@@ -519,8 +543,10 @@ type queryState struct {
 	// top marks the query itself, as opposed to what runs beneath it.
 	// Only it reports: stats, aq (the active-query handle) and ex (the
 	// EXPLAIN tree collecting one instrumented plan per rewrite) are set
-	// for it alone, and each is nil-safe to use.
+	// for it alone, and each is nil-safe to use. call, its prepared
+	// entry, is nil for a query not run from text.
 	top   bool
+	call  *preparedCall
 	stats *Stats
 	aq    *ActiveQuery
 	ex    *algebra.ExplainNode
@@ -543,7 +569,10 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 	sp := obs.FromContext(ctx)
 	aq.SetPhase("unfold")
 	spUnfold := sp.StartChild("unfold")
-	rewrites, err := mediator.UnfoldSkip(e.cat, q, skip)
+	if qs.call != nil {
+		spUnfold.SetBool("prepared", qs.call.hit)
+	}
+	rewrites, err := e.unfold(qs.call, q, skip)
 	if err != nil {
 		spUnfold.SetAttr("error", err.Error())
 		spUnfold.Finish()

@@ -147,11 +147,10 @@ func substitute(lensName, q string, vals map[string]string) (string, error) {
 }
 
 // escapeQL escapes a parameter value for safe inclusion inside an XML-QL
-// double-quoted string literal.
-func escapeQL(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, `"`, `\"`)
-}
+// string literal, double- or single-quoted: the lexer reads \c as c.
+func escapeQL(v string) string { return qlEscaper.Replace(v) }
+
+var qlEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, `'`, `\'`)
 
 // Render formats a result document for a device.
 func (l *Lens) Render(doc *xmldm.Node, device Device) string {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/xmlparse"
+	"repro/internal/xmlql"
 )
 
 func sampleLens() *Lens {
@@ -68,6 +69,33 @@ func TestBindEscapesInjection(t *testing.T) {
 	// The quote must be escaped so the value stays inside the literal.
 	if !strings.Contains(qs[0], `\"`) {
 		t.Errorf("injection not escaped: %s", qs[0])
+	}
+}
+
+// TestBindEscapesSingleQuotes: a value bound inside a single-quoted
+// literal stays that literal's value; it cannot close the quote and add
+// a predicate that matches every row.
+func TestBindEscapesSingleQuotes(t *testing.T) {
+	l := &Lens{
+		Name:    "l",
+		Queries: []string{`WHERE <c><p>$c</p></c> IN "s", $c = '${city}' CONSTRUCT <r/>`},
+		Params:  []Param{{Name: "city"}},
+	}
+	value := `nowhere' OR $c != 'x`
+	qs, err := l.Bind(map[string]string{"city": value})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := xmlql.Parse(qs[0])
+	if err != nil {
+		t.Fatalf("%s: %v", qs[0], err)
+	}
+	if len(q.Where) != 2 {
+		t.Fatalf("bound %s: %d conditions", qs[0], len(q.Where))
+	}
+	want := &xmlql.BinExpr{Op: "=", L: &xmlql.VarExpr{Name: "c"}, R: &xmlql.LitExpr{Value: value}}
+	if got := xmlql.ExprString(q.Where[1].(*xmlql.PredicateCond).Expr); got != xmlql.ExprString(want) {
+		t.Errorf("bound predicate %s, want %s", got, xmlql.ExprString(want))
 	}
 }
 

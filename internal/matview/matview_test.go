@@ -134,6 +134,57 @@ func TestTTLModes(t *testing.T) {
 	}
 }
 
+// TestPreparedQueriesFollowTheStore: the engine prepares a query's
+// unfolding once per shape, and what the store holds decides it (a held
+// schema is not unfolded). Installing a store, and every change to what
+// it holds — materialize, the TTL turning an entry stale under
+// RefreshStale with no event at all, a refresh, a drop — makes the next
+// call of the shape unfold again and answer from where the data now is;
+// with no change, calls bind.
+func TestPreparedQueriesFollowTheStore(t *testing.T) {
+	e, db, fetches := newEnv(t)
+	ctx := context.Background()
+	call := 0
+	step := func(what string, wantRows int, wantMiss, wantRemote bool) {
+		t.Helper()
+		call++
+		before, remote := e.PreparedStats(), *fetches
+		res, err := e.Query(ctx, fmt.Sprintf(`WHERE <cust><who>$w</who></cust> IN "customers", $w != "nobody%d" CONSTRUCT <r>$w</r>`, call))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		after := e.PreparedStats()
+		if len(res.Values) != wantRows || (after.Misses > before.Misses) != wantMiss || (*fetches > remote) != wantRemote {
+			t.Errorf("%s: %d rows, prepared %+v -> %+v, %d remote fetches; want %d rows, miss %v, remote %v",
+				what, len(res.Values), before, after, *fetches-remote, wantRows, wantMiss, wantRemote)
+		}
+	}
+	step("no store", 2, true, true)
+	m := NewManager(e)
+	now := time.Unix(1000, 0)
+	m.Clock = func() time.Time { return now }
+	m.TTL = time.Minute
+	m.Mode = RefreshStale
+	step("virtual", 2, true, true)
+	step("virtual again", 2, false, true)
+	if err := m.Materialize(ctx, "customers"); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(`INSERT INTO customers VALUES (3, 'Grace')`)
+	step("materialized", 2, true, false)
+	step("materialized again", 2, false, false)
+	now = now.Add(2 * time.Minute)
+	step("stale", 3, true, true)
+	if err := m.Refresh(ctx, "customers"); err != nil {
+		t.Fatal(err)
+	}
+	step("refreshed", 3, true, false)
+	m.Drop("customers")
+	db.MustExec(`INSERT INTO customers VALUES (4, 'Edsger')`)
+	step("dropped", 4, true, true)
+	step("dropped again", 4, false, true)
+}
+
 func TestDropRestoresVirtualQuerying(t *testing.T) {
 	e, db, fetches := newEnv(t)
 	m := NewManager(e)

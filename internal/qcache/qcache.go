@@ -71,6 +71,7 @@ type Cache struct {
 	bySource map[string]map[string]bool // guarded by mu
 	stats    Stats                      // guarded by mu
 	clock    func() time.Time           // guarded by mu
+	gen      uint64                     // guarded by mu; invalidations run
 
 	// observability counters, nil (no-op) until SetMetrics.
 	mHits, mMisses, mEvictions *obs.Counter // guarded by mu
@@ -133,10 +134,36 @@ func (c *Cache) Get(key string) (Result, bool) {
 	return e.res, true
 }
 
+// Generation counts the invalidations the cache has run. A caller reads
+// it before computing an answer and stores the answer with PutAt, so
+// that an answer computed across an invalidation is not stored after it.
+func (c *Cache) Generation() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
+}
+
+// PutAt is Put unless an invalidation ran since Generation returned gen;
+// then the answer may predate what was invalidated, and it reports false
+// without storing it.
+func (c *Cache) PutAt(key string, res Result, gen uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.gen != gen {
+		return false
+	}
+	c.putLocked(key, res)
+	return true
+}
+
 // Put stores a result under the query key.
 func (c *Cache) Put(key string, res Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.putLocked(key, res)
+}
+
+func (c *Cache) putLocked(key string, res Result) {
 	if e, ok := c.entries[key]; ok {
 		c.unindexLocked(e)
 		e.res = res
@@ -165,6 +192,7 @@ func (c *Cache) Put(key string, res Result) {
 func (c *Cache) InvalidateSource(source string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen++
 	key := strings.ToLower(source)
 	keys := c.bySource[key]
 	n := 0

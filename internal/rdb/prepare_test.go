@@ -1,0 +1,180 @@
+package rdb
+
+import (
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// execParsed is Exec without the statement cache: ParseSQL, then
+// ExecStmt.
+func execParsed(t *testing.T, db *Database, sql string) string {
+	t.Helper()
+	stmt, err := ParseSQL(sql)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	res, err := db.ExecStmt(stmt)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return fmt.Sprint(res.Columns, res.Rows)
+}
+
+func execCached(t *testing.T, db *Database, sql string) string {
+	t.Helper()
+	res, err := db.Exec(sql)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return fmt.Sprint(res.Columns, res.Rows)
+}
+
+// TestExecBindsPreparedSelect: a SELECT whose shape Exec has parsed is
+// bound, not parsed — new literals, LIKE patterns and select-list
+// aliases included — and answers what parsing it answers; a text that
+// differs in a pinned token (a LIMIT, a table alias) or does not parse
+// is parsed, with the parser's error.
+func TestExecBindsPreparedSelect(t *testing.T) {
+	db := newTestDB(t)
+	for _, tc := range []struct {
+		sql string
+		hit bool
+	}{
+		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 1 ORDER BY id DESC LIMIT 5`, false},
+		{`SELECT name AS who, id AS i FROM customers WHERE city = 'Austin' AND id >= 0 ORDER BY id DESC LIMIT 5`, true},
+		{`select   name AS n, id AS i FROM customers WHERE city='London' AND id >= 2 ORDER BY id DESC LIMIT 5`, false},
+		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2 ORDER BY id DESC LIMIT 1`, false},
+		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2 ORDER BY id DESC LIMIT 1`, true},
+		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2.5 ORDER BY id DESC LIMIT 1`, true},
+		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 1.2.3 ORDER BY id DESC LIMIT 1`, false},
+		{`SELECT c.name AS n FROM customers AS c WHERE c.name LIKE 'A%' OR c.id IN (3, 4)`, false},
+		{`SELECT c.name AS m FROM customers AS c WHERE c.name LIKE '%ace' OR c.id IN (1, 9)`, true},
+		{`SELECT name AS m FROM customers AS c WHERE id IN (1, 9)`, false},
+		{`SELECT name AS m FROM customers AS d WHERE id IN (1, 9)`, false},
+		{`SELECT count(*) AS k, city AS c FROM customers WHERE id > 1 GROUP BY city HAVING count(*) >= 1 ORDER BY c`, false},
+		{`SELECT count(*) AS k, city AS c FROM customers WHERE id > 2 GROUP BY city HAVING count(*) >= 2 ORDER BY c`, true},
+		{`SELECT o.oid AS x FROM customers JOIN orders AS o ON id = o.cust_id AND o.total > 100 WHERE city = 'London'`, false},
+		{`SELECT o.oid AS x FROM customers JOIN orders AS o ON id = o.cust_id AND o.total > 50 WHERE city = 'New York'`, true},
+	} {
+		before := db.PreparedStats()
+		want := execParsed(t, db, tc.sql)
+		if got := execCached(t, db, tc.sql); got != want {
+			t.Errorf("%s\n got %s\nwant %s", tc.sql, got, want)
+		}
+		after := db.PreparedStats()
+		if hit := after.Hits > before.Hits; hit != tc.hit || after.Hits+after.Misses != before.Hits+before.Misses+1 {
+			t.Errorf("%s: stats %+v -> %+v, want hit %v", tc.sql, before, after, tc.hit)
+		}
+	}
+	if n := db.PreparedStats().Entries; n != 6 {
+		t.Errorf("%d entries, want 6", n)
+	}
+}
+
+// TestPreparedSelectSurvivesTableChanges: a parsed statement is syntax,
+// so no change to the database makes it stale — a cached SELECT over a
+// table dropped and recreated with other columns in another order
+// resolves its columns against the new table.
+func TestPreparedSelectSurvivesTableChanges(t *testing.T) {
+	db := NewDatabase("d")
+	db.MustExec(`CREATE TABLE t (a INT PRIMARY KEY, b VARCHAR)`)
+	db.MustExec(`INSERT INTO t VALUES (1, 'x'), (2, 'y')`)
+	q := func(n int) string { return fmt.Sprintf(`SELECT b AS v FROM t WHERE a = %d`, n) }
+	if got := execCached(t, db, q(1)); got != "[v] [[x]]" {
+		t.Fatalf("before: %s", got)
+	}
+	db.MustExec(`DROP TABLE t`)
+	if got := execCached(t, db, q(2)); !strings.Contains(got, "no such table") {
+		t.Fatalf("dropped: %s", got)
+	}
+	db.MustExec(`CREATE TABLE t (b VARCHAR, c INT, a INT)`)
+	db.MustExec(`INSERT INTO t VALUES ('z', 7, 2)`)
+	if got := execCached(t, db, q(2)); got != "[v] [[z]]" {
+		t.Errorf("recreated: %s", got)
+	}
+	if st := db.PreparedStats(); st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("stats %+v, want one parse", st)
+	}
+}
+
+// respellSQL rewrites sql with every literal and select-list alias the
+// prepared statement rebinds replaced: a string by 'p<i>', a number by
+// 7<i>, an alias by a<i>.
+func respellSQL(sql string, toks []sqlTok, ps *preparedSelect) string {
+	var sb strings.Builder
+	last, k := 0, 0
+	for i, tk := range toks {
+		if !sqlLifted(toks, i) {
+			continue
+		}
+		s := ps.slots[k]
+		k++
+		if s.lit == nil && s.like == nil && !s.alias {
+			continue
+		}
+		sb.WriteString(sql[last:tk.pos])
+		switch tk.kind {
+		case "str":
+			sb.WriteString("'p" + strconv.Itoa(k) + "'")
+			last = tk.pos + 1
+			for last < len(sql) && (sql[last] != '\'' || strings.HasPrefix(sql[last:], "''")) {
+				if sql[last] == '\'' {
+					last++
+				}
+				last++
+			}
+			last++
+		case "num":
+			sb.WriteString("7" + strconv.Itoa(k))
+			for last = tk.pos; last < len(sql) && (sql[last] >= '0' && sql[last] <= '9' || sql[last] == '.'); last++ {
+			}
+		default:
+			sb.WriteString("a" + strconv.Itoa(k))
+			last = tk.pos + len(tk.text)
+		}
+	}
+	sb.WriteString(sql[last:])
+	return sb.String()
+}
+
+// checkPrepared is the cached path's half of FuzzParseSQL: through a
+// fresh statement cache, src parses (a miss) and then binds (a hit) to
+// what ParseSQL makes of it, with the same error if any; and a SELECT
+// respelled in every rebound slot binds to what ParseSQL makes of that.
+func checkPrepared(t *testing.T, src string) {
+	want, werr := ParseSQL(src)
+	var c stmtCache
+	for pass := 0; pass < 2; pass++ {
+		got, err := c.parse(src)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d of %q: %#v, %v; ParseSQL: %#v, %v", pass, src, got, err, want, werr)
+		}
+	}
+	if werr != nil || len(c.entries) == 0 {
+		return
+	}
+	toks, err := sqlLex(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ps *preparedSelect
+	for _, e := range c.entries {
+		ps = e
+	}
+	alt := respellSQL(src, toks, ps)
+	want, werr = ParseSQL(alt)
+	if werr != nil {
+		t.Fatalf("respelled %q does not parse: %v", alt, werr)
+	}
+	hits := c.hits.Load()
+	got, err := c.parse(alt)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q bound to %#v, %v; ParseSQL: %#v", alt, got, err, want)
+	}
+	if c.hits.Load() != hits+1 {
+		t.Fatalf("respelling %q as %q changed its shape", src, alt)
+	}
+}

@@ -119,6 +119,7 @@ type Database struct {
 	mu     sync.RWMutex
 	name   string
 	tables map[string]*Table
+	stmts  stmtCache // Exec's parsed SELECTs; locks itself
 }
 
 // ErrNoTable is wrapped by errors for references to unknown tables.

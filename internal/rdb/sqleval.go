@@ -7,12 +7,20 @@ import (
 	"repro/internal/xmldm"
 )
 
+// colAt is a column reference resolved against one row set
+// (rowSet.resolve): the value is at position i of its rows.
+type colAt struct{ i int }
+
+func (*colAt) isSQLExpr() {}
+
 // evalSQL evaluates a scalar expression against one row of a row set.
 // rs and row may be nil for constant expressions.
 func evalSQL(e SQLExpr, rs *rowSet, row Row) (Value, error) {
 	switch x := e.(type) {
 	case *SQLLit:
 		return x.Value, nil
+	case *colAt:
+		return row[x.i], nil
 	case *ColRef:
 		if rs == nil {
 			return nil, fmt.Errorf("rdb: column %s in constant context", x.String())

@@ -25,9 +25,12 @@ type ExecStats struct {
 	IndexUsed   bool // an index restricted the scan
 }
 
-// Exec parses and executes one SQL statement.
+// Exec parses and executes one SQL statement. A SELECT whose shape —
+// the text with its numbers, strings and select-list aliases lifted out
+// — it has executed before is not parsed again: the statement parsed
+// then is bound to this text's values (PreparedStats).
 func (db *Database) Exec(sql string) (*Result, error) {
-	stmt, err := ParseSQL(sql)
+	stmt, err := db.stmts.parse(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -154,6 +157,22 @@ func (rs *rowSet) lookup(qual, name string) (int, error) {
 	return found, nil
 }
 
+// resolve returns e with every column reference rs resolves replaced by
+// its position, so that evaluating it over rs's rows indexes each row
+// instead of looking the name up in it. A reference rs does not resolve
+// stays, and fails when a row is evaluated, as it always did. Execution
+// resolves each expression once, against the row set it runs over.
+func (rs *rowSet) resolve(e SQLExpr) SQLExpr {
+	return mapSQL(e, func(_, cur SQLExpr) SQLExpr {
+		if c, ok := cur.(*ColRef); ok {
+			if i, err := rs.lookup(c.Table, c.Col); err == nil {
+				return &colAt{i}
+			}
+		}
+		return cur
+	})
+}
+
 func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -167,6 +186,7 @@ func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
 
 	// WHERE (any conjuncts not already consumed by the index path).
 	if where != nil {
+		where = rs.resolve(where)
 		filtered := rs.rows[:0:0]
 		for _, row := range rs.rows {
 			v, err := evalSQL(where, rs, row)
@@ -215,8 +235,24 @@ func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
 		}
 		outRows = rs.rows
 	} else {
+		// An item that is a column of the row set copies the row's value
+		// at pos, without the node resolve would allocate for it; any
+		// other item evaluates its resolved expr.
+		type projection struct {
+			pos  int
+			expr SQLExpr
+		}
+		proj := make([]projection, len(st.Items))
 		for i, item := range st.Items {
 			outCols = append(outCols, itemName(item, i))
+			proj[i] = projection{pos: -1, expr: item.Expr}
+			if c, ok := item.Expr.(*ColRef); ok {
+				if ci, err := rs.lookup(c.Table, c.Col); err == nil {
+					proj[i].pos = ci
+					continue
+				}
+			}
+			proj[i].expr = rs.resolve(item.Expr)
 		}
 		// Every projected row is carved from one slab, capped at its own
 		// length so that an append to one row cannot reach the next.
@@ -226,8 +262,12 @@ func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
 		for _, row := range rs.rows {
 			out := Row(slab[:n:n])
 			slab = slab[n:]
-			for i, item := range st.Items {
-				v, err := evalSQL(item.Expr, rs, row)
+			for i, p := range proj {
+				if p.pos >= 0 {
+					out[i] = row[p.pos]
+					continue
+				}
+				v, err := evalSQL(p.expr, rs, row)
 				if err != nil {
 					return nil, err
 				}
@@ -496,6 +536,7 @@ func crossJoin(l, r *rowSet) *rowSet {
 func joinOn(l, r *rowSet, on SQLExpr) (*rowSet, error) {
 	out := &rowSet{cols: append(append([]colKey{}, l.cols...), r.cols...)}
 	li, ri := findEquiJoin(on, l, r)
+	resolved := out.resolve(on) // the cross product below has out's columns
 	if li >= 0 {
 		ht := make(map[uint64][]Row)
 		for _, rr := range r.rows {
@@ -511,7 +552,7 @@ func joinOn(l, r *rowSet, on SQLExpr) (*rowSet, error) {
 				row = append(row, lr...)
 				row = append(row, rr...)
 				// Residual ON predicates beyond the equality.
-				v, err := evalSQL(on, out, row)
+				v, err := evalSQL(resolved, out, row)
 				if err != nil {
 					return nil, err
 				}
@@ -525,7 +566,7 @@ func joinOn(l, r *rowSet, on SQLExpr) (*rowSet, error) {
 	cross := crossJoin(l, r)
 	filtered := cross.rows[:0]
 	for _, row := range cross.rows {
-		v, err := evalSQL(on, cross, row)
+		v, err := evalSQL(resolved, cross, row)
 		if err != nil {
 			return nil, err
 		}
@@ -619,10 +660,13 @@ func orderRows(keys []SQLOrderItem, rs *rowSet, items []SelectItem) error {
 		}
 		return e
 	}
+	exprs := make([]SQLExpr, len(keys))
+	for i, k := range keys {
+		exprs[i] = rs.resolve(resolve(k.Expr))
+	}
 	var sortErr error
 	sort.SliceStable(rs.rows, func(i, j int) bool {
-		for _, k := range keys {
-			e := resolve(k.Expr)
+		for ki, e := range exprs {
 			vi, err := evalSQL(e, rs, rs.rows[i])
 			if err != nil {
 				sortErr = err
@@ -637,7 +681,7 @@ func orderRows(keys []SQLOrderItem, rs *rowSet, items []SelectItem) error {
 			if c == 0 {
 				continue
 			}
-			if k.Desc {
+			if keys[ki].Desc {
 				return c > 0
 			}
 			return c < 0
@@ -728,12 +772,15 @@ func aggregate(st *SelectStmt, rs *rowSet) (*rowSet, error) {
 	}
 
 	out := &rowSet{}
+	items := make([]SQLExpr, len(st.Items))
 	for i, item := range st.Items {
 		out.cols = append(out.cols, colKey{name: itemName(item, i)})
+		items[i] = rs.resolve(item.Expr)
 	}
+	having := rs.resolve(st.Having)
 	for _, g := range groups {
-		if st.Having != nil {
-			v, err := evalAggExpr(st.Having, rs, g.rows)
+		if having != nil {
+			v, err := evalAggExpr(having, rs, g.rows)
 			if err != nil {
 				return nil, err
 			}
@@ -741,9 +788,9 @@ func aggregate(st *SelectStmt, rs *rowSet) (*rowSet, error) {
 				continue
 			}
 		}
-		row := make(Row, len(st.Items))
-		for i, item := range st.Items {
-			v, err := evalAggExpr(item.Expr, rs, g.rows)
+		row := make(Row, len(items))
+		for i, item := range items {
+			v, err := evalAggExpr(item, rs, g.rows)
 			if err != nil {
 				return nil, err
 			}
@@ -861,13 +908,18 @@ func (db *Database) execUpdate(st *UpdateStmt) (*Result, error) {
 	for _, c := range t.Schema.Columns {
 		rs.cols = append(rs.cols, colKey{qual: strings.ToLower(st.Table), name: strings.ToLower(c.Name)})
 	}
+	where := rs.resolve(st.Where)
+	sets := make([]SQLExpr, len(st.Sets))
+	for i, set := range st.Sets {
+		sets[i] = rs.resolve(set.Expr)
+	}
 	n := 0
 	for rid, row := range t.rows {
 		if t.deleted[rid] {
 			continue
 		}
-		if st.Where != nil {
-			v, err := evalSQL(st.Where, rs, row)
+		if where != nil {
+			v, err := evalSQL(where, rs, row)
 			if err != nil {
 				return nil, err
 			}
@@ -875,12 +927,12 @@ func (db *Database) execUpdate(st *UpdateStmt) (*Result, error) {
 				continue
 			}
 		}
-		for _, set := range st.Sets {
+		for si, set := range st.Sets {
 			ci := t.Schema.ColIndex(set.Column)
 			if ci < 0 {
 				return nil, fmt.Errorf("rdb: no column %q in %q", set.Column, st.Table)
 			}
-			v, err := evalSQL(set.Expr, rs, row)
+			v, err := evalSQL(sets[si], rs, row)
 			if err != nil {
 				return nil, err
 			}
@@ -912,13 +964,14 @@ func (db *Database) execDelete(st *DeleteStmt) (*Result, error) {
 	for _, c := range t.Schema.Columns {
 		rs.cols = append(rs.cols, colKey{qual: strings.ToLower(st.Table), name: strings.ToLower(c.Name)})
 	}
+	where := rs.resolve(st.Where)
 	n := 0
 	for rid, row := range t.rows {
 		if t.deleted[rid] {
 			continue
 		}
-		if st.Where != nil {
-			v, err := evalSQL(st.Where, rs, row)
+		if where != nil {
+			v, err := evalSQL(where, rs, row)
 			if err != nil {
 				return nil, err
 			}

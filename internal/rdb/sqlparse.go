@@ -199,7 +199,18 @@ type sqlTok struct {
 }
 
 func sqlLex(src string) ([]sqlTok, error) {
-	var toks []sqlTok
+	toks, err := sqlLexInto(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// sqlLexInto tokenizes src into toks[:0], so a caller that keeps the
+// slice lexes without allocating once it has grown. It returns the slice
+// even on error, for the same reuse.
+func sqlLexInto(toks []sqlTok, src string) ([]sqlTok, error) {
+	toks = toks[:0]
 	i := 0
 	emit := func(kind, text string, pos int) { toks = append(toks, sqlTok{kind, text, pos}) }
 	for i < len(src) {
@@ -214,10 +225,16 @@ func sqlLex(src string) ([]sqlTok, error) {
 		case c == '\'':
 			start := i
 			i++
+			// A string without a '' escape is a slice of the source.
+			if end := strings.IndexByte(src[i:], '\''); end >= 0 && !strings.HasPrefix(src[i+end+1:], "'") {
+				emit("str", src[i:i+end], start)
+				i += end + 1
+				continue
+			}
 			var sb strings.Builder
 			for {
 				if i >= len(src) {
-					return nil, fmt.Errorf("rdb: unterminated string at offset %d", start)
+					return toks, fmt.Errorf("rdb: unterminated string at offset %d", start)
 				}
 				if src[i] == '\'' {
 					if i+1 < len(src) && src[i+1] == '\'' { // '' escape
@@ -268,13 +285,13 @@ func sqlLex(src string) ([]sqlTok, error) {
 				emit("op", "!=", i)
 				i += 2
 			} else {
-				return nil, fmt.Errorf("rdb: unexpected '!' at offset %d", i)
+				return toks, fmt.Errorf("rdb: unexpected '!' at offset %d", i)
 			}
 		case c == ';':
 			emit("op", ";", i)
 			i++
 		default:
-			return nil, fmt.Errorf("rdb: unexpected character %q at offset %d", c, i)
+			return toks, fmt.Errorf("rdb: unexpected character %q at offset %d", c, i)
 		}
 	}
 	emit("eof", "", i)
@@ -290,6 +307,9 @@ func isSQLIdentStart(c byte) bool {
 type sqlParser struct {
 	toks []sqlTok
 	i    int
+	// slots, when preparing, records by token index what a SELECT made of
+	// each literal and select-list alias (prepareSelect).
+	slots map[int]sqlSlot
 }
 
 // ParseSQL parses one SQL statement.
@@ -298,7 +318,11 @@ func ParseSQL(src string) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &sqlParser{toks: toks}
+	return (&sqlParser{toks: toks}).parse()
+}
+
+// parse parses the whole token list as one statement.
+func (p *sqlParser) parse() (Stmt, error) {
 	stmt, err := p.parseStmt()
 	if err != nil {
 		return nil, err
@@ -318,6 +342,13 @@ func (p *sqlParser) next() sqlTok {
 		p.i++
 	}
 	return t
+}
+
+// record notes, when preparing, what the token at index i became.
+func (p *sqlParser) record(i int, s sqlSlot) {
+	if p.slots != nil {
+		p.slots[i] = s
+	}
 }
 
 func (p *sqlParser) kw(word string) bool {
@@ -605,6 +636,7 @@ func (p *sqlParser) parseSelect() (Stmt, error) {
 			}
 			item := SelectItem{Expr: e}
 			if p.acceptKw("AS") {
+				p.record(p.i, sqlSlot{alias: true, item: len(st.Items)})
 				a, err := p.ident()
 				if err != nil {
 					return nil, err
@@ -816,12 +848,7 @@ func (p *sqlParser) parseCmp() (SQLExpr, error) {
 		return &SQLBin{Op: op, L: l, R: r}, nil
 	case p.kw("LIKE"):
 		p.next()
-		pt := p.peek()
-		if pt.kind != "str" {
-			return nil, fmt.Errorf("rdb: LIKE requires a string pattern")
-		}
-		p.next()
-		return &SQLLike{E: l, Pattern: pt.text}, nil
+		return p.parseLike(l)
 	case p.kw("IN"):
 		p.next()
 		if err := p.expectOp("("); err != nil {
@@ -855,12 +882,11 @@ func (p *sqlParser) parseCmp() (SQLExpr, error) {
 		p.next()
 		switch {
 		case p.acceptKw("LIKE"):
-			pt := p.peek()
-			if pt.kind != "str" {
-				return nil, fmt.Errorf("rdb: LIKE requires a string pattern")
+			like, err := p.parseLike(l)
+			if err != nil {
+				return nil, err
 			}
-			p.next()
-			return &SQLNot{E: &SQLLike{E: l, Pattern: pt.text}}, nil
+			return &SQLNot{E: like}, nil
 		case p.acceptKw("IN"):
 			if err := p.expectOp("("); err != nil {
 				return nil, err
@@ -886,6 +912,18 @@ func (p *sqlParser) parseCmp() (SQLExpr, error) {
 		}
 	}
 	return l, nil
+}
+
+// parseLike parses the pattern of l LIKE 'pattern'.
+func (p *sqlParser) parseLike(l SQLExpr) (SQLExpr, error) {
+	pt := p.peek()
+	if pt.kind != "str" {
+		return nil, fmt.Errorf("rdb: LIKE requires a string pattern")
+	}
+	like := &SQLLike{E: l, Pattern: pt.text}
+	p.record(p.i, sqlSlot{like: like})
+	p.next()
+	return like, nil
 }
 
 func (p *sqlParser) parseAdd() (SQLExpr, error) {
@@ -931,23 +969,15 @@ func (p *sqlParser) parseMul() (SQLExpr, error) {
 func (p *sqlParser) parsePrimary() (SQLExpr, error) {
 	t := p.peek()
 	switch {
-	case t.kind == "num":
-		p.next()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("rdb: bad number %q", t.text)
-			}
-			return &SQLLit{Value: xmldm.Float(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
+	case t.kind == "num" || t.kind == "str":
+		v, err := sqlLiteral(t)
 		if err != nil {
-			return nil, fmt.Errorf("rdb: bad number %q", t.text)
+			return nil, err
 		}
-		return &SQLLit{Value: xmldm.Int(n)}, nil
-	case t.kind == "str":
+		lit := &SQLLit{Value: v}
+		p.record(p.i, sqlSlot{lit: lit})
 		p.next()
-		return &SQLLit{Value: xmldm.String(t.text)}, nil
+		return lit, nil
 	case t.kind == "op" && t.text == "-":
 		p.next()
 		e, err := p.parsePrimary()
@@ -1016,4 +1046,23 @@ func (p *sqlParser) parsePrimary() (SQLExpr, error) {
 	default:
 		return nil, fmt.Errorf("rdb: unexpected %q in expression", t.text)
 	}
+}
+
+// sqlLiteral is the value of a number or string token.
+func sqlLiteral(t sqlTok) (Value, error) {
+	if t.kind == "str" {
+		return xmldm.String(t.text), nil
+	}
+	if strings.Contains(t.text, ".") {
+		f, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
+			return nil, fmt.Errorf("rdb: bad number %q", t.text)
+		}
+		return xmldm.Float(f), nil
+	}
+	n, err := strconv.ParseInt(t.text, 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("rdb: bad number %q", t.text)
+	}
+	return xmldm.Int(n), nil
 }

@@ -84,7 +84,18 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	toks, err := lexInto(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// lexInto tokenizes src into toks[:0], so a caller that keeps the slice
+// lexes without allocating once it has grown. It returns the slice even
+// on error, for the same reuse.
+func lexInto(toks []token, src string) ([]token, error) {
+	l := &lexer{src: src, toks: toks[:0]}
 	for {
 		l.skipSpaceAndComments()
 		if l.pos >= len(l.src) {
@@ -150,7 +161,7 @@ func lex(src string) ([]token, error) {
 			l.emitAt(tokOp, "=", start)
 		case c == '!':
 			if l.peekAt(1) != '=' {
-				return nil, fmt.Errorf("xmlql: unexpected '!' at offset %d", start)
+				return l.toks, fmt.Errorf("xmlql: unexpected '!' at offset %d", start)
 			}
 			l.pos += 2
 			l.emitAt(tokOp, "!=", start)
@@ -175,13 +186,13 @@ func lex(src string) ([]token, error) {
 			l.pos++
 			name := l.lexName()
 			if name == "" {
-				return nil, fmt.Errorf("xmlql: '$' without variable name at offset %d", start)
+				return l.toks, fmt.Errorf("xmlql: '$' without variable name at offset %d", start)
 			}
 			l.emitAt(tokVar, name, start)
 		case c == '"' || c == '\'':
 			s, err := l.lexString(c)
 			if err != nil {
-				return nil, err
+				return l.toks, err
 			}
 			l.emitAt(tokString, s, start)
 		case isDigit(c):
@@ -190,7 +201,7 @@ func lex(src string) ([]token, error) {
 			name := l.lexName()
 			l.emitAt(tokIdent, name, start)
 		default:
-			return nil, fmt.Errorf("xmlql: unexpected character %q at offset %d", c, start)
+			return l.toks, fmt.Errorf("xmlql: unexpected character %q at offset %d", c, start)
 		}
 	}
 }
@@ -277,9 +288,17 @@ func (l *lexer) lexNumber() {
 	l.emitAt(tokNumber, l.src[start:l.pos], start)
 }
 
+// lexString returns the string literal's value: a slice of the source
+// when it has no escape, so that only escaped strings allocate.
 func (l *lexer) lexString(quote byte) (string, error) {
 	start := l.pos
 	l.pos++ // opening quote
+	for i := l.pos; i < len(l.src) && l.src[i] != '\\'; i++ {
+		if l.src[i] == quote {
+			l.pos = i + 1
+			return l.src[start+1 : i], nil
+		}
+	}
 	var sb strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]

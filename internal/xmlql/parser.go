@@ -12,7 +12,11 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{src: src, toks: toks}
+	return (&parser{src: src, toks: toks}).parse()
+}
+
+// parse parses the whole token list as one query.
+func (p *parser) parse() (*Query, error) {
 	q, err := p.parseQuery()
 	if err != nil {
 		return nil, err
@@ -37,6 +41,14 @@ type parser struct {
 	src  string
 	toks []token
 	i    int
+
+	// When preparing: lits counts the literal tokens consumed so far,
+	// slot maps each literal expression parsePrimary made from a literal
+	// token to that literal's position in the text, and params receives
+	// the ones a comparison takes as an operand (Shape.Prepare).
+	lits   int
+	slot   map[*LitExpr]int
+	params []*LitExpr
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -52,8 +64,32 @@ func (p *parser) next() token {
 	t := p.toks[p.i]
 	if p.i < len(p.toks)-1 {
 		p.i++
+		if t.kind == tokString || t.kind == tokNumber {
+			p.lits++
+		}
 	}
 	return t
+}
+
+// literal makes the expression of the literal token t, the next one to
+// be consumed, and records its position when preparing.
+func (p *parser) literal(t token) *LitExpr {
+	lit := Lit{Number: t.kind == tokNumber, Text: t.text}.expr()
+	if p.slot != nil {
+		p.slot[lit] = p.lits
+	}
+	p.next()
+	return lit
+}
+
+// operand makes e a parameter when it is a literal parsePrimary recorded:
+// a direct operand of a comparison.
+func (p *parser) operand(e Expr) {
+	if lit, ok := e.(*LitExpr); ok && p.slot != nil {
+		if i, ok := p.slot[lit]; ok {
+			p.params[i] = lit
+		}
+	}
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -566,6 +602,8 @@ func (p *parser) parseCmp() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.operand(l)
+		p.operand(r)
 		return &BinExpr{Op: op, L: l, R: r}, nil
 	}
 	return l, nil
@@ -614,12 +652,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case t.kind == tokVar:
 		p.next()
 		return &VarExpr{Name: t.text}, nil
-	case t.kind == tokNumber:
-		p.next()
-		return numberLit(t.text), nil
-	case t.kind == tokString:
-		p.next()
-		return &LitExpr{Value: t.text}, nil
+	case t.kind == tokNumber || t.kind == tokString:
+		return p.literal(t), nil
 	case keywordIs(t, "TRUE"):
 		p.next()
 		return &LitExpr{Value: true}, nil

@@ -580,6 +580,35 @@ func TestFacadeRenderLensConcurrent(t *testing.T) {
 	})
 }
 
+// TestLensValuesShareOnePreparedEntry: a lens is one query shape
+// whatever its parameter values, so the engine prepares it once: the
+// first call parses and unfolds, the next two bind their city into the
+// prepared rewrites, and each answers its own city.
+func TestLensValuesShareOnePreparedEntry(t *testing.T) {
+	sys := buildSystem(t, Config{})
+	if err := sys.PublishLens(&Lens{
+		Name:    "by-city",
+		Queries: []string{`WHERE <cust><who>$w</who><where>$p</where></cust> IN "customers", $p = '${city}' CONSTRUCT <r>$w</r>`},
+		Params:  []LensParam{{Name: "city", Required: true}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := sys.Engine(0).PreparedStats()
+	for _, tc := range [][2]string{{"London", "Ada Lovelace"}, {"Cambridge", "Alan Turing"}, {"New York", "Grace Hopper"}} {
+		got, err := sys.RenderLens(context.Background(), "by-city", map[string]string{"city": tc[0]}, DevicePlain, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc[1]+"\n" {
+			t.Errorf("city %s: %q, want %s", tc[0], got, tc[1])
+		}
+	}
+	after := sys.Engine(0).PreparedStats()
+	if got := [3]int64{after.Misses - before.Misses, after.Hits - before.Hits, int64(after.Entries - before.Entries)}; got != [3]int64{1, 2, 1} {
+		t.Errorf("prepared misses, hits, entries grew by %v, want [1 2 1]", got)
+	}
+}
+
 // TestFacadeRegisterFunctionsWhileQuerying re-exports the cleaning
 // functions in a loop while queries call similarity(). Under -race, a
 // registration that writes the function map running queries read is a
