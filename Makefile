@@ -102,13 +102,19 @@ sched-race:
 
 # resultpath-race exercises the no-copy result path under the race
 # detector: the serializer's escaper against encoding/xml on the fuzz
-# seed corpus and the reference writer, the no-copy <results> root
-# against Document() byte for byte, and eight goroutines serving one
-# cached answer in place while a ninth copies and edits it — any write to
-# a node shared with the cache is a reported race. The construct builder
-# is held to its reference (property and fuzz seeds), its slab-carved
-# results to not aliasing one another, and a tuple spliced from concurrent
-# queries to copying the source nodes it holds. A pushed fragment bound
+# seed corpus and the reference writer, a document whose root is written
+# last against WriteNode, the no-copy <results> root against Document()
+# byte for byte, and eight goroutines serving one cached answer in place
+# while a ninth copies and edits it — any write to a node shared with the
+# cache is a reported race. An answer serialized while it is built is
+# held to the materialized one over HTTP (empty, partial, escaped,
+# spliced, nested, union, sorted, failing on a late row), and reports to
+# the Document copy they were appended to. The construct builder is held
+# to its reference (property and fuzz seeds), also rewound after every
+# result, its slab-carved results to not aliasing one another, and a
+# tuple spliced from concurrent queries to copying the source nodes it
+# holds; the rewound builder's allocation pin runs without the race
+# detector. A pushed fragment bound
 # from rows is held to binding from its XML export (table and property),
 # its fetch to one memo entry whose rendered export concurrent readers
 # share, and its faults and simulated transport to the XML twin's —
@@ -121,15 +127,17 @@ sched-race:
 # reaches every cache of both layouts, whose keys ignore whitespace and
 # whose metrics count them all.
 resultpath-race:
-	$(GO) test -race -run 'FuzzSerializeEscape|TestSerializeMatchesReference|TestBufferReuse' -count=1 ./internal/xmlparse
-	$(call run-named,-race -count=1,TestBuilderEqualsReference|FuzzConstruct,./internal/algebra)
+	$(GO) test -race -run 'FuzzSerializeEscape|TestSerializeMatchesReference|TestBufferReuse|TestDocumentRootWrittenLast' -count=1 ./internal/xmlparse
+	$(call run-named,-race -count=1,TestBuilderEqualsReference|FuzzConstruct|TestBuilderRewindEqualsReference,./internal/algebra)
+	$(call run-named,-count=1,TestBuilderRewindAllocatesOnce,./internal/algebra)
 	$(call run-named,-race -count=1,TestView|TestBuilderSlabsDoNotAlias|TestTupleSpliceCopiesBoundNodes|TestRowFetchUnderChaosMatchesXMLTwin,./internal/core)
 	$(call run-named,-race -count=1,TestBindRowsEqualsExportReadBack,./internal/opt)
 	$(call run-named,-race -count=10,TestRowAnswerIsOneFetchAndRendersTheExport|TestConcurrentReadersShareOneRowAnswer,./internal/exec)
 	$(call run-named,-race -count=1,TestNetworkSimRowsMatchDocuments|TestWrappersForwardRows,./internal/sources)
 	$(call run-named,-race -count=1,TestRowFaultsShareTheSchedule,./internal/chaos)
 	$(call run-named,-race -count=1,TestProjectedRowsDoNotAlias,./internal/rdb)
-	$(call run-named,-race -count=10,TestCachedValuesStayImmutable|TestQueryContentLength,./internal/server)
+	$(call run-named,-race -count=10,TestCachedValuesStayImmutable|TestQueryContentLength|TestStreamedAnswerEqualsMaterialized,./internal/server)
+	$(call run-named,-race -count=1,TestReportsRenderAsTheDocumentCopy,./internal/server)
 	$(call run-named,-race -count=1,TestAdminChangesReachEveryCache|TestCachingOnQueryEndpoint|TestAdminEndpoints|TestAdminDefineSchema,./internal/server)
 	$(call run-named,-race -count=1,TestFacadeRenderLensConcurrent|TestFacadeRegisterFunctionsWhileQuerying|TestFacadeDropInvalidatesCache|TestFacadeCacheTTL|TestFacadeRefreshReachesCache|TestFacadeDefineSchemaReachesCache|TestFacadeWhitespaceVariantsShareAnEntry,.)
 	$(call run-named,-race -count=1,TestInvalidateReachesDependents|TestSharedCacheHitTakesNoSlot|TestCacheMetricsCoverEveryCache|TestPerInstanceCacheHits,./internal/cluster)
@@ -181,11 +189,15 @@ bench:
 
 # bench-smoke builds the repository benchmark (bench/ is a module of its
 # own, which `go build ./...` does not see), runs its unit tests, and
-# drives two seconds of fed-join, which exits non-zero when any answer's
-# digest differs from the serial twin's.
+# drives two seconds each of fed-join (its answers sorted by the mediator,
+# so materialized) and of bulk-export and point-pushdown (serialized while
+# built); each exits non-zero when any answer's digest differs from the
+# serial twin's.
 bench-smoke:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload fed-join --seed 7 --seconds 2 --trace 0
+	bash bench/run.sh --workload bulk-export --seed 7 --seconds 2 --trace 0
+	bash bench/run.sh --workload point-pushdown --seed 7 --seconds 2 --trace 0
 
 # bench-compare measures the working tree against PARENT with the
 # repository benchmark and writes BENCH_$(ISSUE).json: ten alternating

@@ -40,6 +40,10 @@ func ConstructAll(ctx *Context, tmpl *xmlql.TmplElem, bindings []Binding) ([]xml
 // building; a result into which a node was copied is finalized
 // afterwards, since CopyNode leaves Ord unset.
 //
+// A caller done with each result as soon as it is built (it serialized
+// it) calls Rewind after each Build: every result is then carved from the
+// same one result's worth of slab, whatever the number of bindings.
+//
 // Nodes spliced from bindings are deep-copied: constructed trees own
 // their children, and the source documents must never be mutated (the
 // paper's virtual integration leaves "the source data unchanged", §3.2).
@@ -48,13 +52,18 @@ type Builder struct {
 	tmpl                   *xmlql.TmplElem
 	rows                   int
 	nNodes, nSlots, nAttrs int // per result
-	nodes                  []xmldm.Node
-	slots                  []xmldm.Value
-	attrs                  []xmldm.Attr
+	slabs                      // what is left of the slabs; results are carved from its front
+	whole                  slabs
 	// ord is the last ordinal assigned in the result being built; copied
 	// records that a splice copied a node into it.
 	ord    int
 	copied bool
+}
+
+type slabs struct {
+	nodes []xmldm.Node
+	slots []xmldm.Value
+	attrs []xmldm.Attr
 }
 
 // NewBuilder returns a Builder for tmpl whose slabs hold rows results.
@@ -80,13 +89,14 @@ func (bld *Builder) Build(ctx *Context, b Binding) (*xmldm.Node, error) {
 	// A result that failed part way leaves a partly used slab; the check
 	// is for a whole result's worth, not for a count of calls.
 	if len(bld.nodes) < bld.nNodes || len(bld.slots) < bld.nSlots || len(bld.attrs) < bld.nAttrs {
-		bld.nodes = make([]xmldm.Node, bld.rows*bld.nNodes)
+		bld.whole = slabs{nodes: make([]xmldm.Node, bld.rows*bld.nNodes)}
 		if bld.nSlots > 0 {
-			bld.slots = make([]xmldm.Value, bld.rows*bld.nSlots)
+			bld.whole.slots = make([]xmldm.Value, bld.rows*bld.nSlots)
 		}
 		if bld.nAttrs > 0 {
-			bld.attrs = make([]xmldm.Attr, bld.rows*bld.nAttrs)
+			bld.whole.attrs = make([]xmldm.Attr, bld.rows*bld.nAttrs)
 		}
+		bld.slabs = bld.whole
 	}
 	bld.ord, bld.copied = 0, false
 	n, err := bld.elem(ctx, bld.tmpl, b, nil)
@@ -98,6 +108,11 @@ func (bld *Builder) Build(ctx *Context, b Binding) (*xmldm.Node, error) {
 	}
 	return n, nil
 }
+
+// Rewind makes the next Build carve from the start of the current slabs
+// again, overwriting every result built since they were made: call it
+// only when none of those is read any more.
+func (bld *Builder) Rewind() { bld.slabs = bld.whole }
 
 func (bld *Builder) elem(ctx *Context, tmpl *xmlql.TmplElem, b Binding, parent *xmldm.Node) (*xmldm.Node, error) {
 	name := tmpl.Tag
@@ -114,7 +129,7 @@ func (bld *Builder) elem(ctx *Context, tmpl *xmlql.TmplElem, b Binding, parent *
 	n := &bld.nodes[0]
 	bld.nodes = bld.nodes[1:]
 	bld.ord++
-	n.Name, n.Parent, n.Ord = name, parent, bld.ord
+	*n = xmldm.Node{Name: name, Parent: parent, Ord: bld.ord} // reset whole: after Rewind it held a result
 	if k := len(tmpl.Attrs); k > 0 {
 		n.Attrs, bld.attrs = bld.attrs[:0:k], bld.attrs[k:]
 		for _, a := range tmpl.Attrs {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/testkit"
 	"repro/internal/xmldm"
+	"repro/internal/xmlparse"
 	"repro/internal/xmlql"
 )
 
@@ -250,19 +251,9 @@ type constructTally struct{ built, failed, tuples, refills int }
 // from the same slab shows.
 func checkConstruct(t testing.TB, rng *rand.Rand) constructTally {
 	t.Helper()
-	tmpl := genTemplate(rng, 3)
-	bs := make([]Binding, 1+rng.Intn(6))
-	inputs := map[*xmldm.Node]bool{}
-	for i := range bs {
-		bs[i] = genConstructBinding(rng)
-		collectNodes(bs[i], inputs)
-	}
+	tmpl, bs, inputs := drawConstruct(rng)
 	ctx := constructCtx()
-	want := make([]*xmldm.Node, len(bs))
-	wantErr := make([]error, len(bs))
-	for i, b := range bs {
-		want[i], wantErr[i] = refBuildResult(ctx, tmpl, b)
-	}
+	want, wantErr := refBuildAll(ctx, tmpl, bs)
 	var tally constructTally
 	for _, rows := range []int{1, (len(bs) + 1) / 2, len(bs), len(bs) + 2} {
 		if rows < len(bs) {
@@ -300,6 +291,29 @@ func checkConstruct(t testing.TB, rng *rand.Rand) constructTally {
 	return tally
 }
 
+// drawConstruct draws one template and up to six bindings, and collects
+// every element the bindings hold.
+func drawConstruct(rng *rand.Rand) (*xmlql.TmplElem, []Binding, map[*xmldm.Node]bool) {
+	tmpl := genTemplate(rng, 3)
+	bs := make([]Binding, 1+rng.Intn(6))
+	inputs := map[*xmldm.Node]bool{}
+	for i := range bs {
+		bs[i] = genConstructBinding(rng)
+		collectNodes(bs[i], inputs)
+	}
+	return tmpl, bs, inputs
+}
+
+// refBuildAll builds the reference result of each binding.
+func refBuildAll(ctx *Context, tmpl *xmlql.TmplElem, bs []Binding) ([]*xmldm.Node, []error) {
+	want := make([]*xmldm.Node, len(bs))
+	wantErr := make([]error, len(bs))
+	for i, b := range bs {
+		want[i], wantErr[i] = refBuildResult(ctx, tmpl, b)
+	}
+	return want, wantErr
+}
+
 // TestBuilderEqualsReference_Property: over random templates — literal
 // and variable tags, attributes, literal text, spliced strings, empty
 // strings, Null, Ints, elements, collections and tuples, nested queries,
@@ -332,6 +346,44 @@ func FuzzConstruct(f *testing.F) {
 	})
 }
 
+// TestBuilderRewindEqualsReference builds every binding of the property's
+// draws — the FuzzConstruct seeds and 300 more — in one rewound result's
+// worth of slab, serializing each result as soon as it is built, the way
+// the engine streams an answer: each serialization equals the reference
+// tree's, and each error the reference's, including the rows after a
+// failed one.
+func TestBuilderRewindEqualsReference(t *testing.T) {
+	seeds := []int64{0, 1, 7, 42, 20010402}
+	for s := int64(100); s < 400; s++ {
+		seeds = append(seeds, s)
+	}
+	built, failed := 0, 0
+	for _, seed := range seeds {
+		tmpl, bs, _ := drawConstruct(rand.New(rand.NewSource(seed)))
+		ctx := constructCtx()
+		want, wantErr := refBuildAll(ctx, tmpl, bs)
+		bld := NewBuilder(tmpl, 1)
+		for i, b := range bs {
+			got, err := bld.Build(ctx, b)
+			if (err == nil) != (wantErr[i] == nil) || (err != nil && err.Error() != wantErr[i].Error()) {
+				t.Fatalf("seed %d binding %d: error %v, want %v", seed, i, err, wantErr[i])
+			}
+			if err == nil {
+				built++
+				if g, w := xmlparse.SerializeString(got, 2), xmlparse.SerializeString(want[i], 2); g != w {
+					t.Fatalf("seed %d binding %d:\nbuilt:\n%s\nreference:\n%s", seed, i, g, w)
+				}
+			} else {
+				failed++
+			}
+			bld.Rewind()
+		}
+	}
+	if built < 600 || failed < 100 {
+		t.Fatalf("built %d, failed %d: the generator no longer exercises the rewound builder", built, failed)
+	}
+}
+
 const bulkExportTemplate = `WHERE <a>$q</a> IN "s"
 	CONSTRUCT <row id=$i><contact><name>$w</name><city>$c</city></contact><status><tier>$t</tier></status></row>`
 
@@ -361,5 +413,30 @@ func TestBuilderAllocatesThreeSlabs(t *testing.T) {
 		}
 	}); n > 4 {
 		t.Errorf("100 results allocate %v times, want 3 slabs and the builder", n)
+	}
+}
+
+// TestBuilderRewindAllocatesOnce pins the rewound builder's point: any
+// number of results built one at a time, each rewound after use, cost
+// the three slabs of one result and the builder, not three per result.
+func TestBuilderRewindAllocatesOnce(t *testing.T) {
+	if testkit.Race {
+		t.Skip("the race detector allocates")
+	}
+	tmpl := xmlql.MustParse(bulkExportTemplate).Construct
+	b := bind("i", xmldm.String("7"), "w", xmldm.String("Ada"), "c", xmldm.String("London"), "t", xmldm.String("gold"))
+	ctx := &Context{}
+	for _, rows := range []int{1, 100, 2000} {
+		if n := testing.AllocsPerRun(10, func() {
+			bld := NewBuilder(tmpl, 1)
+			for i := 0; i < rows; i++ {
+				if _, err := bld.Build(ctx, b); err != nil {
+					t.Fatal(err)
+				}
+				bld.Rewind()
+			}
+		}); n > 4 {
+			t.Errorf("%d rewound results allocate %v times, want 3 slabs and the builder", rows, n)
+		}
 	}
 }

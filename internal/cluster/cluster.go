@@ -438,7 +438,8 @@ func (c *Cluster) Query(ctx context.Context, q string) (*core.Result, error) {
 
 // QueryOpt is Query with per-query options. A cached answer's values are
 // shared with every later hit: render them through View, or edit a
-// Document copy.
+// Document copy. Where a result cache is in use the answer is always
+// materialized, so qo.Buffer is dropped and Values set, hit or miss.
 func (c *Cluster) QueryOpt(ctx context.Context, q string, qo core.QueryOptions) (*core.Result, error) {
 	key := qcache.Key(q)
 	// The cluster hop hangs under the caller's span (nil-safe: without a
@@ -476,6 +477,7 @@ func (c *Cluster) QueryOpt(ctx context.Context, q string, qo core.QueryOptions) 
 	var gen uint64
 	if cache != nil {
 		gen = cache.Generation()
+		qo.Buffer = nil // the cache stores Values
 	}
 	res, err := m.engine.QueryOpt(ctx, q, qo)
 	if err == nil && useCache && cache != nil && res.Completeness.Complete {
@@ -491,7 +493,7 @@ func cacheGet(cache *qcache.Cache, key string, sp *obs.Span) (*core.Result, bool
 	if !ok {
 		return nil, false
 	}
-	res := &core.Result{Values: hit.Values}
+	res := &core.Result{Values: hit.Values, Rows: len(hit.Values)}
 	res.Completeness.Complete = true
 	return res, true
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/opt"
 	"repro/internal/sched"
 	"repro/internal/xmldm"
+	"repro/internal/xmlparse"
 	"repro/internal/xmlql"
 )
 
@@ -267,8 +268,11 @@ type ExplainTree = algebra.ExplainNode
 
 // Result is a query's answer.
 type Result struct {
-	// Values are the constructed result elements, in result order.
+	// Values are the constructed result elements, in result order; nil
+	// when they went into QueryOptions.Buffer instead.
 	Values []xmldm.Value
+	// Rows counts the result elements, in Values or in the buffer.
+	Rows int
 	// Deps are the source and schema names the query text reads, at any
 	// depth (catalog.QueryDeps); shared with the prepared query, so
 	// read-only.
@@ -329,6 +333,14 @@ type QueryOptions struct {
 	// query: "interactive" or "batch" (empty keeps the engine default).
 	// The HTTP front end maps the X-Nimble-Class header here.
 	Class string
+	// Buffer, when set, takes the answer in place of Result.Values if
+	// its order is final as it is built (no ORDER-BY, or one the source
+	// sorted): each result element is appended with WriteChild as soon as
+	// it is built, from one builder slab rewound for the next, so no
+	// result tree is held. The caller has begun the document
+	// (StartDocument) and ends it under the Result's root; a query that
+	// fails part way leaves what it appended, for the caller to discard.
+	Buffer *xmlparse.Buffer
 }
 
 // Query parses and executes an XML-QL query.
@@ -436,7 +448,7 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 		res.Deps = catalog.QueryDeps(q)
 	}
 	qs := &queryState{ctx: ctx, access: access, actx: actx, par: par,
-		top: true, call: call, stats: &res.Stats, aq: aq, ex: res.Explain}
+		top: true, call: call, stats: &res.Stats, aq: aq, ex: res.Explain, buf: qo.Buffer}
 	sub := &queryState{ctx: ctx, access: access, actx: actx, par: par}
 	actx.SubqueryEval = func(subq *xmlql.Query, outer algebra.Binding) ([]xmldm.Value, error) {
 		return e.run(sub, subq, outer)
@@ -467,6 +479,7 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 		root.SetAttr("error", err.Error())
 	} else {
 		res.Values = values
+		res.Rows = len(values) + qs.streamed
 		res.Completeness = access.Report()
 		res.Stats.TuplesEmitted = snap.TuplesEmitted
 		res.Stats.PatternMatches = snap.PatternMatches
@@ -474,10 +487,10 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 		res.Stats.OperatorsRun = snap.OperatorsRun
 		res.Stats.ParallelWorkers = snap.WorkersSpawned
 		res.Stats.WorkerNanos = snap.WorkerNanos
-		res.Explain.RowsOut = int64(len(values))
+		res.Explain.RowsOut = int64(res.Rows)
 		entry.Tuples = snap.TuplesEmitted
 		entry.Complete = res.Completeness.Complete
-		root.SetInt("results", int64(len(values)))
+		root.SetInt("results", int64(res.Rows))
 		root.SetInt("tuples", snap.TuplesEmitted)
 		root.SetBool("complete", res.Completeness.Complete)
 	}
@@ -550,6 +563,10 @@ type queryState struct {
 	stats *Stats
 	aq    *ActiveQuery
 	ex    *algebra.ExplainNode
+	// buf is QueryOptions.Buffer, set for the query itself alone;
+	// streamed counts the results written to it.
+	buf      *xmlparse.Buffer
+	streamed int
 }
 
 // run executes one query (possibly correlated under an outer binding)
@@ -664,13 +681,22 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		}
 		aq.SetPhase("construct")
 		spCons := spRw.StartChild("construct")
-		bld := algebra.NewBuilder(plan.Construct, len(bindings))
-		out = slices.Grow(out, len(bindings))
-		if len(q.OrderBy) > 0 {
-			keys = slices.Grow(keys, len(bindings))
+		// An answer in its final order is serialized as it is built, when
+		// the caller gave a buffer; one the mediator sorts is held whole.
+		stream := qs.buf != nil && (len(q.OrderBy) == 0 || orderPushed)
+		rows := 1
+		if !stream {
+			rows = len(bindings)
+			out = slices.Grow(out, rows)
+			if len(q.OrderBy) > 0 {
+				keys = slices.Grow(keys, rows)
+			}
 		}
+		bld := algebra.NewBuilder(plan.Construct, rows)
 		for _, b := range bindings {
 			if len(q.OrderBy) > 0 {
+				// Evaluated when the sources sorted too: a key that fails
+				// fails the query on either path.
 				k := make([]xmldm.Value, 0, len(plan.OrderBy))
 				for _, key := range plan.OrderBy {
 					v, err := algebra.Eval(actx, key.Expr, b)
@@ -681,13 +707,21 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 					}
 					k = append(k, v)
 				}
-				keys = append(keys, k)
+				if !stream {
+					keys = append(keys, k)
+				}
 			}
 			v, err := bld.Build(actx, b)
 			if err != nil {
 				spCons.Finish()
 				spRw.Finish()
 				return nil, err
+			}
+			if stream {
+				qs.buf.WriteChild(v)
+				qs.streamed++
+				bld.Rewind()
+				continue
 			}
 			out = append(out, v)
 		}

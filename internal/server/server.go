@@ -193,9 +193,14 @@ func writeXML(w http.ResponseWriter, n *xmldm.Node) {
 	buf := xmlparse.NewBuffer()
 	defer buf.Release()
 	buf.WriteNode(n, 2)
+	writeBody(w, buf.Bytes())
+}
+
+// writeBody sends an XML document as a 200 response framed by its length.
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/xml")
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf.Bytes())))
-	w.Write(buf.Bytes())
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // handleTraces is the searchable trace store:
@@ -412,41 +417,50 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := s.startTrace(w, r, "request")
 	defer s.finishTrace(sp)
 	start := time.Now()
-	res, err := s.Cluster.QueryOpt(ctx, q, core.QueryOptions{Profile: profile, Explain: explain, Class: class})
+	// The answer is assembled in one pooled buffer, the <results> root
+	// last, once the query knows whether it is complete. A plain answer
+	// in its final order is appended by the engine row by row as it is
+	// built; a sorted, cached, explained or profiled one comes back as
+	// Values — the cache's own, on a hit — and is appended from them.
+	buf := xmlparse.NewBuffer()
+	defer buf.Release()
+	buf.StartDocument(2)
+	qo := core.QueryOptions{Profile: profile, Explain: explain, Class: class}
+	if !profile && !explain {
+		qo.Buffer = buf
+	}
+	res, err := s.Cluster.QueryOpt(ctx, q, qo)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		s.logger().WarnContext(ctx, "query failed", "query", q, "error", err.Error())
 		writeQueryError(w, err)
 		return
 	}
-	var doc *xmldm.Node
-	if profile || explain {
-		doc = res.Document()
-		if explain && res.Explain != nil {
-			ex := &xmldm.Node{Name: "explain", Parent: doc}
-			ex.Attrs = append(ex.Attrs,
-				xmldm.Attr{Name: "operators", Value: strconv.FormatInt(res.Stats.OperatorsRun, 10)},
-				xmldm.Attr{Name: "drain_ms", Value: fmt.Sprintf("%.3f", float64(res.Stats.DrainNanos)/1e6)})
-			ex.Children = append(ex.Children, xmldm.String("\n"+res.Explain.Render()))
-			doc.Children = append(doc.Children, ex)
-		}
-		if profile && res.Trace != nil {
-			prof := &xmldm.Node{Name: "profile", Parent: doc}
-			sn := spanNode(res.Trace)
-			sn.Parent = prof
-			prof.Children = append(prof.Children, sn)
-			doc.Children = append(doc.Children, prof)
-		}
-		xmldm.Finalize(doc)
-	} else {
-		// Nothing is added to a plain answer, so it is rendered
-		// straight from the result values — the cache's own, on a hit —
-		// without the copy.
-		doc = res.View()
-	}
 	s.logger().InfoContext(ctx, "query served", "query", q,
 		"elapsed_ms", float64(time.Since(start))/float64(time.Millisecond))
-	writeXML(w, doc)
+	writeBody(w, endAnswer(buf, res, explain, profile))
+}
+
+// endAnswer completes the answer document buf began: it appends res's
+// Values (empty when the engine already appended the rows) and, when
+// asked, the <explain> report and the <profile> span tree, then closes
+// the document under res's <results> root and returns its bytes.
+func endAnswer(buf *xmlparse.Buffer, res *core.Result, explain, profile bool) []byte {
+	for _, v := range res.Values {
+		buf.WriteChild(v.(*xmldm.Node))
+	}
+	if explain && res.Explain != nil {
+		ex := &xmldm.Node{Name: "explain"}
+		ex.Attrs = append(ex.Attrs,
+			xmldm.Attr{Name: "operators", Value: strconv.FormatInt(res.Stats.OperatorsRun, 10)},
+			xmldm.Attr{Name: "drain_ms", Value: fmt.Sprintf("%.3f", float64(res.Stats.DrainNanos)/1e6)})
+		ex.Children = append(ex.Children, xmldm.String("\n"+res.Explain.Render()))
+		buf.WriteChild(ex)
+	}
+	if profile && res.Trace != nil {
+		buf.WriteChild(&xmldm.Node{Name: "profile", Children: []xmldm.Value{spanNode(res.Trace)}})
+	}
+	return buf.EndDocument(res.View())
 }
 
 // NewHTTPServer wraps a handler in an http.Server with the timeouts a

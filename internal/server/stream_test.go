@@ -1,0 +1,199 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/chaos"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/rdb"
+	"repro/internal/sources"
+	"repro/internal/xmldm"
+	"repro/internal/xmlparse"
+)
+
+// newStreamServer builds a deployment without a result cache, so a plain
+// /query answer is serialized while it is built. Its data needs escaping
+// (names with markup characters and a tab, a city with a quote), one
+// union view reads two live sources and another a live and a dead one,
+// wrap() returns a tuple holding a collection, and late() fails on the
+// last customer, "Zed".
+func newStreamServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	db := rdb.NewDatabase("crm")
+	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
+	for i, name := range []string{`Ada & "Co"`, "Alan <Turing>", "Grace\tHopper", "Zed"} {
+		if err := db.Insert("customers", rdb.Row{xmldm.Int(int64(i + 1)), xmldm.String(name), xmldm.String("Lon'don")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := catalog.New()
+	books, err := sources.NewXMLSource("books", `<bib><book year="1994"><title>T &amp; U</title><note>n1</note><note>n2</note></book><book><title>V</title></book></bib>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := sources.NewXMLSource("dead", `<d><who>Nobody</who></d>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []catalog.Source{
+		sources.NewRelationalSource("crmdb", db),
+		books,
+		chaos.Wrap(dead, chaos.Script{Then: chaos.Fault{Kind: chaos.Unavailable}}),
+	} {
+		if err := cat.AddSource(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range [][2]string{
+		{"customers", `WHERE <customer><name>$n</name><city>$c</city></customer> IN "crmdb" CONSTRUCT <cust><who>$n</who><where>$c</where></cust>`},
+		{"people", `WHERE <customer><name>$n</name></customer> IN "crmdb" CONSTRUCT <person><name>$n</name></person>`},
+		{"people", `WHERE <book><title>$n</title></book> IN "books" CONSTRUCT <person><name>$n</name></person>`},
+		{"everyone", `WHERE <customer><name>$n</name></customer> IN "crmdb" CONSTRUCT <person><name>$n</name></person>`},
+		{"everyone", `WHERE <who>$n</who> IN "dead" CONSTRUCT <person><name>$n</name></person>`},
+	} {
+		if err := cat.DefineViewQL(v[0], v[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := core.New(cat)
+	e.RegisterFunc("wrap", func(args []xmldm.Value) (xmldm.Value, error) {
+		return xmldm.NewTuple(
+			xmldm.Field{Name: "book", Value: args[0]},
+			xmldm.Field{Name: "all", Value: xmldm.NewCollection(args[0], xmldm.String("x<y"), xmldm.Null{})},
+		), nil
+	})
+	e.RegisterFunc("late", func(args []xmldm.Value) (xmldm.Value, error) {
+		if xmldm.Stringify(args[0]) == "Zed" {
+			return nil, errors.New("late: no Zed")
+		}
+		return args[0], nil
+	})
+	srv := &Server{Cluster: cluster.New(cluster.Config{}, e)}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
+// streamCorpus is what TestStreamedAnswerEqualsMaterialized serves; rows
+// is the row count, or -1 for a query that fails, and sorted marks the
+// one answer the mediator sorts (two rewrites), which is never streamed;
+// the source sorts order-pushed's.
+var streamCorpus = []struct {
+	name, query string
+	rows        int
+	sorted      bool
+}{
+	{"empty", `WHERE <cust><who>$w</who><where>$p</where></cust> IN "customers", $p = "Nowhere" CONSTRUCT <r>$w</r>`, 0, false},
+	{"partial", `WHERE <person><name>$n</name></person> IN "everyone" CONSTRUCT <p>$n</p>`, 4, false},
+	{"escaping", `WHERE <cust><who>$w</who><where>$p</where></cust> IN "customers" CONSTRUCT <r name=$w at=$p><city>$p</city>$w</r>`, 4, false},
+	{"splice", `WHERE <book><title>$t</title></book> ELEMENT_AS $e IN "books" CONSTRUCT <r>$e<w>{ wrap($e) }</w></r>`, 2, false},
+	{"subquery", `WHERE <book><title>$t</title></book> ELEMENT_AS $e IN "books" CONSTRUCT <b>$t{ WHERE <note>$x</note> IN $e CONSTRUCT <n>$x</n> }</b>`, 2, false},
+	{"union", `WHERE <person><name>$n</name></person> IN "people" CONSTRUCT <p>$n</p>`, 6, false},
+	{"cross", `WHERE <cust><who>$a</who></cust> IN "customers", <cust><who>$b</who></cust> IN "customers",
+		<cust><who>$c</who></cust> IN "customers" CONSTRUCT <combo n=$a><x>$b</x><y>$c</y></combo>`, 64, false},
+	{"order-pushed", `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r> ORDER-BY $w DESC`, 4, false},
+	{"sorted", `WHERE <person><name>$n</name></person> IN "people" CONSTRUCT <p>$n</p> ORDER-BY $n DESC`, 6, true},
+	{"late-error", `WHERE <customer><name>$n</name></customer> IN "crmdb" CONSTRUCT <r>{ late($n) }</r>`, -1, false},
+}
+
+// TestStreamedAnswerEqualsMaterialized serves each query of the corpus
+// over HTTP, where the engine appends the rows to the response buffer as
+// it builds them, and holds the response to the materialized path's —
+// writeXML of the View of Cluster.QueryOpt's Values, or writeQueryError
+// of its error — byte for byte, with the same status and Content-Length.
+// The engine call with a buffer is checked too: a streamed answer has no
+// Values, and the sorted one keeps them.
+func TestStreamedAnswerEqualsMaterialized(t *testing.T) {
+	srv, ts := newStreamServer(t)
+	ctx := context.Background()
+	for _, c := range streamCorpus {
+		res, err := srv.Cluster.QueryOpt(ctx, c.query, core.QueryOptions{})
+		want := httptest.NewRecorder()
+		if err != nil {
+			writeQueryError(want, err)
+		} else {
+			writeXML(want, res.View())
+		}
+		if (err != nil) != (c.rows < 0) || (err == nil && (len(res.Values) != c.rows || res.Rows != c.rows)) {
+			t.Fatalf("%s: materialized %v, error %v; the corpus expects %d rows", c.name, res, err, c.rows)
+		}
+
+		resp, body := postResp(t, ts.URL+"/query", c.query)
+		if resp.StatusCode != want.Code || body != want.Body.String() {
+			t.Errorf("%s: streamed status %d body\n%s\nmaterialized status %d body\n%s", c.name, resp.StatusCode, body, want.Code, want.Body)
+		}
+		if resp.ContentLength != int64(want.Body.Len()) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v, want length %d", c.name, resp.ContentLength, resp.TransferEncoding, want.Body.Len())
+		}
+		if l := want.Header().Get("Content-Length"); l != "" && l != strconv.FormatInt(resp.ContentLength, 10) {
+			t.Errorf("%s: Content-Length %d, materialized %s", c.name, resp.ContentLength, l)
+		}
+		if c.rows < 0 {
+			continue
+		}
+
+		buf := xmlparse.NewBuffer()
+		buf.StartDocument(2)
+		res, err = srv.Cluster.QueryOpt(ctx, c.query, core.QueryOptions{Buffer: buf})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Rows != c.rows || (res.Values == nil) == c.sorted {
+			t.Errorf("%s: %d rows, %d held as Values; sorted=%v", c.name, res.Rows, len(res.Values), c.sorted)
+		}
+		if got := string(endAnswer(buf, res, false, false)); got != want.Body.String() {
+			t.Errorf("%s: answer from Cluster.QueryOpt with a buffer\n%s\nwant\n%s", c.name, got, want.Body)
+		}
+		buf.Release()
+	}
+}
+
+// TestReportsRenderAsTheDocumentCopy holds endAnswer, on answers with
+// ?explain=1 and ?profile=1, to how the front end rendered them before it
+// assembled answers in the buffer: the <explain> and <profile> elements
+// appended to a Document copy, serialized whole.
+func TestReportsRenderAsTheDocumentCopy(t *testing.T) {
+	srv, _ := newStreamServer(t)
+	for _, c := range streamCorpus {
+		if c.rows < 0 {
+			continue
+		}
+		for _, qo := range []core.QueryOptions{{Explain: true}, {Profile: true}, {Explain: true, Profile: true}} {
+			res, err := srv.Cluster.QueryOpt(context.Background(), c.query, qo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc := res.Document()
+			if qo.Explain {
+				ex := &xmldm.Node{Name: "explain", Parent: doc, Attrs: []xmldm.Attr{
+					{Name: "operators", Value: strconv.FormatInt(res.Stats.OperatorsRun, 10)},
+					{Name: "drain_ms", Value: strconv.FormatFloat(float64(res.Stats.DrainNanos)/1e6, 'f', 3, 64)}}}
+				ex.Children = append(ex.Children, xmldm.String("\n"+res.Explain.Render()))
+				doc.Children = append(doc.Children, ex)
+			}
+			if qo.Profile {
+				prof := &xmldm.Node{Name: "profile", Parent: doc}
+				sn := spanNode(res.Trace)
+				sn.Parent = prof
+				prof.Children = append(prof.Children, sn)
+				doc.Children = append(doc.Children, prof)
+			}
+			xmldm.Finalize(doc)
+			want := httptest.NewRecorder()
+			writeXML(want, doc)
+
+			buf := xmlparse.NewBuffer()
+			buf.StartDocument(2)
+			if got := string(endAnswer(buf, res, qo.Explain, qo.Profile)); got != want.Body.String() {
+				t.Errorf("%s %+v:\n%s\nwant\n%s", c.name, qo, got, want.Body)
+			}
+			buf.Release()
+		}
+	}
+}

@@ -2,6 +2,7 @@ package xmlparse
 
 import (
 	"io"
+	"slices"
 	"sync"
 	"unicode/utf8"
 
@@ -22,6 +23,9 @@ var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 // trees shared between goroutines and on roots that were never finalized.
 type Buffer struct {
 	b []byte
+	// root and indent are the document StartDocument began: where the
+	// room it reserved for the root's start tag ends, and the indentation.
+	root, indent int
 }
 
 // NewBuffer takes an empty buffer from the pool; Release returns it.
@@ -33,7 +37,7 @@ func (b *Buffer) Release() {
 	if cap(b.b) > maxPooledBuffer {
 		return
 	}
-	b.b = b.b[:0]
+	*b = Buffer{b: b.b[:0]}
 	bufferPool.Put(b)
 }
 
@@ -44,6 +48,57 @@ func (b *Buffer) Bytes() []byte { return b.b }
 // (compact when indent <= 0).
 func (b *Buffer) WriteNode(n *xmldm.Node, indent int) {
 	b.b = appendNode(b.b, len(b.b), n, indent, 0)
+}
+
+// rootRoom is what StartDocument reserves for the root's start tag:
+// enough for `<results complete="false" failed="…">` with a source name
+// of up to 28 bytes. EndDocument moves the children for a longer tag.
+const rootRoom = 64
+
+// StartDocument begins a document whose root is written last, once its
+// attributes are known — a query answer's <results>, whose
+// complete="false" only the end of the query can tell. It reserves room
+// for the root's start tag; WriteChild appends each child element as it
+// is made, and EndDocument writes the root around them. indent is as for
+// WriteNode.
+func (b *Buffer) StartDocument(indent int) {
+	b.b = append(b.b, make([]byte, rootRoom)...)
+	b.root, b.indent = len(b.b), indent
+}
+
+// WriteChild appends n as the next child element of the root
+// StartDocument began.
+func (b *Buffer) WriteChild(n *xmldm.Node) {
+	b.b = appendNode(b.b, -1, n, b.indent, 1)
+}
+
+// EndDocument closes the document StartDocument began under root's name
+// and attributes and returns its bytes: what WriteNode writes for root
+// with the children WriteChild wrote (root's own Children are not read).
+// The bytes are valid until Release.
+func (b *Buffer) EndDocument(root *xmldm.Node) []byte {
+	children := len(b.b) > b.root
+	if children {
+		b.b = appendPad(b.b, -1, b.indent, 0)
+		b.b = appendEndTag(b.b, root.Name)
+	}
+	// The start tag is rendered past the end, then moved into the room.
+	end := len(b.b)
+	b.b = appendStartTag(b.b, root)
+	if children {
+		b.b = append(b.b, '>')
+	} else {
+		b.b = append(b.b, "/>"...)
+	}
+	if grow := len(b.b) - end - rootRoom; grow > 0 {
+		b.b = slices.Insert(b.b, b.root-rootRoom, make([]byte, grow)...)
+		b.root += grow
+		end += grow
+	}
+	start := b.root - (len(b.b) - end)
+	copy(b.b[start:], b.b[end:])
+	b.b = b.b[:end]
+	return b.b[start:]
 }
 
 // Serialize writes n as XML to w, optionally indented. indent <= 0 means
@@ -72,15 +127,7 @@ func SerializeString(n *xmldm.Node, indent int) string {
 // in dst: every element but the first starts on a new line when indenting.
 func appendNode(dst []byte, start int, n *xmldm.Node, indent, depth int) []byte {
 	dst = appendPad(dst, start, indent, depth)
-	dst = append(dst, '<')
-	dst = append(dst, n.Name...)
-	for _, a := range n.Attrs {
-		dst = append(dst, ' ')
-		dst = append(dst, a.Name...)
-		dst = append(dst, `="`...)
-		dst = appendEscaped(dst, a.Value)
-		dst = append(dst, '"')
-	}
+	dst = appendStartTag(dst, n)
 	if len(n.Children) == 0 {
 		return append(dst, "/>"...)
 	}
@@ -100,11 +147,34 @@ func appendNode(dst []byte, start int, n *xmldm.Node, indent, depth int) []byte 
 	if !onlyText {
 		dst = appendPad(dst, start, indent, depth)
 	}
-	dst = append(dst, "</"...)
+	return appendEndTag(dst, n.Name)
+}
+
+// appendStartTag appends n's start tag up to its closing bracket: the
+// name and the attributes.
+func appendStartTag(dst []byte, n *xmldm.Node) []byte {
+	dst = append(dst, '<')
 	dst = append(dst, n.Name...)
+	for _, a := range n.Attrs {
+		dst = append(dst, ' ')
+		dst = append(dst, a.Name...)
+		dst = append(dst, `="`...)
+		dst = appendEscaped(dst, a.Value)
+		dst = append(dst, '"')
+	}
+	return dst
+}
+
+func appendEndTag(dst []byte, name string) []byte {
+	dst = append(dst, "</"...)
+	dst = append(dst, name...)
 	return append(dst, '>')
 }
 
+const spaces = "                                                                "
+
+// appendPad starts a line at depth when indenting: a line break, unless
+// nothing was written since start, and depth*indent spaces.
 func appendPad(dst []byte, start, indent, depth int) []byte {
 	if indent <= 0 {
 		return dst
@@ -112,8 +182,8 @@ func appendPad(dst []byte, start, indent, depth int) []byte {
 	if len(dst) > start {
 		dst = append(dst, '\n')
 	}
-	for i := depth * indent; i > 0; i-- {
-		dst = append(dst, ' ')
+	for n := depth * indent; n > 0; n -= len(spaces) {
+		dst = append(dst, spaces[:min(n, len(spaces))]...)
 	}
 	return dst
 }
@@ -125,6 +195,10 @@ func appendPad(dst []byte, start, indent, depth int) []byte {
 func appendEscaped(dst []byte, s string) []byte {
 	last := 0
 	for i := 0; i < len(s); {
+		if plainByte[s[i]] {
+			i++
+			continue
+		}
 		c := s[i]
 		var esc string
 		width := 1
@@ -153,11 +227,8 @@ func appendEscaped(dst []byte, s string) []byte {
 			esc = "&#xA;"
 		case c == '\r':
 			esc = "&#xD;"
-		case c < 0x20:
+		default: // the other control characters
 			esc = "�"
-		default:
-			i++
-			continue
 		}
 		dst = append(dst, s[last:i]...)
 		dst = append(dst, esc...)
@@ -166,6 +237,18 @@ func appendEscaped(dst []byte, s string) []byte {
 	}
 	return append(dst, s[last:]...)
 }
+
+// plainByte marks the bytes appendEscaped copies as they are: printable
+// ASCII but the five markup characters.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = true
+	}
+	for _, c := range `"'&<>` {
+		t[c] = false
+	}
+	return t
+}()
 
 // isXMLChar reports whether a rune of two or more bytes is in the XML
 // Char production (section 2.2 of the XML 1.0 specification).

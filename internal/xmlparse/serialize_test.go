@@ -3,6 +3,8 @@ package xmlparse
 import (
 	"bytes"
 	"encoding/xml"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/xmldm"
@@ -94,6 +96,74 @@ func TestSerializeMatchesReference(t *testing.T) {
 				t.Errorf("Serialize, indent %d:\n got %q\nwant %q", indent, w.String(), want)
 			}
 		}
+	}
+}
+
+// TestDocumentRootWrittenLast holds StartDocument, WriteChild and
+// EndDocument to WriteNode of the whole tree: no children, one and
+// several, a root with no attributes, with escaped ones and with a start
+// tag longer than the room reserved for it, compact and indented, in a
+// fresh buffer and after bytes already written.
+func TestDocumentRootWrittenLast(t *testing.T) {
+	kids, err := ParseString(`<k><a x="1&amp;2">t<b/></a><c>&lt;</c><d><e><f>deep</f></e></d></k>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("source-with-a-long-name/", 4)
+	for _, attrs := range [][]xmldm.Attr{
+		nil,
+		{{Name: "complete", Value: "false"}, {Name: "failed", Value: `crm"db<`}},
+		{{Name: "complete", Value: "false"}, {Name: "failed", Value: long}},
+	} {
+		for n := 0; n <= len(kids.Children); n++ {
+			root := &xmldm.Node{Name: "results", Attrs: attrs, Children: kids.Children[:n]}
+			for _, indent := range []int{-1, 0, 2} {
+				want := SerializeString(root, indent)
+				for _, prefix := range []string{"", "earlier bytes"} {
+					buf := NewBuffer()
+					buf.b = append(buf.b, prefix...)
+					buf.StartDocument(indent)
+					for _, c := range root.Children {
+						buf.WriteChild(c.(*xmldm.Node))
+					}
+					if got := string(buf.EndDocument(&xmldm.Node{Name: root.Name, Attrs: attrs})); got != want {
+						t.Errorf("%d children, attrs %v, indent %d, prefix %q:\n got %q\nwant %q", n, attrs, indent, prefix, got, want)
+					}
+					if !strings.HasPrefix(string(buf.Bytes()), prefix) {
+						t.Errorf("the bytes before the document changed: %q", buf.Bytes())
+					}
+					buf.Release()
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAppendNode serializes a 2000-row answer of bulk-export's shape
+// (an attribute, five nested elements and four text values per row, one
+// of them needing an escape) indented into a reused buffer.
+//
+//	go test -run '^$' -bench AppendNode ./internal/xmlparse
+func BenchmarkAppendNode(b *testing.B) {
+	root := &xmldm.Node{Name: "results"}
+	for i := 0; i < 2000; i++ {
+		elem := func(name string, children ...xmldm.Value) *xmldm.Node {
+			return &xmldm.Node{Name: name, Children: children}
+		}
+		row := elem("row",
+			elem("contact", elem("name", xmldm.String("Customer Number "+strconv.Itoa(i))), elem("city", xmldm.String("San Francisco"))),
+			elem("status", elem("tier", xmldm.String("gold & silver"))))
+		row.Attrs = []xmldm.Attr{{Name: "id", Value: strconv.Itoa(i)}}
+		root.Children = append(root.Children, row)
+	}
+	buf := NewBuffer()
+	buf.WriteNode(root, 2)
+	b.SetBytes(int64(len(buf.Bytes())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.b = buf.b[:0]
+		buf.WriteNode(root, 2)
 	}
 }
 
