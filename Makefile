@@ -121,12 +121,13 @@ sched-race:
 # share, and its faults and simulated transport to the XML twin's —
 # answers, reports, retries, breakers, outcomes and error text under a
 # seeded chaos schedule; projected rdb rows to not aliasing one another.
-# A single-table SELECT read in place is held to the same statement over
-# a materialized copy (property), an index-answered = to what Compare
-# matches; eight range SELECTs to sorting a fresh index once among them,
-# and UPDATE to copying on write (a SELECT * answer read while rows are
-# updated, SET a = b, b = a). A streamed answer pulls one binding at a
-# time (row k is written before binding k+1 is produced; an error on row
+# A single-table SELECT read in place is held to a reference that checks
+# WHERE and evaluates the select list row by row (property), an
+# index-answered = to what Compare matches; eight range SELECTs to
+# sorting a fresh index once among them, and UPDATE to copying on write
+# (a SELECT * answer read while rows are updated, SET a = b, b = a).
+# A streamed answer pulls one binding at a time (row k is written
+# before binding k+1 is produced; an error on row
 # k leaves k+1 produced), and Pull hands each on as produced. The pins
 # on bytes per streamed row, bytes and allocations per scanned SELECT
 # and fragment scan allocations run without the race detector.

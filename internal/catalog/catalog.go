@@ -29,8 +29,6 @@ type Capabilities struct {
 	Selection bool
 	// Projection: the source can return a subset of fields.
 	Projection bool
-	// Join: the source can join its own collections (e.g. SQL joins).
-	Join bool
 	// Ordering: the source can sort results.
 	Ordering bool
 	// KeyLookupOnly: the source only supports lookups by key/path (e.g.

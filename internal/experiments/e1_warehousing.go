@@ -8,7 +8,6 @@ import (
 	nimble "repro"
 	"repro/internal/sources"
 	"repro/internal/workload"
-	"repro/internal/xmldm"
 )
 
 // E1WarehousingVsVirtual reproduces the §3.3 tradeoff: "the main
@@ -60,9 +59,7 @@ func E1WarehousingVsVirtual(s Scale) *Table {
 			}
 
 			liveCount := func() int {
-				res := db.MustExec(`SELECT count(*) FROM customers WHERE city = 'Seattle'`)
-				n, _ := xmldm.ToInt(res.Rows[0][0])
-				return int(n)
+				return len(db.MustExec(`SELECT id FROM customers WHERE city = 'Seattle'`).Rows)
 			}
 			query := `WHERE <cust><who>$w</who><where>$p</where></cust> IN "customers", $p = "Seattle" CONSTRUCT <hit>$w</hit>`
 

@@ -9,7 +9,7 @@ import "testing"
 //	go test -fuzz=FuzzParseSQL ./internal/rdb
 func FuzzParseSQL(f *testing.F) {
 	seeds := []string{
-		`SELECT a, count(*) FROM t JOIN u ON t.a = u.b WHERE a LIKE 'x%' GROUP BY a HAVING count(*) > 1 ORDER BY a DESC LIMIT 5`,
+		`SELECT a, upper(b) AS u FROM t WHERE a LIKE 'x%' AND b IS NULL ORDER BY a DESC, b * 2`,
 		`INSERT INTO t (a, b) VALUES (1, 'x'), (NULL, 'O''Brien')`,
 		`CREATE TABLE t (a INT PRIMARY KEY, b VARCHAR(64))`,
 		`UPDATE t SET a = a + 1 WHERE b IS NOT NULL`,
@@ -17,7 +17,7 @@ func FuzzParseSQL(f *testing.F) {
 		`SELECT 'unterminated`,
 		`SELECT c.city AS v_c, c.id AS v_i FROM customers AS c WHERE (c.tier = 'O''Neil') AND (-3 < c.id) AND c.name NOT LIKE '%x' AND c.id NOT IN (1.5, 2)`,
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, removedForms...) {
 		f.Add(s)
 	}
 	f.Fuzz(checkPrepared)

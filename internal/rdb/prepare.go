@@ -47,9 +47,8 @@ type preparedSelect struct {
 
 // sqlSlot is what a SELECT made of one lifted token (sqlLifted): a
 // literal, a LIKE pattern or the alias of select item item, which a text
-// of the same shape rebinds; or none of them (a LIMIT count, a table
-// alias), which pins the token: a text that spells it otherwise is
-// parsed anew.
+// of the same shape rebinds; or none of them (a table alias), which
+// pins the token: a text that spells it otherwise is parsed anew.
 type sqlSlot struct {
 	text  string // the token's text in the statement parsed
 	lit   *SQLLit
@@ -240,20 +239,7 @@ func (b *sqlBinding) stmt(st *SelectStmt) *SelectStmt {
 	if items != nil {
 		out.Items = items
 	}
-	var joins []JoinClause
-	for i, j := range st.Joins {
-		if on := mapSQL(j.On, leaf); on != j.On {
-			if joins == nil {
-				joins = append([]JoinClause(nil), st.Joins...)
-			}
-			joins[i].On = on
-		}
-	}
-	if joins != nil {
-		out.Joins = joins
-	}
 	out.Where = mapSQL(st.Where, leaf)
-	out.Having = mapSQL(st.Having, leaf)
 	var order []SQLOrderItem
 	for i, o := range st.OrderBy {
 		if e := mapSQL(o.Expr, leaf); e != o.Expr {
@@ -343,7 +329,7 @@ func mapSQL(e SQLExpr, f func(orig, cur SQLExpr) SQLExpr) SQLExpr {
 			}
 		}
 		if args != nil {
-			cur = &SQLFunc{Name: x.Name, Args: args, Star: x.Star}
+			cur = &SQLFunc{Name: x.Name, Args: args}
 		}
 	}
 	return f(e, cur)

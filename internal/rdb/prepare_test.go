@@ -35,29 +35,26 @@ func execCached(t *testing.T, db *Database, sql string) string {
 // TestExecBindsPreparedSelect: a SELECT whose shape Exec has parsed is
 // bound, not parsed — new literals, LIKE patterns and select-list
 // aliases included — and answers what parsing it answers; a text that
-// differs in a pinned token (a LIMIT, a table alias) or does not parse
-// is parsed, with the parser's error.
+// differs in a pinned token (a table alias) or does not parse is parsed,
+// with the parser's error.
 func TestExecBindsPreparedSelect(t *testing.T) {
 	db := newTestDB(t)
 	for _, tc := range []struct {
 		sql string
 		hit bool
 	}{
-		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 1 ORDER BY id DESC LIMIT 5`, false},
-		{`SELECT name AS who, id AS i FROM customers WHERE city = 'Austin' AND id >= 0 ORDER BY id DESC LIMIT 5`, true},
-		{`select   name AS n, id AS i FROM customers WHERE city='London' AND id >= 2 ORDER BY id DESC LIMIT 5`, false},
-		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2 ORDER BY id DESC LIMIT 1`, false},
-		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2 ORDER BY id DESC LIMIT 1`, true},
-		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2.5 ORDER BY id DESC LIMIT 1`, true},
-		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 1.2.3 ORDER BY id DESC LIMIT 1`, false},
+		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 1 ORDER BY id DESC`, false},
+		{`SELECT name AS who, id AS i FROM customers WHERE city = 'Austin' AND id >= 0 ORDER BY id DESC`, true},
+		{`select   name AS n, id AS i FROM customers WHERE city='London' AND id >= 2 ORDER BY id DESC`, false},
+		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2 ORDER BY id DESC`, true},
+		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2.5 ORDER BY id DESC`, true},
+		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 1.2.3 ORDER BY id DESC`, false},
 		{`SELECT c.name AS n FROM customers AS c WHERE c.name LIKE 'A%' OR c.id IN (3, 4)`, false},
 		{`SELECT c.name AS m FROM customers AS c WHERE c.name LIKE '%ace' OR c.id IN (1, 9)`, true},
 		{`SELECT name AS m FROM customers AS c WHERE id IN (1, 9)`, false},
 		{`SELECT name AS m FROM customers AS d WHERE id IN (1, 9)`, false},
-		{`SELECT count(*) AS k, city AS c FROM customers WHERE id > 1 GROUP BY city HAVING count(*) >= 1 ORDER BY c`, false},
-		{`SELECT count(*) AS k, city AS c FROM customers WHERE id > 2 GROUP BY city HAVING count(*) >= 2 ORDER BY c`, true},
-		{`SELECT o.oid AS x FROM customers JOIN orders AS o ON id = o.cust_id AND o.total > 100 WHERE city = 'London'`, false},
-		{`SELECT o.oid AS x FROM customers JOIN orders AS o ON id = o.cust_id AND o.total > 50 WHERE city = 'New York'`, true},
+		{`SELECT concat(name, '?') AS k, city AS c FROM customers WHERE id > 1 AND city NOT IN ('Paris') ORDER BY c, id * -1`, false},
+		{`SELECT concat(name, '!') AS k, city AS c FROM customers WHERE id > 2 AND city NOT IN ('Austin') ORDER BY c, id * -2`, true},
 	} {
 		before := db.PreparedStats()
 		want := execParsed(t, db, tc.sql)
@@ -69,8 +66,8 @@ func TestExecBindsPreparedSelect(t *testing.T) {
 			t.Errorf("%s: stats %+v -> %+v, want hit %v", tc.sql, before, after, tc.hit)
 		}
 	}
-	if n := db.PreparedStats().Entries; n != 6 {
-		t.Errorf("%d entries, want 6", n)
+	if n := db.PreparedStats().Entries; n != 5 {
+		t.Errorf("%d entries, want 5", n)
 	}
 }
 

@@ -40,8 +40,7 @@ func TestInsertSelectRoundTrip_Property(t *testing.T) {
 		}
 
 		// Count matches.
-		res := db.MustExec(`SELECT count(*) FROM t`)
-		if c, _ := xmldm.ToInt(res.Rows[0][0]); int(c) != len(model) {
+		if c := len(db.MustExec(`SELECT id FROM t`).Rows); c != len(model) {
 			t.Logf("seed %d: count %d vs model %d", seed, c, len(model))
 			return false
 		}
@@ -69,13 +68,11 @@ func TestInsertSelectRoundTrip_Property(t *testing.T) {
 				naive++
 			}
 		}
-		q := fmt.Sprintf(`SELECT count(*) FROM t WHERE v >= %d`, lo)
-		before := db.MustExec(q)
+		q := fmt.Sprintf(`SELECT id FROM t WHERE v >= %d`, lo)
+		b := len(db.MustExec(q).Rows)
 		db.MustExec(`CREATE INDEX ON t (v)`)
-		after := db.MustExec(q)
-		b, _ := xmldm.ToInt(before.Rows[0][0])
-		a, _ := xmldm.ToInt(after.Rows[0][0])
-		if int(b) != naive || int(a) != naive {
+		a := len(db.MustExec(q).Rows)
+		if b != naive || a != naive {
 			t.Logf("seed %d: range count naive=%d scan=%d indexed=%d", seed, naive, b, a)
 			return false
 		}

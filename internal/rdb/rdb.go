@@ -1,8 +1,7 @@
 // Package rdb is an embedded relational database engine: typed tables,
-// hash and ordered indexes, and a SQL subset sufficient for the queries
-// the integration compiler generates (SELECT-FROM-WHERE with joins,
-// grouping, ordering and limits) plus the DML and DDL the test harness
-// needs.
+// hash and ordered indexes, and the SQL the integration compiler
+// generates (a single-table SELECT with WHERE and ORDER BY, sqlparse.go)
+// plus the DML and DDL the test harness needs.
 //
 // In the paper's deployment the relational sources are customers'
 // production DBMSs; here rdb plays that role so that the compiler's

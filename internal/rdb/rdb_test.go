@@ -145,99 +145,19 @@ func TestSelectProjectionAndAliases(t *testing.T) {
 	}
 }
 
-func TestSelectDistinct(t *testing.T) {
-	db := newTestDB(t)
-	res := db.MustExec(`SELECT DISTINCT city FROM customers`)
-	if len(res.Rows) != 3 {
-		t.Errorf("distinct cities = %d", len(res.Rows))
-	}
-}
-
 func TestSelectOrderByAndLimit(t *testing.T) {
 	db := newTestDB(t)
-	res := db.MustExec(`SELECT name FROM customers ORDER BY name DESC LIMIT 2`)
-	if len(res.Rows) != 2 {
+	res := db.MustExec(`SELECT name FROM customers ORDER BY name DESC`)
+	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	if xmldm.Stringify(res.Rows[0][0]) != "Grace Hopper" {
 		t.Errorf("first = %v", res.Rows[0][0])
 	}
 	// ORDER BY an alias.
-	res = db.MustExec(`SELECT total * 2 AS dbl FROM orders ORDER BY dbl LIMIT 1`)
+	res = db.MustExec(`SELECT total * 2 AS dbl FROM orders ORDER BY dbl`)
 	if f, _ := xmldm.ToFloat(res.Rows[0][0]); f != 84 {
 		t.Errorf("smallest doubled total = %v", res.Rows[0][0])
-	}
-}
-
-func TestJoin(t *testing.T) {
-	db := newTestDB(t)
-	res := db.MustExec(`SELECT c.name, o.total FROM customers c JOIN orders o ON c.id = o.cust_id WHERE o.status = 'shipped' ORDER BY o.total DESC`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	if xmldm.Stringify(res.Rows[0][0]) != "Ada Lovelace" {
-		t.Errorf("first = %v", res.Rows[0][0])
-	}
-}
-
-func TestJoinNonEqui(t *testing.T) {
-	db := newTestDB(t)
-	res := db.MustExec(`SELECT c.id, o.oid FROM customers c JOIN orders o ON c.id < o.cust_id AND o.status = 'open'`)
-	// open orders: 101 (cust 1), 103 (cust 3). c.id < cust_id:
-	// for 101: none (no id < 1); for 103: ids 1,2 → 2 rows.
-	if len(res.Rows) != 2 {
-		t.Errorf("rows = %d", len(res.Rows))
-	}
-}
-
-func TestImplicitCrossJoin(t *testing.T) {
-	db := newTestDB(t)
-	res := db.MustExec(`SELECT c.name FROM customers c, orders o WHERE c.id = o.cust_id AND o.total > 300`)
-	if len(res.Rows) != 1 || xmldm.Stringify(res.Rows[0][0]) != "Grace Hopper" {
-		t.Errorf("rows = %v", res.Rows)
-	}
-}
-
-func TestAggregates(t *testing.T) {
-	db := newTestDB(t)
-	res := db.MustExec(`SELECT count(*), sum(total), avg(total), min(total), max(total) FROM orders`)
-	row := res.Rows[0]
-	if n, _ := xmldm.ToInt(row[0]); n != 5 {
-		t.Errorf("count = %v", row[0])
-	}
-	if f, _ := xmldm.ToFloat(row[1]); f != 797.75 {
-		t.Errorf("sum = %v", row[1])
-	}
-	if f, _ := xmldm.ToFloat(row[3]); f != 42 {
-		t.Errorf("min = %v", row[3])
-	}
-	if f, _ := xmldm.ToFloat(row[4]); f != 310.25 {
-		t.Errorf("max = %v", row[4])
-	}
-}
-
-func TestGroupByHaving(t *testing.T) {
-	db := newTestDB(t)
-	res := db.MustExec(`SELECT cust_id, count(*) AS n, sum(total) AS t FROM orders GROUP BY cust_id HAVING count(*) >= 2 ORDER BY cust_id`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("groups = %d", len(res.Rows))
-	}
-	if id, _ := xmldm.ToInt(res.Rows[0][0]); id != 1 {
-		t.Errorf("first group = %v", res.Rows[0][0])
-	}
-	if n, _ := xmldm.ToInt(res.Rows[0][1]); n != 2 {
-		t.Errorf("count = %v", res.Rows[0][1])
-	}
-}
-
-func TestAggregateOverEmptyInput(t *testing.T) {
-	db := newTestDB(t)
-	res := db.MustExec(`SELECT count(*) FROM orders WHERE total > 10000`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	if n, _ := xmldm.ToInt(res.Rows[0][0]); n != 0 {
-		t.Errorf("count over empty = %v", res.Rows[0][0])
 	}
 }
 
@@ -422,9 +342,7 @@ func TestSQLErrors(t *testing.T) {
 		`INSERT INTO customers VALUES (1)`,
 		`INSERT INTO nosuch VALUES (1)`,
 		`UPDATE customers SET nosuch = 1`,
-		`SELECT name FROM customers GROUP BY name HAVING nosuch > 1`,
-		`SELECT count(*) FROM customers WHERE count(*) > 1`, // aggregate in WHERE
-		`SELECT * FROM customers LIMIT x`,
+		`SELECT max(total) FROM orders`, // not a scalar function
 		`CREATE UNIQUE TABLE t (a INT)`,
 		`SELECT * FROM customers ORDER BY`,
 		`garbage`,
@@ -435,15 +353,27 @@ func TestSQLErrors(t *testing.T) {
 			t.Errorf("Exec(%q) should fail", s)
 		}
 	}
+	for _, s := range removedForms {
+		if _, err := db.Exec(s); err == nil {
+			t.Errorf("Exec(%q) should fail", s)
+		}
+		if _, err := ParseSQL(s); err == nil {
+			t.Errorf("ParseSQL(%q) should fail", s)
+		}
+	}
 }
 
-func TestAmbiguousColumn(t *testing.T) {
-	db := newTestDB(t)
-	// "id" appears once, "cust_id" once; join and reference unqualified
-	// column appearing on both sides via alias duplication.
-	if _, err := db.Exec(`SELECT status FROM orders o1, orders o2 WHERE o1.oid = o2.oid`); err == nil {
-		t.Error("ambiguous unqualified column should fail")
-	}
+// removedForms are SELECTs of forms outside the dialect, over tables
+// that exist, so that only the grammar can refuse them: DISTINCT,
+// COUNT(*), a FROM list, JOIN, GROUP BY, HAVING and LIMIT.
+var removedForms = []string{
+	`SELECT DISTINCT city FROM customers`,
+	`SELECT count(*) FROM customers`,
+	`SELECT name FROM customers, orders`,
+	`SELECT name FROM customers JOIN orders ON customers.id = orders.cust_id`,
+	`SELECT city FROM customers GROUP BY city`,
+	`SELECT city FROM customers HAVING id > 1`,
+	`SELECT name FROM customers LIMIT 3`,
 }
 
 func TestScalarFunctions(t *testing.T) {
@@ -517,16 +447,8 @@ func TestNullSemantics(t *testing.T) {
 	if got := len(db.MustExec(`SELECT * FROM t WHERE a IS NULL`).Rows); got != 1 {
 		t.Errorf("IS NULL rows = %d", got)
 	}
-	// Aggregates skip NULLs.
-	res := db.MustExec(`SELECT count(a), sum(a) FROM t`)
-	if n, _ := xmldm.ToInt(res.Rows[0][0]); n != 2 {
-		t.Errorf("count(a) = %v", res.Rows[0][0])
-	}
-	if s, _ := xmldm.ToInt(res.Rows[0][1]); s != 4 {
-		t.Errorf("sum(a) = %v", res.Rows[0][1])
-	}
 	// Arithmetic with NULL yields NULL.
-	res = db.MustExec(`SELECT a + 1 FROM t WHERE b = 'y'`)
+	res := db.MustExec(`SELECT a + 1 FROM t WHERE b = 'y'`)
 	if res.Rows[0][0].Kind() != xmldm.KindNull {
 		t.Errorf("NULL + 1 = %v", res.Rows[0][0])
 	}
@@ -560,7 +482,7 @@ func TestConcurrentReads(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		go func() {
 			for j := 0; j < 50; j++ {
-				if _, err := db.Exec(`SELECT c.name FROM customers c JOIN orders o ON c.id = o.cust_id`); err != nil {
+				if _, err := db.Exec(`SELECT c.name FROM customers c WHERE c.id IN (1, 3) ORDER BY c.name`); err != nil {
 					done <- err
 					return
 				}
@@ -598,13 +520,6 @@ func TestVarcharLengthSuffix(t *testing.T) {
 	db := NewDatabase("d")
 	if _, err := db.Exec(`CREATE TABLE t (s VARCHAR(64), n DECIMAL(10, 2))`); err != nil {
 		t.Fatalf("length suffix: %v", err)
-	}
-}
-
-func TestSelectStarWithAggregateFails(t *testing.T) {
-	db := newTestDB(t)
-	if _, err := db.Exec(`SELECT * FROM orders GROUP BY status`); err == nil {
-		t.Error("star with GROUP BY should fail")
 	}
 }
 

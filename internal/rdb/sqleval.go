@@ -78,9 +78,6 @@ func evalSQL(e SQLExpr, rs *rowSet, row Row) (Value, error) {
 		isNull := v == nil || v.Kind() == xmldm.KindNull
 		return xmldm.Bool(isNull != x.Not), nil
 	case *SQLFunc:
-		if sqlAggregates[x.Name] {
-			return nil, fmt.Errorf("rdb: aggregate %s in row context (did you mean GROUP BY?)", x.Name)
-		}
 		args := make([]Value, len(x.Args))
 		for i, a := range x.Args {
 			v, err := evalSQL(a, rs, row)

@@ -133,29 +133,20 @@ type rowSet struct {
 	rows []Row
 }
 
+// lookup is the position of the column name, qualified by qual unless
+// qual is empty. The columns are one table's, whose names are distinct.
 func (rs *rowSet) lookup(qual, name string) (int, error) {
 	qual = strings.ToLower(qual)
 	name = strings.ToLower(name)
-	found := -1
 	for i, c := range rs.cols {
-		if c.name != name {
-			continue
+		if c.name == name && (qual == "" || c.qual == qual) {
+			return i, nil
 		}
-		if qual != "" && c.qual != qual {
-			continue
-		}
-		if found >= 0 {
-			return 0, fmt.Errorf("rdb: ambiguous column %q", name)
-		}
-		found = i
 	}
-	if found < 0 {
-		if qual != "" {
-			return 0, fmt.Errorf("rdb: unknown column %s.%s", qual, name)
-		}
-		return 0, fmt.Errorf("rdb: unknown column %q", name)
+	if qual != "" {
+		return 0, fmt.Errorf("rdb: unknown column %s.%s", qual, name)
 	}
-	return found, nil
+	return 0, fmt.Errorf("rdb: unknown column %q", name)
 }
 
 // resolve returns e with every column reference rs resolves replaced by
@@ -179,46 +170,24 @@ func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
 	defer db.mu.RUnlock()
 	res := &Result{}
 
-	// The rows FROM and JOIN read, and the part of WHERE no index has
-	// answered, resolved against their columns.
+	// The table's rows FROM reads, and the part of WHERE no index has
+	// answered, resolved against its columns.
 	src, err := db.buildFrom(st, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
 	where := src.resolve(src.where)
-
-	hasAgg := selectHasAggregate(st)
-	if !hasAgg && len(st.GroupBy) == 0 && len(st.OrderBy) == 0 {
+	if len(st.OrderBy) == 0 {
 		// Nothing needs the rows that pass WHERE together: each is
 		// projected as it is read.
 		return project(st, src, where, res)
 	}
+	// Order the rows that passed (so keys may reference any column of the
+	// table), then project them.
 	rs, err := src.filter(where)
 	if err != nil {
 		return nil, err
 	}
-	if hasAgg || len(st.GroupBy) > 0 {
-		rs, err = aggregate(st, rs)
-		if err != nil {
-			return nil, err
-		}
-		// After aggregation the row set's columns are exactly the output
-		// columns; ORDER BY and LIMIT operate on it directly.
-		if err := orderRows(st.OrderBy, rs, nil); err != nil {
-			return nil, err
-		}
-		if st.Limit >= 0 && len(rs.rows) > st.Limit {
-			rs.rows = rs.rows[:st.Limit]
-		}
-		for _, c := range rs.cols {
-			res.Columns = append(res.Columns, c.name)
-		}
-		res.Rows = rs.rows
-		return res, nil
-	}
-
-	// Non-aggregated: order the rows that passed (so keys may reference
-	// any input column), then project them.
 	if err := orderRows(st.OrderBy, rs, st.Items); err != nil {
 		return nil, err
 	}
@@ -230,14 +199,14 @@ func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
 const firstChunk = 64
 
 // project evaluates the select list over the rows of src that pass
-// where, in src's order, then applies DISTINCT and LIMIT. A SELECT *
-// answer shares the table's rows. The row list has room for every row
-// src visits (a slice header each). Projected rows are carved from
-// slabs, each row capped at its own length so that an append to one
-// cannot reach the next: one slab for all of them when where is nil,
-// since src then says how many there are, else a first chunk and then
-// chunks as large as what is held, none copied — a WHERE that drops most
-// rows of a large table does not allocate their values.
+// where, in src's order. A SELECT * answer shares the table's rows. The
+// row list has room for every row src visits (a slice header each).
+// Projected rows are carved from slabs, each row capped at its own
+// length so that an append to one cannot reach the next: one slab for
+// all of them when where is nil, since src then says how many there are,
+// else a first chunk and then chunks as large as what is held, none
+// copied — a WHERE that drops most rows of a large table does not
+// allocate their values.
 func project(st *SelectStmt, src *rowSource, where SQLExpr, res *Result) (*Result, error) {
 	outRows := make([]Row, 0, src.size())
 	hint := src.size()
@@ -299,12 +268,6 @@ func project(st *SelectStmt, src *rowSource, where SQLExpr, res *Result) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	if st.Distinct {
-		outRows = dedupeRows(outRows)
-	}
-	if st.Limit >= 0 && len(outRows) > st.Limit {
-		outRows = outRows[:st.Limit]
-	}
 	res.Rows = outRows
 	return res, nil
 }
@@ -319,10 +282,11 @@ func itemName(item SelectItem, i int) string {
 	return fmt.Sprintf("col%d", i+1)
 }
 
-// rowSource is what a SELECT reads: the columns of its FROM/JOIN row set
-// and, for tables joined, the rows, materialized; a single table is read
-// in place instead — every live row, or the row ids an index served
-// (indexed). where is the part of WHERE those rows have still to pass.
+// rowSource is what a SELECT reads: its table's columns and, read in
+// place, every live row of the table or the row ids an index served
+// (indexed); or, with no table, the rows of a materialized row set, as
+// ORDER BY leaves them. where is the part of WHERE those rows have still
+// to pass.
 type rowSource struct {
 	rowSet
 	table   *Table
@@ -390,12 +354,8 @@ func (s *rowSource) each(where SQLExpr, fn func(Row) error) error {
 	return nil
 }
 
-// filter is the row set of s's rows that pass where: s's own when they
-// are materialized and where is nil, else a new list of them.
+// filter is a new row set of s's rows that pass where.
 func (s *rowSource) filter(where SQLExpr) (*rowSet, error) {
-	if s.table == nil && where == nil {
-		return &s.rowSet, nil
-	}
 	rows := make([]Row, 0, s.size())
 	err := s.each(where, func(row Row) error {
 		rows = append(rows, row)
@@ -407,80 +367,30 @@ func (s *rowSource) filter(where SQLExpr) (*rowSet, error) {
 	return &rowSet{cols: s.cols, rows: rows}, nil
 }
 
-// buildFrom returns what a SELECT reads. A single table is read in
-// place, through an index when WHERE has a usable conjunct, and the WHERE
-// it returns with is all of it except a conjunct the index has answered
-// exactly; tables joined are materialized, and all of WHERE stays.
+// buildFrom returns what a SELECT reads: its table, read in place,
+// through an index when WHERE has a usable conjunct. The WHERE it returns
+// with is all of it except a conjunct the index has answered exactly.
 func (db *Database) buildFrom(st *SelectStmt, stats *ExecStats) (*rowSource, error) {
-	table := func(tr TableRef) (*Table, []colKey, error) {
-		t, ok := db.tables[strings.ToLower(tr.Table)]
-		if !ok {
-			return nil, nil, fmt.Errorf("rdb: %w: %q", ErrNoTable, tr.Table)
-		}
-		qual := strings.ToLower(tr.Ref())
-		cols := make([]colKey, len(t.Schema.Columns))
-		for i, c := range t.Schema.Columns {
-			cols[i] = colKey{qual: qual, name: strings.ToLower(c.Name)}
-		}
-		return t, cols, nil
+	t, ok := db.tables[strings.ToLower(st.From.Table)]
+	if !ok {
+		return nil, fmt.Errorf("rdb: %w: %q", ErrNoTable, st.From.Table)
 	}
-
-	if len(st.From) == 1 && len(st.Joins) == 0 {
-		t, cols, err := table(st.From[0])
-		if err != nil {
-			return nil, err
-		}
-		src := &rowSource{rowSet: rowSet{cols: cols}, table: t, where: st.Where, stats: stats}
-		if st.Where != nil {
-			if f := chooseIndexFilter(st.Where, t, st.From[0].Ref()); f != nil {
-				src.indexed, src.rids = true, f.lookup(t.indexes[f.column])
-				stats.IndexUsed = true
-				if f.exact {
-					src.where = f.rest
-				}
+	qual := strings.ToLower(st.From.Ref())
+	cols := make([]colKey, len(t.Schema.Columns))
+	for i, c := range t.Schema.Columns {
+		cols[i] = colKey{qual: qual, name: strings.ToLower(c.Name)}
+	}
+	src := &rowSource{rowSet: rowSet{cols: cols}, table: t, where: st.Where, stats: stats}
+	if st.Where != nil {
+		if f := chooseIndexFilter(st.Where, t, qual); f != nil {
+			src.indexed, src.rids = true, f.lookup(t.indexes[f.column])
+			stats.IndexUsed = true
+			if f.exact {
+				src.where = f.rest
 			}
 		}
-		return src, nil
 	}
-
-	load := func(tr TableRef) (*rowSet, error) {
-		t, cols, err := table(tr)
-		if err != nil {
-			return nil, err
-		}
-		rs := &rowSet{cols: cols, rows: make([]Row, 0, t.live)}
-		t.scanAll(func(_ int, row Row) bool {
-			stats.RowsScanned++
-			rs.rows = append(rs.rows, row)
-			return true
-		})
-		return rs, nil
-	}
-	rs, err := load(st.From[0])
-	if err != nil {
-		return nil, err
-	}
-	// Additional FROM tables: cross product (WHERE applies later).
-	for _, tr := range st.From[1:] {
-		right, err := load(tr)
-		if err != nil {
-			return nil, err
-		}
-		rs = crossJoin(rs, right)
-	}
-	// JOIN ... ON: hash join on simple equality, else filtered cross.
-	for _, jc := range st.Joins {
-		right, err := load(jc.Table)
-		if err != nil {
-			return nil, err
-		}
-		joined, err := joinOn(rs, right, jc.On)
-		if err != nil {
-			return nil, err
-		}
-		rs = joined
-	}
-	return &rowSource{rowSet: *rs, where: st.Where, stats: stats}, nil
+	return src, nil
 }
 
 type indexFilter struct {
@@ -643,132 +553,6 @@ func colLitComparison(bin *SQLBin, ref string) (col string, lit Value, op string
 	return "", nil, "", false
 }
 
-func crossJoin(l, r *rowSet) *rowSet {
-	out := &rowSet{cols: append(append([]colKey{}, l.cols...), r.cols...)}
-	for _, lr := range l.rows {
-		for _, rr := range r.rows {
-			row := make(Row, 0, len(lr)+len(rr))
-			row = append(row, lr...)
-			row = append(row, rr...)
-			out.rows = append(out.rows, row)
-		}
-	}
-	return out
-}
-
-// joinOn performs an inner join. When the ON condition contains an
-// equality between a left column and a right column it builds a hash
-// table on the right side; otherwise it falls back to a filtered cross
-// product.
-func joinOn(l, r *rowSet, on SQLExpr) (*rowSet, error) {
-	out := &rowSet{cols: append(append([]colKey{}, l.cols...), r.cols...)}
-	li, ri := findEquiJoin(on, l, r)
-	resolved := out.resolve(on) // the cross product below has out's columns
-	if li >= 0 {
-		ht := make(map[uint64][]Row)
-		for _, rr := range r.rows {
-			h := xmldm.Hash(rr[ri])
-			ht[h] = append(ht[h], rr)
-		}
-		for _, lr := range l.rows {
-			for _, rr := range ht[xmldm.Hash(lr[li])] {
-				if !xmldm.Equal(lr[li], rr[ri]) {
-					continue
-				}
-				row := make(Row, 0, len(lr)+len(rr))
-				row = append(row, lr...)
-				row = append(row, rr...)
-				// Residual ON predicates beyond the equality.
-				v, err := evalSQL(resolved, out, row)
-				if err != nil {
-					return nil, err
-				}
-				if xmldm.Truthy(v) {
-					out.rows = append(out.rows, row)
-				}
-			}
-		}
-		return out, nil
-	}
-	cross := crossJoin(l, r)
-	filtered := cross.rows[:0]
-	for _, row := range cross.rows {
-		v, err := evalSQL(resolved, cross, row)
-		if err != nil {
-			return nil, err
-		}
-		if xmldm.Truthy(v) {
-			filtered = append(filtered, row)
-		}
-	}
-	cross.rows = filtered
-	return cross, nil
-}
-
-// findEquiJoin locates an equality conjunct joining a left column to a
-// right column and returns their positions, or (-1, -1).
-func findEquiJoin(on SQLExpr, l, r *rowSet) (int, int) {
-	for _, c := range splitConjuncts(on) {
-		bin, ok := c.(*SQLBin)
-		if !ok || bin.Op != "=" {
-			continue
-		}
-		lc, lok := bin.L.(*ColRef)
-		rc, rok := bin.R.(*ColRef)
-		if !lok || !rok {
-			continue
-		}
-		if li, err := l.lookup(lc.Table, lc.Col); err == nil {
-			if ri, err := r.lookup(rc.Table, rc.Col); err == nil {
-				return li, ri
-			}
-		}
-		if li, err := l.lookup(rc.Table, rc.Col); err == nil {
-			if ri, err := r.lookup(lc.Table, lc.Col); err == nil {
-				return li, ri
-			}
-		}
-	}
-	return -1, -1
-}
-
-func dedupeRows(rows []Row) []Row {
-	seen := make(map[uint64][]Row)
-	var out []Row
-rowLoop:
-	for _, row := range rows {
-		h := hashRow(row)
-		for _, prev := range seen[h] {
-			if rowsEqual(prev, row) {
-				continue rowLoop
-			}
-		}
-		seen[h] = append(seen[h], row)
-		out = append(out, row)
-	}
-	return out
-}
-
-func hashRow(row Row) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, v := range row {
-		h = h*1099511628211 ^ xmldm.Hash(v)
-	}
-	return h
-}
-
-func rowsEqual(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !xmldm.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // orderRows sorts rs in place by the ORDER BY keys. Keys may reference
 // select-list aliases (resolved through items) or input columns.
 func orderRows(keys []SQLOrderItem, rs *rowSet, items []SelectItem) error {
@@ -816,212 +600,6 @@ func orderRows(keys []SQLOrderItem, rs *rowSet, items []SelectItem) error {
 		return false
 	})
 	return sortErr
-}
-
-func selectHasAggregate(st *SelectStmt) bool {
-	for _, item := range st.Items {
-		if exprHasAggregate(item.Expr) {
-			return true
-		}
-	}
-	return st.Having != nil && exprHasAggregate(st.Having)
-}
-
-func exprHasAggregate(e SQLExpr) bool {
-	switch x := e.(type) {
-	case *SQLFunc:
-		if sqlAggregates[x.Name] {
-			return true
-		}
-		for _, a := range x.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-	case *SQLBin:
-		return exprHasAggregate(x.L) || exprHasAggregate(x.R)
-	case *SQLNot:
-		return exprHasAggregate(x.E)
-	case *SQLLike:
-		return exprHasAggregate(x.E)
-	case *SQLIn:
-		return exprHasAggregate(x.E)
-	case *SQLIsNull:
-		return exprHasAggregate(x.E)
-	}
-	return false
-}
-
-// aggregate groups rs by the GROUP BY columns and evaluates the select
-// items per group; the returned row set's columns are the output columns.
-func aggregate(st *SelectStmt, rs *rowSet) (*rowSet, error) {
-	if st.Star {
-		return nil, fmt.Errorf("rdb: SELECT * cannot be combined with aggregation")
-	}
-	type group struct {
-		key  Row
-		rows []Row
-	}
-	var groups []*group
-	byHash := make(map[uint64][]*group)
-	keyIdx := make([]int, len(st.GroupBy))
-	for i, cr := range st.GroupBy {
-		ci, err := rs.lookup(cr.Table, cr.Col)
-		if err != nil {
-			return nil, err
-		}
-		keyIdx[i] = ci
-	}
-	for _, row := range rs.rows {
-		key := make(Row, len(keyIdx))
-		for i, ci := range keyIdx {
-			key[i] = row[ci]
-		}
-		h := hashRow(key)
-		var g *group
-		for _, cand := range byHash[h] {
-			if rowsEqual(cand.key, key) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &group{key: key}
-			byHash[h] = append(byHash[h], g)
-			groups = append(groups, g)
-		}
-		g.rows = append(g.rows, row)
-	}
-	// With no GROUP BY, aggregates run over the whole input — including
-	// the empty input, which yields one row (COUNT(*) = 0).
-	if len(st.GroupBy) == 0 && len(groups) == 0 {
-		groups = append(groups, &group{})
-	}
-
-	out := &rowSet{}
-	items := make([]SQLExpr, len(st.Items))
-	for i, item := range st.Items {
-		out.cols = append(out.cols, colKey{name: itemName(item, i)})
-		items[i] = rs.resolve(item.Expr)
-	}
-	having := rs.resolve(st.Having)
-	for _, g := range groups {
-		if having != nil {
-			v, err := evalAggExpr(having, rs, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			if !xmldm.Truthy(v) {
-				continue
-			}
-		}
-		row := make(Row, len(items))
-		for i, item := range items {
-			v, err := evalAggExpr(item, rs, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		out.rows = append(out.rows, row)
-	}
-	return out, nil
-}
-
-// evalAggExpr evaluates an expression over a group of rows: aggregates
-// reduce the group; plain column references take the value from the
-// first row (correct for grouped columns).
-func evalAggExpr(e SQLExpr, rs *rowSet, rows []Row) (Value, error) {
-	switch x := e.(type) {
-	case *SQLFunc:
-		if !sqlAggregates[x.Name] {
-			break
-		}
-		if x.Star {
-			if x.Name != "count" {
-				return nil, fmt.Errorf("rdb: %s(*) is not valid", x.Name)
-			}
-			return xmldm.Int(len(rows)), nil
-		}
-		if len(x.Args) != 1 {
-			return nil, fmt.Errorf("rdb: %s takes one argument", x.Name)
-		}
-		var vals []Value
-		for _, row := range rows {
-			v, err := evalSQL(x.Args[0], rs, row)
-			if err != nil {
-				return nil, err
-			}
-			if v != nil && v.Kind() != xmldm.KindNull {
-				vals = append(vals, v)
-			}
-		}
-		return reduceAggregate(x.Name, vals)
-	case *SQLBin:
-		l, err := evalAggExpr(x.L, rs, rows)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalAggExpr(x.R, rs, rows)
-		if err != nil {
-			return nil, err
-		}
-		return applyBin(x.Op, l, r)
-	case *SQLNot:
-		v, err := evalAggExpr(x.E, rs, rows)
-		if err != nil {
-			return nil, err
-		}
-		return xmldm.Bool(!xmldm.Truthy(v)), nil
-	}
-	if len(rows) == 0 {
-		return xmldm.Null{}, nil
-	}
-	return evalSQL(e, rs, rows[0])
-}
-
-func reduceAggregate(name string, vals []Value) (Value, error) {
-	switch name {
-	case "count":
-		return xmldm.Int(len(vals)), nil
-	case "sum", "avg":
-		if len(vals) == 0 {
-			return xmldm.Null{}, nil
-		}
-		sum := 0.0
-		allInt := true
-		for _, v := range vals {
-			f, ok := xmldm.ToFloat(v)
-			if !ok {
-				return nil, fmt.Errorf("rdb: %s over non-numeric value %s", name, v.String())
-			}
-			if v.Kind() != xmldm.KindInt {
-				allInt = false
-			}
-			sum += f
-		}
-		if name == "avg" {
-			return xmldm.Float(sum / float64(len(vals))), nil
-		}
-		if allInt {
-			return xmldm.Int(int64(sum)), nil
-		}
-		return xmldm.Float(sum), nil
-	case "min", "max":
-		if len(vals) == 0 {
-			return xmldm.Null{}, nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c := xmldm.Compare(v, best)
-			if name == "min" && c < 0 || name == "max" && c > 0 {
-				best = v
-			}
-		}
-		return best, nil
-	default:
-		return nil, fmt.Errorf("rdb: unknown aggregate %q", name)
-	}
 }
 
 func (db *Database) execUpdate(st *UpdateStmt) (*Result, error) {

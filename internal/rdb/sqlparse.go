@@ -9,8 +9,15 @@ import (
 )
 
 // The SQL dialect: CREATE TABLE / CREATE [UNIQUE] INDEX / INSERT /
-// SELECT (joins, WHERE, GROUP BY, HAVING, ORDER BY, LIMIT, DISTINCT,
-// aggregates, LIKE, IN, IS NULL) / UPDATE / DELETE / DROP TABLE.
+// SELECT / UPDATE / DELETE / DROP TABLE. A SELECT reads one table:
+//
+//	SELECT (* | expr [AS alias], …) FROM table [[AS] alias]
+//	  [WHERE expr] [ORDER BY expr [ASC|DESC], …]
+//
+// Expressions are literals, columns, arithmetic, comparisons, AND, OR,
+// NOT, LIKE, IN, IS [NOT] NULL and scalar functions (applySQLFunc). It is
+// what sqlgen compiles a fragment to: joins, aggregates, DISTINCT and
+// LIMIT run in the mediator, not in a source.
 
 // Stmt is a parsed SQL statement.
 type Stmt interface{ isStmt() }
@@ -46,18 +53,13 @@ type InsertStmt struct {
 
 func (*InsertStmt) isStmt() {}
 
-// SelectStmt is a SELECT query.
+// SelectStmt is a SELECT query over one table.
 type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem
-	Star     bool
-	From     []TableRef
-	Joins    []JoinClause
-	Where    SQLExpr
-	GroupBy  []*ColRef
-	Having   SQLExpr
-	OrderBy  []SQLOrderItem
-	Limit    int // -1 = none
+	Items   []SelectItem
+	Star    bool
+	From    TableRef
+	Where   SQLExpr
+	OrderBy []SQLOrderItem
 }
 
 func (*SelectStmt) isStmt() {}
@@ -103,12 +105,6 @@ func (t TableRef) Ref() string {
 		return t.Alias
 	}
 	return t.Table
-}
-
-// JoinClause is one INNER JOIN.
-type JoinClause struct {
-	Table TableRef
-	On    SQLExpr
 }
 
 // SQLOrderItem is one ORDER BY key.
@@ -178,17 +174,13 @@ type SQLIsNull struct {
 
 func (*SQLIsNull) isSQLExpr() {}
 
-// SQLFunc is a function or aggregate call; Star marks COUNT(*).
+// SQLFunc is a scalar function call.
 type SQLFunc struct {
 	Name string
 	Args []SQLExpr
-	Star bool
 }
 
 func (*SQLFunc) isSQLExpr() {}
-
-// sqlAggregates are the aggregate function names.
-var sqlAggregates = map[string]bool{"count": true, "sum": true, "avg": true, "min": true, "max": true}
 
 // --- lexer ---
 
@@ -624,8 +616,7 @@ func (p *sqlParser) parseDelete() (Stmt, error) {
 
 func (p *sqlParser) parseSelect() (Stmt, error) {
 	p.next() // SELECT
-	st := &SelectStmt{Limit: -1}
-	st.Distinct = p.acceptKw("DISTINCT")
+	st := &SelectStmt{}
 	if p.acceptOp("*") {
 		st.Star = true
 	} else {
@@ -653,68 +644,17 @@ func (p *sqlParser) parseSelect() (Stmt, error) {
 	if err := p.expectKw("FROM"); err != nil {
 		return nil, err
 	}
-	for {
-		tr, err := p.parseTableRef()
-		if err != nil {
-			return nil, err
-		}
-		st.From = append(st.From, tr)
-		if p.acceptOp(",") {
-			continue
-		}
-		break
+	tr, err := p.parseTableRef()
+	if err != nil {
+		return nil, err
 	}
-	for p.kw("JOIN") || p.kw("INNER") {
-		p.acceptKw("INNER")
-		if err := p.expectKw("JOIN"); err != nil {
-			return nil, err
-		}
-		tr, err := p.parseTableRef()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("ON"); err != nil {
-			return nil, err
-		}
-		on, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Joins = append(st.Joins, JoinClause{Table: tr, On: on})
-	}
+	st.From = tr
 	if p.acceptKw("WHERE") {
 		w, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		st.Where = w
-	}
-	if p.acceptKw("GROUP") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			cr, ok := e.(*ColRef)
-			if !ok {
-				return nil, fmt.Errorf("rdb: GROUP BY supports column references only")
-			}
-			st.GroupBy = append(st.GroupBy, cr)
-			if p.acceptOp(",") {
-				continue
-			}
-			break
-		}
-	}
-	if p.acceptKw("HAVING") {
-		h, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Having = h
 	}
 	if p.acceptKw("ORDER") {
 		if err := p.expectKw("BY"); err != nil {
@@ -738,18 +678,6 @@ func (p *sqlParser) parseSelect() (Stmt, error) {
 			break
 		}
 	}
-	if p.acceptKw("LIMIT") {
-		t := p.peek()
-		if t.kind != "num" {
-			return nil, fmt.Errorf("rdb: expected number after LIMIT")
-		}
-		p.next()
-		n, err := strconv.Atoi(t.text)
-		if err != nil {
-			return nil, fmt.Errorf("rdb: bad LIMIT %q", t.text)
-		}
-		st.Limit = n
-	}
 	return st, nil
 }
 
@@ -771,6 +699,9 @@ func (p *sqlParser) parseTableRef() (TableRef, error) {
 	return tr, nil
 }
 
+// sqlKeywords are never read as a table alias. They include the words of
+// forms outside the dialect (DISTINCT, JOIN, GROUP BY, HAVING, LIMIT), so
+// that such a form fails to parse rather than name an alias.
 var sqlKeywords = map[string]bool{
 	"select": true, "distinct": true, "from": true, "join": true, "inner": true,
 	"on": true, "where": true, "group": true, "by": true, "having": true,
@@ -1009,13 +940,6 @@ func (p *sqlParser) parsePrimary() (SQLExpr, error) {
 		// Function call?
 		if p.acceptOp("(") {
 			fn := &SQLFunc{Name: strings.ToLower(t.text)}
-			if p.acceptOp("*") {
-				fn.Star = true
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
-				return fn, nil
-			}
 			if !p.acceptOp(")") {
 				for {
 					a, err := p.parseExpr()

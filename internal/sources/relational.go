@@ -76,7 +76,7 @@ func (s *RelationalSource) Name() string { return s.name }
 // Capabilities implements catalog.Source: SQL sources evaluate
 // selections, projections, joins and ordering.
 func (s *RelationalSource) Capabilities() catalog.Capabilities {
-	return catalog.Capabilities{Selection: true, Projection: true, Join: true, Ordering: true}
+	return catalog.Capabilities{Selection: true, Projection: true, Ordering: true}
 }
 
 // Descriptors implements catalog.Relational.

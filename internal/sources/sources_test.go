@@ -44,7 +44,7 @@ func TestRelationalSourceDescriptors(t *testing.T) {
 		t.Errorf("columns = %v", d.ColumnElements)
 	}
 	caps := s.Capabilities()
-	if !caps.Selection || !caps.Join || !caps.Ordering || !caps.Projection {
+	if !caps.Selection || !caps.Ordering || !caps.Projection {
 		t.Errorf("capabilities = %+v", caps)
 	}
 }

@@ -58,6 +58,7 @@ func TestKeyedSQLJoinsTheConjuncts(t *testing.T) {
 		t.Errorf("KeyedSQL = %q, want %q", got, want)
 	}
 	ordered := keyedFragment(t, true)
+	requireRDBGrammar(t, ordered)
 	if got, want := ordered.KeyedSQL("id", []string{"1"}), `SELECT id AS v_i, name AS v_n FROM customers WHERE (name != 'x') AND id IN ('1') ORDER BY name`; got != want {
 		t.Errorf("KeyedSQL = %q, want %q", got, want)
 	}

@@ -25,7 +25,19 @@ func crmDescs() []catalog.RelationalDescriptor {
 }
 
 func sqlCaps() catalog.Capabilities {
-	return catalog.Capabilities{Selection: true, Projection: true, Join: true, Ordering: true}
+	return catalog.Capabilities{Selection: true, Projection: true, Ordering: true}
+}
+
+// requireRDBGrammar fails unless frag's statement, alone and with a key
+// list (KeyedSQL), is in the dialect rdb parses: whatever sqlgen emits
+// must be what a relational source runs.
+func requireRDBGrammar(t *testing.T, frag *Fragment) {
+	t.Helper()
+	for _, sql := range []string{frag.SQL, frag.KeyedSQL("id", []string{"7", "O'Brien"})} {
+		if _, err := rdb.ParseSQL(sql); err != nil {
+			t.Errorf("rdb does not parse %q: %v", sql, err)
+		}
+	}
 }
 
 func patAndPreds(t testing.TB, src string) (*xmlql.ElemPattern, []xmlql.Expr) {
@@ -151,12 +163,14 @@ func TestCompileOrderByPushdown(t *testing.T) {
 	if !frag.PushedOrder || !strings.Contains(frag.SQL, "ORDER BY name DESC") {
 		t.Errorf("SQL = %q", frag.SQL)
 	}
+	requireRDBGrammar(t, frag)
 	// Unmapped key cannot push.
 	opts.OrderBy = []xmlql.OrderKey{{Expr: &xmlql.VarExpr{Name: "zz"}}}
 	frag, _, _ = Compile(crmDescs(), sqlCaps(), pat, nil, opts)
 	if frag.PushedOrder {
 		t.Error("order on unmapped variable must not push")
 	}
+	requireRDBGrammar(t, frag)
 }
 
 func TestCompileRespectsCapabilities(t *testing.T) {
@@ -287,6 +301,7 @@ func TestPredicateTranslationForms(t *testing.T) {
 			t.Errorf("%s: %v", c.pred, err)
 			continue
 		}
+		requireRDBGrammar(t, frag)
 		if c.want == "" {
 			if frag.PushedPredicates != 0 {
 				t.Errorf("%s: should not push, SQL = %q", c.pred, frag.SQL)
@@ -312,7 +327,9 @@ func TestPredicateLiteralForms(t *testing.T) {
 		frag, rest, err := Compile(crmDescs(), sqlCaps(), pat, preds, DefaultOptions())
 		if err != nil || frag.PushedPredicates != 1 || len(rest) != 0 {
 			t.Errorf("%s: pushed=%d rest=%d err=%v sql=%q", p, frag.PushedPredicates, len(rest), err, frag.SQL)
+			continue
 		}
+		requireRDBGrammar(t, frag)
 	}
 }
 
@@ -329,6 +346,7 @@ func TestScalarFunctionsInPushedPredicates(t *testing.T) {
 	if !strings.Contains(frag.SQL, "lower(name)") || !strings.Contains(frag.SQL, "length(name)") {
 		t.Errorf("SQL = %q", frag.SQL)
 	}
+	requireRDBGrammar(t, frag)
 }
 
 // hostilePattern binds the given raw variable names to the name and
@@ -368,6 +386,7 @@ func TestAliasSanitizesHostileVariableNames(t *testing.T) {
 	if alias != sqlIdent(alias) {
 		t.Errorf("exported alias %q is not itself a clean identifier", alias)
 	}
+	requireRDBGrammar(t, frag)
 }
 
 // TestAliasCollisionsGetDistinctNames: sanitization is lossy, so two
@@ -385,4 +404,5 @@ func TestAliasCollisionsGetDistinctNames(t *testing.T) {
 	if !strings.Contains(frag.SQL, " AS "+a1) || !strings.Contains(frag.SQL, " AS "+a2) {
 		t.Errorf("SQL %q misses an alias", frag.SQL)
 	}
+	requireRDBGrammar(t, frag)
 }
