@@ -120,7 +120,9 @@ sched-race:
 # its fetch to one memo entry whose rendered export concurrent readers
 # share, and its faults and simulated transport to the XML twin's —
 # answers, reports, retries, breakers, outcomes and error text under a
-# seeded chaos schedule; projected rdb rows to not aliasing one another.
+# seeded chaos schedule whose sleeps and attempt deadlines run on one
+# fake clock (ten rounds, so a dependence on host speed shows);
+# projected rdb rows to not aliasing one another.
 # A single-table SELECT read in place is held to a reference that checks
 # WHERE and evaluates the select list row by row (property), an
 # index-answered = to what Compare matches; eight range SELECTs to
@@ -142,7 +144,8 @@ resultpath-race:
 	$(call run-named,-race -count=1,TestBuilderEqualsReference|FuzzConstruct|TestBuilderRewindEqualsReference,./internal/algebra)
 	$(call run-named,-race -count=10,TestPullHandsBindingsAsProduced,./internal/algebra)
 	$(call run-named,-count=1,TestBuilderRewindAllocatesOnce,./internal/algebra)
-	$(call run-named,-race -count=1,TestView|TestBuilderSlabsDoNotAlias|TestTupleSpliceCopiesBoundNodes|TestRowFetchUnderChaosMatchesXMLTwin,./internal/core)
+	$(call run-named,-race -count=1,TestView|TestBuilderSlabsDoNotAlias|TestTupleSpliceCopiesBoundNodes,./internal/core)
+	$(call run-named,-race -count=10,TestRowFetchUnderChaosMatchesXMLTwin,./internal/core)
 	$(call run-named,-race -count=10,TestStreamedAnswerPullsBindingsOneAtATime|TestStreamedRowWrittenBeforeNextBinding,./internal/core)
 	$(call run-named,-count=1,TestStreamedAnswerHoldsNoBindingPerRow,./internal/core)
 	$(call run-named,-race -count=1,TestBindRowsEqualsExportReadBack,./internal/opt)

@@ -15,6 +15,12 @@
 //	curl 'localhost:8080/debug/trace/last?n=1'
 //	curl -XPOST -d '...' 'localhost:8080/query?profile=1'
 //
+// Each flag binds straight onto a nimble.Config field (the daemon's own
+// settings: -addr, -admin-token, -customers, -drain-timeout and
+// -trace-export, onto the daemon), and the System is configured once, at
+// nimble.New. A value a flag does not accept, such as -route bogus or
+// -query-class bogus, exits 2 with the usage message.
+//
 // On SIGINT/SIGTERM the daemon drains the cluster gracefully: routing
 // stops, in-flight queries finish (bounded by -drain-timeout), then the
 // HTTP server shuts down.
@@ -22,8 +28,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"os"
@@ -32,81 +40,93 @@ import (
 	"time"
 
 	nimble "repro"
+	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/workload"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	instances := flag.Int("instances", 2, "engine instances behind the cluster front end")
-	route := flag.String("route", "least", "routing policy: least, rr, p2c, affinity")
-	capPer := flag.Int("cap", 0, "per-instance concurrent query cap (0 unbounded)")
-	queue := flag.Int("queue", 0, "admission queue bound once all instances are saturated; excess sheds 503 + Retry-After (0 unbounded)")
-	cacheSize := flag.Int("cache", 64, "query cache entries (0 disables)")
-	cachePer := flag.Bool("cache-per-instance", false, "give each instance its own cache (pair with -route affinity)")
-	probe := flag.String("probe", `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <ok>$w</ok>`,
-		"health-probe canary query; failing/incomplete answers eject an instance (empty disables probing)")
-	probeEvery := flag.Duration("probe-interval", 2*time.Second, "health probe spacing")
-	ejectAfter := flag.Int("eject-after", 3, "consecutive probe failures that eject an instance")
-	readmitAfter := flag.Duration("readmit-after", 10*time.Second, "cooldown before an ejected instance is probed for readmission")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound on shutdown")
-	adminToken := flag.String("admin-token", "admin", "token for /admin endpoints")
-	customers := flag.Int("customers", 500, "demo dataset size")
-	traces := flag.Int("traces", 16, "kept query traces retained for /debug/traces and /debug/trace/last (-1 disables tracing)")
-	traceSample := flag.Float64("trace-sample", 1, "head-sampling rate: fraction of traces kept regardless of outcome (errored/slow traces are always kept; negative = tail-only)")
-	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "tail-keep traces at least this slow even when head sampling drops them (0 disables)")
-	traceSeed := flag.Int64("trace-seed", 0, "trace/span id generator seed; a fixed seed makes the head-sampled set reproducible (0 = random)")
-	traceExport := flag.String("trace-export", "", "append kept traces as OTLP-style JSON lines to this file (empty disables export)")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	slowN := flag.Int("slowlog", 16, "slow queries retained with EXPLAIN plans for /debug/slowlog")
-	slowAfter := flag.Duration("slow-threshold", 0, "record queries at least this slow (0 keeps the slowest overall)")
-	fetchTimeout := flag.Duration("fetch-timeout", 10*time.Second, "per-attempt remote fetch timeout (0 disables)")
-	fetchRetries := flag.Int("fetch-retries", 2, "retries after a transient fetch failure, with exponential backoff (0 disables)")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive transient failures that open a source's circuit breaker (0 disables)")
-	parallelism := flag.Int("parallelism", 0, "intra-query worker goroutines a query requests (0 = the whole worker budget, 1 = serial); the scheduler grants min(requested, available)")
-	workerBudget := flag.Int("worker-budget", 0, "process-wide extra-worker slots shared by all concurrent queries (0 = GOMAXPROCS)")
-	queryClass := flag.String("query-class", "interactive", "default scheduling class: interactive or batch (per-request X-Nimble-Class overrides)")
-	flag.Parse()
+// daemon is what a nimbled run is configured with: the System's whole
+// configuration, and the daemon's own settings.
+type daemon struct {
+	cfg          nimble.Config
+	addr         string
+	drainTimeout time.Duration
+	adminToken   string
+	customers    int
+	traceExport  string
+}
 
-	logger := obs.NewLogger(os.Stderr, slog.LevelInfo)
-	sys := nimble.New(nimble.Config{
-		Instances:        *instances,
-		CacheEntries:     *cacheSize,
-		CachePerInstance: *cachePer,
-		RoutePolicy:      *route,
-		InstanceCapacity: *capPer,
-		AdmissionQueue:   *queue,
-		HealthProbe:      *probe,
-		ProbeInterval:    *probeEvery,
-		EjectAfter:       *ejectAfter,
-		ReadmitAfter:     *readmitAfter,
-		TraceBuffer:      *traces,
-		TraceSample:      *traceSample,
-		TraceSlow:        *traceSlow,
-		TraceSeed:        *traceSeed,
-		Logger:           logger,
-		Pprof:            *pprofOn,
-		SlowLogSize:      *slowN,
-		SlowLogThreshold: *slowAfter,
-		FetchTimeout:     *fetchTimeout,
-		FetchRetries:     *fetchRetries,
-		BreakerThreshold: *breakerThreshold,
-		Parallelism:      *parallelism,
-		WorkerBudget:     *workerBudget,
-		QueryClass:       *queryClass,
+// parseFlags binds every flag straight onto d (the System's onto
+// d.cfg) and parses args. A value a flag does not accept is an error,
+// reported with the usage message on out.
+func parseFlags(args []string, out io.Writer) (*daemon, error) {
+	fs := flag.NewFlagSet("nimbled", flag.ContinueOnError)
+	fs.SetOutput(out)
+	d := &daemon{cfg: nimble.Config{RoutePolicy: "least", QueryClass: "interactive"}}
+	c := &d.cfg
+	fs.StringVar(&d.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.Instances, "instances", 2, "engine instances behind the cluster front end")
+	fs.Func("route", "routing policy: least (default), rr, p2c, affinity", func(v string) error {
+		_, err := cluster.ParsePolicy(v)
+		c.RoutePolicy = v
+		return err
 	})
+	fs.IntVar(&c.InstanceCapacity, "cap", 0, "per-instance concurrent query cap (0 unbounded)")
+	fs.IntVar(&c.AdmissionQueue, "queue", 0, "admission queue bound once all instances are saturated; excess sheds 503 + Retry-After (0 unbounded)")
+	fs.IntVar(&c.CacheEntries, "cache", 64, "query cache entries (0 disables)")
+	fs.BoolVar(&c.CachePerInstance, "cache-per-instance", false, "give each instance its own cache (pair with -route affinity)")
+	fs.StringVar(&c.HealthProbe, "probe", `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <ok>$w</ok>`,
+		"health-probe canary query; failing/incomplete answers eject an instance (empty disables probing)")
+	fs.DurationVar(&c.ProbeInterval, "probe-interval", 2*time.Second, "health probe spacing")
+	fs.IntVar(&c.EjectAfter, "eject-after", 3, "consecutive probe failures that eject an instance")
+	fs.DurationVar(&c.ReadmitAfter, "readmit-after", 10*time.Second, "cooldown before an ejected instance is probed for readmission")
+	fs.DurationVar(&d.drainTimeout, "drain-timeout", 30*time.Second, "graceful drain bound on shutdown")
+	fs.StringVar(&d.adminToken, "admin-token", "admin", "token for /admin endpoints")
+	fs.IntVar(&d.customers, "customers", 500, "demo dataset size")
+	fs.IntVar(&c.TraceBuffer, "traces", 16, "kept query traces retained for /debug/traces and /debug/trace/last (-1 disables tracing)")
+	fs.Float64Var(&c.TraceSample, "trace-sample", 1, "head-sampling rate: fraction of traces kept regardless of outcome (errored/slow traces are always kept; negative = tail-only)")
+	fs.DurationVar(&c.TraceSlow, "trace-slow", 250*time.Millisecond, "tail-keep traces at least this slow even when head sampling drops them (0 disables)")
+	fs.Int64Var(&c.TraceSeed, "trace-seed", 0, "trace/span id generator seed; a fixed seed makes the head-sampled set reproducible (0 = random)")
+	fs.StringVar(&d.traceExport, "trace-export", "", "append kept traces as OTLP-style JSON lines to this file (empty disables export)")
+	fs.BoolVar(&c.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
+	fs.IntVar(&c.SlowLogSize, "slowlog", 16, "slow queries retained with EXPLAIN plans for /debug/slowlog")
+	fs.DurationVar(&c.SlowLogThreshold, "slow-threshold", 0, "record queries at least this slow (0 keeps the slowest overall)")
+	fs.DurationVar(&c.FetchTimeout, "fetch-timeout", 10*time.Second, "per-attempt remote fetch timeout (0 disables)")
+	fs.IntVar(&c.FetchRetries, "fetch-retries", 2, "retries after a transient fetch failure, with exponential backoff (0 disables)")
+	fs.IntVar(&c.BreakerThreshold, "breaker-threshold", 5, "consecutive transient failures that open a source's circuit breaker (0 disables)")
+	fs.IntVar(&c.Parallelism, "parallelism", 0, "intra-query worker goroutines a query requests (0 = the whole worker budget, 1 = serial); the scheduler grants min(requested, available)")
+	fs.IntVar(&c.WorkerBudget, "worker-budget", 0, "process-wide extra-worker slots shared by all concurrent queries (0 = GOMAXPROCS)")
+	fs.Func("query-class", "default scheduling class: interactive (default) or batch (per-request X-Nimble-Class overrides)", func(v string) error {
+		_, err := sched.ParseClass(v)
+		c.QueryClass = v
+		return err
+	})
+	return d, fs.Parse(args)
+}
+
+func main() {
+	d, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	logger := obs.NewLogger(os.Stderr, slog.LevelInfo)
+	d.cfg.Logger = logger
+	sys := nimble.New(d.cfg)
 	obs.RegisterRuntimeMetrics(sys.Metrics())
 	var fileExp *obs.FileExporter
-	if *traceExport != "" {
-		var err error
-		fileExp, err = obs.NewFileExporter(*traceExport, "nimbled")
+	if d.traceExport != "" {
+		fileExp, err = obs.NewFileExporter(d.traceExport, "nimbled")
 		if err != nil {
 			log.Fatal(err)
 		}
 		sys.SetTraceExporter(fileExp)
 	}
-	if err := boot(sys, *customers); err != nil {
+	if err := boot(sys, d.customers); err != nil {
 		log.Fatal(err)
 	}
 	sys.InstrumentSources()
@@ -114,20 +134,20 @@ func main() {
 	defer stop()
 	sys.StartHealthProbes(ctx)
 
-	httpSrv := server.NewHTTPServer(*addr, sys.HTTPHandler(*adminToken))
+	httpSrv := server.NewHTTPServer(d.addr, sys.HTTPHandler(d.adminToken))
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("nimbled listening",
 		"sources", len(sys.Sources()), "schemas", len(sys.Schemas()),
-		"instances", sys.Instances(), "route", *route, "addr", *addr)
+		"instances", sys.Instances(), "route", d.cfg.RoutePolicy, "addr", d.addr)
 
 	select {
 	case err := <-errc:
 		log.Fatal(err)
 	case <-ctx.Done():
 	}
-	logger.Info("draining cluster", "bound", drainTimeout.String())
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	logger.Info("draining cluster", "bound", d.drainTimeout.String())
+	dctx, cancel := context.WithTimeout(context.Background(), d.drainTimeout)
 	defer cancel()
 	if err := sys.Cluster().DrainAll(dctx); err != nil {
 		logger.Warn("drain incomplete", "error", err.Error())

@@ -99,7 +99,9 @@ func Wrap(inner catalog.Source, sched Schedule) *Source {
 }
 
 // WithSleep injects the latency sleeper (a FakeClock's Sleep makes Slow
-// faults free of wall-clock time) and returns the source for chaining.
+// and Hang faults pass in virtual time, free of wall-clock time, where a
+// deadline on the same clock bounds them) and returns the source for
+// chaining.
 func (s *Source) WithSleep(fn func(ctx context.Context, d time.Duration) error) *Source {
 	s.sleep = fn
 	return s
@@ -172,6 +174,11 @@ func inject[T any](ctx context.Context, s *Source, fetch func() (T, catalog.Cost
 	case Garbage:
 		return none, catalog.Cost{}, fmt.Errorf("chaos: %s returned garbage", s.inner.Name())
 	case Hang:
+		// The hang passes in the sleeper's time too, so a deadline on the
+		// injected clock ends it.
+		if err := s.doSleep(ctx, hangFor); err != nil {
+			return none, catalog.Cost{}, err
+		}
 		<-ctx.Done()
 		return none, catalog.Cost{}, ctx.Err()
 	case Malformed:
@@ -186,6 +193,10 @@ func inject[T any](ctx context.Context, s *Source, fetch func() (T, catalog.Cost
 	}
 	return fetch()
 }
+
+// hangFor is how long a Hang sleeps before it waits on its context
+// alone: far past any attempt deadline.
+const hangFor = 24 * time.Hour
 
 // doSleep waits via the injected sleeper or the wall clock.
 func (s *Source) doSleep(ctx context.Context, d time.Duration) error {

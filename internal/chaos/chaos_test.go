@@ -255,6 +255,53 @@ func TestFakeClock(t *testing.T) {
 	}
 }
 
+// TestFakeClockDeadline: a WithTimeout deadline passes in virtual time —
+// a sleep that reaches it stops there and returns the context's error,
+// an Advance past it ends it, a cancelled one never fires — so a hung or
+// slow fault sleeping on the same clock is bounded without wall time.
+func TestFakeClockDeadline(t *testing.T) {
+	c := NewFakeClock()
+	epoch := c.Now()
+	ctx, cancel := c.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := c.Sleep(ctx, 5*time.Millisecond); err != nil {
+		t.Fatalf("sleep before the deadline: %v", err)
+	}
+	if err := c.Sleep(ctx, time.Hour); err == nil || !errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
+		t.Fatalf("sleep past the deadline: err %v, cause %v", err, context.Cause(ctx))
+	}
+	if got := c.Now().Sub(epoch); got != 20*time.Millisecond {
+		t.Errorf("sleep past the deadline advanced to +%v, want +20ms", got)
+	}
+
+	advanced, cancelA := c.WithTimeout(context.Background(), time.Second)
+	defer cancelA()
+	stopped, cancelS := c.WithTimeout(context.Background(), time.Second)
+	cancelS()
+	c.Advance(time.Second)
+	if advanced.Err() == nil {
+		t.Error("Advance past a deadline left its context running")
+	}
+	if !errors.Is(context.Cause(stopped), context.Canceled) {
+		t.Errorf("a cancelled deadline fired: cause %v", context.Cause(stopped))
+	}
+
+	src := Wrap(stubSource{"s"}, Script{Then: Fault{Kind: Hang}}).WithSleep(c.Sleep)
+	hung, cancelH := c.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancelH()
+	before := c.Now()
+	start := time.Now()
+	if _, _, err := src.Fetch(hung, catalog.Request{}); err == nil {
+		t.Fatal("a hang under a virtual deadline answered")
+	}
+	if got := c.Now().Sub(before); got != 20*time.Millisecond {
+		t.Errorf("hang ended at +%v of virtual time, want +20ms", got)
+	}
+	if time.Since(start) > 2*time.Second {
+		t.Error("a hang under a virtual deadline cost wall-clock time")
+	}
+}
+
 // TestWrappedSchedulePerCallCounter: interleaved requests share one call
 // counter, so the total injection counts match the schedule regardless
 // of request identity.

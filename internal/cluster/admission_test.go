@@ -167,33 +167,3 @@ func TestUnboundedQueueNeverSheds(t *testing.T) {
 	}
 	requireIdle(t, c)
 }
-
-// TestSetCapacityReleasesWaiters: growing capacity re-dispatches the
-// queue without waiting for a release.
-func TestSetCapacityReleasesWaiters(t *testing.T) {
-	e, gate := gatedEngine(t)
-	c := New(Config{Policy: RoundRobin, Capacity: 1}, e)
-
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := c.Query(context.Background(), testQuery)
-			errs <- err
-		}()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Queued() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queued = %d, want 1", c.Queued())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	c.SetCapacity(2)
-	waitInFlight(t, c, 0, 2)
-	close(gate)
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-}

@@ -41,8 +41,8 @@ func TestInvalidateReachesDependents(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			c := New(Config{Policy: CacheAffinity}, core.New(cat), core.New(cat))
-			c.EnableCache(8, 0, l.perInstance)
+			c := New(Config{Policy: CacheAffinity, CacheEntries: 8, CachePerInstance: l.perInstance},
+				core.New(cat, core.Config{}), core.New(cat, core.Config{}))
 			overB := `WHERE <b>$x</b> IN "b" CONSTRUCT <r>$x</r>`
 			run := func(qs ...string) {
 				t.Helper()
@@ -83,8 +83,7 @@ func TestAnswerReadBeforeInvalidateIsNotStored(t *testing.T) {
 			if err := cat.AddSource(src); err != nil {
 				t.Fatal(err)
 			}
-			c := New(Config{}, core.New(cat))
-			c.EnableCache(4, 0, l.perInstance)
+			c := New(Config{CacheEntries: 4, CachePerInstance: l.perInstance}, core.New(cat, core.Config{}))
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			done := make(chan error, 1)
@@ -128,8 +127,7 @@ func TestSharedCacheHitTakesNoSlot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := New(Config{Capacity: 1}, core.New(cat))
-	c.EnableCache(4, 0, false)
+	c := New(Config{Capacity: 1, CacheEntries: 4}, core.New(cat, core.Config{}))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := c.Query(ctx, testQuery); err != nil {
@@ -161,8 +159,7 @@ func TestCacheMetricsCoverEveryCache(t *testing.T) {
 	for _, l := range layouts {
 		t.Run(l.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			c := New(Config{Policy: RoundRobin, Metrics: reg}, newEngines(t, 2)...)
-			c.EnableCache(8, 0, l.perInstance)
+			c := New(Config{Policy: RoundRobin, Metrics: reg, CacheEntries: 8, CachePerInstance: l.perInstance}, newEngines(t, 2)...)
 			for _, q := range []string{testQuery, testQuery, q2, q2, testQuery} {
 				if _, err := c.Query(context.Background(), q); err != nil {
 					t.Fatal(err)

@@ -22,8 +22,8 @@
 //   - graceful drain: stop routing to an instance, wait for its
 //     in-flight queries, then remove it from the registry;
 //   - result caches: the cluster owns every cached answer, in either
-//     layout (EnableCache), and Invalidate is the one rule for which of
-//     them a change reaches.
+//     layout (Config.CacheEntries, Config.CachePerInstance), and
+//     Invalidate is the one rule for which of them a change reaches.
 //
 // Everything is observable: nimble_cluster_* metrics, and a Status
 // snapshot served on /debug/cluster.
@@ -98,6 +98,18 @@ type Config struct {
 	// Logger receives structured admission/health/drain events with
 	// trace correlation (nil discards them).
 	Logger *slog.Logger
+	// CacheEntries sizes the result caches (0 disables caching); their
+	// answers expire after CacheTTL (0 = never). The cluster holds one
+	// shared cache, checked before admission so a hit takes no slot, or
+	// with CachePerInstance one per instance, checked after routing
+	// (affinity's target). All count into the nimble_qcache_* series.
+	CacheEntries     int
+	CacheTTL         time.Duration
+	CachePerInstance bool
+	// Probe builds each instance's health probe (see QueryProbe and
+	// BreakerProbe for the common shapes). An instance without one (nil
+	// Probe, or a nil result) is always considered healthy.
+	Probe func(*core.Engine) Probe
 }
 
 // OverloadError is returned when admission control sheds a query: the
@@ -129,11 +141,10 @@ type member struct {
 	name   string
 	engine *core.Engine
 
-	cache    *qcache.Cache    // the per-instance layout's cache (EnableCache); affinity's target
+	cache    *qcache.Cache    // the per-instance layout's cache; affinity's target
 	probe    Probe            // optional health probe
-	breakers *exec.BreakerSet // optional, surfaced in Status
+	breakers *exec.BreakerSet // the engine's, surfaced in Status
 
-	capacity int  // guarded by Cluster.mu; 0 = unbounded
 	active   int  // guarded by Cluster.mu; granted slots (queued callers count from grant)
 	draining bool // guarded by Cluster.mu
 	removed  bool // guarded by Cluster.mu
@@ -183,26 +194,22 @@ type Cluster struct {
 	mShedDeadline  *obs.Counter
 	mQueueWait     *obs.Histogram
 
-	sched *sched.Scheduler // guarded by mu; surfaced on /debug/cluster
+	// sched is the first engine's worker scheduler, surfaced on
+	// /debug/cluster. The two admission layers compose without
+	// double-counting: cluster capacity slots bound how many *queries* run
+	// per instance, scheduler slots bound how many extra *workers* all
+	// running operators may spread across, process-wide. A query holds one
+	// cluster slot for its whole run; inside it, only a join or sort past
+	// its gate holds a worker grant, for as long as it runs.
+	sched *sched.Scheduler
 
-	shared *qcache.Cache // the shared layout's cache; set by EnableCache before serving
-}
-
-// SetScheduler attaches the shared worker scheduler so its accounting
-// appears in the /debug/cluster snapshot. The two admission layers
-// compose without double-counting: cluster capacity slots bound how many
-// *queries* run per instance, scheduler slots bound how many extra
-// *workers* all running operators may spread across, process-wide. A
-// query holds one cluster slot for its whole run; inside it, only a join
-// or sort past its gate holds a worker grant, for as long as it runs.
-func (c *Cluster) SetScheduler(s *sched.Scheduler) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sched = s
+	shared *qcache.Cache   // the shared layout's cache
+	caches []*qcache.Cache // every result cache, in either layout
 }
 
 // New builds a cluster over the given engine instances. Instance names
-// come from core.Engine.ID when set, else the index.
+// come from core.Engine.ID when set, else the index; each instance's
+// breakers are its engine's.
 func New(cfg Config, engines ...*core.Engine) *Cluster {
 	if len(engines) == 0 {
 		panic("cluster: at least one engine instance required")
@@ -240,12 +247,28 @@ func New(cfg Config, engines ...*core.Engine) *Cluster {
 		if name == "" {
 			name = strconv.Itoa(i)
 		}
-		c.members = append(c.members, &member{
-			id:       i,
-			name:     name,
-			engine:   e,
-			capacity: cfg.Capacity,
-		})
+		m := &member{id: i, name: name, engine: e, breakers: e.Breakers()}
+		if cfg.Probe != nil {
+			m.probe = cfg.Probe(e)
+		}
+		c.members = append(c.members, m)
+	}
+	c.sched = engines[0].Scheduler()
+	if cfg.CacheEntries > 0 {
+		newCache := func() *qcache.Cache {
+			q := qcache.New(cfg.CacheEntries, cfg.CacheTTL)
+			q.SetMetrics(cfg.Metrics)
+			c.caches = append(c.caches, q)
+			return q
+		}
+		if cfg.CachePerInstance {
+			for _, m := range c.members {
+				m.cache = newCache()
+			}
+		} else {
+			c.shared = newCache()
+		}
+		cfg.Metrics.GaugeFunc("nimble_qcache_entries", func() float64 { return float64(c.CacheStats().Entries) })
 	}
 	if reg := cfg.Metrics; reg != nil {
 		c.mShedQueueFull = reg.Counter("nimble_cluster_shed_total", "reason", "queue_full")
@@ -279,48 +302,6 @@ func New(cfg Config, engines ...*core.Engine) *Cluster {
 	return c
 }
 
-// EnableCache gives the cluster result caches of entries answers expiring
-// after ttl (0 = never), before it serves: one shared cache, checked
-// before admission so a hit takes no slot, or with perInstance one per
-// instance, checked after routing (affinity's target). All count into
-// the nimble_qcache_* series.
-func (c *Cluster) EnableCache(entries int, ttl time.Duration, perInstance bool) {
-	caches := make([]*qcache.Cache, 1)
-	if perInstance {
-		caches = make([]*qcache.Cache, c.Instances())
-	}
-	for i := range caches {
-		caches[i] = qcache.New(entries, ttl)
-		caches[i].SetMetrics(c.cfg.Metrics)
-	}
-	c.mu.Lock()
-	if perInstance {
-		for i, m := range c.members {
-			m.cache = caches[i]
-		}
-	} else {
-		c.shared = caches[0]
-	}
-	c.mu.Unlock()
-	c.cfg.Metrics.GaugeFunc("nimble_qcache_entries", func() float64 { return float64(c.CacheStats().Entries) })
-}
-
-// caches lists every result cache the cluster holds.
-func (c *Cluster) caches() []*qcache.Cache {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []*qcache.Cache
-	if c.shared != nil {
-		out = append(out, c.shared)
-	}
-	for _, m := range c.members {
-		if m.cache != nil {
-			out = append(out, m.cache)
-		}
-	}
-	return out
-}
-
 // Invalidate is the one rule for what a change to what name answers (a
 // view materialized, refreshed or dropped, a definition added) reaches:
 // the cached answers tagged with name or with any schema defined over it
@@ -332,45 +313,11 @@ func (c *Cluster) Invalidate(name string) {
 			names[dep] = true
 		}
 	}
-	for _, q := range c.caches() {
+	for _, q := range c.caches {
 		for dep := range names {
 			q.InvalidateSource(dep)
 		}
 	}
-}
-
-// SetProbe installs instance i's health probe (see QueryProbe and
-// BreakerProbe for the common shapes). Without a probe the instance is
-// always considered healthy.
-func (c *Cluster) SetProbe(i int, p Probe) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.members[i].probe = p
-}
-
-// SetBreakers attaches instance i's circuit-breaker set so the
-// inspector can show per-source breaker positions alongside instance
-// health.
-func (c *Cluster) SetBreakers(i int, bs *exec.BreakerSet) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.members[i].breakers = bs
-}
-
-// SetCapacity bounds every instance to n concurrent queries (0 removes
-// the bound). Safe to call concurrently with queries; waiting callers
-// are re-dispatched when capacity grows.
-func (c *Cluster) SetCapacity(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.Capacity = n
-	for _, m := range c.members {
-		m.capacity = n
-	}
-	c.dispatchLocked()
 }
 
 // Instances reports the number of registered instances (drained
@@ -420,7 +367,7 @@ func (c *Cluster) Loads() []int64 {
 // layout (zero value when caching is off).
 func (c *Cluster) CacheStats() qcache.Stats {
 	var agg qcache.Stats
-	for _, q := range c.caches() {
+	for _, q := range c.caches {
 		st := q.Stats()
 		agg.Hits += st.Hits
 		agg.Misses += st.Misses
@@ -639,12 +586,12 @@ func (c *Cluster) estimateWaitLocked() time.Duration {
 		if m.removed || m.draining || m.ejected {
 			continue
 		}
-		if m.capacity <= 0 {
+		if c.cfg.Capacity <= 0 {
 			// An unbounded healthy instance never queues callers for
 			// capacity; the only wait is health recovery.
 			return 0
 		}
-		slots += m.capacity
+		slots += c.cfg.Capacity
 	}
 	if slots == 0 {
 		// No healthy capacity at all: recovery is bounded below by the
@@ -753,8 +700,8 @@ type Status struct {
 	ShedDeadline  int64            `json:"shed_deadline"`
 	AvgServiceMS  float64          `json:"avg_service_ms"`
 	Instances     []InstanceStatus `json:"instances"`
-	// Sched is the shared worker scheduler's accounting, when one is
-	// attached (SetScheduler).
+	// Sched is the accounting of the worker scheduler the instances'
+	// operators acquire from.
 	Sched *sched.Snapshot `json:"sched,omitempty"`
 }
 
@@ -771,39 +718,31 @@ func (c *Cluster) Status() Status {
 		AvgServiceMS:  c.ewmaNs / 1e6,
 	}
 	now := c.clock.Now()
-	type probe struct {
-		cache    *qcache.Cache
-		breakers *exec.BreakerSet
-	}
-	extras := make([]probe, len(c.members))
-	for i, m := range c.members {
-		extras[i] = probe{m.cache, m.breakers}
+	for _, m := range c.members {
 		st.Instances = append(st.Instances, InstanceStatus{
 			ID:         m.id,
 			Name:       m.name,
 			State:      m.stateLocked(now),
 			Active:     m.active,
-			Capacity:   m.capacity,
+			Capacity:   c.cfg.Capacity,
 			QueriesRun: m.engine.QueriesRun(),
 			ProbeFails: m.fails,
 			LastProbeE: m.lastErr,
 		})
 	}
-	schd := c.sched
+	members := c.members
 	c.mu.Unlock()
-	if schd != nil {
-		snap := schd.Snap()
-		st.Sched = &snap
-	}
+	snap := c.sched.Snap()
+	st.Sched = &snap
 	// Cache and breaker snapshots take their own locks; collect outside.
-	for i := range st.Instances {
-		if q := extras[i].cache; q != nil {
-			cs := q.Stats()
+	for i, m := range members {
+		if m.cache != nil {
+			cs := m.cache.Stats()
 			st.Instances[i].CacheHits = cs.Hits
 			st.Instances[i].CacheRate = cs.HitRate()
 		}
-		if bs := extras[i].breakers; bs != nil {
-			st.Instances[i].Breakers = bs.States()
+		if m.breakers != nil {
+			st.Instances[i].Breakers = m.breakers.States()
 		}
 	}
 	return st

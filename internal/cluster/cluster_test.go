@@ -34,7 +34,17 @@ func newEngine(t testing.TB, sched chaos.Schedule) *core.Engine {
 	if err := cat.AddSource(s); err != nil {
 		t.Fatal(err)
 	}
-	return core.New(cat)
+	return core.New(cat, core.Config{})
+}
+
+// probeOnly gives target the probe p and every other instance none.
+func probeOnly(target *core.Engine, p Probe) func(*core.Engine) Probe {
+	return func(e *core.Engine) Probe {
+		if e == target {
+			return p
+		}
+		return nil
+	}
 }
 
 // newEngines builds n healthy engines.
@@ -79,7 +89,7 @@ func gatedEngine(t testing.TB) (*core.Engine, chan struct{}) {
 	if err := cat.AddSource(&gatedSource{name: "db", gate: gate}); err != nil {
 		t.Fatal(err)
 	}
-	return core.New(cat), gate
+	return core.New(cat, core.Config{}), gate
 }
 
 // waitInFlight spins until instance i holds want slots.
@@ -318,8 +328,7 @@ func TestAffinitySpillsWhenOwnerSaturated(t *testing.T) {
 // routing, a repeated query answers from the owner's warm cache without
 // touching the engine again.
 func TestPerInstanceCacheHits(t *testing.T) {
-	c := New(Config{Policy: CacheAffinity}, newEngines(t, 2)...)
-	c.EnableCache(16, 0, true)
+	c := New(Config{Policy: CacheAffinity, CacheEntries: 16, CachePerInstance: true}, newEngines(t, 2)...)
 	for i := 0; i < 4; i++ {
 		res, err := c.Query(context.Background(), testQuery)
 		if err != nil {
@@ -350,8 +359,7 @@ func TestPerInstanceCacheHits(t *testing.T) {
 // out instead of running. Every caller has a deadline, so a leak fails
 // the test instead of hanging it.
 func TestCacheHitReleasesItsSlot(t *testing.T) {
-	c := New(Config{Capacity: 1}, newEngine(t, nil))
-	c.EnableCache(4, 0, true)
+	c := New(Config{Capacity: 1, CacheEntries: 4, CachePerInstance: true}, newEngine(t, nil))
 	query := func(step string, d time.Duration) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), d)
@@ -391,8 +399,7 @@ func TestParsePolicy(t *testing.T) {
 }
 
 func TestStatusSnapshot(t *testing.T) {
-	c := New(Config{Policy: CacheAffinity, Capacity: 4, QueueLimit: 8}, newEngines(t, 2)...)
-	c.EnableCache(4, 0, true)
+	c := New(Config{Policy: CacheAffinity, Capacity: 4, QueueLimit: 8, CacheEntries: 4, CachePerInstance: true}, newEngines(t, 2)...)
 	if _, err := c.Query(context.Background(), testQuery); err != nil {
 		t.Fatal(err)
 	}
@@ -438,9 +445,10 @@ func TestLeastOutstandingPrefersIdleInstance(t *testing.T) {
 
 // Engines carry their configured IDs into instance names.
 func TestInstanceNamesFromEngineID(t *testing.T) {
-	es := newEngines(t, 2)
-	es[0].SetID("alpha")
-	es[1].SetID("beta")
+	var es []*core.Engine
+	for _, id := range []string{"alpha", "beta"} {
+		es = append(es, core.New(newEngine(t, nil).Catalog(), core.Config{ID: id}))
+	}
 	c := New(Config{}, es...)
 	st := c.Status()
 	if st.Instances[0].Name != "alpha" || st.Instances[1].Name != "beta" {

@@ -147,8 +147,8 @@ func TestClusterStorm(t *testing.T) {
 		Clock:         fc,
 		Metrics:       reg,
 		Seed:          7,
+		Probe:         probeOnly(flappy, QueryProbe(flappy, testQuery)),
 	}, engines...)
-	c.SetProbe(0, QueryProbe(flappy, testQuery))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -237,8 +237,8 @@ func TestClusterSmoke(t *testing.T) {
 				ReadmitAfter:  3 * time.Second,
 				Clock:         fc,
 				Seed:          11,
+				Probe:         probeOnly(sick, QueryProbe(sick, testQuery)),
 			}, engines...)
-			c.SetProbe(0, QueryProbe(sick, testQuery))
 			ctx := context.Background()
 
 			// Eject the sick instance.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/exec"
 )
 
@@ -25,8 +26,8 @@ func TestChaosEjectionAndReadmission(t *testing.T) {
 		EjectAfter:    2,
 		ReadmitAfter:  5 * time.Second,
 		Clock:         fc,
+		Probe:         probeOnly(sick, QueryProbe(sick, testQuery)),
 	}, sick, well)
-	c.SetProbe(0, QueryProbe(sick, testQuery))
 	ctx := context.Background()
 
 	// Two failed probes eject instance 0.
@@ -101,8 +102,8 @@ func TestHalfOpenFailureRestartsCooldown(t *testing.T) {
 		EjectAfter:    2,
 		ReadmitAfter:  5 * time.Second,
 		Clock:         fc,
+		Probe:         probeOnly(sick, QueryProbe(sick, testQuery)),
 	}, sick, newEngine(t, nil))
-	c.SetProbe(0, QueryProbe(sick, testQuery))
 	ctx := context.Background()
 
 	c.ProbeNow(ctx)
@@ -130,17 +131,16 @@ func TestHalfOpenFailureRestartsCooldown(t *testing.T) {
 // ejected; once the breaker closes it is readmitted.
 func TestBreakerProbeEjects(t *testing.T) {
 	fc := chaos.NewFakeClock()
-	e := newEngine(t, nil)
 	bs := exec.NewBreakerSet(1, time.Minute, fc, nil)
+	e := core.New(newEngine(t, nil).Catalog(), core.Config{Breakers: bs})
 	c := New(Config{
 		Policy:        RoundRobin,
 		ProbeInterval: time.Second,
 		EjectAfter:    1,
 		ReadmitAfter:  5 * time.Second,
 		Clock:         fc,
+		Probe:         probeOnly(e, BreakerProbe(bs, "db")),
 	}, e, newEngine(t, nil))
-	c.SetProbe(0, BreakerProbe(bs, "db"))
-	c.SetBreakers(0, bs)
 	ctx := context.Background()
 
 	// Breaker closed: probe passes.
@@ -174,8 +174,8 @@ func TestBreakerProbeEjects(t *testing.T) {
 // TestUserFailuresNeverEject: health is probe-driven only — a flood of
 // failing user queries must not change instance state.
 func TestUserFailuresNeverEject(t *testing.T) {
-	c := New(Config{Policy: RoundRobin}, newEngines(t, 2)...)
-	c.SetProbe(0, func(context.Context) error { return nil })
+	es := newEngines(t, 2)
+	c := New(Config{Policy: RoundRobin, Probe: probeOnly(es[0], func(context.Context) error { return nil })}, es...)
 	for i := 0; i < 10; i++ {
 		// A malformed query fails on whatever instance it routes to.
 		if _, err := c.Query(context.Background(), "NOT A QUERY"); err == nil {
@@ -197,8 +197,8 @@ func TestEjectAllThenRecover(t *testing.T) {
 		Policy:       RoundRobin,
 		ReadmitAfter: 5 * time.Second,
 		Clock:        fc,
+		Probe:        func(e *core.Engine) Probe { return QueryProbe(e, testQuery) },
 	}, e)
-	c.SetProbe(0, QueryProbe(e, testQuery))
 	c.Eject(0)
 	if c.Healthy() != 0 {
 		t.Fatalf("healthy = %d after Eject", c.Healthy())
@@ -234,8 +234,8 @@ func TestStartProbing(t *testing.T) {
 		ProbeInterval: time.Millisecond,
 		EjectAfter:    2,
 		ReadmitAfter:  time.Minute,
+		Probe:         probeOnly(sick, QueryProbe(sick, testQuery)),
 	}, sick, newEngine(t, nil))
-	c.SetProbe(0, QueryProbe(sick, testQuery))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c.StartProbing(ctx)

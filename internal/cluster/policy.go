@@ -75,7 +75,7 @@ func (c *Cluster) pickLocked(key string) *member {
 		if m.removed || m.draining || m.ejected {
 			return false
 		}
-		return m.capacity <= 0 || m.active < m.capacity
+		return c.cfg.Capacity <= 0 || m.active < c.cfg.Capacity
 	}
 	switch c.cfg.Policy {
 	case LeastOutstanding:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/obs"
 	"repro/internal/rdb"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
@@ -43,9 +44,7 @@ func bindBenchEngine(tb testing.TB, rows, keys int) *Engine {
 			tb.Fatal(err)
 		}
 	}
-	e := New(cat)
-	e.SetMetrics(nil)
-	return e
+	return New(cat, Config{Metrics: obs.NewRegistry()})
 }
 
 func bindBenchQuery(col string) string {

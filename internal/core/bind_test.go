@@ -20,8 +20,9 @@ import (
 // newBindEngine is newTestEngine's federation at a size a bind join
 // takes: 100 customers behind the "customers" schema, and a tickets feed
 // with one high-priority ticket for each of custs. wrap, if set, wraps the
-// relational source before it is registered.
-func newBindEngine(t testing.TB, custs []string, wrap func(catalog.Source) catalog.Source) (*Engine, *obs.Registry) {
+// relational source before it is registered. The engine is configured
+// with cfg, its metrics going to a fresh registry unless cfg names one.
+func newBindEngine(t testing.TB, custs []string, wrap func(catalog.Source) catalog.Source, cfg Config) (*Engine, *obs.Registry) {
 	t.Helper()
 	crm := rdb.NewDatabase("crm")
 	crm.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
@@ -55,10 +56,10 @@ func newBindEngine(t testing.TB, custs []string, wrap func(catalog.Source) catal
 		CONSTRUCT <cust><cid>$i</cid><who>$n</who><where>$c</where></cust>`); err != nil {
 		t.Fatal(err)
 	}
-	e := New(cat)
-	reg := obs.NewRegistry()
-	e.SetMetrics(reg)
-	return e, reg
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
+	}
+	return New(cat, cfg), cfg.Metrics
 }
 
 // bindJoinQL joins the high-priority tickets to their customers; the
@@ -76,10 +77,8 @@ const bindJoinQL = `
 // and says it deterministically. The slow log carries the same text, so
 // no key list reaches a log line.
 func TestExplainGoldenBindJoin(t *testing.T) {
-	e, reg := newBindEngine(t, []string{"7", "007", "12", "3", "999"}, nil)
-	e.SetParallelism(1)
 	slow := NewSlowLog(4, 0)
-	e.SetIntrospection(slow, nil)
+	e, reg := newBindEngine(t, []string{"7", "007", "12", "3", "999"}, nil, Config{Parallelism: 1, Slow: slow})
 	res, err := e.Query(context.Background(), bindJoinQL)
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +112,7 @@ Query [rewrites=1] out=4 in=4 time=?ms
 	for i := 0; i < 26; i++ {
 		many = append(many, fmt.Sprint(i))
 	}
-	e, reg = newBindEngine(t, many, nil)
-	e.SetParallelism(1)
+	e, reg = newBindEngine(t, many, nil, Config{Parallelism: 1})
 	res, err = e.Query(context.Background(), bindJoinQL)
 	if err != nil {
 		t.Fatal(err)
@@ -140,20 +138,19 @@ Query [rewrites=1] out=4 in=4 time=?ms
 // right side, which never opened, is not closed.
 func TestBindJoinPartialAnswerIsSound(t *testing.T) {
 	custs := []string{"7", "12", "3"}
-	clean, _ := newBindEngine(t, custs, nil)
+	clean, _ := newBindEngine(t, custs, nil, Config{})
 	full, err := clean.Query(context.Background(), bindJoinQL)
 	if err != nil || len(full.Values) != 3 || !full.Completeness.Complete {
 		t.Fatalf("fault-free answer: %v, %d rows", err, len(full.Values))
 	}
 
 	var faulty *chaos.Source
-	e, reg := newBindEngine(t, custs, func(s catalog.Source) catalog.Source {
+	reg := obs.NewRegistry()
+	breakers := exec.NewBreakerSet(1, time.Nanosecond, nil, reg) // one failure opens it; the next fetch is its probe
+	e, _ := newBindEngine(t, custs, func(s catalog.Source) catalog.Source {
 		faulty = chaos.Wrap(s, chaos.Script{Faults: []chaos.Fault{{}, {Kind: chaos.Unavailable}}})
 		return faulty
-	})
-	breakers := exec.NewBreakerSet(1, time.Nanosecond, nil, reg) // one failure opens it; the next fetch is its probe
-	e.SetResilience(exec.Resilience{}, breakers, nil)
-	e.SetPolicy(exec.PolicyPartial)
+	}, Config{Metrics: reg, Breakers: breakers})
 
 	// Call 0: crmdb is up for an ordinary fetch.
 	if res, err := e.Query(context.Background(), `WHERE <customer><id>$i</id></customer> IN "crmdb", $i < 2 CONSTRUCT <r>$i</r>`); err != nil || len(res.Values) != 2 {
@@ -202,8 +199,7 @@ func TestBindJoinPartialAnswerIsSound(t *testing.T) {
 	// Under PolicyFail the same failure is the query's error.
 	e2, _ := newBindEngine(t, custs, func(s catalog.Source) catalog.Source {
 		return chaos.Wrap(s, chaos.Script{Faults: []chaos.Fault{{Kind: chaos.Unavailable}}})
-	})
-	e2.SetPolicy(exec.PolicyFail)
+	}, Config{FailOnUnavailable: true})
 	if _, err := e2.Query(context.Background(), bindJoinQL); !errors.Is(err, sources.ErrUnavailable) {
 		t.Errorf("fail policy: err = %v, want the source's unavailability", err)
 	}
@@ -232,8 +228,7 @@ func TestBindJoinCancelledBetweenDrainAndFetch(t *testing.T) {
 	defer cancel()
 	e, _ := newBindEngine(t, []string{"7", "12"}, func(s catalog.Source) catalog.Source {
 		return cancelOnFetch{Source: s, cancel: cancel}
-	})
-	e.SetPolicy(exec.PolicyPartial)
+	}, Config{})
 	// The tickets were prefetched and drained before crmdb is first asked:
 	// the cancellation lands between the two.
 	if _, err := e.Query(ctx, bindJoinQL); !errors.Is(err, context.Canceled) {

@@ -87,7 +87,7 @@ func TestTupleSpliceCopiesBoundNodes(t *testing.T) {
 	if err := cat.AddSource(catalog.NewStaticSource("books", doc)); err != nil {
 		t.Fatal(err)
 	}
-	e := New(cat)
+	e := New(cat, Config{})
 	e.RegisterFunc("wrap", func(args []xmldm.Value) (xmldm.Value, error) {
 		return xmldm.NewTuple(
 			xmldm.Field{Name: "book", Value: args[0]},

@@ -28,35 +28,32 @@ import (
 )
 
 // Engine is one instance of the integration engine. It is safe for
-// concurrent queries; configuration methods are not meant to race with
-// queries.
+// concurrent queries. Its configuration is fixed at New; only the
+// function table and the local store change afterwards.
 type Engine struct {
 	cat    *catalog.Catalog
 	runner *exec.Runner
 
-	mu         sync.RWMutex
-	opts       opt.Options                                         // guarded by mu
-	par        int                                                 // guarded by mu
-	scheduler  *sched.Scheduler                                    // guarded by mu; nil = sched.Default()
-	class      sched.Class                                         // guarded by mu; default query class
-	policy     exec.Policy                                         // guarded by mu
-	funcs      map[string]func([]xmldm.Value) (xmldm.Value, error) // guarded by mu; replaced, never written
-	skipUnfold func(string) bool                                   // guarded by mu
-	metrics    *obs.Registry                                       // guarded by mu
-	traces     *obs.TraceStore                                     // guarded by mu
-	slow       *SlowLog                                            // guarded by mu
-	active     *ActiveRegistry                                     // guarded by mu
+	id      string
+	opts    opt.Options
+	par     int              // resolved: never 0
+	sched   *sched.Scheduler // never nil
+	class   sched.Class
+	policy  exec.Policy
+	metrics *obs.Registry
+	traces  *obs.TraceStore
+	slow    *SlowLog
+	active  *ActiveRegistry
 
 	// nimble_prepared_total{outcome="hit"|"miss"}, from metrics.
-	mPreparedHit, mPreparedMiss *obs.Counter // guarded by mu
+	mPreparedHit, mPreparedMiss *obs.Counter
+
+	mu         sync.RWMutex
+	funcs      map[string]func([]xmldm.Value) (xmldm.Value, error) // guarded by mu; replaced, never written
+	skipUnfold func(string) bool                                   // guarded by mu
 
 	prepared   preparedCache
 	queriesRun atomic.Int64
-
-	// id names this instance in the cluster registry, /debug/cluster,
-	// and the per-instance metric labels.
-	idMu sync.RWMutex
-	id   string // guarded by idMu
 
 	// inflight guards against cyclic schema materialization: per query
 	// execution (per Access), the set of schemas being materialized.
@@ -64,138 +61,126 @@ type Engine struct {
 	inflight   map[*exec.Access]map[string]bool // guarded by inflightMu
 }
 
+// Config is an engine's whole configuration, fixed at New. The zero
+// value is a standalone engine: pushdown on, the partial policy, the
+// default metrics registry, the process-wide scheduler, real time, and
+// no tracing, introspection, retries or breakers.
+type Config struct {
+	// ID names this instance in the cluster registry, /debug/cluster,
+	// and the per-instance metric labels; empty lets the cluster fall
+	// back to the registration index.
+	ID string
+	// Metrics receives the engine's series (nil = obs.Default()).
+	Metrics *obs.Registry
+	// Traces receives the span tree of every query the engine is the
+	// outermost tier of (no caller span in the context); when a front end
+	// already owns the trace, the engine only hangs its work under the
+	// caller's span and the owner records it. Nil disables recording;
+	// QueryOptions.Profile still works.
+	Traces *obs.TraceStore
+	// Slow and Active are the slow-query log and active-query registry
+	// the engine reports into; both may be shared across instances, and
+	// either may be nil to disable that surface.
+	Slow   *SlowLog
+	Active *ActiveRegistry
+	// Resilience sets per-attempt timeouts and retry/backoff for remote
+	// fetches; Breakers, shareable across instances so all queries agree
+	// on which sources are quarantined, quarantines failing sources (nil
+	// disables breakers); Clock is the time attempt deadlines and backoff
+	// sleeps run on (nil = real time; tests inject fake time).
+	Resilience exec.Resilience
+	Breakers   *exec.BreakerSet
+	Clock      exec.Clock
+	// FailOnUnavailable makes PolicyFail the default source-availability
+	// policy (PolicyPartial otherwise).
+	FailOnUnavailable bool
+	// DisablePushdown plans with every optimization off (an ablation
+	// knob; the answer is unchanged).
+	DisablePushdown bool
+	// Parallelism is the degree a query's operators *request*: n > 1
+	// asks for hash joins and the final ORDER-BY sort to run on up to n
+	// worker goroutines once their input reaches its measured crossover
+	// (everything else stays serial; DESIGN §12); 1 forces serial plans;
+	// 0 requests the scheduler's whole worker budget. An operator past
+	// its gate acquires its degree from Scheduler for as long as it runs,
+	// which grants min(requested, 1+available) with a floor of 1, so
+	// concurrent operators share the budget and a query under every gate
+	// never asks. EXPLAIN `workers=N` is the granted degree, with
+	// `want=M` beside it when less was granted than requested. Parallel
+	// plans produce output byte-identical to their serial twins at any
+	// granted degree.
+	Parallelism int
+	// Scheduler is the worker budget the parallel operators acquire
+	// from; every instance of a deployment normally shares one (nil =
+	// sched.Default()).
+	Scheduler *sched.Scheduler
+	// Class is the default scheduling class of the engine's queries;
+	// QueryOptions.Class overrides it per query.
+	Class sched.Class
+}
+
 // New creates an engine over a catalog.
-func New(cat *catalog.Catalog) *Engine {
+func New(cat *catalog.Catalog, cfg Config) *Engine {
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.Default()
+	}
+	if cfg.Scheduler == nil {
+		cfg.Scheduler = sched.Default()
+	}
+	if cfg.Parallelism <= 0 {
+		cfg.Parallelism = cfg.Scheduler.Budget()
+	}
 	e := &Engine{
-		cat:      cat,
-		opts:     opt.DefaultOptions(),
-		policy:   exec.PolicyPartial,
-		funcs:    map[string]func([]xmldm.Value) (xmldm.Value, error){},
-		inflight: map[*exec.Access]map[string]bool{},
+		cat:           cat,
+		id:            cfg.ID,
+		opts:          opt.DefaultOptions(),
+		par:           cfg.Parallelism,
+		sched:         cfg.Scheduler,
+		class:         cfg.Class,
+		policy:        exec.PolicyPartial,
+		metrics:       cfg.Metrics,
+		traces:        cfg.Traces,
+		slow:          cfg.Slow,
+		active:        cfg.Active,
+		mPreparedHit:  cfg.Metrics.Counter("nimble_prepared_total", "outcome", "hit"),
+		mPreparedMiss: cfg.Metrics.Counter("nimble_prepared_total", "outcome", "miss"),
+		funcs:         map[string]func([]xmldm.Value) (xmldm.Value, error){},
+		inflight:      map[*exec.Access]map[string]bool{},
 	}
-	e.runner = &exec.Runner{Cat: cat, Materialize: e.materializeSchema}
-	e.SetMetrics(obs.Default())
+	if cfg.FailOnUnavailable {
+		e.policy = exec.PolicyFail
+	}
+	if cfg.DisablePushdown {
+		e.opts = opt.Options{}
+	}
+	e.runner = &exec.Runner{
+		Cat:         cat,
+		Materialize: e.materializeSchema,
+		Metrics:     cfg.Metrics,
+		Resilience:  cfg.Resilience,
+		Breakers:    cfg.Breakers,
+		Clock:       cfg.Clock,
+	}
 	return e
-}
-
-// SetMetrics redirects the engine's metrics (default obs.Default()) to
-// the given registry; nil disables recording.
-func (e *Engine) SetMetrics(reg *obs.Registry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.metrics = reg
-	e.runner.Metrics = reg
-	e.mPreparedHit = reg.Counter("nimble_prepared_total", "outcome", "hit")
-	e.mPreparedMiss = reg.Counter("nimble_prepared_total", "outcome", "miss")
-}
-
-// SetTraceStore installs the trace store: when the engine starts its
-// own trace (no caller span in the context), the finished span tree is
-// offered to the store's sampler. When a front end already owns the
-// trace, the engine only hangs its work under the caller's span and the
-// owner records it. Nil disables recording; ?profile still works.
-func (e *Engine) SetTraceStore(t *obs.TraceStore) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.traces = t
-}
-
-// SetIntrospection installs the slow-query log and active-query registry
-// this engine reports into. Both may be shared across engine instances
-// (the cluster front end wires every engine to one pair) and either may be nil to
-// disable that surface.
-func (e *Engine) SetIntrospection(slow *SlowLog, active *ActiveRegistry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.slow = slow
-	e.active = active
-}
-
-// SetResilience installs the fetch resilience configuration: per-attempt
-// timeouts and retry/backoff (res), the per-source circuit-breaker set
-// (breakers, shareable across engine instances so all queries agree on
-// which sources are quarantined; nil disables breakers), and the clock
-// backoff sleeps run on (nil keeps the current clock — real time by
-// default; tests inject fake time for determinism).
-func (e *Engine) SetResilience(res exec.Resilience, breakers *exec.BreakerSet, clock exec.Clock) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.runner.Resilience = res
-	e.runner.Breakers = breakers
-	if clock != nil {
-		e.runner.Clock = clock
-	}
 }
 
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
-// SetPolicy sets the default source-availability policy.
-func (e *Engine) SetPolicy(p exec.Policy) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.policy = p
-}
-
-// SetPlannerOptions replaces the optimizer options (ablation knob).
-func (e *Engine) SetPlannerOptions(o opt.Options) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.opts = o
-}
-
-// SetParallelism sets the intra-query degree of parallelism a query's
-// operators *request*: n > 1 asks for hash joins and the final ORDER-BY
-// sort to run on up to n worker goroutines once their input reaches its
-// measured crossover (everything else stays serial; DESIGN §12); 1
-// forces serial plans; 0 — the default — requests the scheduler's whole
-// worker budget (GOMAXPROCS unless configured otherwise), resolved before
-// planning. An operator past its gate acquires its degree from the
-// shared scheduler (SetScheduler) for as long as it runs, which grants
-// min(requested, 1+available) with a floor of 1, so concurrent
-// operators share the budget and a query under every gate never asks.
-// EXPLAIN `workers=N` is the granted degree, with `want=M` beside it
-// when less was granted than requested. Parallel plans produce output
-// byte-identical to their serial twins at any granted degree.
-func (e *Engine) SetParallelism(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.par = n
-}
-
-// SetScheduler attaches the shared worker budget this engine's parallel
-// operators acquire from. All engine instances of a process normally
-// share one scheduler (nimble.New wires this); nil — the default — falls
-// back to the process-wide sched.Default().
-func (e *Engine) SetScheduler(s *sched.Scheduler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.scheduler = s
-}
+// ID reports the instance identity (Config.ID).
+func (e *Engine) ID() string { return e.id }
 
 // Scheduler reports the scheduler this engine's operators acquire from.
-func (e *Engine) Scheduler() *sched.Scheduler {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.scheduler != nil {
-		return e.scheduler
-	}
-	return sched.Default()
-}
+func (e *Engine) Scheduler() *sched.Scheduler { return e.sched }
 
-// SetQueryClass sets the default scheduling class for this engine's
-// queries (interactive unless set); QueryOptions.Class overrides it per
-// query.
-func (e *Engine) SetQueryClass(c sched.Class) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.class = c
-}
+// Breakers reports the engine's circuit-breaker set (nil when disabled).
+func (e *Engine) Breakers() *exec.BreakerSet { return e.runner.Breakers }
 
 // RegisterFunc adds a scalar function visible to queries — the hook
 // through which the cleaning subsystem exposes normalization functions
-// for dynamic, query-time cleaning (§3.2). Running queries keep reading
-// the map they took, so it is replaced, never written.
+// for dynamic, query-time cleaning (§3.2). Functions may be registered
+// while queries run: a running query keeps reading the map it took, so
+// it is replaced, never written.
 func (e *Engine) RegisterFunc(name string, fn func([]xmldm.Value) (xmldm.Value, error)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -206,7 +191,9 @@ func (e *Engine) RegisterFunc(name string, fn func([]xmldm.Value) (xmldm.Value, 
 
 // SetLocalStore installs the local materialized store consulted before
 // any remote fetch, and the predicate naming schemas that should not be
-// unfolded because the store holds them.
+// unfolded because the store holds them. It is set after New because
+// the store's manager computes views through the engine it installs
+// itself on (matview.NewManager).
 func (e *Engine) SetLocalStore(local func(source string, req catalog.Request) (*xmldm.Node, bool), skipUnfold func(string) bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -215,33 +202,9 @@ func (e *Engine) SetLocalStore(local func(source string, req catalog.Request) (*
 	e.prepared.clear() // unfolded under the predicate replaced
 }
 
-// SetObserver installs a fetch observer (the materialization advisor's
-// feed).
-func (e *Engine) SetObserver(fn func(source string, req catalog.Request, cost catalog.Cost, err error)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.runner.Observe = fn
-}
-
 // QueriesRun reports the number of top-level queries executed (the
 // cluster front end uses it for per-instance load accounting).
 func (e *Engine) QueriesRun() int64 { return e.queriesRun.Load() }
-
-// SetID names this engine instance; the cluster registry, inspector,
-// and per-instance metrics use it. Empty (the default) lets the
-// cluster fall back to the registration index.
-func (e *Engine) SetID(id string) {
-	e.idMu.Lock()
-	defer e.idMu.Unlock()
-	e.id = id
-}
-
-// ID reports the instance identity set by SetID.
-func (e *Engine) ID() string {
-	e.idMu.RLock()
-	defer e.idMu.RUnlock()
-	return e.id
-}
 
 // Stats summarizes one query's execution.
 type Stats struct {
@@ -363,36 +326,12 @@ func (e *Engine) QueryOpt(ctx context.Context, src string, qo QueryOptions) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return e.queryAST(ctx, call.Query, qo, src, call)
-}
-
-// QueryAST executes a parsed query.
-func (e *Engine) QueryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions) (*Result, error) {
-	return e.queryAST(ctx, q, qo, q.String(), nil)
-}
-
-// queryAST executes a parsed query; text is the query's source form, as
-// reported by the active-query registry and the slow-query log, and call
-// its prepared entry, if it has one.
-func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, text string, call *preparedCall) (*Result, error) {
+	q := call.Query
 	e.queriesRun.Add(1)
 	e.mu.RLock()
-	policy := e.policy
 	funcs := e.funcs
-	metrics := e.metrics
-	traces := e.traces
-	slow := e.slow
-	activeReg := e.active
-	schd := e.scheduler
-	class := e.class
-	par := e.par
 	e.mu.RUnlock()
-	if schd == nil {
-		schd = sched.Default()
-	}
-	if par <= 0 {
-		par = schd.Budget()
-	}
+	class := e.class
 	if qo.Class != "" {
 		c, err := sched.ParseClass(qo.Class)
 		if err != nil {
@@ -402,6 +341,7 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	}
 	// Precedence: the query's own ON-UNAVAILABLE prelude overrides the
 	// engine default; an explicit per-call option overrides both.
+	policy := e.policy
 	switch q.OnUnavailable {
 	case "fail":
 		policy = exec.PolicyFail
@@ -413,8 +353,8 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	}
 
 	start := time.Now()
-	aq := activeReg.Register(text)
-	defer activeReg.Finish(aq)
+	aq := e.active.Register(src)
+	defer e.active.Finish(aq)
 	// When a caller (the HTTP front end, via the cluster hop) already
 	// carries a span, the engine's work hangs under it — one TraceID end
 	// to end — and the caller records the finished trace. Only when the
@@ -424,33 +364,28 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	ownRoot := false
 	if parent := obs.FromContext(ctx); parent != nil {
 		root = parent.StartChild("engine")
-	} else if qo.Profile || traces != nil {
-		root = traces.NewRoot("engine", obs.TraceContext{})
+	} else if qo.Profile || e.traces != nil {
+		root = e.traces.NewRoot("engine", obs.TraceContext{})
 		ownRoot = true
 	}
 	if root != nil {
 		root.SetAttr("policy", policy.String())
-		if id := e.ID(); id != "" {
-			root.SetAttr("instance", id)
+		if e.id != "" {
+			root.SetAttr("instance", e.id)
 		}
 		ctx = obs.ContextWithSpan(ctx, root)
 	}
 
 	access := e.runner.NewAccess(ctx, policy)
 	// The query holds no workers: a join or sort past its gate acquires
-	// them from schd under the query's class while it runs.
-	actx := &algebra.Context{Funcs: funcs, Trace: root, Sched: schd, Class: class}
-	workersGauge := metrics.Gauge("nimble_parallel_workers")
+	// them from the scheduler under the query's class while it runs.
+	actx := &algebra.Context{Funcs: funcs, Trace: root, Sched: e.sched, Class: class}
+	workersGauge := e.metrics.Gauge("nimble_parallel_workers")
 	actx.OnWorkers = func(delta int) { workersGauge.Add(float64(delta)) }
-	res := &Result{Explain: &ExplainTree{Op: "Query"}}
-	if call != nil {
-		res.Deps = call.deps
-	} else {
-		res.Deps = catalog.QueryDeps(q)
-	}
-	qs := &queryState{ctx: ctx, access: access, actx: actx, par: par,
+	res := &Result{Explain: &ExplainTree{Op: "Query"}, Deps: call.deps}
+	qs := &queryState{ctx: ctx, access: access, actx: actx, par: e.par,
 		top: true, call: call, stats: &res.Stats, aq: aq, ex: res.Explain, buf: qo.Buffer}
-	sub := &queryState{ctx: ctx, access: access, actx: actx, par: par}
+	sub := &queryState{ctx: ctx, access: access, actx: actx, par: e.par}
 	actx.SubqueryEval = func(subq *xmlql.Query, outer algebra.Binding) ([]xmldm.Value, error) {
 		return e.run(sub, subq, outer)
 	}
@@ -458,24 +393,24 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	elapsed := time.Since(start)
 	snap := actx.Snapshot()
 
-	metrics.Counter("nimble_queries_total").Inc()
+	e.metrics.Counter("nimble_queries_total").Inc()
 	if snap.BindJoins > 0 {
-		metrics.Counter("nimble_bind_join_total", "outcome", "bound").Add(snap.BindJoins)
+		e.metrics.Counter("nimble_bind_join_total", "outcome", "bound").Add(snap.BindJoins)
 	}
 	if snap.BindFallbacks > 0 {
-		metrics.Counter("nimble_bind_join_total", "outcome", "fallback").Add(snap.BindFallbacks)
+		e.metrics.Counter("nimble_bind_join_total", "outcome", "fallback").Add(snap.BindFallbacks)
 	}
 	// The latency observation carries the trace id as a bucket exemplar:
 	// a bad percentile on the histogram links straight to a kept trace.
-	metrics.Histogram("nimble_query_seconds").ObserveExemplar(elapsed.Seconds(), root.TraceID().String())
+	e.metrics.Histogram("nimble_query_seconds").ObserveExemplar(elapsed.Seconds(), root.TraceID().String())
 	entry := SlowEntry{
-		Query:      text,
+		Query:      src,
 		TraceID:    root.TraceID().String(),
 		Start:      start,
 		DurationMS: float64(elapsed) / float64(time.Millisecond),
 	}
 	if err != nil {
-		metrics.Counter("nimble_query_errors_total").Inc()
+		e.metrics.Counter("nimble_query_errors_total").Inc()
 		entry.Error = err.Error()
 		root.SetAttr("error", err.Error())
 	} else {
@@ -498,10 +433,10 @@ func (e *Engine) queryAST(ctx context.Context, q *xmlql.Query, qo QueryOptions, 
 	res.Explain.Finalize()
 	attachFetchStats(res.Explain, access.FetchStats(), elapsed)
 	// The plan is rendered only if the slow log keeps the entry.
-	slow.Record(entry, res.Explain.Render)
+	e.slow.Record(entry, res.Explain.Render)
 	root.Finish()
 	if ownRoot {
-		traces.Record(root)
+		e.traces.Record(root)
 	}
 	if err != nil {
 		return nil, err
@@ -580,8 +515,8 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 	}
 	e.mu.RLock()
 	skip := e.skipUnfold
-	opts := e.opts
 	e.mu.RUnlock()
+	opts := e.opts
 	opts.Parallelism = qs.par
 
 	sp := obs.FromContext(ctx)
@@ -843,10 +778,7 @@ func (e *Engine) materializeSchema(ctx context.Context, schema string, access *e
 // MaterializeSchema computes and returns a schema's document with a
 // fresh access (public entry for the materialized-view manager).
 func (e *Engine) MaterializeSchema(ctx context.Context, schema string) (*xmldm.Node, exec.Completeness, error) {
-	e.mu.RLock()
-	policy := e.policy
-	e.mu.RUnlock()
-	access := e.runner.NewAccess(ctx, policy)
+	access := e.runner.NewAccess(ctx, e.policy)
 	doc, err := e.materializeSchema(ctx, schema, access)
 	if err != nil {
 		return nil, access.Report(), err

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
-	"repro/internal/opt"
+	"repro/internal/obs"
 	"repro/internal/rdb"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
@@ -20,16 +20,18 @@ import (
 // tables (the paper's scattered-customer scenario).
 func newTestEngine(t testing.TB) (*Engine, *sources.RelationalSource) {
 	t.Helper()
-	return newTestEngineOver(t, `<tickets>
+	return newTestEngineOver(t, testTickets, Config{})
+}
+
+const testTickets = `<tickets>
 		<ticket pri="high"><cust>1</cust><subject>Engine overheats</subject></ticket>
 		<ticket pri="low"><cust>2</cust><subject>Manual unclear</subject></ticket>
 		<ticket pri="high"><cust>3</cust><subject>Crash on start</subject></ticket>
-	</tickets>`)
-}
+	</tickets>`
 
 // newTestEngineOver is newTestEngine's deployment with the given tickets
-// document.
-func newTestEngineOver(t testing.TB, ticketsXML string) (*Engine, *sources.RelationalSource) {
+// document, configured with cfg.
+func newTestEngineOver(t testing.TB, ticketsXML string, cfg Config) (*Engine, *sources.RelationalSource) {
 	t.Helper()
 	crm := rdb.NewDatabase("crm")
 	crm.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
@@ -64,7 +66,7 @@ func newTestEngineOver(t testing.TB, ticketsXML string) (*Engine, *sources.Relat
 		CONSTRUCT <cust><cid>$i</cid><who>$n</who><where>$c</where></cust>`); err != nil {
 		t.Fatal(err)
 	}
-	return New(cat), crmSrc
+	return New(cat, cfg), crmSrc
 }
 
 func texts(vals []xmldm.Value) []string {
@@ -234,9 +236,9 @@ func TestCorrelatedSubqueryThroughUnfolding(t *testing.T) {
 // (where the subquery counted every order and the predicate dropped
 // every row).
 func TestAggregatePredicateWaitsForItsCorrelation(t *testing.T) {
-	e, _ := newTestEngine(t)
+	base, _ := newTestEngine(t)
 	for _, par := range parallelDegrees {
-		e.SetParallelism(par)
+		e := New(base.Catalog(), Config{Parallelism: par})
 		res, err := e.Query(context.Background(), `
 			WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
 			      <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets",
@@ -262,7 +264,7 @@ func TestPartialResults(t *testing.T) {
 	crmSrc, _ := e.Catalog().Source("crmdb")
 	cat2.AddSource(crmSrc)
 	cat2.AddSource(down)
-	e2 := New(cat2)
+	e2 := New(cat2, Config{})
 
 	q := `WHERE <customer><name>$n</name></customer> IN "crmdb",
 	      <order><total>$t</total></order> IN "salesdb"
@@ -301,8 +303,7 @@ func TestOnUnavailablePrelude(t *testing.T) {
 	cat.AddSource(live)
 	dead, _ := sources.NewXMLSource("deadsrc", `<x><row><v>2</v></row></x>`)
 	cat.AddSource(sources.NewDowned(dead))
-	e := New(cat)
-	e.SetPolicy(exec.PolicyPartial) // engine default
+	e := New(cat, Config{}) // the partial policy
 
 	base := `WHERE <row><v>$a</v></row> IN "live", <row><v>$b</v></row> IN "deadsrc" CONSTRUCT <r>$a</r>`
 
@@ -311,7 +312,7 @@ func TestOnUnavailablePrelude(t *testing.T) {
 		t.Error("ON-UNAVAILABLE FAIL should surface the error")
 	}
 	// And PARTIAL overrides a fail-default engine.
-	e.SetPolicy(exec.PolicyFail)
+	e = New(cat, Config{FailOnUnavailable: true})
 	res, err := e.Query(context.Background(), "ON-UNAVAILABLE PARTIAL "+base)
 	if err != nil {
 		t.Fatalf("ON-UNAVAILABLE PARTIAL: %v", err)
@@ -338,7 +339,7 @@ func TestPartialResultsUnionStillAnswers(t *testing.T) {
 	cat.AddSource(sources.NewDowned(legacy))
 	cat.DefineViewQL("customers", `WHERE <customer><name>$n</name></customer> IN "crmdb" CONSTRUCT <cust><who>$n</who></cust>`)
 	cat.DefineViewQL("customers", `WHERE <client><nm>$n</nm></client> IN "legacy" CONSTRUCT <cust><who>$n</who></cust>`)
-	e := New(cat)
+	e := New(cat, Config{})
 	res, err := e.Query(context.Background(), `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +431,7 @@ func TestIncompleteResultDocumentFlagged(t *testing.T) {
 	cat := catalog.New()
 	legacy, _ := sources.NewXMLSource("legacy", `<l/>`)
 	cat.AddSource(sources.NewDowned(legacy))
-	e := New(cat)
+	e := New(cat, Config{})
 	res, err := e.Query(context.Background(), `WHERE <x>$v</x> IN "legacy" CONSTRUCT <r>$v</r>`)
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +450,7 @@ func TestPlannerOptionsAblateToSameAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetPlannerOptions(opt.Options{}) // no pushdown at all
+	e = New(e.Catalog(), Config{DisablePushdown: true}) // no pushdown at all
 	res2, err := e.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +473,7 @@ func TestOrderByAcrossUnion(t *testing.T) {
 	cat.AddSource(b)
 	cat.DefineViewQL("all", `WHERE <item><v>$x</v></item> IN "sa" CONSTRUCT <u><n>$x</n></u>`)
 	cat.DefineViewQL("all", `WHERE <row><w>$x</w></row> IN "sb" CONSTRUCT <u><n>$x</n></u>`)
-	e := New(cat)
+	e := New(cat, Config{})
 	res, err := e.Query(context.Background(), `
 		WHERE <u><n>$n</n></u> IN "all" CONSTRUCT <r>$n</r> ORDER-BY $n`)
 	if err != nil {
@@ -557,8 +558,8 @@ func TestLocalStoreShortCircuitsSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetches := 0
-	e.SetObserver(func(string, catalog.Request, catalog.Cost, error) { fetches++ })
+	meter := obs.NewRegistry()
+	e.Catalog().WrapAll(func(src catalog.Source) catalog.Source { return sources.Instrument(src, meter) })
 	e.SetLocalStore(
 		func(source string, _ catalog.Request) (*xmldm.Node, bool) {
 			if source == "customers" {
@@ -577,8 +578,10 @@ func TestLocalStoreShortCircuitsSource(t *testing.T) {
 	if len(res.Values) != 1 || xmldm.Stringify(res.Values[0]) != "Ada Lovelace" {
 		t.Errorf("values = %v", texts(res.Values))
 	}
-	if fetches != 0 {
-		t.Errorf("remote fetches = %d, want 0 (answered locally)", fetches)
+	for _, src := range e.Catalog().SourceNames() {
+		if n := meter.Histogram("nimble_source_fetch_seconds", "source", src).Count(); n != 0 {
+			t.Errorf("remote fetches of %s = %d, want 0 (answered locally)", src, n)
+		}
 	}
 	// Status marks the local answer.
 	found := false

@@ -61,7 +61,7 @@ func randomDeployment(t *testing.T, rng *rand.Rand) (*Engine, string) {
 	if err := cat.DefineViewQL("recs", view); err != nil {
 		t.Fatal(err)
 	}
-	return New(cat), view
+	return New(cat, Config{}), view
 }
 
 // randomQuery builds a query over the "recs" schema compatible with all
@@ -98,7 +98,7 @@ func materializedAnswer(t *testing.T, e *Engine, q string) []string {
 	if err := refCat.AddSource(catalog.NewStaticSource("recs", doc)); err != nil {
 		t.Fatal(err)
 	}
-	ref := New(refCat)
+	ref := New(refCat, Config{})
 	res, err := ref.Query(context.Background(), q)
 	if err != nil {
 		t.Fatalf("reference query: %v", err)
@@ -157,12 +157,12 @@ func TestUnfoldingEquivalence_Property(t *testing.T) {
 // serial oracle, minimal parallelism, and more workers than cores.
 var parallelDegrees = []int{1, 2, 8}
 
-// runAt executes q on e at the given degree of parallelism and returns
-// the serialized result document plus the result itself.
+// runAt executes q at the given degree of parallelism on an engine over
+// e's catalog that shares e's scheduler and metrics, and returns the
+// serialized result document plus the result itself.
 func runAt(t *testing.T, e *Engine, q string, par int) (string, *Result) {
 	t.Helper()
-	e.SetParallelism(par)
-	res, err := e.Query(context.Background(), q)
+	res, err := New(e.Catalog(), Config{Parallelism: par, Scheduler: e.sched, Metrics: e.metrics}).Query(context.Background(), q)
 	if err != nil {
 		t.Fatalf("parallelism %d: %v\nquery: %s", par, err, q)
 	}
@@ -253,7 +253,7 @@ func newWideTestEngine(t testing.TB) *Engine {
 		fmt.Fprintf(&sb, `<ticket pri="%s"><cust>%d</cust><subject>S%d</subject></ticket>`, []string{"high", "low"}[k%2], k, k%97)
 	}
 	sb.WriteString("</tickets>")
-	e, crm := newTestEngineOver(t, sb.String())
+	e, crm := newTestEngineOver(t, sb.String(), Config{})
 	for i := 4; i <= wideTickets; i++ {
 		if err := crm.DB().Insert("customers", rdb.Row{xmldm.Int(int64(i)), xmldm.String(fmt.Sprintf("C%d", i)), xmldm.String(fmt.Sprintf("City%d", i%7))}); err != nil {
 			t.Fatal(err)
@@ -279,13 +279,14 @@ type heldGates struct {
 	goroutines int
 }
 
-// watchGates points e's metrics at a fresh registry and notes the worker
-// gauge and the goroutine count before the runs.
-func watchGates(e *Engine) *heldGates {
+// watchGates returns an engine over e's catalog and scheduler whose
+// metrics go to a fresh registry, and notes its worker gauge and the
+// goroutine count before the runs.
+func watchGates(e *Engine) (*Engine, *heldGates) {
 	reg := obs.NewRegistry()
-	e.SetMetrics(reg)
 	g := reg.Gauge("nimble_parallel_workers")
-	return &heldGates{gauge: g, before: g.Value(), goroutines: runtime.NumGoroutine()}
+	return New(e.Catalog(), Config{Scheduler: e.sched, Metrics: reg}),
+		&heldGates{gauge: g, before: g.Value(), goroutines: runtime.NumGoroutine()}
 }
 
 // check fails unless res ran serially — no worker spawned — and the
@@ -324,9 +325,9 @@ func TestParallelEquivalence_Workload(t *testing.T) {
 			if len(ores.Values) == 0 {
 				t.Fatalf("%s %d: oracle produced no rows (weak test)", fam.name, qi)
 			}
-			held := watchGates(fam.e)
+			watched, held := watchGates(fam.e)
 			for _, par := range parallelDegrees[1:] {
-				got, res := runAt(t, fam.e, q, par)
+				got, res := runAt(t, watched, q, par)
 				if got != oracle {
 					t.Fatalf("%s %d parallelism %d: output differs from serial\ngot:  %s\nwant: %s",
 						fam.name, qi, par, got, oracle)
@@ -424,7 +425,7 @@ func TestSchedulerGrantEquivalence_Differential(t *testing.T) {
 			oracle, ores := runAt(t, e, q, 1)
 
 			schd := sched.New(sched.Config{Budget: budget})
-			e.SetScheduler(schd)
+			e = New(e.Catalog(), Config{Scheduler: schd})
 			// 0 = auto (resolves to the budget), then explicit degrees
 			// below, at, and above what the budget can grant.
 			for _, desired := range []int{0, 2, 8} {
@@ -461,8 +462,7 @@ func TestSchedulerGrantEquivalence_MixedClasses(t *testing.T) {
 	oracle, _ := runAt(t, e, q, 1)
 
 	schd := sched.New(sched.Config{Budget: 2})
-	e.SetScheduler(schd)
-	e.SetParallelism(4)
+	e = New(e.Catalog(), Config{Parallelism: 4, Scheduler: schd})
 	classes := []string{"interactive", "batch", "", "batch", "interactive", "batch"}
 	results := make([]string, len(classes))
 	errs := make([]error, len(classes))
@@ -575,7 +575,7 @@ func viewJoinDeployment(t *testing.T, rng *rand.Rand, indexed bool, tickets int)
 		CONSTRUCT <cust><cid>$i</cid><who>$n</who></cust>`); err != nil {
 		t.Fatal(err)
 	}
-	return New(cat), cat
+	return New(cat, Config{}), cat
 }
 
 // viewJoinQueries are the shape with and without ORDER-BY; the second
@@ -702,7 +702,7 @@ func viewJoinMaterialized(t *testing.T, e *Engine, cat *catalog.Catalog, q strin
 			t.Fatal(err)
 		}
 	}
-	res, err := New(refCat).Query(context.Background(), q)
+	res, err := New(refCat, Config{}).Query(context.Background(), q)
 	if err != nil {
 		t.Fatalf("materialized query: %v", err)
 	}
@@ -806,9 +806,9 @@ func TestParallelEquivalence_ViewJoin(t *testing.T) {
 			for _, orderBy := range viewJoinQueries {
 				q := viewJoinQuery(orderBy, fam.indexed)
 				oracle, ores := runAt(t, e, q, 1)
-				held := watchGates(e)
+				watched, held := watchGates(e)
 				for _, par := range parallelDegrees[1:] {
-					got, res := runAt(t, e, q, par)
+					got, res := runAt(t, watched, q, par)
 					if got != oracle {
 						t.Fatalf("%s seed %d%s parallelism %d: output differs from serial\ngot:  %s\nwant: %s", fam.name, seed, orderBy, par, got, oracle)
 					}
@@ -840,7 +840,7 @@ func TestSchedulerGrantEquivalence_ViewJoin(t *testing.T) {
 				q := viewJoinQuery(viewJoinQueries[seed%int64(len(viewJoinQueries))], fam.indexed)
 				oracle, ores := runAt(t, e, q, 1)
 				schd := sched.New(sched.Config{Budget: budget})
-				e.SetScheduler(schd)
+				e = New(e.Catalog(), Config{Scheduler: schd})
 				for _, desired := range []int{0, 2, 8} {
 					got, res := runAt(t, e, q, desired)
 					if got != oracle || res.Completeness.Complete != ores.Completeness.Complete {

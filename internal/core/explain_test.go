@@ -54,11 +54,10 @@ const twoSourceJoinQL = `
 	CONSTRUCT <r><who>$w</who><subject>$s</subject></r>`
 
 func TestExplainGoldenTwoSourceJoin(t *testing.T) {
-	e, _ := newTestEngine(t)
-	e.SetParallelism(1) // pin the serial plan shape on multi-core runners
 	slow := NewSlowLog(4, 0)
 	active := NewActiveRegistry()
-	e.SetIntrospection(slow, active)
+	// Parallelism 1 pins the serial plan shape on multi-core runners.
+	e, _ := newTestEngineOver(t, testTickets, Config{Parallelism: 1, Slow: slow, Active: active})
 
 	res, err := e.Query(context.Background(), twoSourceJoinQL)
 	if err != nil {
@@ -120,8 +119,7 @@ func TestExplainParallelPlanShape(t *testing.T) {
 	      <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets",
 	      $w != $s
 	CONSTRUCT <r><who>$w</who><subject>$s</subject></r>`
-	e := newWideTestEngine(t)
-	e.SetParallelism(2)
+	e := New(newWideTestEngine(t).Catalog(), Config{Parallelism: 2})
 
 	res, err := e.Query(context.Background(), ql)
 	if err != nil {
@@ -165,8 +163,7 @@ Query [rewrites=1] out=2048 in=2048 time=?ms
 	}
 
 	// Same answer as the serial engine, byte for byte.
-	serial := newWideTestEngine(t)
-	serial.SetParallelism(1)
+	serial := New(newWideTestEngine(t).Catalog(), Config{Parallelism: 1})
 	sres, err := serial.Query(context.Background(), ql)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +176,7 @@ Query [rewrites=1] out=2048 in=2048 time=?ms
 	}
 }
 
-// TestExplainGoldenSchedulerBudgetWorkers: SetParallelism(0) — "use the
+// TestExplainGoldenSchedulerBudgetWorkers: Parallelism 0 — "use the
 // machine" — resolves through the shared scheduler's budget, not through
 // GOMAXPROCS at query time. A small query's join holds its gate — three
 // rows being far under every crossover — so it asks the scheduler for
@@ -189,11 +186,10 @@ Query [rewrites=1] out=2048 in=2048 time=?ms
 // leaves the one slot to interactive work. Every grant is back in the
 // pool at completion and every answer is the serial twin's.
 func TestExplainGoldenSchedulerBudgetWorkers(t *testing.T) {
-	e, _ := newTestEngine(t)
-	held := watchGates(e)
+	base, _ := newTestEngine(t)
 	schd := sched.New(sched.Config{Budget: 2})
-	e.SetScheduler(schd)
-	e.SetParallelism(0) // auto: the scheduler's budget
+	// Parallelism 0, auto: the scheduler's budget.
+	e, held := watchGates(New(base.Catalog(), Config{Scheduler: schd}))
 
 	res, err := e.Query(context.Background(), twoSourceJoinQL)
 	if err != nil {
@@ -221,8 +217,7 @@ Query [rewrites=1] out=3 in=3 time=?ms
 		t.Errorf("scheduler after a query under every gate: %+v, want untouched", snap)
 	}
 
-	serial, _ := newTestEngine(t)
-	serial.SetParallelism(1)
+	serial, _ := newTestEngineOver(t, testTickets, Config{Parallelism: 1})
 	sres, err := serial.Query(context.Background(), twoSourceJoinQL)
 	if err != nil {
 		t.Fatal(err)
@@ -248,9 +243,8 @@ Query [rewrites=1] out=3 in=3 time=?ms
 		{1, 2, "batch", "HashJoin [workers=1 want=2 on $_uN_i=$i]", 0},
 	} {
 		schd := sched.New(sched.Config{Budget: tc.budget})
-		wide.SetScheduler(schd)
-		wide.SetParallelism(tc.par)
-		res, err := wide.QueryOpt(context.Background(), wideQL, QueryOptions{Class: tc.class})
+		e := New(wide.Catalog(), Config{Parallelism: tc.par, Scheduler: schd})
+		res, err := e.QueryOpt(context.Background(), wideQL, QueryOptions{Class: tc.class})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,9 +313,8 @@ func TestSlowLogRendersOnlyKeptPlans(t *testing.T) {
 // runs lands in the slow log with the error and the plan as far as it
 // ran, like one that succeeds (TestExplainGoldenTwoSourceJoin).
 func TestSlowLogKeepsPlanOfFailedQuery(t *testing.T) {
-	e, _ := newTestEngine(t)
 	slow := NewSlowLog(4, 0)
-	e.SetIntrospection(slow, nil)
+	e, _ := newTestEngineOver(t, testTickets, Config{Slow: slow})
 	_, err := e.Query(context.Background(), `
 		WHERE <ticket><subject>$s</subject></ticket> IN "tickets", no_such_fn($s) = 1
 		CONSTRUCT <r>$s</r>`)

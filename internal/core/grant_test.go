@@ -19,7 +19,8 @@ import (
 // scheduler holds no grant at all, and the wide query's join is granted
 // workers=2 and spawns both.
 func TestSmallQueriesHoldNoWorkerSlots(t *testing.T) {
-	e := newWideTestEngine(t)
+	schd := sched.New(sched.Config{Budget: 2})
+	e := New(newWideTestEngine(t).Catalog(), Config{Scheduler: schd})
 	src, err := sources.NewXMLSource("stalled", `<s><item>a</item><item>b</item></s>`)
 	if err != nil {
 		t.Fatal(err)
@@ -28,9 +29,6 @@ func TestSmallQueriesHoldNoWorkerSlots(t *testing.T) {
 	if err := e.Catalog().AddSource(stalled); err != nil {
 		t.Fatal(err)
 	}
-	schd := sched.New(sched.Config{Budget: 2})
-	e.SetScheduler(schd)
-	e.SetParallelism(0)
 
 	const small = 3
 	ctx, cancel := context.WithCancel(context.Background())

@@ -56,8 +56,7 @@ func (o opaqueSource) Fetch(ctx context.Context, req catalog.Request) (*xmldm.No
 // a literal reads the (element, attribute, value) list — the two
 // high-priority tickets, not all three — and the leaf says which list.
 func TestExplainGoldenIndexedLeaf(t *testing.T) {
-	e, _ := newTestEngine(t)
-	e.SetParallelism(1)
+	e, _ := newTestEngineOver(t, testTickets, Config{Parallelism: 1})
 	res, err := e.Query(context.Background(), highTicketsQL)
 	if err != nil {
 		t.Fatal(err)
@@ -84,15 +83,13 @@ Query [rewrites=1] out=2 in=2 time=?ms
 // for the copy, and the leaf walks it — same answer, and EXPLAIN says
 // walk once the leaf has run.
 func TestExplainGoldenWalkedLeaf(t *testing.T) {
-	indexed, _ := newTestEngine(t)
-	indexed.SetParallelism(1)
+	indexed, _ := newTestEngineOver(t, testTickets, Config{Parallelism: 1})
 	want, err := indexed.Query(context.Background(), highTicketsQL)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	e, _ := newTestEngine(t)
-	e.SetParallelism(1)
+	e, _ := newTestEngineOver(t, testTickets, Config{Parallelism: 1})
 	src, err := e.Catalog().Source("tickets")
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +132,7 @@ func TestIndexedSourceUnderChaosMatchesUnindexedTwin(t *testing.T) {
 		{}, {Kind: chaos.Malformed}, {},
 	}}
 	engine := func(hide bool) *Engine {
-		e, _ := newTestEngine(t)
+		e, _ := newTestEngineOver(t, testTickets, Config{Resilience: exec.Resilience{Retries: 1}, Clock: chaos.NewFakeClock()})
 		src, err := e.Catalog().Source("tickets")
 		if err != nil {
 			t.Fatal(err)
@@ -146,8 +143,6 @@ func TestIndexedSourceUnderChaosMatchesUnindexedTwin(t *testing.T) {
 		if err := e.Catalog().ReplaceSource(chaos.Wrap(src, script)); err != nil {
 			t.Fatal(err)
 		}
-		e.SetPolicy(exec.PolicyPartial)
-		e.SetResilience(exec.Resilience{Retries: 1}, nil, chaos.NewFakeClock())
 		return e
 	}
 	indexed, twin := engine(false), engine(true)
@@ -210,7 +205,7 @@ func TestStaticReplaceRacesQueries(t *testing.T) {
 	if err := cat.AddSource(src); err != nil {
 		t.Fatal(err)
 	}
-	e := New(cat)
+	e := New(cat, Config{})
 	version := func() (int, error) {
 		res, err := e.Query(context.Background(), highTicketsQL)
 		if err != nil {
@@ -258,7 +253,7 @@ func TestDirectoryPutRacesQueries(t *testing.T) {
 		}
 	}
 	put(0)
-	e := New(cat)
+	e := New(cat, Config{})
 	const ql = `WHERE <*><sid>$s</sid><ver>$v</ver></> IN "staff" CONSTRUCT <r>$v</r>`
 	newest := func() (int, error) {
 		res, err := e.Query(context.Background(), ql)
@@ -342,9 +337,8 @@ func TestSharedSnapshotSurvivesElementAsConstruct(t *testing.T) {
 		return sb.String()
 	}
 	before := fingerprint()
-	e := New(cat)
 	for _, par := range parallelDegrees {
-		e.SetParallelism(par)
+		e := New(cat, Config{Parallelism: par})
 		for _, q := range []string{
 			`WHERE <*><sid>$s</sid></> ELEMENT_AS $e CONTENT_AS $c IN "staff"
 			 CONSTRUCT <r id=$s>$e<content>$c</content></r>`,

@@ -97,12 +97,11 @@ var shapes = sync.Pool{New: func() any { return new(xmlql.Shape) }}
 func (e *Engine) prepare(sh *xmlql.Shape) (*preparedCall, error) {
 	e.mu.RLock()
 	skip := e.skipUnfold
-	hits, misses := e.mPreparedHit, e.mPreparedMiss
 	e.mu.RUnlock()
 	gen := e.cat.Generation()
 	if p := e.prepared.lookup(sh, gen, skip); p != nil {
 		e.prepared.hits.Add(1)
-		hits.Inc()
+		e.mPreparedHit.Inc()
 		call := &preparedCall{prepared: p, bound: p.rewrites, hit: true}
 		if from, to := p.Rebinding(sh.Lits); len(from) > 0 {
 			call.bound = make([]mediator.Rewrite, len(p.rewrites))
@@ -117,7 +116,7 @@ func (e *Engine) prepare(sh *xmlql.Shape) (*preparedCall, error) {
 		return nil, err
 	}
 	e.prepared.misses.Add(1)
-	misses.Inc()
+	e.mPreparedMiss.Inc()
 	return &preparedCall{prepared: &prepared{Prepared: pq, key: string(sh.Key),
 		deps: catalog.QueryDeps(pq.Query), gen: gen}}, nil
 }

@@ -123,7 +123,7 @@ func TestPreparedFollowsTheCatalog(t *testing.T) {
 	if err := cat.DefineViewQL("s", `WHERE <t>$v</t> IN "a" CONSTRUCT <x>$v</x>`); err != nil {
 		t.Fatal(err)
 	}
-	e := New(cat)
+	e := New(cat, Config{})
 	q := func(not string) string {
 		return fmt.Sprintf(`WHERE <x>$v</x> IN "s", $v != "%s" CONSTRUCT <r>$v</r> ORDER-BY $v`, not)
 	}

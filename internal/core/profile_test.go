@@ -14,8 +14,7 @@ import (
 // completeness report (same sources, rows, local/error flags), and the
 // tree carries the planning/prefetch/eval structure.
 func TestProfileSpanTree(t *testing.T) {
-	eng, _ := newTestEngine(t)
-	eng.SetMetrics(obs.NewRegistry())
+	eng, _ := newTestEngineOver(t, testTickets, Config{Metrics: obs.NewRegistry()})
 	res, err := eng.QueryOpt(context.Background(),
 		`WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`,
 		QueryOptions{Profile: true})
@@ -75,11 +74,9 @@ func TestProfileSpanTree(t *testing.T) {
 // TestTracerRetainsQueries checks that an installed trace store records
 // every query even without Profile, and that metrics count them.
 func TestTracerRetainsQueries(t *testing.T) {
-	eng, _ := newTestEngine(t)
 	reg := obs.NewRegistry()
-	eng.SetMetrics(reg)
 	tr := obs.NewTraceStore(obs.StoreConfig{Limit: 4})
-	eng.SetTraceStore(tr)
+	eng, _ := newTestEngineOver(t, testTickets, Config{Metrics: reg, Traces: tr})
 	q := `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`
 	for i := 0; i < 3; i++ {
 		res, err := eng.Query(context.Background(), q)

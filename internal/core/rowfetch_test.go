@@ -11,6 +11,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/chaos"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/rdb"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
@@ -51,8 +52,9 @@ var chaosQueries = []string{
 }
 
 // TestRowFetchUnderChaosMatchesXMLTwin runs one seeded fault schedule —
-// malformed, unavailable, garbage, hung (bounded by the per-attempt
-// timeout) and slow fetches — over crmdb twice: once through a chaos
+// malformed, unavailable, garbage, hung and slow fetches, each attempt
+// bounded by a timeout on the same fake clock the faults sleep on — over
+// crmdb twice: once through a chaos
 // source that forwards rows, once behind a wrapper that hides them, so
 // every pushed fragment comes back as its XML export. Under both
 // policies the two runs agree on every answer, completeness report and
@@ -62,23 +64,29 @@ func TestRowFetchUnderChaosMatchesXMLTwin(t *testing.T) {
 	sched := chaos.Mix{Seed: 26, PUnavailable: 0.2, PMalformed: 0.15, PGarbage: 0.05, PHang: 0.1, MaxLatency: 400 * time.Millisecond}
 	for _, policy := range []exec.Policy{exec.PolicyPartial, exec.PolicyFail} {
 		run := func(hide bool) (string, *formCounter) {
+			// Faults sleep, attempts time out and backoff waits on the one
+			// fake clock, so the host's speed decides none of them.
 			clock := chaos.NewFakeClock()
+			reg := obs.NewRegistry()
 			var (
 				faulty  *chaos.Source
 				counter *formCounter
 			)
-			e, reg := newBindEngine(t, []string{"7", "12", "3"}, func(s catalog.Source) catalog.Source {
+			e, _ := newBindEngine(t, []string{"7", "12", "3"}, func(s catalog.Source) catalog.Source {
 				counter = &formCounter{RelationalSource: s.(*sources.RelationalSource)}
 				faulty = chaos.Wrap(counter, sched).WithSleep(clock.Sleep)
 				if hide {
 					return hideRows{faulty}
 				}
 				return faulty
+			}, Config{
+				Metrics:           reg,
+				Parallelism:       1,
+				Resilience:        exec.Resilience{FetchTimeout: 20 * time.Millisecond, Retries: 1, RetryBase: 10 * time.Millisecond},
+				Breakers:          exec.NewBreakerSet(3, time.Second, clock, reg),
+				Clock:             clock,
+				FailOnUnavailable: policy == exec.PolicyFail,
 			})
-			e.SetParallelism(1)
-			e.SetResilience(exec.Resilience{FetchTimeout: 20 * time.Millisecond, Retries: 1, RetryBase: 10 * time.Millisecond},
-				exec.NewBreakerSet(3, time.Second, clock, reg), clock)
-			e.SetPolicy(policy)
 			var sb strings.Builder
 			for i := 0; i < 36; i++ {
 				q := chaosQueries[i%len(chaosQueries)]

@@ -19,8 +19,9 @@ import (
 )
 
 // newStreamEngine serves crmdb.customers with n rows (id, name "N<id>")
-// and keeps every trace; late() fails on the name "stop".
-func newStreamEngine(t testing.TB, n int, stopAt int) (*Engine, *obs.TraceStore) {
+// and keeps every trace in traces (nil keeps none); late() fails on the
+// name "stop".
+func newStreamEngine(t testing.TB, n int, stopAt int, traces *obs.TraceStore) *Engine {
 	t.Helper()
 	db := rdb.NewDatabase("crm")
 	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR)`)
@@ -37,17 +38,14 @@ func newStreamEngine(t testing.TB, n int, stopAt int) (*Engine, *obs.TraceStore)
 	if err := cat.AddSource(sources.NewRelationalSource("crmdb", db)); err != nil {
 		t.Fatal(err)
 	}
-	e := New(cat)
-	e.SetMetrics(obs.NewRegistry())
+	e := New(cat, Config{Metrics: obs.NewRegistry(), Traces: traces})
 	e.RegisterFunc("late", func(args []xmldm.Value) (xmldm.Value, error) {
 		if xmldm.Stringify(args[0]) == "stop" {
 			return nil, errors.New("late: stop")
 		}
 		return args[0], nil
 	})
-	store := obs.NewTraceStore(obs.StoreConfig{})
-	e.SetTraceStore(store)
-	return e, store
+	return e
 }
 
 // evalTuples is the tuple count on the eval span of the last trace kept.
@@ -71,7 +69,8 @@ func evalTuples(t *testing.T, store *obs.TraceStore) string {
 // to discard. The materialized path drains every binding first.
 func TestStreamedAnswerPullsBindingsOneAtATime(t *testing.T) {
 	const rows, stop = 100, 10
-	e, store := newStreamEngine(t, rows, stop)
+	store := obs.NewTraceStore(obs.StoreConfig{})
+	e := newStreamEngine(t, rows, stop, store)
 	q := `WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb" CONSTRUCT <r id=$i>{ late($n) }</r>`
 
 	buf := xmlparse.NewBuffer()
@@ -102,7 +101,7 @@ func TestStreamedAnswerPullsBindingsOneAtATime(t *testing.T) {
 // count none.
 func TestStreamedRowWrittenBeforeNextBinding(t *testing.T) {
 	const rows = 20
-	e, _ := newStreamEngine(t, rows, -1)
+	e := newStreamEngine(t, rows, -1, obs.NewTraceStore(obs.StoreConfig{}))
 	buf := xmlparse.NewBuffer()
 	defer buf.Release()
 	buf.StartDocument(0)
@@ -140,8 +139,7 @@ func TestStreamedAnswerHoldsNoBindingPerRow(t *testing.T) {
 	}
 	q := `WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb" CONSTRUCT <r id=$i><n>$n</n></r>`
 	bytesPerQuery := func(n int) float64 {
-		e, _ := newStreamEngine(t, n, -1)
-		e.SetTraceStore(nil)
+		e := newStreamEngine(t, n, -1, nil)
 		run := func() {
 			buf := xmlparse.NewBuffer()
 			buf.StartDocument(0)

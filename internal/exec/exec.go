@@ -86,9 +86,6 @@ type Runner struct {
 	// fresh enough to use (§3.3's "the query processor knows to make use
 	// of local copies of data when available").
 	Local func(source string, req catalog.Request) (*xmldm.Node, bool)
-	// Observe, if set, is called after every fetch; the materialization
-	// advisor feeds on it.
-	Observe func(source string, req catalog.Request, cost catalog.Cost, err error)
 	// Metrics, if set, receives per-source fetch counters and latency
 	// histograms (nil disables recording; all metric calls are nil-safe).
 	Metrics *obs.Registry
@@ -99,8 +96,9 @@ type Runner struct {
 	// per-source circuit breakers; one set may be shared across several
 	// runners (every engine instance of a deployment).
 	Breakers *BreakerSet
-	// Clock abstracts time for backoff sleeps and jitter; nil uses the
-	// real clock (tests inject fake time for determinism).
+	// Clock abstracts time for attempt deadlines, backoff sleeps and
+	// jitter; nil uses the real clock (tests inject fake time for
+	// determinism).
 	Clock Clock
 }
 
@@ -378,9 +376,6 @@ func (a *Access) doFetch(source string, req catalog.Request, sp *obs.Span) (payl
 	if breaker != "" {
 		sp.SetAttr("breaker", breaker)
 	}
-	if a.runner.Observe != nil {
-		a.runner.Observe(source, req, cost, err)
-	}
 	if err != nil {
 		record(SourceStatus{Source: source, Err: err.Error(), Retries: retries, Breaker: breaker})
 		return payload{}, err
@@ -466,18 +461,18 @@ func (a *Access) fetchResilient(name, source string, fetch func(context.Context)
 }
 
 // attempt performs one fetch attempt of the source called name under the
-// per-attempt timeout. The fetch runs in its own goroutine selected
-// against the attempt context, so even a source that ignores
-// cancellation cannot hang the query — it costs at most FetchTimeout
-// (the abandoned goroutine drains into a buffered channel). An
-// attempt-deadline expiry is reported as a transient unavailability;
-// caller cancellation is passed through.
+// per-attempt timeout, a deadline on the runner's clock. The fetch runs
+// in its own goroutine selected against the attempt context, so even a
+// source that ignores cancellation cannot hang the query — it costs at
+// most FetchTimeout (the abandoned goroutine drains into a buffered
+// channel). An attempt-deadline expiry is reported as a transient
+// unavailability; caller cancellation is passed through.
 func (a *Access) attempt(name string, fetch func(context.Context) (payload, catalog.Cost, error)) (payload, catalog.Cost, error) {
 	timeout := a.runner.Resilience.FetchTimeout
 	if timeout <= 0 {
 		return fetch(a.ctx)
 	}
-	actx, cancel := context.WithTimeout(a.ctx, timeout)
+	actx, cancel := a.runner.clock().WithTimeout(a.ctx, timeout)
 	defer cancel()
 	type outcome struct {
 		got  payload

@@ -258,20 +258,6 @@ func TestSchemaMaterializationPath(t *testing.T) {
 	}
 }
 
-func TestObserverSeesFetches(t *testing.T) {
-	src := &countingSource{name: "s"}
-	r := newRunner(t, src)
-	var observed []string
-	r.Observe = func(source string, _ catalog.Request, cost catalog.Cost, err error) {
-		observed = append(observed, fmt.Sprintf("%s rows=%d err=%v", source, cost.RowsReturned, err != nil))
-	}
-	a := r.NewAccess(context.Background(), PolicyFail)
-	a.Roots("s", catalog.Request{})
-	if len(observed) != 1 || !strings.Contains(observed[0], "rows=1") {
-		t.Errorf("observed = %v", observed)
-	}
-}
-
 func TestReportAggregatesMultipleFetches(t *testing.T) {
 	src := &countingSource{name: "s"}
 	r := newRunner(t, src)

@@ -55,6 +55,9 @@ type Clock interface {
 	// Sleep blocks for d or until ctx is done, returning ctx.Err() in
 	// the latter case.
 	Sleep(ctx context.Context, d time.Duration) error
+	// WithTimeout is context.WithTimeout with the deadline d from now
+	// on this clock.
+	WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc)
 }
 
 // RealClock is the production Clock: wall time and timer sleeps. Every
@@ -64,6 +67,10 @@ var RealClock Clock = realClock{}
 type realClock struct{}
 
 func (realClock) Now() time.Time { return time.Now() }
+
+func (realClock) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(ctx, d)
+}
 
 func (realClock) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {

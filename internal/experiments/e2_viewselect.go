@@ -3,11 +3,10 @@ package experiments
 import (
 	"context"
 	"strings"
-	"sync/atomic"
 
 	nimble "repro"
-	"repro/internal/catalog"
 	"repro/internal/matview"
+	"repro/internal/obs"
 	"repro/internal/sources"
 	"repro/internal/workload"
 	"repro/internal/xmlql"
@@ -40,6 +39,10 @@ func E2ViewSelection(s Scale) *Table {
 		if err := sys.AddSource(simWest); err != nil {
 			panic(err)
 		}
+		// Every remote fetch, the materializations' included, is metered
+		// at the source.
+		meter := obs.NewRegistry()
+		sys.WrapSources(func(src nimble.Source) nimble.Source { return sources.Instrument(src, meter) })
 		for schema, src := range map[string]string{"eastcust": "eastdb", "westcust": "westdb"} {
 			if err := sys.DefineSchema(schema, `
 				WHERE <customer><name>$n</name><city>$c</city></customer> IN "`+src+`"
@@ -47,12 +50,6 @@ func E2ViewSelection(s Scale) *Table {
 				panic(err)
 			}
 		}
-		var bytes atomic.Int64
-		var fetches atomic.Int64
-		sys.Engine(0).SetObserver(func(_ string, _ catalog.Request, cost catalog.Cost, err error) {
-			fetches.Add(1)
-			bytes.Add(int64(cost.BytesMoved))
-		})
 		ctx := context.Background()
 		advisor := matview.NewAdvisor(sys.Engine(0).Catalog())
 		mgr := sys.Views()
@@ -113,7 +110,12 @@ func E2ViewSelection(s Scale) *Table {
 				}
 			}
 		}
-		t.AddRow(policy, fetches.Load(), bytes.Load(), changes)
+		var fetches, bytes int64
+		for _, src := range []string{"eastdb", "westdb"} {
+			fetches += meter.Histogram("nimble_source_fetch_seconds", "source", src).Count()
+			bytes += meter.Counter("nimble_source_bytes_total", "source", src).Value()
+		}
+		t.AddRow(policy, fetches, bytes, changes)
 	}
 	t.Notes = append(t.Notes,
 		"budget fits one schema; the advisor should follow the hot schema across the shift",

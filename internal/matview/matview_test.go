@@ -17,25 +17,24 @@ import (
 )
 
 // newEnv builds an engine with a relational source and a "customers"
-// mediated schema, returning the engine, the DB (for updates), and a
-// counter of remote fetches.
-func newEnv(t testing.TB) (*core.Engine, *rdb.Database, *int) {
+// mediated schema, returning the engine, the DB (for updates), and the
+// count of remote fetches so far.
+func newEnv(t testing.TB) (*core.Engine, *rdb.Database, func() int64) {
 	t.Helper()
 	db := rdb.NewDatabase("crm")
 	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR)`)
 	db.MustExec(`INSERT INTO customers VALUES (1, 'Ada'), (2, 'Alan')`)
 	cat := catalog.New()
-	if err := cat.AddSource(sources.NewRelationalSource("crmdb", db)); err != nil {
+	meter := obs.NewRegistry()
+	if err := cat.AddSource(sources.Instrument(sources.NewRelationalSource("crmdb", db), meter)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cat.DefineViewQL("customers",
 		`WHERE <customer><name>$n</name></customer> IN "crmdb" CONSTRUCT <cust><who>$n</who></cust>`); err != nil {
 		t.Fatal(err)
 	}
-	e := core.New(cat)
-	fetches := 0
-	e.SetObserver(func(string, catalog.Request, catalog.Cost, error) { fetches++ })
-	return e, db, &fetches
+	fetched := meter.Histogram("nimble_source_fetch_seconds", "source", "crmdb")
+	return core.New(cat, core.Config{}), db, fetched.Count
 }
 
 const custQuery = `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r> ORDER-BY $w`
@@ -46,7 +45,7 @@ func TestMaterializeServesLocally(t *testing.T) {
 	if err := m.Materialize(context.Background(), "customers"); err != nil {
 		t.Fatal(err)
 	}
-	*fetches = 0
+	before := fetches()
 	res, err := e.Query(context.Background(), custQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +53,8 @@ func TestMaterializeServesLocally(t *testing.T) {
 	if len(res.Values) != 2 {
 		t.Fatalf("values = %d", len(res.Values))
 	}
-	if *fetches != 0 {
-		t.Errorf("remote fetches = %d, want 0", *fetches)
+	if n := fetches() - before; n != 0 {
+		t.Errorf("remote fetches = %d, want 0", n)
 	}
 	entries := m.Entries()
 	if len(entries) != 1 || entries[0].Hits == 0 {
@@ -148,15 +147,15 @@ func TestPreparedQueriesFollowTheStore(t *testing.T) {
 	step := func(what string, wantRows int, wantMiss, wantRemote bool) {
 		t.Helper()
 		call++
-		before, remote := e.PreparedStats(), *fetches
+		before, remote := e.PreparedStats(), fetches()
 		res, err := e.Query(ctx, fmt.Sprintf(`WHERE <cust><who>$w</who></cust> IN "customers", $w != "nobody%d" CONSTRUCT <r>$w</r>`, call))
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		after := e.PreparedStats()
-		if len(res.Values) != wantRows || (after.Misses > before.Misses) != wantMiss || (*fetches > remote) != wantRemote {
+		if len(res.Values) != wantRows || (after.Misses > before.Misses) != wantMiss || (fetches() > remote) != wantRemote {
 			t.Errorf("%s: %d rows, prepared %+v -> %+v, %d remote fetches; want %d rows, miss %v, remote %v",
-				what, len(res.Values), before, after, *fetches-remote, wantRows, wantMiss, wantRemote)
+				what, len(res.Values), before, after, fetches()-remote, wantRows, wantMiss, wantRemote)
 		}
 	}
 	step("no store", 2, true, true)
@@ -191,12 +190,12 @@ func TestDropRestoresVirtualQuerying(t *testing.T) {
 	m.Materialize(context.Background(), "customers")
 	m.Drop("customers")
 	db.MustExec(`INSERT INTO customers VALUES (3, 'Grace')`)
-	*fetches = 0
+	before := fetches()
 	res, _ := e.Query(context.Background(), custQuery)
 	if len(res.Values) != 3 {
 		t.Errorf("virtual querying should see fresh data: %d", len(res.Values))
 	}
-	if *fetches == 0 {
+	if fetches() == before {
 		t.Error("drop should restore remote fetching")
 	}
 	if _, ok := m.Staleness("customers"); ok {
@@ -209,7 +208,7 @@ func TestMaterializeRefusesIncomplete(t *testing.T) {
 	legacy, _ := sources.NewXMLSource("legacy", `<l><c><who>X</who></c></l>`)
 	cat.AddSource(sources.NewDowned(legacy))
 	cat.DefineViewQL("customers", `WHERE <c><who>$w</who></c> IN "legacy" CONSTRUCT <cust><who>$w</who></cust>`)
-	e := core.New(cat)
+	e := core.New(cat, core.Config{})
 	m := NewManager(e)
 	if err := m.Materialize(context.Background(), "customers"); err == nil {
 		t.Error("materializing from a down source must fail, not store half a view")

@@ -109,7 +109,7 @@ func New(cfg Config) *Scheduler {
 var defaultSched = sync.OnceValue(func() *Scheduler { return New(Config{Metrics: obs.Default()}) })
 
 // Default returns the process-wide scheduler (budget GOMAXPROCS,
-// metrics on obs.Default()). Engines without an explicit SetScheduler
+// metrics on obs.Default()). Engines configured without a Scheduler
 // acquire here, so even ad-hoc core.Engine users share one budget.
 func Default() *Scheduler { return defaultSched() }
 

@@ -25,8 +25,8 @@ import (
 
 // newObsServer builds a deployment with an isolated metrics registry and
 // trace store, so assertions do not race with other tests through the
-// default registry.
-func newObsServer(t testing.TB) (*Server, *httptest.Server, *obs.Registry, *obs.TraceStore) {
+// default registry; capacity caps each instance (0 = unbounded).
+func newObsServer(t testing.TB, capacity int) (*Server, *httptest.Server, *obs.Registry, *obs.TraceStore) {
 	t.Helper()
 	db := rdb.NewDatabase("crm")
 	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
@@ -42,13 +42,9 @@ func newObsServer(t testing.TB) (*Server, *httptest.Server, *obs.Registry, *obs.
 	}
 	reg := obs.NewRegistry()
 	tr := obs.NewTraceStore(obs.StoreConfig{Limit: 8})
-	e1, e2 := core.New(cat), core.New(cat)
-	for _, e := range []*core.Engine{e1, e2} {
-		e.SetMetrics(reg)
-		e.SetTraceStore(tr)
-	}
-	c := cluster.New(cluster.Config{Policy: cluster.RoundRobin, Metrics: reg}, e1, e2)
-	c.EnableCache(16, 0, false)
+	ecfg := core.Config{Metrics: reg, Traces: tr}
+	e1, e2 := core.New(cat, ecfg), core.New(cat, ecfg)
+	c := cluster.New(cluster.Config{Policy: cluster.RoundRobin, Metrics: reg, Capacity: capacity, CacheEntries: 16}, e1, e2)
 	views := matview.NewManager(e1)
 	views.SetMetrics(reg)
 	views.OnChange(c.Invalidate)
@@ -68,7 +64,7 @@ func newObsServer(t testing.TB) (*Server, *httptest.Server, *obs.Registry, *obs.
 const obsQuery = `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`
 
 func TestStatsEndpointOutput(t *testing.T) {
-	_, ts, _, _ := newObsServer(t)
+	_, ts, _, _ := newObsServer(t, 0)
 	post(t, ts.URL+"/query", obsQuery)
 	post(t, ts.URL+"/query", obsQuery) // cache hit
 	code, body := get(t, ts.URL+"/stats")
@@ -84,7 +80,7 @@ func TestStatsEndpointOutput(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts, _, _ := newObsServer(t)
+	_, ts, _, _ := newObsServer(t, 0)
 	post(t, ts.URL+"/query", obsQuery)
 	post(t, ts.URL+"/query", obsQuery) // cache hit
 	// Materialize so the matview metrics appear.
@@ -132,7 +128,7 @@ func httpPost(url string) (int, error) {
 }
 
 func TestTraceLastEndpoint(t *testing.T) {
-	_, ts, _, tr := newObsServer(t)
+	_, ts, _, tr := newObsServer(t, 0)
 	post(t, ts.URL+"/query", obsQuery)
 	post(t, ts.URL+"/query", obsQuery) // cache hit: root span only, no engine subtree
 	if tr.Len() != 2 {
@@ -183,7 +179,7 @@ func TestTraceLastEndpoint(t *testing.T) {
 }
 
 func TestProfileQueryOption(t *testing.T) {
-	srv, ts, _, _ := newObsServer(t)
+	srv, ts, _, _ := newObsServer(t, 0)
 	// Warm the cache; profile must bypass it and still run the engine.
 	post(t, ts.URL+"/query", obsQuery)
 	code, body := post(t, ts.URL+"/query?profile=1", obsQuery)
@@ -237,8 +233,7 @@ func TestSetCapacityBlocksExcessQueries(t *testing.T) {
 	if err := cat.AddSource(&gatedSource{name: "s", gate: gate}); err != nil {
 		t.Fatal(err)
 	}
-	e := core.New(cat)
-	e.SetMetrics(obs.NewRegistry())
+	e := core.New(cat, core.Config{Metrics: obs.NewRegistry()})
 	b := cluster.New(cluster.Config{Policy: cluster.RoundRobin, Capacity: 1}, e)
 	q := `WHERE <a>$x</a> IN "s" CONSTRUCT <r>$x</r>`
 
@@ -298,8 +293,7 @@ func TestSetCapacityBlocksExcessQueries(t *testing.T) {
 // and tracing paths concurrently — the server-side half of the race
 // coverage (run under -race via `make check`).
 func TestConcurrentQueriesUnderCapacity(t *testing.T) {
-	srv, ts, reg, _ := newObsServer(t)
-	srv.Cluster.SetCapacity(2)
+	_, ts, reg, _ := newObsServer(t, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)

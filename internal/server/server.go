@@ -59,7 +59,7 @@ type Server struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/ when true.
 	Pprof bool
 	// Slow and Active feed /debug/slowlog and /debug/queries; wire them
-	// to the same instances the engines report into (core.SetIntrospection).
+	// to the same instances the engines report into (core.Config).
 	// Both are nil-safe.
 	Slow   *core.SlowLog
 	Active *core.ActiveRegistry

@@ -66,17 +66,18 @@ func newLayoutServer(t testing.TB, perInstance bool) (*Server, *httptest.Server,
 		CONSTRUCT <cust><who>$n</who><where>$c</where></cust>`); err != nil {
 		t.Fatal(err)
 	}
-	e1 := core.New(cat)
-	e2 := core.New(cat)
 	slow := core.NewSlowLog(8, 0)
 	active := core.NewActiveRegistry()
-	e1.SetIntrospection(slow, active)
-	e2.SetIntrospection(slow, active)
 	// One breaker set shared by both instances, like a deployment.
 	breakers := exec.NewBreakerSet(3, 10*time.Millisecond, nil, nil)
-	res := exec.Resilience{FetchTimeout: 2 * time.Second, Retries: 1, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond}
-	e1.SetResilience(res, breakers, nil)
-	e2.SetResilience(res, breakers, nil)
+	ecfg := core.Config{
+		Slow:       slow,
+		Active:     active,
+		Resilience: exec.Resilience{FetchTimeout: 2 * time.Second, Retries: 1, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond},
+		Breakers:   breakers,
+	}
+	e1 := core.New(cat, ecfg)
+	e2 := core.New(cat, ecfg)
 	reg := lens.NewRegistry()
 	if err := reg.Publish(&lens.Lens{
 		Name:  "by-city",
@@ -94,8 +95,7 @@ func newLayoutServer(t testing.TB, perInstance bool) (*Server, *httptest.Server,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	c := cluster.New(cluster.Config{Policy: cluster.RoundRobin}, e1, e2)
-	c.EnableCache(16, 0, perInstance)
+	c := cluster.New(cluster.Config{Policy: cluster.RoundRobin, CacheEntries: 16, CachePerInstance: perInstance}, e1, e2)
 	views := matview.NewManager(e1)
 	views.OnChange(c.Invalidate)
 	srv := &Server{
@@ -337,7 +337,7 @@ func TestClusterConcurrentDispatch(t *testing.T) {
 	cat := catalog.New()
 	src, _ := sources.NewXMLSource("s", `<d><a>1</a></d>`)
 	cat.AddSource(src)
-	e1, e2 := core.New(cat), core.New(cat)
+	e1, e2 := core.New(cat, core.Config{}), core.New(cat, core.Config{})
 	c := cluster.New(cluster.Config{Policy: cluster.LeastOutstanding}, e1, e2)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -365,7 +365,7 @@ func TestShedReturns503RetryAfter(t *testing.T) {
 	if err := cat.AddSource(&gatedSource{name: "s", gate: gate}); err != nil {
 		t.Fatal(err)
 	}
-	e := core.New(cat)
+	e := core.New(cat, core.Config{})
 	srv := &Server{
 		Cluster: cluster.New(cluster.Config{Policy: cluster.RoundRobin, Capacity: 1, QueueLimit: 1}, e),
 		Lenses:  lens.NewRegistry(),

@@ -61,7 +61,7 @@ func newStreamServer(t *testing.T) (*Server, *httptest.Server) {
 			t.Fatal(err)
 		}
 	}
-	e := core.New(cat)
+	e := core.New(cat, core.Config{})
 	e.RegisterFunc("wrap", func(args []xmldm.Value) (xmldm.Value, error) {
 		return xmldm.NewTuple(
 			xmldm.Field{Name: "book", Value: args[0]},

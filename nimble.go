@@ -44,7 +44,6 @@ import (
 	"repro/internal/lineage"
 	"repro/internal/matview"
 	"repro/internal/obs"
-	"repro/internal/opt"
 	"repro/internal/qcache"
 	"repro/internal/rdb"
 	"repro/internal/sched"
@@ -276,10 +275,24 @@ type System struct {
 	cfg      Config
 }
 
-// New assembles a System.
-func New(cfg Config) *System {
+// New assembles a System. A RoutePolicy or QueryClass it does not know
+// panics: Config is programmer input, like a template.
+func New(cfg Config) *System { return newSystem(cfg, nil) }
+
+// newSystem is New with the clock fetch attempt deadlines, retry backoff
+// and breaker cooldowns run on (nil = real time; tests inject fake time
+// for deterministic chaos soaks).
+func newSystem(cfg Config, clock exec.Clock) *System {
 	if cfg.Instances < 1 {
 		cfg.Instances = 1
+	}
+	class, err := sched.ParseClass(cfg.QueryClass)
+	if err != nil {
+		panic(err)
+	}
+	policy, err := cluster.ParsePolicy(cfg.RoutePolicy)
+	if err != nil {
+		panic(err)
 	}
 	cat := catalog.New()
 	reg := cfg.Metrics
@@ -312,71 +325,56 @@ func New(cfg Config) *System {
 		slow:     core.NewSlowLog(cfg.SlowLogSize, cfg.SlowLogThreshold),
 		active:   core.NewActiveRegistry(),
 		cfg:      cfg,
+		// One scheduler per deployment: every instance's operators acquire
+		// from the same worker budget, so the fleet cannot oversubscribe
+		// the machine no matter how many instances share it.
+		sched: sched.New(sched.Config{Budget: cfg.WorkerBudget, Metrics: reg}),
 	}
 	reg.GaugeFunc("nimble_active_queries", func() float64 { return float64(s.active.Len()) })
 	if cfg.BreakerThreshold > 0 {
-		s.breakers = exec.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, nil, reg)
+		s.breakers = exec.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, clock, reg)
 		s.breakers.SetLogger(logger)
 	}
-	res := exec.Resilience{
-		FetchTimeout: cfg.FetchTimeout,
-		Retries:      cfg.FetchRetries,
-		RetryBase:    cfg.RetryBackoff,
+	ecfg := core.Config{
+		Metrics: reg,
+		Traces:  traces,
+		Slow:    s.slow,
+		Active:  s.active,
+		Resilience: exec.Resilience{
+			FetchTimeout: cfg.FetchTimeout,
+			Retries:      cfg.FetchRetries,
+			RetryBase:    cfg.RetryBackoff,
+		},
+		Breakers:          s.breakers,
+		Clock:             clock,
+		FailOnUnavailable: cfg.FailOnUnavailable,
+		DisablePushdown:   cfg.DisablePushdown,
+		Parallelism:       cfg.Parallelism,
+		Scheduler:         s.sched,
+		Class:             class,
 	}
-	class, err := sched.ParseClass(cfg.QueryClass)
-	if err != nil {
-		panic(err) // Config is programmer input; fail loudly, like a bad template
-	}
-	// One scheduler per deployment: every instance's operators acquire
-	// from the same worker budget, so the fleet cannot oversubscribe
-	// the machine no matter how many instances share it.
-	s.sched = sched.New(sched.Config{Budget: cfg.WorkerBudget, Metrics: reg})
 	for i := 0; i < cfg.Instances; i++ {
-		e := core.New(cat)
-		e.SetID(fmt.Sprintf("engine-%d", i))
-		if cfg.FailOnUnavailable {
-			e.SetPolicy(exec.PolicyFail)
-		}
-		if cfg.DisablePushdown {
-			e.SetPlannerOptions(opt.Options{})
-		}
-		e.SetParallelism(cfg.Parallelism)
-		e.SetScheduler(s.sched)
-		e.SetQueryClass(class)
-		e.SetMetrics(reg)
-		e.SetTraceStore(traces)
-		e.SetIntrospection(s.slow, s.active)
-		e.SetResilience(res, s.breakers, nil)
-		s.engines = append(s.engines, e)
+		ecfg.ID = fmt.Sprintf("engine-%d", i)
+		s.engines = append(s.engines, core.New(cat, ecfg))
 	}
-	policy, err := cluster.ParsePolicy(cfg.RoutePolicy)
-	if err != nil {
-		panic(err) // Config is programmer input; fail loudly, like a bad template
+	var probe func(*core.Engine) cluster.Probe
+	if cfg.HealthProbe != "" {
+		probe = func(e *core.Engine) cluster.Probe { return cluster.QueryProbe(e, cfg.HealthProbe) }
 	}
 	s.cluster = cluster.New(cluster.Config{
-		Policy:        policy,
-		Capacity:      cfg.InstanceCapacity,
-		QueueLimit:    cfg.AdmissionQueue,
-		ProbeInterval: cfg.ProbeInterval,
-		EjectAfter:    cfg.EjectAfter,
-		ReadmitAfter:  cfg.ReadmitAfter,
-		Metrics:       reg,
-		Logger:        logger,
+		Policy:           policy,
+		Capacity:         cfg.InstanceCapacity,
+		QueueLimit:       cfg.AdmissionQueue,
+		ProbeInterval:    cfg.ProbeInterval,
+		EjectAfter:       cfg.EjectAfter,
+		ReadmitAfter:     cfg.ReadmitAfter,
+		Metrics:          reg,
+		Logger:           logger,
+		CacheEntries:     cfg.CacheEntries,
+		CacheTTL:         cfg.CacheTTL,
+		CachePerInstance: cfg.CachePerInstance,
+		Probe:            probe,
 	}, s.engines...)
-	s.cluster.SetScheduler(s.sched)
-	if cfg.CacheEntries > 0 {
-		s.cluster.EnableCache(cfg.CacheEntries, cfg.CacheTTL, cfg.CachePerInstance)
-	}
-	if cfg.HealthProbe != "" {
-		for i, e := range s.engines {
-			s.cluster.SetProbe(i, cluster.QueryProbe(e, cfg.HealthProbe))
-		}
-	}
-	if s.breakers != nil {
-		for i := range s.engines {
-			s.cluster.SetBreakers(i, s.breakers)
-		}
-	}
 	// One manager computes views through the first engine (NewManager
 	// installs it there). The local-store hook is per engine, not part of
 	// the shared catalog, so the same manager is installed on every other
@@ -675,16 +673,6 @@ func (s *System) WrapSources(wrap func(Source) Source) { s.cat.WrapAll(wrap) }
 // ("closed", "half-open", "open"); empty when Config.BreakerThreshold
 // left breakers disabled. Also served on /debug/queries.
 func (s *System) BreakerStates() map[string]string { return s.breakers.States() }
-
-// setResilience rewires every engine's resilience layer and breaker set
-// (tests inject fake clocks and virtual cooldowns for deterministic
-// chaos soaks).
-func (s *System) setResilience(res exec.Resilience, breakers *exec.BreakerSet, clock exec.Clock) {
-	s.breakers = breakers
-	for _, e := range s.engines {
-		e.SetResilience(res, breakers, clock)
-	}
-}
 
 // CacheStats reports query-cache effectiveness over every cache the
 // cluster holds: the shared one, or the per-instance ones under

@@ -16,10 +16,12 @@ import (
 // TestSchedSoakMixedClasses is the extended scheduler soak behind the
 // soak build tag (make sched-race runs the short storm; this one runs
 // 64 concurrent queries per budget). A fixed seed draws each query's
-// class, shape, and desired degree; one shape, the wide join, builds
-// past its gate and acquires workers, the others ask for none. Every
-// answer must be byte-identical to a serial twin's, workers must have
-// been spawned, and the budget must drain completely.
+// class, shape, and desired degree; a degree is a System's configuration,
+// so each degree drawn runs on its own System of that budget. One shape,
+// the wide join, builds past its gate and acquires workers, the others
+// ask for none. Every answer must be byte-identical to a serial twin's,
+// workers must have been spawned, and every budget must drain
+// completely.
 func TestSchedSoakMixedClasses(t *testing.T) {
 	const queries = 64
 	shapes := []string{
@@ -49,9 +51,6 @@ func TestSchedSoakMixedClasses(t *testing.T) {
 	}
 
 	for _, budget := range []int{2, 8} {
-		// One scheduler is shared by every engine, so the queries contend.
-		sys := buildStormSystem(t, obs.NewRegistry(), 4, budget)
-
 		rng := rand.New(rand.NewSource(20260808))
 		type job struct {
 			shape   int
@@ -67,6 +66,14 @@ func TestSchedSoakMixedClasses(t *testing.T) {
 				desired: rng.Intn(9), // 0 = auto through 8 = over-ask
 			}
 		}
+		// One System per desired degree: its scheduler is shared by both
+		// its engines, so the queries of that degree contend.
+		systems := map[int]*System{}
+		for _, j := range jobs {
+			if systems[j.desired] == nil {
+				systems[j.desired] = buildStormSystem(t, obs.NewRegistry(), j.desired, budget)
+			}
+		}
 
 		var spawned atomic.Int64
 		var wg sync.WaitGroup
@@ -75,12 +82,8 @@ func TestSchedSoakMixedClasses(t *testing.T) {
 			wg.Add(1)
 			go func(i int, j job) {
 				defer wg.Done()
-				// Desired degree is per-engine state, so concurrent jobs
-				// on one instance race to set it — harmless here, since
-				// the property under test is that EVERY granted degree
-				// yields the serial answer.
+				sys := systems[j.desired]
 				e := sys.Engine(i % sys.Instances())
-				e.SetParallelism(j.desired)
 				res, err := e.QueryOpt(context.Background(), shapes[j.shape],
 					core.QueryOptions{Class: j.class})
 				if err != nil {
@@ -102,7 +105,9 @@ func TestSchedSoakMixedClasses(t *testing.T) {
 		if spawned.Load() == 0 {
 			t.Fatalf("budget %d: no query spawned a worker: the soak never exercised a grant", budget)
 		}
-		assertIdle(t, sys)
-		sys.Close()
+		for _, sys := range systems {
+			assertIdle(t, sys)
+			sys.Close()
+		}
 	}
 }

@@ -123,11 +123,23 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 // a relational CRM, an XML ticket feed, and a source that is (in the
 // chaos variant) permanently offline. With withChaos=false it is the
 // fault-free twin used as the correctness oracle. The chaos variant
-// wraps every source in a seeded fault schedule, injects a fake clock
-// into backoff and latency sleeps, and arms retries plus breakers.
+// wraps every source in a seeded fault schedule, runs fault and backoff
+// sleeps, attempt deadlines and breaker cooldowns on one fake clock, and
+// arms retries plus breakers.
 func buildSoakSystem(t testing.TB, withChaos bool, seed int64) (*System, map[string]*chaos.Source) {
 	t.Helper()
-	sys := New(Config{Instances: 1, CacheEntries: 0, TraceBuffer: -1, Metrics: obs.NewRegistry()})
+	cfg := Config{Instances: 1, CacheEntries: 0, TraceBuffer: -1, Metrics: obs.NewRegistry()}
+	var clock exec.Clock // nil: the fault-free twin runs on real time
+	clk := chaos.NewFakeClock()
+	if withChaos {
+		clock = clk
+		cfg.FetchTimeout = 150 * time.Millisecond // bounds Hang faults
+		cfg.FetchRetries = 2
+		cfg.RetryBackoff = 10 * time.Millisecond
+		cfg.BreakerThreshold = 4
+		cfg.BreakerCooldown = 200 * time.Millisecond
+	}
+	sys := newSystem(cfg, clock)
 	if err := sys.AddRelationalSource("crmdb", workload.CustomerDB("crm", 120, 2, 7)); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +165,6 @@ func buildSoakSystem(t testing.TB, withChaos bool, seed int64) (*System, map[str
 	if !withChaos {
 		return sys, nil
 	}
-	clk := chaos.NewFakeClock()
 	wrapped := map[string]*chaos.Source{}
 	sys.WrapSources(func(src Source) Source {
 		var sched chaos.Schedule
@@ -172,13 +183,6 @@ func buildSoakSystem(t testing.TB, withChaos bool, seed int64) (*System, map[str
 		wrapped[src.Name()] = cs
 		return cs
 	})
-	breakers := exec.NewBreakerSet(4, 200*time.Millisecond, clk, sys.Metrics())
-	sys.setResilience(exec.Resilience{
-		FetchTimeout: 150 * time.Millisecond, // real time: only Hang faults pay it
-		Retries:      2,
-		RetryBase:    10 * time.Millisecond, // virtual time: FakeClock sleeps
-		RetryMax:     80 * time.Millisecond,
-	}, breakers, clk)
 	return sys, wrapped
 }
 
@@ -316,17 +320,16 @@ func TestChaosSoak(t *testing.T) {
 // in the EXPLAIN fetch node, and the retry counter advances.
 func TestRetryRecoversEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
-	sys := New(Config{Instances: 1, TraceBuffer: -1, Metrics: reg})
+	clk := chaos.NewFakeClock()
+	sys := newSystem(Config{Instances: 1, TraceBuffer: -1, Metrics: reg, FetchRetries: 2, RetryBackoff: 5 * time.Millisecond}, clk)
 	if err := sys.AddXMLSource("feed", `<feed><a>one</a><a>two</a></feed>`); err != nil {
 		t.Fatal(err)
 	}
-	clk := chaos.NewFakeClock()
 	var cs *chaos.Source
 	sys.WrapSources(func(src Source) Source {
 		cs = chaos.Wrap(src, chaos.Fail(2)).WithSleep(clk.Sleep)
 		return cs
 	})
-	sys.setResilience(exec.Resilience{Retries: 2, RetryBase: 5 * time.Millisecond}, nil, clk)
 
 	res, err := sys.Query(context.Background(), `WHERE <a>$x</a> IN "feed" CONSTRUCT <r>$x</r>`)
 	if err != nil {
