@@ -127,7 +127,11 @@ sched-race:
 # WHERE and evaluates the select list row by row (property), an
 # index-answered = to what Compare matches; eight range SELECTs to
 # sorting a fresh index once among them, and UPDATE to copying on write
-# (a SELECT * answer read while rows are updated, SET a = b, b = a).
+# (a SELECT * answer read while rows are updated, SET a = b, b = a); a
+# View answer, the table's own rows read through a column map, to
+# answering as Exec (property) and to reading as it did after later
+# INSERTs, UPDATEs and DELETEs, also while they run; a Malformed cut of
+# one to keeping its column map.
 # A streamed answer pulls one binding at a time (row k is written
 # before binding k+1 is produced; an error on row
 # k leaves k+1 produced), and Pull hands each on as produced. The pins
@@ -153,9 +157,9 @@ resultpath-race:
 	$(call run-named,-count=1,TestFragmentScanAllocations,./internal/opt)
 	$(call run-named,-race -count=10,TestRowAnswerIsOneFetchAndRendersTheExport|TestConcurrentReadersShareOneRowAnswer,./internal/exec)
 	$(call run-named,-race -count=1,TestNetworkSimRowsMatchDocuments|TestWrappersForwardRows,./internal/sources)
-	$(call run-named,-race -count=1,TestRowFaultsShareTheSchedule,./internal/chaos)
+	$(call run-named,-race -count=1,TestRowFaultsShareTheSchedule|TestMalformedViewKeepsItsColumnMap,./internal/chaos)
 	$(call run-named,-race -count=1,TestProjectedRowsDoNotAlias|TestIndexInListFindsWhatCompareMatches,./internal/rdb)
-	$(call run-named,-race -count=10,TestScanEqualsMaterializedPath|TestIndexEqFindsWhatCompareMatches|TestConcurrentRangeSelectsOnFreshIndex|TestUpdateCopiesOnWrite|TestUpdateUnderConcurrentReaders,./internal/rdb)
+	$(call run-named,-race -count=10,TestScanEqualsMaterializedPath|TestIndexEqFindsWhatCompareMatches|TestConcurrentRangeSelectsOnFreshIndex|TestUpdateCopiesOnWrite|TestUpdateUnderConcurrentReaders|TestViewSurvivesLaterWrites,./internal/rdb)
 	$(call run-named,-count=1,TestScanAllocatesOnlyTheResult|TestProjectionAllocatesPerResult,./internal/rdb)
 	$(call run-named,-race -count=10,TestCachedValuesStayImmutable|TestQueryContentLength|TestStreamedAnswerEqualsMaterialized,./internal/server)
 	$(call run-named,-race -count=1,TestReportsRenderAsTheDocumentCopy,./internal/server)

@@ -227,10 +227,13 @@ func truncateDoc(doc *xmldm.Node) *xmldm.Node {
 }
 
 // truncateRows is truncateDoc for a row answer: the first half of the
-// rows, sharing the original's (always accompanied by ErrMalformed).
+// rows, sharing the original's and read through its column map (always
+// accompanied by ErrMalformed).
 func truncateRows(res *rdb.Result) *rdb.Result {
 	if res == nil {
 		return nil
 	}
-	return &rdb.Result{Columns: res.Columns, Rows: res.Rows[: len(res.Rows)/2 : len(res.Rows)/2]}
+	cut := *res
+	cut.Rows = res.Rows[: len(res.Rows)/2 : len(res.Rows)/2]
+	return &cut
 }

@@ -348,3 +348,36 @@ func TestRowFaultsShareTheSchedule(t *testing.T) {
 		t.Error("chaos over a document source claims to answer in rows")
 	}
 }
+
+// TestMalformedViewKeepsItsColumnMap: a relational source answers a
+// fragment of bare columns with the table's own rows and a column map; a
+// Malformed cut of that answer keeps the map, so its cells read through
+// Pos, and its export, are the fragment's columns of the first half of
+// the rows, not the table's columns in the table's order.
+func TestMalformedViewKeepsItsColumnMap(t *testing.T) {
+	db := rdb.NewDatabase("crm")
+	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
+	db.MustExec(`INSERT INTO customers VALUES (1, 'Ada', 'London'), (2, 'Alan', 'Wilmslow'), (3, 'Grace', 'Arlington'), (4, 'Edsger', 'Austin')`)
+	src := Wrap(sources.NewRelationalSource("crmdb", db), Script{Faults: []Fault{{Kind: Malformed}}})
+	req := catalog.Request{Native: `SELECT city AS c, id FROM customers`}
+	res, _, err := src.FetchRows(context.Background(), req)
+	if !errors.Is(err, sources.ErrMalformed) || res == nil || len(res.Rows) != 2 {
+		t.Fatalf("malformed row answer = %v, %v", res, err)
+	}
+	if len(res.Rows[0]) != 3 {
+		t.Fatalf("the answer is not the table's own rows: %v", res.Rows)
+	}
+	var cells []string
+	for _, row := range res.Rows {
+		for i, col := range res.Columns {
+			cells = append(cells, col+"="+xmldm.Stringify(row[res.Pos(i)]))
+		}
+	}
+	if got, want := strings.Join(cells, " "), "c=London id=1 c=Wilmslow id=2"; got != want {
+		t.Errorf("cells read through the column map: %s, want %s", got, want)
+	}
+	const export = `<crmdb><row><c>London</c><id>1</id></row><row><c>Wilmslow</c><id>2</id></row></crmdb>`
+	if got := sources.RowsDocument("crmdb", catalog.Request{}, res).String(); got != export {
+		t.Errorf("export of the cut answer:\n%s\nwant\n%s", got, export)
+	}
+}

@@ -267,7 +267,10 @@ func TestBindRowsEqualsExportReadBack(t *testing.T) {
 
 // TestBindRowsEqualsExportReadBack_Property: over random results — kinds,
 // NULLs, duplicated and missing columns, empty results — the two paths
-// bind the same fields.
+// bind the same fields. So they do over a database's View answers, whose
+// rows are the table's own read through a column map (a select list of
+// aliased columns in random order, repeated or not), and those bind what
+// the same statement's Exec answer binds.
 func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	names := []string{"a", "b", "c", "d"}
@@ -308,6 +311,38 @@ func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 		fromRows, fromXML := bothPaths(t, res, frag)
 		if diff := sameBindings(fromRows, fromXML); diff != "" {
 			t.Fatalf("trial %d, columns %v, vars %v: %s", trial, res.Columns, frag.VarColumns, diff)
+		}
+
+		db := rdb.NewDatabase("crm")
+		db.MustExec(`CREATE TABLE w (i INT, f FLOAT, o BOOL, d DATE, s VARCHAR)`)
+		kinds := []xmldm.Kind{xmldm.KindInt, xmldm.KindFloat, xmldm.KindBool, xmldm.KindDate, xmldm.KindString}
+		for r := rng.Intn(6); r > 0; r-- {
+			row := make(rdb.Row, len(kinds))
+			for i, k := range kinds {
+				// A cell of the column's kind, or NULL.
+				for row[i] = cell(); row[i].Kind() != k && row[i].Kind() != xmldm.KindNull; row[i] = cell() {
+				}
+			}
+			if err := db.Insert("w", row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var items []string
+		for c := rng.Intn(5); c >= 0; c-- {
+			items = append(items, []string{"i", "f", "o", "d", "s"}[rng.Intn(5)]+" AS "+names[rng.Intn(len(names))])
+		}
+		sql := "SELECT " + strings.Join(items, ", ") + " FROM w"
+		view, err := db.View(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromView, fromViewXML := bothPaths(t, view, frag)
+		fromExec, _ := bothPaths(t, db.MustExec(sql), frag)
+		if diff := sameBindings(fromView, fromViewXML); diff != "" {
+			t.Fatalf("trial %d, %s, vars %v: View rows against their export: %s", trial, sql, frag.VarColumns, diff)
+		}
+		if diff := sameBindings(fromView, fromExec); diff != "" {
+			t.Fatalf("trial %d, %s, vars %v: View against Exec: %s", trial, sql, frag.VarColumns, diff)
 		}
 	}
 }

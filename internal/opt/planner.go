@@ -627,16 +627,19 @@ func fragmentScan(access Access, spec *FetchSpec, frag *sqlgen.Fragment) *algebr
 // reads back — a NULL cell is the empty string, a string cell is shared
 // as is, any other value is its Stringify text, and a column the result
 // lacks is Null (a duplicated alias takes its first column). Positions
-// are resolved once, and every row's tuple and fields are carved from
-// one slab each (xmldm.NewTuples); a transient scan (FuncScan.Transient)
-// refills one tuple instead. A nil result has no rows.
+// are resolved once, through the result's column map (rdb.Result.Pos),
+// and every row's tuple and fields are carved from one slab each
+// (xmldm.NewTuples); a transient scan (FuncScan.Transient) refills one
+// tuple instead. A nil result has no rows.
 func bindRows(res *rdb.Result, vars, cols []string, transient bool) func() (algebra.Binding, error) {
 	var rows []rdb.Row
 	pos := make([]int, len(cols))
 	if res != nil {
 		rows = res.Rows
 		for i, name := range cols {
-			pos[i] = slices.Index(res.Columns, name)
+			if pos[i] = slices.Index(res.Columns, name); pos[i] >= 0 {
+				pos[i] = res.Pos(pos[i])
+			}
 		}
 	}
 	n, held := len(vars), len(rows)
@@ -662,8 +665,8 @@ func bindRows(res *rdb.Result, vars, cols []string, transient bool) func() (alge
 	}
 }
 
-// rowCell is the value a result cell binds: what cellValue reads from
-// its exported element.
+// rowCell is the value the cell at row position p binds (p < 0: a column
+// the result lacks): what cellValue reads from its exported element.
 func rowCell(row rdb.Row, p int) xmldm.Value {
 	if p < 0 {
 		return xmldm.Null{}

@@ -104,10 +104,19 @@ type Row []Value
 
 // Table is an in-memory relational table with optional indexes.
 type Table struct {
-	Name    string
-	Schema  Schema
-	rows    []Row
-	deleted []bool // tombstones, compacted lazily
+	Name   string
+	Schema Schema
+	// rows is the row list; a row's id is its index. An answer may share
+	// a row of it (SELECT *, View), or the list itself up to its length
+	// (View), and is read after the lock is released, so neither is ever
+	// written in place: UPDATE replaces the row it changes and, before
+	// its first write, the list; DELETE only sets a tombstone; INSERT
+	// only appends, past every length an answer was given.
+	rows []Row
+	// deleted holds the tombstones. Nothing compacts the list: a deleted
+	// row keeps its id and its slot for the table's life, so the list is
+	// as long as the rows ever inserted, and that is the bound.
+	deleted []bool
 	live    int
 	indexes map[string]*Index // by column name (lower-case)
 }

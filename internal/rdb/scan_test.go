@@ -22,9 +22,15 @@ import (
 // a multiset, and in table order against the same WHERE with the index
 // defeated (OR 1 = 0). Values include NULLs, numeric-looking text and
 // numbers stored as text; WHERE mixes =, IN, ranges, !=, LIKE and IS NULL
-// over indexed and unindexed columns.
+// over indexed and unindexed columns. Each statement's View, read through
+// its column map, answers as its Exec: the same columns, rows, order and
+// cells, whether it shares the table's row list (no WHERE, no deleted
+// row), lists the table's rows that pass (a select list of columns, in
+// any order, aliased or repeated) or falls back to Exec's projection (an
+// expression item).
 func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	var shared, mapped, projected int
 	texts := []string{"'7'", "'007'", "' 7 '", "'x'", "'New York'", "'Nancy'", "''", "NULL", "'12'", "'inf'"}
 	ints := []string{"0", "7", "12", "-3", "NULL"}
 	for trial := 0; trial < 300; trial++ {
@@ -70,7 +76,7 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 		for i := rng.Intn(4); i > 0; i-- {
 			where = append(where, conj())
 		}
-		list := []string{"s, id", "*", "u AS a, n + 1, id"}[rng.Intn(3)]
+		list := []string{"s, id", "*", "u AS a, n + 1, id", "u, n AS s, id, u"}[rng.Intn(4)]
 		desc := rng.Intn(2) == 0
 		sql := func(w string) string {
 			sql := "SELECT " + list + " FROM t"
@@ -89,10 +95,29 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 			}
 			return strings.Join(out, "|")
 		}
+		tbl, err := db.Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
 		run := func(w string) string {
 			res, err := db.Exec(sql(w))
 			if err != nil {
 				return "error: " + err.Error()
+			}
+			view, err := db.View(sql(w))
+			if err != nil {
+				t.Fatalf("trial %d: %s: Exec answers, View fails: %v", trial, sql(w), err)
+			}
+			if got, want := viewed(view), fmt.Sprint(res.Columns, res.Rows); got != want {
+				t.Fatalf("trial %d: %s:\nview %s\nexec %s", trial, sql(w), got, want)
+			}
+			switch {
+			case len(view.Rows) > 0 && &view.Rows[0] == &tbl.rows[0]:
+				shared++
+			case view.pos != nil:
+				mapped++
+			case !strings.HasPrefix(list, "*"):
+				projected++
 			}
 			return show(res.Rows)
 		}
@@ -146,6 +171,9 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 		if sorted(indexed) != sorted(reference) {
 			t.Fatalf("trial %d: %s:\nindexed   %s\nreference %s", trial, sql(w), indexed, reference)
 		}
+	}
+	if shared == 0 || mapped == 0 || projected == 0 {
+		t.Errorf("Views compared: %d sharing the row list, %d mapped, %d projected; want some of each", shared, mapped, projected)
 	}
 }
 
@@ -202,13 +230,15 @@ func TestIndexEqFindsWhatCompareMatches(t *testing.T) {
 // bytes: the row list, with room for every row read, the projected rows'
 // slabs, and a constant for the statement (measured on an empty table) —
 // no list of the table's rows before WHERE, which used to be built by
-// appending and then copied again.
+// appending and then copied again. A View of a select list of columns
+// projects nothing: unfiltered it shares the table's row list and costs
+// the constant alone, filtered it costs its row list.
 func TestScanAllocatesOnlyTheResult(t *testing.T) {
 	if testkit.Race {
 		t.Skip("the race detector allocates")
 	}
 	const n = 2000
-	bytesPerExec := func(db *Database, sql string) float64 {
+	bytesPerExec := func(db *Database, sql string, view bool) float64 {
 		stmt, err := ParseSQL(sql)
 		if err != nil {
 			t.Fatal(err)
@@ -217,7 +247,7 @@ func TestScanAllocatesOnlyTheResult(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if _, err := db.ExecStmt(stmt); err != nil {
+			if _, err := db.execSelect(stmt.(*SelectStmt), view); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -238,16 +268,19 @@ func TestScanAllocatesOnlyTheResult(t *testing.T) {
 	const valueSize, rowSize = 16, 24 // an interface; a slice header
 	for _, tc := range []struct {
 		sql  string
+		view bool
 		kept float64 // bytes of the answer over the full table
 	}{
-		{`SELECT city AS c, id AS i, name AS n, tier AS t FROM customers`, n * (4*valueSize + rowSize)},
-		{`SELECT * FROM customers`, n * rowSize},
+		{`SELECT city AS c, id AS i, name AS n, tier AS t FROM customers`, false, n * (4*valueSize + rowSize)},
+		{`SELECT * FROM customers`, false, n * rowSize},
 		// Half the rows pass, projected into chunks that double.
-		{`SELECT name FROM customers WHERE tier = 'gold'`, n*rowSize + n/2*valueSize},
+		{`SELECT name FROM customers WHERE tier = 'gold'`, false, n*rowSize + n/2*valueSize},
+		{`SELECT city AS c, id AS i, name AS n, tier AS t FROM customers`, true, 0},
+		{`SELECT name FROM customers WHERE tier = 'gold'`, true, n * rowSize},
 	} {
-		got := bytesPerExec(full, tc.sql) - bytesPerExec(empty, tc.sql)
+		got := bytesPerExec(full, tc.sql, tc.view) - bytesPerExec(empty, tc.sql, tc.view)
 		if limit := 1.1*tc.kept + 4096; got > limit {
-			t.Errorf("%s allocates %.0f bytes over %d rows, want at most %.0f (it keeps %.0f)", tc.sql, got, n, limit, tc.kept)
+			t.Errorf("%s (view %v) allocates %.0f bytes over %d rows, want at most %.0f (it keeps %.0f)", tc.sql, tc.view, got, n, limit, tc.kept)
 		}
 	}
 }

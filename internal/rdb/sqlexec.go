@@ -10,13 +10,26 @@ import (
 )
 
 // Result is the outcome of executing a statement. For SELECT, Columns
-// names the output columns and Rows holds the data; for DML, Affected
-// reports the touched row count.
+// names the output columns and Rows holds the data, output column i of a
+// row at Pos(i); for DML, Affected reports the touched row count.
 type Result struct {
 	Columns  []string
 	Rows     []Row
 	Affected int
 	Stats    ExecStats
+	// pos maps output column i to its position in a row, when the rows
+	// are the table's own (View); nil is the identity.
+	pos []int
+}
+
+// Pos is the position of output column i (Columns[i]) in a row of Rows:
+// i itself, except in a View answer of a select list of columns, whose
+// rows keep the table's layout.
+func (r *Result) Pos(i int) int {
+	if r.pos == nil {
+		return i
+	}
+	return r.pos[i]
 }
 
 // ExecStats reports work done by the executor; the integration
@@ -34,6 +47,24 @@ func (db *Database) Exec(sql string) (*Result, error) {
 	stmt, err := db.stmts.parse(sql)
 	if err != nil {
 		return nil, err
+	}
+	return db.ExecStmt(stmt)
+}
+
+// View is Exec for a reader that reads each output column through
+// Result.Pos and writes nothing. A SELECT whose select list is * or only
+// columns answers the table's own rows, not copies of them, and an
+// unfiltered scan of a table with no deleted rows answers the table's row
+// list itself, capped at its length; the table's row-store invariant
+// (Table.rows) keeps both as they were answered. A SELECT with any other
+// item, and every other statement, answers as Exec does.
+func (db *Database) View(sql string) (*Result, error) {
+	stmt, err := db.stmts.parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	if st, ok := stmt.(*SelectStmt); ok {
+		return db.execSelect(st, true)
 	}
 	return db.ExecStmt(stmt)
 }
@@ -60,7 +91,7 @@ func (db *Database) ExecStmt(stmt Stmt) (*Result, error) {
 	case *InsertStmt:
 		return db.execInsert(st)
 	case *SelectStmt:
-		return db.execSelect(st)
+		return db.execSelect(st, false)
 	case *UpdateStmt:
 		return db.execUpdate(st)
 	case *DeleteStmt:
@@ -165,7 +196,8 @@ func (rs *rowSet) resolve(e SQLExpr) SQLExpr {
 	})
 }
 
-func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
+// execSelect runs a SELECT; with view set, it answers as View does.
+func (db *Database) execSelect(st *SelectStmt, view bool) (*Result, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	res := &Result{}
@@ -177,10 +209,25 @@ func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
 		return nil, err
 	}
 	where := src.resolve(src.where)
+	view = view && src.columnMap(st, res)
 	if len(st.OrderBy) == 0 {
-		// Nothing needs the rows that pass WHERE together: each is
-		// projected as it is read.
-		return project(st, src, where, res)
+		if !view {
+			// Nothing needs the rows that pass WHERE together: each is
+			// projected as it is read.
+			return project(st, src, where, res)
+		}
+		if t := src.table; where == nil && !src.indexed && t.live == len(t.rows) {
+			// Every row is read and passes: the answer is the table's
+			// row list as it stands, capped so that an INSERT appends
+			// past it.
+			res.Stats.RowsScanned = t.live
+			res.Rows = t.rows[:t.live:t.live]
+			return res, nil
+		}
+		if res.Rows, err = src.passing(where); err != nil {
+			return nil, err
+		}
+		return res, nil
 	}
 	// Order the rows that passed (so keys may reference any column of the
 	// table), then project them.
@@ -191,7 +238,42 @@ func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
 	if err := orderRows(st.OrderBy, rs, st.Items); err != nil {
 		return nil, err
 	}
+	if view {
+		res.Rows = rs.rows
+		return res, nil
+	}
 	return project(st, &rowSource{rowSet: *rs}, nil, res)
+}
+
+// columnMap names st's output columns in res and maps each to its
+// position in s's rows (Result.Pos), when the select list is * (the
+// identity) or only columns of s, and reports whether it did. Any other
+// item must be evaluated into a new row: columnMap leaves res as it is.
+func (s *rowSource) columnMap(st *SelectStmt, res *Result) bool {
+	if st.Star {
+		for _, c := range s.cols {
+			res.Columns = append(res.Columns, c.name)
+		}
+		return true
+	}
+	pos := make([]int, len(st.Items))
+	for i, item := range st.Items {
+		c, ok := item.Expr.(*ColRef)
+		if !ok {
+			return false
+		}
+		ci, err := s.lookup(c.Table, c.Col)
+		if err != nil {
+			return false
+		}
+		pos[i] = ci
+	}
+	res.Columns = make([]string, len(st.Items))
+	for i, item := range st.Items {
+		res.Columns[i] = itemName(item, i)
+	}
+	res.pos = pos
+	return true
 }
 
 // firstChunk is how many projected rows project makes room for before it
@@ -354,13 +436,20 @@ func (s *rowSource) each(where SQLExpr, fn func(Row) error) error {
 	return nil
 }
 
-// filter is a new row set of s's rows that pass where.
-func (s *rowSource) filter(where SQLExpr) (*rowSet, error) {
+// passing is a new list of s's rows that pass where, with room for every
+// row s visits.
+func (s *rowSource) passing(where SQLExpr) ([]Row, error) {
 	rows := make([]Row, 0, s.size())
 	err := s.each(where, func(row Row) error {
 		rows = append(rows, row)
 		return nil
 	})
+	return rows, err
+}
+
+// filter is a new row set of s's rows that pass where.
+func (s *rowSource) filter(where SQLExpr) (*rowSet, error) {
+	rows, err := s.passing(where)
 	if err != nil {
 		return nil, err
 	}
@@ -623,7 +712,8 @@ func (db *Database) execUpdate(st *UpdateStmt) (*Result, error) {
 		}
 	}
 	n := 0
-	for rid, row := range t.rows {
+	rows := t.rows
+	for rid, row := range rows {
 		if t.deleted[rid] {
 			continue
 		}
@@ -637,8 +727,8 @@ func (db *Database) execUpdate(st *UpdateStmt) (*Result, error) {
 			}
 		}
 		// Copy on write: every SET reads the old row, and the new one
-		// replaces it, because a SELECT * answer shares the old one and
-		// may still be read after the lock is released.
+		// replaces it, because a SELECT * or View answer shares the old
+		// one and may still be read after the lock is released.
 		updated := slices.Clone(row)
 		for si, ci := range cols {
 			v, err := evalSQL(sets[si], rs, row)
@@ -659,6 +749,11 @@ func (db *Database) execUpdate(st *UpdateStmt) (*Result, error) {
 					return nil, err
 				}
 			}
+		}
+		if n == 0 {
+			// A View answer may share the row list itself: the first
+			// write of the statement goes to a copy.
+			t.rows = slices.Clone(rows)
 		}
 		t.rows[rid] = updated
 		n++

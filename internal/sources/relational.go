@@ -133,9 +133,10 @@ func (s *RelationalSource) Fetch(ctx context.Context, req catalog.Request) (*xml
 func (s *RelationalSource) FetchesRows() bool { return true }
 
 // FetchRows implements catalog.RowFetcher: it runs a SQL fragment and
-// returns its result, costed as Fetch costs the fragment's export. A
-// request without a fragment is an error: a whole-table export is a
-// document.
+// returns its result, costed as Fetch costs the fragment's export. The
+// result is the database's View: it may share the table's rows, read
+// through Result.Pos, and must not be written. A request without a
+// fragment is an error: a whole-table export is a document.
 func (s *RelationalSource) FetchRows(ctx context.Context, req catalog.Request) (*rdb.Result, catalog.Cost, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, catalog.Cost{}, err
@@ -143,7 +144,7 @@ func (s *RelationalSource) FetchRows(ctx context.Context, req catalog.Request) (
 	if req.Native == "" {
 		return nil, catalog.Cost{}, fmt.Errorf("sources: %s: rows are answered for a SQL fragment only", s.name)
 	}
-	res, err := s.db.Exec(req.Native)
+	res, err := s.db.View(req.Native)
 	if err != nil {
 		return nil, catalog.Cost{}, fmt.Errorf("sources: %s: %w", s.name, err)
 	}
@@ -186,12 +187,13 @@ func appendResultRows(root *xmldm.Node, rowElem string, res *rdb.Result) {
 		for i, col := range res.Columns {
 			c := &cells[i]
 			c.Name, c.Parent = col, r
-			switch v := row[i].(type) {
+			cell := row[res.Pos(i)]
+			switch v := cell.(type) {
 			case nil, xmldm.Null:
 				// NULL exports as an empty element
 			case xmldm.String:
 				c.Children = texts[i : i+1 : i+1]
-				c.Children[0] = row[i]
+				c.Children[0] = cell
 			default:
 				c.Children = texts[i : i+1 : i+1]
 				c.Children[0] = xmldm.String(xmldm.Stringify(v))
