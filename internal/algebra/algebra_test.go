@@ -244,20 +244,6 @@ func TestSelectOperator(t *testing.T) {
 	}
 }
 
-func TestProjectOperator(t *testing.T) {
-	in := scanOf(bind("x", xmldm.Int(1), "y", xmldm.Int(2), "z", xmldm.Int(3)))
-	out, err := Drain(&Context{}, &Project{Input: in, Vars: []string{"y", "w"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[0].Names()) != 2 {
-		t.Fatalf("projected fields = %v", out[0].Names())
-	}
-	if w, _ := out[0].Get("w"); w.Kind() != xmldm.KindNull {
-		t.Error("missing var should project to Null")
-	}
-}
-
 func TestHashJoinOnSharedVars(t *testing.T) {
 	left := scanOf(
 		bind("id", xmldm.Int(1), "name", xmldm.String("Ada")),
@@ -306,91 +292,6 @@ func TestHashJoinExplicitVars(t *testing.T) {
 	}
 	if len(out) != 0 {
 		t.Fatalf("conflicting merge should drop, got %d", len(out))
-	}
-}
-
-func TestNestedLoopJoinWithPredicate(t *testing.T) {
-	left := scanOf(bind("a", xmldm.Int(1)), bind("a", xmldm.Int(5)))
-	right := scanOf(bind("b", xmldm.Int(3)), bind("b", xmldm.Int(7)))
-	pred := xmlql.MustParse(`WHERE <x>$q</x> IN "s", $a < $b CONSTRUCT <r/>`).Where[1].(*xmlql.PredicateCond).Expr
-	out, err := Drain(&Context{}, &NestedLoopJoin{Left: left, Right: right, Pred: pred})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// pairs: (1,3),(1,7),(5,7) = 3
-	if len(out) != 3 {
-		t.Fatalf("theta join = %d", len(out))
-	}
-}
-
-func TestUnionOperator(t *testing.T) {
-	u := &Union{Inputs: []Operator{
-		scanOf(bind("x", xmldm.Int(1))),
-		scanOf(),
-		scanOf(bind("x", xmldm.Int(2)), bind("x", xmldm.Int(3))),
-	}}
-	out, err := Drain(&Context{}, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("union = %d", len(out))
-	}
-	v, _ := out[2].Get("x")
-	if xmldm.Stringify(v) != "3" {
-		t.Error("union must preserve order")
-	}
-}
-
-func TestSortOperator(t *testing.T) {
-	in := scanOf(
-		bind("x", xmldm.Int(2), "y", xmldm.String("b")),
-		bind("x", xmldm.Int(1), "y", xmldm.String("a")),
-		bind("x", xmldm.Int(2), "y", xmldm.String("a")),
-	)
-	keys := []SortKey{
-		{Expr: &xmlql.VarExpr{Name: "x"}, Desc: true},
-		{Expr: &xmlql.VarExpr{Name: "y"}},
-	}
-	out, err := Drain(&Context{}, &Sort{Input: in, Keys: keys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ""
-	for _, b := range out {
-		x, _ := b.Get("x")
-		y, _ := b.Get("y")
-		got += xmldm.Stringify(x) + xmldm.Stringify(y) + " "
-	}
-	if got != "2a 2b 1a " {
-		t.Errorf("sorted = %q", got)
-	}
-}
-
-func TestDistinctOperator(t *testing.T) {
-	in := scanOf(
-		bind("x", xmldm.Int(1)),
-		bind("x", xmldm.Int(1)),
-		bind("x", xmldm.Int(2)),
-		bind("x", xmldm.Float(1)), // equal to Int(1) under Compare
-	)
-	out, err := Drain(&Context{}, &Distinct{Input: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("distinct = %d", len(out))
-	}
-}
-
-func TestLimitOperator(t *testing.T) {
-	in := scanOf(bind("x", xmldm.Int(1)), bind("x", xmldm.Int(2)), bind("x", xmldm.Int(3)))
-	out, err := Drain(&Context{}, &Limit{Input: in, N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("limited = %d", len(out))
 	}
 }
 
@@ -674,13 +575,7 @@ func TestOperatorsNotOpen(t *testing.T) {
 	ops := []Operator{
 		&TupleScan{},
 		&Select{Input: scanOf()},
-		&Project{Input: scanOf()},
 		&HashJoin{Left: scanOf(), Right: scanOf()},
-		&NestedLoopJoin{Left: scanOf(), Right: scanOf()},
-		&Union{Inputs: []Operator{scanOf()}},
-		&Sort{Input: scanOf()},
-		&Distinct{Input: scanOf()},
-		&Limit{Input: scanOf(), N: 1},
 		&Match{Input: scanOf()},
 		&Singleton{},
 		&FuncScan{OpenFn: func(*Context) (func() (Binding, error), error) {
@@ -695,8 +590,10 @@ func TestOperatorsNotOpen(t *testing.T) {
 }
 
 func TestOperatorsReusableAfterClose(t *testing.T) {
+	// A join holds the most state between Open and Close: its table, held
+	// left rows and pending matches must all start over.
 	in := scanOf(bind("x", xmldm.Int(1)), bind("x", xmldm.Int(2)))
-	op := &Limit{Input: in, N: 5}
+	op := &HashJoin{Left: in, Right: scanOf(bind("y", xmldm.Int(3)))}
 	for round := 0; round < 2; round++ {
 		out, err := Drain(&Context{}, op)
 		if err != nil {
@@ -799,13 +696,14 @@ func TestMatchPatternNilRoot(t *testing.T) {
 func TestConstructAllOrder(t *testing.T) {
 	tmpl := xmlql.MustParse(`WHERE <a>$x</a> IN "s" CONSTRUCT <v>$x</v>`).Construct
 	bs := []Binding{bind("x", xmldm.Int(1)), bind("x", xmldm.Int(2))}
-	vals, err := ConstructAll(&Context{}, tmpl, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bld := NewBuilder(tmpl, len(bs))
 	var sb strings.Builder
-	for _, v := range vals {
-		sb.WriteString(xmldm.Stringify(v))
+	for _, b := range bs {
+		n, err := bld.Build(&Context{}, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.WriteString(xmldm.Stringify(n))
 	}
 	if sb.String() != "12" {
 		t.Errorf("order = %q", sb.String())

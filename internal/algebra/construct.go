@@ -13,20 +13,6 @@ func BuildResult(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, er
 	return NewBuilder(tmpl, 1).Build(ctx, b)
 }
 
-// ConstructAll builds one result per binding, from one Builder.
-func ConstructAll(ctx *Context, tmpl *xmlql.TmplElem, bindings []Binding) ([]xmldm.Value, error) {
-	bld := NewBuilder(tmpl, len(bindings))
-	out := make([]xmldm.Value, 0, len(bindings))
-	for _, b := range bindings {
-		n, err := bld.Build(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // Builder instantiates one CONSTRUCT template under a run of bindings.
 // The template's shape is counted once — one element per TmplElem, and
 // for each element one child slot per content item and its attributes —

@@ -6,8 +6,9 @@
 //
 // Operators are demand-driven (Volcano-style) iterators over bindings. A
 // binding is an xmldm.Tuple mapping variable names to values; operators
-// extend, filter, join, reorder, and finally Construct turns bindings
-// into result XML.
+// extend, filter and join them, and a Builder turns each binding into
+// result XML. An ORDER-BY sort is not an operator: the engine (core)
+// orders the built results itself.
 package algebra
 
 import (

@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -49,39 +48,6 @@ func (s *Select) Next() (Binding, error) {
 func (s *Select) Close() error {
 	s.ctx = nil
 	return s.Input.Close()
-}
-
-// Project narrows each binding to the named variables (missing ones
-// become Null), shrinking tuples that flow across operator boundaries.
-type Project struct {
-	Input Operator
-	Vars  []string
-
-	ctx *Context
-}
-
-// Open implements Operator.
-func (p *Project) Open(ctx *Context) error {
-	p.ctx = ctx
-	return p.Input.Open(ctx)
-}
-
-// Next implements Operator.
-func (p *Project) Next() (Binding, error) {
-	if p.ctx == nil {
-		return nil, ErrNotOpen
-	}
-	b, err := p.Input.Next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	return b.Project(p.Vars...), nil
-}
-
-// Close implements Operator.
-func (p *Project) Close() error {
-	p.ctx = nil
-	return p.Input.Close()
 }
 
 // KeyPair is an equality predicate $Left = $Right turned into a join key:
@@ -494,330 +460,4 @@ next:
 		return l, true
 	}
 	return xmldm.NewTuple(fields...), true
-}
-
-// NestedLoopJoin joins with an arbitrary predicate; it materializes the
-// right side and evaluates Pred on each concatenated pair. Used when no
-// equality join variables exist.
-type NestedLoopJoin struct {
-	Left, Right Operator
-	Pred        xmlql.Expr // nil means cross product
-
-	ctx     *Context
-	right   []Binding
-	cur     Binding
-	rightIx int
-}
-
-// Open implements Operator.
-func (j *NestedLoopJoin) Open(ctx *Context) error {
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.Right.Open(ctx); err != nil {
-		j.Left.Close()
-		return err
-	}
-	j.ctx = ctx
-	j.right = nil
-	j.cur = nil
-	j.rightIx = 0
-	for {
-		b, err := j.Right.Next()
-		if err != nil {
-			j.Left.Close()
-			j.Right.Close()
-			return err
-		}
-		if b == nil {
-			break
-		}
-		j.right = append(j.right, b)
-	}
-	return nil
-}
-
-// Next implements Operator.
-func (j *NestedLoopJoin) Next() (Binding, error) {
-	if j.ctx == nil {
-		return nil, ErrNotOpen
-	}
-	for {
-		if j.cur == nil {
-			l, err := j.Left.Next()
-			if err != nil || l == nil {
-				return nil, err
-			}
-			j.cur = l
-			j.rightIx = 0
-		}
-		for j.rightIx < len(j.right) {
-			r := j.right[j.rightIx]
-			j.rightIx++
-			m, ok := mergeBindings(j.cur, r, nil)
-			if !ok {
-				continue
-			}
-			if j.Pred != nil {
-				v, err := Eval(j.ctx, j.Pred, m)
-				if err != nil {
-					return nil, err
-				}
-				if !xmldm.Truthy(v) {
-					continue
-				}
-			}
-			return m, nil
-		}
-		j.cur = nil
-	}
-}
-
-// BufferedTuples reports the materialized right side.
-func (j *NestedLoopJoin) BufferedTuples() int { return len(j.right) }
-
-// Close implements Operator.
-func (j *NestedLoopJoin) Close() error {
-	j.ctx = nil
-	j.right = nil
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// Union concatenates binding streams in order (XML results are ordered,
-// so union is append, not set union; follow with Distinct for set
-// semantics).
-type Union struct {
-	Inputs []Operator
-
-	ctx *Context
-	cur int
-}
-
-// Open implements Operator.
-func (u *Union) Open(ctx *Context) error {
-	for i, in := range u.Inputs {
-		if err := in.Open(ctx); err != nil {
-			for _, prev := range u.Inputs[:i] {
-				prev.Close()
-			}
-			return err
-		}
-	}
-	u.ctx = ctx
-	u.cur = 0
-	return nil
-}
-
-// Next implements Operator.
-func (u *Union) Next() (Binding, error) {
-	if u.ctx == nil {
-		return nil, ErrNotOpen
-	}
-	for u.cur < len(u.Inputs) {
-		b, err := u.Inputs[u.cur].Next()
-		if err != nil {
-			return nil, err
-		}
-		if b != nil {
-			return b, nil
-		}
-		u.cur++
-	}
-	return nil, nil
-}
-
-// Close implements Operator.
-func (u *Union) Close() error {
-	u.ctx = nil
-	var first error
-	for _, in := range u.Inputs {
-		if err := in.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// SortKey is one ordering key for Sort.
-type SortKey struct {
-	Expr xmlql.Expr
-	Desc bool
-}
-
-// Sort materializes its input and emits it ordered by the keys; ties
-// preserve input order (stable), which preserves document order among
-// equal keys — the paper's §4 document-order requirement.
-type Sort struct {
-	Input Operator
-	Keys  []SortKey
-
-	ctx    *Context
-	sorted []Binding
-	pos    int
-}
-
-// Open implements Operator.
-func (s *Sort) Open(ctx *Context) error {
-	if err := s.Input.Open(ctx); err != nil {
-		return err
-	}
-	s.ctx = ctx
-	s.sorted = nil
-	s.pos = 0
-	for {
-		b, err := s.Input.Next()
-		if err != nil {
-			s.Input.Close()
-			return err
-		}
-		if b == nil {
-			break
-		}
-		s.sorted = append(s.sorted, b)
-	}
-	var evalErr error
-	sort.SliceStable(s.sorted, func(i, j int) bool {
-		for _, k := range s.Keys {
-			vi, err := Eval(ctx, k.Expr, s.sorted[i])
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			vj, err := Eval(ctx, k.Expr, s.sorted[j])
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			c := xmldm.Compare(vi, vj)
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return evalErr
-}
-
-// Next implements Operator.
-func (s *Sort) Next() (Binding, error) {
-	if s.ctx == nil {
-		return nil, ErrNotOpen
-	}
-	if s.pos >= len(s.sorted) {
-		return nil, nil
-	}
-	b := s.sorted[s.pos]
-	s.pos++
-	return b, nil
-}
-
-// BufferedTuples reports the materialized sort buffer.
-func (s *Sort) BufferedTuples() int { return len(s.sorted) }
-
-// Close implements Operator.
-func (s *Sort) Close() error {
-	s.ctx = nil
-	s.sorted = nil
-	return s.Input.Close()
-}
-
-// Distinct drops bindings equal to an earlier one.
-type Distinct struct {
-	Input Operator
-
-	ctx  *Context
-	seen map[uint64][]Binding
-	n    int // tuples retained in seen
-}
-
-// Open implements Operator.
-func (d *Distinct) Open(ctx *Context) error {
-	d.ctx = ctx
-	d.seen = make(map[uint64][]Binding)
-	d.n = 0
-	return d.Input.Open(ctx)
-}
-
-// Next implements Operator.
-func (d *Distinct) Next() (Binding, error) {
-	if d.ctx == nil {
-		return nil, ErrNotOpen
-	}
-	for {
-		b, err := d.Input.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		h := xmldm.Hash(b)
-		dup := false
-		for _, prev := range d.seen[h] {
-			if xmldm.Equal(prev, b) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		d.seen[h] = append(d.seen[h], b)
-		d.n++
-		return b, nil
-	}
-}
-
-// BufferedTuples reports the tuples retained for duplicate detection.
-func (d *Distinct) BufferedTuples() int { return d.n }
-
-// Close implements Operator.
-func (d *Distinct) Close() error {
-	d.ctx = nil
-	d.seen = nil
-	return d.Input.Close()
-}
-
-// Limit stops after N bindings.
-type Limit struct {
-	Input Operator
-	N     int
-
-	ctx   *Context
-	count int
-}
-
-// Open implements Operator.
-func (l *Limit) Open(ctx *Context) error {
-	l.ctx = ctx
-	l.count = 0
-	return l.Input.Open(ctx)
-}
-
-// Next implements Operator.
-func (l *Limit) Next() (Binding, error) {
-	if l.ctx == nil {
-		return nil, ErrNotOpen
-	}
-	if l.count >= l.N {
-		return nil, nil
-	}
-	b, err := l.Input.Next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	l.count++
-	return b, nil
-}
-
-// Close implements Operator.
-func (l *Limit) Close() error {
-	l.ctx = nil
-	return l.Input.Close()
 }

@@ -7,10 +7,10 @@
 // table) — holds the grant while it spends it, and runs serially below
 // it without touching the scheduler. Each merges back in input order, so
 // the output at any degree is byte-identical to the serial operator's —
-// which is what lets ordering-sensitive consumers (Sort, Limit, the
-// top-level construct) ignore the parallelism entirely. Everything else
-// runs serially: the per-tuple stages (Select, Project, Match over a
-// bound variable) cost less than handing tuples to a worker, and the leaf
+// which is what lets ordering-sensitive consumers (the ORDER-BY sort,
+// the top-level construct) ignore the parallelism entirely. Everything
+// else runs serially: the per-tuple stages (Select, Match over a bound
+// variable) cost less than handing tuples to a worker, and the leaf
 // Match fan-out lost to the serial loop at every size the sweep tried.
 package algebra
 

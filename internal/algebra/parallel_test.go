@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -105,16 +106,38 @@ func (s *errAfterScan) Next() (Binding, error) {
 }
 func (s *errAfterScan) Close() error { s.open = false; return nil }
 
-// TestHashJoinEarlyClose: a Limit above a parallel join closes it long
-// before the left stream is drained; the pool must tear down without
-// deadlock, leave no goroutine behind and the worker gauge at zero, and
-// the rows that did come out are the serial join's first rows.
+// errEnough stops a Pull once firstRows has what it asked for.
+var errEnough = errors.New("enough rows")
+
+// firstRows takes op's first n rows and closes it, as a consumer that
+// stops early does.
+func firstRows(t *testing.T, ctx *Context, op Operator, n int) []Binding {
+	t.Helper()
+	var out []Binding
+	_, err := Pull(ctx, op, func(b Binding) error {
+		out = append(out, b)
+		if len(out) == n {
+			return errEnough
+		}
+		return nil
+	})
+	if err != nil && err != errEnough {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestHashJoinEarlyClose: a consumer that takes three rows closes a
+// parallel join long before the left stream is drained; the pool must
+// tear down without deadlock, leave no goroutine behind and the worker
+// gauge at zero, and the rows that did come out are the serial join's
+// first rows.
 func TestHashJoinEarlyClose(t *testing.T) {
 	lowerGates(t, 0)
 	left := randTuples(5000, 5)
 	right := randTuples(30, 6)
-	want := drainAll(t, &Context{}, &Limit{N: 3, Input: &HashJoin{
-		Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right}, On: []string{"k"}}})
+	want := firstRows(t, &Context{}, &HashJoin{
+		Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right}, On: []string{"k"}}, 3)
 	for _, workers := range []int{2, 8} {
 		before := runtime.NumGoroutine()
 		var gauge int
@@ -126,7 +149,7 @@ func TestHashJoinEarlyClose(t *testing.T) {
 			On:      []string{"k"},
 			Workers: workers,
 		}
-		got := drainAll(t, ctx, &Limit{Input: j, N: 3})
+		got := firstRows(t, ctx, j, 3)
 		if !bindingsEqual(got, want) {
 			t.Errorf("workers=%d: got %v, want the serial join's first rows %v", workers, got, want)
 		}

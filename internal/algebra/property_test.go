@@ -140,9 +140,9 @@ func TestNestedPatternEqualsElementAsRematch_Property(t *testing.T) {
 	}
 }
 
-// TestHashJoinEqualsNestedLoop_Property: the two join implementations
-// agree on shared-variable joins (up to order, both are deterministic
-// here because inputs replay in order).
+// TestHashJoinEqualsNestedLoop_Property: HashJoin agrees with the
+// nested-loop reference (join_ref_test.go) on shared-variable joins (up
+// to order, both are deterministic here because inputs replay in order).
 func TestHashJoinEqualsNestedLoop_Property(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -162,7 +162,7 @@ func TestHashJoinEqualsNestedLoop_Property(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		nl, err := Drain(ctx, &NestedLoopJoin{Left: &TupleScan{Tuples: left}, Right: &TupleScan{Tuples: right}})
+		nl, err := nestedLoop(ctx, left, right, nil)
 		if err != nil {
 			return false
 		}
@@ -343,11 +343,13 @@ func TestHashJoinKeyPairsAreTheSameRelation_Property(t *testing.T) {
 			return &TupleScan{Tuples: left}, &TupleScan{Tuples: right}
 		}
 
-		l, r := scans()
-		want := drainAll(t, &Context{}, &NestedLoopJoin{Left: l, Right: r, Pred: pred})
+		want, err := nestedLoop(&Context{}, left, right, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
 		matched += len(want)
 
-		l, r = scans()
+		l, r := scans()
 		viaSelect := drainAll(t, &Context{}, &Select{Input: &HashJoin{Left: l, Right: r}, Pred: pred})
 		if !bindingsEqual(viaSelect, want) {
 			t.Fatalf("seed %d: HashJoin+Select emits %v, nested loop %v", seed, viaSelect, want)

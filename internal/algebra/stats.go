@@ -8,7 +8,6 @@
 package algebra
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -40,7 +39,7 @@ type ExplainNode struct {
 	NextNanos  int64 `json:"next_ns"`
 	CloseNanos int64 `json:"close_ns"`
 	// PeakBuffered is the largest number of tuples the operator held
-	// materialized at once (hash tables, sort buffers, pending queues).
+	// materialized at once (hash tables, pending queues).
 	PeakBuffered int `json:"peak_buffered,omitempty"`
 	// Workers holds per-worker rows/busy-time for a HashJoin that probed
 	// in parallel, captured at Close.
@@ -137,12 +136,9 @@ func (n *ExplainNode) Render() string {
 	return obs.RenderTree(n)
 }
 
-// JSON renders the tree as JSON (the /debug/queries wire shape).
-func (n *ExplainNode) JSON() ([]byte, error) { return json.Marshal(n) }
-
 // buffered is implemented by operators that materialize tuples (hash
-// tables, sort buffers, pending-match queues); the instrumentation shim
-// polls it to record peak memory pressure in tuples.
+// tables, pending-match queues); the instrumentation shim polls it to
+// record peak memory pressure in tuples.
 type buffered interface {
 	BufferedTuples() int
 }
@@ -223,34 +219,10 @@ func Instrument(op Operator, labels map[Operator]string) (Operator, *ExplainNode
 		return inst, inst.Node
 	}
 	node := &ExplainNode{Op: opName(op), Detail: describe(op, labels[op])}
-	child := func(c Operator) Operator {
-		w, n := Instrument(c, labels)
+	for _, c := range children(op) {
+		w, n := Instrument(*c, labels)
+		*c = w
 		node.Children = append(node.Children, n)
-		return w
-	}
-	switch x := op.(type) {
-	case *Select:
-		x.Input = child(x.Input)
-	case *Project:
-		x.Input = child(x.Input)
-	case *HashJoin:
-		x.Left = child(x.Left)
-		x.Right = child(x.Right)
-	case *NestedLoopJoin:
-		x.Left = child(x.Left)
-		x.Right = child(x.Right)
-	case *Union:
-		for i := range x.Inputs {
-			x.Inputs[i] = child(x.Inputs[i])
-		}
-	case *Sort:
-		x.Input = child(x.Input)
-	case *Distinct:
-		x.Input = child(x.Input)
-	case *Limit:
-		x.Input = child(x.Input)
-	case *Match:
-		x.Input = child(x.Input)
 	}
 	w := &Instrumented{Inner: op, Node: node}
 	w.buf, _ = op.(buffered)
@@ -291,8 +263,6 @@ func describe(op Operator, label string) string {
 		}
 	case *Select:
 		parts = append(parts, xmlql.ExprString(x.Pred))
-	case *Project:
-		parts = append(parts, strings.Join(x.Vars, ","))
 	case *HashJoin:
 		switch {
 		case x.Workers <= 1:
@@ -313,21 +283,6 @@ func describe(op Operator, label string) string {
 		if x.Bind != nil {
 			parts = append(parts, "bind="+x.bindOutcome())
 		}
-	case *NestedLoopJoin:
-		if x.Pred != nil {
-			parts = append(parts, xmlql.ExprString(x.Pred))
-		}
-	case *Limit:
-		parts = append(parts, fmt.Sprintf("n=%d", x.N))
-	case *Sort:
-		keys := make([]string, len(x.Keys))
-		for i, k := range x.Keys {
-			keys[i] = xmlql.ExprString(k.Expr)
-			if k.Desc {
-				keys[i] += " desc"
-			}
-		}
-		parts = append(parts, strings.Join(keys, ", "))
 	case *TupleScan:
 		parts = append(parts, fmt.Sprintf("%d tuples", len(x.Tuples)))
 	}
@@ -340,30 +295,12 @@ func CountOps(op Operator) int {
 	if op == nil {
 		return 0
 	}
+	if inst, ok := op.(*Instrumented); ok {
+		return CountOps(inst.Inner)
+	}
 	n := 1
-	switch x := op.(type) {
-	case *Instrumented:
-		return CountOps(x.Inner)
-	case *Select:
-		n += CountOps(x.Input)
-	case *Project:
-		n += CountOps(x.Input)
-	case *HashJoin:
-		n += CountOps(x.Left) + CountOps(x.Right)
-	case *NestedLoopJoin:
-		n += CountOps(x.Left) + CountOps(x.Right)
-	case *Union:
-		for _, in := range x.Inputs {
-			n += CountOps(in)
-		}
-	case *Sort:
-		n += CountOps(x.Input)
-	case *Distinct:
-		n += CountOps(x.Input)
-	case *Limit:
-		n += CountOps(x.Input)
-	case *Match:
-		n += CountOps(x.Input)
+	for _, c := range children(op) {
+		n += CountOps(*c)
 	}
 	return n
 }
@@ -371,40 +308,28 @@ func CountOps(op Operator) int {
 // Explain builds the ExplainNode tree for a plan without instrumenting
 // it — the static (no ANALYZE) plan shape.
 func Explain(op Operator, labels map[Operator]string) *ExplainNode {
-	node := &ExplainNode{Op: opName(op), Detail: describe(op, labels[op])}
 	if inst, ok := op.(*Instrumented); ok {
 		return inst.Node
 	}
-	for _, c := range childOps(op) {
-		node.Children = append(node.Children, Explain(c, labels))
+	node := &ExplainNode{Op: opName(op), Detail: describe(op, labels[op])}
+	for _, c := range children(op) {
+		node.Children = append(node.Children, Explain(*c, labels))
 	}
 	return node
 }
 
-// childOps lists an operator's direct children.
-func childOps(op Operator) []Operator {
+// children lists an operator's inputs as the fields that hold them, so
+// Instrument can wrap each in place. Instrument, CountOps and Explain
+// reach inputs only through it: a kind missing here is a leaf to all
+// three, its inputs gone from EXPLAIN and from OperatorsRun.
+func children(op Operator) []*Operator {
 	switch x := op.(type) {
-	case *Instrumented:
-		return childOps(x.Inner)
 	case *Select:
-		return []Operator{x.Input}
-	case *Project:
-		return []Operator{x.Input}
+		return []*Operator{&x.Input}
 	case *HashJoin:
-		return []Operator{x.Left, x.Right}
-	case *NestedLoopJoin:
-		return []Operator{x.Left, x.Right}
-	case *Union:
-		return append([]Operator(nil), x.Inputs...)
-	case *Sort:
-		return []Operator{x.Input}
-	case *Distinct:
-		return []Operator{x.Input}
-	case *Limit:
-		return []Operator{x.Input}
+		return []*Operator{&x.Left, &x.Right}
 	case *Match:
-		return []Operator{x.Input}
-	default:
-		return nil
+		return []*Operator{&x.Input}
 	}
+	return nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"regexp"
 	"strings"
 	"testing"
@@ -52,6 +54,62 @@ const twoSourceJoinQL = `
 	WHERE <cust><cid>$i</cid><who>$w</who></cust> IN "customers",
 	      <ticket><cust>$i</cust><subject>$s</subject></ticket> IN "tickets"
 	CONSTRUCT <r><who>$w</who><subject>$s</subject></r>`
+
+// plannedOps are the nodes a query's EXPLAIN tree may hold: the engine's
+// own Query root and Fetch rows, and the operators the planner builds
+// (TupleScan is a correlated subquery's outer binding).
+var plannedOps = map[string]bool{
+	"Query": true, "Fetch": true,
+	"Match": true, "Singleton": true, "Select": true, "HashJoin": true, "FuncScan": true, "TupleScan": true,
+}
+
+// TestExplainHoldsOnlyPlannedOperators: over the queries of the
+// equivalence families — the randomized views with and without ORDER-BY,
+// the fixed workload's joins and correlated subqueries, and the view
+// joins, the indexed inner's bind join included — every EXPLAIN node is
+// one of plannedOps. A plan holding another kind fails here: algebra's
+// children and describe must learn it first, or its inputs drop out of
+// EXPLAIN and OperatorsRun unseen.
+func TestExplainHoldsOnlyPlannedOperators(t *testing.T) {
+	seen := map[string]bool{}
+	check := func(name string, e *Engine, q string) {
+		t.Helper()
+		res, err := e.Query(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v\nquery: %s", name, err, q)
+		}
+		res.Explain.Walk(func(n *algebra.ExplainNode) {
+			seen[n.Op] = true
+			if !plannedOps[n.Op] {
+				t.Errorf("%s: EXPLAIN holds a %s node\nquery: %s\n%s", name, n.Op, q, res.Explain.Render())
+			}
+		})
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e, _ := randomDeployment(t, rng)
+		check(fmt.Sprintf("seed %d", seed), e, randomQuery(rng, false))
+	}
+	e, _ := newTestEngine(t)
+	for qi, q := range parallelWorkload {
+		check(fmt.Sprintf("workload %d", qi), e, q)
+	}
+	for _, fam := range viewJoinFamilies {
+		for seed := int64(0); seed < 4; seed++ {
+			e, _ := fam.deploy(t, seed)
+			for _, orderBy := range viewJoinQueries {
+				check(fmt.Sprintf("%s seed %d%s", fam.name, seed, orderBy), e, viewJoinQuery(orderBy, fam.indexed))
+			}
+		}
+	}
+	// A correlated subquery's plan is not in its query's tree, so
+	// TupleScan is never seen here; every other kind must be.
+	for op := range plannedOps {
+		if !seen[op] && op != "TupleScan" {
+			t.Errorf("no query of the corpus planned a %s (weak test)", op)
+		}
+	}
+}
 
 func TestExplainGoldenTwoSourceJoin(t *testing.T) {
 	slow := NewSlowLog(4, 0)

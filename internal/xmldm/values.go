@@ -231,20 +231,6 @@ func (t *Tuple) With(name string, v Value) *Tuple {
 	return &Tuple{fields: append(fields, Field{Name: name, Value: v})}
 }
 
-// Project returns a new tuple containing only the named fields, in the
-// given order; missing names become Null fields.
-func (t *Tuple) Project(names ...string) *Tuple {
-	fields := make([]Field, len(names))
-	for i, n := range names {
-		v, ok := t.Get(n)
-		if !ok {
-			v = Null{}
-		}
-		fields[i] = Field{Name: n, Value: v}
-	}
-	return &Tuple{fields: fields}
-}
-
 // Concat returns a new tuple with u's fields appended after t's.
 func (t *Tuple) Concat(u *Tuple) *Tuple {
 	fields := make([]Field, 0, len(t.fields)+len(u.fields))

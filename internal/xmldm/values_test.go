@@ -97,13 +97,6 @@ func TestTupleWithReplacesAndAppends(t *testing.T) {
 
 func TestTupleProjectAndConcat(t *testing.T) {
 	tp := NewTuple(Field{"a", Int(1)}, Field{"b", Int(2)})
-	p := tp.Project("b", "z")
-	if !reflect.DeepEqual(p.Names(), []string{"b", "z"}) {
-		t.Errorf("Project names = %v", p.Names())
-	}
-	if v, _ := p.Get("z"); v.Kind() != KindNull {
-		t.Errorf("missing projected field should be Null, got %v", v)
-	}
 	c := tp.Concat(NewTuple(Field{"c", Int(3)}))
 	if c.Len() != 3 {
 		t.Errorf("Concat len = %d", c.Len())
