@@ -258,13 +258,14 @@ chaos-smoke:
 	$(GO) test -tags soak -run 'TestChaosSoak' -count=1 -v .
 
 # cluster-smoke runs the cluster front end end to end under every
-# routing policy: a chaos-faulted instance is ejected by health probes,
-# traffic keeps flowing with zero failures, the instance is readmitted
-# after recovery, and a drained instance leaves gracefully. Plus the
-# -race storm over queries, probes, drains, and inspector reads.
+# routing policy: an instance whose source faults stays in rotation and
+# answers flagged partial with zero failed requests, and a drained
+# instance leaves gracefully. Plus the -race storm over queries, drains,
+# restores, and inspector reads. Both run by name (run-named), so a
+# renamed or deleted smoke test fails the step.
 cluster-smoke:
-	$(GO) test -run 'TestClusterSmoke' -count=1 -v ./internal/cluster
-	$(GO) test -race -run 'TestClusterStorm' -count=1 ./internal/cluster
+	$(call run-named,-count=1 -v,TestClusterSmoke,./internal/cluster)
+	$(call run-named,-race -count=1,TestClusterStorm,./internal/cluster)
 
 # trace-smoke drives a chaos-faulted query through the full stack
 # (HTTP front end -> cluster -> engine -> per-attempt fetch) and

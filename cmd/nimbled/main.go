@@ -77,11 +77,6 @@ func parseFlags(args []string, out io.Writer) (*daemon, error) {
 	fs.IntVar(&c.AdmissionQueue, "queue", 0, "admission queue bound once all instances are saturated; excess sheds 503 + Retry-After (0 unbounded)")
 	fs.IntVar(&c.CacheEntries, "cache", 64, "query cache entries (0 disables)")
 	fs.BoolVar(&c.CachePerInstance, "cache-per-instance", false, "give each instance its own cache (pair with -route affinity)")
-	fs.StringVar(&c.HealthProbe, "probe", `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <ok>$w</ok>`,
-		"health-probe canary query; failing/incomplete answers eject an instance (empty disables probing)")
-	fs.DurationVar(&c.ProbeInterval, "probe-interval", 2*time.Second, "health probe spacing")
-	fs.IntVar(&c.EjectAfter, "eject-after", 3, "consecutive probe failures that eject an instance")
-	fs.DurationVar(&c.ReadmitAfter, "readmit-after", 10*time.Second, "cooldown before an ejected instance is probed for readmission")
 	fs.DurationVar(&d.drainTimeout, "drain-timeout", 30*time.Second, "graceful drain bound on shutdown")
 	fs.StringVar(&d.adminToken, "admin-token", "admin", "token for /admin endpoints")
 	fs.IntVar(&d.customers, "customers", 500, "demo dataset size")
@@ -132,7 +127,6 @@ func main() {
 	sys.InstrumentSources()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	sys.StartHealthProbes(ctx)
 
 	httpSrv := server.NewHTTPServer(d.addr, sys.HTTPHandler(d.adminToken))
 	errc := make(chan error, 1)
@@ -226,7 +220,7 @@ func boot(sys *nimble.System, customers int) error {
 	fmt.Println(`  curl localhost:8080/debug/queries                  # active queries + recent slow queries`)
 	fmt.Println(`  curl localhost:8080/debug/slowlog                  # slowest queries with their plans`)
 	fmt.Println("cluster:")
-	fmt.Println(`  curl localhost:8080/debug/cluster                  # instance health, routing, admission queue`)
+	fmt.Println(`  curl localhost:8080/debug/cluster                  # instance states, routing, admission queue`)
 	fmt.Println(`  curl -XPOST 'localhost:8080/admin/drain?instance=1&token=admin'  # graceful drain`)
 	return nil
 }

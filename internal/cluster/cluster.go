@@ -1,13 +1,14 @@
-// Package cluster is the health-aware front end over a fleet of engine
-// instances — the tier §2.1 sketches when it says "multiple instances of
-// the integration engine can be run simultaneously on one or more
-// servers" behind load balancing. It subsumes the old in-process
+// Package cluster is the front end over a fleet of engine instances —
+// the tier §2.1 sketches when it says "multiple instances of the
+// integration engine can be run simultaneously on one or more servers"
+// behind load balancing. It subsumes the old in-process
 // server.Balancer with a real cluster layer:
 //
-//   - an instance registry: each member wraps a core.Engine with health
-//     state (healthy → ejected → half-open → healthy) driven by probes
-//     on an injectable clock (chaos.FakeClock in tests), so a
-//     chaos-faulted instance is ejected and readmitted after recovery;
+//   - an instance registry: each member wraps a core.Engine and is
+//     healthy until drained. There is no health prober: the instances
+//     share one catalog and one breaker set, so a probe could only eject
+//     all of them at once, and a down source is the per-source breakers'
+//     and the partial-results policy's business, query by query;
 //   - routing policies: round-robin, least-outstanding, power-of-two-
 //     choices, and cache-affinity via rendezvous hashing on the
 //     normalized query text, so repeated queries land on the instance
@@ -47,21 +48,16 @@ import (
 	"repro/internal/sched"
 )
 
-// Clock abstracts time for health probing and queue-wait estimation;
+// Clock abstracts time for queue-wait estimation;
 // chaos.FakeClock satisfies it (it is exec.Clock, shared with the fetch
 // resilience layer so one fake clock drives both).
 type Clock = exec.Clock
 
-// Defaults for the health prober and the admission estimator.
+// Seeds of the admission estimator.
 const (
-	// DefaultProbeInterval spaces health probes of a healthy instance.
-	DefaultProbeInterval = 2 * time.Second
-	// DefaultEjectAfter is how many consecutive probe failures eject an
-	// instance.
-	DefaultEjectAfter = 3
-	// DefaultReadmitAfter is the cooldown before an ejected instance
-	// gets a half-open probe.
-	DefaultReadmitAfter = 10 * time.Second
+	// noCapacityWait is the wait estimated while every instance is
+	// drained: nothing frees a slot until an instance is restored.
+	noCapacityWait = 10 * time.Second
 	// defaultServiceEstimate seeds the queue-wait estimator before any
 	// query has completed.
 	defaultServiceEstimate = 10 * time.Millisecond
@@ -77,17 +73,7 @@ type Config struct {
 	// is saturated; excess callers are shed with an OverloadError
 	// (0 = unbounded queue).
 	QueueLimit int
-	// ProbeInterval spaces health probes of healthy instances
-	// (0 = DefaultProbeInterval).
-	ProbeInterval time.Duration
-	// EjectAfter is the consecutive probe failures that eject an
-	// instance (0 = DefaultEjectAfter).
-	EjectAfter int
-	// ReadmitAfter is the cooldown before an ejected instance is probed
-	// half-open (0 = DefaultReadmitAfter).
-	ReadmitAfter time.Duration
-	// Clock drives probe scheduling and wait estimation; nil = real
-	// time. Tests inject chaos.FakeClock for determinism.
+	// Clock drives wait estimation; nil = real time.
 	Clock Clock
 	// Metrics receives the nimble_cluster_* series; nil disables
 	// metrics.
@@ -95,7 +81,7 @@ type Config struct {
 	// Seed seeds the power-of-two-choices sampler (0 = 1), so runs are
 	// reproducible.
 	Seed int64
-	// Logger receives structured admission/health/drain events with
+	// Logger receives structured admission/drain events with
 	// trace correlation (nil discards them).
 	Logger *slog.Logger
 	// CacheEntries sizes the result caches (0 disables caching); their
@@ -106,10 +92,6 @@ type Config struct {
 	CacheEntries     int
 	CacheTTL         time.Duration
 	CachePerInstance bool
-	// Probe builds each instance's health probe (see QueryProbe and
-	// BreakerProbe for the common shapes). An instance without one (nil
-	// Probe, or a nil result) is always considered healthy.
-	Probe func(*core.Engine) Probe
 }
 
 // OverloadError is returned when admission control sheds a query: the
@@ -141,9 +123,7 @@ type member struct {
 	name   string
 	engine *core.Engine
 
-	cache    *qcache.Cache    // the per-instance layout's cache; affinity's target
-	probe    Probe            // optional health probe
-	breakers *exec.BreakerSet // the engine's, surfaced in Status
+	cache *qcache.Cache // the per-instance layout's cache; affinity's target
 
 	active   int  // guarded by Cluster.mu; granted slots (queued callers count from grant)
 	draining bool // guarded by Cluster.mu
@@ -151,17 +131,7 @@ type member struct {
 
 	drainDone chan struct{} // guarded by Cluster.mu; closed when active hits 0 while draining
 
-	// health state machine, guarded by Cluster.mu.
-	ejected   bool
-	fails     int       // consecutive probe failures
-	probing   bool      // a probe for this member is in flight
-	lastProbe time.Time // when the last probe started
-	readmitAt time.Time // when an ejected member may be probed half-open
-	lastErr   string    // last probe failure, for the inspector
-
-	mRequests    *obs.Counter
-	mEjections   *obs.Counter
-	mReadmission *obs.Counter
+	mRequests *obs.Counter
 }
 
 // waiter is one caller parked in the global admission queue.
@@ -208,20 +178,10 @@ type Cluster struct {
 }
 
 // New builds a cluster over the given engine instances. Instance names
-// come from core.Engine.ID when set, else the index; each instance's
-// breakers are its engine's.
+// come from core.Engine.ID when set, else the index.
 func New(cfg Config, engines ...*core.Engine) *Cluster {
 	if len(engines) == 0 {
 		panic("cluster: at least one engine instance required")
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
-	}
-	if cfg.EjectAfter <= 0 {
-		cfg.EjectAfter = DefaultEjectAfter
-	}
-	if cfg.ReadmitAfter <= 0 {
-		cfg.ReadmitAfter = DefaultReadmitAfter
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -247,11 +207,7 @@ func New(cfg Config, engines ...*core.Engine) *Cluster {
 		if name == "" {
 			name = strconv.Itoa(i)
 		}
-		m := &member{id: i, name: name, engine: e, breakers: e.Breakers()}
-		if cfg.Probe != nil {
-			m.probe = cfg.Probe(e)
-		}
-		c.members = append(c.members, m)
+		c.members = append(c.members, &member{id: i, name: name, engine: e})
 	}
 	c.sched = engines[0].Scheduler()
 	if cfg.CacheEntries > 0 {
@@ -282,8 +238,6 @@ func New(cfg Config, engines ...*core.Engine) *Cluster {
 		for _, m := range c.members {
 			m := m
 			m.mRequests = reg.Counter("nimble_cluster_requests_total", "instance", m.name)
-			m.mEjections = reg.Counter("nimble_cluster_ejections_total", "instance", m.name)
-			m.mReadmission = reg.Counter("nimble_cluster_readmissions_total", "instance", m.name)
 			reg.GaugeFunc("nimble_cluster_inflight", func() float64 {
 				c.mu.Lock()
 				defer c.mu.Unlock()
@@ -292,7 +246,7 @@ func New(cfg Config, engines ...*core.Engine) *Cluster {
 			reg.GaugeFunc("nimble_cluster_healthy", func() float64 {
 				c.mu.Lock()
 				defer c.mu.Unlock()
-				if m.ejected || m.draining || m.removed {
+				if m.draining || m.removed {
 					return 0
 				}
 				return 1
@@ -520,7 +474,7 @@ func (c *Cluster) admit(ctx context.Context, key string) (*member, *waiter, *lis
 		m.active++
 		return m, nil, nil, nil
 	}
-	// Saturated (or no healthy instance): admission control.
+	// Saturated (or every instance drained): admission control.
 	est := c.estimateWaitLocked()
 	if c.cfg.QueueLimit > 0 && c.queued >= c.cfg.QueueLimit {
 		c.shedQueueFull++
@@ -578,25 +532,22 @@ func (c *Cluster) dispatchLocked() {
 }
 
 // estimateWaitLocked predicts how long a newly queued caller would wait:
-// queue position times the service-time EWMA, divided by the healthy
+// queue position times the service-time EWMA, divided by the routable
 // capacity draining the queue.
 func (c *Cluster) estimateWaitLocked() time.Duration {
 	slots := 0
 	for _, m := range c.members {
-		if m.removed || m.draining || m.ejected {
+		if m.removed || m.draining {
 			continue
 		}
 		if c.cfg.Capacity <= 0 {
-			// An unbounded healthy instance never queues callers for
-			// capacity; the only wait is health recovery.
+			// An unbounded routable instance never queues callers.
 			return 0
 		}
 		slots += c.cfg.Capacity
 	}
 	if slots == 0 {
-		// No healthy capacity at all: recovery is bounded below by the
-		// readmission cooldown.
-		return c.cfg.ReadmitAfter
+		return noCapacityWait
 	}
 	svc := time.Duration(c.ewmaNs)
 	if svc <= 0 {
@@ -657,17 +608,14 @@ func (c *Cluster) DrainAll(ctx context.Context) error {
 	return nil
 }
 
-// Restore re-registers a drained (or ejected) instance as healthy —
-// the rolling-restart counterpart of Drain.
+// Restore re-registers a drained instance as healthy — the
+// rolling-restart counterpart of Drain — and dispatches queued callers
+// to it.
 func (c *Cluster) Restore(i int) {
 	c.mu.Lock()
 	m := c.members[i]
 	m.draining = false
 	m.removed = false
-	m.ejected = false
-	m.probing = false
-	m.fails = 0
-	m.lastErr = ""
 	c.dispatchLocked()
 	c.mu.Unlock()
 	c.log.Info("instance restored", "instance", m.name)
@@ -677,17 +625,12 @@ func (c *Cluster) Restore(i int) {
 type InstanceStatus struct {
 	ID         int     `json:"id"`
 	Name       string  `json:"name"`
-	State      string  `json:"state"` // healthy | ejected | half-open | draining | removed
+	State      string  `json:"state"` // healthy | draining | removed
 	Active     int     `json:"active"`
 	Capacity   int     `json:"capacity"`
 	QueriesRun int64   `json:"queries_run"`
-	ProbeFails int     `json:"probe_fails,omitempty"`
-	LastProbeE string  `json:"last_probe_error,omitempty"`
 	CacheHits  int64   `json:"cache_hits,omitempty"`
 	CacheRate  float64 `json:"cache_hit_rate,omitempty"`
-	// Breakers maps the instance's per-source circuit breakers to their
-	// position, when a breaker set is attached.
-	Breakers map[string]string `json:"breakers,omitempty"`
 }
 
 // Status is the cluster snapshot served on /debug/cluster.
@@ -717,48 +660,38 @@ func (c *Cluster) Status() Status {
 		ShedDeadline:  c.shedDeadline,
 		AvgServiceMS:  c.ewmaNs / 1e6,
 	}
-	now := c.clock.Now()
 	for _, m := range c.members {
 		st.Instances = append(st.Instances, InstanceStatus{
 			ID:         m.id,
 			Name:       m.name,
-			State:      m.stateLocked(now),
+			State:      m.stateLocked(),
 			Active:     m.active,
 			Capacity:   c.cfg.Capacity,
 			QueriesRun: m.engine.QueriesRun(),
-			ProbeFails: m.fails,
-			LastProbeE: m.lastErr,
 		})
 	}
 	members := c.members
 	c.mu.Unlock()
 	snap := c.sched.Snap()
 	st.Sched = &snap
-	// Cache and breaker snapshots take their own locks; collect outside.
+	// Cache snapshots take their own locks; collect outside.
 	for i, m := range members {
 		if m.cache != nil {
 			cs := m.cache.Stats()
 			st.Instances[i].CacheHits = cs.Hits
 			st.Instances[i].CacheRate = cs.HitRate()
 		}
-		if m.breakers != nil {
-			st.Instances[i].Breakers = m.breakers.States()
-		}
 	}
 	return st
 }
 
 // stateLocked names the member's routing state.
-func (m *member) stateLocked(now time.Time) string {
+func (m *member) stateLocked() string {
 	switch {
 	case m.removed:
 		return "removed"
 	case m.draining:
 		return "draining"
-	case m.ejected && !now.Before(m.readmitAt):
-		return "half-open"
-	case m.ejected:
-		return "ejected"
 	default:
 		return "healthy"
 	}

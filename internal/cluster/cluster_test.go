@@ -18,8 +18,8 @@ const testQuery = `WHERE <t>$x</t> IN "db" CONSTRUCT <r>$x</r>`
 
 // newEngine builds one engine over its own catalog with an XML source
 // "db"; a non-nil schedule wraps the source in chaos faults. Separate
-// catalogs per instance let a test fault one instance while the rest of
-// the fleet stays healthy — the scenario a real cluster sees.
+// catalogs per instance let a test fault one instance's source alone;
+// that instance's answers come back flagged partial.
 func newEngine(t testing.TB, sched chaos.Schedule) *core.Engine {
 	t.Helper()
 	cat := catalog.New()
@@ -35,16 +35,6 @@ func newEngine(t testing.TB, sched chaos.Schedule) *core.Engine {
 		t.Fatal(err)
 	}
 	return core.New(cat, core.Config{})
-}
-
-// probeOnly gives target the probe p and every other instance none.
-func probeOnly(target *core.Engine, p Probe) func(*core.Engine) Probe {
-	return func(e *core.Engine) Probe {
-		if e == target {
-			return p
-		}
-		return nil
-	}
 }
 
 // newEngines builds n healthy engines.

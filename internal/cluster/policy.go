@@ -72,7 +72,7 @@ func ParsePolicy(s string) (Policy, error) {
 func (c *Cluster) pickLocked(key string) *member {
 	n := len(c.members)
 	eligible := func(m *member) bool {
-		if m.removed || m.draining || m.ejected {
+		if m.removed || m.draining {
 			return false
 		}
 		return c.cfg.Capacity <= 0 || m.active < c.cfg.Capacity

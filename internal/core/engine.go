@@ -173,9 +173,6 @@ func (e *Engine) ID() string { return e.id }
 // Scheduler reports the scheduler this engine's operators acquire from.
 func (e *Engine) Scheduler() *sched.Scheduler { return e.sched }
 
-// Breakers reports the engine's circuit-breaker set (nil when disabled).
-func (e *Engine) Breakers() *exec.BreakerSet { return e.runner.Breakers }
-
 // RegisterFunc adds a scalar function visible to queries — the hook
 // through which the cleaning subsystem exposes normalization functions
 // for dynamic, query-time cleaning (§3.2). Functions may be registered

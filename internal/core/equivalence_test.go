@@ -245,16 +245,20 @@ const wideTickets = 2048
 // newWideTestEngine is newTestEngine's deployment with wideTickets
 // customers and one ticket each: a join of the two builds past the join's
 // gate and probes more than one slab.
-func newWideTestEngine(t testing.TB) *Engine {
+func newWideTestEngine(t testing.TB) *Engine { return newWideEngineOf(t, wideTickets) }
+
+// newWideEngineOf is newTestEngine's deployment with n customers and one
+// ticket each.
+func newWideEngineOf(t testing.TB, n int) *Engine {
 	t.Helper()
 	var sb strings.Builder
 	sb.WriteString("<tickets>")
-	for k := 1; k <= wideTickets; k++ {
+	for k := 1; k <= n; k++ {
 		fmt.Fprintf(&sb, `<ticket pri="%s"><cust>%d</cust><subject>S%d</subject></ticket>`, []string{"high", "low"}[k%2], k, k%97)
 	}
 	sb.WriteString("</tickets>")
 	e, crm := newTestEngineOver(t, sb.String(), Config{})
-	for i := 4; i <= wideTickets; i++ {
+	for i := 4; i <= n; i++ {
 		if err := crm.DB().Insert("customers", rdb.Row{xmldm.Int(int64(i)), xmldm.String(fmt.Sprintf("C%d", i)), xmldm.String(fmt.Sprintf("City%d", i%7))}); err != nil {
 			t.Fatal(err)
 		}

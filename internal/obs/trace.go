@@ -17,8 +17,7 @@ type Attr struct {
 
 // Event is one timestamped point annotation inside a span — the shape
 // for things that happen during a span without deserving a child span of
-// their own (admission enqueue/grant, retry backoff, probe outcomes,
-// drain progress).
+// their own (admission enqueue/grant, retry backoff, drain progress).
 type Event struct {
 	Time  time.Time
 	Name  string

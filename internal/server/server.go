@@ -6,7 +6,7 @@
 // up, monitor, and understand, the system" (§4). Dispatch across engine
 // instances (§2.1: "multiple instances of the integration engine can be
 // run simultaneously") is delegated entirely to the internal/cluster
-// front end: routing policy, health ejection, admission control with
+// front end: routing policy, admission control with
 // deadline-aware shedding (surfaced here as 503 + Retry-After), and
 // graceful drain (the /admin/drain endpoint).
 package server
@@ -256,9 +256,10 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, _ *http.Request) {
 	}{active, slow, s.Breakers.States()})
 }
 
-// handleDebugCluster serves the cluster inspector: per-instance health
-// state, outstanding queries, probe failures, cache effectiveness, and
-// breaker positions, plus the admission queue and shed counters.
+// handleDebugCluster serves the cluster inspector: per-instance state,
+// outstanding queries and cache effectiveness, plus the admission queue,
+// shed counters and the worker scheduler (breaker positions are on
+// /debug/queries).
 func (s *Server) handleDebugCluster(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.Cluster.Status())

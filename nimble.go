@@ -210,18 +210,6 @@ type Config struct {
 	// layout the cache-affinity policy targets: repeated queries
 	// rendezvous-hash to the instance whose cache is warm.
 	CachePerInstance bool
-	// HealthProbe is a canary query probed against each instance; an
-	// error or incomplete answer counts toward ejecting the instance
-	// from rotation (empty disables health probing).
-	HealthProbe string
-	// ProbeInterval spaces health probes (0 = 2s default).
-	ProbeInterval time.Duration
-	// EjectAfter is the consecutive probe failures that eject an
-	// instance (0 = 3 default).
-	EjectAfter int
-	// ReadmitAfter is the cooldown before an ejected instance is probed
-	// half-open for readmission (0 = 10s default).
-	ReadmitAfter time.Duration
 }
 
 // Result is a query answer.
@@ -357,23 +345,15 @@ func newSystem(cfg Config, clock exec.Clock) *System {
 		ecfg.ID = fmt.Sprintf("engine-%d", i)
 		s.engines = append(s.engines, core.New(cat, ecfg))
 	}
-	var probe func(*core.Engine) cluster.Probe
-	if cfg.HealthProbe != "" {
-		probe = func(e *core.Engine) cluster.Probe { return cluster.QueryProbe(e, cfg.HealthProbe) }
-	}
 	s.cluster = cluster.New(cluster.Config{
 		Policy:           policy,
 		Capacity:         cfg.InstanceCapacity,
 		QueueLimit:       cfg.AdmissionQueue,
-		ProbeInterval:    cfg.ProbeInterval,
-		EjectAfter:       cfg.EjectAfter,
-		ReadmitAfter:     cfg.ReadmitAfter,
 		Metrics:          reg,
 		Logger:           logger,
 		CacheEntries:     cfg.CacheEntries,
 		CacheTTL:         cfg.CacheTTL,
 		CachePerInstance: cfg.CachePerInstance,
-		Probe:            probe,
 	}, s.engines...)
 	// One manager computes views through the first engine (NewManager
 	// installs it there). The local-store hook is per engine, not part of
@@ -688,16 +668,9 @@ func (s *System) Schemas() []string { return s.cat.SchemaNames() }
 // Engine exposes instance i (experiments need per-instance control).
 func (s *System) Engine(i int) *core.Engine { return s.engines[i] }
 
-// Cluster exposes the health-aware dispatch layer: routing policy,
-// capacity control, admission queue, health probing, graceful drain,
-// and the /debug/cluster snapshot.
+// Cluster exposes the dispatch layer: routing policy, capacity control,
+// admission queue, graceful drain, and the /debug/cluster snapshot.
 func (s *System) Cluster() *cluster.Cluster { return s.cluster }
-
-// StartHealthProbes launches background health probing of every
-// instance (no-op unless Config.HealthProbe set probes) until ctx is
-// done. Daemons call this after their sources are registered so the
-// canary query has something to answer from.
-func (s *System) StartHealthProbes(ctx context.Context) { s.cluster.StartProbing(ctx) }
 
 // Views exposes the materialized-view manager (refresh modes, TTL).
 func (s *System) Views() *matview.Manager { return s.views }

@@ -315,6 +315,40 @@ func TestFacadePartialResultsAndFailPolicy(t *testing.T) {
 	if _, err := sysFail.Query(context.Background(), q); err == nil {
 		t.Error("fail policy should error")
 	}
+
+	// Two instances over one catalog, cache on, as nimbled ships: the
+	// down source costs only the queries that read it, which answer
+	// flagged, and no instance leaves rotation.
+	sysTwo := mk(Config{Instances: 2, CacheEntries: 64})
+	qLive := `WHERE <row><v>$a</v></row> IN "live" CONSTRUCT <r>$a</r>`
+	for i := 0; i < 2; i++ { // an incomplete answer is never cached: both instances run one
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		res, err := sysTwo.Query(ctx, qLive)
+		cancel()
+		if err != nil {
+			t.Fatalf("live-only query on 2 instances: %v", err)
+		}
+		if !res.Complete || len(res.Values) != 1 {
+			t.Errorf("live-only query: complete=%v values=%d, want a complete single row", res.Complete, len(res.Values))
+		}
+		ctx, cancel = context.WithTimeout(context.Background(), time.Second)
+		res, err = sysTwo.Query(ctx, q)
+		cancel()
+		if err != nil {
+			t.Fatalf("mixed query on 2 instances: %v", err)
+		}
+		if res.Complete || len(res.FailedSources) != 1 || res.FailedSources[0] != "deadsrc" {
+			t.Errorf("mixed query on 2 instances: partial report = %+v", res)
+		}
+		if !strings.Contains(res.XML(), `complete="false"`) {
+			t.Error("mixed query on 2 instances: XML output should flag incompleteness")
+		}
+	}
+	for _, inst := range sysTwo.Cluster().Status().Instances {
+		if inst.State != "healthy" || inst.QueriesRun == 0 {
+			t.Errorf("instance %s: state = %q after %d queries, want healthy and used", inst.Name, inst.State, inst.QueriesRun)
+		}
+	}
 }
 
 func mustXMLSource(t testing.TB, name, text string) Source {
