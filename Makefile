@@ -126,12 +126,12 @@ sched-race:
 # A single-table SELECT read in place is held to a reference that checks
 # WHERE and evaluates the select list row by row (property), an
 # index-answered = to what Compare matches; eight range SELECTs to
-# sorting a fresh index once among them, and UPDATE to copying on write
-# (a SELECT * answer read while rows are updated, SET a = b, b = a); a
-# View answer, the table's own rows read through a column map, to
-# answering as Exec (property) and to reading as it did after later
-# INSERTs, UPDATEs and DELETEs, also while they run; a Malformed cut of
-# one to keeping its column map.
+# sorting a fresh index once among them, and a multi-row INSERT that
+# fails on any row to appending none; a View answer, the table's own rows
+# read through a column map, to answering as Exec (property) and to
+# reading as it did after later INSERTs (into the list's spare capacity,
+# past it, several rows at once), also while they run; a Malformed cut
+# of one to keeping its column map.
 # A streamed answer pulls one binding at a time (row k is written
 # before binding k+1 is produced; an error on row
 # k leaves k+1 produced), and Pull hands each on as produced. The pins
@@ -159,7 +159,7 @@ resultpath-race:
 	$(call run-named,-race -count=1,TestNetworkSimRowsMatchDocuments|TestWrappersForwardRows,./internal/sources)
 	$(call run-named,-race -count=1,TestRowFaultsShareTheSchedule|TestMalformedViewKeepsItsColumnMap,./internal/chaos)
 	$(call run-named,-race -count=1,TestProjectedRowsDoNotAlias|TestIndexInListFindsWhatCompareMatches,./internal/rdb)
-	$(call run-named,-race -count=10,TestScanEqualsMaterializedPath|TestIndexEqFindsWhatCompareMatches|TestConcurrentRangeSelectsOnFreshIndex|TestUpdateCopiesOnWrite|TestUpdateUnderConcurrentReaders|TestViewSurvivesLaterWrites,./internal/rdb)
+	$(call run-named,-race -count=10,TestScanEqualsMaterializedPath|TestIndexEqFindsWhatCompareMatches|TestConcurrentRangeSelectsOnFreshIndex|TestInsertIsAllOrNothing|TestViewSurvivesLaterWrites,./internal/rdb)
 	$(call run-named,-count=1,TestScanAllocatesOnlyTheResult|TestProjectionAllocatesPerResult,./internal/rdb)
 	$(call run-named,-race -count=10,TestCachedValuesStayImmutable|TestQueryContentLength|TestStreamedAnswerEqualsMaterialized,./internal/server)
 	$(call run-named,-race -count=1,TestReportsRenderAsTheDocumentCopy,./internal/server)
@@ -173,10 +173,11 @@ resultpath-race:
 # shape key and parameter rule, a prepared query bound to its own and to
 # respelled literals against Parse (fuzz seeds), and Rebind copying only
 # what it changes; rdb's statement cache against ParseSQL (fuzz seeds),
-# bound statements answering as parsed ones, and a cached SELECT over a
-# table dropped and recreated; eight goroutines running two shapes with
-# changing literals against a fresh engine's answers (ten rounds), a warm
-# call that neither parses nor unfolds nor parses SQL, and the next call
+# bound statements answering as parsed ones, and a SELECT cached before
+# its table is created resolving against it, columns reordered; eight
+# goroutines running two shapes with changing literals against a fresh
+# engine's answers (ten rounds), a warm call that neither parses nor
+# unfolds nor parses SQL, and the next call
 # unfolding again after a view definition, a local store installed, a
 # materialize, a TTL turning an entry stale, a refresh and a drop; a
 # lens called with three values sharing one entry, single quotes escaped

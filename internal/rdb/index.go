@@ -55,10 +55,9 @@ func (ix *Index) check(v Value) error {
 	return nil
 }
 
-func (ix *Index) add(v Value, rid int) error {
-	if err := ix.check(v); err != nil {
-		return err
-	}
+// add indexes row rid's value v. It does not check uniqueness: callers
+// check first (check), so that a failing row changes nothing.
+func (ix *Index) add(v Value, rid int) {
 	if v == nil {
 		v = xmldm.Null{}
 	}
@@ -66,27 +65,6 @@ func (ix *Index) add(v Value, rid int) error {
 	ix.hash[h] = append(ix.hash[h], entry{val: v, rid: rid})
 	ix.keys = append(ix.keys, orderedKey{val: v, rid: rid})
 	ix.dirty = true
-	return nil
-}
-
-func (ix *Index) remove(v Value, rid int) {
-	if v == nil {
-		v = xmldm.Null{}
-	}
-	h := xmldm.Hash(v)
-	bucket := ix.hash[h]
-	for i, e := range bucket {
-		if e.rid == rid {
-			ix.hash[h] = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	for i, k := range ix.keys {
-		if k.rid == rid {
-			ix.keys = append(ix.keys[:i], ix.keys[i+1:]...)
-			break
-		}
-	}
 }
 
 // lookupEq returns the row ids whose column equals v.

@@ -1,7 +1,8 @@
 // Package rdb is an embedded relational database engine: typed tables,
 // hash and ordered indexes, and the SQL the integration compiler
 // generates (a single-table SELECT with WHERE and ORDER BY, sqlparse.go)
-// plus the DML and DDL the test harness needs.
+// plus CREATE TABLE, CREATE INDEX and INSERT to load the data. Tables are
+// append-only: a table is created once and rows are only appended.
 //
 // In the paper's deployment the relational sources are customers'
 // production DBMSs; here rdb plays that role so that the compiler's
@@ -108,16 +109,10 @@ type Table struct {
 	Schema Schema
 	// rows is the row list; a row's id is its index. An answer may share
 	// a row of it (SELECT *, View), or the list itself up to its length
-	// (View), and is read after the lock is released, so neither is ever
-	// written in place: UPDATE replaces the row it changes and, before
-	// its first write, the list; DELETE only sets a tombstone; INSERT
-	// only appends, past every length an answer was given.
-	rows []Row
-	// deleted holds the tombstones. Nothing compacts the list: a deleted
-	// row keeps its id and its slot for the table's life, so the list is
-	// as long as the rows ever inserted, and that is the bound.
-	deleted []bool
-	live    int
+	// (View), and is read after the lock is released. So rows and the
+	// listed prefix are never written: INSERT appends, past every length
+	// an answer was given, and nothing else writes the list.
+	rows    []Row
 	indexes map[string]*Index // by column name (lower-case)
 }
 
@@ -191,18 +186,6 @@ func (db *Database) TableNames() []string {
 	return names
 }
 
-// DropTable removes a table.
-func (db *Database) DropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, ok := db.tables[key]; !ok {
-		return fmt.Errorf("rdb: %w: %q", ErrNoTable, name)
-	}
-	delete(db.tables, key)
-	return nil
-}
-
 // CreateIndex builds an index on the named column. unique enforces
 // uniqueness on future inserts.
 func (db *Database) CreateIndex(table, column string, unique bool) error {
@@ -222,12 +205,10 @@ func (db *Database) CreateIndex(table, column string, unique bool) error {
 	}
 	idx := newIndex(t.Schema.Columns[ci].Name, unique)
 	for rid, row := range t.rows {
-		if t.deleted[rid] {
-			continue
-		}
-		if err := idx.add(row[ci], rid); err != nil {
+		if err := idx.check(row[ci]); err != nil {
 			return fmt.Errorf("rdb: building index on %s.%s: %w", table, column, err)
 		}
+		idx.add(row[ci], rid)
 	}
 	t.indexes[key] = idx
 	return nil
@@ -254,44 +235,64 @@ func (db *Database) Insert(table string, vals Row) error {
 	if err != nil {
 		return err
 	}
+	row, err := t.newRow(vals)
+	if err != nil {
+		return err
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return t.appendRows([]Row{row})
+}
+
+// newRow is vals coerced to the column types. A table's schema never
+// changes, so the caller need not hold the lock.
+func (t *Table) newRow(vals Row) (Row, error) {
 	if len(vals) != len(t.Schema.Columns) {
-		return fmt.Errorf("rdb: insert into %q: %d values for %d columns", table, len(vals), len(t.Schema.Columns))
+		return nil, fmt.Errorf("rdb: insert into %q: %d values for %d columns", t.Name, len(vals), len(t.Schema.Columns))
 	}
 	row := make(Row, len(vals))
 	for i, v := range vals {
 		cv, err := coerce(v, t.Schema.Columns[i].Type)
 		if err != nil {
-			return fmt.Errorf("rdb: insert into %q column %q: %w", table, t.Schema.Columns[i].Name, err)
+			return nil, fmt.Errorf("rdb: insert into %q column %q: %w", t.Name, t.Schema.Columns[i].Name, err)
 		}
 		row[i] = cv
 	}
-	rid := len(t.rows)
+	return row, nil
+}
+
+// appendRows appends rows and indexes them, all or none: a key that a
+// unique index holds, or that an earlier row of rows has, fails them all
+// before any is appended. Callers hold the write lock.
+func (t *Table) appendRows(rows []Row) error {
 	for _, idx := range t.indexes {
 		ci := t.Schema.ColIndex(idx.column)
-		if err := idx.check(row[ci]); err != nil {
-			return fmt.Errorf("rdb: insert into %q: %w", table, err)
+		var earlier *Index // the keys of rows before this one
+		if idx.unique && len(rows) > 1 {
+			earlier = newIndex(idx.column, true)
+		}
+		for _, row := range rows {
+			err := idx.check(row[ci])
+			if err == nil && earlier != nil {
+				err = earlier.check(row[ci])
+				earlier.add(row[ci], 0)
+			}
+			if err != nil {
+				return fmt.Errorf("rdb: insert into %q: %w", t.Name, err)
+			}
 		}
 	}
-	t.rows = append(t.rows, row)
-	t.deleted = append(t.deleted, false)
-	t.live++
-	for _, idx := range t.indexes {
-		ci := t.Schema.ColIndex(idx.column)
-		if err := idx.add(row[ci], rid); err != nil {
-			// check() above makes this unreachable, but keep the row
-			// store consistent if an index implementation changes.
-			t.deleted[rid] = true
-			t.live--
-			return err
+	for _, row := range rows {
+		rid := len(t.rows)
+		t.rows = append(t.rows, row)
+		for _, idx := range t.indexes {
+			idx.add(row[t.Schema.ColIndex(idx.column)], rid)
 		}
 	}
 	return nil
 }
 
-// RowCount returns the number of live rows; the optimizer's statistics
-// hook.
+// RowCount returns the number of rows; the optimizer's statistics hook.
 func (db *Database) RowCount(table string) int {
 	t, err := db.Table(table)
 	if err != nil {
@@ -299,20 +300,7 @@ func (db *Database) RowCount(table string) int {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return t.live
-}
-
-// scanAll calls fn for every live row. Callers must hold at least a read
-// lock on db.mu.
-func (t *Table) scanAll(fn func(rid int, row Row) bool) {
-	for rid, row := range t.rows {
-		if t.deleted[rid] {
-			continue
-		}
-		if !fn(rid, row) {
-			return
-		}
-	}
+	return len(t.rows)
 }
 
 // coerce converts v to the column type; Null passes through.

@@ -2,7 +2,6 @@ package rdb
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -11,12 +10,11 @@ import (
 
 // Result is the outcome of executing a statement. For SELECT, Columns
 // names the output columns and Rows holds the data, output column i of a
-// row at Pos(i); for DML, Affected reports the touched row count.
+// row at Pos(i).
 type Result struct {
-	Columns  []string
-	Rows     []Row
-	Affected int
-	Stats    ExecStats
+	Columns []string
+	Rows    []Row
+	Stats   ExecStats
 	// pos maps output column i to its position in a row, when the rows
 	// are the table's own (View); nil is the identity.
 	pos []int
@@ -54,10 +52,10 @@ func (db *Database) Exec(sql string) (*Result, error) {
 // View is Exec for a reader that reads each output column through
 // Result.Pos and writes nothing. A SELECT whose select list is * or only
 // columns answers the table's own rows, not copies of them, and an
-// unfiltered scan of a table with no deleted rows answers the table's row
-// list itself, capped at its length; the table's row-store invariant
-// (Table.rows) keeps both as they were answered. A SELECT with any other
-// item, and every other statement, answers as Exec does.
+// unfiltered scan answers the table's row list itself, capped at its
+// length; the table's row-store invariant (Table.rows) keeps both as
+// they were answered. A SELECT with any other item, and every other
+// statement, answers as Exec does.
 func (db *Database) View(sql string) (*Result, error) {
 	stmt, err := db.stmts.parse(sql)
 	if err != nil {
@@ -86,28 +84,24 @@ func (db *Database) ExecStmt(stmt Stmt) (*Result, error) {
 		return &Result{}, err
 	case *CreateIndexStmt:
 		return &Result{}, db.CreateIndex(st.Table, st.Column, st.Unique)
-	case *DropTableStmt:
-		return &Result{}, db.DropTable(st.Name)
 	case *InsertStmt:
 		return db.execInsert(st)
 	case *SelectStmt:
 		return db.execSelect(st, false)
-	case *UpdateStmt:
-		return db.execUpdate(st)
-	case *DeleteStmt:
-		return db.execDelete(st)
 	default:
 		return nil, fmt.Errorf("rdb: unsupported statement %T", stmt)
 	}
 }
 
+// execInsert appends the statement's rows all or none: every row is
+// evaluated and coerced first, then checked and appended under one lock.
 func (db *Database) execInsert(st *InsertStmt) (*Result, error) {
 	t, err := db.Table(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	n := 0
-	for _, exprRow := range st.Rows {
+	rows := make([]Row, len(st.Rows))
+	for r, exprRow := range st.Rows {
 		vals := make(Row, len(t.Schema.Columns))
 		for i := range vals {
 			vals[i] = xmldm.Null{}
@@ -139,12 +133,13 @@ func (db *Database) execInsert(st *InsertStmt) (*Result, error) {
 				vals[i] = v
 			}
 		}
-		if err := db.Insert(st.Table, vals); err != nil {
+		if rows[r], err = t.newRow(vals); err != nil {
 			return nil, err
 		}
-		n++
 	}
-	return &Result{Affected: n}, nil
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return &Result{}, t.appendRows(rows)
 }
 
 // evalConst evaluates an expression with no row context (INSERT values).
@@ -216,12 +211,13 @@ func (db *Database) execSelect(st *SelectStmt, view bool) (*Result, error) {
 			// projected as it is read.
 			return project(st, src, where, res)
 		}
-		if t := src.table; where == nil && !src.indexed && t.live == len(t.rows) {
+		if where == nil && !src.indexed {
 			// Every row is read and passes: the answer is the table's
 			// row list as it stands, capped so that an INSERT appends
 			// past it.
-			res.Stats.RowsScanned = t.live
-			res.Rows = t.rows[:t.live:t.live]
+			n := len(src.table.rows)
+			res.Stats.RowsScanned = n
+			res.Rows = src.table.rows[:n:n]
 			return res, nil
 		}
 		if res.Rows, err = src.passing(where); err != nil {
@@ -365,7 +361,7 @@ func itemName(item SelectItem, i int) string {
 }
 
 // rowSource is what a SELECT reads: its table's columns and, read in
-// place, every live row of the table or the row ids an index served
+// place, every row of the table or the row ids an index served
 // (indexed); or, with no table, the rows of a materialized row set, as
 // ORDER BY leaves them. where is the part of WHERE those rows have still
 // to pass.
@@ -386,7 +382,7 @@ func (s *rowSource) size() int {
 	case s.indexed:
 		return len(s.rids)
 	default:
-		return s.table.live
+		return len(s.table.rows)
 	}
 }
 
@@ -416,22 +412,18 @@ func (s *rowSource) each(where SQLExpr, fn func(Row) error) error {
 		}
 	case s.indexed:
 		for _, rid := range s.rids {
-			if t.deleted[rid] {
-				continue
-			}
 			s.stats.RowsScanned++
 			if err := visit(t.rows[rid]); err != nil {
 				return err
 			}
 		}
 	default:
-		var err error
-		t.scanAll(func(_ int, row Row) bool {
+		for _, row := range t.rows {
 			s.stats.RowsScanned++
-			err = visit(row)
-			return err == nil
-		})
-		return err
+			if err := visit(row); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -689,111 +681,4 @@ func orderRows(keys []SQLOrderItem, rs *rowSet, items []SelectItem) error {
 		return false
 	})
 	return sortErr
-}
-
-func (db *Database) execUpdate(st *UpdateStmt) (*Result, error) {
-	t, err := db.Table(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rs := &rowSet{}
-	for _, c := range t.Schema.Columns {
-		rs.cols = append(rs.cols, colKey{qual: strings.ToLower(st.Table), name: strings.ToLower(c.Name)})
-	}
-	where := rs.resolve(st.Where)
-	sets := make([]SQLExpr, len(st.Sets))
-	cols := make([]int, len(st.Sets))
-	for i, set := range st.Sets {
-		sets[i] = rs.resolve(set.Expr)
-		if cols[i] = t.Schema.ColIndex(set.Column); cols[i] < 0 {
-			return nil, fmt.Errorf("rdb: no column %q in %q", set.Column, st.Table)
-		}
-	}
-	n := 0
-	rows := t.rows
-	for rid, row := range rows {
-		if t.deleted[rid] {
-			continue
-		}
-		if where != nil {
-			v, err := evalSQL(where, rs, row)
-			if err != nil {
-				return nil, err
-			}
-			if !xmldm.Truthy(v) {
-				continue
-			}
-		}
-		// Copy on write: every SET reads the old row, and the new one
-		// replaces it, because a SELECT * or View answer shares the old
-		// one and may still be read after the lock is released.
-		updated := slices.Clone(row)
-		for si, ci := range cols {
-			v, err := evalSQL(sets[si], rs, row)
-			if err != nil {
-				return nil, err
-			}
-			if updated[ci], err = coerce(v, t.Schema.Columns[ci].Type); err != nil {
-				return nil, err
-			}
-		}
-		for i, ci := range cols {
-			if slices.Contains(cols[:i], ci) {
-				continue // set twice: the last value is the one indexed
-			}
-			if idx, ok := t.indexes[strings.ToLower(t.Schema.Columns[ci].Name)]; ok {
-				idx.remove(row[ci], rid)
-				if err := idx.add(updated[ci], rid); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if n == 0 {
-			// A View answer may share the row list itself: the first
-			// write of the statement goes to a copy.
-			t.rows = slices.Clone(rows)
-		}
-		t.rows[rid] = updated
-		n++
-	}
-	return &Result{Affected: n}, nil
-}
-
-func (db *Database) execDelete(st *DeleteStmt) (*Result, error) {
-	t, err := db.Table(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rs := &rowSet{}
-	for _, c := range t.Schema.Columns {
-		rs.cols = append(rs.cols, colKey{qual: strings.ToLower(st.Table), name: strings.ToLower(c.Name)})
-	}
-	where := rs.resolve(st.Where)
-	n := 0
-	for rid, row := range t.rows {
-		if t.deleted[rid] {
-			continue
-		}
-		if where != nil {
-			v, err := evalSQL(where, rs, row)
-			if err != nil {
-				return nil, err
-			}
-			if !xmldm.Truthy(v) {
-				continue
-			}
-		}
-		t.deleted[rid] = true
-		t.live--
-		for colName, idx := range t.indexes {
-			ci := t.Schema.ColIndex(colName)
-			idx.remove(row[ci], rid)
-		}
-		n++
-	}
-	return &Result{Affected: n}, nil
 }

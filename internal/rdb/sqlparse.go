@@ -9,7 +9,8 @@ import (
 )
 
 // The SQL dialect: CREATE TABLE / CREATE [UNIQUE] INDEX / INSERT /
-// SELECT / UPDATE / DELETE / DROP TABLE. A SELECT reads one table:
+// SELECT. Tables are append-only, so there is no UPDATE, DELETE or DROP
+// TABLE. A SELECT reads one table:
 //
 //	SELECT (* | expr [AS alias], …) FROM table [[AS] alias]
 //	  [WHERE expr] [ORDER BY expr [ASC|DESC], …]
@@ -39,11 +40,6 @@ type CreateIndexStmt struct {
 
 func (*CreateIndexStmt) isStmt() {}
 
-// DropTableStmt is DROP TABLE.
-type DropTableStmt struct{ Name string }
-
-func (*DropTableStmt) isStmt() {}
-
 // InsertStmt is INSERT INTO ... VALUES (...), (...).
 type InsertStmt struct {
 	Table   string
@@ -63,29 +59,6 @@ type SelectStmt struct {
 }
 
 func (*SelectStmt) isStmt() {}
-
-// UpdateStmt is UPDATE ... SET ... [WHERE].
-type UpdateStmt struct {
-	Table string
-	Sets  []SetClause
-	Where SQLExpr
-}
-
-func (*UpdateStmt) isStmt() {}
-
-// SetClause is one column assignment in UPDATE.
-type SetClause struct {
-	Column string
-	Expr   SQLExpr
-}
-
-// DeleteStmt is DELETE FROM ... [WHERE].
-type DeleteStmt struct {
-	Table string
-	Where SQLExpr
-}
-
-func (*DeleteStmt) isStmt() {}
 
 // SelectItem is one projected expression with optional alias.
 type SelectItem struct {
@@ -398,20 +371,6 @@ func (p *sqlParser) parseStmt() (Stmt, error) {
 		return p.parseInsert()
 	case p.kw("CREATE"):
 		return p.parseCreate()
-	case p.kw("UPDATE"):
-		return p.parseUpdate()
-	case p.kw("DELETE"):
-		return p.parseDelete()
-	case p.kw("DROP"):
-		p.next()
-		if err := p.expectKw("TABLE"); err != nil {
-			return nil, err
-		}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return &DropTableStmt{Name: name}, nil
 	default:
 		return nil, fmt.Errorf("rdb: unknown statement starting with %q", p.peek().text)
 	}
@@ -556,64 +515,6 @@ func (p *sqlParser) parseInsert() (Stmt, error) {
 	return st, nil
 }
 
-func (p *sqlParser) parseUpdate() (Stmt, error) {
-	p.next() // UPDATE
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("SET"); err != nil {
-		return nil, err
-	}
-	st := &UpdateStmt{Table: table}
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Sets = append(st.Sets, SetClause{Column: col, Expr: e})
-		if p.acceptOp(",") {
-			continue
-		}
-		break
-	}
-	if p.acceptKw("WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
-	}
-	return st, nil
-}
-
-func (p *sqlParser) parseDelete() (Stmt, error) {
-	p.next() // DELETE
-	if err := p.expectKw("FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st := &DeleteStmt{Table: table}
-	if p.acceptKw("WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
-	}
-	return st, nil
-}
-
 func (p *sqlParser) parseSelect() (Stmt, error) {
 	p.next() // SELECT
 	st := &SelectStmt{}
@@ -701,7 +602,10 @@ func (p *sqlParser) parseTableRef() (TableRef, error) {
 
 // sqlKeywords are never read as a table alias. They include the words of
 // forms outside the dialect (DISTINCT, JOIN, GROUP BY, HAVING, LIMIT), so
-// that such a form fails to parse rather than name an alias.
+// that such a form fails to parse rather than name an alias, and the
+// words of the statements append-only tables do not take (UPDATE, SET,
+// DELETE, DROP), so that no text that named one after FROM now reads it
+// as an alias: no identifier changes meaning.
 var sqlKeywords = map[string]bool{
 	"select": true, "distinct": true, "from": true, "join": true, "inner": true,
 	"on": true, "where": true, "group": true, "by": true, "having": true,

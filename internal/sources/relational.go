@@ -29,7 +29,9 @@ type RelationalSource struct {
 
 // NewRelationalSource wraps db. Export descriptors are derived from the
 // database schema: each table exports rows as <RowElement> elements
-// (singularized table name) with one child element per column.
+// (singularized table name) with one child element per column. They are
+// taken here, once; rdb tables cannot be dropped, so none names a missing
+// table later.
 func NewRelationalSource(name string, db *rdb.Database) *RelationalSource {
 	s := &RelationalSource{name: name, db: db}
 	for _, tn := range db.TableNames() {
@@ -90,8 +92,8 @@ func (s *RelationalSource) TableStats(table string) (catalog.TableStats, bool) {
 	return catalog.TableStats{Rows: s.db.RowCount(table)}, true
 }
 
-// DB exposes the underlying database for test fixtures and update
-// streams in experiments.
+// DB exposes the underlying database for test fixtures. Its tables only
+// grow: writers, such as experiment E1 between its queries, insert rows.
 func (s *RelationalSource) DB() *rdb.Database { return s.db }
 
 // Fetch implements catalog.Source. With a SQL fragment, the result
