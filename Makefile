@@ -109,34 +109,42 @@ sched-race:
 # cache is a reported race. An answer serialized while it is built is
 # held to the materialized one over HTTP (empty, partial, escaped,
 # spliced, nested, union, sorted, failing on a late row in CONSTRUCT or
-# in a WHERE predicate), and reports to
+# in a WHERE predicate, filtered by a chain of Selects the source cannot
+# run, one a correlated aggregate), and reports to
 # the Document copy they were appended to. The construct builder is held
 # to its reference (property and fuzz seeds), also rewound after every
 # result, its slab-carved results to not aliasing one another, and a
 # tuple spliced from concurrent queries to copying the source nodes it
 # holds; the rewound builder's allocation pin runs without the race
 # detector. A pushed fragment bound
-# from rows is held to binding from its XML export (table and property),
+# from rows is held to binding from its XML export (table, and property
+# over hand-built results and every arm of a database's View),
 # its fetch to one memo entry whose rendered export concurrent readers
 # share, and its faults and simulated transport to the XML twin's —
 # answers, reports, retries, breakers, outcomes and error text under a
 # seeded chaos schedule whose sleeps and attempt deadlines run on one
 # fake clock (ten rounds, so a dependence on host speed shows);
-# projected rdb rows to not aliasing one another.
+# projected rdb rows to not aliasing one another; a cell's export text
+# (Result.Text) to its Stringify text over every column type, both insert
+# paths and every arm of View and Exec's SELECT * (property).
 # A single-table SELECT read in place is held to a reference that checks
 # WHERE and evaluates the select list row by row (property), an
 # index-answered = to what Compare matches; eight range SELECTs to
 # sorting a fresh index once among them, and a multi-row INSERT that
 # fails on any row to appending none; a View answer, the table's own rows
 # read through a column map, to answering as Exec (property) and to
-# reading as it did after later INSERTs (into the list's spare capacity,
+# reading as it did, cells and texts, after later INSERTs (into the list's spare capacity,
 # past it, several rows at once), also while they run; a Malformed cut
 # of one to keeping its column map.
 # A streamed answer pulls one binding at a time (row k is written
 # before binding k+1 is produced; an error on row
-# k leaves k+1 produced), and Pull hands each on as produced. The pins
-# on bytes per streamed row, bytes and allocations per scanned SELECT
-# and fragment scan allocations run without the race detector.
+# k leaves k+1 produced), and Pull hands each on as produced; a fragment
+# scan under a chain of Selects refills one tuple and writes what the
+# materialized answer holds (ten rounds). The pins on bytes per streamed
+# row (a bare scan and one under a Select), bytes and allocations per
+# scanned SELECT, fragment scan allocations (from the export, hand-built
+# rows and a View over an INT key) and the allocations of a View's
+# export run without the race detector.
 # Cached answers: eight goroutines render one lens from cached nodes,
 # cleaning functions are re-registered under running queries, and every
 # change to what a name answers (materialize, refresh, drop, a schema
@@ -150,15 +158,16 @@ resultpath-race:
 	$(call run-named,-count=1,TestBuilderRewindAllocatesOnce,./internal/algebra)
 	$(call run-named,-race -count=1,TestView|TestBuilderSlabsDoNotAlias|TestTupleSpliceCopiesBoundNodes,./internal/core)
 	$(call run-named,-race -count=10,TestRowFetchUnderChaosMatchesXMLTwin,./internal/core)
-	$(call run-named,-race -count=10,TestStreamedAnswerPullsBindingsOneAtATime|TestStreamedRowWrittenBeforeNextBinding,./internal/core)
+	$(call run-named,-race -count=10,TestStreamedAnswerPullsBindingsOneAtATime|TestStreamedRowWrittenBeforeNextBinding|TestStreamedSelectChainEqualsMaterialized,./internal/core)
 	$(call run-named,-count=1,TestStreamedAnswerHoldsNoBindingPerRow,./internal/core)
-	$(call run-named,-race -count=1,TestBindRowsEqualsExportReadBack,./internal/opt)
+	$(call run-named,-race -count=1,TestBindRowsEqualsExportReadBack|TestBindRowsEqualsExportReadBack_Property,./internal/opt)
 	$(call run-named,-race -count=10,TestTransientScanRefillsOneTuple,./internal/opt)
 	$(call run-named,-count=1,TestFragmentScanAllocations,./internal/opt)
 	$(call run-named,-race -count=10,TestRowAnswerIsOneFetchAndRendersTheExport|TestConcurrentReadersShareOneRowAnswer,./internal/exec)
 	$(call run-named,-race -count=1,TestNetworkSimRowsMatchDocuments|TestWrappersForwardRows,./internal/sources)
+	$(call run-named,-count=1,TestViewExportSharesStoredText,./internal/sources)
 	$(call run-named,-race -count=1,TestRowFaultsShareTheSchedule|TestMalformedViewKeepsItsColumnMap,./internal/chaos)
-	$(call run-named,-race -count=1,TestProjectedRowsDoNotAlias|TestIndexInListFindsWhatCompareMatches,./internal/rdb)
+	$(call run-named,-race -count=1,TestProjectedRowsDoNotAlias|TestIndexInListFindsWhatCompareMatches|TestResultTextIsStringify_Property,./internal/rdb)
 	$(call run-named,-race -count=10,TestScanEqualsMaterializedPath|TestIndexEqFindsWhatCompareMatches|TestConcurrentRangeSelectsOnFreshIndex|TestInsertIsAllOrNothing|TestViewSurvivesLaterWrites,./internal/rdb)
 	$(call run-named,-count=1,TestScanAllocatesOnlyTheResult|TestProjectionAllocatesPerResult,./internal/rdb)
 	$(call run-named,-race -count=10,TestCachedValuesStayImmutable|TestQueryContentLength|TestStreamedAnswerEqualsMaterialized,./internal/server)

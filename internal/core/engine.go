@@ -588,6 +588,23 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 			return nil, err
 		}
 		spPre.Finish()
+		// An answer in its final order is serialized as it is built, when
+		// the caller gave a buffer; one the mediator sorts is held whole.
+		// A streamed binding is done with once its result is written, so a
+		// fragment scan at the plan's root, or under a chain of Selects,
+		// refills one tuple: a Select hands on the binding it was handed,
+		// and its predicate, nested queries included, is done with it
+		// before Next returns. Marked before the shims wrap the inputs.
+		stream := qs.buf != nil && (len(q.OrderBy) == 0 || orderPushed)
+		if stream {
+			op := plan.Root
+			for sel, ok := op.(*algebra.Select); ok; sel, ok = op.(*algebra.Select) {
+				op = sel.Input
+			}
+			if scan, ok := op.(*algebra.FuncScan); ok {
+				scan.Transient = true
+			}
+		}
 		// The plan is instrumented before draining — per-operator stats
 		// accumulate into the EXPLAIN tree under the query root. The
 		// shims are transparent (1:1 Open/Next/Close delegation), so
@@ -598,10 +615,7 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 			planRoot, node = algebra.Instrument(plan.Root, plan.Labels)
 			ex.Children = append(ex.Children, node)
 		}
-		// An answer in its final order is serialized as it is built, when
-		// the caller gave a buffer; one the mediator sorts is held whole.
 		// construct builds one binding's result and writes or holds it.
-		stream := qs.buf != nil && (len(q.OrderBy) == 0 || orderPushed)
 		var bld *algebra.Builder
 		construct := func(b algebra.Binding) error {
 			if len(q.OrderBy) > 0 {
@@ -642,12 +656,8 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		aq.SetPhase("eval")
 		if stream {
 			// The streamed answer takes each binding from the plan as it
-			// is produced and is done with it once the result is written,
-			// so a fragment scan at the root refills one tuple, and no
-			// binding list is held. The eval span covers construction too.
-			if scan, ok := plan.Root.(*algebra.FuncScan); ok {
-				scan.Transient = true
-			}
+			// is produced and holds no binding list. The eval span covers
+			// construction too.
 			bld = algebra.NewBuilder(plan.Construct, 1)
 			_, err = algebra.Pull(actx, planRoot, construct)
 			actx.Trace = prevTrace

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	nimble "repro"
@@ -16,8 +17,8 @@ import (
 // schemas ... it can be done in an incremental fashion"). A stack of D
 // mediated schemas, each a view over the previous, sits over one
 // relational source; the query runs against the top. Metrics: unfold
-// time (the per-query rewriting overhead incremental integration adds),
-// end-to-end latency, and whether the predicate still reaches the
+// time (the median per-query rewriting overhead incremental integration
+// adds), end-to-end latency, and whether the predicate still reaches the
 // source as SQL after D levels of unfolding.
 func E9Hierarchy(s Scale) *Table {
 	t := &Table{
@@ -52,17 +53,23 @@ func E9Hierarchy(s Scale) *Table {
 		q := fmt.Sprintf(`WHERE <rec%d><f%d>$n</f%d><g%d>$c</g%d></rec%d> IN "%s", $c = "Seattle"
 			CONSTRUCT <r>$n</r>`, depth, depth, depth, depth, depth, depth, top)
 
-		// Unfold cost in isolation.
+		// Unfold cost in isolation: the median of timed calls after an
+		// untimed one, so that neither a cold first call nor one pause
+		// of the process moves it.
 		parsed := xmlql.MustParse(q)
 		cat := sys.Engine(0).Catalog()
 		const unfoldRuns = 50
-		start := time.Now()
-		for i := 0; i < unfoldRuns; i++ {
+		times := make([]time.Duration, unfoldRuns+1)
+		for i := range times {
+			start := time.Now()
 			if _, err := mediator.Unfold(cat, parsed); err != nil {
 				panic(err)
 			}
+			times[i] = time.Since(start)
 		}
-		unfoldUS := float64(time.Since(start).Microseconds()) / unfoldRuns
+		times = times[1:]
+		slices.Sort(times)
+		unfoldUS := float64(times[unfoldRuns/2].Nanoseconds()) / 1e3
 
 		// End-to-end.
 		ctx := context.Background()

@@ -87,33 +87,48 @@ func TestFragmentScanEmptyAndForeignRoots(t *testing.T) {
 	}
 }
 
-// TestFragmentScanAllocations pins the cost of a binding: from the
-// export, the field slice and the tuple, whatever the number of
-// variables; from rows, nothing — tuples and fields are carved from the
-// scan's two slabs, or, for a transient scan, one tuple is refilled. It
-// is the difference between a scan of 2n rows and one of n, so that what
-// a fetch allocates once (the positions, the closure, the slabs) cancels;
-// the row list's one more doubling is the allowance.
+// TestFragmentScanAllocations pins the cost of a binding: nothing, from
+// the export, from hand-built rows, and from a database's View over an INT
+// PRIMARY KEY column, whose text is the box its INSERT stored — tuples and
+// fields are carved from the scan's two slabs, or, for a transient scan,
+// one tuple is refilled. It is the difference between a scan of 2n rows
+// and one of n, so that what a fetch allocates once (the positions, the
+// closure, the slabs) cancels; the row list's one more doubling is the
+// allowance.
 func TestFragmentScanAllocations(t *testing.T) {
 	if testkit.Race {
 		t.Skip("the race detector allocates")
 	}
-	scan := func(n int, fromRows, transient bool) float64 {
+	scan := func(n int, path string, transient bool) float64 {
 		var sb strings.Builder
 		res := &rdb.Result{Columns: []string{"id", "name", "city"}}
+		db := rdb.NewDatabase("crm")
+		db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
 		sb.WriteString("<crmdb>")
 		for i := 0; i < n; i++ {
 			fmt.Fprintf(&sb, "<customer><id>%d</id><name>Name %d</name><city>City %d</city></customer>", 1000+i, i, i%7)
 			res.Rows = append(res.Rows, rdb.Row{xmldm.String(fmt.Sprint(1000 + i)), xmldm.String(fmt.Sprint("Name ", i)), xmldm.String(fmt.Sprint("City ", i%7))})
+			if err := db.Insert("customers", rdb.Row{xmldm.Int(1000 + i), res.Rows[i][1], res.Rows[i][2]}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		sb.WriteString("</crmdb>")
-		root, err := xmlparse.ParseString(sb.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var access Access = docAccess{root}
-		if fromRows {
+		var access Access
+		switch path {
+		case "export":
+			root, err := xmlparse.ParseString(sb.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			access = docAccess{root}
+		case "rows":
 			access = rowsAccess{res}
+		case "view":
+			view, err := db.View(`SELECT id, name, city FROM customers`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			access = rowsAccess{view}
 		}
 		op := fragmentScan(access, &FetchSpec{Source: "crmdb"}, customerFragment)
 		op.Transient = transient
@@ -135,12 +150,11 @@ func TestFragmentScanAllocations(t *testing.T) {
 		})
 	}
 	const n = 200
-	if perRow := (scan(2*n, false, false) - scan(n, false, false)) / n; perRow > 2.02 {
-		t.Errorf("fragmentScan over the export allocates %.2f times per row, want at most 2", perRow)
-	}
-	for _, transient := range []bool{false, true} {
-		if perRow := (scan(2*n, true, transient) - scan(n, true, transient)) / n; perRow > 0.02 {
-			t.Errorf("fragmentScan over rows (transient %v) allocates %.2f times per row, want 0", transient, perRow)
+	for _, path := range []string{"export", "rows", "view"} {
+		for _, transient := range []bool{false, true} {
+			if perRow := (scan(2*n, path, transient) - scan(n, path, transient)) / n; perRow > 0.02 {
+				t.Errorf("fragmentScan over the %s (transient %v) allocates %.2f times per row, want 0", path, transient, perRow)
+			}
 		}
 	}
 }
@@ -265,12 +279,15 @@ func TestBindRowsEqualsExportReadBack(t *testing.T) {
 	}
 }
 
-// TestBindRowsEqualsExportReadBack_Property: over random results — kinds,
-// NULLs, duplicated and missing columns, empty results — the two paths
-// bind the same fields. So they do over a database's View answers, whose
-// rows are the table's own read through a column map (a select list of
-// aliased columns in random order, repeated or not), and those bind what
-// the same statement's Exec answer binds.
+// TestBindRowsEqualsExportReadBack_Property: over random hand-built
+// results — kinds, NULLs, duplicated and missing columns, empty results —
+// the two paths bind the same fields, each cell's text made as it is read.
+// So they do over a database's View answers, whose rows are the table's
+// own read through a column map (a select list of aliased columns in
+// random order, repeated or not, or *) and whose texts are the boxes
+// INSERT stored, from every arm of View (the shared row list, an indexed
+// =, a residual WHERE, ORDER BY); and those bind what the same
+// statement's Exec answer binds.
 func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	names := []string{"a", "b", "c", "d"}
@@ -314,24 +331,35 @@ func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 		}
 
 		db := rdb.NewDatabase("crm")
-		db.MustExec(`CREATE TABLE w (i INT, f FLOAT, o BOOL, d DATE, s VARCHAR)`)
+		db.MustExec(`CREATE TABLE w (k INT PRIMARY KEY, i INT, f FLOAT, o BOOL, d DATE, s VARCHAR)`)
 		kinds := []xmldm.Kind{xmldm.KindInt, xmldm.KindFloat, xmldm.KindBool, xmldm.KindDate, xmldm.KindString}
-		for r := rng.Intn(6); r > 0; r-- {
-			row := make(rdb.Row, len(kinds))
-			for i, k := range kinds {
+		rows := rng.Intn(6)
+		for r := 0; r < rows; r++ {
+			row := rdb.Row{xmldm.Int(r)}
+			for _, k := range kinds {
 				// A cell of the column's kind, or NULL.
-				for row[i] = cell(); row[i].Kind() != k && row[i].Kind() != xmldm.KindNull; row[i] = cell() {
+				c := cell()
+				for ; c.Kind() != k && c.Kind() != xmldm.KindNull; c = cell() {
 				}
+				row = append(row, c)
 			}
 			if err := db.Insert("w", row); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var items []string
-		for c := rng.Intn(5); c >= 0; c-- {
-			items = append(items, []string{"i", "f", "o", "d", "s"}[rng.Intn(5)]+" AS "+names[rng.Intn(len(names))])
+		items := []string{"*"}
+		if rng.Intn(4) > 0 {
+			items = items[:0]
+			for c := rng.Intn(5); c >= 0; c-- {
+				items = append(items, []string{"k", "i", "f", "o", "d", "s"}[rng.Intn(6)]+" AS "+names[rng.Intn(len(names))])
+			}
 		}
-		sql := "SELECT " + strings.Join(items, ", ") + " FROM w"
+		sql := "SELECT " + strings.Join(items, ", ") + " FROM w" + []string{
+			"", // the shared row list
+			fmt.Sprintf(" WHERE k = %d", rng.Intn(rows+1)), // through the index
+			" WHERE s != 'x'", // a residual WHERE
+			" ORDER BY f DESC, k",
+		}[rng.Intn(4)]
 		view, err := db.View(sql)
 		if err != nil {
 			t.Fatal(err)

@@ -608,85 +608,98 @@ func fragmentScan(access Access, spec *FetchSpec, frag *sqlgen.Fragment) *algebr
 					pos[i] = childIndex(rows[0], name)
 				}
 			}
+			slab := newTupleSlab(len(rows), len(vars), scan.Transient)
 			i := 0
 			return func() (algebra.Binding, error) {
 				if i >= len(rows) {
 					return nil, nil
 				}
-				row := rows[i]
+				t, fields := slab.at(i)
+				bindRow(fields, rows[i], vars, cols, pos)
 				i++
-				return rowBinding(row, vars, cols, pos), nil
+				return t, nil
 			}, nil
 		},
 	}
 	return scan
 }
 
+// tupleSlab hands out a fragment scan's tuples, carved from one slab of
+// tuples and one of fields (xmldm.NewTuples): one per row, or, for a
+// transient scan (FuncScan.Transient), one refilled for every row.
+type tupleSlab struct {
+	tuples    []xmldm.Tuple
+	fields    []xmldm.Field
+	width     int
+	transient bool
+}
+
+func newTupleSlab(rows, width int, transient bool) tupleSlab {
+	if transient {
+		rows = min(rows, 1)
+	}
+	tuples, fields := xmldm.NewTuples(rows, width)
+	return tupleSlab{tuples: tuples, fields: fields, width: width, transient: transient}
+}
+
+// at is row i's tuple and its fields, for the caller to fill.
+func (s *tupleSlab) at(i int) (*xmldm.Tuple, []xmldm.Field) {
+	if s.transient {
+		i = 0
+	}
+	return &s.tuples[i], s.fields[i*s.width : (i+1)*s.width]
+}
+
 // bindRows is the pull function over a fragment's result rows: vars[i]
 // binds the cell of column cols[i], by the rules of the export cellValue
-// reads back — a NULL cell is the empty string, a string cell is shared
-// as is, any other value is its Stringify text, and a column the result
-// lacks is Null (a duplicated alias takes its first column). Positions
-// are resolved once, through the result's column map (rdb.Result.Pos),
-// and every row's tuple and fields are carved from one slab each
-// (xmldm.NewTuples); a transient scan (FuncScan.Transient) refills one
-// tuple instead. A nil result has no rows.
+// reads back — a NULL cell is the empty string, any other its export text
+// (rdb.Result.Text), and a column the result lacks is Null (a duplicated
+// alias takes its first column). Output columns are resolved once, and
+// the tuples come from a tupleSlab. A nil result has no rows.
 func bindRows(res *rdb.Result, vars, cols []string, transient bool) func() (algebra.Binding, error) {
 	var rows []rdb.Row
-	pos := make([]int, len(cols))
+	var columns []string
 	if res != nil {
-		rows = res.Rows
-		for i, name := range cols {
-			if pos[i] = slices.Index(res.Columns, name); pos[i] >= 0 {
-				pos[i] = res.Pos(pos[i])
-			}
-		}
+		rows, columns = res.Rows, res.Columns
 	}
-	n, held := len(vars), len(rows)
-	if transient {
-		held = min(held, 1)
+	out := make([]int, len(cols))
+	for i, name := range cols {
+		out[i] = slices.Index(columns, name)
 	}
-	tuples, slab := xmldm.NewTuples(held, n)
+	slab := newTupleSlab(len(rows), len(vars), transient)
 	i := 0
 	return func() (algebra.Binding, error) {
 		if i >= len(rows) {
 			return nil, nil
 		}
-		row, t := rows[i], i
-		if transient {
-			t = 0
-		}
-		fields := slab[t*n : (t+1)*n]
+		t, fields := slab.at(i)
+		row := rows[i]
 		i++
 		for k, v := range vars {
-			fields[k] = xmldm.Field{Name: v, Value: rowCell(row, pos[k])}
+			fields[k] = xmldm.Field{Name: v, Value: rowCell(res, row, out[k])}
 		}
-		return &tuples[t], nil
+		return t, nil
 	}
 }
 
-// rowCell is the value the cell at row position p binds (p < 0: a column
-// the result lacks): what cellValue reads from its exported element.
-func rowCell(row rdb.Row, p int) xmldm.Value {
-	if p < 0 {
+// rowCell is the value output column c of row binds (c < 0: a column the
+// result lacks): what cellValue reads from its exported element. A cell's
+// text is the result's, shared with the database when the row is the
+// table's own.
+func rowCell(res *rdb.Result, row rdb.Row, c int) xmldm.Value {
+	if c < 0 {
 		return xmldm.Null{}
 	}
-	switch row[p].(type) {
-	case nil, xmldm.Null:
-		return xmldm.String("")
-	case xmldm.String:
-		return row[p] // the database's box, not a new one
-	default:
-		return xmldm.String(xmldm.Stringify(row[p]))
+	if v := res.Text(row, c); v != nil {
+		return v
 	}
+	return xmldm.String("") // NULL exports as an empty element
 }
 
-// rowBinding binds vars[i] to the text of row's child element cols[i],
-// looked for at pos[i] first and by name if something else sits there;
-// a row without the column binds Null. The tuple's fields are built in
-// one allocation.
-func rowBinding(row *xmldm.Node, vars, cols []string, pos []int) algebra.Binding {
-	fields := make([]xmldm.Field, len(vars))
+// bindRow fills fields, binding vars[i] to the text of row's child
+// element cols[i], looked for at pos[i] first and by name if something
+// else sits there; a row without the column binds Null.
+func bindRow(fields []xmldm.Field, row *xmldm.Node, vars, cols []string, pos []int) {
 	for i, v := range vars {
 		var cell *xmldm.Node
 		if p := pos[i]; p >= 0 && p < len(row.Children) {
@@ -699,7 +712,6 @@ func rowBinding(row *xmldm.Node, vars, cols []string, pos []int) algebra.Binding
 		}
 		fields[i] = xmldm.Field{Name: v, Value: cellValue(cell)}
 	}
-	return xmldm.NewTuple(fields...)
 }
 
 // cellValue is the atom a column element carries: its text, or Null for

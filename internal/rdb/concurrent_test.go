@@ -46,25 +46,27 @@ func TestConcurrentRangeSelectsOnFreshIndex(t *testing.T) {
 }
 
 // viewed is a View answer as its reader sees it: each row's output
-// columns, read through Pos.
+// columns, read through Pos, and their texts, read through Text.
 func viewed(res *Result) string {
 	rows := make([]Row, len(res.Rows))
 	for r, row := range res.Rows {
-		rows[r] = make(Row, len(res.Columns))
+		rows[r] = make(Row, 2*len(res.Columns))
 		for i := range res.Columns {
 			rows[r][i] = row[res.Pos(i)]
+			rows[r][len(res.Columns)+i] = res.Text(row, i)
 		}
 	}
 	return fmt.Sprint(res.Columns, rows)
 }
 
 // TestViewSurvivesLaterWrites: a View answer shares the table's rows —
-// an unfiltered scan the row list itself — so the INSERTs after it must
-// leave every answer reading as it did: one into the list's spare
-// capacity, then enough to reallocate the list, then a multi-row INSERT.
-// A second round takes answers on four goroutines while a writer only
-// inserts, and checks that each reads as one version of every row, twice
-// alike (run under -race).
+// an unfiltered scan the row list itself — and the texts stored with
+// them, so the INSERTs after it must leave every answer reading as it
+// did, cells and texts: one into the list's spare capacity, then enough
+// to reallocate the list, then a multi-row INSERT. A second round takes
+// answers on four goroutines while a writer only inserts, and checks
+// that each reads as one version of every row, twice alike (run under
+// -race).
 func TestViewSurvivesLaterWrites(t *testing.T) {
 	db := NewDatabase("d")
 	db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, a VARCHAR, b INT)`)
@@ -116,7 +118,7 @@ func TestViewSurvivesLaterWrites(t *testing.T) {
 
 	// A fresh table, whose list is shared while the writer inserts single
 	// rows and multi-row INSERTs. Every row's a is b's text, so a row
-	// reads as one version when the two agree.
+	// reads as one version when the two agree, and so do their texts.
 	db.MustExec(`CREATE TABLE u (id INT PRIMARY KEY, a VARCHAR, b INT)`)
 	db.MustExec(`INSERT INTO u VALUES (1, '0', 0), (2, '0', 0), (3, '0', 0)`)
 	done := make(chan struct{})
@@ -138,7 +140,7 @@ func TestViewSurvivesLaterWrites(t *testing.T) {
 				}
 				first := viewed(res)
 				for _, row := range res.Rows {
-					if x, y := row[res.Pos(0)], row[res.Pos(1)]; xmldm.Stringify(x) != xmldm.Stringify(y) {
+					if x, y := row[res.Pos(0)], row[res.Pos(1)]; xmldm.Stringify(x) != xmldm.Stringify(y) || res.Text(row, 0) != res.Text(row, 1) {
 						t.Errorf("%s: row %v reads a and b from different versions", q, row)
 						return
 					}

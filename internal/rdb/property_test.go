@@ -2,6 +2,7 @@ package rdb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -150,6 +151,90 @@ func TestLikeMatchesNaive_Property(t *testing.T) {
 		s := randStr(rng.Intn(8))
 		if likeMatch(p, s) != naive(p, s) {
 			t.Fatalf("likeMatch(%q, %q) = %v, naive = %v", p, s, likeMatch(p, s), naive(p, s))
+		}
+	}
+}
+
+// TestResultTextIsStringify_Property: Result.Text is a cell's export text
+// — nil for NULL, else the cell's Stringify text as a String — for every
+// column type and for rows stored by INSERT and by Insert, coerced inputs
+// included ('007' into INT, numbers into FLOAT and VARCHAR, 'no' into
+// BOOL, text into DATE, the floats -0, 0.1 and 1e21). Every arm of View
+// (the shared row list, an indexed =, a residual WHERE, ORDER BY) and
+// Exec's SELECT * answer the table's rows, whose texts INSERT stored; a
+// projected Exec answer is given its texts by Text on each call.
+func TestResultTextIsStringify_Property(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	// Each column's inputs: the value Insert takes, and the SQL INSERT's
+	// spelling of it.
+	type input struct {
+		v   Value
+		sql string
+	}
+	inputs := [][]input{
+		{{xmldm.Int(-7), "-7"}, {xmldm.String("007"), "'007'"}, {xmldm.Float(3), "3.0"}, {xmldm.Int(1 << 40), "1099511627776"}},
+		{{xmldm.Float(math.Copysign(0, -1)), "-0.0"}, {xmldm.Float(0.1), "0.1"}, {xmldm.Float(1e21), "'1e21'"},
+			{xmldm.Int(5), "5"}, {xmldm.String("2.50"), "'2.50'"}},
+		{{xmldm.String("a<b"), "'a<b'"}, {xmldm.String(""), "''"}, {xmldm.Int(42), "42"}, {xmldm.Float(0.1), "0.1"}},
+		{{xmldm.Bool(true), "TRUE"}, {xmldm.String("no"), "'no'"}, {xmldm.Int(1), "1"}},
+		{{xmldm.DateOf(2001, 4, 2), "'2001-04-02'"}, {xmldm.String("1999-12-31"), "'1999-12-31'"}},
+	}
+	for trial := 0; trial < 50; trial++ {
+		db := NewDatabase("p")
+		db.MustExec(`CREATE TABLE w (k INT PRIMARY KEY, i INT, f FLOAT, s VARCHAR, o BOOL, d DATE)`)
+		n := 1 + rng.Intn(20)
+		for k := 0; k < n; k++ {
+			vals, lits := Row{xmldm.Int(k)}, []string{fmt.Sprint(k)}
+			for _, in := range inputs {
+				c := input{xmldm.Null{}, "NULL"}
+				if rng.Intn(5) > 0 {
+					c = in[rng.Intn(len(in))]
+				}
+				vals, lits = append(vals, c.v), append(lits, c.sql)
+			}
+			if rng.Intn(2) == 0 {
+				if err := db.Insert("w", vals); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				db.MustExec("INSERT INTO w VALUES (" + strings.Join(lits, ", ") + ")")
+			}
+		}
+		k := rng.Intn(n)
+		for _, q := range []struct {
+			sql          string
+			view, stored bool
+		}{
+			{`SELECT o, d, i AS x, f, s, k FROM w`, true, true},
+			{fmt.Sprintf(`SELECT s, d, k FROM w WHERE k = %d`, k), true, true},
+			{`SELECT f, i, o FROM w WHERE s != 'a<b'`, true, true},
+			{`SELECT d, o, f, i FROM w ORDER BY f DESC, k`, true, true},
+			{`SELECT * FROM w`, false, true},
+			{fmt.Sprintf(`SELECT * FROM w WHERE k = %d ORDER BY i`, k), false, true},
+			{`SELECT i, f AS g, s, o, d FROM w`, false, false},
+		} {
+			res, err := db.Exec(q.sql)
+			if q.view {
+				res, err = db.View(q.sql)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.stored != q.stored {
+				t.Fatalf("%s: stored %v, want %v", q.sql, res.stored, q.stored)
+			}
+			for _, row := range res.Rows {
+				for i := range res.Columns {
+					cell, got := row[res.Pos(i)], res.Text(row, i)
+					var want Value
+					if cell.Kind() != xmldm.KindNull {
+						want = xmldm.String(xmldm.Stringify(cell))
+					}
+					if got != want {
+						t.Fatalf("trial %d, %s: column %s of %v has text %#v, want %#v", trial, q.sql, res.Columns[i], row, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -107,11 +107,15 @@ type Row []Value
 type Table struct {
 	Name   string
 	Schema Schema
-	// rows is the row list; a row's id is its index. An answer may share
-	// a row of it (SELECT *, View), or the list itself up to its length
-	// (View), and is read after the lock is released. So rows and the
-	// listed prefix are never written: INSERT appends, past every length
-	// an answer was given, and nothing else writes the list.
+	// rows is the row list; a row's id is its index. A row of n cells is
+	// the first half of the 2n cells newRow made for it, and the second
+	// half holds each cell's export text, boxed once (Result.Text): so a
+	// row is never appended to, since its capacity runs on into its
+	// boxes. An answer may share a row of it (SELECT *, View), or the
+	// list itself up to its length (View), and is read after the lock is
+	// released. So rows, their boxes and the listed prefix are never
+	// written: INSERT appends, past every length an answer was given, and
+	// nothing else writes the list.
 	rows    []Row
 	indexes map[string]*Index // by column name (lower-case)
 }
@@ -244,21 +248,39 @@ func (db *Database) Insert(table string, vals Row) error {
 	return t.appendRows([]Row{row})
 }
 
-// newRow is vals coerced to the column types. A table's schema never
-// changes, so the caller need not hold the lock.
+// newRow is vals coerced to the column types, followed in its backing
+// array by each cell's export text (Table.rows). It is the only maker of
+// a stored row. A table's schema never changes, so the caller need not
+// hold the lock.
 func (t *Table) newRow(vals Row) (Row, error) {
-	if len(vals) != len(t.Schema.Columns) {
-		return nil, fmt.Errorf("rdb: insert into %q: %d values for %d columns", t.Name, len(vals), len(t.Schema.Columns))
+	n := len(t.Schema.Columns)
+	if len(vals) != n {
+		return nil, fmt.Errorf("rdb: insert into %q: %d values for %d columns", t.Name, len(vals), n)
 	}
-	row := make(Row, len(vals))
+	cells := make(Row, 2*n)
+	row, texts := cells[:n], cells[n:]
 	for i, v := range vals {
 		cv, err := coerce(v, t.Schema.Columns[i].Type)
 		if err != nil {
 			return nil, fmt.Errorf("rdb: insert into %q column %q: %w", t.Name, t.Schema.Columns[i].Name, err)
 		}
-		row[i] = cv
+		row[i], texts[i] = cv, exportText(cv)
 	}
 	return row, nil
+}
+
+// exportText is the export text of a cell, boxed: a String cell is its own
+// box, any other kind its Stringify text, and NULL (or nil) has none —
+// nil, since each reader has its own rule for NULL.
+func exportText(v Value) Value {
+	switch v.(type) {
+	case nil, xmldm.Null:
+		return nil
+	case xmldm.String:
+		return v
+	default:
+		return xmldm.String(xmldm.Stringify(v))
+	}
 }
 
 // appendRows appends rows and indexes them, all or none: a key that a

@@ -104,7 +104,7 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %s: Exec answers, View fails: %v", trial, sql(w), err)
 			}
-			if got, want := viewed(view), fmt.Sprint(res.Columns, res.Rows); got != want {
+			if got, want := viewed(view), viewed(res); got != want {
 				t.Fatalf("trial %d: %s:\nview %s\nexec %s", trial, sql(w), got, want)
 			}
 			switch {

@@ -10,7 +10,9 @@ import (
 
 // Result is the outcome of executing a statement. For SELECT, Columns
 // names the output columns and Rows holds the data, output column i of a
-// row at Pos(i).
+// row at Pos(i) and its export text at Text. The rows of a View answer
+// and of SELECT * are the table's own: a reader neither writes nor
+// appends to them.
 type Result struct {
 	Columns []string
 	Rows    []Row
@@ -18,6 +20,9 @@ type Result struct {
 	// pos maps output column i to its position in a row, when the rows
 	// are the table's own (View); nil is the identity.
 	pos []int
+	// stored says the rows are the table's own, each followed by its
+	// cells' export text (Table.rows): a View answer, and Exec's SELECT *.
+	stored bool
 }
 
 // Pos is the position of output column i (Columns[i]) in a row of Rows:
@@ -28,6 +33,19 @@ func (r *Result) Pos(i int) int {
 		return i
 	}
 	return r.pos[i]
+}
+
+// Text is the export text of output column i of row, a row of Rows: a
+// String cell itself, any other kind its Stringify text as a boxed
+// String, and nil for NULL, whose rule is the reader's. A table's row
+// shares the box its INSERT made, so reading it allocates nothing; a
+// projected or hand-built row's text is made on each call.
+func (r *Result) Text(row Row, i int) Value {
+	p := r.Pos(i)
+	if r.stored {
+		return row[len(row) : 2*len(row)][p]
+	}
+	return exportText(row[p])
 }
 
 // ExecStats reports work done by the executor; the integration
@@ -205,6 +223,8 @@ func (db *Database) execSelect(st *SelectStmt, view bool) (*Result, error) {
 	}
 	where := src.resolve(src.where)
 	view = view && src.columnMap(st, res)
+	// Every answer but a projection shares the table's rows.
+	res.stored = view || st.Star
 	if len(st.OrderBy) == 0 {
 		if !view {
 			// Nothing needs the rows that pass WHERE together: each is

@@ -101,6 +101,12 @@ var streamCorpus = []struct {
 	{"sorted", `WHERE <person><name>$n</name></person> IN "people" CONSTRUCT <p>$n</p> ORDER-BY $n DESC`, 6, true},
 	{"late-error", `WHERE <customer><name>$n</name></customer> IN "crmdb" CONSTRUCT <r>{ late($n) }</r>`, -1, false},
 	{"late-predicate", `WHERE <customer><name>$n</name></customer> IN "crmdb", late($n) = $n CONSTRUCT <r>$n</r>`, -1, false},
+	// A Select the source cannot run above a streamed fragment scan, which
+	// then refills one tuple; then a chain of two, one a correlated
+	// aggregate that runs a nested query on that tuple.
+	{"select-chain", `WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb", $i < 4, late($n) = $n CONSTRUCT <r id=$i>$n</r>`, 3, false},
+	{"select-aggregate", `WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb", $i < 4, late($n) = $n,
+		count({ WHERE <customer><name>$m</name></customer> IN "crmdb", $m = $n CONSTRUCT <o/> }) = 1 CONSTRUCT <r id=$i>$n</r>`, 3, false},
 }
 
 // TestStreamedAnswerEqualsMaterialized serves each query of the corpus

@@ -171,7 +171,9 @@ func RowsDocument(source string, req catalog.Request, res *rdb.Result) *xmldm.No
 // one child element per column. The whole result is carved from two slabs
 // (one of nodes, one of child slots), every sub-slice capped at its own
 // length so that an append to one node's children can never reach its
-// neighbour's; a string cell is shared with the database, not re-boxed.
+// neighbour's. A cell's text is the result's (rdb.Result.Text), shared
+// with the database when the row is the table's own; NULL exports as an
+// empty element.
 func appendResultRows(root *xmldm.Node, rowElem string, res *rdb.Result) {
 	rows, cols := len(res.Rows), len(res.Columns)
 	if rows == 0 {
@@ -189,16 +191,9 @@ func appendResultRows(root *xmldm.Node, rowElem string, res *rdb.Result) {
 		for i, col := range res.Columns {
 			c := &cells[i]
 			c.Name, c.Parent = col, r
-			cell := row[res.Pos(i)]
-			switch v := cell.(type) {
-			case nil, xmldm.Null:
-				// NULL exports as an empty element
-			case xmldm.String:
+			if v := res.Text(row, i); v != nil {
 				c.Children = texts[i : i+1 : i+1]
-				c.Children[0] = cell
-			default:
-				c.Children = texts[i : i+1 : i+1]
-				c.Children[0] = xmldm.String(xmldm.Stringify(v))
+				c.Children[0] = v
 			}
 			kids[i] = c
 		}

@@ -437,6 +437,42 @@ func TestResultRowsAreSlabBuilt(t *testing.T) {
 	}
 }
 
+// TestViewExportSharesStoredText pins the export of a View over an INT
+// PRIMARY KEY column: every cell's text is the box its INSERT stored, so
+// the export costs its two slabs, the root's child list and the root,
+// and nothing per row or per cell, of any kind; and it reads as the
+// export of the same statement's Exec answer, whose projected rows are
+// given their text as they are exported.
+func TestViewExportSharesStoredText(t *testing.T) {
+	db := rdb.NewDatabase("crm")
+	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, score FLOAT, tier VARCHAR)`)
+	const rows = 300
+	for i := 0; i < rows; i++ {
+		var tier xmldm.Value = xmldm.String("gold")
+		if i%10 == 0 {
+			tier = xmldm.Null{}
+		}
+		if err := db.Insert("customers", rdb.Row{xmldm.Int(1000 + i), xmldm.String(fmt.Sprintf("Name %d", i)), xmldm.Float(float64(i) / 8), tier}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const sql = `SELECT tier, score AS s, id FROM customers`
+	view, err := db.View(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := catalog.Request{Collection: "customers"}
+	if got, want := RowsDocument("crmdb", req, view).String(), RowsDocument("crmdb", req, db.MustExec(sql)).String(); got != want {
+		t.Fatalf("the View exports\n%.300s\nits Exec\n%.300s", got, want)
+	}
+	if testkit.Race {
+		t.Skip("the race detector allocates")
+	}
+	if n := testing.AllocsPerRun(20, func() { RowsDocument("crmdb", req, view) }); n > 4 {
+		t.Errorf("exporting a View of %d rows allocates %v times, want at most 4", rows, n)
+	}
+}
+
 // TestFullExportCostsEachTableAtItsWidth: a whole-source export moves
 // each table's rows at that table's width, Σ rows × (cols + 1) × 16.
 func TestFullExportCostsEachTableAtItsWidth(t *testing.T) {
