@@ -118,33 +118,32 @@ sched-race:
 # holds; the rewound builder's allocation pin runs without the race
 # detector. A pushed fragment bound
 # from rows is held to binding from its XML export (table, and property
-# over hand-built results and every arm of a database's View),
+# over every arm of a database's SELECT),
 # its fetch to one memo entry whose rendered export concurrent readers
 # share, and its faults and simulated transport to the XML twin's —
 # answers, reports, retries, breakers, outcomes and error text under a
 # seeded chaos schedule whose sleeps and attempt deadlines run on one
-# fake clock (ten rounds, so a dependence on host speed shows);
-# projected rdb rows to not aliasing one another; a cell's export text
-# (Result.Text) to its Stringify text over every column type, both insert
-# paths and every arm of View and Exec's SELECT * (property).
+# fake clock (ten rounds, so a dependence on host speed shows); a cell's
+# export text (Result.Text) to its Stringify text over every column
+# type, both insert paths and every arm of a SELECT (property).
 # A single-table SELECT read in place is held to a reference that checks
-# WHERE and evaluates the select list row by row (property), an
+# WHERE and reads the select list's columns row by row (property), an
 # index-answered = to what Compare matches; eight range SELECTs to
 # sorting a fresh index once among them, and a multi-row INSERT that
-# fails on any row to appending none; a View answer, the table's own rows
-# read through a column map, to answering as Exec (property) and to
-# reading as it did, cells and texts, after later INSERTs (into the list's spare capacity,
-# past it, several rows at once), also while they run; a Malformed cut
-# of one to keeping its column map.
+# fails on any row to appending none; an answer, the table's own rows
+# read through a column map, to reading as it did, cells and texts, after
+# later INSERTs (into the list's spare capacity, past it, several rows at
+# once), also while they run; a Malformed cut of one to keeping its
+# column map.
 # A streamed answer pulls one binding at a time (row k is written
 # before binding k+1 is produced; an error on row
 # k leaves k+1 produced), and Pull hands each on as produced; a fragment
 # scan under a chain of Selects refills one tuple and writes what the
 # materialized answer holds (ten rounds). The pins on bytes per streamed
 # row (a bare scan and one under a Select), bytes and allocations per
-# scanned SELECT, fragment scan allocations (from the export, hand-built
-# rows and a View over an INT key) and the allocations of a View's
-# export run without the race detector.
+# scanned SELECT, fragment scan allocations (from the export and from
+# answers over an INT key, unfiltered and filtered) and the allocations
+# of an answer's export run without the race detector.
 # Cached answers: eight goroutines render one lens from cached nodes,
 # cleaning functions are re-registered under running queries, and every
 # change to what a name answers (materialize, refresh, drop, a schema
@@ -167,9 +166,9 @@ resultpath-race:
 	$(call run-named,-race -count=1,TestNetworkSimRowsMatchDocuments|TestWrappersForwardRows,./internal/sources)
 	$(call run-named,-count=1,TestViewExportSharesStoredText,./internal/sources)
 	$(call run-named,-race -count=1,TestRowFaultsShareTheSchedule|TestMalformedViewKeepsItsColumnMap,./internal/chaos)
-	$(call run-named,-race -count=1,TestProjectedRowsDoNotAlias|TestIndexInListFindsWhatCompareMatches|TestResultTextIsStringify_Property,./internal/rdb)
+	$(call run-named,-race -count=1,TestIndexInListFindsWhatCompareMatches|TestResultTextIsStringify_Property,./internal/rdb)
 	$(call run-named,-race -count=10,TestScanEqualsMaterializedPath|TestIndexEqFindsWhatCompareMatches|TestConcurrentRangeSelectsOnFreshIndex|TestInsertIsAllOrNothing|TestViewSurvivesLaterWrites,./internal/rdb)
-	$(call run-named,-count=1,TestScanAllocatesOnlyTheResult|TestProjectionAllocatesPerResult,./internal/rdb)
+	$(call run-named,-count=1,TestScanAllocatesOnlyTheResult,./internal/rdb)
 	$(call run-named,-race -count=10,TestCachedValuesStayImmutable|TestQueryContentLength|TestStreamedAnswerEqualsMaterialized,./internal/server)
 	$(call run-named,-race -count=1,TestReportsRenderAsTheDocumentCopy,./internal/server)
 	$(call run-named,-race -count=1,TestAdminChangesReachEveryCache|TestCachingOnQueryEndpoint|TestAdminEndpoints|TestAdminDefineSchema,./internal/server)
@@ -190,13 +189,13 @@ resultpath-race:
 # unfolding again after a view definition, a local store installed, a
 # materialize, a TTL turning an entry stale, a refresh and a drop; a
 # lens called with three values sharing one entry, single quotes escaped
-# in lens values, and an answer read across Invalidate not stored. The
-# projection allocation pin runs without the race detector, which
-# allocates.
+# in lens values, and an answer read across Invalidate not stored; and
+# random predicates over sqlgen's whole output grammar compiled and run
+# through rdb's statement cache.
 prepared-race:
 	$(call run-named,-race -count=1,FuzzPrepare|TestShapeKey|TestPrepareParams|TestRebindSharesWhatItDoesNotChange,./internal/xmlql)
 	$(call run-named,-race -count=1,FuzzParseSQL|TestExecBindsPreparedSelect|TestPreparedSelectSurvivesTableChanges,./internal/rdb)
-	$(call run-named,-count=1,TestProjectionAllocatesPerResult,./internal/rdb)
+	$(call run-named,-race -count=1,TestCompiledPredicatesRunOnRDB_Property,./internal/sqlgen)
 	$(call run-named,-race -count=10,TestPreparedMatchesFreshEngineConcurrently,./internal/core)
 	$(call run-named,-race -count=1,TestWarmCallBindsWithoutUnfoldOrParse|TestPreparedFollowsTheCatalog,./internal/core)
 	$(call run-named,-race -count=1,TestPreparedQueriesFollowTheStore,./internal/matview)

@@ -1,0 +1,81 @@
+package core
+
+import (
+	"context"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/rdb"
+	"repro/internal/sources"
+	"repro/internal/xmldm"
+)
+
+// pushedCase is a predicate over items' $i, $q and $t, the ids it holds
+// for, and the SQL conjunct it is pushed as.
+type pushedCase struct{ pred, want, sql string }
+
+// requirePushedAsMediator runs each case's query on an engine that
+// pushes predicates into the relational source and on one that does not,
+// and fails unless both answer the case's rows (in any order: an index
+// may answer in its own) and the first plan carries the case's SQL.
+func requirePushedAsMediator(t *testing.T, cases []pushedCase) {
+	t.Helper()
+	db := rdb.NewDatabase("m")
+	db.MustExec(`CREATE TABLE items (id INT PRIMARY KEY, q INT, t FLOAT)`)
+	db.MustExec(`INSERT INTO items VALUES (1, 3, 0.5), (2, 2, 0.000001), (100, 4, 250.0), (7, 5, -0.00002)`)
+	cat := catalog.New()
+	if err := cat.AddSource(sources.NewRelationalSource("m", db)); err != nil {
+		t.Fatal(err)
+	}
+	pushed, plain := New(cat, Config{}), New(cat, Config{DisablePushdown: true})
+	answer := func(e *Engine, q string) (string, []string) {
+		res, err := e.Query(context.Background(), q)
+		if err != nil {
+			return "error: " + err.Error(), nil
+		}
+		ids := make([]string, len(res.Values))
+		for i, v := range res.Values {
+			ids[i] = xmldm.Stringify(v)
+		}
+		slices.Sort(ids)
+		return strings.Join(ids, ","), res.Stats.Explain
+	}
+	for _, tc := range cases {
+		q := `WHERE <item><id>$i</id><q>$q</q><t>$t</t></item> IN "m", ` + tc.pred + ` CONSTRUCT <r>$i</r>`
+		got, explain := answer(pushed, q)
+		if want, _ := answer(plain, q); got != want || got != tc.want {
+			t.Errorf("%s: pushed %s, not pushed %s, want %s", tc.pred, got, want, tc.want)
+		}
+		if plan := strings.Join(explain, "\n"); !strings.Contains(plan, tc.sql) {
+			t.Errorf("%s: the plan does not push %s:\n%s", tc.pred, tc.sql, plan)
+		}
+	}
+}
+
+// TestPushedFloatsAnswerAsTheMediator: a float literal too small or too
+// large for %g to write without an exponent (0.00001, 1e20) is pushed as
+// digits the source reads — an integer past the int64 range as a FLOAT —
+// so the query answers as it does without pushdown, where it failed to
+// lex. An = on the indexed INT key against 100.0 still finds the key.
+func TestPushedFloatsAnswerAsTheMediator(t *testing.T) {
+	requirePushedAsMediator(t, []pushedCase{
+		{`$t > 0.00001`, "1,100", "(t > 0.00001)"},
+		{`$t < -0.00001`, "7", "(t < -0.00001)"},
+		{`$i < 99999999999999999999`, "1,100,2,7", "(id < 100000000000000000000)"},
+		{`$i > 0 - 99999999999999999999`, "1,100,2,7", "(id > (0 - 100000000000000000000))"},
+		{`$i = 100.0`, "100", "(id = 100)"},
+	})
+}
+
+// TestPushedDivisionAnswersAsTheMediator: the source divides INT by INT
+// as the mediator does (3 / 2 is 1.5, not 1), so a pushed division holds
+// for the rows it holds for without pushdown.
+func TestPushedDivisionAnswersAsTheMediator(t *testing.T) {
+	requirePushedAsMediator(t, []pushedCase{
+		{`$q / 2 = 1`, "2", "((q / 2) = 1)"},
+		{`$q / 2 = 1.5`, "1", "((q / 2) = 1.5)"},
+		{`$i / $q > 2`, "100", "((id / q) > 2)"},
+	})
+}

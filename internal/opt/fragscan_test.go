@@ -88,10 +88,11 @@ func TestFragmentScanEmptyAndForeignRoots(t *testing.T) {
 }
 
 // TestFragmentScanAllocations pins the cost of a binding: nothing, from
-// the export, from hand-built rows, and from a database's View over an INT
-// PRIMARY KEY column, whose text is the box its INSERT stored — tuples and
-// fields are carved from the scan's two slabs, or, for a transient scan,
-// one tuple is refilled. It is the difference between a scan of 2n rows
+// the export, and from a database's answer over an INT PRIMARY KEY
+// column, whose text is the box its INSERT stored — the table's row list
+// itself (rows) or a list of the rows a WHERE passed (filtered) — tuples
+// and fields are carved from the scan's two slabs, or, for a transient
+// scan, one tuple is refilled. It is the difference between a scan of 2n rows
 // and one of n, so that what a fetch allocates once (the positions, the
 // closure, the slabs) cancels; the row list's one more doubling is the
 // allowance.
@@ -101,14 +102,12 @@ func TestFragmentScanAllocations(t *testing.T) {
 	}
 	scan := func(n int, path string, transient bool) float64 {
 		var sb strings.Builder
-		res := &rdb.Result{Columns: []string{"id", "name", "city"}}
 		db := rdb.NewDatabase("crm")
 		db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
 		sb.WriteString("<crmdb>")
 		for i := 0; i < n; i++ {
 			fmt.Fprintf(&sb, "<customer><id>%d</id><name>Name %d</name><city>City %d</city></customer>", 1000+i, i, i%7)
-			res.Rows = append(res.Rows, rdb.Row{xmldm.String(fmt.Sprint(1000 + i)), xmldm.String(fmt.Sprint("Name ", i)), xmldm.String(fmt.Sprint("City ", i%7))})
-			if err := db.Insert("customers", rdb.Row{xmldm.Int(1000 + i), res.Rows[i][1], res.Rows[i][2]}); err != nil {
+			if err := db.Insert("customers", rdb.Row{xmldm.Int(1000 + i), xmldm.String(fmt.Sprint("Name ", i)), xmldm.String(fmt.Sprint("City ", i%7))}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -121,14 +120,16 @@ func TestFragmentScanAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			access = docAccess{root}
-		case "rows":
-			access = rowsAccess{res}
-		case "view":
-			view, err := db.View(`SELECT id, name, city FROM customers`)
+		case "rows", "filtered":
+			sql := `SELECT id, name, city FROM customers`
+			if path == "filtered" {
+				sql += ` WHERE name != 'x'`
+			}
+			res, err := db.Exec(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			access = rowsAccess{view}
+			access = rowsAccess{res}
 		}
 		op := fragmentScan(access, &FetchSpec{Source: "crmdb"}, customerFragment)
 		op.Transient = transient
@@ -150,7 +151,7 @@ func TestFragmentScanAllocations(t *testing.T) {
 		})
 	}
 	const n = 200
-	for _, path := range []string{"export", "rows", "view"} {
+	for _, path := range []string{"export", "rows", "filtered"} {
 		for _, transient := range []bool{false, true} {
 			if perRow := (scan(2*n, path, transient) - scan(n, path, transient)) / n; perRow > 0.02 {
 				t.Errorf("fragmentScan over the %s (transient %v) allocates %.2f times per row, want 0", path, transient, perRow)
@@ -162,10 +163,10 @@ func TestFragmentScanAllocations(t *testing.T) {
 // TestTransientScanRefillsOneTuple: a transient scan over rows hands out
 // one tuple, refilled per row, and binds what the slab-built scan binds.
 func TestTransientScanRefillsOneTuple(t *testing.T) {
-	res := &rdb.Result{Columns: []string{"id", "name", "city"}, Rows: []rdb.Row{
-		{xmldm.Int(1), xmldm.String("Ada"), xmldm.Null{}},
-		{xmldm.Int(2), xmldm.String("Alan"), xmldm.String("London")},
-	}}
+	db := rdb.NewDatabase("crm")
+	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
+	db.MustExec(`INSERT INTO customers VALUES (1, 'Ada', NULL), (2, 'Alan', 'London')`)
+	res := db.MustExec(`SELECT city, name, id FROM customers`)
 	held, err := algebra.Drain(&algebra.Context{}, fragmentScan(rowsAccess{res}, &FetchSpec{Source: "crmdb"}, customerFragment))
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +244,7 @@ func sameBindings(a, b []algebra.Binding) string {
 }
 
 // TestBindRowsEqualsExportReadBack: a cell binds from the rows exactly
-// what rowBinding reads back from its export — NULL the empty string,
+// what bindRow reads back from its export — NULL the empty string,
 // strings as they are (markup included), other kinds their Stringify
 // text — a column the result lacks binds Null, and a duplicated alias
 // binds its first column.
@@ -252,20 +253,25 @@ func TestBindRowsEqualsExportReadBack(t *testing.T) {
 		VarColumns: map[string]string{"v": "v", "d": "dup", "m": "missing"}}
 	for _, tc := range []struct {
 		name string
+		typ  string
 		cell xmldm.Value
 		want xmldm.Value
 	}{
-		{"NULL", xmldm.Null{}, xmldm.String("")},
-		{"nil", nil, xmldm.String("")},
-		{"empty string", xmldm.String(""), xmldm.String("")},
-		{"negative int", xmldm.Int(-42), xmldm.String("-42")},
-		{"float", xmldm.Float(2.5), xmldm.String("2.5")},
-		{"bool", xmldm.Bool(true), xmldm.String("true")},
-		{"date", xmldm.DateOf(2001, 4, 2), xmldm.String("2001-04-02T00:00:00Z")},
-		{"markup", xmldm.String(`<a href="x">&amp;</a>`), xmldm.String(`<a href="x">&amp;</a>`)},
+		{"NULL", "VARCHAR", xmldm.Null{}, xmldm.String("")},
+		{"nil", "INT", nil, xmldm.String("")},
+		{"empty string", "VARCHAR", xmldm.String(""), xmldm.String("")},
+		{"negative int", "INT", xmldm.Int(-42), xmldm.String("-42")},
+		{"float", "FLOAT", xmldm.Float(2.5), xmldm.String("2.5")},
+		{"bool", "BOOL", xmldm.Bool(true), xmldm.String("true")},
+		{"date", "DATE", xmldm.DateOf(2001, 4, 2), xmldm.String("2001-04-02T00:00:00Z")},
+		{"markup", "VARCHAR", xmldm.String(`<a href="x">&amp;</a>`), xmldm.String(`<a href="x">&amp;</a>`)},
 	} {
-		res := &rdb.Result{Columns: []string{"dup", "v", "dup"},
-			Rows: []rdb.Row{{xmldm.String("first"), tc.cell, xmldm.String("second")}}}
+		db := rdb.NewDatabase("crm")
+		db.MustExec(`CREATE TABLE w (a VARCHAR, v ` + tc.typ + `, b VARCHAR)`)
+		if err := db.Insert("w", rdb.Row{xmldm.String("first"), tc.cell, xmldm.String("second")}); err != nil {
+			t.Fatal(err)
+		}
+		res := db.MustExec(`SELECT a AS dup, v, b AS dup FROM w`)
 		fromRows, fromXML := bothPaths(t, res, frag)
 		if diff := sameBindings(fromRows, fromXML); diff != "" {
 			t.Errorf("%s: rows and export differ: %s", tc.name, diff)
@@ -279,15 +285,13 @@ func TestBindRowsEqualsExportReadBack(t *testing.T) {
 	}
 }
 
-// TestBindRowsEqualsExportReadBack_Property: over random hand-built
-// results — kinds, NULLs, duplicated and missing columns, empty results —
-// the two paths bind the same fields, each cell's text made as it is read.
-// So they do over a database's View answers, whose rows are the table's
-// own read through a column map (a select list of aliased columns in
-// random order, repeated or not, or *) and whose texts are the boxes
-// INSERT stored, from every arm of View (the shared row list, an indexed
-// =, a residual WHERE, ORDER BY); and those bind what the same
-// statement's Exec answer binds.
+// TestBindRowsEqualsExportReadBack_Property: over a database's answers,
+// whose rows are the table's own read through a column map (a select list
+// of aliased columns in random order, repeated or not, or *) and whose
+// texts are the boxes INSERT stored — cells of every kind and NULL, from
+// every arm of a SELECT (the shared row list, an indexed =, a residual
+// WHERE, ORDER BY), empty answers included — the rows bind what their
+// export reads back, a variable whose column the answer lacks included.
 func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	names := []string{"a", "b", "c", "d"}
@@ -310,26 +314,10 @@ func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 500; trial++ {
-		res := &rdb.Result{}
-		for c := rng.Intn(5); c >= 0; c-- {
-			res.Columns = append(res.Columns, names[rng.Intn(len(names))])
-		}
-		for r := rng.Intn(6); r > 0; r-- {
-			row := make(rdb.Row, len(res.Columns))
-			for i := range row {
-				row[i] = cell()
-			}
-			res.Rows = append(res.Rows, row)
-		}
 		frag := &sqlgen.Fragment{Table: "customers", RowElement: "customer", VarColumns: map[string]string{}}
 		for v := rng.Intn(4); v >= 0; v-- {
 			frag.VarColumns[fmt.Sprint("v", v)] = names[rng.Intn(len(names))]
 		}
-		fromRows, fromXML := bothPaths(t, res, frag)
-		if diff := sameBindings(fromRows, fromXML); diff != "" {
-			t.Fatalf("trial %d, columns %v, vars %v: %s", trial, res.Columns, frag.VarColumns, diff)
-		}
-
 		db := rdb.NewDatabase("crm")
 		db.MustExec(`CREATE TABLE w (k INT PRIMARY KEY, i INT, f FLOAT, o BOOL, d DATE, s VARCHAR)`)
 		kinds := []xmldm.Kind{xmldm.KindInt, xmldm.KindFloat, xmldm.KindBool, xmldm.KindDate, xmldm.KindString}
@@ -360,17 +348,13 @@ func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 			" WHERE s != 'x'", // a residual WHERE
 			" ORDER BY f DESC, k",
 		}[rng.Intn(4)]
-		view, err := db.View(sql)
+		res, err := db.Exec(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromView, fromViewXML := bothPaths(t, view, frag)
-		fromExec, _ := bothPaths(t, db.MustExec(sql), frag)
-		if diff := sameBindings(fromView, fromViewXML); diff != "" {
-			t.Fatalf("trial %d, %s, vars %v: View rows against their export: %s", trial, sql, frag.VarColumns, diff)
-		}
-		if diff := sameBindings(fromView, fromExec); diff != "" {
-			t.Fatalf("trial %d, %s, vars %v: View against Exec: %s", trial, sql, frag.VarColumns, diff)
+		fromRows, fromXML := bothPaths(t, res, frag)
+		if diff := sameBindings(fromRows, fromXML); diff != "" {
+			t.Fatalf("trial %d, %s, vars %v: rows against their export: %s", trial, sql, frag.VarColumns, diff)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func (f *fakeAccess) Roots(source string, req catalog.Request) ([]xmldm.Value, e
 			r := &xmldm.Node{Name: "customer", Parent: root}
 			for i, col := range res.Columns {
 				c := &xmldm.Node{Name: col, Parent: r}
-				c.Children = append(c.Children, xmldm.String(xmldm.Stringify(row[i])))
+				c.Children = append(c.Children, xmldm.String(xmldm.Stringify(row[res.Pos(i)])))
 				r.Children = append(r.Children, c)
 			}
 			root.Children = append(root.Children, r)

@@ -45,8 +45,8 @@ func TestConcurrentRangeSelectsOnFreshIndex(t *testing.T) {
 	}
 }
 
-// viewed is a View answer as its reader sees it: each row's output
-// columns, read through Pos, and their texts, read through Text.
+// viewed is an answer as its reader sees it: each row's output columns,
+// read through Pos, and their texts, read through Text.
 func viewed(res *Result) string {
 	rows := make([]Row, len(res.Rows))
 	for r, row := range res.Rows {
@@ -59,8 +59,8 @@ func viewed(res *Result) string {
 	return fmt.Sprint(res.Columns, rows)
 }
 
-// TestViewSurvivesLaterWrites: a View answer shares the table's rows —
-// an unfiltered scan the row list itself — and the texts stored with
+// TestViewSurvivesLaterWrites: an answer shares the table's rows — an
+// unfiltered scan the row list itself — and the texts stored with
 // them, so the INSERTs after it must leave every answer reading as it
 // did, cells and texts: one into the list's spare capacity, then enough
 // to reallocate the list, then a multi-row INSERT. A second round takes
@@ -84,13 +84,13 @@ func TestViewSurvivesLaterWrites(t *testing.T) {
 	answers := make([]*Result, len(queries))
 	before := make([]string, len(queries))
 	for i, q := range queries {
-		if answers[i], err = db.View(q); err != nil {
+		if answers[i], err = db.Exec(q); err != nil {
 			t.Fatal(err)
 		}
 		before[i] = viewed(answers[i])
 	}
 	if &answers[0].Rows[0] != &tbl.rows[0] || !answers[1].Stats.IndexUsed {
-		t.Fatal("the unfiltered View does not share the row list, or id = 2 is not indexed")
+		t.Fatal("the unfiltered answer does not share the row list, or id = 2 is not indexed")
 	}
 	spare := cap(tbl.rows)
 	if len(tbl.rows) == spare {
@@ -133,7 +133,7 @@ func TestViewSurvivesLaterWrites(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.View(q)
+				res, err := db.Exec(q)
 				if err != nil {
 					t.Error(err)
 					return

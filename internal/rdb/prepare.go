@@ -45,16 +45,15 @@ type preparedSelect struct {
 	slots []sqlSlot
 }
 
-// sqlSlot is what a SELECT made of one lifted token (sqlLifted): a
-// literal, a LIKE pattern or the alias of select item item, which a text
-// of the same shape rebinds; or none of them (a table alias), which
-// pins the token: a text that spells it otherwise is parsed anew.
+// sqlSlot is what a SELECT made of one lifted token (sqlLifted), which a
+// text of the same shape rebinds: a literal, a LIKE pattern, or else the
+// alias of select item item. In a SELECT that parses, every lifted token
+// is one of the three.
 type sqlSlot struct {
-	text  string // the token's text in the statement parsed
-	lit   *SQLLit
-	like  *SQLLike
-	alias bool
-	item  int
+	text string // the token's text in the statement parsed
+	lit  *SQLLit
+	like *SQLLike
+	item int
 }
 
 // sqlScan is a reusable buffer for one statement's tokens and shape key.
@@ -164,9 +163,8 @@ func sqlShape(key []byte, toks []sqlTok) []byte {
 
 // bind is the statement toks, a text of the prepared shape, parses to:
 // the prepared one with the slots whose text differs rebound, sharing
-// every part without one. It is nil when a pinned token differs or a
-// number does not parse; the caller then parses the text, and reports
-// the error the parser finds.
+// every part without one. It is nil when a number does not parse; the
+// caller then parses the text, and reports the error the parser finds.
 func (ps *preparedSelect) bind(toks []sqlTok) *SelectStmt {
 	var b sqlBinding
 	k := 0
@@ -188,10 +186,8 @@ func (ps *preparedSelect) bind(toks []sqlTok) *SelectStmt {
 			b.lits = append(b.lits, [2]*SQLLit{s.lit, {Value: v}})
 		case s.like != nil:
 			b.likes = append(b.likes, likeBinding{s.like, t.text})
-		case s.alias:
+		default: // an alias
 			b.aliases = append(b.aliases, aliasBinding{s.item, t.text})
-		default:
-			return nil
 		}
 	}
 	if len(b.lits)+len(b.likes)+len(b.aliases) == 0 {
@@ -219,39 +215,14 @@ type aliasBinding struct {
 
 // stmt copies st along the paths to the rebound slots.
 func (b *sqlBinding) stmt(st *SelectStmt) *SelectStmt {
-	leaf := b.leaf
 	out := *st
-	var items []SelectItem
-	for i, it := range st.Items {
-		if e := mapSQL(it.Expr, leaf); e != it.Expr {
-			if items == nil {
-				items = append([]SelectItem(nil), st.Items...)
-			}
-			items[i].Expr = e
+	if len(b.aliases) > 0 {
+		out.Items = append([]SelectItem(nil), st.Items...)
+		for _, a := range b.aliases {
+			out.Items[a.item].Alias = a.alias
 		}
 	}
-	for _, a := range b.aliases {
-		if items == nil {
-			items = append([]SelectItem(nil), st.Items...)
-		}
-		items[a.item].Alias = a.alias
-	}
-	if items != nil {
-		out.Items = items
-	}
-	out.Where = mapSQL(st.Where, leaf)
-	var order []SQLOrderItem
-	for i, o := range st.OrderBy {
-		if e := mapSQL(o.Expr, leaf); e != o.Expr {
-			if order == nil {
-				order = append([]SQLOrderItem(nil), st.OrderBy...)
-			}
-			order[i].Expr = e
-		}
-	}
-	if order != nil {
-		out.OrderBy = order
-	}
+	out.Where = mapSQL(st.Where, b.leaf)
 	return &out
 }
 
@@ -313,10 +284,6 @@ func mapSQL(e SQLExpr, f func(orig, cur SQLExpr) SQLExpr) SQLExpr {
 				list = x.List
 			}
 			cur = &SQLIn{E: in, List: list}
-		}
-	case *SQLIsNull:
-		if in := mapSQL(x.E, f); in != x.E {
-			cur = &SQLIsNull{E: in, Not: x.Not}
 		}
 	case *SQLFunc:
 		var args []SQLExpr

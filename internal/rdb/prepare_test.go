@@ -20,7 +20,7 @@ func execParsed(t *testing.T, db *Database, sql string) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	return fmt.Sprint(res.Columns, res.Rows)
+	return fmt.Sprint(res.Columns, out(res))
 }
 
 func execCached(t *testing.T, db *Database, sql string) string {
@@ -29,14 +29,14 @@ func execCached(t *testing.T, db *Database, sql string) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	return fmt.Sprint(res.Columns, res.Rows)
+	return fmt.Sprint(res.Columns, out(res))
 }
 
 // TestExecBindsPreparedSelect: a SELECT whose shape Exec has parsed is
 // bound, not parsed — new literals, LIKE patterns and select-list
 // aliases included — and answers what parsing it answers; a text that
-// differs in a pinned token (a table alias) or does not parse is parsed,
-// with the parser's error.
+// differs in a token other than those, or does not parse, is parsed, with
+// the parser's error.
 func TestExecBindsPreparedSelect(t *testing.T) {
 	db := newTestDB(t)
 	for _, tc := range []struct {
@@ -49,12 +49,11 @@ func TestExecBindsPreparedSelect(t *testing.T) {
 		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2 ORDER BY id DESC`, true},
 		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2.5 ORDER BY id DESC`, true},
 		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 1.2.3 ORDER BY id DESC`, false},
-		{`SELECT c.name AS n FROM customers AS c WHERE c.name LIKE 'A%' OR c.id IN (3, 4)`, false},
-		{`SELECT c.name AS m FROM customers AS c WHERE c.name LIKE '%ace' OR c.id IN (1, 9)`, true},
-		{`SELECT name AS m FROM customers AS c WHERE id IN (1, 9)`, false},
-		{`SELECT name AS m FROM customers AS d WHERE id IN (1, 9)`, false},
-		{`SELECT concat(name, '?') AS k, city AS c FROM customers WHERE id > 1 AND city NOT IN ('Paris') ORDER BY c, id * -1`, false},
-		{`SELECT concat(name, '!') AS k, city AS c FROM customers WHERE id > 2 AND city NOT IN ('Austin') ORDER BY c, id * -2`, true},
+		{`SELECT name AS n FROM customers WHERE name LIKE 'A%' OR id IN (3, 4)`, false},
+		{`SELECT name AS m FROM customers WHERE name LIKE '%ace' OR id IN (1, 9)`, true},
+		{`SELECT name AS m FROM customers WHERE name LIKE '%ace' OR city IN (1, 9)`, false},
+		{`SELECT name AS k, city AS c FROM customers WHERE id * -1 < -1 AND NOT lower(city) IN ('paris') ORDER BY city, id DESC`, false},
+		{`SELECT name AS k, city AS d FROM customers WHERE id * -2 < -4 AND NOT lower(city) IN ('austin') ORDER BY city, id DESC`, true},
 	} {
 		before := db.PreparedStats()
 		want := execParsed(t, db, tc.sql)
@@ -94,21 +93,17 @@ func TestPreparedSelectSurvivesTableChanges(t *testing.T) {
 	}
 }
 
-// respellSQL rewrites sql with every literal and select-list alias the
-// prepared statement rebinds replaced: a string by 'p<i>', a number by
-// 7<i>, an alias by a<i>.
-func respellSQL(sql string, toks []sqlTok, ps *preparedSelect) string {
+// respellSQL rewrites sql with every literal and select-list alias (each
+// a slot a prepared statement rebinds) replaced: a string by 'p<i>', a
+// number by 7<i>, an alias by a<i>.
+func respellSQL(sql string, toks []sqlTok) string {
 	var sb strings.Builder
 	last, k := 0, 0
 	for i, tk := range toks {
 		if !sqlLifted(toks, i) {
 			continue
 		}
-		s := ps.slots[k]
 		k++
-		if s.lit == nil && s.like == nil && !s.alias {
-			continue
-		}
 		sb.WriteString(sql[last:tk.pos])
 		switch tk.kind {
 		case "str":
@@ -154,11 +149,7 @@ func checkPrepared(t *testing.T, src string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ps *preparedSelect
-	for _, e := range c.entries {
-		ps = e
-	}
-	alt := respellSQL(src, toks, ps)
+	alt := respellSQL(src, toks)
 	want, werr = ParseSQL(alt)
 	if werr != nil {
 		t.Fatalf("respelled %q does not parse: %v", alt, werr)

@@ -41,14 +41,14 @@ func TestInsertSelectRoundTrip_Property(t *testing.T) {
 
 		// Point lookups through the pk index.
 		for id, want := range model {
-			res := db.MustExec(fmt.Sprintf(`SELECT v, s FROM t WHERE id = %d`, id))
-			if len(res.Rows) != 1 {
-				t.Logf("seed %d: id %d rows = %d", seed, id, len(res.Rows))
+			rows := out(db.MustExec(fmt.Sprintf(`SELECT v, s FROM t WHERE id = %d`, id)))
+			if len(rows) != 1 {
+				t.Logf("seed %d: id %d rows = %d", seed, id, len(rows))
 				return false
 			}
-			gv, _ := xmldm.ToInt(res.Rows[0][0])
-			if int(gv) != want.v || xmldm.Stringify(res.Rows[0][1]) != want.s {
-				t.Logf("seed %d: id %d got (%d,%s) want (%d,%s)", seed, id, gv, res.Rows[0][1], want.v, want.s)
+			gv, _ := xmldm.ToInt(rows[0][0])
+			if int(gv) != want.v || xmldm.Stringify(rows[0][1]) != want.s {
+				t.Logf("seed %d: id %d got (%d,%s) want (%d,%s)", seed, id, gv, rows[0][1], want.v, want.s)
 				return false
 			}
 		}
@@ -93,9 +93,9 @@ func TestOrderByIsSorted_Property(t *testing.T) {
 		if desc {
 			q += " DESC"
 		}
-		res := db.MustExec(q)
-		for i := 1; i < len(res.Rows); i++ {
-			c := xmldm.Compare(res.Rows[i-1][0], res.Rows[i][0])
+		rows := out(db.MustExec(q))
+		for i := 1; i < len(rows); i++ {
+			c := xmldm.Compare(rows[i-1][0], rows[i][0])
 			if desc && c < 0 || !desc && c > 0 {
 				t.Logf("seed %d: out of order at %d (desc=%v)", seed, i, desc)
 				return false
@@ -159,10 +159,10 @@ func TestLikeMatchesNaive_Property(t *testing.T) {
 // — nil for NULL, else the cell's Stringify text as a String — for every
 // column type and for rows stored by INSERT and by Insert, coerced inputs
 // included ('007' into INT, numbers into FLOAT and VARCHAR, 'no' into
-// BOOL, text into DATE, the floats -0, 0.1 and 1e21). Every arm of View
-// (the shared row list, an indexed =, a residual WHERE, ORDER BY) and
-// Exec's SELECT * answer the table's rows, whose texts INSERT stored; a
-// projected Exec answer is given its texts by Text on each call.
+// BOOL, text into DATE, the floats -0, 0.1 and 1e21). Every arm of a
+// SELECT (the shared row list, an indexed =, a residual WHERE, ORDER BY),
+// with a select list of columns or *, answers the table's rows, whose
+// texts INSERT stored.
 func TestResultTextIsStringify_Property(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	// Each column's inputs: the value Insert takes, and the SQL INSERT's
@@ -201,27 +201,18 @@ func TestResultTextIsStringify_Property(t *testing.T) {
 			}
 		}
 		k := rng.Intn(n)
-		for _, q := range []struct {
-			sql          string
-			view, stored bool
-		}{
-			{`SELECT o, d, i AS x, f, s, k FROM w`, true, true},
-			{fmt.Sprintf(`SELECT s, d, k FROM w WHERE k = %d`, k), true, true},
-			{`SELECT f, i, o FROM w WHERE s != 'a<b'`, true, true},
-			{`SELECT d, o, f, i FROM w ORDER BY f DESC, k`, true, true},
-			{`SELECT * FROM w`, false, true},
-			{fmt.Sprintf(`SELECT * FROM w WHERE k = %d ORDER BY i`, k), false, true},
-			{`SELECT i, f AS g, s, o, d FROM w`, false, false},
+		for _, sql := range []string{
+			`SELECT o, d, i AS x, f, s, k FROM w`,
+			fmt.Sprintf(`SELECT s, d, k FROM w WHERE k = %d`, k),
+			`SELECT f, i, o FROM w WHERE s != 'a<b'`,
+			`SELECT d, o, f, i FROM w ORDER BY f DESC, k`,
+			`SELECT * FROM w`,
+			fmt.Sprintf(`SELECT * FROM w WHERE k = %d ORDER BY i`, k),
+			`SELECT i, f AS g, s, o, d FROM w`,
 		} {
-			res, err := db.Exec(q.sql)
-			if q.view {
-				res, err = db.View(q.sql)
-			}
+			res, err := db.Exec(sql)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if res.stored != q.stored {
-				t.Fatalf("%s: stored %v, want %v", q.sql, res.stored, q.stored)
 			}
 			for _, row := range res.Rows {
 				for i := range res.Columns {
@@ -231,7 +222,7 @@ func TestResultTextIsStringify_Property(t *testing.T) {
 						want = xmldm.String(xmldm.Stringify(cell))
 					}
 					if got != want {
-						t.Fatalf("trial %d, %s: column %s of %v has text %#v, want %#v", trial, q.sql, res.Columns[i], row, got, want)
+						t.Fatalf("trial %d, %s: column %s of %v has text %#v, want %#v", trial, sql, res.Columns[i], row, got, want)
 					}
 				}
 			}

@@ -1,8 +1,10 @@
 // Package rdb is an embedded relational database engine: typed tables,
-// hash and ordered indexes, and the SQL the integration compiler
-// generates (a single-table SELECT with WHERE and ORDER BY, sqlparse.go)
-// plus CREATE TABLE, CREATE INDEX and INSERT to load the data. Tables are
-// append-only: a table is created once and rows are only appended.
+// hash and ordered indexes, and exactly the SQL the integration compiler
+// generates (a single-table SELECT of columns with WHERE and ORDER BY,
+// sqlparse.go) plus CREATE TABLE, CREATE INDEX and INSERT to load the
+// data. A SELECT answers the table's own rows, read through a column map
+// (Result.Pos). Tables are append-only: a table is created once and rows
+// are only appended.
 //
 // In the paper's deployment the relational sources are customers'
 // production DBMSs; here rdb plays that role so that the compiler's
@@ -111,8 +113,8 @@ type Table struct {
 	// the first half of the 2n cells newRow made for it, and the second
 	// half holds each cell's export text, boxed once (Result.Text): so a
 	// row is never appended to, since its capacity runs on into its
-	// boxes. An answer may share a row of it (SELECT *, View), or the
-	// list itself up to its length (View), and is read after the lock is
+	// boxes. A SELECT's answer shares its rows, or the list itself up to
+	// its length when nothing filters, and is read after the lock is
 	// released. So rows, their boxes and the listed prefix are never
 	// written: INSERT appends, past every length an answer was given, and
 	// nothing else writes the list.

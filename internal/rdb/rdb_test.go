@@ -35,6 +35,19 @@ func newTestDB(t testing.TB) *Database {
 	return db
 }
 
+// out is res's rows as its reader sees them: each row's output columns,
+// read through Pos.
+func out(res *Result) []Row {
+	rows := make([]Row, len(res.Rows))
+	for r, row := range res.Rows {
+		rows[r] = make(Row, len(res.Columns))
+		for i := range res.Columns {
+			rows[r][i] = row[res.Pos(i)]
+		}
+	}
+	return rows
+}
+
 func TestCreateTableErrors(t *testing.T) {
 	db := NewDatabase("d")
 	if _, err := db.Exec(`CREATE TABLE t (a INT)`); err != nil {
@@ -74,15 +87,15 @@ func TestInsertTypeCoercion(t *testing.T) {
 	if _, err := db.Exec(`INSERT INTO customers VALUES ('5', 42, 'Paris', '2001-04-02')`); err != nil {
 		t.Fatal(err)
 	}
-	res := db.MustExec(`SELECT name, since FROM customers WHERE id = 5`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	rows := out(db.MustExec(`SELECT name, since FROM customers WHERE id = 5`))
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	if res.Rows[0][0].Kind() != xmldm.KindString || xmldm.Stringify(res.Rows[0][0]) != "42" {
-		t.Errorf("name = %v", res.Rows[0][0])
+	if rows[0][0].Kind() != xmldm.KindString || xmldm.Stringify(rows[0][0]) != "42" {
+		t.Errorf("name = %v", rows[0][0])
 	}
-	if res.Rows[0][1].Kind() != xmldm.KindDate {
-		t.Errorf("since kind = %v", res.Rows[0][1].Kind())
+	if rows[0][1].Kind() != xmldm.KindDate {
+		t.Errorf("since kind = %v", rows[0][1].Kind())
 	}
 	// Uncoercible values fail.
 	if _, err := db.Exec(`INSERT INTO customers VALUES ('abc', 'x', 'y', '2001-01-01')`); err == nil {
@@ -125,8 +138,8 @@ func TestInsertIsAllOrNothing(t *testing.T) {
 	}
 	db.MustExec(`INSERT INTO t VALUES (1, 'a'), (2, 'a')`)
 	for where, want := range map[string]string{`v = 'a'`: "[[1] [2]]", `id = 2`: "[[2]]", `id >= 0`: "[[1] [2] [9]]"} {
-		if res := db.MustExec(`SELECT id FROM t WHERE ` + where); fmt.Sprint(res.Rows) != want || !res.Stats.IndexUsed {
-			t.Errorf("%s: %v (index %v), want %s", where, res.Rows, res.Stats.IndexUsed, want)
+		if res := db.MustExec(`SELECT id FROM t WHERE ` + where); fmt.Sprint(out(res)) != want || !res.Stats.IndexUsed {
+			t.Errorf("%s: %v (index %v), want %s", where, out(res), res.Stats.IndexUsed, want)
 		}
 	}
 }
@@ -148,11 +161,9 @@ func TestSelectWhereComparisons(t *testing.T) {
 		{`SELECT * FROM customers WHERE name LIKE 'A%'`, 2},
 		{`SELECT * FROM customers WHERE name LIKE '%ra%'`, 2}, // Grace? no: G-r-a... "Grace Hopper" has "ra"? G,r,a yes. "Edsger Dijkstra" has "ra" at end. Ada no. Alan no.
 		{`SELECT * FROM customers WHERE name LIKE '_da%'`, 1},
-		{`SELECT * FROM customers WHERE name NOT LIKE 'A%'`, 2},
+		{`SELECT * FROM customers WHERE NOT name LIKE 'A%'`, 2},
 		{`SELECT * FROM customers WHERE city IN ('London', 'Austin')`, 3},
-		{`SELECT * FROM customers WHERE city NOT IN ('London')`, 2},
-		{`SELECT * FROM customers WHERE since IS NULL`, 0},
-		{`SELECT * FROM customers WHERE since IS NOT NULL`, 4},
+		{`SELECT * FROM customers WHERE NOT city IN ('London')`, 2},
 		{`SELECT * FROM orders WHERE total > 100 AND status = 'shipped'`, 2},
 		{`SELECT * FROM orders WHERE total + 10 > 300`, 1},
 		{`SELECT * FROM orders WHERE total * 2 >= 620.5`, 1},
@@ -171,28 +182,36 @@ func TestSelectWhereComparisons(t *testing.T) {
 
 func TestSelectProjectionAndAliases(t *testing.T) {
 	db := newTestDB(t)
-	res := db.MustExec(`SELECT name AS who, upper(city) FROM customers WHERE id = 1`)
-	if res.Columns[0] != "who" || res.Columns[1] != "col2" {
+	res := db.MustExec(`SELECT name AS Who, CITY, name FROM customers WHERE id = 1`)
+	if fmt.Sprint(res.Columns) != "[who city name]" {
 		t.Errorf("columns = %v", res.Columns)
 	}
-	if xmldm.Stringify(res.Rows[0][1]) != "LONDON" {
-		t.Errorf("upper = %v", res.Rows[0][1])
+	if got := fmt.Sprint(out(res)); got != "[[Ada Lovelace London Ada Lovelace]]" {
+		t.Errorf("rows = %s", got)
 	}
 }
 
 func TestSelectOrderByAndLimit(t *testing.T) {
 	db := newTestDB(t)
-	res := db.MustExec(`SELECT name FROM customers ORDER BY name DESC`)
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	rows := out(db.MustExec(`SELECT name FROM customers ORDER BY name DESC`))
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	if xmldm.Stringify(res.Rows[0][0]) != "Grace Hopper" {
-		t.Errorf("first = %v", res.Rows[0][0])
+	if xmldm.Stringify(rows[0][0]) != "Grace Hopper" {
+		t.Errorf("first = %v", rows[0][0])
 	}
-	// ORDER BY an alias.
-	res = db.MustExec(`SELECT total * 2 AS dbl FROM orders ORDER BY dbl`)
-	if f, _ := xmldm.ToFloat(res.Rows[0][0]); f != 84 {
-		t.Errorf("smallest doubled total = %v", res.Rows[0][0])
+	for _, tc := range []struct {
+		sql  string
+		want string
+	}{
+		// A key the select list drops, and one under an alias.
+		{`SELECT name FROM customers ORDER BY since DESC`, `[[Edsger Dijkstra] [Grace Hopper] [Alan Turing] [Ada Lovelace]]`},
+		{`SELECT total AS t, oid FROM orders ORDER BY status DESC, total`, `[[120 102] [250 100] [75.5 101] [310.25 103] [42 104]]`},
+		{`SELECT city, id FROM customers WHERE city = 'London' ORDER BY id DESC`, `[[London 2] [London 1]]`},
+	} {
+		if got := fmt.Sprint(out(db.MustExec(tc.sql))); got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.sql, got, tc.want)
+		}
 	}
 }
 
@@ -333,6 +352,19 @@ func TestSQLErrors(t *testing.T) {
 		`SELECT * FROM customers ORDER BY`,
 		`garbage`,
 		`SELECT * FROM customers; extra`,
+		`SELECT * FROM customers ORDER BY nosuch`,
+		`SELECT name AS n FROM customers ORDER BY n`, // ORDER BY names a column, not an alias
+		`SELECT * FROM customers WHERE nosuch = 1`,
+		`SELECT * FROM customers WHERE upper(name, city) = 'X'`,
+		// Functions sqlgen never emits: they parse as calls, and fail
+		// whatever rows the table holds.
+		`SELECT * FROM customers WHERE substr(name, 1, 3) = 'Ada'`,
+		`SELECT * FROM customers WHERE concat(city, '-', id) = 'London-2'`,
+		`SELECT * FROM customers WHERE replace(city, 'Lon', 'Lun') = 'Lundon'`,
+		`SELECT * FROM customers WHERE coalesce(NULL, name) = 'Ada Lovelace'`,
+		`SELECT * FROM customers WHERE abs(0 - id) = 1`,
+		`SELECT * FROM customers WHERE strlen(city) = 6`,
+		`SELECT * FROM orders WHERE abs(total) > 1000000`,
 	}
 	for _, s := range bad {
 		if _, err := db.Exec(s); err == nil {
@@ -351,9 +383,11 @@ func TestSQLErrors(t *testing.T) {
 
 // removedForms are statements outside the dialect, over tables and
 // columns that exist, so that only the grammar can refuse them: SELECTs
-// with DISTINCT, COUNT(*), a FROM list, JOIN, GROUP BY, HAVING or LIMIT,
-// and the UPDATE, DELETE and DROP TABLE that append-only tables do not
-// take.
+// with DISTINCT, COUNT(*), a FROM list, JOIN, GROUP BY, HAVING or LIMIT;
+// the UPDATE, DELETE and DROP TABLE that append-only tables do not take;
+// and the forms sqlgen never emits — a select-list or ORDER BY item that
+// is not a column, a table alias, a qualified column, IS [NOT] NULL,
+// postfix NOT LIKE and NOT IN, and <>.
 var removedForms = []string{
 	`SELECT DISTINCT city FROM customers`,
 	`SELECT count(*) FROM customers`,
@@ -365,32 +399,50 @@ var removedForms = []string{
 	`UPDATE customers SET city = 'Paris' WHERE id = 1`,
 	`DELETE FROM orders WHERE status = 'cancelled'`,
 	`DROP TABLE orders`,
+	`SELECT upper(name) FROM customers`,
+	`SELECT name + '!' AS x FROM customers`,
+	`SELECT 7 / 2 FROM customers`,
+	`SELECT name FROM customers c`,
+	`SELECT name FROM customers AS c WHERE id = 1`,
+	`SELECT customers.name FROM customers`,
+	`SELECT name FROM customers WHERE customers.id = 1`,
+	`SELECT * FROM customers WHERE since IS NULL`,
+	`SELECT * FROM customers WHERE since IS NOT NULL`,
+	`SELECT * FROM customers WHERE name NOT LIKE 'A%'`,
+	`SELECT * FROM customers WHERE city NOT IN ('London')`,
+	`SELECT * FROM customers WHERE city <> 'London'`,
+	`SELECT name FROM customers ORDER BY upper(name)`,
+	`SELECT total FROM orders ORDER BY total * 2`,
 }
 
+// TestScalarFunctions: the four functions sqlgen emits, each over the
+// cell's text (length of an INT is its digits). The others are in
+// TestSQLErrors' bad list.
 func TestScalarFunctions(t *testing.T) {
 	db := newTestDB(t)
-	cases := []struct {
-		sql  string
-		want string
-	}{
-		{`SELECT lower(name) FROM customers WHERE id = 1`, "ada lovelace"},
-		{`SELECT substr(name, 1, 3) FROM customers WHERE id = 1`, "Ada"},
-		{`SELECT substr(name, 5) FROM customers WHERE id = 1`, "Lovelace"},
-		{`SELECT concat(city, '-', id) FROM customers WHERE id = 2`, "London-2"},
-		{`SELECT trim('  x  ') FROM customers WHERE id = 1`, "x"},
-		{`SELECT replace(city, 'Lon', 'Lun') FROM customers WHERE id = 1`, "Lundon"},
-		{`SELECT coalesce(NULL, name) FROM customers WHERE id = 1`, "Ada Lovelace"},
-		{`SELECT length(city) FROM customers WHERE id = 1`, "6"},
-		{`SELECT abs(0 - 5) FROM customers WHERE id = 1`, "5"},
-	}
-	for _, c := range cases {
-		res, err := db.Exec(c.sql)
+	db.MustExec(`INSERT INTO customers VALUES (15, '  Barbara Liskov ', 'Boston', NULL)`)
+	for where, want := range map[string]string{
+		`lower(name) = 'ada lovelace'`:          "1",
+		`upper(city) = 'LONDON'`:                "1,2",
+		`trim(name) = 'Barbara Liskov'`:         "15",
+		`trim('  x  ') = 'x' AND id < 2`:        "1",
+		`length(city) = 6`:                      "1,2,4,15",
+		`length(id) = 2`:                        "15",
+		`length(trim(upper(name))) = 14`:        "15",
+		`lower(name) LIKE '%hopper'`:            "3",
+		`upper(since) = '1990-01-01T00:00:00Z'`: "1",
+	} {
+		res, err := db.Exec(`SELECT id FROM customers WHERE ` + where)
 		if err != nil {
-			t.Errorf("%s: %v", c.sql, err)
+			t.Errorf("%s: %v", where, err)
 			continue
 		}
-		if got := xmldm.Stringify(res.Rows[0][0]); got != c.want {
-			t.Errorf("%s = %q, want %q", c.sql, got, c.want)
+		var ids []string
+		for _, r := range out(res) {
+			ids = append(ids, xmldm.Stringify(r[0]))
+		}
+		if got := strings.Join(ids, ","); got != want {
+			t.Errorf("%s: ids %s, want %s", where, got, want)
 		}
 	}
 }
@@ -435,35 +487,64 @@ func TestNullSemantics(t *testing.T) {
 	if got := len(db.MustExec(`SELECT * FROM t WHERE a != 1`).Rows); got != 1 {
 		t.Errorf("a!=1 rows = %d (NULL must not match)", got)
 	}
-	if got := len(db.MustExec(`SELECT * FROM t WHERE a IS NULL`).Rows); got != 1 {
-		t.Errorf("IS NULL rows = %d", got)
+	if got := len(db.MustExec(`SELECT * FROM t WHERE a = NULL`).Rows); got != 0 {
+		t.Errorf("a = NULL rows = %d", got)
 	}
-	// Arithmetic with NULL yields NULL.
-	res := db.MustExec(`SELECT a + 1 FROM t WHERE b = 'y'`)
-	if res.Rows[0][0].Kind() != xmldm.KindNull {
-		t.Errorf("NULL + 1 = %v", res.Rows[0][0])
+	// Arithmetic with NULL yields NULL, which compares false either way.
+	for where, want := range map[string]string{`a + 1 = 2`: "[[x]]", `a + 1 != 2`: "[[null]]", `NOT a * 0 = 0`: "[[y]]"} {
+		if got := fmt.Sprint(out(db.MustExec(`SELECT b FROM t WHERE ` + where))); got != want {
+			t.Errorf("%s: %s, want %s", where, got, want)
+		}
 	}
 }
 
+// TestIntegerAndFloatArithmetic: + - * keep two INTs an INT, and / is
+// the mediator's division, a FLOAT for two INTs too (7 / 2 is 3.5, not
+// 3), so a pushed predicate holds for the rows it holds for there. A
+// number past the int64 range reads as a FLOAT.
 func TestIntegerAndFloatArithmetic(t *testing.T) {
+	for x, want := range map[string]Value{
+		`7 / 2`:        xmldm.Float(3.5),
+		`7.0 / 2`:      xmldm.Float(3.5),
+		`6 / 3`:        xmldm.Float(2),
+		`0 - 7 / 2`:    xmldm.Float(-3.5),
+		`7 * 3`:        xmldm.Int(21),
+		`7 - 10`:       xmldm.Int(-3),
+		`2 + 2.5`:      xmldm.Float(4.5),
+		`(1 + 2) / 3`:  xmldm.Float(1),
+		`'9' + 1`:      xmldm.Float(10),
+		`10 * 1.5 / 2`: xmldm.Float(7.5),
+		// Past the int64 range a number is a FLOAT: sqlgen writes
+		// floats without an exponent.
+		`99999999999999999999`:    xmldm.Float(1e20),
+		`0 - 9223372036854775808`: xmldm.Float(-9223372036854775808),
+	} {
+		stmt, err := ParseSQL(`INSERT INTO t VALUES (` + x + `)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := evalConst(stmt.(*InsertStmt).Rows[0][0])
+		if err != nil || got != want {
+			t.Errorf("%s = %#v, %v; want %#v", x, got, err, want)
+		}
+	}
 	db := newTestDB(t)
-	res := db.MustExec(`SELECT 7 / 2, 7.0 / 2, 7 * 3, 2 + 2.5 FROM customers WHERE id = 1`)
-	if v, _ := xmldm.ToInt(res.Rows[0][0]); v != 3 {
-		t.Errorf("7/2 = %v (integer division)", res.Rows[0][0])
+	if got := len(db.MustExec(`SELECT id FROM customers WHERE id / 2 = 1.5`).Rows); got != 1 {
+		t.Errorf("id / 2 = 1.5 holds for %d rows, want 1 (id 3)", got)
 	}
-	if f, _ := xmldm.ToFloat(res.Rows[0][1]); f != 3.5 {
-		t.Errorf("7.0/2 = %v", res.Rows[0][1])
+	if got := len(db.MustExec(`SELECT id FROM customers WHERE id / 2 = 1`).Rows); got != 1 {
+		t.Errorf("id / 2 = 1 holds for %d rows, want 1 (id 2)", got)
 	}
-	if _, err := db.Exec(`SELECT 1 / 0 FROM customers`); err == nil {
+	if _, err := db.Exec(`SELECT * FROM customers WHERE 1 / 0 = 1`); err == nil {
 		t.Error("division by zero should fail")
 	}
 }
 
 func TestStringConcatWithPlus(t *testing.T) {
 	db := newTestDB(t)
-	res := db.MustExec(`SELECT name + '!' FROM customers WHERE id = 1`)
-	if got := xmldm.Stringify(res.Rows[0][0]); got != "Ada Lovelace!" {
-		t.Errorf("concat = %q", got)
+	res := db.MustExec(`SELECT id FROM customers WHERE name + '!' = 'Ada Lovelace!'`)
+	if got := fmt.Sprint(out(res)); got != "[[1]]" {
+		t.Errorf("rows = %s", got)
 	}
 }
 
@@ -473,7 +554,7 @@ func TestConcurrentReads(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		go func() {
 			for j := 0; j < 50; j++ {
-				if _, err := db.Exec(`SELECT c.name FROM customers c WHERE c.id IN (1, 3) ORDER BY c.name`); err != nil {
+				if _, err := db.Exec(`SELECT name FROM customers WHERE id IN (1, 3) ORDER BY name`); err != nil {
 					done <- err
 					return
 				}

@@ -50,14 +50,14 @@ func TestExecRandomStatementsNeverPanic(t *testing.T) {
 	db.MustExec(`INSERT INTO t VALUES (1, 'a'), (2, 'b')`)
 	stmts := []string{
 		`SELECT * FROM t WHERE id = id`,
-		`SELECT t1.v, t1.id FROM t t1 WHERE t1.id = t1.id`,
+		`SELECT v AS id, id AS v FROM t WHERE id = id`,
 		`SELECT * FROM t ORDER BY v DESC, id ASC`,
-		`SELECT id + id * id - id / 1 FROM t`,
-		`SELECT * FROM t WHERE v LIKE '%' AND v NOT LIKE '_______________'`,
-		`SELECT coalesce(NULL, NULL, v) FROM t`,
-		`SELECT upper(lower(upper(v))) FROM t`,
+		`SELECT id FROM t WHERE id + id * id - id / 1 > 0`,
+		`SELECT * FROM t WHERE v LIKE '%' AND NOT v LIKE '_______________'`,
+		`SELECT v FROM t WHERE NOT (id = NULL OR v = NULL)`,
+		`SELECT v FROM t WHERE upper(lower(upper(v))) = 'A'`,
 		`INSERT INTO t (v, id) VALUES ('c', 3)`,
-		`SELECT * FROM t WHERE id IS NOT NULL AND NOT id IS NULL`,
+		`SELECT * FROM t WHERE NOT NOT id IN (1, 2, 3)`,
 	}
 	for _, s := range stmts {
 		if _, err := db.Exec(s); err != nil {

@@ -14,24 +14,25 @@ import (
 )
 
 // TestScanEqualsMaterializedPath_Property: a single-table SELECT, read in
-// place with WHERE checked and the select list projected row by row,
-// answers what a reference computes from the table's rows: SELECT * in
-// table order, WHERE and each select item evaluated per row by evalSQL
-// on the parsed statement, unresolved, then ORDER BY id DESC. With an
-// index the rows may come in the index's order, so they are compared as
-// a multiset, and in table order against the same WHERE with the index
-// defeated (OR 1 = 0). Values include NULLs, numeric-looking text and
-// numbers stored as text; WHERE mixes =, IN, ranges, !=, LIKE and IS NULL
-// over indexed and unindexed columns. Each statement's View, read through
-// its column map, answers as its Exec: the same columns, rows, order and
-// cells, whether it shares the table's row list (no WHERE), lists the table's rows that pass (a select list of columns, in
-// any order, aliased or repeated) or falls back to Exec's projection (an
-// expression item).
+// place with WHERE checked row by row, answers what a reference computes
+// from the table's rows: the rows in table order, WHERE evaluated on each
+// by evalSQL over the parsed statement with its columns looked up by the
+// reference (no index, no residual), each select item read from the
+// column it names, then ORDER BY id DESC. With an index the rows may come
+// in the index's order, so they are compared as a multiset, and in table
+// order against the same WHERE with the index defeated (OR 1 = 0).
+// Values include NULLs, numeric-looking text and numbers stored as text;
+// WHERE mixes =, IN, ranges, !=, LIKE, NOT and arithmetic over indexed
+// and unindexed columns. Every answer reads its cells through Pos and
+// their texts through Text, and shares the table's rows: the row list
+// itself when nothing filters, else a list of the rows that pass (a
+// select list of columns in any order, aliased or repeated, or *).
 func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	var shared, mapped, projected int
+	var shared, listed int
 	texts := []string{"'7'", "'007'", "' 7 '", "'x'", "'New York'", "'Nancy'", "''", "NULL", "'12'", "'inf'"}
 	ints := []string{"0", "7", "12", "-3", "NULL"}
+	columns := []string{"id", "n", "s", "u"}
 	for trial := 0; trial < 300; trial++ {
 		db := NewDatabase("p")
 		db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, n INT, s VARCHAR, u VARCHAR)`)
@@ -48,7 +49,7 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 		}
 
 		conj := func() string {
-			col := []string{"id", "n", "s", "u"}[rng.Intn(4)]
+			col := columns[rng.Intn(4)]
 			lit := texts[rng.Intn(len(texts))]
 			if col == "id" || col == "n" {
 				lit = ints[rng.Intn(len(ints))]
@@ -65,14 +66,17 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 			case 5:
 				return col + " LIKE '%7%'"
 			default:
-				return col + " IS NOT NULL"
+				if col == "id" || col == "n" {
+					return "NOT " + col + " / 2 < " + lit
+				}
+				return "NOT upper(" + col + ") LIKE '%NA%'"
 			}
 		}
 		var where []string
 		for i := rng.Intn(4); i > 0; i-- {
 			where = append(where, conj())
 		}
-		list := []string{"s, id", "*", "u AS a, n + 1, id", "u, n AS s, id, u"}[rng.Intn(4)]
+		list := []string{"s, id", "*", "u AS a, n, id", "u, n AS s, id, u"}[rng.Intn(4)]
 		desc := rng.Intn(2) == 0
 		sql := func(w string) string {
 			sql := "SELECT " + list + " FROM t"
@@ -100,22 +104,20 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 			if err != nil {
 				return "error: " + err.Error()
 			}
-			view, err := db.View(sql(w))
-			if err != nil {
-				t.Fatalf("trial %d: %s: Exec answers, View fails: %v", trial, sql(w), err)
-			}
-			if got, want := viewed(view), viewed(res); got != want {
-				t.Fatalf("trial %d: %s:\nview %s\nexec %s", trial, sql(w), got, want)
-			}
 			switch {
-			case len(view.Rows) > 0 && &view.Rows[0] == &tbl.rows[0]:
+			case len(res.Rows) > 0 && &res.Rows[0] == &tbl.rows[0]:
 				shared++
-			case view.pos != nil:
-				mapped++
-			case !strings.HasPrefix(list, "*"):
-				projected++
+			case len(res.Rows) > 0:
+				listed++
 			}
-			return show(res.Rows)
+			for _, row := range res.Rows {
+				for i := range res.Columns {
+					if c, x := row[res.Pos(i)], res.Text(row, i); (c.Kind() == xmldm.KindNull) != (x == nil) || x != nil && x != xmldm.String(xmldm.Stringify(c)) {
+						t.Fatalf("trial %d: %s: cell %v has text %#v", trial, sql(w), c, x)
+					}
+				}
+			}
+			return show(out(res))
 		}
 		w := strings.Join(where, " AND ")
 		reference := func() string {
@@ -124,14 +126,16 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 				return "error: " + err.Error()
 			}
 			st := stmt.(*SelectStmt)
-			rs := &rowSet{}
-			for _, c := range []string{"id", "n", "s", "u"} {
-				rs.cols = append(rs.cols, colKey{qual: "t", name: c})
-			}
+			where := mapSQL(st.Where, func(_, cur SQLExpr) SQLExpr {
+				if c, ok := cur.(*ColRef); ok {
+					return &colAt{slices.Index(columns, c.Col)}
+				}
+				return cur
+			})
 			var out []Row
-			for _, row := range db.MustExec(`SELECT * FROM t`).Rows {
-				if st.Where != nil {
-					v, err := evalSQL(st.Where, rs, row)
+			for _, row := range tbl.rows {
+				if where != nil {
+					v, err := evalSQL(where, row)
 					if err != nil {
 						return "error: " + err.Error()
 					}
@@ -145,9 +149,7 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 				}
 				proj := make(Row, len(st.Items))
 				for i, item := range st.Items {
-					if proj[i], err = evalSQL(item.Expr, rs, row); err != nil {
-						return "error: " + err.Error()
-					}
+					proj[i] = row[slices.Index(columns, item.Col)]
 				}
 				out = append(out, proj)
 			}
@@ -168,8 +170,8 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 			t.Fatalf("trial %d: %s:\nindexed   %s\nreference %s", trial, sql(w), indexed, reference)
 		}
 	}
-	if shared == 0 || mapped == 0 || projected == 0 {
-		t.Errorf("Views compared: %d sharing the row list, %d mapped, %d projected; want some of each", shared, mapped, projected)
+	if shared == 0 || listed == 0 {
+		t.Errorf("answers compared: %d sharing the row list, %d listing the rows that pass; want some of each", shared, listed)
 	}
 }
 
@@ -222,33 +224,46 @@ func TestIndexEqFindsWhatCompareMatches(t *testing.T) {
 	}
 }
 
-// TestScanAllocatesOnlyTheResult pins what a single-table SELECT costs in
-// bytes: the row list, with room for every row read, the projected rows'
-// slabs, and a constant for the statement (measured on an empty table) —
-// no list of the table's rows before WHERE, which used to be built by
-// appending and then copied again. A View of a select list of columns
-// projects nothing: unfiltered it shares the table's row list and costs
-// the constant alone, filtered it costs its row list.
+// TestScanAllocatesOnlyTheResult pins what a single-table SELECT costs:
+// in bytes, the row list, with room for every row read, and a constant
+// for the statement (measured on an empty table) — no list of the table's
+// rows before WHERE and no copy of a row. Unfiltered, it shares the
+// table's row list and costs the constant alone. In allocations, a SELECT
+// that filters costs as many over 2000 rows as over 200, ORDER BY
+// included: it keeps no list of the rows it reads, and makes one list for
+// the rows that pass.
 func TestScanAllocatesOnlyTheResult(t *testing.T) {
 	if testkit.Race {
 		t.Skip("the race detector allocates")
 	}
 	const n = 2000
-	bytesPerExec := func(db *Database, sql string, view bool) float64 {
-		stmt, err := ParseSQL(sql)
+	stmt := func(sql string) *SelectStmt {
+		st, err := ParseSQL(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return st.(*SelectStmt)
+	}
+	bytesPerExec := func(db *Database, sql string) float64 {
+		st := stmt(sql)
 		const runs = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if _, err := db.execSelect(stmt.(*SelectStmt), view); err != nil {
+			if _, err := db.execSelect(st); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	allocs := func(db *Database, sql string) float64 {
+		st := stmt(sql)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := db.execSelect(st); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 	mk := func(rows int) *Database {
 		db := NewDatabase("crm")
@@ -260,23 +275,23 @@ func TestScanAllocatesOnlyTheResult(t *testing.T) {
 		}
 		return db
 	}
-	full, empty := mk(n), mk(0)
-	const valueSize, rowSize = 16, 24 // an interface; a slice header
+	full, small, empty := mk(n), mk(n/10), mk(0)
+	const rowSize = 24 // a slice header
 	for _, tc := range []struct {
 		sql  string
-		view bool
 		kept float64 // bytes of the answer over the full table
 	}{
-		{`SELECT city AS c, id AS i, name AS n, tier AS t FROM customers`, false, n * (4*valueSize + rowSize)},
-		{`SELECT * FROM customers`, false, n * rowSize},
-		// Half the rows pass, projected into chunks that double.
-		{`SELECT name FROM customers WHERE tier = 'gold'`, false, n*rowSize + n/2*valueSize},
-		{`SELECT city AS c, id AS i, name AS n, tier AS t FROM customers`, true, 0},
-		{`SELECT name FROM customers WHERE tier = 'gold'`, true, n * rowSize},
+		{`SELECT city AS c, id AS i, name AS n, tier AS t FROM customers`, 0},
+		{`SELECT * FROM customers`, 0},
+		{`SELECT name FROM customers WHERE tier = 'gold'`, n * rowSize},
+		{`SELECT * FROM customers WHERE tier = 'gold' ORDER BY name DESC`, n * rowSize},
 	} {
-		got := bytesPerExec(full, tc.sql, tc.view) - bytesPerExec(empty, tc.sql, tc.view)
+		got := bytesPerExec(full, tc.sql) - bytesPerExec(empty, tc.sql)
 		if limit := 1.1*tc.kept + 4096; got > limit {
-			t.Errorf("%s (view %v) allocates %.0f bytes over %d rows, want at most %.0f (it keeps %.0f)", tc.sql, tc.view, got, n, limit, tc.kept)
+			t.Errorf("%s allocates %.0f bytes over %d rows, want at most %.0f (it keeps %.0f)", tc.sql, got, n, limit, tc.kept)
+		}
+		if s, l := allocs(small, tc.sql), allocs(full, tc.sql); l != s {
+			t.Errorf("%s allocates %v times over %d rows and %v over %d, want the same", tc.sql, s, n/10, l, n)
 		}
 	}
 }

@@ -7,47 +7,40 @@ import (
 	"repro/internal/xmldm"
 )
 
-// colAt is a column reference resolved against one row set
-// (rowSet.resolve): the value is at position i of its rows.
+// colAt is a column reference resolved against the table a SELECT reads
+// (rowSource.resolve): the value is at position i of its rows.
 type colAt struct{ i int }
 
 func (*colAt) isSQLExpr() {}
 
-// evalSQL evaluates a scalar expression against one row of a row set.
-// rs and row may be nil for constant expressions.
-func evalSQL(e SQLExpr, rs *rowSet, row Row) (Value, error) {
+// evalSQL evaluates a scalar expression, resolved, against one row; row
+// is nil for a constant expression, where a column is an error.
+func evalSQL(e SQLExpr, row Row) (Value, error) {
 	switch x := e.(type) {
 	case *SQLLit:
 		return x.Value, nil
 	case *colAt:
 		return row[x.i], nil
 	case *ColRef:
-		if rs == nil {
-			return nil, fmt.Errorf("rdb: column %s in constant context", x.String())
-		}
-		ci, err := rs.lookup(x.Table, x.Col)
-		if err != nil {
-			return nil, err
-		}
-		return row[ci], nil
+		return nil, fmt.Errorf("rdb: column %q in constant context", x.Col)
 	case *SQLBin:
-		l, err := evalSQL(x.L, rs, row)
+		l, err := evalSQL(x.L, row)
 		if err != nil {
 			return nil, err
 		}
-		r, err := evalSQL(x.R, rs, row)
+		r, err := evalSQL(x.R, row)
 		if err != nil {
 			return nil, err
 		}
 		return applyBin(x.Op, l, r)
 	case *SQLNot:
-		v, err := evalSQL(x.E, rs, row)
+		v, err := evalSQL(x.E, row)
 		if err != nil {
 			return nil, err
 		}
 		return xmldm.Bool(!xmldm.Truthy(v)), nil
 	case *SQLLike:
-		v, err := evalSQL(x.E, rs, row)
+		v, err := evalSQL(x.E, row)
 		if err != nil {
 			return nil, err
 		}
@@ -56,12 +49,12 @@ func evalSQL(e SQLExpr, rs *rowSet, row Row) (Value, error) {
 		}
 		return xmldm.Bool(likeMatch(x.Pattern, xmldm.Stringify(v))), nil
 	case *SQLIn:
-		v, err := evalSQL(x.E, rs, row)
+		v, err := evalSQL(x.E, row)
 		if err != nil {
 			return nil, err
 		}
 		for _, le := range x.List {
-			lv, err := evalSQL(le, rs, row)
+			lv, err := evalSQL(le, row)
 			if err != nil {
 				return nil, err
 			}
@@ -70,17 +63,10 @@ func evalSQL(e SQLExpr, rs *rowSet, row Row) (Value, error) {
 			}
 		}
 		return xmldm.Bool(false), nil
-	case *SQLIsNull:
-		v, err := evalSQL(x.E, rs, row)
-		if err != nil {
-			return nil, err
-		}
-		isNull := v == nil || v.Kind() == xmldm.KindNull
-		return xmldm.Bool(isNull != x.Not), nil
 	case *SQLFunc:
 		args := make([]Value, len(x.Args))
 		for i, a := range x.Args {
-			v, err := evalSQL(a, rs, row)
+			v, err := evalSQL(a, row)
 			if err != nil {
 				return nil, err
 			}
@@ -93,7 +79,9 @@ func evalSQL(e SQLExpr, rs *rowSet, row Row) (Value, error) {
 }
 
 // applyBin applies a binary operator under SQL-ish semantics: comparisons
-// with NULL yield false, arithmetic with NULL yields NULL.
+// with NULL yield false, arithmetic with NULL yields NULL. Division is the
+// mediator's (algebra.Eval): a FLOAT, INT / INT included, so that a pushed
+// predicate holds for the rows it holds for there.
 func applyBin(op string, l, r Value) (Value, error) {
 	lNull := l == nil || l.Kind() == xmldm.KindNull
 	rNull := r == nil || r.Kind() == xmldm.KindNull
@@ -152,11 +140,7 @@ func applyBin(op string, l, r Value) (Value, error) {
 			if rf == 0 {
 				return nil, fmt.Errorf("rdb: division by zero")
 			}
-			f = lf / rf
-			if bothInt {
-				// SQL integer division truncates.
-				return xmldm.Int(int64(lf) / int64(rf)), nil
-			}
+			return xmldm.Float(lf / rf), nil
 		}
 		if bothInt {
 			return xmldm.Int(int64(f)), nil
@@ -167,106 +151,33 @@ func applyBin(op string, l, r Value) (Value, error) {
 	}
 }
 
+// sqlFuncs are the scalar functions, the four sqlgen emits. Each takes
+// one argument, read as text.
+var sqlFuncs = map[string]func(string) Value{
+	"lower":  func(s string) Value { return xmldm.String(strings.ToLower(s)) },
+	"upper":  func(s string) Value { return xmldm.String(strings.ToUpper(s)) },
+	"trim":   func(s string) Value { return xmldm.String(strings.TrimSpace(s)) },
+	"length": func(s string) Value { return xmldm.Int(int64(len(s))) },
+}
+
+// checkSQLFunc reports a call of an unknown function, or of a known one
+// with other than one argument.
+func checkSQLFunc(name string, args int) error {
+	if sqlFuncs[name] == nil {
+		return fmt.Errorf("rdb: unknown function %q", name)
+	}
+	if args != 1 {
+		return fmt.Errorf("rdb: %s expects 1 argument, got %d", name, args)
+	}
+	return nil
+}
+
 // applySQLFunc applies a scalar function.
 func applySQLFunc(name string, args []Value) (Value, error) {
-	arity := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("rdb: %s expects %d argument(s), got %d", name, n, len(args))
-		}
-		return nil
+	if err := checkSQLFunc(name, len(args)); err != nil {
+		return nil, err
 	}
-	str := func(i int) string { return xmldm.Stringify(args[i]) }
-	switch name {
-	case "upper":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return xmldm.String(strings.ToUpper(str(0))), nil
-	case "lower":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return xmldm.String(strings.ToLower(str(0))), nil
-	case "length", "strlen":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return xmldm.Int(int64(len(str(0)))), nil
-	case "trim":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return xmldm.String(strings.TrimSpace(str(0))), nil
-	case "substr":
-		// substr(s, start[, len]) with 1-based start, as in SQL.
-		if len(args) != 2 && len(args) != 3 {
-			return nil, fmt.Errorf("rdb: substr expects 2 or 3 arguments")
-		}
-		s := str(0)
-		start, ok := xmldm.ToInt(args[1])
-		if !ok {
-			return nil, fmt.Errorf("rdb: substr start must be a number")
-		}
-		i := int(start) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i > len(s) {
-			i = len(s)
-		}
-		end := len(s)
-		if len(args) == 3 {
-			n, ok := xmldm.ToInt(args[2])
-			if !ok {
-				return nil, fmt.Errorf("rdb: substr length must be a number")
-			}
-			if e := i + int(n); e < end {
-				end = e
-			}
-			if end < i {
-				end = i
-			}
-		}
-		return xmldm.String(s[i:end]), nil
-	case "concat":
-		var sb strings.Builder
-		for i := range args {
-			sb.WriteString(str(i))
-		}
-		return xmldm.String(sb.String()), nil
-	case "abs":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		if i, ok := args[0].(xmldm.Int); ok {
-			if i < 0 {
-				return -i, nil
-			}
-			return i, nil
-		}
-		f, ok := xmldm.ToFloat(args[0])
-		if !ok {
-			return nil, fmt.Errorf("rdb: abs of non-number")
-		}
-		if f < 0 {
-			f = -f
-		}
-		return xmldm.Float(f), nil
-	case "coalesce":
-		for _, a := range args {
-			if a != nil && a.Kind() != xmldm.KindNull {
-				return a, nil
-			}
-		}
-		return xmldm.Null{}, nil
-	case "replace":
-		if err := arity(3); err != nil {
-			return nil, err
-		}
-		return xmldm.String(strings.ReplaceAll(str(0), str(1), str(2))), nil
-	default:
-		return nil, fmt.Errorf("rdb: unknown function %q", name)
-	}
+	return sqlFuncs[name](xmldm.Stringify(args[0])), nil
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any one byte).

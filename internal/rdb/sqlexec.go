@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,25 +10,23 @@ import (
 )
 
 // Result is the outcome of executing a statement. For SELECT, Columns
-// names the output columns and Rows holds the data, output column i of a
-// row at Pos(i) and its export text at Text. The rows of a View answer
-// and of SELECT * are the table's own: a reader neither writes nor
-// appends to them.
+// names the output columns and Rows holds the table's own rows that
+// answer, output column i of a row at Pos(i) and its export text at
+// Text; an unfiltered scan answers the table's row list itself, capped at
+// its length. The table's row-store invariant (Table.rows) keeps both as
+// they were answered, so a reader neither writes nor appends to them.
 type Result struct {
 	Columns []string
 	Rows    []Row
 	Stats   ExecStats
-	// pos maps output column i to its position in a row, when the rows
-	// are the table's own (View); nil is the identity.
+	// pos maps output column i to its position in a row; nil (SELECT *)
+	// is the identity.
 	pos []int
-	// stored says the rows are the table's own, each followed by its
-	// cells' export text (Table.rows): a View answer, and Exec's SELECT *.
-	stored bool
 }
 
 // Pos is the position of output column i (Columns[i]) in a row of Rows:
-// i itself, except in a View answer of a select list of columns, whose
-// rows keep the table's layout.
+// i itself for SELECT *, else the position of the column the select
+// list names.
 func (r *Result) Pos(i int) int {
 	if r.pos == nil {
 		return i
@@ -35,17 +34,12 @@ func (r *Result) Pos(i int) int {
 	return r.pos[i]
 }
 
-// Text is the export text of output column i of row, a row of Rows: a
-// String cell itself, any other kind its Stringify text as a boxed
-// String, and nil for NULL, whose rule is the reader's. A table's row
-// shares the box its INSERT made, so reading it allocates nothing; a
-// projected or hand-built row's text is made on each call.
+// Text is the export text of output column i of row, a row of Rows: the
+// box its INSERT stored (Table.rows) — a String cell itself, any other
+// kind its Stringify text as a boxed String, and nil for NULL, whose rule
+// is the reader's. Reading it allocates nothing.
 func (r *Result) Text(row Row, i int) Value {
-	p := r.Pos(i)
-	if r.stored {
-		return row[len(row) : 2*len(row)][p]
-	}
-	return exportText(row[p])
+	return row[len(row) : 2*len(row)][r.Pos(i)]
 }
 
 // ExecStats reports work done by the executor; the integration
@@ -63,24 +57,6 @@ func (db *Database) Exec(sql string) (*Result, error) {
 	stmt, err := db.stmts.parse(sql)
 	if err != nil {
 		return nil, err
-	}
-	return db.ExecStmt(stmt)
-}
-
-// View is Exec for a reader that reads each output column through
-// Result.Pos and writes nothing. A SELECT whose select list is * or only
-// columns answers the table's own rows, not copies of them, and an
-// unfiltered scan answers the table's row list itself, capped at its
-// length; the table's row-store invariant (Table.rows) keeps both as
-// they were answered. A SELECT with any other item, and every other
-// statement, answers as Exec does.
-func (db *Database) View(sql string) (*Result, error) {
-	stmt, err := db.stmts.parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if st, ok := stmt.(*SelectStmt); ok {
-		return db.execSelect(st, true)
 	}
 	return db.ExecStmt(stmt)
 }
@@ -105,7 +81,7 @@ func (db *Database) ExecStmt(stmt Stmt) (*Result, error) {
 	case *InsertStmt:
 		return db.execInsert(st)
 	case *SelectStmt:
-		return db.execSelect(st, false)
+		return db.execSelect(st)
 	default:
 		return nil, fmt.Errorf("rdb: unsupported statement %T", stmt)
 	}
@@ -162,55 +138,13 @@ func (db *Database) execInsert(st *InsertStmt) (*Result, error) {
 
 // evalConst evaluates an expression with no row context (INSERT values).
 func evalConst(e SQLExpr) (Value, error) {
-	return evalSQL(e, nil, nil)
+	return evalSQL(e, nil)
 }
 
-// colKey identifies one column of an intermediate row set.
-type colKey struct {
-	qual string // table alias, lower-case
-	name string // column name, lower-case
-}
-
-// rowSet is an intermediate table during SELECT evaluation.
-type rowSet struct {
-	cols []colKey
-	rows []Row
-}
-
-// lookup is the position of the column name, qualified by qual unless
-// qual is empty. The columns are one table's, whose names are distinct.
-func (rs *rowSet) lookup(qual, name string) (int, error) {
-	qual = strings.ToLower(qual)
-	name = strings.ToLower(name)
-	for i, c := range rs.cols {
-		if c.name == name && (qual == "" || c.qual == qual) {
-			return i, nil
-		}
-	}
-	if qual != "" {
-		return 0, fmt.Errorf("rdb: unknown column %s.%s", qual, name)
-	}
-	return 0, fmt.Errorf("rdb: unknown column %q", name)
-}
-
-// resolve returns e with every column reference rs resolves replaced by
-// its position, so that evaluating it over rs's rows indexes each row
-// instead of looking the name up in it. A reference rs does not resolve
-// stays, and fails when a row is evaluated, as it always did. Execution
-// resolves each expression once, against the row set it runs over.
-func (rs *rowSet) resolve(e SQLExpr) SQLExpr {
-	return mapSQL(e, func(_, cur SQLExpr) SQLExpr {
-		if c, ok := cur.(*ColRef); ok {
-			if i, err := rs.lookup(c.Table, c.Col); err == nil {
-				return &colAt{i}
-			}
-		}
-		return cur
-	})
-}
-
-// execSelect runs a SELECT; with view set, it answers as View does.
-func (db *Database) execSelect(st *SelectStmt, view bool) (*Result, error) {
+// execSelect runs a SELECT. Its answer is the table's rows that pass
+// WHERE, sorted when ORDER BY asks, each read through the column map
+// (Result.Pos).
+func (db *Database) execSelect(st *SelectStmt) (*Result, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	res := &Result{}
@@ -221,172 +155,58 @@ func (db *Database) execSelect(st *SelectStmt, view bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	where := src.resolve(src.where)
-	view = view && src.columnMap(st, res)
-	// Every answer but a projection shares the table's rows.
-	res.stored = view || st.Star
-	if len(st.OrderBy) == 0 {
-		if !view {
-			// Nothing needs the rows that pass WHERE together: each is
-			// projected as it is read.
-			return project(st, src, where, res)
-		}
-		if where == nil && !src.indexed {
-			// Every row is read and passes: the answer is the table's
-			// row list as it stands, capped so that an INSERT appends
-			// past it.
-			n := len(src.table.rows)
-			res.Stats.RowsScanned = n
-			res.Rows = src.table.rows[:n:n]
-			return res, nil
-		}
-		if res.Rows, err = src.passing(where); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	// Order the rows that passed (so keys may reference any column of the
-	// table), then project them.
-	rs, err := src.filter(where)
+	where, err := src.resolve(src.where)
 	if err != nil {
 		return nil, err
 	}
-	if err := orderRows(st.OrderBy, rs, st.Items); err != nil {
+	if err := src.columnMap(st, res); err != nil {
 		return nil, err
 	}
-	if view {
-		res.Rows = rs.rows
+	if len(st.OrderBy) == 0 && where == nil && !src.indexed {
+		// Every row is read and passes: the answer is the table's row
+		// list as it stands, capped so that an INSERT appends past it.
+		n := len(src.table.rows)
+		res.Stats.RowsScanned = n
+		res.Rows = src.table.rows[:n:n]
 		return res, nil
 	}
-	return project(st, &rowSource{rowSet: *rs}, nil, res)
-}
-
-// columnMap names st's output columns in res and maps each to its
-// position in s's rows (Result.Pos), when the select list is * (the
-// identity) or only columns of s, and reports whether it did. Any other
-// item must be evaluated into a new row: columnMap leaves res as it is.
-func (s *rowSource) columnMap(st *SelectStmt, res *Result) bool {
-	if st.Star {
-		for _, c := range s.cols {
-			res.Columns = append(res.Columns, c.name)
-		}
-		return true
-	}
-	pos := make([]int, len(st.Items))
-	for i, item := range st.Items {
-		c, ok := item.Expr.(*ColRef)
-		if !ok {
-			return false
-		}
-		ci, err := s.lookup(c.Table, c.Col)
-		if err != nil {
-			return false
-		}
-		pos[i] = ci
-	}
-	res.Columns = make([]string, len(st.Items))
-	for i, item := range st.Items {
-		res.Columns[i] = itemName(item, i)
-	}
-	res.pos = pos
-	return true
-}
-
-// firstChunk is how many projected rows project makes room for before it
-// knows how many pass a WHERE that is still to be checked.
-const firstChunk = 64
-
-// project evaluates the select list over the rows of src that pass
-// where, in src's order. A SELECT * answer shares the table's rows. The
-// row list has room for every row src visits (a slice header each).
-// Projected rows are carved from slabs, each row capped at its own
-// length so that an append to one cannot reach the next: one slab for
-// all of them when where is nil, since src then says how many there are,
-// else a first chunk and then chunks as large as what is held, none
-// copied — a WHERE that drops most rows of a large table does not
-// allocate their values.
-func project(st *SelectStmt, src *rowSource, where SQLExpr, res *Result) (*Result, error) {
-	outRows := make([]Row, 0, src.size())
-	hint := src.size()
-	if where != nil {
-		hint = min(hint, firstChunk)
-	}
-	var err error
-	if st.Star {
-		for _, c := range src.cols {
-			res.Columns = append(res.Columns, c.name)
-		}
-		err = src.each(where, func(row Row) error {
-			outRows = append(outRows, row)
-			return nil
-		})
-	} else {
-		// An item that is a column of the row set copies the row's value
-		// at pos, without the node resolve would allocate for it; any
-		// other item evaluates its resolved expr.
-		type projection struct {
-			pos  int
-			expr SQLExpr
-		}
-		proj := make([]projection, len(st.Items))
-		for i, item := range st.Items {
-			res.Columns = append(res.Columns, itemName(item, i))
-			proj[i] = projection{pos: -1, expr: item.Expr}
-			if c, ok := item.Expr.(*ColRef); ok {
-				if ci, err := src.lookup(c.Table, c.Col); err == nil {
-					proj[i].pos = ci
-					continue
-				}
-			}
-			proj[i].expr = src.resolve(item.Expr)
-		}
-		n := len(st.Items)
-		var slab []Value
-		err = src.each(where, func(row Row) error {
-			if len(slab) < n {
-				slab = make([]Value, max(hint, len(outRows), 1)*n)
-			}
-			out := Row(slab[:n:n])
-			slab = slab[n:]
-			for i, p := range proj {
-				if p.pos >= 0 {
-					out[i] = row[p.pos]
-					continue
-				}
-				v, err := evalSQL(p.expr, &src.rowSet, row)
-				if err != nil {
-					return err
-				}
-				out[i] = v
-			}
-			outRows = append(outRows, out)
-			return nil
-		})
-	}
-	if err != nil {
+	if res.Rows, err = src.passing(where); err != nil {
 		return nil, err
 	}
-	res.Rows = outRows
+	if err := src.orderRows(st.OrderBy, res.Rows); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-func itemName(item SelectItem, i int) string {
-	if item.Alias != "" {
-		return strings.ToLower(item.Alias)
+// columnMap names st's output columns in res and maps each to its
+// position in the table's rows (Result.Pos): the identity for *.
+func (s *rowSource) columnMap(st *SelectStmt, res *Result) error {
+	cols := s.table.Schema.Columns
+	if st.Star {
+		res.Columns = make([]string, len(cols))
+		for i, c := range cols {
+			res.Columns[i] = strings.ToLower(c.Name)
+		}
+		return nil
 	}
-	if cr, ok := item.Expr.(*ColRef); ok {
-		return strings.ToLower(cr.Col)
+	res.Columns = make([]string, len(st.Items))
+	res.pos = make([]int, len(st.Items))
+	for i, item := range st.Items {
+		ci, err := s.lookup(item.Col)
+		if err != nil {
+			return err
+		}
+		res.pos[i] = ci
+		res.Columns[i] = strings.ToLower(cmp.Or(item.Alias, item.Col))
 	}
-	return fmt.Sprintf("col%d", i+1)
+	return nil
 }
 
-// rowSource is what a SELECT reads: its table's columns and, read in
-// place, every row of the table or the row ids an index served
-// (indexed); or, with no table, the rows of a materialized row set, as
-// ORDER BY leaves them. where is the part of WHERE those rows have still
-// to pass.
+// rowSource is what a SELECT reads, in place: every row of its table, or
+// the row ids an index served (indexed). where is the part of WHERE those
+// rows have still to pass.
 type rowSource struct {
-	rowSet
 	table   *Table
 	indexed bool
 	rids    []int
@@ -394,96 +214,81 @@ type rowSource struct {
 	stats   *ExecStats
 }
 
-// size is the number of rows each visits before WHERE.
-func (s *rowSource) size() int {
-	switch {
-	case s.table == nil:
-		return len(s.rows)
-	case s.indexed:
-		return len(s.rids)
-	default:
-		return len(s.table.rows)
+// lookup is the position of the named column in the table's rows.
+func (s *rowSource) lookup(name string) (int, error) {
+	if i := s.table.Schema.ColIndex(name); i >= 0 {
+		return i, nil
 	}
+	return 0, fmt.Errorf("rdb: unknown column %q", strings.ToLower(name))
 }
 
-// each calls fn on every row of s that passes where (resolved against
-// s), in order, and stops at the first error. A table's rows are counted
-// as scanned as they are read.
-func (s *rowSource) each(where SQLExpr, fn func(Row) error) error {
-	visit := func(row Row) error {
+// resolve returns e with every column reference replaced by its position
+// (colAt), so that evaluating it indexes each row instead of looking the
+// name up; or, as an error, the first reference to a column the table
+// lacks or call of an unknown function, whatever rows there are.
+// Execution resolves each expression once.
+func (s *rowSource) resolve(e SQLExpr) (SQLExpr, error) {
+	var err error
+	out := mapSQL(e, func(_, cur SQLExpr) SQLExpr {
+		if err != nil {
+			return cur
+		}
+		switch x := cur.(type) {
+		case *ColRef:
+			var i int
+			if i, err = s.lookup(x.Col); err == nil {
+				return &colAt{i}
+			}
+		case *SQLFunc:
+			err = checkSQLFunc(x.Name, len(x.Args))
+		}
+		return cur
+	})
+	return out, err
+}
+
+// passing is a new list of s's rows that pass where (resolved), in
+// order, with room for every row s visits. A row is counted as scanned
+// as it is read.
+func (s *rowSource) passing(where SQLExpr) ([]Row, error) {
+	t := s.table
+	n := len(t.rows)
+	if s.indexed {
+		n = len(s.rids)
+	}
+	rows := make([]Row, 0, n)
+	for k := 0; k < n; k++ {
+		rid := k
+		if s.indexed {
+			rid = s.rids[k]
+		}
+		row := t.rows[rid]
+		s.stats.RowsScanned++
 		if where != nil {
-			v, err := evalSQL(where, &s.rowSet, row)
+			v, err := evalSQL(where, row)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if !xmldm.Truthy(v) {
-				return nil
+				continue
 			}
 		}
-		return fn(row)
-	}
-	t := s.table
-	switch {
-	case t == nil:
-		for _, row := range s.rows {
-			if err := visit(row); err != nil {
-				return err
-			}
-		}
-	case s.indexed:
-		for _, rid := range s.rids {
-			s.stats.RowsScanned++
-			if err := visit(t.rows[rid]); err != nil {
-				return err
-			}
-		}
-	default:
-		for _, row := range t.rows {
-			s.stats.RowsScanned++
-			if err := visit(row); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// passing is a new list of s's rows that pass where, with room for every
-// row s visits.
-func (s *rowSource) passing(where SQLExpr) ([]Row, error) {
-	rows := make([]Row, 0, s.size())
-	err := s.each(where, func(row Row) error {
 		rows = append(rows, row)
-		return nil
-	})
-	return rows, err
-}
-
-// filter is a new row set of s's rows that pass where.
-func (s *rowSource) filter(where SQLExpr) (*rowSet, error) {
-	rows, err := s.passing(where)
-	if err != nil {
-		return nil, err
 	}
-	return &rowSet{cols: s.cols, rows: rows}, nil
+	return rows, nil
 }
 
 // buildFrom returns what a SELECT reads: its table, read in place,
 // through an index when WHERE has a usable conjunct. The WHERE it returns
 // with is all of it except a conjunct the index has answered exactly.
 func (db *Database) buildFrom(st *SelectStmt, stats *ExecStats) (*rowSource, error) {
-	t, ok := db.tables[strings.ToLower(st.From.Table)]
+	t, ok := db.tables[strings.ToLower(st.From)]
 	if !ok {
-		return nil, fmt.Errorf("rdb: %w: %q", ErrNoTable, st.From.Table)
+		return nil, fmt.Errorf("rdb: %w: %q", ErrNoTable, st.From)
 	}
-	qual := strings.ToLower(st.From.Ref())
-	cols := make([]colKey, len(t.Schema.Columns))
-	for i, c := range t.Schema.Columns {
-		cols[i] = colKey{qual: qual, name: strings.ToLower(c.Name)}
-	}
-	src := &rowSource{rowSet: rowSet{cols: cols}, table: t, where: st.Where, stats: stats}
+	src := &rowSource{table: t, where: st.Where, stats: stats}
 	if st.Where != nil {
-		if f := chooseIndexFilter(st.Where, t, qual); f != nil {
+		if f := chooseIndexFilter(st.Where, t); f != nil {
 			src.indexed, src.rids = true, f.lookup(t.indexes[f.column])
 			stats.IndexUsed = true
 			if f.exact {
@@ -528,7 +333,7 @@ func (f *indexFilter) lookup(idx *Index) []int {
 // comparison between an indexed column of t and literals, and returns
 // the most selective kind present: = on a unique index, then =, then IN,
 // then a range; among equals the first in text order.
-func chooseIndexFilter(where SQLExpr, t *Table, ref string) *indexFilter {
+func chooseIndexFilter(where SQLExpr, t *Table) *indexFilter {
 	const (
 		rankUniqueEq = iota
 		rankEq
@@ -536,7 +341,6 @@ func chooseIndexFilter(where SQLExpr, t *Table, ref string) *indexFilter {
 		rankRange
 		unranked
 	)
-	ref = strings.ToLower(ref)
 	var best indexFilter
 	bestRank := unranked
 	offer := func(rank int, f indexFilter) {
@@ -548,11 +352,11 @@ func chooseIndexFilter(where SQLExpr, t *Table, ref string) *indexFilter {
 	for i, c := range conjuncts {
 		switch x := c.(type) {
 		case *SQLIn:
-			if col, lits, ok := colInLiterals(x, ref); ok && t.indexes[col] != nil && bestRank > rankIn {
+			if col, lits, ok := colInLiterals(x); ok && t.indexes[col] != nil && bestRank > rankIn {
 				offer(rankIn, indexFilter{column: col, in: lits, conj: i, exact: true})
 			}
 		case *SQLBin:
-			col, lit, op, ok := colLitComparison(x, ref)
+			col, lit, op, ok := colLitComparison(x)
 			if !ok {
 				continue
 			}
@@ -589,11 +393,11 @@ func chooseIndexFilter(where SQLExpr, t *Table, ref string) *indexFilter {
 	return &best
 }
 
-// colInLiterals matches col IN (lit, …) with col belonging to the given
-// table reference and every list element a literal.
-func colInLiterals(in *SQLIn, ref string) (col string, lits []Value, ok bool) {
+// colInLiterals matches col IN (lit, …) with every list element a
+// literal.
+func colInLiterals(in *SQLIn) (col string, lits []Value, ok bool) {
 	cr, isCol := in.E.(*ColRef)
-	if !isCol || (cr.Table != "" && !strings.EqualFold(cr.Table, ref)) {
+	if !isCol {
 		return "", nil, false
 	}
 	lits = make([]Value, 0, len(in.List))
@@ -631,74 +435,44 @@ func splitConjuncts(e SQLExpr) []SQLExpr {
 }
 
 // colLitComparison matches col op lit or lit op col (flipping the
-// operator), with col belonging to the given table reference.
-func colLitComparison(bin *SQLBin, ref string) (col string, lit Value, op string, ok bool) {
+// operator).
+func colLitComparison(bin *SQLBin) (col string, lit Value, op string, ok bool) {
 	flip := map[string]string{"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "="}
 	if _, valid := flip[bin.Op]; !valid {
 		return "", nil, "", false
 	}
 	if cr, isCol := bin.L.(*ColRef); isCol {
 		if l, isLit := bin.R.(*SQLLit); isLit {
-			if cr.Table == "" || strings.EqualFold(cr.Table, ref) {
-				return strings.ToLower(cr.Col), l.Value, bin.Op, true
-			}
+			return strings.ToLower(cr.Col), l.Value, bin.Op, true
 		}
 	}
 	if cr, isCol := bin.R.(*ColRef); isCol {
 		if l, isLit := bin.L.(*SQLLit); isLit {
-			if cr.Table == "" || strings.EqualFold(cr.Table, ref) {
-				return strings.ToLower(cr.Col), l.Value, flip[bin.Op], true
-			}
+			return strings.ToLower(cr.Col), l.Value, flip[bin.Op], true
 		}
 	}
 	return "", nil, "", false
 }
 
-// orderRows sorts rs in place by the ORDER BY keys. Keys may reference
-// select-list aliases (resolved through items) or input columns.
-func orderRows(keys []SQLOrderItem, rs *rowSet, items []SelectItem) error {
+// orderRows sorts rows, stably, by the ORDER BY columns.
+func (s *rowSource) orderRows(keys []SQLOrderItem, rows []Row) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	resolve := func(e SQLExpr) SQLExpr {
-		cr, ok := e.(*ColRef)
-		if !ok || cr.Table != "" {
-			return e
-		}
-		for _, item := range items {
-			if strings.EqualFold(item.Alias, cr.Col) {
-				return item.Expr
-			}
-		}
-		return e
-	}
-	exprs := make([]SQLExpr, len(keys))
+	pos := make([]int, len(keys))
 	for i, k := range keys {
-		exprs[i] = rs.resolve(resolve(k.Expr))
+		var err error
+		if pos[i], err = s.lookup(k.Col); err != nil {
+			return err
+		}
 	}
-	var sortErr error
-	sort.SliceStable(rs.rows, func(i, j int) bool {
-		for ki, e := range exprs {
-			vi, err := evalSQL(e, rs, rs.rows[i])
-			if err != nil {
-				sortErr = err
-				return false
+	sort.SliceStable(rows, func(i, j int) bool {
+		for k, p := range pos {
+			if c := xmldm.Compare(rows[i][p], rows[j][p]); c != 0 {
+				return (c < 0) != keys[k].Desc
 			}
-			vj, err := evalSQL(e, rs, rs.rows[j])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			c := xmldm.Compare(vi, vj)
-			if c == 0 {
-				continue
-			}
-			if keys[ki].Desc {
-				return c > 0
-			}
-			return c < 0
 		}
 		return false
 	})
-	return sortErr
+	return nil
 }

@@ -8,17 +8,18 @@ import (
 	"repro/internal/xmldm"
 )
 
-// The SQL dialect: CREATE TABLE / CREATE [UNIQUE] INDEX / INSERT /
-// SELECT. Tables are append-only, so there is no UPDATE, DELETE or DROP
-// TABLE. A SELECT reads one table:
+// The SQL dialect is what sqlgen compiles a fragment to, plus what loads
+// the data: CREATE TABLE, CREATE [UNIQUE] INDEX, INSERT and a SELECT of
+// one table. Tables are append-only, so there is no UPDATE, DELETE or
+// DROP TABLE. A SELECT is
 //
-//	SELECT (* | expr [AS alias], …) FROM table [[AS] alias]
-//	  [WHERE expr] [ORDER BY expr [ASC|DESC], …]
+//	SELECT (* | column [AS alias], …) FROM table
+//	  [WHERE expr] [ORDER BY column [ASC|DESC], …]
 //
-// Expressions are literals, columns, arithmetic, comparisons, AND, OR,
-// NOT, LIKE, IN, IS [NOT] NULL and scalar functions (applySQLFunc). It is
-// what sqlgen compiles a fragment to: joins, aggregates, DISTINCT and
-// LIMIT run in the mediator, not in a source.
+// WHERE expressions are literals, unqualified columns, arithmetic,
+// comparisons (= != < <= > >=), AND, OR, prefix NOT, LIKE, IN and the
+// functions lower, upper, trim and length (applySQLFunc). Joins,
+// aggregates, DISTINCT and LIMIT run in the mediator, not in a source.
 
 // Stmt is a parsed SQL statement.
 type Stmt interface{ isStmt() }
@@ -53,57 +54,32 @@ func (*InsertStmt) isStmt() {}
 type SelectStmt struct {
 	Items   []SelectItem
 	Star    bool
-	From    TableRef
+	From    string
 	Where   SQLExpr
 	OrderBy []SQLOrderItem
 }
 
 func (*SelectStmt) isStmt() {}
 
-// SelectItem is one projected expression with optional alias.
+// SelectItem is one column of the select list, with an optional alias.
 type SelectItem struct {
-	Expr  SQLExpr
+	Col   string
 	Alias string
 }
 
-// TableRef is a table with optional alias in FROM.
-type TableRef struct {
-	Table string
-	Alias string
-}
-
-// Ref returns the name the table is referenced by (alias or table name).
-func (t TableRef) Ref() string {
-	if t.Alias != "" {
-		return t.Alias
-	}
-	return t.Table
-}
-
-// SQLOrderItem is one ORDER BY key.
+// SQLOrderItem is one ORDER BY key: a column, ascending unless Desc.
 type SQLOrderItem struct {
-	Expr SQLExpr
+	Col  string
 	Desc bool
 }
 
 // SQLExpr is a SQL scalar expression.
 type SQLExpr interface{ isSQLExpr() }
 
-// ColRef references a column, optionally table-qualified.
-type ColRef struct {
-	Table string
-	Col   string
-}
+// ColRef references a column of the table.
+type ColRef struct{ Col string }
 
 func (*ColRef) isSQLExpr() {}
-
-// String renders the reference as written.
-func (c *ColRef) String() string {
-	if c.Table != "" {
-		return c.Table + "." + c.Col
-	}
-	return c.Col
-}
 
 // SQLLit is a literal value.
 type SQLLit struct{ Value Value }
@@ -138,14 +114,6 @@ type SQLIn struct {
 }
 
 func (*SQLIn) isSQLExpr() {}
-
-// SQLIsNull is expr IS [NOT] NULL.
-type SQLIsNull struct {
-	E   SQLExpr
-	Not bool
-}
-
-func (*SQLIsNull) isSQLExpr() {}
 
 // SQLFunc is a scalar function call.
 type SQLFunc struct {
@@ -226,11 +194,11 @@ func sqlLexInto(toks []sqlTok, src string) ([]sqlTok, error) {
 				i++
 			}
 			emit("ident", src[start:i], start)
-		case strings.ContainsRune("(),.*=+-/", rune(c)):
+		case strings.ContainsRune("(),*=+-/", rune(c)):
 			emit("op", string(c), i)
 			i++
 		case c == '<':
-			if i+1 < len(src) && (src[i+1] == '=' || src[i+1] == '>') {
+			if i+1 < len(src) && src[i+1] == '=' {
 				emit("op", src[i:i+2], i)
 				i += 2
 			} else {
@@ -522,104 +490,61 @@ func (p *sqlParser) parseSelect() (Stmt, error) {
 		st.Star = true
 	} else {
 		for {
-			e, err := p.parseExpr()
+			col, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			item := SelectItem{Expr: e}
+			item := SelectItem{Col: col}
 			if p.acceptKw("AS") {
-				p.record(p.i, sqlSlot{alias: true, item: len(st.Items)})
-				a, err := p.ident()
-				if err != nil {
+				p.record(p.i, sqlSlot{item: len(st.Items)})
+				if item.Alias, err = p.ident(); err != nil {
 					return nil, err
 				}
-				item.Alias = a
 			}
 			st.Items = append(st.Items, item)
-			if p.acceptOp(",") {
-				continue
+			if !p.acceptOp(",") {
+				break
 			}
-			break
 		}
 	}
 	if err := p.expectKw("FROM"); err != nil {
 		return nil, err
 	}
-	tr, err := p.parseTableRef()
+	from, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	st.From = tr
+	st.From = from
 	if p.acceptKw("WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
+		if st.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		st.Where = w
 	}
 	if p.acceptKw("ORDER") {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			col, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			item := SQLOrderItem{Expr: e}
+			item := SQLOrderItem{Col: col}
 			if p.acceptKw("DESC") {
 				item.Desc = true
 			} else {
 				p.acceptKw("ASC")
 			}
 			st.OrderBy = append(st.OrderBy, item)
-			if p.acceptOp(",") {
-				continue
+			if !p.acceptOp(",") {
+				break
 			}
-			break
 		}
 	}
 	return st, nil
 }
 
-func (p *sqlParser) parseTableRef() (TableRef, error) {
-	name, err := p.ident()
-	if err != nil {
-		return TableRef{}, err
-	}
-	tr := TableRef{Table: name}
-	if p.acceptKw("AS") {
-		a, err := p.ident()
-		if err != nil {
-			return TableRef{}, err
-		}
-		tr.Alias = a
-	} else if p.peek().kind == "ident" && !isSQLKeyword(p.peek().text) {
-		tr.Alias = p.next().text
-	}
-	return tr, nil
-}
-
-// sqlKeywords are never read as a table alias. They include the words of
-// forms outside the dialect (DISTINCT, JOIN, GROUP BY, HAVING, LIMIT), so
-// that such a form fails to parse rather than name an alias, and the
-// words of the statements append-only tables do not take (UPDATE, SET,
-// DELETE, DROP), so that no text that named one after FROM now reads it
-// as an alias: no identifier changes meaning.
-var sqlKeywords = map[string]bool{
-	"select": true, "distinct": true, "from": true, "join": true, "inner": true,
-	"on": true, "where": true, "group": true, "by": true, "having": true,
-	"order": true, "asc": true, "desc": true, "limit": true, "and": true,
-	"or": true, "not": true, "like": true, "in": true, "is": true, "null": true,
-	"as": true, "values": true, "insert": true, "into": true, "create": true,
-	"table": true, "index": true, "unique": true, "primary": true, "key": true,
-	"update": true, "set": true, "delete": true, "drop": true, "true": true,
-	"false": true,
-}
-
-func isSQLKeyword(s string) bool { return sqlKeywords[strings.ToLower(s)] }
-
-// Expression precedence: OR < AND < NOT < comparison/LIKE/IN/IS < add < mul < primary.
+// Expression precedence: OR < AND < NOT < comparison/LIKE/IN < add < mul < primary.
 func (p *sqlParser) parseExpr() (SQLExpr, error) { return p.parseOr() }
 
 func (p *sqlParser) parseOr() (SQLExpr, error) {
@@ -670,81 +595,35 @@ func (p *sqlParser) parseCmp() (SQLExpr, error) {
 	}
 	t := p.peek()
 	switch {
-	case t.kind == "op" && (t.text == "=" || t.text == "!=" || t.text == "<>" ||
+	case t.kind == "op" && (t.text == "=" || t.text == "!=" ||
 		t.text == "<" || t.text == "<=" || t.text == ">" || t.text == ">="):
-		op := p.next().text
-		if op == "<>" {
-			op = "!="
-		}
+		p.next()
 		r, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
-		return &SQLBin{Op: op, L: l, R: r}, nil
-	case p.kw("LIKE"):
-		p.next()
+		return &SQLBin{Op: t.text, L: l, R: r}, nil
+	case p.acceptKw("LIKE"):
 		return p.parseLike(l)
-	case p.kw("IN"):
-		p.next()
+	case p.acceptKw("IN"):
 		if err := p.expectOp("("); err != nil {
 			return nil, err
 		}
-		var list []SQLExpr
+		in := &SQLIn{E: l}
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			list = append(list, e)
-			if p.acceptOp(",") {
-				continue
+			in.List = append(in.List, e)
+			if !p.acceptOp(",") {
+				break
 			}
-			break
 		}
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
 		}
-		return &SQLIn{E: l, List: list}, nil
-	case p.kw("IS"):
-		p.next()
-		not := p.acceptKw("NOT")
-		if err := p.expectKw("NULL"); err != nil {
-			return nil, err
-		}
-		return &SQLIsNull{E: l, Not: not}, nil
-	case p.kw("NOT"):
-		// expr NOT LIKE / NOT IN
-		p.next()
-		switch {
-		case p.acceptKw("LIKE"):
-			like, err := p.parseLike(l)
-			if err != nil {
-				return nil, err
-			}
-			return &SQLNot{E: like}, nil
-		case p.acceptKw("IN"):
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			var list []SQLExpr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				list = append(list, e)
-				if p.acceptOp(",") {
-					continue
-				}
-				break
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return &SQLNot{E: &SQLIn{E: l, List: list}}, nil
-		default:
-			return nil, fmt.Errorf("rdb: expected LIKE or IN after NOT")
-		}
+		return in, nil
 	}
 	return l, nil
 }
@@ -862,14 +741,6 @@ func (p *sqlParser) parsePrimary() (SQLExpr, error) {
 			}
 			return fn, nil
 		}
-		// Qualified column?
-		if p.acceptOp(".") {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return &ColRef{Table: t.text, Col: col}, nil
-		}
 		return &ColRef{Col: t.text}, nil
 	default:
 		return nil, fmt.Errorf("rdb: unexpected %q in expression", t.text)
@@ -889,8 +760,13 @@ func sqlLiteral(t sqlTok) (Value, error) {
 		return xmldm.Float(f), nil
 	}
 	n, err := strconv.ParseInt(t.text, 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("rdb: bad number %q", t.text)
+	if err == nil {
+		return xmldm.Int(n), nil
 	}
-	return xmldm.Int(n), nil
+	// An integer past the int64 range is a FLOAT: it is how a large float
+	// is written, since numbers have no exponent.
+	if f, ferr := strconv.ParseFloat(t.text, 64); ferr == nil {
+		return xmldm.Float(f), nil
+	}
+	return nil, fmt.Errorf("rdb: bad number %q", t.text)
 }

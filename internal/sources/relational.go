@@ -136,9 +136,9 @@ func (s *RelationalSource) FetchesRows() bool { return true }
 
 // FetchRows implements catalog.RowFetcher: it runs a SQL fragment and
 // returns its result, costed as Fetch costs the fragment's export. The
-// result is the database's View: it may share the table's rows, read
-// through Result.Pos, and must not be written. A request without a
-// fragment is an error: a whole-table export is a document.
+// result shares the table's rows, read through Result.Pos, and must not
+// be written. A request without a fragment is an error: a whole-table
+// export is a document.
 func (s *RelationalSource) FetchRows(ctx context.Context, req catalog.Request) (*rdb.Result, catalog.Cost, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, catalog.Cost{}, err
@@ -146,7 +146,7 @@ func (s *RelationalSource) FetchRows(ctx context.Context, req catalog.Request) (
 	if req.Native == "" {
 		return nil, catalog.Cost{}, fmt.Errorf("sources: %s: rows are answered for a SQL fragment only", s.name)
 	}
-	res, err := s.db.View(req.Native)
+	res, err := s.db.Exec(req.Native)
 	if err != nil {
 		return nil, catalog.Cost{}, fmt.Errorf("sources: %s: %w", s.name, err)
 	}
@@ -171,9 +171,8 @@ func RowsDocument(source string, req catalog.Request, res *rdb.Result) *xmldm.No
 // one child element per column. The whole result is carved from two slabs
 // (one of nodes, one of child slots), every sub-slice capped at its own
 // length so that an append to one node's children can never reach its
-// neighbour's. A cell's text is the result's (rdb.Result.Text), shared
-// with the database when the row is the table's own; NULL exports as an
-// empty element.
+// neighbour's. A cell's text is the box the database stored with the row
+// (rdb.Result.Text); NULL exports as an empty element.
 func appendResultRows(root *xmldm.Node, rowElem string, res *rdb.Result) {
 	rows, cols := len(res.Rows), len(res.Columns)
 	if rows == 0 {

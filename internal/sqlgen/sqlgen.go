@@ -10,6 +10,7 @@ package sqlgen
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -352,7 +353,12 @@ func scalarToSQL(e xmlql.Expr, varCol map[string]string) (string, bool) {
 		case int64:
 			return fmt.Sprintf("%d", v), true
 		case float64:
-			return fmt.Sprintf("%g", v), true
+			// No exponent: rdb reads digits and one point, and an integer
+			// past the int64 range as a FLOAT.
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return "", false
+			}
+			return strconv.FormatFloat(v, 'f', -1, 64), true
 		case bool:
 			if v {
 				return "TRUE", true
