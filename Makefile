@@ -181,8 +181,11 @@ resultpath-race:
 # shape key and parameter rule, a prepared query bound to its own and to
 # respelled literals against Parse (fuzz seeds), and Rebind copying only
 # what it changes; rdb's statement cache against ParseSQL (fuzz seeds),
-# bound statements answering as parsed ones, and a SELECT cached before
-# its table is created resolving against it, columns reordered; eight
+# bound statements answering as parsed ones (only literals and LIKE
+# patterns rebind; a select-list alias is a parse error), and a SELECT
+# cached before its table is created resolving against it, columns
+# reordered; fragment SQL that names table columns only, byte-identical
+# under renamed variables and from a serial twin beside an engine; eight
 # goroutines running two shapes with changing literals against a fresh
 # engine's answers (ten rounds), a warm call that neither parses nor
 # unfolds nor parses SQL, and the next call
@@ -195,9 +198,9 @@ resultpath-race:
 prepared-race:
 	$(call run-named,-race -count=1,FuzzPrepare|TestShapeKey|TestPrepareParams|TestRebindSharesWhatItDoesNotChange,./internal/xmlql)
 	$(call run-named,-race -count=1,FuzzParseSQL|TestExecBindsPreparedSelect|TestPreparedSelectSurvivesTableChanges,./internal/rdb)
-	$(call run-named,-race -count=1,TestCompiledPredicatesRunOnRDB_Property,./internal/sqlgen)
+	$(call run-named,-race -count=1,TestCompiledPredicatesRunOnRDB_Property|TestSQLDoesNotDependOnVariableNames,./internal/sqlgen)
 	$(call run-named,-race -count=10,TestPreparedMatchesFreshEngineConcurrently,./internal/core)
-	$(call run-named,-race -count=1,TestWarmCallBindsWithoutUnfoldOrParse|TestPreparedFollowsTheCatalog,./internal/core)
+	$(call run-named,-race -count=1,TestWarmCallBindsWithoutUnfoldOrParse|TestPreparedFollowsTheCatalog|TestTwinEnginesSendTheSameSQL,./internal/core)
 	$(call run-named,-race -count=1,TestPreparedQueriesFollowTheStore,./internal/matview)
 	$(call run-named,-race -count=1,TestBindEscapesSingleQuotes,./internal/lens)
 	$(call run-named,-race -count=1,TestLensValuesShareOnePreparedEntry,.)

@@ -359,7 +359,7 @@ func TestMalformedViewKeepsItsColumnMap(t *testing.T) {
 	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
 	db.MustExec(`INSERT INTO customers VALUES (1, 'Ada', 'London'), (2, 'Alan', 'Wilmslow'), (3, 'Grace', 'Arlington'), (4, 'Edsger', 'Austin')`)
 	src := Wrap(sources.NewRelationalSource("crmdb", db), Script{Faults: []Fault{{Kind: Malformed}}})
-	req := catalog.Request{Native: `SELECT city AS c, id FROM customers`}
+	req := catalog.Request{Native: `SELECT city, id FROM customers`}
 	res, _, err := src.FetchRows(context.Background(), req)
 	if !errors.Is(err, sources.ErrMalformed) || res == nil || len(res.Rows) != 2 {
 		t.Fatalf("malformed row answer = %v, %v", res, err)
@@ -373,10 +373,10 @@ func TestMalformedViewKeepsItsColumnMap(t *testing.T) {
 			cells = append(cells, col+"="+xmldm.Stringify(row[res.Pos(i)]))
 		}
 	}
-	if got, want := strings.Join(cells, " "), "c=London id=1 c=Wilmslow id=2"; got != want {
+	if got, want := strings.Join(cells, " "), "city=London id=1 city=Wilmslow id=2"; got != want {
 		t.Errorf("cells read through the column map: %s, want %s", got, want)
 	}
-	const export = `<crmdb><row><c>London</c><id>1</id></row><row><c>Wilmslow</c><id>2</id></row></crmdb>`
+	const export = `<crmdb><row><city>London</city><id>1</id></row><row><city>Wilmslow</city><id>2</id></row></crmdb>`
 	if got := sources.RowsDocument("crmdb", catalog.Request{}, res).String(); got != export {
 		t.Errorf("export of the cut answer:\n%s\nwant\n%s", got, export)
 	}

@@ -89,7 +89,7 @@ Query [rewrites=1] out=4 in=4 time=?ms
 ├─ HashJoin [on $i=$_uN_i bind=5/100] out=4 in=8 time=?ms peak=8
 │  ├─ Match [fetch tickets <ticket> index ticket[@pri='high']] out=5 in=1 time=?ms peak=4
 │  │  └─ Singleton out=1 time=?ms
-│  └─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers WHERE id IN (…5 keys)] out=3 time=?ms
+│  └─ FuncScan [pushdown crmdb: SELECT city, id, name FROM customers WHERE id IN (…5 keys)] out=3 time=?ms
 ├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
 └─ Fetch [tickets fetches=1 bytes=456] out=19 time=?ms
 `, "\n")
@@ -120,7 +120,7 @@ Query [rewrites=1] out=4 in=4 time=?ms
 	got = scrubTimes(res.Explain.Render())
 	for _, line := range []string{
 		"HashJoin [on $i=$_uN_i bind=fallback] out=26 in=126 time=?ms peak=126",
-		"FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=100 time=?ms",
+		"FuncScan [pushdown crmdb: SELECT city, id, name FROM customers] out=100 time=?ms",
 	} {
 		if !strings.Contains(got, line) {
 			t.Errorf("fallback explain tree lacks %q:\n%s", line, got)

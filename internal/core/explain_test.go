@@ -131,7 +131,7 @@ func TestExplainGoldenTwoSourceJoin(t *testing.T) {
 	want := strings.TrimPrefix(`
 Query [rewrites=1] out=3 in=3 time=?ms
 ├─ HashJoin [on $_uN_i=$i] out=3 in=6 time=?ms peak=3
-│  ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
+│  ├─ FuncScan [pushdown crmdb: SELECT city, id, name FROM customers] out=3 time=?ms
 │  └─ Match [fetch tickets <ticket> index ticket] out=3 in=1 time=?ms peak=2
 │     └─ Singleton out=1 time=?ms
 ├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms
@@ -191,7 +191,7 @@ func TestExplainParallelPlanShape(t *testing.T) {
 Query [rewrites=1] out=2048 in=2048 time=?ms
 ├─ Select [($_uN_n != $s)] out=2048 in=2048 time=?ms
 │  └─ HashJoin [workers=2 on $_uN_i=$i] out=2048 in=4096 time=?ms peak=2303 workers=2 rows/worker=[?]
-│     ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=2048 time=?ms
+│     ├─ FuncScan [pushdown crmdb: SELECT city, id, name FROM customers] out=2048 time=?ms
 │     └─ Match [fetch tickets <ticket> index ticket] out=2048 in=1 time=?ms peak=2047
 │        └─ Singleton out=1 time=?ms
 ├─ Fetch [crmdb fetches=1 bytes=98304] out=2048 time=?ms
@@ -260,7 +260,7 @@ func TestExplainGoldenSchedulerBudgetWorkers(t *testing.T) {
 	want := strings.TrimPrefix(`
 Query [rewrites=1] out=3 in=3 time=?ms
 ├─ HashJoin [serial n=3<2048 on $_uN_i=$i] out=3 in=6 time=?ms peak=3
-│  ├─ FuncScan [pushdown crmdb: SELECT city AS v__uN_c, id AS v__uN_i, name AS v__uN_n FROM customers] out=3 time=?ms
+│  ├─ FuncScan [pushdown crmdb: SELECT city, id, name FROM customers] out=3 time=?ms
 │  └─ Match [fetch tickets <ticket> index ticket] out=3 in=1 time=?ms peak=2
 │     └─ Singleton out=1 time=?ms
 ├─ Fetch [crmdb fetches=1 bytes=144] out=3 time=?ms

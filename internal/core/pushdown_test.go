@@ -4,9 +4,11 @@ import (
 	"context"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/obs"
 	"repro/internal/rdb"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
@@ -78,4 +80,59 @@ func TestPushedDivisionAnswersAsTheMediator(t *testing.T) {
 		{`$q / 2 = 1.5`, "1", "((q / 2) = 1.5)"},
 		{`$i / $q > 2`, "100", "((id / q) > 2)"},
 	})
+}
+
+// nativeRecorder wraps a source and records the native text of every
+// request it is sent. It does not forward FetchRows, so fragments reach
+// it through Fetch.
+type nativeRecorder struct {
+	catalog.Source
+	mu   sync.Mutex
+	sent []string
+}
+
+func (r *nativeRecorder) Inner() catalog.Source { return r.Source }
+
+func (r *nativeRecorder) Fetch(ctx context.Context, req catalog.Request) (*xmldm.Node, catalog.Cost, error) {
+	r.mu.Lock()
+	r.sent = append(r.sent, req.Native)
+	r.mu.Unlock()
+	return r.Source.Fetch(ctx, req)
+}
+
+// TestTwinEnginesSendTheSameSQL: two engines over one catalog — a serial
+// twin beside the engine it checks — each unfold a view under fresh
+// variable names of their own, and still send the relational source the
+// same SQL for one query, naming table columns only.
+func TestTwinEnginesSendTheSameSQL(t *testing.T) {
+	crm := rdb.NewDatabase("crm")
+	crm.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
+	crm.MustExec(`INSERT INTO customers VALUES (1, 'Ada', 'London'), (2, 'Alan', 'Cambridge'), (3, 'Grace', 'London')`)
+	rec := &nativeRecorder{Source: sources.NewRelationalSource("crmdb", crm)}
+	cat := catalog.New()
+	if err := cat.AddSource(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.DefineViewQL("customers", `
+		WHERE <customer><id>$i</id><name>$n</name><city>$c</city></customer> IN "crmdb"
+		CONSTRUCT <cust><cid>$i</cid><who>$n</who><where>$c</where></cust>`); err != nil {
+		t.Fatal(err)
+	}
+	twin := New(cat, Config{Parallelism: 1, Metrics: obs.NewRegistry()})
+	engine := New(cat, Config{Metrics: obs.NewRegistry()})
+	const q = `WHERE <cust><cid>$i</cid><who>$w</who><where>$c</where></cust> IN "customers",
+		$c = "London", $i < 3 CONSTRUCT <r>$w</r>`
+	var sent [2][]string
+	for k, e := range []*Engine{twin, engine} {
+		rec.sent = nil
+		res, err := e.Query(context.Background(), q)
+		if err != nil || len(res.Values) != 1 {
+			t.Fatalf("engine %d: %v, %v", k, res, err)
+		}
+		sent[k] = rec.sent
+	}
+	want := []string{`SELECT city, id, name FROM customers WHERE (city = 'London') AND (id < 3)`}
+	if !slices.Equal(sent[0], want) || !slices.Equal(sent[1], want) {
+		t.Errorf("the twin sent %q and the engine %q, want both %q", sent[0], sent[1], want)
+	}
 }

@@ -51,7 +51,7 @@ func TestRowAnswerIsOneFetchAndRendersTheExport(t *testing.T) {
 	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
 	db.MustExec(`INSERT INTO customers VALUES (1, 'Ada', 'London'), (2, 'Al <&> Co', NULL), (3, '', 'Oslo')`)
 	rel := sources.NewRelationalSource("CrmDB", db)
-	req := catalog.Request{Native: `SELECT id AS v_i, name AS v_n, city AS v_c FROM customers`, Collection: "customers"}
+	req := catalog.Request{Native: `SELECT id, name, city FROM customers`, Collection: "customers"}
 	want, wantCost, err := rel.Fetch(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

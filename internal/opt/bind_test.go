@@ -113,11 +113,11 @@ func TestPlanBindJoinOnIndexedKey(t *testing.T) {
 				sent = append(sent, req.Native)
 			}
 		}
-		if want := []string{`SELECT id AS v_i, name AS v_n FROM customers WHERE id IN ('1', '02', '7')`}; !slices.Equal(sent, want) {
+		if want := []string{`SELECT id, name FROM customers WHERE id IN ('1', '02', '7')`}; !slices.Equal(sent, want) {
 			t.Errorf("crmdb was sent %q, want %q", sent, want)
 		}
 		if ops := planOps(plan); ops[0] != "HashJoin [on $i bind=3/64]" ||
-			!slices.Contains(ops, "FuncScan [pushdown crmdb: SELECT id AS v_i, name AS v_n FROM customers WHERE id IN (…3 keys)]") {
+			!slices.Contains(ops, "FuncScan [pushdown crmdb: SELECT id, name FROM customers WHERE id IN (…3 keys)]") {
 			t.Errorf("plan after the run = %v", ops)
 		}
 	}
@@ -140,7 +140,7 @@ func TestPlanBindJoinKeepsFragmentPredicates(t *testing.T) {
 	if got := names(t, plan); got != "N2 N7" {
 		t.Errorf("answer = %q", got)
 	}
-	want := `SELECT id AS v_i, name AS v_n, city AS v_y FROM customers WHERE (city = 'C2') AND (id < 50) AND id IN ('1', '02', '7')`
+	want := `SELECT city, id, name FROM customers WHERE (city = 'C2') AND (id < 50) AND id IN ('1', '02', '7')`
 	if got := access.requests[len(access.requests)-1].Native; got != want {
 		t.Errorf("crmdb was sent\n%s\nwant\n%s", got, want)
 	}

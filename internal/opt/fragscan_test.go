@@ -29,7 +29,7 @@ func (a docAccess) Roots(string, catalog.Request) ([]xmldm.Value, error) {
 var customerFragment = &sqlgen.Fragment{
 	RowElement: "customer",
 	// Sorted variable order is c, i, n: not the export's column order.
-	VarColumns: map[string]string{"i": "id", "n": "name", "c": "city"},
+	Columns: map[string]string{"i": "id", "n": "name", "c": "city"},
 }
 
 func scanAll(t *testing.T, doc string) []algebra.Binding {
@@ -246,11 +246,11 @@ func sameBindings(a, b []algebra.Binding) string {
 // TestBindRowsEqualsExportReadBack: a cell binds from the rows exactly
 // what bindRow reads back from its export — NULL the empty string,
 // strings as they are (markup included), other kinds their Stringify
-// text — a column the result lacks binds Null, and a duplicated alias
-// binds its first column.
+// text — a column the result lacks binds Null, and a repeated column
+// binds its cell.
 func TestBindRowsEqualsExportReadBack(t *testing.T) {
 	frag := &sqlgen.Fragment{Table: "customers", RowElement: "customer",
-		VarColumns: map[string]string{"v": "v", "d": "dup", "m": "missing"}}
+		Columns: map[string]string{"v": "v", "d": "a", "m": "missing"}}
 	for _, tc := range []struct {
 		name string
 		typ  string
@@ -271,7 +271,7 @@ func TestBindRowsEqualsExportReadBack(t *testing.T) {
 		if err := db.Insert("w", rdb.Row{xmldm.String("first"), tc.cell, xmldm.String("second")}); err != nil {
 			t.Fatal(err)
 		}
-		res := db.MustExec(`SELECT a AS dup, v, b AS dup FROM w`)
+		res := db.MustExec(`SELECT a, v, a FROM w`)
 		fromRows, fromXML := bothPaths(t, res, frag)
 		if diff := sameBindings(fromRows, fromXML); diff != "" {
 			t.Errorf("%s: rows and export differ: %s", tc.name, diff)
@@ -287,14 +287,14 @@ func TestBindRowsEqualsExportReadBack(t *testing.T) {
 
 // TestBindRowsEqualsExportReadBack_Property: over a database's answers,
 // whose rows are the table's own read through a column map (a select list
-// of aliased columns in random order, repeated or not, or *) and whose
+// of columns in random order, repeated or not, or *) and whose
 // texts are the boxes INSERT stored — cells of every kind and NULL, from
 // every arm of a SELECT (the shared row list, an indexed =, a residual
 // WHERE, ORDER BY), empty answers included — the rows bind what their
 // export reads back, a variable whose column the answer lacks included.
 func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	names := []string{"a", "b", "c", "d"}
+	names := []string{"k", "i", "f", "o", "d", "s"}
 	cell := func() xmldm.Value {
 		switch rng.Intn(8) {
 		case 0:
@@ -314,9 +314,9 @@ func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 500; trial++ {
-		frag := &sqlgen.Fragment{Table: "customers", RowElement: "customer", VarColumns: map[string]string{}}
+		frag := &sqlgen.Fragment{Table: "customers", RowElement: "customer", Columns: map[string]string{}}
 		for v := rng.Intn(4); v >= 0; v-- {
-			frag.VarColumns[fmt.Sprint("v", v)] = names[rng.Intn(len(names))]
+			frag.Columns[fmt.Sprint("v", v)] = names[rng.Intn(len(names))]
 		}
 		db := rdb.NewDatabase("crm")
 		db.MustExec(`CREATE TABLE w (k INT PRIMARY KEY, i INT, f FLOAT, o BOOL, d DATE, s VARCHAR)`)
@@ -339,7 +339,7 @@ func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 		if rng.Intn(4) > 0 {
 			items = items[:0]
 			for c := rng.Intn(5); c >= 0; c-- {
-				items = append(items, []string{"k", "i", "f", "o", "d", "s"}[rng.Intn(6)]+" AS "+names[rng.Intn(len(names))])
+				items = append(items, names[rng.Intn(len(names))])
 			}
 		}
 		sql := "SELECT " + strings.Join(items, ", ") + " FROM w" + []string{
@@ -354,7 +354,7 @@ func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 		}
 		fromRows, fromXML := bothPaths(t, res, frag)
 		if diff := sameBindings(fromRows, fromXML); diff != "" {
-			t.Fatalf("trial %d, %s, vars %v: rows against their export: %s", trial, sql, frag.VarColumns, diff)
+			t.Fatalf("trial %d, %s, vars %v: rows against their export: %s", trial, sql, frag.Columns, diff)
 		}
 	}
 }
@@ -396,8 +396,8 @@ func BenchmarkFragmentScan(b *testing.B) {
 	}
 	src := sources.NewRelationalSource("crmdb", db)
 	frag := &sqlgen.Fragment{Table: "customers", RowElement: "customer",
-		SQL:        `SELECT city AS v__u6_c, id AS v__u6_i, name AS v__u6_n, tier AS v__u6_t FROM customers`,
-		VarColumns: map[string]string{"_u6_c": "v__u6_c", "_u6_i": "v__u6_i", "_u6_n": "v__u6_n", "_u6_t": "v__u6_t"}}
+		SQL:     `SELECT city, id, name, tier FROM customers`,
+		Columns: map[string]string{"_u6_c": "city", "_u6_i": "id", "_u6_n": "name", "_u6_t": "tier"}}
 	spec := &FetchSpec{Source: "crmdb", Req: catalog.Request{Native: frag.SQL, Collection: frag.Table}}
 	for _, path := range []struct {
 		name string

@@ -562,19 +562,20 @@ func removePreds(pending *[]xmlql.Expr, offerIdx []int, offer, rest []xmlql.Expr
 
 // fragmentScan builds the leaf operator that runs a compiled SQL
 // fragment and turns its result rows into bindings directly — no
-// pattern matching needed, because the compiler chose the output
-// aliases. It binds from the rows when the access has them, and from
-// their XML export otherwise. The request is read from spec when the
-// leaf opens: a bind join writes it just before.
+// pattern matching needed, because each variable reads the output
+// column named after its table column (Fragment.Columns). It binds from
+// the rows when the access has them, and from their XML export
+// otherwise. The request is read from spec when the leaf opens: a bind
+// join writes it just before.
 func fragmentScan(access Access, spec *FetchSpec, frag *sqlgen.Fragment) *algebra.FuncScan {
-	vars := make([]string, 0, len(frag.VarColumns))
-	for v := range frag.VarColumns {
+	vars := make([]string, 0, len(frag.Columns))
+	for v := range frag.Columns {
 		vars = append(vars, v)
 	}
 	sort.Strings(vars)
 	cols := make([]string, len(vars))
 	for i, v := range vars {
-		cols[i] = frag.VarColumns[v]
+		cols[i] = frag.Columns[v]
 	}
 	rowAccess, _ := access.(RowAccess)
 	var scan *algebra.FuncScan
@@ -653,8 +654,8 @@ func (s *tupleSlab) at(i int) (*xmldm.Tuple, []xmldm.Field) {
 // bindRows is the pull function over a fragment's result rows: vars[i]
 // binds the cell of column cols[i], by the rules of the export cellValue
 // reads back — a NULL cell is the empty string, any other its export text
-// (rdb.Result.Text), and a column the result lacks is Null (a duplicated
-// alias takes its first column). Output columns are resolved once, and
+// (rdb.Result.Text), and a column the result lacks is Null (a repeated
+// column takes its first place). Output columns are resolved once, and
 // the tuples come from a tupleSlab. A nil result has no rows.
 func bindRows(res *rdb.Result, vars, cols []string, transient bool) func() (algebra.Binding, error) {
 	var rows []rdb.Row

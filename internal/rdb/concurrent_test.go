@@ -76,9 +76,9 @@ func TestViewSurvivesLaterWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []string{
-		`SELECT b, id, a FROM t`,                // the shared row list
-		`SELECT a AS x, id FROM t WHERE id = 2`, // through the index
-		`SELECT b, a FROM t WHERE b > 2`,        // a residual WHERE
+		`SELECT b, id, a FROM t`,           // the shared row list
+		`SELECT a, id FROM t WHERE id = 2`, // through the index
+		`SELECT b, a FROM t WHERE b > 2`,   // a residual WHERE
 		`SELECT a, b FROM t ORDER BY b DESC`,
 	}
 	answers := make([]*Result, len(queries))

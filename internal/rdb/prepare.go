@@ -7,9 +7,9 @@ import (
 )
 
 // maxPrepared bounds the parsed SELECTs a database keeps. Shapes fill
-// it, not texts — literals and select-list aliases are lifted out of the
-// key — so a source sent one compiled fragment per query shape needs
-// one entry per shape. Past the bound an arbitrary entry makes room.
+// it, not texts — literals are lifted out of the key — so a source sent
+// one compiled fragment per query shape needs one entry per shape. Past
+// the bound an arbitrary entry makes room.
 const maxPrepared = 256
 
 // PreparedStats counts Exec's SELECTs by whether their shape was parsed
@@ -28,9 +28,8 @@ func (db *Database) PreparedStats() PreparedStats {
 }
 
 // stmtCache keeps parsed SELECTs by shape: the token sequence with every
-// number, string and select-list alias replaced by a slot. A parsed
-// statement is syntax only, so no change to the database makes one
-// stale.
+// number and string replaced by a slot. A parsed statement is syntax
+// only, so no change to the database makes one stale.
 type stmtCache struct {
 	mu      sync.RWMutex
 	entries map[string]*preparedSelect // guarded by mu
@@ -46,14 +45,12 @@ type preparedSelect struct {
 }
 
 // sqlSlot is what a SELECT made of one lifted token (sqlLifted), which a
-// text of the same shape rebinds: a literal, a LIKE pattern, or else the
-// alias of select item item. In a SELECT that parses, every lifted token
-// is one of the three.
+// text of the same shape rebinds: a literal, or else a LIKE pattern. In a
+// SELECT that parses, every lifted token is one of the two.
 type sqlSlot struct {
 	text string // the token's text in the statement parsed
 	lit  *SQLLit
 	like *SQLLike
-	item int
 }
 
 // sqlScan is a reusable buffer for one statement's tokens and shape key.
@@ -65,8 +62,8 @@ type sqlScan struct {
 var sqlScans = sync.Pool{New: func() any { return new(sqlScan) }}
 
 // parse is ParseSQL for Exec: a SELECT of a shape parsed before is the
-// cached statement bound to this text's literals and aliases. The
-// statement returned may be shared and must not be modified.
+// cached statement bound to this text's literals. The statement returned
+// may be shared and must not be modified.
 func (c *stmtCache) parse(sql string) (Stmt, error) {
 	sc := sqlScans.Get().(*sqlScan)
 	defer sqlScans.Put(sc)
@@ -96,7 +93,7 @@ func (c *stmtCache) parse(sql string) (Stmt, error) {
 	}
 	ps = &preparedSelect{stmt: stmt.(*SelectStmt)}
 	for i, t := range toks {
-		if sqlLifted(toks, i) {
+		if sqlLifted(t) {
 			s := p.slots[i]
 			s.text = t.text
 			ps.slots = append(ps.slots, s)
@@ -121,23 +118,15 @@ func (c *stmtCache) put(key string, ps *preparedSelect) {
 	c.entries[key] = ps
 }
 
-// sqlLifted reports whether token i is a slot of its statement's shape
-// rather than part of the key: a number, a string, or the name after AS.
-func sqlLifted(toks []sqlTok, i int) bool {
-	switch toks[i].kind {
-	case "num", "str":
-		return true
-	case "ident":
-		return i > 0 && toks[i-1].kind == "ident" && strings.EqualFold(toks[i-1].text, "AS")
-	}
-	return false
-}
+// sqlLifted reports whether t is a slot of its statement's shape rather
+// than part of the key: a number or a string.
+func sqlLifted(t sqlTok) bool { return t.kind == "num" || t.kind == "str" }
 
 // sqlShape appends toks' shape key to key: every token's kind, then its
 // text unless the token is lifted. Kinds are control bytes, which no
 // identifier or operator contains, so they delimit the texts.
 func sqlShape(key []byte, toks []sqlTok) []byte {
-	for i, t := range toks {
+	for _, t := range toks {
 		var kind byte
 		switch t.kind {
 		case "ident":
@@ -151,7 +140,7 @@ func sqlShape(key []byte, toks []sqlTok) []byte {
 		default:
 			kind = 5
 		}
-		if sqlLifted(toks, i) {
+		if sqlLifted(t) {
 			key = append(key, kind|8)
 			continue
 		}
@@ -168,8 +157,8 @@ func sqlShape(key []byte, toks []sqlTok) []byte {
 func (ps *preparedSelect) bind(toks []sqlTok) *SelectStmt {
 	var b sqlBinding
 	k := 0
-	for i, t := range toks {
-		if !sqlLifted(toks, i) {
+	for _, t := range toks {
+		if !sqlLifted(t) {
 			continue
 		}
 		s := ps.slots[k]
@@ -177,20 +166,17 @@ func (ps *preparedSelect) bind(toks []sqlTok) *SelectStmt {
 		if t.text == s.text {
 			continue
 		}
-		switch {
-		case s.lit != nil:
-			v, err := sqlLiteral(t)
-			if err != nil {
-				return nil
-			}
-			b.lits = append(b.lits, [2]*SQLLit{s.lit, {Value: v}})
-		case s.like != nil:
+		if s.lit == nil {
 			b.likes = append(b.likes, likeBinding{s.like, t.text})
-		default: // an alias
-			b.aliases = append(b.aliases, aliasBinding{s.item, t.text})
+			continue
 		}
+		v, err := sqlLiteral(t)
+		if err != nil {
+			return nil
+		}
+		b.lits = append(b.lits, [2]*SQLLit{s.lit, {Value: v}})
 	}
-	if len(b.lits)+len(b.likes)+len(b.aliases) == 0 {
+	if len(b.lits)+len(b.likes) == 0 {
 		return ps.stmt
 	}
 	return b.stmt(ps.stmt)
@@ -198,9 +184,8 @@ func (ps *preparedSelect) bind(toks []sqlTok) *SelectStmt {
 
 // sqlBinding is one text's values for a prepared statement's slots.
 type sqlBinding struct {
-	lits    [][2]*SQLLit // the prepared literal, its replacement
-	likes   []likeBinding
-	aliases []aliasBinding
+	lits  [][2]*SQLLit // the prepared literal, its replacement
+	likes []likeBinding
 }
 
 type likeBinding struct {
@@ -208,20 +193,9 @@ type likeBinding struct {
 	pattern string
 }
 
-type aliasBinding struct {
-	item  int
-	alias string
-}
-
 // stmt copies st along the paths to the rebound slots.
 func (b *sqlBinding) stmt(st *SelectStmt) *SelectStmt {
 	out := *st
-	if len(b.aliases) > 0 {
-		out.Items = append([]SelectItem(nil), st.Items...)
-		for _, a := range b.aliases {
-			out.Items[a.item].Alias = a.alias
-		}
-	}
 	out.Where = mapSQL(st.Where, b.leaf)
 	return &out
 }

@@ -33,27 +33,30 @@ func execCached(t *testing.T, db *Database, sql string) string {
 }
 
 // TestExecBindsPreparedSelect: a SELECT whose shape Exec has parsed is
-// bound, not parsed — new literals, LIKE patterns and select-list
-// aliases included — and answers what parsing it answers; a text that
-// differs in a token other than those, or does not parse, is parsed, with
-// the parser's error.
+// bound, not parsed — new literals and LIKE patterns included — and
+// answers what parsing it answers; a text that differs in a token other
+// than those (a select list naming other columns among them), or does not
+// parse (a select-list alias among them), is parsed, with the parser's
+// error.
 func TestExecBindsPreparedSelect(t *testing.T) {
 	db := newTestDB(t)
 	for _, tc := range []struct {
 		sql string
 		hit bool
 	}{
-		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 1 ORDER BY id DESC`, false},
-		{`SELECT name AS who, id AS i FROM customers WHERE city = 'Austin' AND id >= 0 ORDER BY id DESC`, true},
-		{`select   name AS n, id AS i FROM customers WHERE city='London' AND id >= 2 ORDER BY id DESC`, false},
-		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2 ORDER BY id DESC`, true},
-		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 2.5 ORDER BY id DESC`, true},
-		{`SELECT name AS n, id AS i FROM customers WHERE city = 'London' AND id >= 1.2.3 ORDER BY id DESC`, false},
-		{`SELECT name AS n FROM customers WHERE name LIKE 'A%' OR id IN (3, 4)`, false},
-		{`SELECT name AS m FROM customers WHERE name LIKE '%ace' OR id IN (1, 9)`, true},
-		{`SELECT name AS m FROM customers WHERE name LIKE '%ace' OR city IN (1, 9)`, false},
-		{`SELECT name AS k, city AS c FROM customers WHERE id * -1 < -1 AND NOT lower(city) IN ('paris') ORDER BY city, id DESC`, false},
-		{`SELECT name AS k, city AS d FROM customers WHERE id * -2 < -4 AND NOT lower(city) IN ('austin') ORDER BY city, id DESC`, true},
+		{`SELECT name, id FROM customers WHERE city = 'London' AND id >= 1 ORDER BY id DESC`, false},
+		{`SELECT name, id FROM customers WHERE city = 'Austin' AND id >= 0 ORDER BY id DESC`, true},
+		{`select   name, id FROM customers WHERE city='London' AND id >= 2 ORDER BY id DESC`, false},
+		{`SELECT name, id FROM customers WHERE city = 'London' AND id >= 2 ORDER BY id DESC`, true},
+		{`SELECT name, id FROM customers WHERE city = 'London' AND id >= 2.5 ORDER BY id DESC`, true},
+		{`SELECT name, id FROM customers WHERE city = 'London' AND id >= 1.2.3 ORDER BY id DESC`, false},
+		{`SELECT id, name FROM customers WHERE city = 'London' AND id >= 2 ORDER BY id DESC`, false},
+		{`SELECT name AS n, id FROM customers WHERE city = 'London' AND id >= 2 ORDER BY id DESC`, false},
+		{`SELECT name FROM customers WHERE name LIKE 'A%' OR id IN (3, 4)`, false},
+		{`SELECT name FROM customers WHERE name LIKE '%ace' OR id IN (1, 9)`, true},
+		{`SELECT name FROM customers WHERE name LIKE '%ace' OR city IN (1, 9)`, false},
+		{`SELECT name, city FROM customers WHERE id * -1 < -1 AND NOT lower(city) IN ('paris') ORDER BY city, id DESC`, false},
+		{`SELECT name, city FROM customers WHERE id * -2 < -4 AND NOT lower(city) IN ('austin') ORDER BY city, id DESC`, true},
 	} {
 		before := db.PreparedStats()
 		want := execParsed(t, db, tc.sql)
@@ -65,8 +68,8 @@ func TestExecBindsPreparedSelect(t *testing.T) {
 			t.Errorf("%s: stats %+v -> %+v, want hit %v", tc.sql, before, after, tc.hit)
 		}
 	}
-	if n := db.PreparedStats().Entries; n != 5 {
-		t.Errorf("%d entries, want 5", n)
+	if n := db.PreparedStats().Entries; n != 6 {
+		t.Errorf("%d entries, want 6", n)
 	}
 }
 
@@ -76,16 +79,16 @@ func TestExecBindsPreparedSelect(t *testing.T) {
 // is created, with the columns in another order than the text names them.
 func TestPreparedSelectSurvivesTableChanges(t *testing.T) {
 	db := NewDatabase("d")
-	q := func(n int) string { return fmt.Sprintf(`SELECT b AS v FROM t WHERE a = %d`, n) }
+	q := func(n int) string { return fmt.Sprintf(`SELECT b FROM t WHERE a = %d`, n) }
 	if got := execCached(t, db, q(1)); !strings.Contains(got, "no such table") {
 		t.Fatalf("before CREATE: %s", got)
 	}
 	db.MustExec(`CREATE TABLE t (b VARCHAR, c INT, a INT PRIMARY KEY)`)
 	db.MustExec(`INSERT INTO t VALUES ('z', 7, 2), ('y', 8, 1)`)
-	if got := execCached(t, db, q(2)); got != "[v] [[z]]" {
+	if got := execCached(t, db, q(2)); got != "[b] [[z]]" {
 		t.Errorf("created: %s", got)
 	}
-	if got := execCached(t, db, q(1)); got != "[v] [[y]]" {
+	if got := execCached(t, db, q(1)); got != "[b] [[y]]" {
 		t.Errorf("created: %s", got)
 	}
 	if st := db.PreparedStats(); st.Misses != 1 || st.Hits != 2 || st.Entries != 1 {
@@ -93,14 +96,13 @@ func TestPreparedSelectSurvivesTableChanges(t *testing.T) {
 	}
 }
 
-// respellSQL rewrites sql with every literal and select-list alias (each
-// a slot a prepared statement rebinds) replaced: a string by 'p<i>', a
-// number by 7<i>, an alias by a<i>.
+// respellSQL rewrites sql with every literal (each a slot a prepared
+// statement rebinds) replaced: a string by 'p<i>', a number by 7<i>.
 func respellSQL(sql string, toks []sqlTok) string {
 	var sb strings.Builder
 	last, k := 0, 0
-	for i, tk := range toks {
-		if !sqlLifted(toks, i) {
+	for _, tk := range toks {
+		if !sqlLifted(tk) {
 			continue
 		}
 		k++
@@ -116,13 +118,10 @@ func respellSQL(sql string, toks []sqlTok) string {
 				last++
 			}
 			last++
-		case "num":
+		default: // a number
 			sb.WriteString("7" + strconv.Itoa(k))
 			for last = tk.pos; last < len(sql) && (sql[last] >= '0' && sql[last] <= '9' || sql[last] == '.'); last++ {
 			}
-		default:
-			sb.WriteString("a" + strconv.Itoa(k))
-			last = tk.pos + len(tk.text)
 		}
 	}
 	sb.WriteString(sql[last:])

@@ -202,13 +202,13 @@ func TestResultTextIsStringify_Property(t *testing.T) {
 		}
 		k := rng.Intn(n)
 		for _, sql := range []string{
-			`SELECT o, d, i AS x, f, s, k FROM w`,
+			`SELECT o, d, i, f, s, k FROM w`,
 			fmt.Sprintf(`SELECT s, d, k FROM w WHERE k = %d`, k),
 			`SELECT f, i, o FROM w WHERE s != 'a<b'`,
 			`SELECT d, o, f, i FROM w ORDER BY f DESC, k`,
 			`SELECT * FROM w`,
 			fmt.Sprintf(`SELECT * FROM w WHERE k = %d ORDER BY i`, k),
-			`SELECT i, f AS g, s, o, d FROM w`,
+			`SELECT i, f, s, o, d FROM w`,
 		} {
 			res, err := db.Exec(sql)
 			if err != nil {

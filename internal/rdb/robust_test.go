@@ -50,7 +50,7 @@ func TestExecRandomStatementsNeverPanic(t *testing.T) {
 	db.MustExec(`INSERT INTO t VALUES (1, 'a'), (2, 'b')`)
 	stmts := []string{
 		`SELECT * FROM t WHERE id = id`,
-		`SELECT v AS id, id AS v FROM t WHERE id = id`,
+		`SELECT v, id, v FROM t WHERE id = id`,
 		`SELECT * FROM t ORDER BY v DESC, id ASC`,
 		`SELECT id FROM t WHERE id + id * id - id / 1 > 0`,
 		`SELECT * FROM t WHERE v LIKE '%' AND NOT v LIKE '_______________'`,

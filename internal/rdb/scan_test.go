@@ -26,7 +26,7 @@ import (
 // and unindexed columns. Every answer reads its cells through Pos and
 // their texts through Text, and shares the table's rows: the row list
 // itself when nothing filters, else a list of the rows that pass (a
-// select list of columns in any order, aliased or repeated, or *).
+// select list of columns in any order, repeated or not, or *).
 func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var shared, listed int
@@ -76,7 +76,7 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 		for i := rng.Intn(4); i > 0; i-- {
 			where = append(where, conj())
 		}
-		list := []string{"s, id", "*", "u AS a, n, id", "u, n AS s, id, u"}[rng.Intn(4)]
+		list := []string{"s, id", "*", "u, n, id", "u, n, id, u"}[rng.Intn(4)]
 		desc := rng.Intn(2) == 0
 		sql := func(w string) string {
 			sql := "SELECT " + list + " FROM t"
@@ -148,8 +148,8 @@ func TestScanEqualsMaterializedPath_Property(t *testing.T) {
 					continue
 				}
 				proj := make(Row, len(st.Items))
-				for i, item := range st.Items {
-					proj[i] = row[slices.Index(columns, item.Col)]
+				for i, col := range st.Items {
+					proj[i] = row[slices.Index(columns, col)]
 				}
 				out = append(out, proj)
 			}
@@ -281,7 +281,7 @@ func TestScanAllocatesOnlyTheResult(t *testing.T) {
 		sql  string
 		kept float64 // bytes of the answer over the full table
 	}{
-		{`SELECT city AS c, id AS i, name AS n, tier AS t FROM customers`, 0},
+		{`SELECT city, id, name, tier FROM customers`, 0},
 		{`SELECT * FROM customers`, 0},
 		{`SELECT name FROM customers WHERE tier = 'gold'`, n * rowSize},
 		{`SELECT * FROM customers WHERE tier = 'gold' ORDER BY name DESC`, n * rowSize},

@@ -1,7 +1,6 @@
 package rdb
 
 import (
-	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -50,9 +49,9 @@ type ExecStats struct {
 }
 
 // Exec parses and executes one SQL statement. A SELECT whose shape —
-// the text with its numbers, strings and select-list aliases lifted out
-// — it has executed before is not parsed again: the statement parsed
-// then is bound to this text's values (PreparedStats).
+// the text with its numbers and strings lifted out — it has executed
+// before is not parsed again: the statement parsed then is bound to
+// this text's values (PreparedStats).
 func (db *Database) Exec(sql string) (*Result, error) {
 	stmt, err := db.stmts.parse(sql)
 	if err != nil {
@@ -192,13 +191,13 @@ func (s *rowSource) columnMap(st *SelectStmt, res *Result) error {
 	}
 	res.Columns = make([]string, len(st.Items))
 	res.pos = make([]int, len(st.Items))
-	for i, item := range st.Items {
-		ci, err := s.lookup(item.Col)
+	for i, col := range st.Items {
+		ci, err := s.lookup(col)
 		if err != nil {
 			return err
 		}
 		res.pos[i] = ci
-		res.Columns[i] = strings.ToLower(cmp.Or(item.Alias, item.Col))
+		res.Columns[i] = strings.ToLower(col)
 	}
 	return nil
 }

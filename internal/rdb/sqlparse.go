@@ -13,7 +13,7 @@ import (
 // one table. Tables are append-only, so there is no UPDATE, DELETE or
 // DROP TABLE. A SELECT is
 //
-//	SELECT (* | column [AS alias], …) FROM table
+//	SELECT (* | column, …) FROM table
 //	  [WHERE expr] [ORDER BY column [ASC|DESC], …]
 //
 // WHERE expressions are literals, unqualified columns, arithmetic,
@@ -50,9 +50,10 @@ type InsertStmt struct {
 
 func (*InsertStmt) isStmt() {}
 
-// SelectStmt is a SELECT query over one table.
+// SelectStmt is a SELECT query over one table. Items names the select
+// list's columns, a column as often as it is listed.
 type SelectStmt struct {
-	Items   []SelectItem
+	Items   []string
 	Star    bool
 	From    string
 	Where   SQLExpr
@@ -60,12 +61,6 @@ type SelectStmt struct {
 }
 
 func (*SelectStmt) isStmt() {}
-
-// SelectItem is one column of the select list, with an optional alias.
-type SelectItem struct {
-	Col   string
-	Alias string
-}
 
 // SQLOrderItem is one ORDER BY key: a column, ascending unless Desc.
 type SQLOrderItem struct {
@@ -241,7 +236,7 @@ type sqlParser struct {
 	toks []sqlTok
 	i    int
 	// slots, when preparing, records by token index what a SELECT made of
-	// each literal and select-list alias (prepareSelect).
+	// each literal and LIKE pattern (stmtCache.parse).
 	slots map[int]sqlSlot
 }
 
@@ -494,14 +489,7 @@ func (p *sqlParser) parseSelect() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			item := SelectItem{Col: col}
-			if p.acceptKw("AS") {
-				p.record(p.i, sqlSlot{item: len(st.Items)})
-				if item.Alias, err = p.ident(); err != nil {
-					return nil, err
-				}
-			}
-			st.Items = append(st.Items, item)
+			st.Items = append(st.Items, col)
 			if !p.acceptOp(",") {
 				break
 			}

@@ -456,7 +456,7 @@ func TestViewExportSharesStoredText(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Exec(`SELECT tier, score AS s, id FROM customers`)
+	res, err := db.Exec(`SELECT tier, score, id FROM customers`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestViewExportSharesStoredText(t *testing.T) {
 	doc := RowsDocument("crmdb", req, res)
 	for r, row := range res.Rows {
 		got := doc.Children[r].(*xmldm.Node)
-		for i, col := range []string{"tier", "s", "id"} {
+		for i, col := range []string{"tier", "score", "id"} {
 			want := ""
 			if c := row[res.Pos(i)]; c.Kind() != xmldm.KindNull {
 				want = xmldm.Stringify(c)

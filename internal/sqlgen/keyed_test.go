@@ -29,17 +29,17 @@ func keyedFragment(t testing.TB, orderBy bool) *Fragment {
 
 func TestKeyedSQLJoinsTheConjuncts(t *testing.T) {
 	frag := keyedFragment(t, false)
-	if frag.Columns["i"] != "id" || frag.VarColumns["i"] != "v_i" {
-		t.Fatalf("columns %v, aliases %v", frag.Columns, frag.VarColumns)
+	if frag.Columns["i"] != "id" {
+		t.Fatalf("columns %v", frag.Columns)
 	}
-	if want := `SELECT id AS v_i, name AS v_n FROM customers WHERE (name != 'x')`; frag.SQL != want {
+	if want := `SELECT id, name FROM customers WHERE (name != 'x')`; frag.SQL != want {
 		t.Errorf("SQL = %q, want %q", frag.SQL, want)
 	}
 	got := frag.KeyedSQL("id", []string{"7", "O'Brien", "007"})
-	if want := `SELECT id AS v_i, name AS v_n FROM customers WHERE (name != 'x') AND id IN ('7', 'O''Brien', '007')`; got != want {
+	if want := `SELECT id, name FROM customers WHERE (name != 'x') AND id IN ('7', 'O''Brien', '007')`; got != want {
 		t.Errorf("KeyedSQL = %q, want %q", got, want)
 	}
-	if want := `SELECT id AS v_i, name AS v_n FROM customers WHERE (name != 'x') AND id IN (…3 keys)`; frag.KeyedLabel("id", 3) != want {
+	if want := `SELECT id, name FROM customers WHERE (name != 'x') AND id IN (…3 keys)`; frag.KeyedLabel("id", 3) != want {
 		t.Errorf("KeyedLabel = %q, want %q", frag.KeyedLabel("id", 3), want)
 	}
 	// The fragment itself is not changed by rendering it with keys.
@@ -54,12 +54,12 @@ func TestKeyedSQLJoinsTheConjuncts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := bare.KeyedSQL("id", []string{"1"}), `SELECT id AS v_i FROM customers WHERE id IN ('1')`; got != want {
+	if got, want := bare.KeyedSQL("id", []string{"1"}), `SELECT id FROM customers WHERE id IN ('1')`; got != want {
 		t.Errorf("KeyedSQL = %q, want %q", got, want)
 	}
 	ordered := keyedFragment(t, true)
 	requireRDBGrammar(t, ordered)
-	if got, want := ordered.KeyedSQL("id", []string{"1"}), `SELECT id AS v_i, name AS v_n FROM customers WHERE (name != 'x') AND id IN ('1') ORDER BY name`; got != want {
+	if got, want := ordered.KeyedSQL("id", []string{"1"}), `SELECT id, name FROM customers WHERE (name != 'x') AND id IN ('1') ORDER BY name`; got != want {
 		t.Errorf("KeyedSQL = %q, want %q", got, want)
 	}
 }

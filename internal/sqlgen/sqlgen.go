@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,16 +32,14 @@ type Fragment struct {
 	Table string
 	// RowElement names the element each result row exports as.
 	RowElement string
-	// VarColumns maps each bound variable to the exported child-element
-	// name that carries its value (the SQL output alias).
-	VarColumns map[string]string
+	// Columns maps each bound variable to the table column it reads: the
+	// name WHERE conjuncts use, and the output column (and exported
+	// child element) that carries its value.
+	Columns map[string]string
 	// PushedPredicates counts WHERE conjuncts evaluated at the source.
 	PushedPredicates int
 	// PushedOrder reports whether ORDER BY was pushed.
 	PushedOrder bool
-	// Columns maps each bound variable to the table column it reads (the
-	// name WHERE conjuncts use; VarColumns holds the output alias).
-	Columns map[string]string
 
 	// The statement in parts, so that a key list can join the WHERE
 	// conjuncts after compilation: SELECT … FROM t, the conjuncts, and
@@ -157,7 +155,7 @@ func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 		}
 	}
 
-	frag := &Fragment{Table: desc.Table, RowElement: desc.RowElement, VarColumns: make(map[string]string), Columns: varCol}
+	frag := &Fragment{Table: desc.Table, RowElement: desc.RowElement, Columns: varCol}
 
 	// Predicate pushdown.
 	var remaining []xmlql.Expr
@@ -174,35 +172,17 @@ func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 		remaining = preds
 	}
 
-	// Projection: select only the columns variables need. Variable names
-	// come straight from the query text, so the alias each one becomes
-	// must pass through sqlIdent before it reaches the SELECT list; two
-	// names may collapse to the same identifier, so collisions get a
-	// numeric suffix.
-	var selectList string
+	// Projection: select only the columns variables read, each once and
+	// sorted by name, so the statement names table columns only and is
+	// the same text whatever the query calls its variables.
+	selectList := "*"
 	if opts.PushProjections && caps.Projection && len(varCol) > 0 {
-		vars := make([]string, 0, len(varCol))
-		for v := range varCol {
-			vars = append(vars, v)
+		cols := make([]string, 0, len(varCol))
+		for _, col := range varCol {
+			cols = append(cols, col)
 		}
-		sort.Strings(vars)
-		var items []string
-		used := make(map[string]bool, len(vars))
-		for _, v := range vars {
-			alias := sqlIdent("v_" + strings.ToLower(v))
-			for n := 2; used[alias]; n++ {
-				alias = sqlIdent("v_"+strings.ToLower(v)) + "_" + strconv.Itoa(n)
-			}
-			used[alias] = true
-			items = append(items, varCol[v]+" AS "+alias)
-			frag.VarColumns[v] = alias
-		}
-		selectList = strings.Join(items, ", ")
-	} else {
-		selectList = "*"
-		for v, col := range varCol {
-			frag.VarColumns[v] = col
-		}
+		slices.Sort(cols)
+		selectList = strings.Join(slices.Compact(cols), ", ")
 	}
 
 	frag.head = "SELECT " + selectList + " FROM " + desc.Table
@@ -405,27 +385,4 @@ func scalarToSQL(e xmlql.Expr, varCol map[string]string) (string, bool) {
 // sqlString quotes a string literal for the SQL dialect.
 func sqlString(s string) string {
 	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
-}
-
-// sqlIdent reduces a query-derived name to a safe SQL identifier:
-// anything outside [a-z A-Z 0-9 _] becomes '_', and a leading digit or
-// empty result gains an underscore prefix. The mapping is lossy — two
-// distinct inputs can collide — so callers minting aliases must dedup.
-func sqlIdent(s string) string {
-	var b strings.Builder
-	b.Grow(len(s) + 1)
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_',
-			c >= '0' && c <= '9' && b.Len() > 0:
-			b.WriteByte(c)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	if b.Len() == 0 {
-		return "_"
-	}
-	return b.String()
 }
