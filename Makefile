@@ -25,7 +25,7 @@ vet:
 
 # lint runs nimble-lint, the repo's own invariant checkers (span
 # lifecycle, operator close discipline, guarded-by annotations,
-# lock-order cycles, SQL taint). See internal/analysis and
+# lock-order cycles). See internal/analysis and
 # `go run ./cmd/nimble-lint -list`.
 lint:
 	$(GO) run ./cmd/nimble-lint ./...
@@ -57,11 +57,10 @@ define run-named
 endef
 
 # lint-corpus runs, under the race detector, every analyzer's corpus
-# test and the suppression-directive tests, each by name, so an analyzer
-# dropped from the roster or a renamed test fails the step instead of
-# leaving it green.
+# test by name, so an analyzer dropped from the roster or a renamed test
+# fails the step instead of leaving it green.
 lint-corpus:
-	$(call run-named,-race -count=1 -v,TestSpanFinish|TestOpClose|TestGuardedBy|TestLockOrder|TestSQLSafe|TestSuppression|TestFilterMultiAnalyzerDirective|TestFilterNewAnalyzerNames|TestFilterScopeIsTwoLines|TestCheckDirectivesUnknownName|TestCheckDirectivesIgnoresReasonless,./internal/analysis)
+	$(call run-named,-race -count=1 -v,TestSpanFinish|TestOpClose|TestGuardedBy|TestLockOrder,./internal/analysis)
 
 # parallel-race exercises the intra-query parallel execution machinery
 # under the race detector: the serial-vs-parallel differential suite

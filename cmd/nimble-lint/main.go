@@ -1,24 +1,16 @@
 // nimble-lint runs the repository's invariant-checking analyzers
 // (internal/analysis) over the packages matched by the given patterns
-// and prints every unsuppressed finding as file:line:col: analyzer:
-// message. It exits 1 when findings remain, 0 when the tree is clean.
+// and prints every finding as file:line:col: analyzer: message. It
+// exits 1 when there are findings, 0 when the tree is clean.
 //
 // Usage:
 //
-//	go run ./cmd/nimble-lint [flags] [packages]
+//	go run ./cmd/nimble-lint [-list] [packages]
 //
-//	-list          print the analyzer roster and exit
-//	-only a,b      run only the named analyzers
-//	-show-ignored  also print suppressed findings (marked [suppressed])
-//	-json          print findings as a JSON array on stdout
+//	-list  print the analyzer roster and exit
 //
-// Patterns default to ./... . Findings are silenced per site with
-//
-//	//lint:ignore <analyzer>[,<analyzer>...] <reason>
-//
-// on the flagged line or the line directly above it. Directives naming
-// analyzers that do not exist are themselves findings: a typo in a
-// directive must not silently stop suppressing.
+// Patterns default to ./... . There is no suppression directive: a false
+// positive is fixed in the code or in the analyzer.
 //
 // All targets run inside one analysis.Session, so suite-level analyzers
 // (lockorder's lock-acquisition graph) see the whole program, not one
@@ -26,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,42 +27,16 @@ import (
 	"repro/internal/analysis"
 )
 
-// finding is the JSON shape of one diagnostic.
-type finding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed,omitempty"`
-}
-
 func main() {
 	listFlag := flag.Bool("list", false, "print the analyzer roster and exit")
-	onlyFlag := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	showIgnored := flag.Bool("show-ignored", false, "also print suppressed findings")
-	jsonFlag := flag.Bool("json", false, "print findings as JSON")
 	flag.Parse()
 
+	analyzers := analysis.Analyzers()
 	if *listFlag {
-		for _, a := range analysis.Analyzers() {
+		for _, a := range analyzers {
 			fmt.Printf("%-11s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-
-	analyzers := analysis.Analyzers()
-	if *onlyFlag != "" {
-		analyzers = analyzers[:0:0]
-		for _, name := range strings.Split(*onlyFlag, ",") {
-			name = strings.TrimSpace(name)
-			a := analysis.ByName(name)
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "nimble-lint: unknown analyzer %q (use -list)\n", name)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	patterns := flag.Args()
@@ -93,74 +58,32 @@ func main() {
 	// Per-target passes accumulate into one session; suite-level Finish
 	// hooks run once over everything the session saw.
 	session := analysis.NewSession(loader.Fset)
-	var kept, suppressed []analysis.Diagnostic
+	var found []analysis.Diagnostic
 	for _, target := range targets {
 		diags, err := session.RunTarget(target, analyzers)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nimble-lint: %s: %v\n", target.Path, err)
 			os.Exit(2)
 		}
-		k, s := analysis.Filter(target.Fset, target.Files, diags)
-		kept = append(kept, k...)
-		suppressed = append(suppressed, s...)
+		found = append(found, diags...)
 	}
-	k, s := analysis.Filter(loader.Fset, session.Files(), session.FinishAll(analyzers))
-	kept = append(kept, k...)
-	suppressed = append(suppressed, s...)
+	found = append(found, session.FinishAll(analyzers)...)
 
-	// Malformed suppressions are findings too (never self-suppressible:
-	// they pass through no Filter call).
-	kept = append(kept, analysis.CheckDirectives(loader.Fset, session.Files())...)
-
-	emit := func(ds []analysis.Diagnostic, sup bool) []finding {
-		out := make([]finding, 0, len(ds))
-		for _, d := range ds {
-			p := loader.Fset.Position(d.Pos)
-			out = append(out, finding{
-				File: p.Filename, Line: p.Line, Col: p.Column,
-				Analyzer: d.Analyzer, Message: d.Message, Suppressed: sup,
-			})
-		}
-		return out
-	}
-	all := emit(kept, false)
-	if *showIgnored || *jsonFlag {
-		all = append(all, emit(suppressed, true)...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.File != b.File {
-			return a.File < b.File
+	sort.SliceStable(found, func(i, j int) bool {
+		a, b := loader.Fset.Position(found[i].Pos), loader.Fset.Position(found[j].Pos)
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
 		}
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Analyzer < b.Analyzer
+		return a.Column < b.Column
 	})
-
-	if *jsonFlag {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(all); err != nil {
-			fmt.Fprintf(os.Stderr, "nimble-lint: encoding findings: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range all {
-			mark := ""
-			if f.Suppressed {
-				mark = " [suppressed]"
-			}
-			fmt.Printf("%s:%d:%d: %s: %s%s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message, mark)
-		}
+	for _, d := range found {
+		fmt.Printf("%s: %s: %s\n", loader.Fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
-
-	found := len(kept)
-	if found > 0 {
-		fmt.Fprintf(os.Stderr, "nimble-lint: %d finding(s) in %d package(s)\n", found, len(targets))
+	if len(found) > 0 {
+		fmt.Fprintf(os.Stderr, "nimble-lint: %d finding(s) in %d package(s)\n", len(found), len(targets))
 		os.Exit(1)
 	}
 }

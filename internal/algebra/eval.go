@@ -127,7 +127,7 @@ func evalBin(ctx *Context, x *xmlql.BinExpr, b Binding) (xmldm.Value, error) {
 		return xmldm.Bool(res), nil
 	case "+", "-", "*", "/":
 		if x.Op == "+" {
-			// String concatenation when either side is non-numeric text.
+			// String concatenation when the left side is non-numeric text.
 			if _, lok := xmldm.ToFloat(l); !lok {
 				if l.Kind() == xmldm.KindString || l.Kind() == xmldm.KindNode {
 					return xmldm.String(xmldm.Stringify(l) + xmldm.Stringify(r)), nil

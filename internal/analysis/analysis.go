@@ -12,17 +12,11 @@
 //     touched while that mutex is held.
 //   - lockorder: the lock-acquisition graph across the module has no
 //     cycle, and no function re-acquires a mutex it holds.
-//   - sqlsafe: strings derived from XML-QL query text reach SQL only
-//     through a quoting helper.
 //
 // The suite runs as `go run ./cmd/nimble-lint ./...` (wired into
 // `make check` and CI) and is exercised by analysistest-style corpora
-// under testdata/. Findings are suppressed, one at a time and with a
-// recorded reason, by the directive:
-//
-//	//lint:ignore <analyzer>[,<analyzer>...] <reason>
-//
-// placed on the flagged line or on the line directly above it.
+// under testdata/. There is no suppression directive: a false positive
+// is fixed in the code or in the analyzer.
 package analysis
 
 import (
@@ -37,8 +31,7 @@ import (
 // golang.org/x/tools/go/analysis.Analyzer so the suite can migrate to
 // the real multichecker if the dependency ever becomes available.
 type Analyzer struct {
-	// Name is the identifier used in diagnostics, -only filters, and
-	// suppression directives.
+	// Name is the identifier used in diagnostics and the -list roster.
 	Name string
 	// Doc is the one-paragraph description shown by nimble-lint -list.
 	Doc string
@@ -70,8 +63,6 @@ type Pass struct {
 // conclusions.
 type Session struct {
 	Fset  *token.FileSet
-	files []*ast.File
-
 	state map[*Analyzer]any
 }
 
@@ -79,10 +70,6 @@ type Session struct {
 func NewSession(fset *token.FileSet) *Session {
 	return &Session{Fset: fset, state: make(map[*Analyzer]any)}
 }
-
-// Files returns every file analyzed so far, for suite-level suppression
-// filtering.
-func (s *Session) Files() []*ast.File { return s.files }
 
 // State returns the accumulator for a, creating it with mk on first use.
 func (s *Session) State(a *Analyzer, mk func() any) any {
@@ -95,10 +82,8 @@ func (s *Session) State(a *Analyzer, mk func() any) any {
 }
 
 // RunTarget executes the analyzers over one loaded package, returning
-// that package's diagnostics sorted by position (suppression directives
-// are NOT applied here; see Filter).
+// that package's diagnostics sorted by position.
 func (s *Session) RunTarget(t *Target, analyzers []*Analyzer) ([]Diagnostic, error) {
-	s.files = append(s.files, t.Files...)
 	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -149,23 +134,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SpanFinish, OpClose, GuardedBy, LockOrder, SQLSafe}
-}
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
+	return []*Analyzer{SpanFinish, OpClose, GuardedBy, LockOrder}
 }
 
 // Run executes the analyzers over one loaded package — including any
-// Finish hooks, scoped to just this target — and returns the raw
-// diagnostics sorted by position (suppression directives are NOT
-// applied here; see Filter). Multi-target callers should drive a
+// Finish hooks, scoped to just this target — and returns the
+// diagnostics sorted by position. Multi-target callers should drive a
 // Session directly so Finish sees the whole program.
 func Run(t *Target, analyzers []*Analyzer) ([]Diagnostic, error) {
 	s := NewSession(t.Fset)

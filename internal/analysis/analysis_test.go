@@ -24,38 +24,6 @@ func TestLockOrder(t *testing.T) {
 	atest.Run(t, "testdata/src/lockorder", analysis.LockOrder)
 }
 
-func TestSQLSafe(t *testing.T) {
-	atest.Run(t, "testdata/src/sqlsafe", analysis.SQLSafe)
-}
-
-// TestSuppression checks the //lint:ignore directive end to end: the
-// corpus provokes two identical spanfinish findings, one under a
-// well-formed directive (suppressed) and one under a reasonless
-// directive (kept — the reason is mandatory).
-func TestSuppression(t *testing.T) {
-	target, err := analysis.NewLoader().CheckDir("testdata/src/suppress")
-	if err != nil {
-		t.Fatalf("loading corpus: %v", err)
-	}
-	diags, err := analysis.Run(target, []*analysis.Analyzer{analysis.SpanFinish})
-	if err != nil {
-		t.Fatalf("running spanfinish: %v", err)
-	}
-	if len(diags) != 2 {
-		t.Fatalf("got %d raw diagnostics, want 2: %+v", len(diags), diags)
-	}
-	kept, suppressed := analysis.Filter(target.Fset, target.Files, diags)
-	if len(kept) != 1 || len(suppressed) != 1 {
-		t.Fatalf("got %d kept / %d suppressed, want 1 / 1", len(kept), len(suppressed))
-	}
-	// The kept finding must be the one under the reasonless directive.
-	keptLine := target.Fset.Position(kept[0].Pos).Line
-	supLine := target.Fset.Position(suppressed[0].Pos).Line
-	if keptLine <= supLine {
-		t.Errorf("kept diagnostic at line %d, suppressed at line %d; expected the reasonless (later) one kept", keptLine, supLine)
-	}
-}
-
 // TestLoaderTypes checks that the source loader produces complete type
 // information for a real module package.
 func TestLoaderTypes(t *testing.T) {
@@ -78,23 +46,17 @@ func TestLoaderTypes(t *testing.T) {
 	}
 }
 
-// TestRegistry keeps the suite roster and name lookup honest.
+// TestRegistry keeps the suite roster honest.
 func TestRegistry(t *testing.T) {
-	want := []string{"spanfinish", "opclose", "guardedby", "lockorder", "sqlsafe"}
+	want := []string{"spanfinish", "opclose", "guardedby", "lockorder"}
 	var got []string
 	for _, a := range analysis.Analyzers() {
 		got = append(got, a.Name)
 		if a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %s missing doc or run", a.Name)
 		}
-		if analysis.ByName(a.Name) != a {
-			t.Errorf("ByName(%q) does not round-trip", a.Name)
-		}
 	}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("Analyzers() = %v, want %v", got, want)
-	}
-	if analysis.ByName("nosuch") != nil {
-		t.Error("ByName(nosuch) != nil")
 	}
 }

@@ -2,7 +2,7 @@
 // both flavors the analyzers need:
 //
 //   - may-analyses (union join): "this span MAY still be unfinished
-//     here" — spanfinish, opclose, sqlsafe;
+//     here" — spanfinish, opclose;
 //   - must-analyses (intersection join): "this mutex IS held on every
 //     path to here" — lockorder.
 //

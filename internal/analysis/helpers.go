@@ -169,22 +169,6 @@ func baseTypeIdent(t ast.Expr) (*ast.Ident, bool) {
 	}
 }
 
-// returnsIn collects every return statement within fn that exits the
-// given enclosing function node.
-func returnsIn(fd *ast.FuncDecl, owner ast.Node) []*ast.ReturnStmt {
-	var out []*ast.ReturnStmt
-	walkStack(fd, func(n ast.Node, stack []ast.Node) {
-		r, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return
-		}
-		if enclosingFunc(n, stack) == owner {
-			out = append(out, r)
-		}
-	})
-	return out
-}
-
 // isDeclIdent reports whether the identifier occurrence is a
 // declaration, not a use: a parameter/receiver/struct field name, a
 // range variable, or a var-spec name. Declarations are neutral for

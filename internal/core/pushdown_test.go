@@ -14,8 +14,9 @@ import (
 	"repro/internal/xmldm"
 )
 
-// pushedCase is a predicate over items' $i, $q and $t, the ids it holds
-// for, and the SQL conjunct it is pushed as.
+// pushedCase is a predicate over items' $i, $q, $t and $s, the ids it
+// holds for ("error" when the query fails), and the SQL conjunct it is
+// pushed as.
 type pushedCase struct{ pred, want, sql string }
 
 // requirePushedAsMediator runs each case's query on an engine that
@@ -25,8 +26,8 @@ type pushedCase struct{ pred, want, sql string }
 func requirePushedAsMediator(t *testing.T, cases []pushedCase) {
 	t.Helper()
 	db := rdb.NewDatabase("m")
-	db.MustExec(`CREATE TABLE items (id INT PRIMARY KEY, q INT, t FLOAT)`)
-	db.MustExec(`INSERT INTO items VALUES (1, 3, 0.5), (2, 2, 0.000001), (100, 4, 250.0), (7, 5, -0.00002)`)
+	db.MustExec(`CREATE TABLE items (id INT PRIMARY KEY, q INT, t FLOAT, s VARCHAR)`)
+	db.MustExec(`INSERT INTO items VALUES (1, 3, 0.5, 'x'), (2, 2, 0.000001, '5'), (100, 4, 250.0, 'ab'), (7, 5, -0.00002, 'x')`)
 	cat := catalog.New()
 	if err := cat.AddSource(sources.NewRelationalSource("m", db)); err != nil {
 		t.Fatal(err)
@@ -35,7 +36,8 @@ func requirePushedAsMediator(t *testing.T, cases []pushedCase) {
 	answer := func(e *Engine, q string) (string, []string) {
 		res, err := e.Query(context.Background(), q)
 		if err != nil {
-			return "error: " + err.Error(), nil
+			t.Logf("%s: %v", q, err)
+			return "error", nil
 		}
 		ids := make([]string, len(res.Values))
 		for i, v := range res.Values {
@@ -45,7 +47,7 @@ func requirePushedAsMediator(t *testing.T, cases []pushedCase) {
 		return strings.Join(ids, ","), res.Stats.Explain
 	}
 	for _, tc := range cases {
-		q := `WHERE <item><id>$i</id><q>$q</q><t>$t</t></item> IN "m", ` + tc.pred + ` CONSTRUCT <r>$i</r>`
+		q := `WHERE <item><id>$i</id><q>$q</q><t>$t</t><s>$s</s></item> IN "m", ` + tc.pred + ` CONSTRUCT <r>$i</r>`
 		got, explain := answer(pushed, q)
 		if want, _ := answer(plain, q); got != want || got != tc.want {
 			t.Errorf("%s: pushed %s, not pushed %s, want %s", tc.pred, got, want, tc.want)
@@ -79,6 +81,16 @@ func TestPushedDivisionAnswersAsTheMediator(t *testing.T) {
 		{`$q / 2 = 1`, "2", "((q / 2) = 1)"},
 		{`$q / 2 = 1.5`, "1", "((q / 2) = 1.5)"},
 		{`$i / $q > 2`, "100", "((id / q) > 2)"},
+	})
+}
+
+// TestPushedPlusAnswersAsTheMediator: + concatenates only when its left
+// operand is non-numeric text, in the source as in the mediator, so
+// $s + 1 over 'x' is "x1" both ways and 1 + $s over 'x' fails both ways.
+func TestPushedPlusAnswersAsTheMediator(t *testing.T) {
+	requirePushedAsMediator(t, []pushedCase{
+		{`$s + 1 = "x1"`, "1,7", "((s + 1) = 'x1')"},
+		{`1 + $s = 6`, "error", ""},
 	})
 }
 

@@ -113,12 +113,10 @@ func applyBin(op string, l, r Value) (Value, error) {
 		if lNull || rNull {
 			return xmldm.Null{}, nil
 		}
-		// String concatenation with +.
-		if op == "+" && (l.Kind() == xmldm.KindString || r.Kind() == xmldm.KindString) {
+		// String concatenation with + when the left side is non-numeric
+		// text, as the mediator's algebra.Eval does.
+		if op == "+" && l.Kind() == xmldm.KindString {
 			if _, lok := xmldm.ToFloat(l); !lok {
-				return xmldm.String(xmldm.Stringify(l) + xmldm.Stringify(r)), nil
-			}
-			if _, rok := xmldm.ToFloat(r); !rok {
 				return xmldm.String(xmldm.Stringify(l) + xmldm.Stringify(r)), nil
 			}
 		}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/rdb"
 	"repro/internal/sources"
+	"repro/internal/xmldm"
 	"repro/internal/xmlql"
 )
 
@@ -263,15 +265,43 @@ func TestCompiledSQLRunsAgainstSource(t *testing.T) {
 	}
 }
 
+// TestSQLStringEscaping: query text that reaches the SQL — a predicate's
+// literal or a pattern's text — is quoted, so the statement is in rdb's
+// grammar and answers exactly the row whose name is that text, quotes
+// and all.
 func TestSQLStringEscaping(t *testing.T) {
-	pat, preds := patAndPreds(t, `WHERE <customer><name>$n</name></customer> IN "crmdb",
-		$n = "O'Brien" CONSTRUCT <r/>`)
-	frag, _, err := Compile(crmDescs(), sqlCaps(), pat, preds, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	db := rdb.NewDatabase("crm")
+	db.MustExec(`CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR, city VARCHAR)`)
+	db.MustExec(`INSERT INTO customers VALUES (1, 'Ada', 'London'), (2, 'O''Brien', 'Cork'), (3, 'x'' OR ''1''=''1', 'Paris')`)
+	cases := []struct{ where, quoted, ids string }{
+		{`<customer><id>$i</id><name>$n</name></customer> IN "crmdb", $n = "O'Brien"`, `'O''Brien'`, "2"},
+		{`<customer><id>$i</id><name>"O'Brien"</name></customer> IN "crmdb"`, `'O''Brien'`, "2"},
+		{`<customer><id>$i</id><name>"x' OR '1'='1"</name></customer> IN "crmdb"`, `'x'' OR ''1''=''1'`, "3"},
 	}
-	if !strings.Contains(frag.SQL, "'O''Brien'") {
-		t.Errorf("SQL = %q", frag.SQL)
+	for _, c := range cases {
+		pat, preds := patAndPreds(t, "WHERE "+c.where+" CONSTRUCT <r/>")
+		frag, _, err := Compile(crmDescs(), sqlCaps(), pat, preds, DefaultOptions())
+		if err != nil {
+			t.Errorf("%s: %v", c.where, err)
+			continue
+		}
+		if !strings.Contains(frag.SQL, c.quoted) {
+			t.Errorf("%s: SQL = %q, want %s in it", c.where, frag.SQL, c.quoted)
+		}
+		requireRDBGrammar(t, frag)
+		res, err := db.Exec(frag.SQL)
+		if err != nil {
+			t.Errorf("%s: %v", c.where, err)
+			continue
+		}
+		id := slices.Index(res.Columns, frag.Columns["i"])
+		var ids []string
+		for _, row := range res.Rows {
+			ids = append(ids, xmldm.Stringify(res.Text(row, id)))
+		}
+		if got := strings.Join(ids, ","); got != c.ids {
+			t.Errorf("%s: %s answers ids %q, want %q", c.where, frag.SQL, got, c.ids)
+		}
 	}
 }
 
