@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/xmldm"
@@ -103,75 +102,7 @@ func evalBin(ctx *Context, x *xmlql.BinExpr, b Binding) (xmldm.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch x.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l.Kind() == xmldm.KindNull || r.Kind() == xmldm.KindNull {
-			return xmldm.Bool(false), nil
-		}
-		c := xmldm.Compare(l, r)
-		var res bool
-		switch x.Op {
-		case "=":
-			res = c == 0
-		case "!=":
-			res = c != 0
-		case "<":
-			res = c < 0
-		case "<=":
-			res = c <= 0
-		case ">":
-			res = c > 0
-		case ">=":
-			res = c >= 0
-		}
-		return xmldm.Bool(res), nil
-	case "+", "-", "*", "/":
-		if x.Op == "+" {
-			// String concatenation when the left side is non-numeric text.
-			if _, lok := xmldm.ToFloat(l); !lok {
-				if l.Kind() == xmldm.KindString || l.Kind() == xmldm.KindNode {
-					return xmldm.String(xmldm.Stringify(l) + xmldm.Stringify(r)), nil
-				}
-			}
-		}
-		lf, lok := xmldm.ToFloat(l)
-		rf, rok := xmldm.ToFloat(r)
-		if !lok || !rok {
-			return nil, fmt.Errorf("algebra: arithmetic on non-numeric values %q, %q", xmldm.Stringify(l), xmldm.Stringify(r))
-		}
-		var f float64
-		switch x.Op {
-		case "+":
-			f = lf + rf
-		case "-":
-			f = lf - rf
-		case "*":
-			f = lf * rf
-		case "/":
-			if rf == 0 {
-				return nil, fmt.Errorf("algebra: division by zero")
-			}
-			f = lf / rf
-		}
-		if f == float64(int64(f)) && isIntLike(l) && isIntLike(r) && x.Op != "/" {
-			return xmldm.Int(int64(f)), nil
-		}
-		return xmldm.Float(f), nil
-	default:
-		return nil, fmt.Errorf("algebra: unknown operator %q", x.Op)
-	}
-}
-
-func isIntLike(v xmldm.Value) bool {
-	switch v.Kind() {
-	case xmldm.KindInt, xmldm.KindBool:
-		return true
-	case xmldm.KindString, xmldm.KindNode:
-		_, err := strconv.ParseInt(strings.TrimSpace(xmldm.Stringify(v)), 10, 64)
-		return err == nil
-	default:
-		return false
-	}
+	return xmldm.Apply(x.Op, l, r)
 }
 
 // applyFunc implements the built-in scalar functions.
@@ -183,7 +114,7 @@ func applyFunc(name string, args []xmldm.Value) (xmldm.Value, error) {
 		return nil
 	}
 	str := func(i int) string { return xmldm.Stringify(args[i]) }
-	switch strings.ToLower(name) {
+	switch fn := strings.ToLower(name); fn {
 	case "contains":
 		if err := arity(2); err != nil {
 			return nil, err
@@ -199,26 +130,15 @@ func applyFunc(name string, args []xmldm.Value) (xmldm.Value, error) {
 			return nil, err
 		}
 		return xmldm.Bool(strings.HasSuffix(str(0), str(1))), nil
-	case "lower":
+	case "lower", "upper", "trim", "length", "strlen":
 		if err := arity(1); err != nil {
 			return nil, err
 		}
-		return xmldm.String(strings.ToLower(str(0))), nil
-	case "upper":
-		if err := arity(1); err != nil {
-			return nil, err
+		if fn == "strlen" {
+			fn = "length"
 		}
-		return xmldm.String(strings.ToUpper(str(0))), nil
-	case "trim":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return xmldm.String(strings.TrimSpace(str(0))), nil
-	case "strlen", "length":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return xmldm.Int(int64(len(str(0)))), nil
+		v, _ := xmldm.TextFunc(fn, args[0])
+		return v, nil
 	case "concat":
 		var sb strings.Builder
 		for i := range args {

@@ -250,21 +250,19 @@ func (j *HashJoin) shipKeys() error {
 }
 
 // keyText is the text a bind join ships for a left key: a string's own
-// text or an element's content. ok is false for a value whose text would
-// not find, through an index over the stored values, every row Compare
-// matches the value to: the empty string (a NULL cell exports as empty
-// text, which it equals) and the atom kinds whose text leaves their
-// comparison class (true is the number 1, "true" is a string).
+// text or an element's content, "" included, which finds the NULL cells
+// the source reads as "". ok is false for the atom kinds whose text
+// leaves their comparison class (true is the number 1, "true" is a
+// string), since that text would not find every row Compare matches the
+// value to.
 func keyText(v xmldm.Value) (text string, ok bool) {
 	switch x := v.(type) {
 	case xmldm.String:
-		text = string(x)
+		return string(x), true
 	case *xmldm.Node:
-		text = x.Text()
-	default:
-		return "", false
+		return x.Text(), true
 	}
-	return text, text != ""
+	return "", false
 }
 
 // keyOf hashes a row's join key: the natural variables (PartitionKey),

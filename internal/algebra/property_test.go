@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/rdb"
 	"repro/internal/xmldm"
 	"repro/internal/xmlql"
 )
@@ -417,26 +420,43 @@ func TestHashJoinKeyPairsAreTheSameRelation_Property(t *testing.T) {
 }
 
 // TestBindKeyTextFindsEveryPartner states what makes a bind join exact:
-// whenever keyText ships a value, every stored cell the join's own test
-// (Compare == 0) matches the value to is also found by looking the text
-// up as a string (Equal) — so a keyed fetch can only drop rows that would
-// not have joined. The kinds keyText refuses are the ones that break
-// this: true equals the stored number 1, its text "true" does not.
+// whenever keyText ships a left key, the source's IN list on an indexed
+// column finds every row whose cell, bound as the mediator binds it (its
+// export text, NULL as ""), the join's own test (Compare == 0) matches
+// to the key — so a keyed fetch can only drop rows that would not have
+// joined. It holds on INT, FLOAT, VARCHAR, BOOL and DATE columns with
+// NULL cells, the empty key included, which finds the NULLs. The kinds
+// keyText refuses are the ones that break it: true equals the number 1,
+// its text "true" does not.
 func TestBindKeyTextFindsEveryPartner(t *testing.T) {
+	db := rdb.NewDatabase("d")
+	db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, i INT, f FLOAT, s VARCHAR, b BOOL, d DATE)`)
+	cols := []string{"i", "f", "s", "b", "d"}
+	for _, c := range cols {
+		db.MustExec(`CREATE INDEX ON t (` + c + `)`)
+	}
+	db.MustExec(`INSERT INTO t VALUES (1, 7, 7, '7', TRUE, '2001-04-02'), (2, 1, 2.5, '007', FALSE, NULL),
+		(3, 0, 'NaN', ' 12 ', NULL, '1999-12-31'), (4, NULL, NULL, '', TRUE, '2001-04-02'),
+		(5, 12, 0.5, NULL, FALSE, NULL), (6, -3, 100000000000000000000, 'true', NULL, '2020-01-02 10:30:00'),
+		(7, 1, -0.5, 'x', TRUE, '1999-12-31')`)
+	all := db.MustExec(`SELECT * FROM t`)
 	b := xmldm.NewBuilder()
 	values := []xmldm.Value{
 		xmldm.Null{}, xmldm.String(""), xmldm.String("7"), xmldm.String("007"), xmldm.String(" 12 "), xmldm.String("7.0"),
-		xmldm.String("2.50"), xmldm.String("x"), xmldm.String("true"), xmldm.String("NaN"), xmldm.String("1"),
+		xmldm.String("2.50"), xmldm.String("x"), xmldm.String("true"), xmldm.String("false"), xmldm.String("NaN"),
+		xmldm.String("1"), xmldm.String("-3"), xmldm.String("1e+20"), xmldm.String("2001-04-02T00:00:00Z"),
+		xmldm.String("2001-04-02"), xmldm.String("0.5"),
 		xmldm.Int(7), xmldm.Int(1), xmldm.Int(0), xmldm.Float(2.5), xmldm.Float(7), xmldm.Bool(true), xmldm.Bool(false),
-		xmldm.DateOf(2001, 4, 2), b.Elem("v", "7"), b.Elem("v", "x"), b.Elem("v"), b.Elem("v", b.Elem("w", "1"), "2"),
+		xmldm.Date(time.Date(2001, 4, 2, 0, 0, 0, 0, time.UTC)), b.Elem("v", "7"), b.Elem("v", "x"), b.Elem("v"),
+		b.Elem("v", b.Elem("w", "1"), "2"),
 	}
-	shipped := 0
+	shipped, partners := 0, 0
 	for _, v := range values {
 		text, ok := keyText(v)
 		switch v.(type) {
 		case xmldm.String, *xmldm.Node:
-			if ok != (xmldm.Stringify(v) != "") {
-				t.Errorf("keyText(%v) ok = %v, want text shipped unless empty", v, ok)
+			if !ok {
+				t.Errorf("keyText(%v) ok = false, want its text shipped", v)
 			}
 		default:
 			if ok {
@@ -447,14 +467,32 @@ func TestBindKeyTextFindsEveryPartner(t *testing.T) {
 			continue
 		}
 		shipped++
-		for _, stored := range values {
-			if xmldm.Compare(v, stored) == 0 && !xmldm.Equal(stored, xmldm.String(text)) {
-				t.Errorf("left key %v joins stored %v, but looking up %q does not find it", v, stored, text)
+		for ci, col := range all.Columns[1:] {
+			res := db.MustExec(`SELECT id FROM t WHERE ` + col + ` IN ('` + strings.ReplaceAll(text, "'", "''") + `')`)
+			if !res.Stats.IndexUsed {
+				t.Fatalf("%s IN (%q) was not answered by the index", col, text)
+			}
+			found := map[int64]bool{}
+			for _, row := range res.Rows {
+				found[int64(row[res.Pos(0)].(xmldm.Int))] = true
+			}
+			for _, row := range all.Rows {
+				bound := all.Text(row, ci+1)
+				if bound == nil {
+					bound = xmldm.String("")
+				}
+				if xmldm.Compare(v, bound) != 0 {
+					continue
+				}
+				partners++
+				if id := int64(row[0].(xmldm.Int)); !found[id] {
+					t.Errorf("left key %v joins row %d's %s (bound %q), but looking up %q does not find it", v, id, col, bound, text)
+				}
 			}
 		}
 	}
-	if shipped < 10 {
-		t.Fatalf("only %d values shipped", shipped)
+	if shipped < 15 || partners < 40 {
+		t.Fatalf("only %d values shipped, %d partners checked", shipped, partners)
 	}
 }
 

@@ -24,9 +24,11 @@ import (
 // suite-level Finish pass closes the call graph and reports each cycle
 // once, at a witnessing acquisition. `guarded by` annotations seed the
 // class universe so annotated mutexes participate even before any
-// nesting is observed. Immediate re-acquisition of a held mutex
-// through the same receiver expression (self-deadlock — sync.Mutex is
-// not reentrant) is reported directly from Run.
+// nesting is observed. Re-acquisition of a held mutex through the same
+// receiver expression (self-deadlock — sync.Mutex is not reentrant) is
+// reported directly from Run when immediate, and from Finish when one
+// call away: a method called on the receiver that holds the mutex
+// (s.get() under s.mu) that locks it through its own receiver.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "build the global lock-acquisition graph from guarded-by annotations and observed " +
@@ -64,15 +66,24 @@ type lockState struct {
 	acq     map[string][]lockAcq // function key -> locks its body acquires
 	calls   map[string][]string  // function key -> module functions it calls
 	pending []pendingCall        // calls made while holding locks
+	self    map[string]string    // method key -> its receiver's name
 }
 
+// lockAcq is one acquisition in a function's body, through the receiver
+// expression recv.
 type lockAcq struct {
 	class string
 	pos   token.Pos
+	recv  string
+	mode  lockMode
 }
 
+// pendingCall is a call made while holding locks: held maps each class
+// held to how it was acquired, and recv is the call's receiver
+// expression ("" for a function).
 type pendingCall struct {
-	held   []string
+	held   map[string]heldLock
+	recv   string
 	callee string
 	pos    token.Pos
 }
@@ -83,6 +94,7 @@ func lockStateOf(s *Session) *lockState {
 			classes: make(map[string]bool),
 			acq:     make(map[string][]lockAcq),
 			calls:   make(map[string][]string),
+			self:    make(map[string]string),
 		}
 	}).(*lockState)
 }
@@ -297,7 +309,7 @@ func applyLockNode(pass *Pass, n ast.Node, fact *heldFact, st *lockState, fnKey 
 								st.edges = append(st.edges, lockEdge{from: held, to: class, pos: call.Pos()})
 							}
 						}
-						st.acq[fnKey] = append(st.acq[fnKey], lockAcq{class: class, pos: call.Pos()})
+						st.acq[fnKey] = append(st.acq[fnKey], lockAcq{class: class, pos: call.Pos(), recv: rs, mode: mode})
 					}
 					prev, was := fact.locks[class]
 					next := heldLock{mode: mode, recv: rs}
@@ -320,12 +332,15 @@ func applyLockNode(pass *Pass, n ast.Node, fact *heldFact, st *lockState, fnKey 
 			return
 		}
 		if key := calleeKey(pass, call); key != "" && key != fnKey {
-			held := make([]string, 0, len(fact.locks))
-			for c := range fact.locks {
-				held = append(held, c)
+			held := make(map[string]heldLock, len(fact.locks))
+			for c, h := range fact.locks {
+				held[c] = h
 			}
-			sort.Strings(held)
-			st.pending = append(st.pending, pendingCall{held: held, callee: key, pos: call.Pos()})
+			pc := pendingCall{held: held, callee: key, pos: call.Pos()}
+			if recv, _, isMethod := pass.methodCall(call); isMethod {
+				pc.recv = exprString(recv)
+			}
+			st.pending = append(st.pending, pc)
 		}
 	})
 	// Call-graph edges are recorded regardless of held locks so Finish
@@ -398,6 +413,9 @@ func lockCheckFunc(pass *Pass, fd *ast.FuncDecl, st *lockState) {
 	lat := &lockLattice{p: pass}
 	res := forward(g, lat)
 	key := funcKey(pass, fd)
+	if fd.Recv != nil && len(fd.Recv.List[0].Names) > 0 {
+		st.self[key] = fd.Recv.List[0].Names[0].Name
+	}
 
 	// Reporting walk: replay each block from its stable in-fact, now
 	// recording edges, summaries, and self-deadlocks.
@@ -499,14 +517,23 @@ func finishLockOrder(s *Session) []Diagnostic {
 		return out
 	}
 
+	var diags []Diagnostic
 	edges := append([]lockEdge(nil), st.edges...)
 	for _, pc := range st.pending {
 		for class := range closure(pc.callee, make(map[string]bool)) {
-			for _, held := range pc.held {
+			for held := range pc.held {
 				if held != class {
 					edges = append(edges, lockEdge{from: held, to: class, pos: pc.pos, via: shortFuncKey(pc.callee)})
 				}
 			}
+		}
+		if a, ok := st.reacquires(pc); ok {
+			diags = append(diags, Diagnostic{
+				Pos:      pc.pos,
+				Analyzer: LockOrder.Name,
+				Message: fmt.Sprintf("mutex %s is acquired while already held by this function: %s locks it again through the same receiver (sync mutexes are not reentrant)",
+					shortLockClass(a.class), shortFuncKey(pc.callee)),
+			})
 		}
 	}
 
@@ -543,7 +570,6 @@ func finishLockOrder(s *Session) []Diagnostic {
 	}
 	sort.Strings(classes)
 
-	var diags []Diagnostic
 	reported := make(map[string]bool)
 	for _, start := range classes {
 		path := findCycle(adj, start)
@@ -578,6 +604,26 @@ func finishLockOrder(s *Session) []Diagnostic {
 		})
 	}
 	return diags
+}
+
+// reacquires returns an acquisition of the method pc calls that locks,
+// through the method's own receiver, the very mutex the caller holds
+// through the call's receiver — s.get() under s.mu, where get locks s.mu
+// — with either side writing. A call on another instance of the type
+// (y.get() under x.mu) is not one.
+func (st *lockState) reacquires(pc pendingCall) (lockAcq, bool) {
+	self := st.self[pc.callee]
+	if self == "" || pc.recv == "" {
+		return lockAcq{}, false
+	}
+	for _, a := range st.acq[pc.callee] {
+		held, ok := pc.held[a.class]
+		path, viaSelf := strings.CutPrefix(a.recv, self+".")
+		if ok && viaSelf && held.recv == pc.recv+"."+path && (held.mode&lockWrite != 0 || a.mode == lockWrite) {
+			return a, true
+		}
+	}
+	return lockAcq{}, false
 }
 
 // findCycle returns a simple cycle through start (start first), or nil.

@@ -145,3 +145,38 @@ func register(name string) {
 	defer registryMu.Unlock()
 	registry[name] = 1
 }
+
+// ---- flagged: re-acquisition one call away ----
+
+// Set's snapshot reads each entry through get, which locks s.mu again:
+// the same instance, one call away, so it deadlocks.
+type Set struct {
+	mu sync.Mutex
+	m  map[string]int
+}
+
+func (s *Set) get(k string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m[k]
+}
+
+func (s *Set) snapshot() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []int
+	for k := range s.m {
+		out = append(out, s.get(k)) // want "mutex lockorder.Set.mu is acquired while already held by this function: lockorder.Set.get locks it again"
+	}
+	return out
+}
+
+// ---- clean: one call away on a second instance ----
+
+// copyInto holds x.mu and calls y.get, which locks y.mu: two instances of
+// one type, as in merge above, not a re-acquisition.
+func copyInto(x, y *Set) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.m["k"] = y.get("k")
+}

@@ -83,12 +83,6 @@ type RelationalDescriptor struct {
 	KeyColumn string
 	// IndexedColumns lists columns with indexes (including the key).
 	IndexedColumns []string
-	// TextExactColumns lists the columns whose exported text compares,
-	// under xmldm.Compare, exactly as the stored value does (integers and
-	// strings; a boolean's or a date's text leaves its comparison class).
-	// Only on these does a key the mediator holds as text find, through
-	// an index, every row the mediator itself would have joined it to.
-	TextExactColumns []string
 }
 
 // TableStats is what a source knows about one of its tables without

@@ -516,9 +516,11 @@ func TestSchedulerGrantEquivalence_MixedClasses(t *testing.T) {
 // with the customers last in the query the join ships the tickets' keys
 // instead of fetching the table. The same edge values now decide what
 // the index is asked and what it finds — non-unique codes, "007" looking
-// up '7', " 5 " looking up '5' — and on half the seeds a ticket with an
-// empty cust, which equals the empty text a NULL code exports as and so
-// cannot be shipped, makes the join fall back to the whole table.
+// up '7', " 5 " looking up '5', an empty cust looking up the NULL codes,
+// which the source reads as the empty text they export as — and on half
+// the seeds 32 more tickets for customers nobody has bring more distinct
+// keys than the join ships (a quarter of the table's rows), so it falls
+// back to the whole table.
 //
 // tickets > 0 sets the ticket count; 0 draws 8–19.
 func viewJoinDeployment(t *testing.T, rng *rand.Rand, indexed bool, tickets int) (*Engine, *catalog.Catalog) {
@@ -539,9 +541,7 @@ func viewJoinDeployment(t *testing.T, rng *rand.Rand, indexed bool, tickets int)
 		db.MustExec(fmt.Sprintf(`INSERT INTO customers VALUES (%d, %s, 'N%d')`, pk, code, rng.Intn(4)))
 	}
 	custs := []string{"007", "7", "7", "", "12", "3", " 5 ", "99", "x", "7.0"}
-	if indexed && rng.Intn(2) == 0 {
-		custs[3] = "3"
-	}
+	manyKeys := indexed && rng.Intn(2) == 0
 	owners := []string{"s1", "s2", "s3", "s9"}
 	n = 8 + rng.Intn(12)
 	if tickets > 0 {
@@ -555,6 +555,9 @@ func viewJoinDeployment(t *testing.T, rng *rand.Rand, indexed bool, tickets int)
 		}
 		ticketsDoc += fmt.Sprintf(`<ticket pri="%s"><cust>%s</cust><subject>S%d</subject><owner>%s</owner></ticket>`,
 			[]string{"high", "low"}[rng.Intn(2)], cust, rng.Intn(5), owners[rng.Intn(len(owners))])
+	}
+	for k := 0; manyKeys && k < 32; k++ {
+		ticketsDoc += fmt.Sprintf(`<ticket pri="low"><cust>u%d</cust><subject>S0</subject><owner>s1</owner></ticket>`, k)
 	}
 	ticketsDoc += `<ticket pri="low"><subject>no customer</subject><owner>s1</owner></ticket></tickets>`
 	ticketSrc, err := sources.NewXMLSource("tickets", ticketsDoc)

@@ -14,48 +14,107 @@ import (
 	"repro/internal/xmldm"
 )
 
-// pushedCase is a predicate over items' $i, $q, $t and $s, the ids it
-// holds for ("error" when the query fails), and the SQL conjunct it is
-// pushed as.
+// pushedCase is a predicate over items' $i, $q, $t, $s, $n, $o, $d and
+// $k, the ids it holds for ("error" when the query fails), and the SQL
+// conjunct it is pushed as. A pred that starts ORDER-BY is the query's
+// ORDER-BY clause instead, and the ids are then in answer order.
 type pushedCase struct{ pred, want, sql string }
 
 // requirePushedAsMediator runs each case's query on an engine that
 // pushes predicates into the relational source and on one that does not,
-// and fails unless both answer the case's rows (in any order: an index
-// may answer in its own) and the first plan carries the case's SQL.
+// and fails unless both answer the case's rows (in any order, but for an
+// ORDER-BY case: an index may answer in its own) and the first plan
+// carries the case's SQL. It runs every case twice: over the table with
+// its primary key only, and over a twin with an index on every column.
+// The table holds NULL cells in a VARCHAR, a DATE and an INT column, and
+// a BOOL column.
 func requirePushedAsMediator(t *testing.T, cases []pushedCase) {
 	t.Helper()
-	db := rdb.NewDatabase("m")
-	db.MustExec(`CREATE TABLE items (id INT PRIMARY KEY, q INT, t FLOAT, s VARCHAR)`)
-	db.MustExec(`INSERT INTO items VALUES (1, 3, 0.5, 'x'), (2, 2, 0.000001, '5'), (100, 4, 250.0, 'ab'), (7, 5, -0.00002, 'x')`)
-	cat := catalog.New()
-	if err := cat.AddSource(sources.NewRelationalSource("m", db)); err != nil {
-		t.Fatal(err)
+	for _, indexed := range []bool{false, true} {
+		db := rdb.NewDatabase("m")
+		db.MustExec(`CREATE TABLE items (id INT PRIMARY KEY, q INT, t FLOAT, s VARCHAR, n VARCHAR, o BOOL, d DATE, k INT)`)
+		if indexed {
+			for _, col := range []string{"q", "t", "s", "n", "o", "d", "k"} {
+				db.MustExec(`CREATE INDEX ON items (` + col + `)`)
+			}
+		}
+		db.MustExec(`INSERT INTO items VALUES (1, 3, 0.5, 'x', 'Ada', TRUE, '2020-01-02', 5),
+			(2, 2, 0.000001, '5', NULL, FALSE, '2021-03-04', NULL), (100, 4, 250.0, 'ab', 'Bob', TRUE, NULL, 1),
+			(7, 5, -0.00002, 'x', 'Cy', FALSE, '2019-05-06', 0)`)
+		cat := catalog.New()
+		if err := cat.AddSource(sources.NewRelationalSource("m", db)); err != nil {
+			t.Fatal(err)
+		}
+		pushed, plain := New(cat, Config{}), New(cat, Config{DisablePushdown: true})
+		answer := func(e *Engine, q string, ordered bool) (string, []string) {
+			res, err := e.Query(context.Background(), q)
+			if err != nil {
+				t.Logf("%s: %v", q, err)
+				return "error", nil
+			}
+			ids := make([]string, len(res.Values))
+			for i, v := range res.Values {
+				ids[i] = xmldm.Stringify(v)
+			}
+			if !ordered {
+				slices.Sort(ids)
+			}
+			return strings.Join(ids, ","), res.Stats.Explain
+		}
+		for _, tc := range cases {
+			const pat = `WHERE <item><id>$i</id><q>$q</q><t>$t</t><s>$s</s><n>$n</n><o>$o</o><d>$d</d><k>$k</k></item> IN "m"`
+			ordered := strings.HasPrefix(tc.pred, "ORDER-BY")
+			q := pat + `, ` + tc.pred + ` CONSTRUCT <r>$i</r>`
+			if ordered {
+				q = pat + ` CONSTRUCT <r>$i</r> ` + tc.pred
+			}
+			got, explain := answer(pushed, q, ordered)
+			if want, _ := answer(plain, q, ordered); got != want || got != tc.want {
+				t.Errorf("indexed=%v %s: pushed %s, not pushed %s, want %s", indexed, tc.pred, got, want, tc.want)
+			}
+			if plan := strings.Join(explain, "\n"); !strings.Contains(plan, tc.sql) {
+				t.Errorf("indexed=%v %s: the plan does not push %s:\n%s", indexed, tc.pred, tc.sql, plan)
+			}
+		}
 	}
-	pushed, plain := New(cat, Config{}), New(cat, Config{DisablePushdown: true})
-	answer := func(e *Engine, q string) (string, []string) {
-		res, err := e.Query(context.Background(), q)
-		if err != nil {
-			t.Logf("%s: %v", q, err)
-			return "error", nil
-		}
-		ids := make([]string, len(res.Values))
-		for i, v := range res.Values {
-			ids[i] = xmldm.Stringify(v)
-		}
-		slices.Sort(ids)
-		return strings.Join(ids, ","), res.Stats.Explain
-	}
-	for _, tc := range cases {
-		q := `WHERE <item><id>$i</id><q>$q</q><t>$t</t><s>$s</s></item> IN "m", ` + tc.pred + ` CONSTRUCT <r>$i</r>`
-		got, explain := answer(pushed, q)
-		if want, _ := answer(plain, q); got != want || got != tc.want {
-			t.Errorf("%s: pushed %s, not pushed %s, want %s", tc.pred, got, want, tc.want)
-		}
-		if plan := strings.Join(explain, "\n"); !strings.Contains(plan, tc.sql) {
-			t.Errorf("%s: the plan does not push %s:\n%s", tc.pred, tc.sql, plan)
-		}
-	}
+}
+
+// TestPushedCellsAnswerAsTheMediator: the source reads a cell as the
+// mediator binds it — its export text, and NULL as "" — and evaluates a
+// pushed predicate with the mediator's operators, so NULL, BOOL, DATE and
+// nullable INT cells pass the predicates they pass without pushdown, with
+// an index or without one.
+func TestPushedCellsAnswerAsTheMediator(t *testing.T) {
+	requirePushedAsMediator(t, []pushedCase{
+		{`$n = ""`, "2", "(n = '')"},
+		{`$n != "Ada"`, "100,2,7", "(n != 'Ada')"},
+		{`$o = TRUE`, "", "(o = TRUE)"},
+		{`$o = "true"`, "1,100", "(o = 'true')"},
+		{`$d = "2020-01-02T00:00:00Z"`, "1", "(d = '2020-01-02T00:00:00Z')"},
+		// "2020" is a number, and text sorts after every number.
+		{`$d > "2020"`, "1,100,2,7", "(d > '2020')"},
+		{`$d = ""`, "100", "(d = '')"},
+		// "" + 1 is the text "1", which is greater than 0.
+		{`$k + 1 > 0`, "1,100,2,7", "((k + 1) > 0)"},
+		{`$k = ""`, "2", "(k = '')"},
+		{`$k < 3`, "100,7", "(k < 3)"},
+		{`contains($n, "")`, "1,100,2,7", "n LIKE '%%'"},
+		{`$n + "z" = "z"`, "2", "((n + 'z') = 'z')"},
+		{`length($n) = 0`, "2", "(length(n) = 0)"},
+	})
+}
+
+// TestPushedOrderAnswersAsTheMediator: a pushed ORDER BY sorts the cells
+// the mediator would sort, so a NULL INT sorts after every number, as the
+// empty text it binds does. A BOOL sorts as its text, and so does a DATE,
+// where NULL's "" comes first.
+func TestPushedOrderAnswersAsTheMediator(t *testing.T) {
+	requirePushedAsMediator(t, []pushedCase{
+		{`ORDER-BY $k`, "7,100,1,2", "ORDER BY k"},
+		{`ORDER-BY $k DESCENDING`, "2,1,100,7", "ORDER BY k DESC"},
+		{`ORDER-BY $o`, "2,7,1,100", "ORDER BY o"},
+		{`ORDER-BY $d`, "100,7,1,2", "ORDER BY d"},
+	})
 }
 
 // TestPushedFloatsAnswerAsTheMediator: a float literal too small or too

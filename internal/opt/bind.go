@@ -63,9 +63,9 @@ func (fl *fragLeaf) detail() string {
 // bindJoin makes j a bind join when its right side is exactly one
 // fragment scan over a source that evaluates selections and reports
 // statistics, the table has at least bindMinRows rows, and one of the
-// join's keys reads a column of it that is indexed and text-exact. The
-// bound fragment leaves Plan.Fetches: it cannot be prefetched, its
-// request does not exist until the left side has been read.
+// join's keys reads an indexed column of it. The bound fragment leaves
+// Plan.Fetches: it cannot be prefetched, its request does not exist until
+// the left side has been read.
 //
 // The plan of a correlated subquery is left alone. It runs once per
 // outer binding, all runs share one whole-table fetch through the
@@ -100,8 +100,8 @@ func (p *Planner) bindJoin(plan *Plan, j *algebra.HashJoin) {
 }
 
 // bindKey picks the join key to ship: the first, natural variables before
-// pairs, whose right-side variable reads an indexed, text-exact column of
-// the fragment's table. It returns the left-side variable carrying the
+// pairs, whose right-side variable reads an indexed column of the
+// fragment's table. It returns the left-side variable carrying the
 // values and the column.
 func bindKey(j *algebra.HashJoin, fl *fragLeaf) (leftVar, col string) {
 	var desc catalog.RelationalDescriptor
@@ -112,7 +112,7 @@ func bindKey(j *algebra.HashJoin, fl *fragLeaf) (leftVar, col string) {
 	}
 	usable := func(rightVar string) string {
 		c := fl.frag.Columns[rightVar]
-		if c != "" && slices.Contains(desc.IndexedColumns, c) && slices.Contains(desc.TextExactColumns, c) {
+		if c != "" && slices.Contains(desc.IndexedColumns, c) {
 			return c
 		}
 		return ""

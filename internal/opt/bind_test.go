@@ -169,10 +169,10 @@ func TestPlanBindJoinNeedsWhatItCanObserve(t *testing.T) {
 			WHERE <ticket><who>$n</who></ticket> IN "tickets",
 			      <customer><name>$n</name></customer> IN "crmdb"
 			CONSTRUCT <r>$n</r>`},
-		{name: "FLOAT column is not text-exact", rows: 100, query: `
+		{name: "indexed FLOAT column", rows: 100, query: `
 			WHERE <ticket><score>$s</score></ticket> IN "tickets",
 			      <customer><score>$s</score><name>$n</name></customer> IN "crmdb"
-			CONSTRUCT <r>$n</r>`},
+			CONSTRUCT <r>$n</r>`, bound: true},
 		{name: "selection pushdown switched off", rows: 100, query: bindJoinQL,
 			tweak: func(p *Planner) { p.Opts.PushSelections = false }},
 		{name: "source reports no statistics", rows: 100, query: bindJoinQL,

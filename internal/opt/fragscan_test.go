@@ -263,7 +263,7 @@ func TestBindRowsEqualsExportReadBack(t *testing.T) {
 		{"negative int", "INT", xmldm.Int(-42), xmldm.String("-42")},
 		{"float", "FLOAT", xmldm.Float(2.5), xmldm.String("2.5")},
 		{"bool", "BOOL", xmldm.Bool(true), xmldm.String("true")},
-		{"date", "DATE", xmldm.DateOf(2001, 4, 2), xmldm.String("2001-04-02T00:00:00Z")},
+		{"date", "DATE", xmldm.Date(time.Date(2001, 4, 2, 0, 0, 0, 0, time.UTC)), xmldm.String("2001-04-02T00:00:00Z")},
 		{"markup", "VARCHAR", xmldm.String(`<a href="x">&amp;</a>`), xmldm.String(`<a href="x">&amp;</a>`)},
 	} {
 		db := rdb.NewDatabase("crm")
@@ -306,7 +306,7 @@ func TestBindRowsEqualsExportReadBack_Property(t *testing.T) {
 		case 3:
 			return xmldm.Bool(rng.Intn(2) == 0)
 		case 4:
-			return xmldm.DateOf(1990+rng.Intn(40), time.Month(1+rng.Intn(12)), 1+rng.Intn(28))
+			return xmldm.Date(time.Date(1990+rng.Intn(40), time.Month(1+rng.Intn(12)), 1+rng.Intn(28), 0, 0, 0, 0, time.UTC))
 		case 5:
 			return xmldm.String("")
 		default:

@@ -17,37 +17,39 @@ import (
 // determines whether a selection is cheap at the source.
 type Index struct {
 	column string
+	pos    int // the column's position in a row
 	unique bool
 	hash   map[uint64][]entry
-	keys   []orderedKey // sorted by value
-	dirty  bool         // keys need re-sorting
+	keys   []entry // sorted by key
+	dirty  bool    // keys need re-sorting
 	// sortMu guards keys and dirty while a reader sorts them: a SELECT
 	// holds only the database's read lock, so several may reach a dirty
 	// index at once. Writers hold the write lock and need not take it.
 	sortMu sync.Mutex
 }
 
+// entry is row rid's cell: key is what a SELECT reads from it
+// (cellValue), which lookups find and order by, and val what it stores,
+// which uniqueness is checked on.
 type entry struct {
-	val Value
-	rid int
+	key, val Value
+	rid      int
 }
 
-type orderedKey struct {
-	val Value
-	rid int
+func newIndex(column string, pos int, unique bool) *Index {
+	return &Index{column: column, pos: pos, unique: unique, hash: make(map[uint64][]entry)}
 }
 
-func newIndex(column string, unique bool) *Index {
-	return &Index{column: column, unique: unique, hash: make(map[uint64][]entry)}
-}
-
-// check reports a uniqueness violation that adding v would cause.
-func (ix *Index) check(v Value) error {
-	if !ix.unique || v == nil || v.Kind() == xmldm.KindNull {
+// check reports a uniqueness violation that adding row would cause: a
+// stored value a unique index holds already. NULL is no value, and
+// collides with nothing — not with another NULL, nor with the empty
+// string it reads as.
+func (ix *Index) check(row Row) error {
+	v := row[ix.pos]
+	if !ix.unique || v.Kind() == xmldm.KindNull {
 		return nil
 	}
-	h := xmldm.Hash(v)
-	for _, e := range ix.hash[h] {
+	for _, e := range ix.hash[xmldm.Hash(cellValue(row, ix.pos))] {
 		if xmldm.Equal(e.val, v) {
 			return fmt.Errorf("unique index on %q: duplicate key %s", ix.column, v.String())
 		}
@@ -55,23 +57,21 @@ func (ix *Index) check(v Value) error {
 	return nil
 }
 
-// add indexes row rid's value v. It does not check uniqueness: callers
-// check first (check), so that a failing row changes nothing.
-func (ix *Index) add(v Value, rid int) {
-	if v == nil {
-		v = xmldm.Null{}
-	}
-	h := xmldm.Hash(v)
-	ix.hash[h] = append(ix.hash[h], entry{val: v, rid: rid})
-	ix.keys = append(ix.keys, orderedKey{val: v, rid: rid})
+// add indexes row rid. It does not check uniqueness: callers check first
+// (check), so that a failing row changes nothing.
+func (ix *Index) add(row Row, rid int) {
+	e := entry{key: cellValue(row, ix.pos), val: row[ix.pos], rid: rid}
+	h := xmldm.Hash(e.key)
+	ix.hash[h] = append(ix.hash[h], e)
+	ix.keys = append(ix.keys, e)
 	ix.dirty = true
 }
 
-// lookupEq returns the row ids whose column equals v.
+// lookupEq returns the row ids whose cell reads as equal to v.
 func (ix *Index) lookupEq(v Value) []int {
 	var out []int
 	for _, e := range ix.hash[xmldm.Hash(v)] {
-		if xmldm.Equal(e.val, v) {
+		if xmldm.Equal(e.key, v) {
 			out = append(out, e.rid)
 		}
 	}
@@ -90,7 +90,7 @@ func (ix *Index) lookupIn(vals []Value) []int {
 	return slices.Compact(out)
 }
 
-// lookupRange returns row ids with lo <= value <= hi; nil bounds are
+// lookupRange returns row ids with lo <= key <= hi; nil bounds are
 // open. Inclusivity of each bound is controlled by loInc/hiInc.
 func (ix *Index) lookupRange(lo, hi Value, loInc, hiInc bool) []int {
 	ix.ensureSorted()
@@ -98,7 +98,7 @@ func (ix *Index) lookupRange(lo, hi Value, loInc, hiInc bool) []int {
 	start := 0
 	if lo != nil {
 		start = sort.Search(n, func(i int) bool {
-			c := xmldm.Compare(ix.keys[i].val, lo)
+			c := xmldm.Compare(ix.keys[i].key, lo)
 			if loInc {
 				return c >= 0
 			}
@@ -108,7 +108,7 @@ func (ix *Index) lookupRange(lo, hi Value, loInc, hiInc bool) []int {
 	var out []int
 	for i := start; i < n; i++ {
 		if hi != nil {
-			c := xmldm.Compare(ix.keys[i].val, hi)
+			c := xmldm.Compare(ix.keys[i].key, hi)
 			if c > 0 || (c == 0 && !hiInc) {
 				break
 			}
@@ -127,7 +127,7 @@ func (ix *Index) ensureSorted() {
 		return
 	}
 	sort.SliceStable(ix.keys, func(i, j int) bool {
-		return xmldm.Compare(ix.keys[i].val, ix.keys[j].val) < 0
+		return xmldm.Compare(ix.keys[i].key, ix.keys[j].key) < 0
 	})
 	ix.dirty = false
 }

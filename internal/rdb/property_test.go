@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/xmldm"
 )
@@ -177,7 +178,7 @@ func TestResultTextIsStringify_Property(t *testing.T) {
 			{xmldm.Int(5), "5"}, {xmldm.String("2.50"), "'2.50'"}},
 		{{xmldm.String("a<b"), "'a<b'"}, {xmldm.String(""), "''"}, {xmldm.Int(42), "42"}, {xmldm.Float(0.1), "0.1"}},
 		{{xmldm.Bool(true), "TRUE"}, {xmldm.String("no"), "'no'"}, {xmldm.Int(1), "1"}},
-		{{xmldm.DateOf(2001, 4, 2), "'2001-04-02'"}, {xmldm.String("1999-12-31"), "'1999-12-31'"}},
+		{{xmldm.Date(time.Date(2001, 4, 2, 0, 0, 0, 0, time.UTC)), "'2001-04-02'"}, {xmldm.String("1999-12-31"), "'1999-12-31'"}},
 	}
 	for trial := 0; trial < 50; trial++ {
 		db := NewDatabase("p")

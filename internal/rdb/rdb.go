@@ -16,7 +16,9 @@
 // weak typing (xmldm.Compare), so VARCHAR values that parse as numbers
 // order numerically ('9' < '10'). Inside the integration system this is
 // exactly right — the mediator joins text from one source against
-// numbers from another — but it differs from a vanilla DBMS.
+// numbers from another — but it differs from a vanilla DBMS. So does
+// NULL: a SELECT reads a cell as the mediator binds it (cellValue), and
+// a NULL cell as the empty text it exports as, the empty string.
 package rdb
 
 import (
@@ -163,7 +165,8 @@ func (db *Database) CreateTable(name string, schema Schema) (*Table, error) {
 	}
 	t := &Table{Name: name, Schema: schema, indexes: make(map[string]*Index)}
 	if schema.PrimaryKey >= 0 {
-		t.indexes[strings.ToLower(schema.Columns[schema.PrimaryKey].Name)] = newIndex(schema.Columns[schema.PrimaryKey].Name, true)
+		pk := schema.Columns[schema.PrimaryKey].Name
+		t.indexes[strings.ToLower(pk)] = newIndex(pk, schema.PrimaryKey, true)
 	}
 	db.tables[key] = t
 	return t, nil
@@ -209,12 +212,12 @@ func (db *Database) CreateIndex(table, column string, unique bool) error {
 	if _, ok := t.indexes[key]; ok {
 		return nil // idempotent
 	}
-	idx := newIndex(t.Schema.Columns[ci].Name, unique)
+	idx := newIndex(t.Schema.Columns[ci].Name, ci, unique)
 	for rid, row := range t.rows {
-		if err := idx.check(row[ci]); err != nil {
+		if err := idx.check(row); err != nil {
 			return fmt.Errorf("rdb: building index on %s.%s: %w", table, column, err)
 		}
-		idx.add(row[ci], rid)
+		idx.add(row, rid)
 	}
 	t.indexes[key] = idx
 	return nil
@@ -285,21 +288,38 @@ func exportText(v Value) Value {
 	}
 }
 
+// cellValue is the value a SELECT reads from column i of a stored row —
+// in WHERE, through an index and in ORDER BY — which is what the mediator
+// binds the cell to, so that a pushed predicate or ORDER BY answers as it
+// would there: the cell's export text (Table.rows), and "" for NULL,
+// which exports as an empty element. An INT cell reads as its Int, which
+// compares, hashes, computes and matches as its text does, without
+// parsing it; it is returned as stored, since boxing it again would
+// allocate.
+func cellValue(row Row, i int) Value {
+	if _, ok := row[i].(xmldm.Int); ok {
+		return row[i]
+	}
+	if text := row[len(row) : 2*len(row)][i]; text != nil {
+		return text
+	}
+	return xmldm.String("")
+}
+
 // appendRows appends rows and indexes them, all or none: a key that a
 // unique index holds, or that an earlier row of rows has, fails them all
 // before any is appended. Callers hold the write lock.
 func (t *Table) appendRows(rows []Row) error {
 	for _, idx := range t.indexes {
-		ci := t.Schema.ColIndex(idx.column)
 		var earlier *Index // the keys of rows before this one
 		if idx.unique && len(rows) > 1 {
-			earlier = newIndex(idx.column, true)
+			earlier = newIndex(idx.column, idx.pos, true)
 		}
 		for _, row := range rows {
-			err := idx.check(row[ci])
+			err := idx.check(row)
 			if err == nil && earlier != nil {
-				err = earlier.check(row[ci])
-				earlier.add(row[ci], 0)
+				err = earlier.check(row)
+				earlier.add(row, 0)
 			}
 			if err != nil {
 				return fmt.Errorf("rdb: insert into %q: %w", t.Name, err)
@@ -310,7 +330,7 @@ func (t *Table) appendRows(rows []Row) error {
 		rid := len(t.rows)
 		t.rows = append(t.rows, row)
 		for _, idx := range t.indexes {
-			idx.add(row[t.Schema.ColIndex(idx.column)], rid)
+			idx.add(row, rid)
 		}
 	}
 	return nil

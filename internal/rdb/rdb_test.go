@@ -2,6 +2,7 @@ package rdb
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -301,8 +302,8 @@ func TestIndexFilterRanksConjuncts(t *testing.T) {
 
 // TestIndexInListFindsWhatCompareMatches: the IN path looks keys up with
 // the data model's equality, so a key that reached the mediator as text
-// finds the number it names, and text finds text however it is spelled
-// as a number.
+// finds the number it names, text finds text however it is spelled as a
+// number, and the empty string finds the NULL cells, which read as it.
 func TestIndexInListFindsWhatCompareMatches(t *testing.T) {
 	db := NewDatabase("d")
 	db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, code VARCHAR)`)
@@ -315,7 +316,7 @@ func TestIndexInListFindsWhatCompareMatches(t *testing.T) {
 		{`id IN ('007', ' 12 ', '7.0')`, "7,12"},
 		{`code IN ('7')`, "7,3"},
 		{`code IN ('x', 'y')`, "12"},
-		{`code IN ('')`, "6"}, // the empty string is not NULL to the database
+		{`code IN ('')`, "5,6"}, // a NULL cell reads as ''
 	} {
 		res := db.MustExec(`SELECT id FROM t WHERE ` + tc.where)
 		var ids []string
@@ -477,25 +478,58 @@ func TestLikeMatch(t *testing.T) {
 	}
 }
 
+// TestNullSemantics: a SELECT reads a NULL cell as the empty text the
+// mediator binds it to — in WHERE, through an index and in ORDER BY — so
+// NULL equals the empty string, is not equal to 1, sorts after every
+// number, and takes part in + as the text "" does; a comparison with a
+// NULL literal is false. A unique index still compares the stored values:
+// NULLs do not collide with each other or with the empty string.
 func TestNullSemantics(t *testing.T) {
-	db := NewDatabase("d")
-	db.MustExec(`CREATE TABLE t (a INT, b VARCHAR)`)
-	db.MustExec(`INSERT INTO t VALUES (1, 'x'), (NULL, 'y'), (3, NULL)`)
-	// Comparisons with NULL are false.
-	if got := len(db.MustExec(`SELECT * FROM t WHERE a = 1`).Rows); got != 1 {
-		t.Errorf("a=1 rows = %d", got)
-	}
-	if got := len(db.MustExec(`SELECT * FROM t WHERE a != 1`).Rows); got != 1 {
-		t.Errorf("a!=1 rows = %d (NULL must not match)", got)
-	}
-	if got := len(db.MustExec(`SELECT * FROM t WHERE a = NULL`).Rows); got != 0 {
-		t.Errorf("a = NULL rows = %d", got)
-	}
-	// Arithmetic with NULL yields NULL, which compares false either way.
-	for where, want := range map[string]string{`a + 1 = 2`: "[[x]]", `a + 1 != 2`: "[[null]]", `NOT a * 0 = 0`: "[[y]]"} {
-		if got := fmt.Sprint(out(db.MustExec(`SELECT b FROM t WHERE ` + where))); got != want {
-			t.Errorf("%s: %s, want %s", where, got, want)
+	for _, indexed := range []bool{false, true} {
+		db := NewDatabase("d")
+		db.MustExec(`CREATE TABLE t (a INT, b VARCHAR)`)
+		if indexed {
+			db.MustExec(`CREATE INDEX ON t (a)`)
+			db.MustExec(`CREATE INDEX ON t (b)`)
 		}
+		db.MustExec(`INSERT INTO t VALUES (1, 'x'), (NULL, 'y'), (3, NULL)`)
+		for where, want := range map[string]string{
+			`a = 1`:          "[[x]]",
+			`a != 1`:         "[[null] [y]]",
+			`a = NULL`:       "[]",
+			`a = ''`:         "[[y]]",
+			`b = ''`:         "[[null]]",
+			`b IN ('', 'x')`: "[[null] [x]]",
+			`a < 2`:          "[[x]]",
+			`a > 2`:          "[[null] [y]]",
+			`a + 1 = 2`:      "[[x]]",
+			`a + 1 = '1'`:    "[[y]]",
+			`a + 1 != 2`:     "[[null] [y]]",
+			`length(b) = 0`:  "[[null]]",
+			`b LIKE '%'`:     "[[null] [x] [y]]",
+		} {
+			// An index answers in its own order: compare the rows sorted.
+			rows := out(db.MustExec(`SELECT b FROM t WHERE ` + where))
+			sort.Slice(rows, func(i, j int) bool { return fmt.Sprint(rows[i]) < fmt.Sprint(rows[j]) })
+			if got := fmt.Sprint(rows); got != want {
+				t.Errorf("indexed=%v %s: %s, want %s", indexed, where, got, want)
+			}
+		}
+		if got := fmt.Sprint(out(db.MustExec(`SELECT b FROM t ORDER BY a`))); got != "[[x] [null] [y]]" {
+			t.Errorf("indexed=%v ORDER BY a: %s, want NULL last", indexed, got)
+		}
+		if _, err := db.Exec(`SELECT b FROM t WHERE a * 0 = 0`); err == nil || !strings.Contains(err.Error(), "arithmetic on non-numeric values") {
+			t.Errorf("indexed=%v a * 0 over a NULL: %v, want the error '' * 0 is", indexed, err)
+		}
+	}
+	db := NewDatabase("u")
+	db.MustExec(`CREATE TABLE u (k VARCHAR PRIMARY KEY)`)
+	db.MustExec(`INSERT INTO u VALUES (NULL), (NULL), ('')`)
+	if _, err := db.Exec(`INSERT INTO u VALUES ('')`); err == nil {
+		t.Error("a second '' in a unique index should fail")
+	}
+	if res := db.MustExec(`SELECT * FROM u WHERE k = ''`); len(res.Rows) != 3 || !res.Stats.IndexUsed {
+		t.Errorf("k = '' finds %d rows (index used %v), want both NULLs and ''", len(res.Rows), res.Stats.IndexUsed)
 	}
 }
 
@@ -513,7 +547,7 @@ func TestIntegerAndFloatArithmetic(t *testing.T) {
 		`7 - 10`:       xmldm.Int(-3),
 		`2 + 2.5`:      xmldm.Float(4.5),
 		`(1 + 2) / 3`:  xmldm.Float(1),
-		`'9' + 1`:      xmldm.Float(10),
+		`'9' + 1`:      xmldm.Int(10),
 		`10 * 1.5 / 2`: xmldm.Float(7.5),
 		// Past the int64 range a number is a FLOAT: sqlgen writes
 		// floats without an exponent.

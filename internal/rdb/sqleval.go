@@ -2,7 +2,6 @@ package rdb
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/xmldm"
 )
@@ -14,13 +13,17 @@ type colAt struct{ i int }
 func (*colAt) isSQLExpr() {}
 
 // evalSQL evaluates a scalar expression, resolved, against one row; row
-// is nil for a constant expression, where a column is an error.
+// is nil for a constant expression, where a column is an error. A column
+// reads as the mediator binds its cell (cellValue), and the operators
+// and functions are the mediator's (xmldm.Apply, xmldm.TextFunc), AND
+// and OR short-circuiting as there: a pushed predicate holds, or fails,
+// for the rows it would without pushdown.
 func evalSQL(e SQLExpr, row Row) (Value, error) {
 	switch x := e.(type) {
 	case *SQLLit:
 		return x.Value, nil
 	case *colAt:
-		return row[x.i], nil
+		return cellValue(row, x.i), nil
 	case *ColRef:
 		return nil, fmt.Errorf("rdb: column %q in constant context", x.Col)
 	case *SQLBin:
@@ -28,11 +31,21 @@ func evalSQL(e SQLExpr, row Row) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		if or := x.Op == "OR"; or || x.Op == "AND" {
+			if xmldm.Truthy(l) == or {
+				return xmldm.Bool(or), nil
+			}
+			r, err := evalSQL(x.R, row)
+			if err != nil {
+				return nil, err
+			}
+			return xmldm.Bool(xmldm.Truthy(r)), nil
+		}
 		r, err := evalSQL(x.R, row)
 		if err != nil {
 			return nil, err
 		}
-		return applyBin(x.Op, l, r)
+		return xmldm.Apply(x.Op, l, r)
 	case *SQLNot:
 		v, err := evalSQL(x.E, row)
 		if err != nil {
@@ -43,9 +56,6 @@ func evalSQL(e SQLExpr, row Row) (Value, error) {
 		v, err := evalSQL(x.E, row)
 		if err != nil {
 			return nil, err
-		}
-		if v == nil || v.Kind() == xmldm.KindNull {
-			return xmldm.Bool(false), nil
 		}
 		return xmldm.Bool(likeMatch(x.Pattern, xmldm.Stringify(v))), nil
 	case *SQLIn:
@@ -64,118 +74,30 @@ func evalSQL(e SQLExpr, row Row) (Value, error) {
 		}
 		return xmldm.Bool(false), nil
 	case *SQLFunc:
-		args := make([]Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := evalSQL(a, row)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
+		if err := checkSQLFunc(x.Name, len(x.Args)); err != nil {
+			return nil, err
 		}
-		return applySQLFunc(x.Name, args)
+		v, err := evalSQL(x.Args[0], row)
+		if err != nil {
+			return nil, err
+		}
+		v, _ = xmldm.TextFunc(x.Name, v)
+		return v, nil
 	default:
 		return nil, fmt.Errorf("rdb: unsupported expression %T", e)
 	}
 }
 
-// applyBin applies a binary operator under SQL-ish semantics: comparisons
-// with NULL yield false, arithmetic with NULL yields NULL. Division is the
-// mediator's (algebra.Eval): a FLOAT, INT / INT included, so that a pushed
-// predicate holds for the rows it holds for there.
-func applyBin(op string, l, r Value) (Value, error) {
-	lNull := l == nil || l.Kind() == xmldm.KindNull
-	rNull := r == nil || r.Kind() == xmldm.KindNull
-	switch op {
-	case "AND":
-		return xmldm.Bool(xmldm.Truthy(l) && xmldm.Truthy(r)), nil
-	case "OR":
-		return xmldm.Bool(xmldm.Truthy(l) || xmldm.Truthy(r)), nil
-	case "=", "!=", "<", "<=", ">", ">=":
-		if lNull || rNull {
-			return xmldm.Bool(false), nil
-		}
-		c := xmldm.Compare(l, r)
-		switch op {
-		case "=":
-			return xmldm.Bool(c == 0), nil
-		case "!=":
-			return xmldm.Bool(c != 0), nil
-		case "<":
-			return xmldm.Bool(c < 0), nil
-		case "<=":
-			return xmldm.Bool(c <= 0), nil
-		case ">":
-			return xmldm.Bool(c > 0), nil
-		default:
-			return xmldm.Bool(c >= 0), nil
-		}
-	case "+", "-", "*", "/":
-		if lNull || rNull {
-			return xmldm.Null{}, nil
-		}
-		// String concatenation with + when the left side is non-numeric
-		// text, as the mediator's algebra.Eval does.
-		if op == "+" && l.Kind() == xmldm.KindString {
-			if _, lok := xmldm.ToFloat(l); !lok {
-				return xmldm.String(xmldm.Stringify(l) + xmldm.Stringify(r)), nil
-			}
-		}
-		lf, lok := xmldm.ToFloat(l)
-		rf, rok := xmldm.ToFloat(r)
-		if !lok || !rok {
-			return nil, fmt.Errorf("rdb: arithmetic on non-numeric values %s, %s", l.String(), r.String())
-		}
-		bothInt := l.Kind() == xmldm.KindInt && r.Kind() == xmldm.KindInt
-		var f float64
-		switch op {
-		case "+":
-			f = lf + rf
-		case "-":
-			f = lf - rf
-		case "*":
-			f = lf * rf
-		case "/":
-			if rf == 0 {
-				return nil, fmt.Errorf("rdb: division by zero")
-			}
-			return xmldm.Float(lf / rf), nil
-		}
-		if bothInt {
-			return xmldm.Int(int64(f)), nil
-		}
-		return xmldm.Float(f), nil
-	default:
-		return nil, fmt.Errorf("rdb: unknown operator %q", op)
-	}
-}
-
-// sqlFuncs are the scalar functions, the four sqlgen emits. Each takes
-// one argument, read as text.
-var sqlFuncs = map[string]func(string) Value{
-	"lower":  func(s string) Value { return xmldm.String(strings.ToLower(s)) },
-	"upper":  func(s string) Value { return xmldm.String(strings.ToUpper(s)) },
-	"trim":   func(s string) Value { return xmldm.String(strings.TrimSpace(s)) },
-	"length": func(s string) Value { return xmldm.Int(int64(len(s))) },
-}
-
-// checkSQLFunc reports a call of an unknown function, or of a known one
-// with other than one argument.
+// checkSQLFunc reports a call of a function other than the four sqlgen
+// emits (xmldm.TextFunc's), or of one with other than one argument.
 func checkSQLFunc(name string, args int) error {
-	if sqlFuncs[name] == nil {
+	if _, ok := xmldm.TextFunc(name, nil); !ok {
 		return fmt.Errorf("rdb: unknown function %q", name)
 	}
 	if args != 1 {
 		return fmt.Errorf("rdb: %s expects 1 argument, got %d", name, args)
 	}
 	return nil
-}
-
-// applySQLFunc applies a scalar function.
-func applySQLFunc(name string, args []Value) (Value, error) {
-	if err := checkSQLFunc(name, len(args)); err != nil {
-		return nil, err
-	}
-	return sqlFuncs[name](xmldm.Stringify(args[0])), nil
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any one byte).

@@ -18,7 +18,7 @@ import (
 //
 // WHERE expressions are literals, unqualified columns, arithmetic,
 // comparisons (= != < <= > >=), AND, OR, prefix NOT, LIKE, IN and the
-// functions lower, upper, trim and length (applySQLFunc). Joins,
+// functions lower, upper, trim and length (xmldm.TextFunc). Joins,
 // aggregates, DISTINCT and LIMIT run in the mediator, not in a source.
 
 // Stmt is a parsed SQL statement.

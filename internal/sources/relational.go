@@ -52,10 +52,6 @@ func NewRelationalSource(name string, db *rdb.Database) *RelationalSource {
 			} else if db.HasIndex(tn, c.Name) {
 				d.IndexedColumns = append(d.IndexedColumns, strings.ToLower(c.Name))
 			}
-			// FLOAT stays out: NaN exports as text outside the numeric class.
-			if c.Type == rdb.TInt || c.Type == rdb.TString {
-				d.TextExactColumns = append(d.TextExactColumns, strings.ToLower(c.Name))
-			}
 		}
 		s.desc = append(s.desc, d)
 	}

@@ -54,17 +54,14 @@ type Fragment struct {
 // col must be a table column (a value of Columns); keys are data and
 // each is quoted as a string literal.
 func (f *Fragment) KeyedSQL(col string, keys []string) string {
-	var sb strings.Builder
-	sb.WriteString(col)
-	sb.WriteString(" IN (")
+	b := append([]byte(col), " IN ("...)
 	for i, k := range keys {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		sb.WriteString(sqlString(k))
+		b = appendSQLString(b, k)
 	}
-	sb.WriteString(")")
-	return f.render(sb.String())
+	return f.render(string(append(b, ')')))
 }
 
 // KeyedLabel is KeyedSQL for display, with the list elided to its
@@ -157,17 +154,29 @@ func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 
 	frag := &Fragment{Table: desc.Table, RowElement: desc.RowElement, Columns: varCol}
 
-	// Predicate pushdown.
+	// Predicate pushdown. Every predicate pushed is appended to one
+	// buffer, so the cost is linear in the predicates' size however deep
+	// they nest, and each conjunct is a slice of one string.
 	var remaining []xmlql.Expr
 	if opts.PushSelections && caps.Selection {
+		buf := make([]byte, 0, 64)
+		ends := make([]int, 0, len(preds))
 		for _, p := range preds {
-			if sql, ok := predToSQL(p, varCol); ok {
-				conjuncts = append(conjuncts, sql)
-				frag.PushedPredicates++
+			start := len(buf)
+			var ok bool
+			if buf, ok = appendPred(buf, p, varCol); ok {
+				ends = append(ends, len(buf))
 			} else {
+				buf = buf[:start]
 				remaining = append(remaining, p)
 			}
 		}
+		text, start := string(buf), 0
+		for _, end := range ends {
+			conjuncts = append(conjuncts, text[start:end])
+			start = end
+		}
+		frag.PushedPredicates = len(ends)
 	} else {
 		remaining = preds
 	}
@@ -250,48 +259,33 @@ func resolveRowPattern(descs []catalog.RelationalDescriptor, pat *xmlql.ElemPatt
 	return nil, nil, fmt.Errorf("%w: no table exports element %q", ErrNotTranslatable, pat.Tag.String())
 }
 
-// predToSQL translates a predicate whose variables are all column-mapped
-// into a SQL boolean expression.
-func predToSQL(e xmlql.Expr, varCol map[string]string) (string, bool) {
+// appendPred appends predicate e, whose variables are all
+// column-mapped, to b as a SQL boolean expression; false means e cannot
+// be pushed.
+func appendPred(b []byte, e xmlql.Expr, varCol map[string]string) ([]byte, bool) {
 	switch x := e.(type) {
 	case *xmlql.BinExpr:
 		switch x.Op {
 		case "AND", "OR":
-			l, lok := predToSQL(x.L, varCol)
-			r, rok := predToSQL(x.R, varCol)
-			if !lok || !rok {
-				return "", false
-			}
-			return "(" + l + " " + x.Op + " " + r + ")", true
+			return appendBin(b, x, false, varCol)
 		case "=", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/":
-			l, lok := scalarToSQL(x.L, varCol)
-			r, rok := scalarToSQL(x.R, varCol)
-			if !lok || !rok {
-				return "", false
-			}
-			return "(" + l + " " + x.Op + " " + r + ")", true
-		default:
-			return "", false
+			return appendBin(b, x, true, varCol)
 		}
 	case *xmlql.FuncExpr:
 		switch strings.ToLower(x.Name) {
 		case "contains", "startswith", "endswith":
 			if len(x.Args) != 2 {
-				return "", false
-			}
-			col, ok := scalarToSQL(x.Args[0], varCol)
-			if !ok {
-				return "", false
+				return b, false
 			}
 			lit, isLit := x.Args[1].(*xmlql.LitExpr)
 			if !isLit {
-				return "", false
+				return b, false
 			}
 			s, isStr := lit.Value.(string)
 			if !isStr || strings.ContainsAny(s, "%_") {
 				// LIKE metacharacters in the needle would change meaning;
 				// leave such predicates to the mediator.
-				return "", false
+				return b, false
 			}
 			switch strings.ToLower(x.Name) {
 			case "contains":
@@ -301,88 +295,95 @@ func predToSQL(e xmlql.Expr, varCol map[string]string) (string, bool) {
 			case "endswith":
 				s = "%" + s
 			}
-			return col + " LIKE " + sqlString(s), true
+			b, ok := appendScalar(b, x.Args[0], varCol)
+			return appendSQLString(append(b, " LIKE "...), s), ok
 		case "not":
 			if len(x.Args) != 1 {
-				return "", false
+				return b, false
 			}
-			inner, ok := predToSQL(x.Args[0], varCol)
-			if !ok {
-				return "", false
-			}
-			return "NOT " + inner, true
-		default:
-			return "", false
+			return appendPred(append(b, "NOT "...), x.Args[0], varCol)
 		}
-	default:
-		return "", false
 	}
+	return b, false
 }
 
-// scalarToSQL translates a scalar expression (variables, literals,
-// arithmetic, lower/upper) into SQL.
-func scalarToSQL(e xmlql.Expr, varCol map[string]string) (string, bool) {
+// appendBin appends "(l op r)" to b, the operands scalars or predicates.
+func appendBin(b []byte, x *xmlql.BinExpr, scalars bool, varCol map[string]string) ([]byte, bool) {
+	b = append(b, '(')
+	for i, e := range [2]xmlql.Expr{x.L, x.R} {
+		if i == 1 {
+			b = append(append(append(b, ' '), x.Op...), ' ')
+		}
+		var ok bool
+		if scalars {
+			b, ok = appendScalar(b, e, varCol)
+		} else {
+			b, ok = appendPred(b, e, varCol)
+		}
+		if !ok {
+			return b, false
+		}
+	}
+	return append(b, ')'), true
+}
+
+// appendScalar appends a scalar expression (variables, literals,
+// arithmetic, lower/upper/trim/length) as SQL to b; false means it
+// cannot be pushed.
+func appendScalar(b []byte, e xmlql.Expr, varCol map[string]string) ([]byte, bool) {
 	switch x := e.(type) {
 	case *xmlql.VarExpr:
 		col, ok := varCol[x.Name]
-		return col, ok
+		return append(b, col...), ok
 	case *xmlql.LitExpr:
 		switch v := x.Value.(type) {
 		case string:
-			return sqlString(v), true
+			return appendSQLString(b, v), true
 		case int64:
-			return fmt.Sprintf("%d", v), true
+			return strconv.AppendInt(b, v, 10), true
 		case float64:
 			// No exponent: rdb reads digits and one point, and an integer
 			// past the int64 range as a FLOAT.
 			if math.IsInf(v, 0) || math.IsNaN(v) {
-				return "", false
+				return b, false
 			}
-			return strconv.FormatFloat(v, 'f', -1, 64), true
+			return strconv.AppendFloat(b, v, 'f', -1, 64), true
 		case bool:
 			if v {
-				return "TRUE", true
+				return append(b, "TRUE"...), true
 			}
-			return "FALSE", true
-		default:
-			return "", false
+			return append(b, "FALSE"...), true
 		}
 	case *xmlql.BinExpr:
 		switch x.Op {
 		case "+", "-", "*", "/":
-			l, lok := scalarToSQL(x.L, varCol)
-			r, rok := scalarToSQL(x.R, varCol)
-			if !lok || !rok {
-				return "", false
-			}
-			return "(" + l + " " + x.Op + " " + r + ")", true
-		default:
-			return "", false
+			return appendBin(b, x, true, varCol)
 		}
 	case *xmlql.FuncExpr:
-		switch strings.ToLower(x.Name) {
+		switch name := strings.ToLower(x.Name); name {
 		case "lower", "upper", "trim", "length", "strlen":
 			if len(x.Args) != 1 {
-				return "", false
+				return b, false
 			}
-			a, ok := scalarToSQL(x.Args[0], varCol)
-			if !ok {
-				return "", false
-			}
-			name := strings.ToLower(x.Name)
 			if name == "strlen" {
 				name = "length"
 			}
-			return name + "(" + a + ")", true
-		default:
-			return "", false
+			b, ok := appendScalar(append(append(b, name...), '('), x.Args[0], varCol)
+			return append(b, ')'), ok
 		}
-	default:
-		return "", false
 	}
+	return b, false
 }
 
 // sqlString quotes a string literal for the SQL dialect.
 func sqlString(s string) string {
-	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+	return string(appendSQLString(nil, s))
+}
+
+// appendSQLString appends s to b quoted as a string literal of the SQL
+// dialect: between single quotes, each one inside doubled.
+func appendSQLString(b []byte, s string) []byte {
+	b = append(b, '\'')
+	b = append(b, strings.ReplaceAll(s, "'", "''")...)
+	return append(b, '\'')
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -460,5 +462,56 @@ func TestSQLDoesNotDependOnVariableNames(t *testing.T) {
 	}
 	if want := `SELECT city, id, name FROM customers WHERE (name != 'x') ORDER BY city DESC`; sqls[0][0] != want {
 		t.Errorf("SQL = %q, want %q", sqls[0][0], want)
+	}
+}
+
+// TestCompileAllocatesLinearlyInPredicateSize: sqlgen writes a pushed
+// predicate into one builder, so the bytes Compile allocates grow with
+// the predicate's size, not with its size times its depth — for a deep
+// not( nest and for a long OR chain, as the parser builds it (left-deep).
+// Each tree is built directly, without the parser; the bytes at 2n must
+// stay under 2.5 times those at n (copying each level's subtree makes it
+// 4).
+func TestCompileAllocatesLinearlyInPredicateSize(t *testing.T) {
+	pat, _ := patAndPreds(t, `WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb" CONSTRUCT <r/>`)
+	cmp := func(k int) xmlql.Expr {
+		return &xmlql.BinExpr{Op: "=", L: &xmlql.VarExpr{Name: "i"}, R: &xmlql.LitExpr{Value: int64(k)}}
+	}
+	shapes := map[string]func(n int) xmlql.Expr{
+		"not(": func(n int) xmlql.Expr {
+			e := cmp(0)
+			for k := 0; k < n; k++ {
+				e = &xmlql.FuncExpr{Name: "not", Args: []xmlql.Expr{e}}
+			}
+			return e
+		},
+		"OR chain": func(n int) xmlql.Expr {
+			e := cmp(0)
+			for k := 1; k < n; k++ {
+				e = &xmlql.BinExpr{Op: "OR", L: e, R: cmp(k)}
+			}
+			return e
+		},
+	}
+	for name, build := range shapes {
+		bytes := func(n int) uint64 {
+			pred := build(n)
+			least := uint64(math.MaxUint64)
+			for round := 0; round < 3; round++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				frag, rest, err := Compile(crmDescs(), sqlCaps(), pat, []xmlql.Expr{pred}, DefaultOptions())
+				runtime.ReadMemStats(&after)
+				if err != nil || len(rest) != 0 || frag.PushedPredicates != 1 {
+					t.Fatalf("%s n=%d: %v, %d left", name, n, err, len(rest))
+				}
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			return least
+		}
+		const n = 3000
+		if at, at2 := bytes(n), bytes(2*n); float64(at2) >= 2.5*float64(at) {
+			t.Errorf("%s: Compile allocates %d bytes at n=%d and %d at 2n: %.2f times", name, at, n, at2, float64(at2)/float64(at))
+		}
 	}
 }

@@ -57,15 +57,6 @@ type Step struct {
 // Path is a sequence of steps evaluated left to right.
 type Path []Step
 
-// ChildPath builds the common child::a/child::b/... path.
-func ChildPath(names ...string) Path {
-	p := make(Path, len(names))
-	for i, n := range names {
-		p[i] = Step{Axis: AxisChild, Name: n}
-	}
-	return p
-}
-
 // Eval evaluates the path from a start node and returns the selected
 // values in document order without duplicates. Attribute steps yield
 // String atoms; all other steps yield *Node values.

@@ -64,7 +64,7 @@ func eqStrings(a, b []string) bool {
 
 func TestChildPath(t *testing.T) {
 	doc := testDoc()
-	got := ChildPath("book", "title").Eval(doc)
+	got := Path{{Axis: AxisChild, Name: "book"}, {Axis: AxisChild, Name: "title"}}.Eval(doc)
 	if !eqStrings(texts(got), []string{"TAOCP", "SICP"}) {
 		t.Errorf("book/title = %v", texts(got))
 	}
@@ -163,11 +163,11 @@ func TestSelfAxis(t *testing.T) {
 }
 
 func TestPathOnNilAndEmpty(t *testing.T) {
-	if got := ChildPath("x").Eval(nil); got != nil {
+	if got := (Path{{Axis: AxisChild, Name: "x"}}).Eval(nil); got != nil {
 		t.Errorf("Eval(nil) = %v", got)
 	}
 	doc := testDoc()
-	if got := ChildPath("nosuch", "deeper").Eval(doc); got != nil {
+	if got := (Path{{Axis: AxisChild, Name: "nosuch"}, {Axis: AxisChild, Name: "deeper"}}).Eval(doc); got != nil {
 		t.Errorf("dead-end path = %v", got)
 	}
 	if got := (Path{}).Eval(doc); len(got) != 1 || got[0].(*Node) != doc {
