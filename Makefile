@@ -195,17 +195,19 @@ resultpath-race:
 # in lens values, and an answer read across Invalidate not stored;
 # random predicates over sqlgen's whole output grammar compiled and run
 # through rdb's statement cache; and every pushed predicate and ORDER BY
-# answering as it does without pushdown (the five TestPushed… tests:
-# NULL, BOOL, DATE and nullable INT cells, ORDER BY, floats, division
-# and +, each over a table with and without indexes), also as a property over random tables with
-# NULL, BOOL, DATE and FLOAT cells, indexed or not, against the
-# mediator's evaluator over the cells it binds.
+# answering as it does without pushdown (the six TestPushed… tests:
+# NULL, BOOL, DATE and nullable INT cells, ORDER BY, floats, division,
+# + and the errors of conjuncts kept in the mediator, each over a table
+# with and without indexes), also as a property over random tables with
+# NULL, BOOL, DATE and FLOAT cells, indexed or not, and predicates kept
+# in the mediator before or after the pushed one, against the mediator's
+# evaluator over the cells it binds.
 prepared-race:
 	$(call run-named,-race -count=1,FuzzPrepare|TestShapeKey|TestPrepareParams|TestRebindSharesWhatItDoesNotChange,./internal/xmlql)
 	$(call run-named,-race -count=1,FuzzParseSQL|TestExecBindsPreparedSelect|TestPreparedSelectSurvivesTableChanges,./internal/rdb)
 	$(call run-named,-race -count=1,TestCompiledPredicatesRunOnRDB_Property|TestPushedPredicatesAnswerAsTheMediator_Property|TestSQLDoesNotDependOnVariableNames,./internal/sqlgen)
 	$(call run-named,-race -count=10,TestPreparedMatchesFreshEngineConcurrently,./internal/core)
-	$(call run-named,-race -count=1,TestWarmCallBindsWithoutUnfoldOrParse|TestPreparedFollowsTheCatalog|TestTwinEnginesSendTheSameSQL|TestPushedCellsAnswerAsTheMediator|TestPushedOrderAnswersAsTheMediator|TestPushedFloatsAnswerAsTheMediator|TestPushedDivisionAnswersAsTheMediator|TestPushedPlusAnswersAsTheMediator,./internal/core)
+	$(call run-named,-race -count=1,TestWarmCallBindsWithoutUnfoldOrParse|TestPreparedFollowsTheCatalog|TestTwinEnginesSendTheSameSQL|TestPushedCellsAnswerAsTheMediator|TestPushedOrderAnswersAsTheMediator|TestPushedFloatsAnswerAsTheMediator|TestPushedDivisionAnswersAsTheMediator|TestPushedPlusAnswersAsTheMediator|TestPushedErrorsAnswerAsTheMediator,./internal/core)
 	$(call run-named,-race -count=1,TestPreparedQueriesFollowTheStore,./internal/matview)
 	$(call run-named,-race -count=1,TestBindEscapesSingleQuotes,./internal/lens)
 	$(call run-named,-race -count=1,TestLensValuesShareOnePreparedEntry,.)
@@ -296,12 +298,12 @@ trace-smoke:
 
 # explain-smoke runs one federated two-source query through
 # `nimble-cli -explain` and asserts the EXPLAIN ANALYZE operator tree
-# renders with the expected nodes (join, pattern match, per-source fetch
-# attribution).
+# renders with the expected nodes (join, pattern match, the pushed SQL on
+# its fragment scan, per-source fetch attribution).
 explain-smoke:
 	@out=$$($(GO) run ./cmd/nimble-cli -customers 20 -explain \
 		'WHERE <cust><cid>$$i</cid><who>$$w</who></cust> IN "customers", <ticket><cust>$$i</cust><issue>$$s</issue></ticket> IN "tickets" CONSTRUCT <r><who>$$w</who><issue>$$s</issue></r>'); \
-	for want in 'HashJoin' 'Match \[fetch tickets' 'Fetch \[crmdb' 'Fetch \[tickets' 'Query \[rewrites=' 'time=' 'out='; do \
+	for want in 'HashJoin' 'Match \[fetch tickets' 'FuncScan \[pushdown crmdb: SELECT' 'Fetch \[crmdb' 'Fetch \[tickets' 'Query \[rewrites=' 'time=' 'out='; do \
 		echo "$$out" | grep -q "$$want" || { echo "explain-smoke: missing $$want in output:"; echo "$$out"; exit 1; }; \
 	done; \
 	echo "explain-smoke: OK"

@@ -90,9 +90,6 @@ func printExplain(out io.Writer, res *nimble.Result) {
 	fmt.Fprintf(out, "rewrites=%d fetches=%d tuples=%d operators=%d drain=%.3fms\n",
 		res.Stats.Rewrites, res.Stats.Fetches, res.Stats.TuplesEmitted,
 		res.Stats.OperatorsRun, float64(res.Stats.DrainNanos)/1e6)
-	for _, e := range res.Stats.Explain {
-		fmt.Fprintln(out, "  plan:", e)
-	}
 }
 
 func main() {

@@ -35,7 +35,7 @@ func main() {
 	}
 
 	// 3. Query. The predicate is compiled into SQL and pushed to the
-	// source (see the plan lines below).
+	// source (see the FuncScan leaf of the plan printed below).
 	res, err := sys.Query(context.Background(), `
 		WHERE <cust><who>$w</who><where>$p</where></cust> IN "customers", $p = "London"
 		CONSTRUCT <londoner>$w</londoner>`)
@@ -44,7 +44,5 @@ func main() {
 	}
 	fmt.Println(res.XML())
 	fmt.Println("complete:", res.Complete)
-	for _, line := range res.Stats.Explain {
-		fmt.Println("plan:", line)
-	}
+	fmt.Print(res.Explain.Render())
 }

@@ -153,9 +153,10 @@ func TestBindJoinPastTheCapStreams(t *testing.T) {
 		Pairs: []KeyPair{{Left: "a", Right: "b"}}})
 	for _, workers := range []int{1, 2, 8} {
 		j, _, _, leaf := boundJoin(t, left, right, 4, workers)
-		op, node := Instrument(j, nil)
+		op, node := Instrument(j)
 		ctx := schedCtx()
 		got := drainAll(t, ctx, op)
+		node.Finalize()
 		if !bindingsEqual(got, want) {
 			t.Fatalf("workers=%d: fallback join emits %d rows, unbound %d", workers, len(got), len(want))
 		}
@@ -178,16 +179,22 @@ func TestBindJoinPastTheCapStreams(t *testing.T) {
 
 // TestBindJoinExplainCountsKeysAndHeldRows: the instrumented join's
 // detail is settled by the run — keys shipped over rows planned — and
-// its peak counts the left rows it held beside the rows it built.
+// its peak counts the left rows it held beside the rows it built. A join
+// that never ran is described as planned.
 func TestBindJoinExplainCountsKeysAndHeldRows(t *testing.T) {
-	j, _, _, _ := boundJoin(t, keyRows("a", "1", "2", "1", "9"), keyRows("b", "2", "1", "3", "01"), 10, 1)
-	op, node := Instrument(j, nil)
-	if want := "on $a=$b bind=?/4"; node.Detail != want {
-		t.Errorf("before the run: detail %q, want %q", node.Detail, want)
+	left, right := keyRows("a", "1", "2", "1", "9"), keyRows("b", "2", "1", "3", "01")
+	j, _, _, _ := boundJoin(t, left, right, 10, 1)
+	_, unrun := Instrument(j)
+	unrun.Finalize()
+	if want := "on $a=$b bind=?/4"; unrun.Detail != want {
+		t.Errorf("never run: detail %q, want %q", unrun.Detail, want)
 	}
+	j, _, _, _ = boundJoin(t, left, right, 10, 1)
+	op, node := Instrument(j)
 	if got := drainAll(t, &Context{}, op); len(got) != 5 {
 		t.Fatalf("%d rows", len(got))
 	}
+	node.Finalize()
 	if want := "on $a=$b bind=3/4"; node.Detail != want {
 		t.Errorf("detail %q, want %q", node.Detail, want)
 	}

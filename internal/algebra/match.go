@@ -348,6 +348,9 @@ type Match struct {
 	// for any other, which is then walked (see candidates). The planner
 	// sets it from a catalog.Indexed source.
 	Index func(doc *xmldm.Node) *xmldm.ElemIndex
+	// Label names a source scan's request for EXPLAIN ("fetch tickets",
+	// "materialize schema goldcust"); the planner sets it.
+	Label string
 
 	ctx     *Context
 	fixed   []xmldm.Value

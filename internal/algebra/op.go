@@ -244,9 +244,9 @@ type FuncScan struct {
 	OpenFn func(ctx *Context) (func() (Binding, error), error)
 	// CloseFn, if set, is called at Close.
 	CloseFn func() error
-	// Detail, if set, describes the access path for EXPLAIN and is read
-	// again once the scan has run: a leaf whose request is settled only
-	// at Open uses it in place of a planner label.
+	// Detail, if set, describes the access path for EXPLAIN. It is read
+	// once the scan has run, so it can report a request settled only at
+	// Open.
 	Detail func() string
 	// Transient, set before Open by a consumer that is done with each
 	// binding before it asks for the next and keeps none of them (the

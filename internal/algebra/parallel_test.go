@@ -283,7 +283,7 @@ func TestHashJoinGrantLivesWithThePool(t *testing.T) {
 	} {
 		ctx := &Context{Sched: sched.New(sched.Config{Budget: tc.budget})}
 		hog := ctx.Sched.Acquire(tc.hog, sched.Interactive)
-		op, node := Instrument(&HashJoin{Left: &TupleScan{Tuples: tuples}, Right: &TupleScan{Tuples: tuples}, On: []string{"k"}, Workers: tc.workers}, nil)
+		op, node := Instrument(&HashJoin{Left: &TupleScan{Tuples: tuples}, Right: &TupleScan{Tuples: tuples}, On: []string{"k"}, Workers: tc.workers})
 		if err := op.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -310,6 +310,7 @@ func TestHashJoinGrantLivesWithThePool(t *testing.T) {
 		if err := op.Close(); err != nil {
 			t.Fatal(err)
 		}
+		node.Finalize()
 		hog.Release()
 		if !bindingsEqual(got, want) {
 			t.Fatalf("budget %d: %d rows, the serial join %d (or order differs)", tc.budget, len(got), len(want))
@@ -412,10 +413,11 @@ func TestHashJoinGateBoundary(t *testing.T) {
 		ctx := schedCtx()
 		var deltas []int
 		ctx.OnWorkers = func(d int) { deltas = append(deltas, d) }
-		op, node := Instrument(join(2), nil)
+		op, node := Instrument(join(2))
 		if got := drainAll(t, ctx, op); len(want) < slabRows || !bindingsEqual(got, want) {
 			t.Fatalf("n=%d: %d rows, the serial join %d (or order differs)", n, len(got), len(want))
 		}
+		node.Finalize()
 		spawned := ctx.Snapshot().WorkersSpawned
 		if n < joinParallelMin {
 			if len(deltas) != 0 || spawned != 0 || len(node.Workers) != 0 || ctx.Sched.Snap().Downgrades != 0 {

@@ -25,7 +25,7 @@ type ExplainNode struct {
 	// node name ("query", "rewrite[0]", "Fetch").
 	Op string `json:"op"`
 	// Detail describes the access path or predicate (SQL fragment,
-	// pattern tag, source name).
+	// pattern tag, source name); Finalize fills it for an operator.
 	Detail string `json:"detail,omitempty"`
 	// RowsIn is the total bindings consumed from children (filled by
 	// Finalize as the sum of the children's RowsOut).
@@ -46,6 +46,10 @@ type ExplainNode struct {
 	Workers []WorkerStat `json:"workers,omitempty"`
 	// Children mirror the operator tree.
 	Children []*ExplainNode `json:"children,omitempty"`
+
+	// op is the operator the node describes, held by an instrumented
+	// node until Finalize has described it.
+	op Operator
 }
 
 // TotalDuration is the wall time across all three lifecycle phases.
@@ -56,11 +60,25 @@ func (n *ExplainNode) TotalDuration() time.Duration {
 	return time.Duration(n.OpenNanos + n.NextNanos + n.CloseNanos)
 }
 
-// Finalize fills the derived fields (RowsIn from the children's RowsOut)
-// across the tree. Call it once the plan has been drained.
+// Finalize fills the derived fields across the tree: an instrumented
+// node's Detail and a join's Workers from its operator, which the node
+// then lets go, and RowsIn from the children's RowsOut. Call it once the
+// plan has been drained (or has failed): an operator's detail is what
+// running it settled, or what it was planned as if it never ran.
 func (n *ExplainNode) Finalize() {
 	if n == nil {
 		return
+	}
+	if n.op != nil {
+		n.Detail = describe(n.op)
+		// A join's worker stats are complete once Close has stopped its
+		// pool, and stay readable after it.
+		if j, ok := n.op.(*HashJoin); ok {
+			if s := j.WorkerStats(); len(s) > 0 {
+				n.Workers = s
+			}
+		}
+		n.op = nil
 	}
 	n.RowsIn = 0
 	for _, c := range n.Children {
@@ -152,12 +170,6 @@ type Instrumented struct {
 	Node  *ExplainNode
 
 	buf buffered // Inner's buffering view, nil when it has none
-	// label is the planner's access-path label; it is kept only for an
-	// operator whose detail running settles (a bind join's key count, the
-	// request its right leaf sent, whether a leaf Match read its index,
-	// a join's gate and granted degree), which Close describes again.
-	label   string
-	settles bool
 }
 
 // Open implements Operator.
@@ -187,16 +199,6 @@ func (i *Instrumented) Close() error {
 	start := time.Now()
 	err := i.Inner.Close()
 	i.Node.CloseNanos += time.Since(start).Nanoseconds()
-	if i.settles {
-		i.Node.Detail = describe(i.Inner, i.label)
-	}
-	// A join's worker stats are complete once Close has stopped its pool,
-	// and stay readable after it.
-	if j, ok := i.Inner.(*HashJoin); ok {
-		if s := j.WorkerStats(); len(s) > 0 {
-			i.Node.Workers = s
-		}
-	}
 	return err
 }
 
@@ -210,49 +212,39 @@ func (i *Instrumented) poll() {
 }
 
 // Instrument wraps op (and, recursively, its children) with statistics
-// shims and returns the wrapped tree plus its ExplainNode tree. labels
-// optionally attaches access-path descriptions to specific operators
-// (the planner labels its leaves with the pushed-down SQL or the fetched
-// source). Instrumenting an already-instrumented tree is a no-op.
-func Instrument(op Operator, labels map[Operator]string) (Operator, *ExplainNode) {
+// shims and returns the wrapped tree plus its ExplainNode tree, whose
+// details Finalize fills in once the plan has run. Instrumenting an
+// already-instrumented tree is a no-op.
+func Instrument(op Operator) (Operator, *ExplainNode) {
 	if inst, ok := op.(*Instrumented); ok {
 		return inst, inst.Node
 	}
-	node := &ExplainNode{Op: opName(op), Detail: describe(op, labels[op])}
+	node := &ExplainNode{Op: opName(op), op: op}
 	for _, c := range children(op) {
-		w, n := Instrument(*c, labels)
+		w, n := Instrument(*c)
 		*c = w
 		node.Children = append(node.Children, n)
 	}
 	w := &Instrumented{Inner: op, Node: node}
 	w.buf, _ = op.(buffered)
-	switch x := op.(type) {
-	case *HashJoin:
-		w.settles = x.Bind != nil || x.Workers > 1
-	case *FuncScan:
-		w.settles = x.Detail != nil
-	case *Match:
-		w.settles = x.Index != nil
-	}
-	if w.settles {
-		w.label = labels[op]
-	}
 	return w, node
 }
 
-// describe renders the operator-specific detail for an EXPLAIN line;
-// label is the planner's access-path label, if it gave one.
-func describe(op Operator, label string) string {
+// describe renders the operator-specific detail for an EXPLAIN line from
+// the operator alone: a leaf's access path (a fragment scan's request, a
+// source scan's label), then what it matches or filters on, then what
+// running it settled.
+func describe(op Operator) string {
 	var parts []string
-	if label != "" {
-		parts = append(parts, label)
-	}
 	switch x := op.(type) {
 	case *FuncScan:
 		if x.Detail != nil {
 			parts = append(parts, x.Detail())
 		}
 	case *Match:
+		if x.Label != "" {
+			parts = append(parts, x.Label)
+		}
 		d := "<" + x.Pattern.Tag.String() + ">"
 		if x.SourceVar != "" {
 			d += " in $" + x.SourceVar
@@ -305,23 +297,10 @@ func CountOps(op Operator) int {
 	return n
 }
 
-// Explain builds the ExplainNode tree for a plan without instrumenting
-// it — the static (no ANALYZE) plan shape.
-func Explain(op Operator, labels map[Operator]string) *ExplainNode {
-	if inst, ok := op.(*Instrumented); ok {
-		return inst.Node
-	}
-	node := &ExplainNode{Op: opName(op), Detail: describe(op, labels[op])}
-	for _, c := range children(op) {
-		node.Children = append(node.Children, Explain(*c, labels))
-	}
-	return node
-}
-
 // children lists an operator's inputs as the fields that hold them, so
-// Instrument can wrap each in place. Instrument, CountOps and Explain
-// reach inputs only through it: a kind missing here is a leaf to all
-// three, its inputs gone from EXPLAIN and from OperatorsRun.
+// Instrument can wrap each in place. Instrument and CountOps reach
+// inputs only through it: a kind missing here is a leaf to both, its
+// inputs gone from EXPLAIN and from OperatorsRun.
 func children(op Operator) []*Operator {
 	switch x := op.(type) {
 	case *Select:

@@ -28,7 +28,7 @@ func BenchmarkInstrumentedNext(b *testing.B) {
 		op   func() Operator
 	}{
 		{"bare", func() Operator { return scan() }},
-		{"instrumented", func() Operator { op, _ := Instrument(scan(), nil); return op }},
+		{"instrumented", func() Operator { op, _ := Instrument(scan()); return op }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ctx := &Context{}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/xmldm"
+	"repro/internal/xmlql"
 )
 
 // bindRow builds a one-variable binding.
@@ -29,7 +30,7 @@ func joinFixture() (*HashJoin, int) {
 
 func TestInstrumentRecordsRowsAndStructure(t *testing.T) {
 	join, want := joinFixture()
-	op, node := Instrument(join, nil)
+	op, node := Instrument(join)
 	bs, err := Drain(&Context{}, op)
 	if err != nil {
 		t.Fatal(err)
@@ -73,22 +74,52 @@ func TestInstrumentRecordsRowsAndStructure(t *testing.T) {
 	if !strings.Contains(node.Render(), "TupleScan") {
 		t.Errorf("render missing children:\n%s", node.Render())
 	}
+	if node.Detail != "on $k" || node.Children[0].Detail != "3 tuples" {
+		t.Errorf("details %q, %q; want the join's key and the scan's size", node.Detail, node.Children[0].Detail)
+	}
+	if scan := node.Find("TupleScan"); scan != node.Children[0] {
+		t.Errorf("Find(TupleScan) = %+v, want the left scan", scan)
+	}
+	if node.Find("Match") != nil {
+		t.Error("Find(Match) found a node the plan does not hold")
+	}
+	// The finalized tree is handed to callers: it holds no operator.
+	var visited int
+	node.Walk(func(n *ExplainNode) {
+		visited++
+		if n.op != nil {
+			t.Errorf("%s still holds its operator after Finalize", n.Op)
+		}
+	})
+	if visited != 3 {
+		t.Errorf("Walk visited %d nodes, want 3", visited)
+	}
 }
 
 func TestInstrumentIdempotent(t *testing.T) {
 	join, _ := joinFixture()
-	op1, n1 := Instrument(join, nil)
-	op2, n2 := Instrument(op1, nil)
+	op1, n1 := Instrument(join)
+	op2, n2 := Instrument(op1)
 	if op1 != op2 || n1 != n2 {
 		t.Error("re-instrumenting must be a no-op")
 	}
 }
 
+// TestInstrumentLabels: a leaf's access path comes from the operator
+// alone — a source scan's Label, a fragment scan's Detail — and a leaf
+// that never ran is described as planned.
 func TestInstrumentLabels(t *testing.T) {
-	scan := &TupleScan{Tuples: []Binding{bindRow("x", "1")}}
-	_, node := Instrument(scan, map[Operator]string{scan: "pushdown src: SELECT 1"})
-	if !strings.Contains(node.Detail, "pushdown src") {
-		t.Errorf("Detail = %q", node.Detail)
+	match := &Match{Input: &Singleton{}, Pattern: &xmlql.ElemPattern{Tag: xmlql.TagTest{Name: "t"}}, Label: "fetch src"}
+	scan := &FuncScan{Detail: func() string { return "pushdown src: SELECT 1" }}
+	for _, tc := range []struct {
+		op   Operator
+		want string
+	}{{match, "fetch src <t>"}, {scan, "pushdown src: SELECT 1"}} {
+		_, node := Instrument(tc.op)
+		node.Finalize()
+		if node.Detail != tc.want {
+			t.Errorf("%s: Detail = %q, want %q", node.Op, node.Detail, tc.want)
+		}
 	}
 }
 
@@ -107,7 +138,7 @@ func TestInstrumentPeakBufferedDistinct(t *testing.T) {
 		bindRow("k", "a").With("r", xmldm.String("y")),
 		bindRow("k", "a").With("r", xmldm.String("z")),
 	}}
-	op, node := Instrument(&HashJoin{Left: left, Right: right, On: []string{"k"}}, nil)
+	op, node := Instrument(&HashJoin{Left: left, Right: right, On: []string{"k"}})
 	bs, err := Drain(&Context{}, op)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +156,7 @@ func TestCountOps(t *testing.T) {
 	if n := CountOps(join); n != 3 {
 		t.Errorf("CountOps = %d, want 3", n)
 	}
-	wrapped, _ := Instrument(join, nil)
+	wrapped, _ := Instrument(join)
 	if n := CountOps(wrapped); n != 3 {
 		t.Errorf("CountOps(instrumented) = %d, want 3 (shims are transparent)", n)
 	}
@@ -143,21 +174,5 @@ func TestDrainRecordsContextStats(t *testing.T) {
 	}
 	if snap.DrainNanos <= 0 {
 		t.Errorf("DrainNanos = %d, want > 0", snap.DrainNanos)
-	}
-}
-
-func TestExplainStaticTree(t *testing.T) {
-	join, _ := joinFixture()
-	node := Explain(join, nil)
-	if node.Op != "HashJoin" || len(node.Children) != 2 {
-		t.Fatalf("static tree = %+v", node)
-	}
-	if node.Find("TupleScan") == nil {
-		t.Error("Find(TupleScan) = nil")
-	}
-	var visited int
-	node.Walk(func(*ExplainNode) { visited++ })
-	if visited != 3 {
-		t.Errorf("Walk visited %d nodes", visited)
 	}
 }

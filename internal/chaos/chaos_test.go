@@ -157,11 +157,12 @@ func TestTruncatedDocumentIsWalked(t *testing.T) {
 	pat := xmlql.MustParse(`WHERE <ticket pri="high"><s>$s</s></ticket> IN "tickets" CONSTRUCT <r/>`).Where[0].(*xmlql.PatternCond).Pattern
 	leaf := &algebra.Match{Input: &algebra.Singleton{}, Pattern: pat, Index: src.IndexFor,
 		Roots: func(*algebra.Context) ([]xmldm.Value, error) { return []xmldm.Value{cut}, nil }}
-	op, node := algebra.Instrument(leaf, nil)
+	op, node := algebra.Instrument(leaf)
 	got, err := algebra.Drain(&algebra.Context{}, op)
 	if err != nil {
 		t.Fatal(err)
 	}
+	node.Finalize()
 	want, err := algebra.MatchPattern(&algebra.Context{}, cut, pat, xmldm.NewTuple())
 	if err != nil {
 		t.Fatal(err)

@@ -218,7 +218,6 @@ type Stats struct {
 	// time (0 / 0 when every join ran serially).
 	ParallelWorkers int64
 	WorkerNanos     int64
-	Explain         []string
 }
 
 // ExplainTree is the per-operator statistics tree of one execution (the
@@ -570,7 +569,6 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		spPlan.Finish()
 		if stats != nil {
 			stats.Fetches += len(plan.Fetches)
-			stats.Explain = append(stats.Explain, plan.Explain...)
 		}
 		if !plan.OrderPushed {
 			orderPushed = false
@@ -606,13 +604,14 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 			}
 		}
 		// The plan is instrumented before draining — per-operator stats
-		// accumulate into the EXPLAIN tree under the query root. The
-		// shims are transparent (1:1 Open/Next/Close delegation), so
+		// accumulate into the EXPLAIN tree under the query root, and
+		// QueryOpt's Finalize describes each operator once it has run.
+		// The shims are transparent (1:1 Open/Next/Close delegation), so
 		// lifecycle invariants and span names are unaffected.
 		planRoot := plan.Root
 		if ex != nil {
 			var node *algebra.ExplainNode
-			planRoot, node = algebra.Instrument(plan.Root, plan.Labels)
+			planRoot, node = algebra.Instrument(plan.Root)
 			ex.Children = append(ex.Children, node)
 		}
 		// construct builds one binding's result and writes or holds it.

@@ -92,9 +92,8 @@ func TestQueryDirectSource(t *testing.T) {
 		t.Error("query should be complete")
 	}
 	// Pushdown should have produced a SQL fragment.
-	joined := strings.Join(res.Stats.Explain, "\n")
-	if !strings.Contains(joined, "SELECT") || !strings.Contains(joined, "London") {
-		t.Errorf("explain = %v", res.Stats.Explain)
+	if sql := pushedSQL(res.Explain); !strings.Contains(sql, "SELECT") || !strings.Contains(sql, "London") {
+		t.Errorf("pushed %q\n%s", sql, res.Explain.Render())
 	}
 }
 
@@ -113,9 +112,8 @@ func TestQueryMediatedSchema(t *testing.T) {
 		t.Errorf("rewrites = %d", res.Stats.Rewrites)
 	}
 	// Unfolding + pushdown: the predicate must reach the SQL.
-	joined := strings.Join(res.Stats.Explain, "\n")
-	if !strings.Contains(joined, "New York") {
-		t.Errorf("predicate did not reach the source: %v", res.Stats.Explain)
+	if sql := pushedSQL(res.Explain); !strings.Contains(sql, "New York") {
+		t.Errorf("predicate did not reach the source: %q\n%s", sql, res.Explain.Render())
 	}
 }
 

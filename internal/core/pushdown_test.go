@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/rdb"
@@ -23,9 +24,10 @@ type pushedCase struct{ pred, want, sql string }
 // requirePushedAsMediator runs each case's query on an engine that
 // pushes predicates into the relational source and on one that does not,
 // and fails unless both answer the case's rows (in any order, but for an
-// ORDER-BY case: an index may answer in its own) and the first plan
-// carries the case's SQL. It runs every case twice: over the table with
-// its primary key only, and over a twin with an index on every column.
+// ORDER-BY case: an index may answer in its own) and the first plan's
+// fragment scan carries the case's SQL. It runs every case twice: over
+// the table with its primary key only, and over a twin with an index on
+// every column.
 // The table holds NULL cells in a VARCHAR, a DATE and an INT column, and
 // a BOOL column.
 func requirePushedAsMediator(t *testing.T, cases []pushedCase) {
@@ -46,11 +48,11 @@ func requirePushedAsMediator(t *testing.T, cases []pushedCase) {
 			t.Fatal(err)
 		}
 		pushed, plain := New(cat, Config{}), New(cat, Config{DisablePushdown: true})
-		answer := func(e *Engine, q string, ordered bool) (string, []string) {
+		answer := func(e *Engine, q string, ordered bool) (string, string) {
 			res, err := e.Query(context.Background(), q)
 			if err != nil {
 				t.Logf("%s: %v", q, err)
-				return "error", nil
+				return "error", ""
 			}
 			ids := make([]string, len(res.Values))
 			for i, v := range res.Values {
@@ -59,7 +61,7 @@ func requirePushedAsMediator(t *testing.T, cases []pushedCase) {
 			if !ordered {
 				slices.Sort(ids)
 			}
-			return strings.Join(ids, ","), res.Stats.Explain
+			return strings.Join(ids, ","), pushedSQL(res.Explain)
 		}
 		for _, tc := range cases {
 			const pat = `WHERE <item><id>$i</id><q>$q</q><t>$t</t><s>$s</s><n>$n</n><o>$o</o><d>$d</d><k>$k</k></item> IN "m"`
@@ -68,15 +70,27 @@ func requirePushedAsMediator(t *testing.T, cases []pushedCase) {
 			if ordered {
 				q = pat + ` CONSTRUCT <r>$i</r> ` + tc.pred
 			}
-			got, explain := answer(pushed, q, ordered)
+			got, plan := answer(pushed, q, ordered)
 			if want, _ := answer(plain, q, ordered); got != want || got != tc.want {
 				t.Errorf("indexed=%v %s: pushed %s, not pushed %s, want %s", indexed, tc.pred, got, want, tc.want)
 			}
-			if plan := strings.Join(explain, "\n"); !strings.Contains(plan, tc.sql) {
+			if !strings.Contains(plan, tc.sql) {
 				t.Errorf("indexed=%v %s: the plan does not push %s:\n%s", indexed, tc.pred, tc.sql, plan)
 			}
 		}
 	}
+}
+
+// pushedSQL joins the details of an EXPLAIN tree's fragment scans,
+// "pushdown <source>: <SQL>" a line.
+func pushedSQL(ex *ExplainTree) string {
+	var lines []string
+	ex.Walk(func(n *algebra.ExplainNode) {
+		if strings.HasPrefix(n.Detail, "pushdown ") {
+			lines = append(lines, n.Detail)
+		}
+	})
+	return strings.Join(lines, "\n")
 }
 
 // TestPushedCellsAnswerAsTheMediator: the source reads a cell as the
@@ -150,6 +164,23 @@ func TestPushedPlusAnswersAsTheMediator(t *testing.T) {
 	requirePushedAsMediator(t, []pushedCase{
 		{`$s + 1 = "x1"`, "1,7", "((s + 1) = 'x1')"},
 		{`1 + $s = 6`, "error", ""},
+	})
+}
+
+// TestPushedErrorsAnswerAsTheMediator: conjuncts run in query order, so a
+// predicate after one the source cannot take (a contains needle holding
+// %) is pushed only when neither can fail. A failing predicate the
+// mediator keeps fails on the rows a later pushed one would have ruled
+// out, and a later failing one never runs on the rows a kept one rules
+// out. In the other order the pushed conjunct runs first either way.
+func TestPushedErrorsAnswerAsTheMediator(t *testing.T) {
+	requirePushedAsMediator(t, []pushedCase{
+		{`contains(1 / $k, "%"), $i = 1`, "error", ""},
+		{`$i = 1, contains(1 / $k, "%")`, "", "(id = 1)"},
+		{`contains($s, "%"), 1 / $k > 0`, "", "FROM items"},
+		{`1 / $k > 0, contains($s, "%")`, "error", ""},
+		// Neither can fail: the later one is still pushed.
+		{`contains($s, "%"), $i = 1`, "", "(id = 1)"},
 	})
 }
 

@@ -86,8 +86,8 @@ func E9Hierarchy(s Scale) *Table {
 		queryMS := float64(time.Since(qStart).Microseconds()) / queryRuns / 1000
 
 		pushed := "no"
-		for _, line := range res.Stats.Explain {
-			if containsFold(line, "Seattle") && containsFold(line, "SELECT") {
+		for _, sql := range pushedSQL(res) {
+			if containsFold(sql, "Seattle") {
 				pushed = "yes"
 			}
 		}

@@ -72,13 +72,8 @@ func F1Architecture(s Scale) *Table {
 	t.AddRow("sources", fmt.Sprintf("%d registered: %s", len(sys.Sources()), strings.Join(sys.Sources(), ", ")))
 	t.AddRow("metadata server", fmt.Sprintf("schemas %s (goldcust is a view over customers — hierarchical GAV)", strings.Join(sys.Schemas(), ", ")))
 	t.AddRow("mediator", fmt.Sprintf("%d rewrite(s), two unfolding levels collapsed to source patterns", res.Stats.Rewrites))
-	pushed := 0
-	for _, e := range res.Stats.Explain {
-		if strings.Contains(e, "SELECT") {
-			pushed++
-		}
-	}
-	t.AddRow("compiler", fmt.Sprintf("%d SQL fragment(s) generated, e.g. %q", pushed, firstSQL(res.Stats.Explain)))
+	sql := pushedSQL(res)
+	t.AddRow("compiler", fmt.Sprintf("%d SQL fragment(s) generated, e.g. %q", len(sql), firstSQL(sql)))
 	t.AddRow("executor", fmt.Sprintf("%d source fetches, %d tuples through the algebra", res.Stats.Fetches, res.Stats.TuplesEmitted))
 	t.AddRow("results", fmt.Sprintf("%d gold customers in Seattle, complete=%v", len(res.Values), res.Complete))
 
@@ -116,15 +111,27 @@ func F1Architecture(s Scale) *Table {
 	return t
 }
 
-func firstSQL(explain []string) string {
-	for _, e := range explain {
-		if i := strings.Index(e, "SELECT"); i >= 0 {
-			s := e[i:]
-			if len(s) > 60 {
-				s = s[:57] + "..."
-			}
-			return s
-		}
+func firstSQL(sql []string) string {
+	if len(sql) == 0 {
+		return "(none)"
 	}
-	return "(none)"
+	s := sql[0]
+	if len(s) > 60 {
+		s = s[:57] + "..."
+	}
+	return s
+}
+
+// pushedSQL lists the statements a query pushed to its sources, read from
+// the EXPLAIN tree: each fragment scan's detail is "pushdown <source>:
+// <SQL>".
+func pushedSQL(res *nimble.Result) []string {
+	var out []string
+	res.Explain.Walk(func(n *nimble.ExplainTree) {
+		if rest, ok := strings.CutPrefix(n.Detail, "pushdown "); ok {
+			_, sql, _ := strings.Cut(rest, ": ")
+			out = append(out, sql)
+		}
+	})
+	return out
 }

@@ -50,11 +50,13 @@ func (fl *fragLeaf) ship(keys []string, whole bool) {
 	}
 }
 
-// detail is a bound leaf's EXPLAIN label: the statement it sent, with the
-// key list elided to its length so the line stays short and deterministic.
+// detail is the leaf's EXPLAIN label: the statement it sends, or, as the
+// right leaf of a bind join that did not fall back, the keyed statement
+// with the key list elided to its length so the line stays short and
+// deterministic.
 func (fl *fragLeaf) detail() string {
 	sql := fl.frag.SQL
-	if !fl.whole {
+	if fl.keyCol != "" && !fl.whole {
 		sql = fl.frag.KeyedLabel(fl.keyCol, fl.keys)
 	}
 	return fmt.Sprintf("pushdown %s: %s", fl.source, sql)
@@ -93,10 +95,7 @@ func (p *Planner) bindJoin(plan *Plan, j *algebra.HashJoin) {
 		plan.Fetches = slices.Delete(plan.Fetches, i, i+1)
 	}
 	fl.keyCol = col
-	delete(plan.Labels, j.Right)
-	fl.op.Detail = fl.detail
 	j.Bind = &algebra.Bind{Key: leftVar, MaxKeys: min(bindMaxKeys, ts.Rows/bindRowsPerKey), Rows: ts.Rows, Ship: fl.ship}
-	plan.Explain = append(plan.Explain, fmt.Sprintf("bind join %s on %s", fl.source, col))
 }
 
 // bindKey picks the join key to ship: the first, natural variables before

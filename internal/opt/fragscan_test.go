@@ -95,7 +95,7 @@ func TestFragmentScanEmptyAndForeignRoots(t *testing.T) {
 // scan, one tuple is refilled. It is the difference between a scan of 2n rows
 // and one of n, so that what a fetch allocates once (the positions, the
 // closure, the slabs) cancels; the row list's one more doubling is the
-// allowance.
+// allowance. A fetch of the export is also bounded whole.
 func TestFragmentScanAllocations(t *testing.T) {
 	if testkit.Race {
 		t.Skip("the race detector allocates")
@@ -156,6 +156,13 @@ func TestFragmentScanAllocations(t *testing.T) {
 			if perRow := (scan(2*n, path, transient) - scan(n, path, transient)) / n; perRow > 0.02 {
 				t.Errorf("fragmentScan over the %s (transient %v) allocates %.2f times per row, want 0", path, transient, perRow)
 			}
+		}
+	}
+	// The export's row elements are counted before they are collected,
+	// so its row list is one allocation, not one per doubling.
+	for _, transient := range []bool{false, true} {
+		if allocs := scan(n, "export", transient); allocs > 8 {
+			t.Errorf("a fetch of %d exported rows (transient %v) allocates %.0f times, want at most 8", n, transient, allocs)
 		}
 	}
 }

@@ -82,12 +82,6 @@ type Plan struct {
 	OrderPushed bool
 	// Fetches lists the source requests for parallel prefetch.
 	Fetches []FetchSpec
-	// Explain describes the chosen access paths, one line per fragment.
-	Explain []string
-	// Labels attaches the access-path description to the leaf operator
-	// that performs it, for EXPLAIN trees (algebra.Instrument consumes
-	// it to annotate plan leaves with their source or SQL fragment).
-	Labels map[algebra.Operator]string
 	// Sources lists the distinct sources/schemas the plan touches.
 	Sources []string
 
@@ -101,9 +95,10 @@ type Plan struct {
 
 // fragLeaf is one planned fragment scan: the source it reads, the
 // compiled fragment, and the request the leaf sends when it opens (also
-// listed in Plan.Fetches, by value, for the prefetch). As the right leaf
-// of a bind join (bind.go) it also holds the column the join's keys
-// select on and what the join last shipped.
+// listed in Plan.Fetches, by value, for the prefetch). Its detail is the
+// scan's EXPLAIN label. As the right leaf of a bind join (bind.go) it
+// also holds the column the join's keys select on and what the join last
+// shipped.
 type fragLeaf struct {
 	op     *algebra.FuncScan
 	source string
@@ -115,14 +110,6 @@ type fragLeaf struct {
 	keyCol string // the table column a bind join's keys select on
 	keys   int    // keys shipped
 	whole  bool   // the join fell back to the whole fragment
-}
-
-// label records an access-path description for an operator.
-func (p *Plan) label(op algebra.Operator, desc string) {
-	if p.Labels == nil {
-		p.Labels = make(map[algebra.Operator]string)
-	}
-	p.Labels[op] = desc
 }
 
 // Planner compiles rewrites into plans.
@@ -175,7 +162,6 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 			for _, pat := range g.Patterns {
 				acc = &algebra.Match{Input: acc, Pattern: pat, SourceVar: g.Var}
 				markBound(bound, pat.Vars())
-				plan.Explain = append(plan.Explain, fmt.Sprintf("match <%s> in $%s", pat.Tag, g.Var))
 			}
 			acc = p.applyReadyPreds(acc, &pendingPreds, bound)
 			continue
@@ -198,7 +184,7 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 		if acc == nil {
 			acc = groupPlan
 		} else {
-			acc = p.joinOn(plan, g.Source, acc, groupPlan, inAcc, g.GroupVars(), &pendingPreds)
+			acc = p.joinOn(plan, acc, groupPlan, inAcc, g.GroupVars(), &pendingPreds)
 		}
 		acc = p.applyReadyPreds(acc, &pendingPreds, bound)
 	}
@@ -260,25 +246,23 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 				}
 				spec := &FetchSpec{Source: g.Source, Req: catalog.Request{Native: frag.SQL, Collection: frag.Table}}
 				plan.Fetches = append(plan.Fetches, *spec)
-				plan.Explain = append(plan.Explain, fmt.Sprintf("pushdown %s: %s", g.Source, frag.SQL))
 				if frag.PushedOrder {
 					plan.OrderPushed = true
 				}
-				scan := fragmentScan(p.Access, spec, frag)
-				leaf = scan
-				plan.label(leaf, fmt.Sprintf("pushdown %s: %s", g.Source, frag.SQL))
-				plan.frags = append(plan.frags, &fragLeaf{op: scan, source: g.Source, rel: rel, caps: caps, frag: frag, spec: spec})
+				fl := &fragLeaf{op: fragmentScan(p.Access, spec, frag), source: g.Source, rel: rel, caps: caps, frag: frag, spec: spec}
+				fl.op.Detail = fl.detail
+				plan.frags = append(plan.frags, fl)
+				leaf = fl.op
 			}
 		}
 		if leaf == nil {
 			// Full export + mediator-side matching.
 			spec := FetchSpec{Source: g.Source, Req: catalog.Request{}}
 			plan.Fetches = append(plan.Fetches, spec)
-			what := "fetch"
+			what := "fetch "
 			if isSchema {
-				what = "materialize schema"
+				what = "materialize schema "
 			}
-			plan.Explain = append(plan.Explain, fmt.Sprintf("%s %s, match <%s>", what, g.Source, pat.Tag))
 			access := p.Access
 			m := &algebra.Match{
 				Input:   &algebra.Singleton{},
@@ -286,6 +270,7 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 				Roots: func(*algebra.Context) ([]xmldm.Value, error) {
 					return access.Roots(spec.Source, spec.Req)
 				},
+				Label: what + g.Source,
 			}
 			// The index answers only for the document the source serves
 			// now; whatever else the fetch returns is walked.
@@ -293,7 +278,6 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 				m.Index = indexed.IndexFor
 			}
 			leaf = m
-			plan.label(leaf, fmt.Sprintf("%s %s", what, g.Source))
 		}
 		markBound(bound, patVars)
 		if groupPlan == nil {
@@ -303,7 +287,7 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 			for _, prev := range g.Patterns[:i] {
 				markBound(inGroup, prev.Vars())
 			}
-			groupPlan = p.joinOn(plan, g.Source, groupPlan, leaf, inGroup, patVars, pending)
+			groupPlan = p.joinOn(plan, groupPlan, leaf, inGroup, patVars, pending)
 		}
 	}
 	return groupPlan, nil
@@ -319,7 +303,7 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 // variables on one side) stays pending for applyReadyPreds. When the
 // right stream is a single fragment scan that can take one of the keys
 // as a list, the join becomes a bind join (bind.go).
-func (p *Planner) joinOn(plan *Plan, source string, left, right algebra.Operator, inLeft map[string]bool, rightVars []string, pending *[]xmlql.Expr) algebra.Operator {
+func (p *Planner) joinOn(plan *Plan, left, right algebra.Operator, inLeft map[string]bool, rightVars []string, pending *[]xmlql.Expr) algebra.Operator {
 	j := &algebra.HashJoin{Left: left, Right: right}
 	inRight := make(map[string]bool, len(rightVars))
 	for _, v := range rightVars {
@@ -342,11 +326,6 @@ func (p *Planner) joinOn(plan *Plan, source string, left, right algebra.Operator
 		still = append(still, pred)
 	}
 	*pending = still
-	if keys := j.KeyString(); keys != "" {
-		plan.Explain = append(plan.Explain, fmt.Sprintf("join %s on %s", source, keys))
-	} else {
-		plan.Explain = append(plan.Explain, fmt.Sprintf("join %s: cross product", source))
-	}
 	p.bindJoin(plan, j)
 	return j
 }
@@ -594,12 +573,7 @@ func fragmentScan(access Access, spec *FetchSpec, frag *sqlgen.Fragment) *algebr
 			if err != nil {
 				return nil, err
 			}
-			var rows []*xmldm.Node
-			for _, r := range roots {
-				if doc, ok := r.(*xmldm.Node); ok {
-					rows = append(rows, doc.ChildrenNamed(frag.RowElement)...)
-				}
-			}
+			rows := rowNodes(roots, frag.RowElement)
 			// A relational export lays every row out alike, so each
 			// variable's cell position is resolved once, on the first
 			// row, and only checked after that.
@@ -623,6 +597,33 @@ func fragmentScan(access Access, spec *FetchSpec, frag *sqlgen.Fragment) *algebr
 		},
 	}
 	return scan
+}
+
+// rowNodes is the children called name of the roots that are elements,
+// in order, in one slice: they are counted before they are collected.
+func rowNodes(roots []xmldm.Value, name string) []*xmldm.Node {
+	var rows []*xmldm.Node
+	for _, count := range []bool{true, false} {
+		n := 0
+		for _, r := range roots {
+			doc, ok := r.(*xmldm.Node)
+			if !ok {
+				continue
+			}
+			for _, c := range doc.Children {
+				if e, ok := c.(*xmldm.Node); ok && e.Name == name {
+					if !count {
+						rows = append(rows, e)
+					}
+					n++
+				}
+			}
+		}
+		if count {
+			rows = make([]*xmldm.Node, 0, n)
+		}
+	}
+	return rows
 }
 
 // tupleSlab hands out a fragment scan's tuples, carved from one slab of

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,9 +113,8 @@ func TestPlanDisabledPushdownFallsBack(t *testing.T) {
 	}
 	// Pushdown of selections is off, but fragment compilation still
 	// produces a (predicate-free) SQL scan; the Select runs above it.
-	joined := strings.Join(plan.Explain, "\n")
-	if strings.Contains(joined, "London") {
-		t.Errorf("predicate pushed despite options: %s", joined)
+	if ops := planOps(plan); !slices.Contains(ops, "FuncScan [pushdown crmdb: SELECT * FROM customers]") {
+		t.Errorf("predicate pushed despite options: %v", ops)
 	}
 	bindings, err := algebra.Drain(&algebra.Context{}, plan.Root)
 	if err != nil {
@@ -132,8 +132,8 @@ func TestPlanXMLSourceUsesMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(plan.Explain, " "), "fetch feed") {
-		t.Errorf("explain = %v", plan.Explain)
+	if ops := planOps(plan); !slices.Contains(ops, "Match [fetch feed <entry> index entry]") {
+		t.Errorf("plan = %v", ops)
 	}
 	bindings, err := algebra.Drain(&algebra.Context{}, plan.Root)
 	if err != nil {
@@ -226,11 +226,8 @@ func TestPlanOrderPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.OrderPushed {
-		t.Errorf("order not pushed: %v", plan.Explain)
-	}
-	if !strings.Contains(strings.Join(plan.Explain, " "), "ORDER BY") {
-		t.Errorf("explain = %v", plan.Explain)
+	if ops := planOps(plan); !plan.OrderPushed || !slices.Contains(ops, "FuncScan [pushdown crmdb: SELECT name FROM customers ORDER BY name DESC]") {
+		t.Errorf("order pushed=%v: %v", plan.OrderPushed, ops)
 	}
 	// Multi-group plans must not claim pushed order.
 	plan2, err := p.Plan(rewriteOf(t, `
@@ -382,10 +379,20 @@ func newJoinEnv(t *testing.T) *Planner {
 	return p
 }
 
-// planOps flattens a plan to its EXPLAIN nodes, "Op [detail]" each.
+// planOps flattens a plan that has not run to its EXPLAIN nodes, "Op
+// [detail]" each. It instruments the plan in place, so the nodes are
+// those of its first call.
 func planOps(plan *Plan) []string {
+	_, node := algebra.Instrument(plan.Root)
+	return explainOps(node)
+}
+
+// explainOps finalizes an instrumented plan's EXPLAIN tree and flattens
+// it as planOps does.
+func explainOps(node *algebra.ExplainNode) []string {
+	node.Finalize()
 	var out []string
-	algebra.Explain(plan.Root, nil).Walk(func(n *algebra.ExplainNode) {
+	node.Walk(func(n *algebra.ExplainNode) {
 		out = append(out, strings.TrimSpace(n.Op+" ["+n.Detail+"]"))
 	})
 	return out
@@ -424,11 +431,9 @@ func TestPlanJoinKeyFromSpanningEquality(t *testing.T) {
 		if len(join.On) != 0 || len(join.Pairs) != 1 || join.Pairs[0] != (algebra.KeyPair{Left: "i", Right: "c"}) {
 			t.Errorf("%s: join keys on=%v pairs=%v, want the one pair i=c", pred, join.On, join.Pairs)
 		}
-		if ops := planOps(plan); countPrefix(ops, "Select") != 0 || ops[0] != "HashJoin [on $i=$c]" {
+		if ops := planOps(plan); countPrefix(ops, "Select") != 0 || ops[0] != "HashJoin [on $i=$c]" ||
+			!slices.Contains(ops, "Match [fetch tickets <ticket> index ticket]") {
 			t.Errorf("%s: plan = %v", pred, ops)
-		}
-		if joined := strings.Join(plan.Explain, "\n"); !strings.Contains(joined, "join tickets on $i=$c") {
-			t.Errorf("%s: explain lines = %q", pred, plan.Explain)
 		}
 		bindings, err := algebra.Drain(&algebra.Context{}, plan.Root)
 		if err != nil {

@@ -100,6 +100,12 @@ func DefaultOptions() Options { return Options{PushSelections: true, PushProject
 // Compile translates a pattern plus candidate predicates into a SQL
 // fragment for a source described by descs. It returns the fragment and
 // the predicates it could NOT push (to be evaluated by the mediator).
+// preds are in query order, the order the mediator runs them in, and the
+// source runs the pushed ones before the mediator runs the rest, so a
+// predicate after one it keeps is pushed only when neither that
+// predicate nor any kept before it can fail (canFail): moved
+// ahead of a kept predicate, it would run on rows the mediator never
+// gives it, or take away rows that make a kept one fail.
 func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 	pat *xmlql.ElemPattern, preds []xmlql.Expr, opts Options) (*Fragment, []xmlql.Expr, error) {
 
@@ -161,14 +167,19 @@ func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 	if opts.PushSelections && caps.Selection {
 		buf := make([]byte, 0, 64)
 		ends := make([]int, 0, len(preds))
+		keptFails := false // whether a kept predicate can fail
 		for _, p := range preds {
 			start := len(buf)
-			var ok bool
-			if buf, ok = appendPred(buf, p, varCol); ok {
+			ok := false
+			if len(remaining) == 0 || !keptFails && !canFail(p) {
+				buf, ok = appendPred(buf, p, varCol)
+			}
+			if ok {
 				ends = append(ends, len(buf))
 			} else {
 				buf = buf[:start]
 				remaining = append(remaining, p)
+				keptFails = keptFails || canFail(p)
 			}
 		}
 		text, start := string(buf), 0
@@ -257,6 +268,44 @@ func resolveRowPattern(descs []catalog.RelationalDescriptor, pat *xmlql.ElemPatt
 		}
 	}
 	return nil, nil, fmt.Errorf("%w: no table exports element %q", ErrNotTranslatable, pat.Tag.String())
+}
+
+// canFail reports whether the mediator's evaluator (algebra.Eval) can
+// fail on e for some binding: e holds arithmetic, a nested query, or a
+// call that is not one of totalFuncs with its number of arguments. A
+// comparison, AND, OR, a variable or a parsed literal never fails by
+// itself.
+func canFail(e xmlql.Expr) bool {
+	switch x := e.(type) {
+	case *xmlql.VarExpr:
+		return false
+	case *xmlql.LitExpr:
+		switch x.Value.(type) {
+		case string, int64, int, float64, bool:
+			return false
+		}
+	case *xmlql.BinExpr:
+		switch x.Op {
+		case "=", "!=", "<", "<=", ">", ">=", "AND", "OR":
+			return canFail(x.L) || canFail(x.R)
+		}
+	case *xmlql.FuncExpr:
+		if n, ok := totalFuncs[strings.ToLower(x.Name)]; ok && (n < 0 || n == len(x.Args)) {
+			return slices.ContainsFunc(x.Args, canFail)
+		}
+	}
+	return true
+}
+
+// totalFuncs are the mediator's built-in functions that fail only when
+// called with another number of arguments than this one (-1: any
+// number). A function an engine registers under one of these names takes
+// its place, and is not seen here.
+var totalFuncs = map[string]int{
+	"contains": 2, "startswith": 2, "endswith": 2, "concat": -1,
+	"lower": 1, "upper": 1, "trim": 1, "length": 1, "strlen": 1,
+	"not": 1, "number": 1, "string": 1, "exists": 1,
+	"name": 1, "parent": 1, "siblings": 1, "root": 1,
 }
 
 // appendPred appends predicate e, whose variables are all

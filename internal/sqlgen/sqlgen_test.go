@@ -515,3 +515,28 @@ func TestCompileAllocatesLinearlyInPredicateSize(t *testing.T) {
 		}
 	}
 }
+
+// TestCanFail: arithmetic, nested queries and calls other than the total
+// built-ins at their arity can fail; comparisons, AND, OR, variables,
+// literals and total calls over them cannot.
+func TestCanFail(t *testing.T) {
+	for _, tc := range []struct {
+		pred string
+		want bool
+	}{
+		{`$x = 1 AND $y != "a" OR $x < $y`, false},
+		{`not(contains(lower($x), "%"))`, false},
+		{`concat($x, $y, "z") = "a"`, false},
+		{`$x + 1 = 2`, true},
+		{`contains(1 / $x, "%")`, true},
+		{`contains($x) = TRUE`, true},
+		{`substr($x, 1) = "a"`, true},
+		{`mystery($x) = 1`, true},
+		{`count(WHERE <b>$z</b> IN "s" CONSTRUCT <z/>) > 0`, true},
+	} {
+		_, preds := patAndPreds(t, `WHERE <a>$x</a> IN "s", `+tc.pred+` CONSTRUCT <r/>`)
+		if got := canFail(preds[0]); got != tc.want {
+			t.Errorf("canFail(%s) = %v, want %v", tc.pred, got, tc.want)
+		}
+	}
+}

@@ -1,10 +1,23 @@
 package xmlql
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 )
+
+// maxDepth bounds how deeply a query nests. Each parenthesized
+// expression, function call, pattern, template element and nested query
+// is one level deeper than what holds it. The parser recurses once per
+// level, taking goroutine stack in proportion, so a query nested past
+// the bound fails with ErrTooDeep before the parser goes further. The
+// deepest query of the tests nests 201 levels (TestParseDeepNesting),
+// and the deepest of the benchmark's query pools and views 4.
+const maxDepth = 1000
+
+// ErrTooDeep is the error of a query nested past maxDepth.
+var ErrTooDeep = errors.New("query nested too deeply")
 
 // Parse parses one XML-QL query.
 func Parse(src string) (*Query, error) {
@@ -49,6 +62,8 @@ type parser struct {
 	lits   int
 	slot   map[*LitExpr]int
 	params []*LitExpr
+
+	depth int // nesting levels entered and not yet left
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -95,8 +110,20 @@ func (p *parser) operand(e Expr) {
 func (p *parser) errf(format string, args ...any) error {
 	pos := p.peek().pos
 	line := 1 + strings.Count(p.src[:min(pos, len(p.src))], "\n")
-	return fmt.Errorf("xmlql: line %d (offset %d): %s", line, pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("xmlql: line %d (offset %d): %w", line, pos, fmt.Errorf(format, args...))
 }
+
+// enter descends one nesting level, failing past maxDepth; a caller that
+// entered calls leave when it returns.
+func (p *parser) enter() error {
+	if p.depth == maxDepth {
+		return p.errf("%w: more than %d levels", ErrTooDeep, maxDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func min(a, b int) int {
 	if a < b {
@@ -119,6 +146,10 @@ func (p *parser) expectKeyword(kw string) error {
 }
 
 func (p *parser) parseQuery() (*Query, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	q := &Query{}
 	if keywordIs(p.peek(), "ON-UNAVAILABLE") {
 		p.next()
@@ -226,6 +257,10 @@ func (p *parser) parsePattern() (*ElemPattern, error) {
 	if p.peek().kind != tokLAngle {
 		return nil, p.errf("expected '<' to start a pattern, found %s", p.peek().kind)
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	p.next()
 	e := &ElemPattern{}
 
@@ -412,6 +447,10 @@ func (p *parser) parseTemplate() (*TmplElem, error) {
 	if p.peek().kind != tokLAngle {
 		return nil, p.errf("expected '<' to start a template, found %s", p.peek().kind)
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	p.next()
 	e := &TmplElem{}
 	switch t := p.peek(); t.kind {
@@ -661,6 +700,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 		p.next()
 		return &LitExpr{Value: false}, nil
 	case t.kind == tokLParen:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.next()
 		e, err := p.parseExpr()
 		if err != nil {
@@ -678,6 +721,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if p.peek2().kind != tokLParen {
 			return nil, p.errf("unexpected identifier %q in expression (did you mean a quoted string or $%s?)", t.text, t.text)
 		}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.next() // name
 		p.next() // '('
 		if aggregateOps[name] && (p.peek().kind == tokLBrace || keywordIs(p.peek(), "WHERE")) {

@@ -1,7 +1,9 @@
 package xmlql
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,5 +83,72 @@ func TestParseDeepNesting(t *testing.T) {
 	}
 	if d != depth {
 		t.Errorf("depth = %d, want %d", d, depth)
+	}
+}
+
+// nestingShapes are the ways a query nests: each body opens one level
+// per unit and never closes it.
+var nestingShapes = []struct{ name, head, unit string }{
+	{"paren", "WHERE ", "("},
+	{"call", "WHERE ", "not("},
+	{"sum", "WHERE ", "1 + ("},
+	{"pattern", "WHERE ", "<a>"},
+	{"template", `WHERE <a>$x</a> IN "s" CONSTRUCT `, "<a>"},
+	{"query", `WHERE <a>$x</a> IN "s" CONSTRUCT `, `<r>WHERE <a>$x</a> IN "s" CONSTRUCT `},
+}
+
+// nestedBody is head followed by as many units as fit in size bytes.
+func nestedBody(head, unit string, size int) string {
+	return head + strings.Repeat(unit, (size-len(head))/len(unit))
+}
+
+// allocatedBytes is what f allocates, as the runtime counts it.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestParseBoundsNesting: a body of every nesting shape just under the
+// 1 MB a query body may hold fails with ErrTooDeep instead of recursing
+// once per level, and what parsing allocates grows with the body's
+// length alone: twice the bytes allocate under 2.5 times as much. A
+// query nested maxDepth levels still parses.
+func TestParseBoundsNesting(t *testing.T) {
+	const limit = 1<<20 - 1
+	for _, sh := range nestingShapes {
+		half, whole := nestedBody(sh.head, sh.unit, limit/2), nestedBody(sh.head, sh.unit, limit)
+		var err error
+		n := allocatedBytes(func() { Parse(half) })
+		n2 := allocatedBytes(func() { _, err = Parse(whole) })
+		if !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%s: %d bytes parse to %v, want ErrTooDeep", sh.name, len(whole), err)
+		}
+		if n2*2 >= n*5 {
+			t.Errorf("%s: %d bytes allocate %d, %d bytes %d: more than 2.5 times as much", sh.name, len(half), n, len(whole), n2)
+		}
+	}
+	deepest := "WHERE " + strings.Repeat("(", maxDepth-1) + "$x = 1" + strings.Repeat(")", maxDepth-1) + ` CONSTRUCT <r/>`
+	if _, err := Parse(deepest); err != nil {
+		t.Errorf("%d levels: %v", maxDepth, err)
+	}
+	if _, err := Parse("WHERE " + strings.Repeat("(", maxDepth) + "$x = 1" + strings.Repeat(")", maxDepth) + ` CONSTRUCT <r/>`); !errors.Is(err, ErrTooDeep) {
+		t.Errorf("%d levels: %v, want ErrTooDeep", maxDepth+1, err)
+	}
+}
+
+// TestShapeScanIsLinear: Scan only lexes, so what it allocates for the
+// deepest bodies also grows with their length alone.
+func TestShapeScanIsLinear(t *testing.T) {
+	const limit = 1<<20 - 1
+	for _, sh := range nestingShapes {
+		half, whole := nestedBody(sh.head, sh.unit, limit/2), nestedBody(sh.head, sh.unit, limit)
+		n := allocatedBytes(func() { new(Shape).Scan(half) })
+		n2 := allocatedBytes(func() { new(Shape).Scan(whole) })
+		if n2*2 >= n*5 {
+			t.Errorf("%s: %d bytes allocate %d, %d bytes %d: more than 2.5 times as much", sh.name, len(half), n, len(whole), n2)
+		}
 	}
 }
