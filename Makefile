@@ -290,10 +290,18 @@ cluster-smoke:
 # (HTTP front end -> cluster -> engine -> per-attempt fetch) and
 # asserts one tail-kept trace links every tier under a single TraceID,
 # that the id appears on the slow log, structured log lines, exporter
-# batches, and histogram exemplars, and that a fixed TraceSeed keeps a
-# deterministic trace set. Plus the -race pass over internal/obs.
+# batches, and histogram exemplars, that a fixed TraceSeed keeps a
+# deterministic trace set, and that /debug/traces JSON, the XML trace
+# format, an OTLP file export and a ?profile=1 body match their goldens.
+# Then, under the race detector, a span handle kept past its arena's
+# recycling writes nothing into the trace that reuses it while other
+# traces are written, and a copy read before stays intact; and the
+# -race pass over internal/obs. Writing a trace into a recycled arena
+# allocating nothing is pinned without the race detector.
 trace-smoke:
-	$(GO) test -run 'TestTraceSmokeEndToEnd|TestKeptTraceSetDeterministic' -count=1 -v .
+	$(call run-named,-count=1 -v,TestTraceSmokeEndToEnd|TestKeptTraceSetDeterministic|TestTraceRenderingsMatchGoldens,.)
+	$(call run-named,-race -count=10,TestStaleHandlesWriteNothing,./internal/obs)
+	$(call run-named,-count=1,TestRecycledArenaAllocatesNothing,./internal/obs)
 	$(GO) test -race -count=1 ./internal/obs
 
 # explain-smoke runs one federated two-source query through

@@ -13,7 +13,7 @@ package algebra
 
 import (
 	"errors"
-	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -41,9 +41,8 @@ type Context struct {
 	Funcs map[string]func(args []xmldm.Value) (xmldm.Value, error)
 
 	// Trace, when set, is the parent span under which Drain records one
-	// evaluation span per operator tree (nil disables; span calls are
-	// nil-safe).
-	Trace *obs.Span
+	// evaluation span per operator tree (the zero handle disables).
+	Trace obs.SpanRef
 
 	// OnWorkers, when set, observes parallel worker-pool size changes:
 	// +n when a parallel operator spawns its pool, -n when the
@@ -152,13 +151,13 @@ func Drain(ctx *Context, op Operator) ([]Binding, error) {
 // many bindings fn accepted. It is recorded as Drain is, and the time fn
 // takes counts as the tree's.
 func Pull(ctx *Context, op Operator, fn func(Binding) error) (int, error) {
-	sp := ctx.Trace.StartChild("eval " + opName(op))
+	sp := ctx.Trace.StartChildFor("eval ", opName(op))
 	before := ctx.Snapshot()
 	start := time.Now()
 	n, err := pull(ctx, op, fn)
 	elapsed := time.Since(start)
 	ctx.AddDrain(elapsed, int64(CountOps(op)))
-	if sp != nil {
+	if !sp.IsZero() {
 		after := ctx.Snapshot()
 		sp.SetInt("bindings", int64(n))
 		sp.SetInt("tuples", after.TuplesEmitted-before.TuplesEmitted)
@@ -168,8 +167,8 @@ func Pull(ctx *Context, op Operator, fn func(Binding) error) (int, error) {
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 		}
-		sp.Finish()
 	}
+	sp.Finish()
 	return n, err
 }
 
@@ -198,7 +197,7 @@ func opName(op Operator) string {
 	if inst, ok := op.(*Instrumented); ok {
 		return opName(inst.Inner)
 	}
-	return strings.TrimPrefix(fmt.Sprintf("%T", op), "*algebra.")
+	return strings.TrimPrefix(reflect.TypeOf(op).String(), "*algebra.")
 }
 
 // TupleScan replays a materialized slice of bindings; it is the leaf for

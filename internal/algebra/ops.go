@@ -104,7 +104,7 @@ type HashJoin struct {
 	built    int        // build rows, for EXPLAIN after Close
 	granted  int        // the degree the scheduler granted; 0 when none was asked for
 	pool     *probePool // the parallel probe, when more than one worker was granted
-	sp       *obs.Span
+	sp       obs.SpanRef
 }
 
 // Bind turns a HashJoin into a bind join. Instead of opening both inputs
@@ -149,7 +149,7 @@ func (j *HashJoin) Open(ctx *Context) error {
 	j.vars = j.On
 	j.started, j.leftDone = false, false
 	j.right, j.held, j.heldPos, j.table, j.pending, j.pos, j.built = nil, nil, 0, nil, nil, 0, 0
-	j.granted, j.pool, j.sp = 0, nil, nil
+	j.granted, j.pool, j.sp = 0, nil, obs.SpanRef{}
 	return nil
 }
 

@@ -115,12 +115,11 @@ func (j *HashJoin) fanOut() {
 		return
 	}
 	j.granted = g.Degree()
-	if j.sp = j.ctx.Trace.StartChild("exchange"); j.sp != nil {
-		j.sp.SetAttr("op", "HashJoin")
-		j.sp.SetInt("want", int64(j.Workers))
-		j.sp.SetInt("granted", int64(j.granted))
-		j.sp.SetInt("build_rows", int64(len(j.right)))
-	}
+	j.sp = j.ctx.Trace.StartChild("exchange")
+	j.sp.SetAttr("op", "HashJoin")
+	j.sp.SetInt("want", int64(j.Workers))
+	j.sp.SetInt("granted", int64(j.granted))
+	j.sp.SetInt("build_rows", int64(len(j.right)))
 	workers := j.granted
 	if workers == 1 {
 		g.Release()

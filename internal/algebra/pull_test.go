@@ -50,7 +50,7 @@ func TestPullHandsBindingsAsProduced(t *testing.T) {
 	if !errors.Is(err, stop) || n != 3 || produced != 4 || !closed {
 		t.Errorf("Pull = %d, %v; produced %d, closed %v; want 3, stop, 4, true", n, err, produced, closed)
 	}
-	sp := root.Children()[0]
+	sp := root.Tree().Children()[0]
 	if got, _ := sp.Attr("bindings"); sp.Name() != "eval FuncScan" || got != "3" {
 		t.Errorf("span %s bindings=%s, want eval FuncScan bindings=3", sp.Name(), got)
 	}

@@ -4,7 +4,7 @@
 // encode Nimble's own plumbing rules — invariants go vet cannot see
 // because they are about this codebase's contracts, not the language:
 //
-//   - spanfinish: every obs.Span started in a function is Finished on
+//   - spanfinish: every obs.SpanRef started in a function is Finished on
 //     all paths, or escapes to an owner who will finish it.
 //   - opclose: every algebra operator whose Open succeeded has Close
 //     reachable, including the error paths of later Opens.

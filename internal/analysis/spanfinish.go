@@ -6,7 +6,9 @@ import (
 )
 
 // SpanFinish enforces the tracing contract of internal/obs: a span
-// obtained from obs.NewSpan, obs.StartSpan, or (*obs.Span).StartChild
+// handle (obs.SpanRef) obtained from obs.NewSpan, obs.NewRootSpan,
+// obs.StartSpan, (*obs.TraceStore).NewRoot, or one of SpanRef's
+// StartChild, StartChildFor and StartChildAt
 // must be Finished on every path out of the function that started it,
 // or escape to an owner (returned, stored, or passed along) who takes
 // over that obligation. An unfinished span reports a running duration
@@ -19,18 +21,20 @@ import (
 // a leak on that specific path.
 var SpanFinish = &Analyzer{
 	Name: "spanfinish",
-	Doc: "check that every started obs.Span is Finished on all paths (including panic paths) " +
+	Doc: "check that every started obs.SpanRef is Finished on all paths (including panic paths) " +
 		"or escapes to an owner; prefer `defer sp.Finish()` when the span covers the whole function",
 	Run: runSpanFinish,
 }
 
 // span-creating callees, keyed by selector name.
 var spanCreators = map[string]bool{
-	"NewSpan":     true, // obs.NewSpan(name)
-	"NewRootSpan": true, // obs.NewRootSpan(name, tc)
-	"StartSpan":   true, // obs.StartSpan(ctx, name) -> (ctx, *Span)
-	"StartChild":  true, // (*Span).StartChild(name)
-	"NewRoot":     true, // (*TraceStore).NewRoot(name, tc)
+	"NewSpan":       true, // obs.NewSpan(name)
+	"NewRootSpan":   true, // obs.NewRootSpan(name, tc)
+	"StartSpan":     true, // obs.StartSpan(ctx, name) -> (ctx, SpanRef)
+	"StartChild":    true, // SpanRef.StartChild(name)
+	"StartChildFor": true, // SpanRef.StartChildFor(prefix, part)
+	"StartChildAt":  true, // SpanRef.StartChildAt(name, i)
+	"NewRoot":       true, // (*TraceStore).NewRoot(name, tc)
 }
 
 // spanSite is one tracked `sp := ...` creation inside one function unit.
@@ -73,9 +77,10 @@ func spanCreatorKind(pass *Pass, call *ast.CallExpr) string {
 		}
 	}
 	switch name {
-	case "StartChild":
-		// Method form: when types resolve, the receiver must be *obs.Span.
-		if ts := pass.typeStringOf(sel.X); ts != "" && !strings.HasSuffix(ts, "internal/obs.Span") {
+	case "StartChild", "StartChildFor", "StartChildAt":
+		// Method form: when types resolve, the receiver must be the
+		// writer's handle, obs.SpanRef.
+		if ts := pass.typeStringOf(sel.X); ts != "" && !strings.HasSuffix(ts, "internal/obs.SpanRef") {
 			return ""
 		}
 		return name

@@ -8,18 +8,18 @@ import (
 	"repro/internal/obs"
 )
 
-type holder struct{ sp *obs.Span }
+type holder struct{ sp obs.SpanRef }
 
 func sideEffect() {}
 
 // ---- flagged ----
 
-func leakNoFinish(parent *obs.Span) {
+func leakNoFinish(parent obs.SpanRef) {
 	sp := parent.StartChild("work") // want "never finished"
 	sp.SetAttr("k", "v")
 }
 
-func leakEarlyReturn(parent *obs.Span, fail bool) error {
+func leakEarlyReturn(parent obs.SpanRef, fail bool) error {
 	sp := parent.StartChild("work")
 	if fail {
 		return errors.New("boom") // want "may not be finished on this return path"
@@ -28,7 +28,7 @@ func leakEarlyReturn(parent *obs.Span, fail bool) error {
 	return nil
 }
 
-func leakDiscarded(parent *obs.Span) {
+func leakDiscarded(parent obs.SpanRef) {
 	parent.StartChild("work") // want "is discarded"
 }
 
@@ -43,13 +43,13 @@ func leakRoot() {
 
 // ---- clean ----
 
-func cleanDefer(parent *obs.Span) {
+func cleanDefer(parent obs.SpanRef) {
 	sp := parent.StartChild("work")
 	defer sp.Finish()
 	sideEffect()
 }
 
-func cleanAllPaths(parent *obs.Span, fail bool) error {
+func cleanAllPaths(parent obs.SpanRef, fail bool) error {
 	sp := parent.StartChild("work")
 	if fail {
 		sp.SetAttr("error", "boom")
@@ -60,22 +60,22 @@ func cleanAllPaths(parent *obs.Span, fail bool) error {
 	return nil
 }
 
-func cleanEscapeReturn(parent *obs.Span) *obs.Span {
+func cleanEscapeReturn(parent obs.SpanRef) obs.SpanRef {
 	sp := parent.StartChild("work")
 	return sp
 }
 
-func cleanEscapeStore(parent *obs.Span, sink *holder) {
+func cleanEscapeStore(parent obs.SpanRef, sink *holder) {
 	sp := parent.StartChild("work")
 	sink.sp = sp
 }
 
-func cleanEscapeArg(parent *obs.Span, record func(*obs.Span)) {
+func cleanEscapeArg(parent obs.SpanRef, record func(obs.SpanRef)) {
 	sp := parent.StartChild("work")
 	record(sp)
 }
 
-func cleanClosureFinish(parent *obs.Span) {
+func cleanClosureFinish(parent obs.SpanRef) {
 	sp := parent.StartChild("work")
 	done := func() { sp.Finish() }
 	defer done()
@@ -84,7 +84,7 @@ func cleanClosureFinish(parent *obs.Span) {
 
 // ---- path-sensitive cases (CFG-based analyzer) ----
 
-func leakPanicPath(parent *obs.Span, bad bool) {
+func leakPanicPath(parent obs.SpanRef, bad bool) {
 	sp := parent.StartChild("work")
 	if bad {
 		panic("invariant violated") // want "may not be finished on this panic path"
@@ -92,7 +92,7 @@ func leakPanicPath(parent *obs.Span, bad bool) {
 	sp.Finish()
 }
 
-func leakSwitchReturn(parent *obs.Span, n int) error {
+func leakSwitchReturn(parent obs.SpanRef, n int) error {
 	sp := parent.StartChild("work")
 	switch n {
 	case 0:
@@ -103,7 +103,7 @@ func leakSwitchReturn(parent *obs.Span, n int) error {
 	}
 }
 
-func cleanSwitchAllCases(parent *obs.Span, n int) {
+func cleanSwitchAllCases(parent obs.SpanRef, n int) {
 	sp := parent.StartChild("work")
 	switch n {
 	case 0:
@@ -113,7 +113,7 @@ func cleanSwitchAllCases(parent *obs.Span, n int) {
 	}
 }
 
-func cleanLoopPerIteration(parent *obs.Span, n int) {
+func cleanLoopPerIteration(parent obs.SpanRef, n int) {
 	for i := 0; i < n; i++ {
 		sp := parent.StartChild("iter")
 		sp.SetAttr("i", "x")
@@ -121,11 +121,53 @@ func cleanLoopPerIteration(parent *obs.Span, n int) {
 	}
 }
 
-func cleanPanicWithDefer(parent *obs.Span, bad bool) {
+func cleanPanicWithDefer(parent obs.SpanRef, bad bool) {
 	sp := parent.StartChild("work")
 	defer sp.Finish()
 	if bad {
 		panic("invariant violated") // deferred Finish survives the panic
+	}
+}
+
+// ---- children named by a prefix and a part or an index ----
+
+func leakChildFor(parent obs.SpanRef, source string) {
+	sp := parent.StartChildFor("fetch ", source) // want "never finished"
+	sp.SetAttr("source", source)
+}
+
+func leakChildAtEarlyReturn(parent obs.SpanRef, attempt int, fail bool) error {
+	sp := parent.StartChildAt("attempt", attempt)
+	if fail {
+		return errors.New("boom") // want "may not be finished on this return path"
+	}
+	sp.Finish()
+	return nil
+}
+
+func leakChildForDiscarded(parent obs.SpanRef) {
+	parent.StartChildFor("eval ", "Select") // want "is discarded"
+}
+
+func cleanChildAtDefer(parent obs.SpanRef, ri int) {
+	sp := parent.StartChildAt("rewrite", ri)
+	defer sp.Finish()
+	sideEffect()
+}
+
+func cleanChildForGuarded(parent obs.SpanRef, n int64) {
+	sp := parent.StartChildFor("eval ", "Select")
+	if !sp.IsZero() {
+		sp.SetInt("bindings", n)
+	}
+	sp.Finish()
+}
+
+func leakChildForGuardedFinish(parent obs.SpanRef, n int64) {
+	sp := parent.StartChildFor("eval ", "Select") // want "may not be finished on every path out of the function"
+	if !sp.IsZero() {
+		sp.SetInt("bindings", n)
+		sp.Finish()
 	}
 }
 
@@ -156,7 +198,17 @@ func cleanStoreRootRecorded(store *obs.TraceStore) {
 	sideEffect()
 }
 
-func cleanRootSpanEscapes(store *obs.TraceStore) *obs.Span {
+func cleanRootSpanEscapes(store *obs.TraceStore) obs.SpanRef {
 	sp := store.NewRoot("request", obs.TraceContext{})
 	return sp // caller owns the Finish obligation
+}
+
+// ---- a StartChild on another type is not a span ----
+
+type otherTracer struct{}
+
+func (otherTracer) StartChildFor(prefix, part string) otherTracer { return otherTracer{} }
+
+func cleanNotASpan(t otherTracer) {
+	t.StartChildFor("fetch ", "x")
 }

@@ -388,7 +388,7 @@ func (c *Cluster) QueryOpt(ctx context.Context, q string, qo core.QueryOptions) 
 }
 
 // cacheGet answers from cache, recording the outcome on the span.
-func cacheGet(cache *qcache.Cache, key string, sp *obs.Span) (*core.Result, bool) {
+func cacheGet(cache *qcache.Cache, key string, sp obs.SpanRef) (*core.Result, bool) {
 	hit, ok := cache.Get(key)
 	sp.SetBool("cache_hit", ok)
 	if !ok {

@@ -34,19 +34,23 @@ type Engine struct {
 	cat    *catalog.Catalog
 	runner *exec.Runner
 
-	id      string
-	opts    opt.Options
-	par     int              // resolved: never 0
-	sched   *sched.Scheduler // never nil
-	class   sched.Class
-	policy  exec.Policy
-	metrics *obs.Registry
-	traces  *obs.TraceStore
-	slow    *SlowLog
-	active  *ActiveRegistry
+	id     string
+	opts   opt.Options
+	par    int              // resolved: never 0
+	sched  *sched.Scheduler // never nil
+	class  sched.Class
+	policy exec.Policy
+	traces *obs.TraceStore
+	slow   *SlowLog
+	active *ActiveRegistry
 
 	// nimble_prepared_total{outcome="hit"|"miss"}, from metrics.
 	mPreparedHit, mPreparedMiss *obs.Counter
+	// The per-query series, resolved at their first use and held.
+	mQueries, mErrors, mBound, mFallback func() *obs.Counter
+	mSeconds                             func() *obs.Histogram
+	mWorkers                             func() *obs.Gauge
+	onWorkers                            func(delta int) // moves mWorkers
 
 	mu         sync.RWMutex
 	funcs      map[string]func([]xmldm.Value) (xmldm.Value, error) // guarded by mu; replaced, never written
@@ -138,15 +142,21 @@ func New(cat *catalog.Catalog, cfg Config) *Engine {
 		sched:         cfg.Scheduler,
 		class:         cfg.Class,
 		policy:        exec.PolicyPartial,
-		metrics:       cfg.Metrics,
 		traces:        cfg.Traces,
 		slow:          cfg.Slow,
 		active:        cfg.Active,
 		mPreparedHit:  cfg.Metrics.Counter("nimble_prepared_total", "outcome", "hit"),
 		mPreparedMiss: cfg.Metrics.Counter("nimble_prepared_total", "outcome", "miss"),
+		mQueries:      cfg.Metrics.CounterOnce("nimble_queries_total"),
+		mErrors:       cfg.Metrics.CounterOnce("nimble_query_errors_total"),
+		mBound:        cfg.Metrics.CounterOnce("nimble_bind_join_total", "outcome", "bound"),
+		mFallback:     cfg.Metrics.CounterOnce("nimble_bind_join_total", "outcome", "fallback"),
+		mSeconds:      cfg.Metrics.HistogramOnce("nimble_query_seconds"),
+		mWorkers:      cfg.Metrics.GaugeOnce("nimble_parallel_workers"),
 		funcs:         map[string]func([]xmldm.Value) (xmldm.Value, error){},
 		inflight:      map[*exec.Access]map[string]bool{},
 	}
+	e.onWorkers = func(delta int) { e.mWorkers().Add(float64(delta)) }
 	if cfg.FailOnUnavailable {
 		e.policy = exec.PolicyFail
 	}
@@ -242,8 +252,8 @@ type Result struct {
 	// Explain is the per-operator statistics tree; instrumentation is
 	// always on, so it is populated for every query.
 	Explain *ExplainTree
-	// Trace is the execution span tree, set when QueryOptions.Profile
-	// was requested.
+	// Trace is a copy of the execution span tree, built when the query
+	// finished, set when QueryOptions.Profile was requested.
 	Trace *obs.Span
 }
 
@@ -356,15 +366,15 @@ func (e *Engine) QueryOpt(ctx context.Context, src string, qo QueryOptions) (*Re
 	// to end — and the caller records the finished trace. Only when the
 	// engine is the outermost tier does it start (and record) its own
 	// root trace.
-	var root *obs.Span
+	var root obs.SpanRef
 	ownRoot := false
-	if parent := obs.FromContext(ctx); parent != nil {
+	if parent := obs.FromContext(ctx); !parent.IsZero() {
 		root = parent.StartChild("engine")
 	} else if qo.Profile || e.traces != nil {
 		root = e.traces.NewRoot("engine", obs.TraceContext{})
 		ownRoot = true
 	}
-	if root != nil {
+	if !root.IsZero() {
 		root.SetAttr("policy", policy.String())
 		if e.id != "" {
 			root.SetAttr("instance", e.id)
@@ -376,8 +386,8 @@ func (e *Engine) QueryOpt(ctx context.Context, src string, qo QueryOptions) (*Re
 	// The query holds no workers: a join or sort past its gate acquires
 	// them from the scheduler under the query's class while it runs.
 	actx := &algebra.Context{Funcs: funcs, Trace: root, Sched: e.sched, Class: class}
-	workersGauge := e.metrics.Gauge("nimble_parallel_workers")
-	actx.OnWorkers = func(delta int) { workersGauge.Add(float64(delta)) }
+	e.mWorkers() // registered by the first query, as it always was
+	actx.OnWorkers = e.onWorkers
 	res := &Result{Explain: &ExplainTree{Op: "Query"}, Deps: call.deps}
 	qs := &queryState{ctx: ctx, access: access, actx: actx, par: e.par,
 		top: true, call: call, stats: &res.Stats, aq: aq, ex: res.Explain, buf: qo.Buffer}
@@ -389,24 +399,25 @@ func (e *Engine) QueryOpt(ctx context.Context, src string, qo QueryOptions) (*Re
 	elapsed := time.Since(start)
 	snap := actx.Snapshot()
 
-	e.metrics.Counter("nimble_queries_total").Inc()
+	e.mQueries().Inc()
 	if snap.BindJoins > 0 {
-		e.metrics.Counter("nimble_bind_join_total", "outcome", "bound").Add(snap.BindJoins)
+		e.mBound().Add(snap.BindJoins)
 	}
 	if snap.BindFallbacks > 0 {
-		e.metrics.Counter("nimble_bind_join_total", "outcome", "fallback").Add(snap.BindFallbacks)
+		e.mFallback().Add(snap.BindFallbacks)
 	}
 	// The latency observation carries the trace id as a bucket exemplar:
 	// a bad percentile on the histogram links straight to a kept trace.
-	e.metrics.Histogram("nimble_query_seconds").ObserveExemplar(elapsed.Seconds(), root.TraceID().String())
+	tid := root.TraceID().String()
+	e.mSeconds().ObserveExemplar(elapsed.Seconds(), tid)
 	entry := SlowEntry{
 		Query:      src,
-		TraceID:    root.TraceID().String(),
+		TraceID:    tid,
 		Start:      start,
 		DurationMS: float64(elapsed) / float64(time.Millisecond),
 	}
 	if err != nil {
-		e.metrics.Counter("nimble_query_errors_total").Inc()
+		e.mErrors().Inc()
 		entry.Error = err.Error()
 		root.SetAttr("error", err.Error())
 	} else {
@@ -431,14 +442,16 @@ func (e *Engine) QueryOpt(ctx context.Context, src string, qo QueryOptions) (*Re
 	// The plan is rendered only if the slow log keeps the entry.
 	e.slow.Record(entry, res.Explain.Render)
 	root.Finish()
+	// The copy is built before the trace is recorded: a dropped trace's
+	// arena goes straight back to the pool.
+	if qo.Profile && err == nil {
+		res.Trace = root.Tree()
+	}
 	if ownRoot {
 		e.traces.Record(root)
 	}
 	if err != nil {
 		return nil, err
-	}
-	if qo.Profile {
-		res.Trace = root
 	}
 	return res, nil
 }
@@ -543,10 +556,7 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 	orderPushed := len(rewrites) == 1
 
 	for ri, rw := range rewrites {
-		var spRw *obs.Span
-		if sp != nil {
-			spRw = sp.StartChild(fmt.Sprintf("rewrite[%d]", ri))
-		}
+		spRw := sp.StartChildAt("rewrite", ri)
 		planner := opt.New(e.cat, access)
 		planner.Opts = opts
 		var preBound []string
@@ -649,9 +659,7 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		// previous parent (the query root, or an outer rewrite during
 		// correlated subquery evaluation) is restored afterwards.
 		prevTrace := actx.Trace
-		if spRw != nil {
-			actx.Trace = spRw
-		}
+		actx.Trace = spRw
 		aq.SetPhase("eval")
 		if stream {
 			// The streamed answer takes each binding from the plan as it

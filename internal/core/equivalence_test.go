@@ -162,7 +162,7 @@ var parallelDegrees = []int{1, 2, 8}
 // serialized result document plus the result itself.
 func runAt(t *testing.T, e *Engine, q string, par int) (string, *Result) {
 	t.Helper()
-	res, err := New(e.Catalog(), Config{Parallelism: par, Scheduler: e.sched, Metrics: e.metrics}).Query(context.Background(), q)
+	res, err := New(e.Catalog(), Config{Parallelism: par, Scheduler: e.sched, Metrics: e.runner.Metrics}).Query(context.Background(), q)
 	if err != nil {
 		t.Fatalf("parallelism %d: %v\nquery: %s", par, err, q)
 	}

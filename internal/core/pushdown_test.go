@@ -181,6 +181,11 @@ func TestPushedErrorsAnswerAsTheMediator(t *testing.T) {
 		{`1 / $k > 0, contains($s, "%")`, "error", ""},
 		// Neither can fail: the later one is still pushed.
 		{`contains($s, "%"), $i = 1`, "", "(id = 1)"},
+		// A constant predicate that can fail holds back the ones after
+		// it (no row has id 8), and runs on the rows earlier ones pass.
+		{`1 / 0 > 0, $i = 8`, "error", ""},
+		{`$i = 8, 1 / 0 > 0`, "", "(id = 8)"},
+		{`$i = 7, 1 / 0 > 0`, "error", ""},
 	})
 }
 

@@ -100,6 +100,50 @@ type Runner struct {
 	// jitter; nil uses the real clock (tests inject fake time for
 	// determinism).
 	Clock Clock
+
+	seriesMu sync.RWMutex
+	series   map[string]*sourceSeries // guarded by seriesMu; by source name
+}
+
+// sourceSeries are one source's fetch series, their label (the source
+// name, lowered) rendered once. Each is resolved at its first use, so it
+// appears on /metrics only once observed.
+type sourceSeries struct {
+	ok, unavailable, failed func() *obs.Counter // nimble_fetch_total by outcome
+	local, retries          func() *obs.Counter
+	seconds, remote         func() *obs.Histogram
+	materialize             func() *obs.Histogram // labelled schema, not source
+}
+
+// seriesFor returns the source's fetch series, made at its first fetch.
+func (r *Runner) seriesFor(source string) *sourceSeries {
+	r.seriesMu.RLock()
+	s := r.series[source]
+	r.seriesMu.RUnlock()
+	if s != nil {
+		return s
+	}
+	m, label := r.Metrics, strings.ToLower(source)
+	s = &sourceSeries{
+		ok:          m.CounterOnce("nimble_fetch_total", "source", label, "outcome", "ok"),
+		unavailable: m.CounterOnce("nimble_fetch_total", "source", label, "outcome", "unavailable"),
+		failed:      m.CounterOnce("nimble_fetch_total", "source", label, "outcome", "error"),
+		local:       m.CounterOnce("nimble_fetch_local_total", "source", label),
+		retries:     m.CounterOnce("nimble_fetch_retries_total", "source", label),
+		seconds:     m.HistogramOnce("nimble_fetch_seconds", "source", label),
+		remote:      m.HistogramOnce("nimble_remote_fetch_seconds", "source", label),
+		materialize: m.HistogramOnce("nimble_materialize_seconds", "schema", label),
+	}
+	r.seriesMu.Lock()
+	defer r.seriesMu.Unlock()
+	if got := r.series[source]; got != nil {
+		return got
+	}
+	if r.series == nil {
+		r.series = map[string]*sourceSeries{}
+	}
+	r.series[source] = s
+	return s
 }
 
 // clock returns the runner's clock, defaulting to real time.
@@ -280,7 +324,7 @@ func (a *Access) fetch(source string, req catalog.Request) *fetchResult {
 	a.mu.Unlock()
 	fr.once.Do(func() {
 		start := time.Now()
-		sp := obs.FromContext(a.ctx).StartChild("fetch " + source)
+		sp := obs.FromContext(a.ctx).StartChildFor("fetch ", source)
 		sp.SetAttr("source", source)
 		fr.payload, fr.err = a.doFetch(source, req, sp)
 		elapsed := time.Since(start)
@@ -289,17 +333,16 @@ func (a *Access) fetch(source string, req catalog.Request) *fetchResult {
 			sp.SetAttr("error", fr.err.Error())
 		}
 		sp.Finish()
-		if m := a.runner.Metrics; m != nil {
-			outcome := "ok"
-			switch {
-			case errors.Is(fr.err, sources.ErrUnavailable):
-				outcome = "unavailable"
-			case fr.err != nil:
-				outcome = "error"
-			}
-			m.Counter("nimble_fetch_total", "source", strings.ToLower(source), "outcome", outcome).Inc()
-			m.Histogram("nimble_fetch_seconds", "source", strings.ToLower(source)).Observe(elapsed.Seconds())
+		ss := a.runner.seriesFor(source)
+		outcome := ss.ok
+		switch {
+		case errors.Is(fr.err, sources.ErrUnavailable):
+			outcome = ss.unavailable
+		case fr.err != nil:
+			outcome = ss.failed
 		}
+		outcome().Inc()
+		ss.seconds().Observe(elapsed.Seconds())
 	})
 	return fr
 }
@@ -316,19 +359,18 @@ func (a *Access) read(source string) {
 // onto the fetch span so per-source spans agree with the report, and
 // observes per-resolution latency histograms labeled by source name so
 // federation hot spots show up on /metrics without needing a trace.
-func (a *Access) doFetch(source string, req catalog.Request, sp *obs.Span) (payload, error) {
+func (a *Access) doFetch(source string, req catalog.Request, sp obs.SpanRef) (payload, error) {
 	record := func(st SourceStatus) {
 		a.record(source, st)
 		sp.SetInt("rows", int64(st.Rows))
 		sp.SetInt("bytes", int64(st.Bytes))
 		sp.SetBool("local", st.Local)
 	}
-	m := a.runner.Metrics
-	label := strings.ToLower(source)
+	ss := a.runner.seriesFor(source)
 	// Local materialized copy first.
 	if a.runner.Local != nil {
 		if doc, ok := a.runner.Local(source, req); ok {
-			m.Counter("nimble_fetch_local_total", "source", label).Inc()
+			ss.local().Inc()
 			record(SourceStatus{Source: source, Rows: doc.CountElements(), Local: true})
 			return payload{doc: doc}, nil
 		}
@@ -340,7 +382,7 @@ func (a *Access) doFetch(source string, req catalog.Request, sp *obs.Span) (payl
 		sp.SetAttr("kind", "schema")
 		start := time.Now()
 		doc, err := a.runner.Materialize(a.ctx, source, a)
-		m.Histogram("nimble_materialize_seconds", "schema", label).Observe(time.Since(start).Seconds())
+		ss.materialize().Observe(time.Since(start).Seconds())
 		if err != nil {
 			record(SourceStatus{Source: source, Err: err.Error()})
 			return payload{}, err
@@ -369,7 +411,7 @@ func (a *Access) doFetch(source string, req catalog.Request, sp *obs.Span) (payl
 	// The remote-only histogram isolates the source round trip (all
 	// attempts plus backoff) from the memoization/local-store/
 	// materialization paths that share nimble_fetch_seconds.
-	m.Histogram("nimble_remote_fetch_seconds", "source", label).Observe(time.Since(start).Seconds())
+	ss.remote().Observe(time.Since(start).Seconds())
 	if retries > 0 {
 		sp.SetInt("retries", int64(retries))
 	}
@@ -393,7 +435,7 @@ func (a *Access) doFetch(source string, req catalog.Request, sp *obs.Span) (payl
 // span) carrying the breaker decision and the attempt's error; backoff
 // sleeps land on sp as events, so a kept trace shows the full retry
 // history.
-func (a *Access) fetchResilient(name, source string, fetch func(context.Context) (payload, catalog.Cost, error), sp *obs.Span) (payload, catalog.Cost, int, string, error) {
+func (a *Access) fetchResilient(name, source string, fetch func(context.Context) (payload, catalog.Cost, error), sp obs.SpanRef) (payload, catalog.Cost, int, string, error) {
 	r := a.runner
 	res := r.Resilience
 	br := r.breakerFor(source)
@@ -410,7 +452,7 @@ func (a *Access) fetchResilient(name, source string, fetch func(context.Context)
 		if err := a.ctx.Err(); err != nil {
 			return payload{}, catalog.Cost{}, retries, breaker, err
 		}
-		spAtt := sp.StartChild(fmt.Sprintf("attempt[%d]", attempt))
+		spAtt := sp.StartChildAt("attempt", attempt)
 		if br != nil {
 			ok, probe := br.Allow()
 			if !ok {
@@ -447,9 +489,7 @@ func (a *Access) fetchResilient(name, source string, fetch func(context.Context)
 			break
 		}
 		retries++
-		if m := r.Metrics; m != nil {
-			m.Counter("nimble_fetch_retries_total", "source", strings.ToLower(source)).Inc()
-		}
+		r.seriesFor(source).retries().Inc()
 		delay := BackoffDelay(res.RetryBase, res.RetryMax, attempt,
 			jitterNoise(source, attempt, r.clock().Now()))
 		sp.AddEvent("retry backoff", "attempt", fmt.Sprint(attempt), "delay", delay.String())

@@ -320,7 +320,7 @@ func TestFetchSpansMatchCompletenessReport(t *testing.T) {
 	root.Finish()
 
 	rep := a.Report()
-	spans := root.FindAll("fetch ")
+	spans := root.Tree().FindAll("fetch ")
 	if len(spans) != len(rep.Statuses) {
 		t.Fatalf("spans = %d, statuses = %d", len(spans), len(rep.Statuses))
 	}

@@ -1,5 +1,7 @@
 // Trace exporters: the egress half of the tracing pipeline. Kept traces
-// flow from the TraceStore into a bounded BatchQueue; a background
+// flow from the TraceStore into a bounded BatchQueue, each as a *Span
+// copy built from its arena when it was kept (export runs after the
+// query, when the arena may already hold another trace); a background
 // worker drains the queue in batches into a pluggable Exporter. The
 // queue never blocks the query path — when full it drops the trace and
 // counts the drop (nimble_trace_export_dropped_total), the standard

@@ -14,7 +14,7 @@ func TestBatchQueueBatchesAndFlushes(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sp := NewSpan("q")
 		sp.Finish()
-		q.Enqueue(sp)
+		q.Enqueue(sp.Tree())
 	}
 	q.Flush()
 	if got := len(mem.Spans()); got != 10 {
@@ -32,7 +32,7 @@ func TestBatchQueueBatchesAndFlushes(t *testing.T) {
 	q.Close() // idempotent
 	q.Flush() // no-op after close
 	// Enqueue after close must not panic or block; the span is lost.
-	q.Enqueue(NewSpan("late"))
+	q.Enqueue(NewSpan("late").Tree())
 }
 
 func TestBatchQueueDropsWhenFull(t *testing.T) {
@@ -44,7 +44,7 @@ func TestBatchQueueDropsWhenFull(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		sp := NewSpan("q")
 		sp.Finish()
-		q.Enqueue(sp)
+		q.Enqueue(sp.Tree())
 	}
 	if q.Dropped() == 0 {
 		t.Error("full queue should drop")
@@ -59,7 +59,7 @@ func TestBatchQueueCountsExportErrors(t *testing.T) {
 	q := NewBatchQueue(exp, 4, 1, reg)
 	sp := NewSpan("q")
 	sp.Finish()
-	q.Enqueue(sp)
+	q.Enqueue(sp.Tree())
 	q.Flush()
 	if v := reg.Counter("nimble_trace_export_errors_total").Value(); v != 1 {
 		t.Errorf("error counter = %d", v)
@@ -84,10 +84,10 @@ func TestFileExporterOTLPShape(t *testing.T) {
 	child.AddEvent("retry backoff", "attempt", "1")
 	child.Finish()
 	root.Finish()
-	if err := exp.ExportBatch([]*Span{root}); err != nil {
+	if err := exp.ExportBatch([]*Span{root.Tree()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := exp.ExportBatch([]*Span{root}); err != nil {
+	if err := exp.ExportBatch([]*Span{root.Tree()}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
@@ -159,7 +159,7 @@ func TestFileExporterAppendsToFile(t *testing.T) {
 	}
 	sp := NewSpan("q")
 	sp.Finish()
-	if err := exp.ExportBatch([]*Span{sp}); err != nil {
+	if err := exp.ExportBatch([]*Span{sp.Tree()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := exp.Close(); err != nil {

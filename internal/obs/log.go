@@ -36,12 +36,10 @@ func (h *traceHandler) Enabled(ctx context.Context, level slog.Level) bool {
 }
 
 func (h *traceHandler) Handle(ctx context.Context, r slog.Record) error {
-	if sp := FromContext(ctx); sp != nil {
+	if tc := FromContext(ctx).TraceContext(); !tc.IsZero() {
 		r = r.Clone()
-		if id := sp.TraceID().String(); id != "" {
-			r.AddAttrs(slog.String("trace_id", id))
-		}
-		if id := sp.SpanID().String(); id != "" {
+		r.AddAttrs(slog.String("trace_id", tc.TraceID.String()))
+		if id := tc.SpanID.String(); id != "" {
 			r.AddAttrs(slog.String("span_id", id))
 		}
 	}

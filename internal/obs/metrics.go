@@ -4,13 +4,18 @@
 // has two faces: a lock-cheap metrics registry (counters, gauges, and
 // latency histograms with quantile estimation, exposed in Prometheus
 // text format), and a per-query span tracer threaded through
-// context.Context so every query can return an execution profile.
+// context.Context so every query can return an execution profile. Spans
+// are written as fixed records into a per-query arena that the trace
+// store recycles, and built into a *Span tree only when read.
 //
-// Every metric and span method is nil-receiver safe, so instrumented
-// code never checks whether observability is configured:
+// Every metric method is nil-receiver safe, and the zero span handle is
+// a no-op, so instrumented code never checks whether observability is
+// configured:
 //
 //	var reg *obs.Registry // nil: observability off
 //	reg.Counter("nimble_queries_total").Inc() // no-op, no panic
+//	var sp obs.SpanRef // zero: tracing off
+//	sp.StartChild("plan").Finish() // no-op
 package obs
 
 import (
@@ -386,6 +391,24 @@ func (r *Registry) HistogramWith(name string, bounds []float64, labels ...string
 		return nil
 	}
 	return s.h
+}
+
+// CounterOnce returns a handle on the counter for name and labels,
+// resolved at its first call and held after it: the series appears on
+// /metrics when first used, as a Counter call there would register it,
+// but its labels are rendered once, not per call.
+func (r *Registry) CounterOnce(name string, labels ...string) func() *Counter {
+	return sync.OnceValue(func() *Counter { return r.Counter(name, labels...) })
+}
+
+// GaugeOnce is CounterOnce for a gauge.
+func (r *Registry) GaugeOnce(name string, labels ...string) func() *Gauge {
+	return sync.OnceValue(func() *Gauge { return r.Gauge(name, labels...) })
+}
+
+// HistogramOnce is CounterOnce for a histogram with the default buckets.
+func (r *Registry) HistogramOnce(name string, labels ...string) func() *Histogram {
+	return sync.OnceValue(func() *Histogram { return r.Histogram(name, labels...) })
 }
 
 // snapshot returns the series sorted by family name then series id.

@@ -39,22 +39,23 @@ func TestNilSafety(t *testing.T) {
 	}
 	_ = r.Summary()
 
-	var s *Span
-	s.SetAttr("k", "v")
-	s.SetInt("n", 1)
-	s.Finish()
-	if c := s.StartChild("c"); c != nil {
-		t.Error("child of nil span should be nil")
+	var w SpanRef
+	w.SetAttr("k", "v")
+	w.SetInt("n", 1)
+	w.Finish()
+	if c := w.StartChild("c"); !c.IsZero() {
+		t.Error("child of the no-op span should be the no-op span")
 	}
-	if s.Duration() != 0 || s.Name() != "" {
+	var s *Span
+	if s.Duration() != 0 || s.Name() != "" || w.Tree() != nil {
 		t.Error("nil span accessors")
 	}
 	var tr *TraceStore
-	tr.Record(nil)
+	tr.Record(SpanRef{})
 	if tr.Last(5) != nil || tr.Len() != 0 {
 		t.Error("nil trace store accessors")
 	}
-	if tr.NewRoot("q", TraceContext{}) == nil {
+	if tr.NewRoot("q", TraceContext{}).IsZero() {
 		t.Error("nil store NewRoot should still mint a span")
 	}
 	tr.SetExporter(nil)
@@ -158,26 +159,27 @@ func TestSpanTree(t *testing.T) {
 	eval := root.StartChild("eval HashJoin")
 	eval.Finish()
 	root.Finish()
-	end := root.Duration()
+	tree := root.Tree()
+	end := tree.Duration()
 	time.Sleep(time.Millisecond)
-	if root.Duration() != end {
+	if root.Tree().Duration() != end {
 		t.Error("Finish should freeze duration")
 	}
-	if len(root.Children()) != 2 {
-		t.Fatalf("children = %d", len(root.Children()))
+	if len(tree.Children()) != 2 {
+		t.Fatalf("children = %d", len(tree.Children()))
 	}
-	if v, ok := fetch.Attr("rows"); !ok || v != "42" {
+	if v, ok := fetch.Tree().Attr("rows"); !ok || v != "42" {
 		t.Errorf("rows attr = %q %v", v, ok)
 	}
-	if got := root.FindAll("fetch "); len(got) != 1 || got[0] != fetch {
+	if got := tree.FindAll("fetch "); len(got) != 1 || got[0].SpanID() != fetch.SpanID() {
 		t.Errorf("FindAll = %v", got)
 	}
 	n := 0
-	root.Walk(func(*Span) { n++ })
+	tree.Walk(func(*Span) { n++ })
 	if n != 3 {
 		t.Errorf("walk visited %d", n)
 	}
-	data, err := json.Marshal(root)
+	data, err := json.Marshal(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,20 +193,20 @@ func TestSpanTree(t *testing.T) {
 
 func TestSpanContextThreading(t *testing.T) {
 	ctx := t.Context()
-	if FromContext(ctx) != nil {
+	if !FromContext(ctx).IsZero() {
 		t.Error("empty context should carry no span")
 	}
 	ctx2, sp := StartSpan(ctx, "child")
-	if sp != nil || ctx2 != ctx {
+	if !sp.IsZero() || ctx2 != ctx {
 		t.Error("StartSpan without a parent should be a no-op")
 	}
 	root := NewSpan("root")
 	ctx = ContextWithSpan(ctx, root)
 	ctx3, child := StartSpan(ctx, "step")
-	if child == nil || FromContext(ctx3) != child {
+	if child.IsZero() || FromContext(ctx3) != child {
 		t.Fatal("child should thread through context")
 	}
-	if cs := root.Children(); len(cs) != 1 || cs[0] != child {
+	if cs := root.Tree().Children(); len(cs) != 1 || cs[0].SpanID() != child.SpanID() {
 		t.Errorf("root children = %v", cs)
 	}
 }

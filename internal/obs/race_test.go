@@ -54,10 +54,11 @@ func TestConcurrentMetricsAndTracing(t *testing.T) {
 					t.Error(err)
 				}
 				_ = r.Summary()
-				if _, err := json.Marshal(root); err != nil {
+				tree := root.Tree()
+				if _, err := json.Marshal(tree); err != nil {
 					t.Error(err)
 				}
-				root.Walk(func(s *Span) { s.Duration() })
+				tree.Walk(func(s *Span) { s.Duration() })
 			}
 		}()
 	}
@@ -72,7 +73,7 @@ func TestConcurrentMetricsAndTracing(t *testing.T) {
 	if total != workers*iters {
 		t.Errorf("counter total = %d, want %d", total, workers*iters)
 	}
-	if n := int64(len(root.Children())); n != workers*iters {
+	if n := int64(len(root.Tree().Children())); n != workers*iters {
 		t.Errorf("root children = %d, want %d", n, workers*iters)
 	}
 	if tr.Len() != 8 {

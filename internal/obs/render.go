@@ -98,7 +98,7 @@ func (s *Span) TreeLabel() string {
 	var b strings.Builder
 	b.WriteString(s.Name())
 	fmt.Fprintf(&b, " %.3fms", float64(s.Duration())/1e6)
-	for _, a := range s.Attrs() {
+	for _, a := range s.attrs {
 		b.WriteByte(' ')
 		b.WriteString(a.Key)
 		b.WriteByte('=')
@@ -109,9 +109,11 @@ func (s *Span) TreeLabel() string {
 
 // TreeChildren implements TreeNode.
 func (s *Span) TreeChildren() []TreeNode {
-	children := s.Children()
-	out := make([]TreeNode, len(children))
-	for i, c := range children {
+	if s == nil {
+		return nil
+	}
+	out := make([]TreeNode, len(s.children))
+	for i, c := range s.children {
 		out[i] = c
 	}
 	return out

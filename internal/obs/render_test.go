@@ -9,6 +9,7 @@ import (
 // `fan` leaf children.
 func deepTrace(depth, fan int) *Span {
 	root := NewSpan("root")
+	levels := []SpanRef{root}
 	cur := root
 	for d := 0; d < depth; d++ {
 		next := cur.StartChild("level")
@@ -16,10 +17,13 @@ func deepTrace(depth, fan int) *Span {
 			leaf := next.StartChild("leaf")
 			leaf.Finish()
 		}
+		levels = append(levels, next)
 		cur = next
 	}
-	root.Walk(func(sp *Span) { sp.Finish() })
-	return root
+	for _, sp := range levels {
+		sp.Finish()
+	}
+	return root.Tree()
 }
 
 func TestRenderTreeDeep(t *testing.T) {
@@ -64,7 +68,8 @@ func TestRenderTreeLimitedNodes(t *testing.T) {
 		c.Finish()
 	}
 	root.Finish()
-	out := RenderTreeLimited(root, 0, 4)
+	tree := root.Tree()
+	out := RenderTreeLimited(tree, 0, 4)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	// root + 3 children + elision marker for the 7 remaining.
 	if len(lines) != 5 {
@@ -74,7 +79,7 @@ func TestRenderTreeLimitedNodes(t *testing.T) {
 		t.Errorf("missing sibling elision:\n%s", out)
 	}
 	// A budget larger than the tree renders everything.
-	if out := RenderTreeLimited(root, 0, 100); strings.Contains(out, "more)") {
+	if out := RenderTreeLimited(tree, 0, 100); strings.Contains(out, "more)") {
 		t.Error("oversized budget should not elide")
 	}
 }

@@ -10,6 +10,7 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -38,23 +39,43 @@ type StoreConfig struct {
 }
 
 // TraceStore retains completed traces for the management surface
-// (/debug/traces) and feeds the exporter pipeline. Safe for concurrent
-// use; nil-receiver safe so tracing stays optional.
+// (/debug/traces) and feeds the exporter pipeline. Each trace is written
+// into an arena the store hands out at NewRoot; a kept trace's arena
+// stays in a fixed ring until a newer one evicts it, and an evicted or
+// dropped arena goes back to a free list for the next NewRoot. Readers
+// get copies built from the arena. Safe for concurrent use; nil-receiver
+// safe so tracing stays optional.
 type TraceStore struct {
-	limit int           // immutable after NewTraceStore
-	rate  float64       // immutable: effective head-sampling rate [0,1]
-	slow  time.Duration // immutable: tail slow-keep threshold
-	gen   *IDGen        // immutable: id generator for NewRoot
+	rate float64       // immutable: effective head-sampling rate [0,1]
+	slow time.Duration // immutable: tail slow-keep threshold
+	gen  *IDGen        // immutable: id generator for NewRoot
 
 	keptHead *Counter // kept by the head coin flip alone
 	keptErr  *Counter // tail-kept: the trace errored
 	keptSlow *Counter // tail-kept: the trace was slow
 	dropped  *Counter // completed but not kept
 
-	mu     sync.Mutex
-	traces []*Span     // guarded by mu
-	queue  *BatchQueue // guarded by mu; nil until SetExporter
+	queue atomic.Pointer[BatchQueue] // nil until SetExporter
+
+	mu   sync.Mutex
+	ring []keptTrace // guarded by mu; fixed length: the retention limit
+	next int         // guarded by mu; the ring slot the next kept trace takes
+	n    int         // guarded by mu; kept traces in the ring
+	free []*arena    // guarded by mu; emptied arenas for NewRoot
 }
+
+// keptTrace is one ring slot: the arena, the generation it was kept
+// under (a reader finding another generation skips the slot), and the
+// trace id Find looks for.
+type keptTrace struct {
+	a   *arena
+	gen uint32
+	tid TraceID
+}
+
+// maxFreeArenas bounds the free list: arenas beyond it (released after a
+// burst of concurrent queries) are left to the garbage collector.
+const maxFreeArenas = 64
 
 // NewTraceStore creates a store from cfg.
 func NewTraceStore(cfg StoreConfig) *TraceStore {
@@ -80,7 +101,7 @@ func NewTraceStore(cfg StoreConfig) *TraceStore {
 		return cfg.Metrics.Counter(name, labels...)
 	}
 	return &TraceStore{
-		limit:    limit,
+		ring:     make([]keptTrace, limit),
 		rate:     rate,
 		slow:     cfg.SlowThreshold,
 		gen:      NewIDGen(cfg.Seed),
@@ -92,13 +113,25 @@ func NewTraceStore(cfg StoreConfig) *TraceStore {
 }
 
 // NewRoot starts a root span with ids drawn from the store's (possibly
-// seeded) generator, joining tc when non-zero. On a nil store it
-// degrades to NewRootSpan with the package default generator.
-func (t *TraceStore) NewRoot(name string, tc TraceContext) *Span {
+// seeded) generator, joining tc when non-zero, in an arena from the
+// store's free list (or a new one). On a nil store it degrades to
+// NewRootSpan with the package default generator.
+func (t *TraceStore) NewRoot(name string, tc TraceContext) SpanRef {
 	if t == nil {
 		return NewRootSpan(name, tc)
 	}
-	return newRootSpan(name, tc, t.gen)
+	var a *arena
+	t.mu.Lock()
+	if n := len(t.free); n > 0 {
+		a = t.free[n-1]
+		t.free[n-1] = nil
+		t.free = t.free[:n-1]
+	}
+	t.mu.Unlock()
+	if a == nil {
+		a = &arena{ids: t.gen, store: t}
+	}
+	return a.begin(name, tc)
 }
 
 // HeadSampled reports the head-sampling decision for a trace id: a
@@ -123,48 +156,78 @@ func (t *TraceStore) SetExporter(q *BatchQueue) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.queue = q
-	t.mu.Unlock()
+	t.queue.Store(q)
 }
 
-// errored reports whether any span in the tree recorded an error attr.
-func errored(root *Span) bool {
-	found := false
-	root.Walk(func(sp *Span) {
-		if _, ok := sp.Attr("error"); ok {
-			found = true
-		}
-	})
-	return found
-}
-
-// Record applies the sampling policy to a finished root span: tail keeps
-// (error, then slow) win over the head decision; anything kept enters
-// the ring and the exporter queue, anything else counts as dropped.
-func (t *TraceStore) Record(root *Span) {
-	if t == nil || root == nil {
+// Record applies the sampling policy to a finished trace, given the
+// handle NewRoot returned: tail keeps (an error attribute anywhere in
+// the trace, then a slow root) win over the head decision; a kept trace
+// enters the ring, evicting the oldest, and a copy of it goes to the
+// exporter queue; a dropped or evicted trace's arena returns to the free
+// list. A stale handle, or a trace recorded before, is ignored.
+func (t *TraceStore) Record(root SpanRef) {
+	if t == nil || root.a == nil {
+		return
+	}
+	errored, dur, tid, ok := root.a.take(root.gen)
+	if !ok {
 		return
 	}
 	switch {
-	case errored(root):
+	case errored:
 		t.keptErr.Inc()
-	case t.slow > 0 && root.Duration() >= t.slow:
+	case t.slow > 0 && dur >= t.slow:
 		t.keptSlow.Inc()
-	case t.HeadSampled(root.TraceID()):
+	case t.HeadSampled(tid):
 		t.keptHead.Inc()
 	default:
 		t.dropped.Inc()
+		t.release(root.a)
+		return
+	}
+	// The exporter runs after the query, when the arena may be serving
+	// another trace: it gets a copy built now.
+	q := t.queue.Load()
+	var tree *Span
+	if q != nil {
+		tree = root.a.build(root.gen, 0)
+	}
+	t.mu.Lock()
+	evicted := t.ring[t.next]
+	t.ring[t.next] = keptTrace{a: root.a, gen: root.gen, tid: tid}
+	t.next = (t.next + 1) % len(t.ring)
+	if t.n < len(t.ring) {
+		t.n++
+	}
+	t.mu.Unlock()
+	if evicted.a != nil {
+		t.release(evicted.a)
+	}
+	q.Enqueue(tree)
+}
+
+// release empties an arena, which ends every handle into its trace, and
+// pools it when this store made it and it is not oversized.
+func (t *TraceStore) release(a *arena) {
+	if !a.reset() || a.store != t {
 		return
 	}
 	t.mu.Lock()
-	t.traces = append(t.traces, root)
-	if n := len(t.traces) - t.limit; n > 0 {
-		t.traces = append([]*Span(nil), t.traces[n:]...)
+	if len(t.free) < maxFreeArenas {
+		t.free = append(t.free, a)
 	}
-	q := t.queue
 	t.mu.Unlock()
-	q.Enqueue(root)
+}
+
+// kept returns the ring's traces, most recent first.
+func (t *TraceStore) kept() []keptTrace {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]keptTrace, 0, t.n)
+	for k := 1; k <= t.n; k++ {
+		out = append(out, t.ring[(t.next-k+len(t.ring))%len(t.ring)])
+	}
+	return out
 }
 
 // Query filters a trace search.
@@ -180,47 +243,59 @@ type Query struct {
 	Limit int
 }
 
-// touchesSource reports whether the trace fetched the named source.
-func touchesSource(root *Span, source string) bool {
-	found := false
-	root.Walk(func(sp *Span) {
-		if sp.Name() == "fetch "+source {
-			found = true
-		}
-		if v, ok := sp.Attr("source"); ok && v == source {
-			found = true
-		}
-	})
-	return found
-}
-
-// Search returns the kept traces matching q, most recent first.
+// Search returns the kept traces matching q, most recent first. The
+// filters read the arenas; only the matches are built.
 func (t *TraceStore) Search(q Query) []*Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	snap := make([]*Span, len(t.traces))
-	copy(snap, t.traces)
-	t.mu.Unlock()
+	q.Source = strings.TrimSpace(q.Source)
 	var out []*Span
-	for i := len(snap) - 1; i >= 0; i-- {
-		root := snap[i]
-		if q.MinDuration > 0 && root.Duration() < q.MinDuration {
-			continue
-		}
-		if q.ErrOnly && !errored(root) {
-			continue
-		}
-		if q.Source != "" && !touchesSource(root, strings.TrimSpace(q.Source)) {
-			continue
-		}
-		out = append(out, root)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			break
+	for _, k := range t.kept() {
+		if sp := k.a.search(k.gen, q); sp != nil {
+			out = append(out, sp)
+			if q.Limit > 0 && len(out) >= q.Limit {
+				break
+			}
 		}
 	}
 	return out
+}
+
+// search builds the trace when it is still generation gen and matches
+// q (nil otherwise).
+func (a *arena) search(gen uint32, q Query) *Span {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.gen != gen {
+		return nil
+	}
+	if q.MinDuration > 0 && a.spans[0].duration() < q.MinDuration {
+		return nil
+	}
+	if q.ErrOnly && !a.errored {
+		return nil
+	}
+	if q.Source != "" && !a.touchesSourceLocked(q.Source) {
+		return nil
+	}
+	return a.buildLocked(0)
+}
+
+// touchesSourceLocked reports whether the trace fetched the named source:
+// a span named "fetch <source>" or carrying a source attribute.
+func (a *arena) touchesSourceLocked(source string) bool {
+	for i := range a.spans {
+		if a.spans[i].fullName() == "fetch "+source {
+			return true
+		}
+	}
+	for i := range a.attrs {
+		if a.attrs[i].key == "source" && a.attrs[i].value() == source {
+			return true
+		}
+	}
+	return false
 }
 
 // Find returns the kept trace with the given id, or nil.
@@ -228,11 +303,11 @@ func (t *TraceStore) Find(id TraceID) *Span {
 	if t == nil || id.IsZero() {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := len(t.traces) - 1; i >= 0; i-- {
-		if t.traces[i].TraceID() == id {
-			return t.traces[i]
+	for _, k := range t.kept() {
+		if k.tid == id {
+			if sp := k.a.build(k.gen, 0); sp != nil {
+				return sp
+			}
 		}
 	}
 	return nil
@@ -251,7 +326,7 @@ func (t *TraceStore) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.traces)
+	return t.n
 }
 
 // Kept reports how many traces have been kept, by reason, since start.

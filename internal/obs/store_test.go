@@ -7,7 +7,7 @@ import (
 )
 
 // finished builds a completed root span on a store.
-func finished(t *TraceStore, name string, mutate func(*Span)) *Span {
+func finished(t *TraceStore, name string, mutate func(SpanRef)) SpanRef {
 	sp := t.NewRoot(name, TraceContext{})
 	if mutate != nil {
 		mutate(sp)
@@ -30,7 +30,7 @@ func TestTailKeepsBeatHeadSampling(t *testing.T) {
 	}
 
 	// An error anywhere in the tree keeps the trace.
-	st.Record(finished(st, "failing", func(sp *Span) {
+	st.Record(finished(st, "failing", func(sp SpanRef) {
 		c := sp.StartChild("fetch crmdb")
 		c.SetAttr("error", "boom")
 		c.Finish()
@@ -87,7 +87,7 @@ func TestHeadSamplingDeterministicUnderSeed(t *testing.T) {
 func TestSearchFilters(t *testing.T) {
 	st := NewTraceStore(StoreConfig{Limit: 16, Seed: 1})
 	st.Record(finished(st, "fast", nil))
-	st.Record(finished(st, "errored", func(sp *Span) { sp.SetAttr("error", "x") }))
+	st.Record(finished(st, "errored", func(sp SpanRef) { sp.SetAttr("error", "x") }))
 	slow := st.NewRoot("slow", TraceContext{})
 	c := slow.StartChild("fetch crmdb")
 	c.Finish()

@@ -492,7 +492,11 @@ func markBound(bound map[string]bool, vars []string) {
 }
 
 // predsFor selects the pending predicates whose variables are all within
-// vars, returning them and their indexes.
+// vars, returning them and their indexes. A predicate without variables
+// stays in the mediator, which runs it on every row; one that can fail
+// holds back every predicate after it, as Compile's order rule does for
+// the predicates it keeps: pushed, a later predicate would take away the
+// rows it fails on.
 func predsFor(pending []xmlql.Expr, vars []string) ([]xmlql.Expr, []int) {
 	set := map[string]bool{}
 	for _, v := range vars {
@@ -504,7 +508,10 @@ func predsFor(pending []xmlql.Expr, vars []string) ([]xmlql.Expr, []int) {
 		ok := true
 		pv := xmlql.ExprVars(pred)
 		if len(pv) == 0 {
-			ok = false // constant predicates stay in the mediator
+			if sqlgen.CanFail(pred) {
+				break
+			}
+			ok = false
 		}
 		for _, v := range pv {
 			if !set[v] {

@@ -15,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 	"repro/internal/xmldm"
@@ -26,9 +28,58 @@ import (
 // cache-affinity routing, which is what makes "route repeats to the
 // instance whose cache is warm" line up with what the cache actually
 // stores — the two layers must agree on the key or affinity wins
-// nothing.
+// nothing. The key is strings.Join(strings.Fields(query), " "), made in
+// one scan: a query whose words are already joined by single spaces
+// yields a substring of itself (no allocation), any other one allocation.
 func Key(query string) string {
-	return strings.Join(strings.Fields(query), " ")
+	var b strings.Builder // the key, once it is no substring of query
+	from, to := -1, 0     // until then, the key is query[from:to]
+	for i := 0; i < len(query); {
+		// Skip a whitespace run, then take the word after it.
+		space, size := spaceAt(query, i)
+		if space {
+			i += size
+			continue
+		}
+		start := i
+		for i < len(query) {
+			if space, size = spaceAt(query, i); space {
+				break
+			}
+			i += size
+		}
+		switch {
+		case from < 0:
+			from, to = start, i
+		case b.Cap() == 0 && start == to+1 && query[to] == ' ':
+			to = i
+		case b.Cap() == 0:
+			b.Grow(len(query))
+			b.WriteString(query[from:to])
+			fallthrough
+		default:
+			b.WriteByte(' ')
+			b.WriteString(query[start:i])
+		}
+	}
+	if b.Cap() > 0 {
+		return b.String()
+	}
+	if from < 0 {
+		return ""
+	}
+	return query[from:to]
+}
+
+// spaceAt reports whether the rune at s[i] is white space by
+// unicode.IsSpace, as strings.Fields reads it (an invalid byte is not),
+// and its width.
+func spaceAt(s string, i int) (bool, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return c == ' ' || c >= '\t' && c <= '\r', 1
+	}
+	r, size := utf8.DecodeRuneInString(s[i:])
+	return unicode.IsSpace(r), size
 }
 
 // Result is a cached query answer.

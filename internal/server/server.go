@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -87,10 +88,10 @@ func (s *Server) logger() *slog.Logger {
 // is configured: an incoming W3C traceparent header joins the caller's
 // trace, and the response carries this span's identity back so the
 // caller can fetch the kept trace by id. Returns the original context
-// and a nil span when tracing is off (the chain degrades to no-ops).
-func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, name string) (context.Context, *obs.Span) {
+// and the no-op span when tracing is off (the chain degrades to no-ops).
+func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, name string) (context.Context, obs.SpanRef) {
 	if s.Traces == nil {
-		return r.Context(), nil
+		return r.Context(), obs.SpanRef{}
 	}
 	tc, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
 	sp := s.Traces.NewRoot(name, tc)
@@ -101,11 +102,8 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, name string)
 }
 
 // finishTrace completes the request's root span and offers it to the
-// sampler (nil-safe for untraced requests).
-func (s *Server) finishTrace(sp *obs.Span) {
-	if sp == nil {
-		return
-	}
+// sampler (a no-op for untraced requests).
+func (s *Server) finishTrace(sp obs.SpanRef) {
 	sp.Finish()
 	s.Traces.Record(sp)
 }
@@ -144,12 +142,18 @@ func (s *Server) Handler() http.Handler {
 // instrument wraps a handler with per-endpoint request and latency
 // metrics.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	// The endpoint's series, resolved at its first request and held.
+	series := sync.OnceValues(func() (*obs.Counter, *obs.Histogram) {
+		reg := s.registry()
+		return reg.Counter("nimble_http_requests_total", "endpoint", endpoint),
+			reg.Histogram("nimble_http_request_seconds", "endpoint", endpoint)
+	})
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		h(w, r)
-		reg := s.registry()
-		reg.Counter("nimble_http_requests_total", "endpoint", endpoint).Inc()
-		reg.Histogram("nimble_http_request_seconds", "endpoint", endpoint).Observe(time.Since(start).Seconds())
+		requests, seconds := series()
+		requests.Inc()
+		seconds.Observe(time.Since(start).Seconds())
 	}
 }
 

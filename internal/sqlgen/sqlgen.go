@@ -103,7 +103,7 @@ func DefaultOptions() Options { return Options{PushSelections: true, PushProject
 // preds are in query order, the order the mediator runs them in, and the
 // source runs the pushed ones before the mediator runs the rest, so a
 // predicate after one it keeps is pushed only when neither that
-// predicate nor any kept before it can fail (canFail): moved
+// predicate nor any kept before it can fail (CanFail): moved
 // ahead of a kept predicate, it would run on rows the mediator never
 // gives it, or take away rows that make a kept one fail.
 func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
@@ -171,7 +171,7 @@ func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 		for _, p := range preds {
 			start := len(buf)
 			ok := false
-			if len(remaining) == 0 || !keptFails && !canFail(p) {
+			if len(remaining) == 0 || !keptFails && !CanFail(p) {
 				buf, ok = appendPred(buf, p, varCol)
 			}
 			if ok {
@@ -179,7 +179,7 @@ func Compile(descs []catalog.RelationalDescriptor, caps catalog.Capabilities,
 			} else {
 				buf = buf[:start]
 				remaining = append(remaining, p)
-				keptFails = keptFails || canFail(p)
+				keptFails = keptFails || CanFail(p)
 			}
 		}
 		text, start := string(buf), 0
@@ -270,12 +270,12 @@ func resolveRowPattern(descs []catalog.RelationalDescriptor, pat *xmlql.ElemPatt
 	return nil, nil, fmt.Errorf("%w: no table exports element %q", ErrNotTranslatable, pat.Tag.String())
 }
 
-// canFail reports whether the mediator's evaluator (algebra.Eval) can
+// CanFail reports whether the mediator's evaluator (algebra.Eval) can
 // fail on e for some binding: e holds arithmetic, a nested query, or a
 // call that is not one of totalFuncs with its number of arguments. A
 // comparison, AND, OR, a variable or a parsed literal never fails by
 // itself.
-func canFail(e xmlql.Expr) bool {
+func CanFail(e xmlql.Expr) bool {
 	switch x := e.(type) {
 	case *xmlql.VarExpr:
 		return false
@@ -287,11 +287,11 @@ func canFail(e xmlql.Expr) bool {
 	case *xmlql.BinExpr:
 		switch x.Op {
 		case "=", "!=", "<", "<=", ">", ">=", "AND", "OR":
-			return canFail(x.L) || canFail(x.R)
+			return CanFail(x.L) || CanFail(x.R)
 		}
 	case *xmlql.FuncExpr:
 		if n, ok := totalFuncs[strings.ToLower(x.Name)]; ok && (n < 0 || n == len(x.Args)) {
-			return slices.ContainsFunc(x.Args, canFail)
+			return slices.ContainsFunc(x.Args, CanFail)
 		}
 	}
 	return true

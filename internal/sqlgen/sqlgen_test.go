@@ -535,8 +535,8 @@ func TestCanFail(t *testing.T) {
 		{`count(WHERE <b>$z</b> IN "s" CONSTRUCT <z/>) > 0`, true},
 	} {
 		_, preds := patAndPreds(t, `WHERE <a>$x</a> IN "s", `+tc.pred+` CONSTRUCT <r/>`)
-		if got := canFail(preds[0]); got != tc.want {
-			t.Errorf("canFail(%s) = %v, want %v", tc.pred, got, tc.want)
+		if got := CanFail(preds[0]); got != tc.want {
+			t.Errorf("CanFail(%s) = %v, want %v", tc.pred, got, tc.want)
 		}
 	}
 }
