@@ -112,10 +112,12 @@ sched-race:
 # in a WHERE predicate, filtered by a chain of Selects the source cannot
 # run, one a correlated aggregate), and reports to
 # the Document copy they were appended to. The construct builder is held
-# to its reference (property and fuzz seeds), also rewound after every
-# result, its slab-carved results to not aliasing one another, and a
-# tuple spliced from concurrent queries to copying the source nodes it
-# holds; the rewound builder's allocation pin runs without the race
+# to its reference (property and fuzz seeds), its slab-carved results to
+# not aliasing one another, and a tuple spliced from concurrent queries
+# to copying the source nodes it holds; the CONSTRUCT program a streamed
+# answer is written with is held to WriteChild of the reference's
+# results byte for byte, compact and indented, a failed row writing
+# nothing, and its allocation pin (none per row) runs without the race
 # detector. A pushed fragment bound
 # from rows is held to binding from its XML export (table, and property
 # over every arm of a database's SELECT),
@@ -152,9 +154,9 @@ sched-race:
 # whose metrics count them all.
 resultpath-race:
 	$(GO) test -race -run 'FuzzSerializeEscape|TestSerializeMatchesReference|TestBufferReuse|TestDocumentRootWrittenLast' -count=1 ./internal/xmlparse
-	$(call run-named,-race -count=1,TestBuilderEqualsReference|FuzzConstruct|TestBuilderRewindEqualsReference,./internal/algebra)
+	$(call run-named,-race -count=1,TestBuilderEqualsReference|FuzzConstruct|TestProgramEqualsReference,./internal/algebra)
 	$(call run-named,-race -count=10,TestPullHandsBindingsAsProduced,./internal/algebra)
-	$(call run-named,-count=1,TestBuilderRewindAllocatesOnce,./internal/algebra)
+	$(call run-named,-count=1,TestProgramAllocatesNothingPerRow,./internal/algebra)
 	$(call run-named,-race -count=1,TestView|TestBuilderSlabsDoNotAlias|TestTupleSpliceCopiesBoundNodes,./internal/core)
 	$(call run-named,-race -count=10,TestRowFetchUnderChaosMatchesXMLTwin,./internal/core)
 	$(call run-named,-race -count=10,TestStreamedAnswerPullsBindingsOneAtATime|TestStreamedRowWrittenBeforeNextBinding|TestStreamedSelectChainEqualsMaterialized,./internal/core)
@@ -187,7 +189,8 @@ resultpath-race:
 # reordered; fragment SQL that names table columns only, byte-identical
 # under renamed variables and from a serial twin beside an engine; eight
 # goroutines running two shapes with changing literals against a fresh
-# engine's answers (ten rounds), a warm call that neither parses nor
+# engine's answers (ten rounds), eight streaming one shape through the
+# CONSTRUCT program its entry compiled once, a warm call that neither parses nor
 # unfolds nor parses SQL, and the next call
 # unfolding again after a view definition, a local store installed, a
 # materialize, a TTL turning an entry stale, a refresh and a drop; a
@@ -195,10 +198,11 @@ resultpath-race:
 # in lens values, and an answer read across Invalidate not stored;
 # random predicates over sqlgen's whole output grammar compiled and run
 # through rdb's statement cache; and every pushed predicate and ORDER BY
-# answering as it does without pushdown (the six TestPushed… tests:
+# answering as it does without pushdown (the seven TestPushed… tests:
 # NULL, BOOL, DATE and nullable INT cells, ORDER BY, floats, division,
 # + and the errors of conjuncts kept in the mediator, each over a table
-# with and without indexes), also as a property over random tables with
+# with and without indexes, and a leaf joined onto an earlier group,
+# which takes no predicate that can fail), also as a property over random tables with
 # NULL, BOOL, DATE and FLOAT cells, indexed or not, and predicates kept
 # in the mediator before or after the pushed one, against the mediator's
 # evaluator over the cells it binds.
@@ -206,8 +210,8 @@ prepared-race:
 	$(call run-named,-race -count=1,FuzzPrepare|TestShapeKey|TestPrepareParams|TestRebindSharesWhatItDoesNotChange,./internal/xmlql)
 	$(call run-named,-race -count=1,FuzzParseSQL|TestExecBindsPreparedSelect|TestPreparedSelectSurvivesTableChanges,./internal/rdb)
 	$(call run-named,-race -count=1,TestCompiledPredicatesRunOnRDB_Property|TestPushedPredicatesAnswerAsTheMediator_Property|TestSQLDoesNotDependOnVariableNames,./internal/sqlgen)
-	$(call run-named,-race -count=10,TestPreparedMatchesFreshEngineConcurrently,./internal/core)
-	$(call run-named,-race -count=1,TestWarmCallBindsWithoutUnfoldOrParse|TestPreparedFollowsTheCatalog|TestTwinEnginesSendTheSameSQL|TestPushedCellsAnswerAsTheMediator|TestPushedOrderAnswersAsTheMediator|TestPushedFloatsAnswerAsTheMediator|TestPushedDivisionAnswersAsTheMediator|TestPushedPlusAnswersAsTheMediator|TestPushedErrorsAnswerAsTheMediator,./internal/core)
+	$(call run-named,-race -count=10,TestPreparedMatchesFreshEngineConcurrently|TestStreamedShapeCompilesItsProgramOnce,./internal/core)
+	$(call run-named,-race -count=1,TestWarmCallBindsWithoutUnfoldOrParse|TestPreparedFollowsTheCatalog|TestTwinEnginesSendTheSameSQL|TestPushedCellsAnswerAsTheMediator|TestPushedOrderAnswersAsTheMediator|TestPushedFloatsAnswerAsTheMediator|TestPushedDivisionAnswersAsTheMediator|TestPushedPlusAnswersAsTheMediator|TestPushedErrorsAnswerAsTheMediator|TestPushedJoinedLeafAnswersAsTheMediator,./internal/core)
 	$(call run-named,-race -count=1,TestPreparedQueriesFollowTheStore,./internal/matview)
 	$(call run-named,-race -count=1,TestBindEscapesSingleQuotes,./internal/lens)
 	$(call run-named,-race -count=1,TestLensValuesShareOnePreparedEntry,.)

@@ -26,9 +26,8 @@ func BuildResult(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, er
 // building; a result into which a node was copied is finalized
 // afterwards, since CopyNode leaves Ord unset.
 //
-// A caller done with each result as soon as it is built (it serialized
-// it) calls Rewind after each Build: every result is then carved from the
-// same one result's worth of slab, whatever the number of bindings.
+// A Builder serves answers that stay materialized: an answer written
+// while it is built never becomes a tree (Program).
 //
 // Nodes spliced from bindings are deep-copied: constructed trees own
 // their children, and the source documents must never be mutated (the
@@ -39,7 +38,6 @@ type Builder struct {
 	rows                   int
 	nNodes, nSlots, nAttrs int // per result
 	slabs                      // what is left of the slabs; results are carved from its front
-	whole                  slabs
 	// ord is the last ordinal assigned in the result being built; copied
 	// records that a splice copied a node into it.
 	ord    int
@@ -75,14 +73,13 @@ func (bld *Builder) Build(ctx *Context, b Binding) (*xmldm.Node, error) {
 	// A result that failed part way leaves a partly used slab; the check
 	// is for a whole result's worth, not for a count of calls.
 	if len(bld.nodes) < bld.nNodes || len(bld.slots) < bld.nSlots || len(bld.attrs) < bld.nAttrs {
-		bld.whole = slabs{nodes: make([]xmldm.Node, bld.rows*bld.nNodes)}
+		bld.slabs = slabs{nodes: make([]xmldm.Node, bld.rows*bld.nNodes)}
 		if bld.nSlots > 0 {
-			bld.whole.slots = make([]xmldm.Value, bld.rows*bld.nSlots)
+			bld.slots = make([]xmldm.Value, bld.rows*bld.nSlots)
 		}
 		if bld.nAttrs > 0 {
-			bld.whole.attrs = make([]xmldm.Attr, bld.rows*bld.nAttrs)
+			bld.attrs = make([]xmldm.Attr, bld.rows*bld.nAttrs)
 		}
-		bld.slabs = bld.whole
 	}
 	bld.ord, bld.copied = 0, false
 	n, err := bld.elem(ctx, bld.tmpl, b, nil)
@@ -94,11 +91,6 @@ func (bld *Builder) Build(ctx *Context, b Binding) (*xmldm.Node, error) {
 	}
 	return n, nil
 }
-
-// Rewind makes the next Build carve from the start of the current slabs
-// again, overwriting every result built since they were made: call it
-// only when none of those is read any more.
-func (bld *Builder) Rewind() { bld.slabs = bld.whole }
 
 func (bld *Builder) elem(ctx *Context, tmpl *xmlql.TmplElem, b Binding, parent *xmldm.Node) (*xmldm.Node, error) {
 	name := tmpl.Tag
@@ -115,7 +107,7 @@ func (bld *Builder) elem(ctx *Context, tmpl *xmlql.TmplElem, b Binding, parent *
 	n := &bld.nodes[0]
 	bld.nodes = bld.nodes[1:]
 	bld.ord++
-	*n = xmldm.Node{Name: name, Parent: parent, Ord: bld.ord} // reset whole: after Rewind it held a result
+	*n = xmldm.Node{Name: name, Parent: parent, Ord: bld.ord}
 	if k := len(tmpl.Attrs); k > 0 {
 		n.Attrs, bld.attrs = bld.attrs[:0:k], bld.attrs[k:]
 		for _, a := range tmpl.Attrs {

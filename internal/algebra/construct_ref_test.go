@@ -346,41 +346,66 @@ func FuzzConstruct(f *testing.F) {
 	})
 }
 
-// TestBuilderRewindEqualsReference builds every binding of the property's
-// draws — the FuzzConstruct seeds and 300 more — in one rewound result's
-// worth of slab, serializing each result as soon as it is built, the way
-// the engine streams an answer: each serialization equals the reference
-// tree's, and each error the reference's, including the rows after a
-// failed one.
-func TestBuilderRewindEqualsReference(t *testing.T) {
+// TestProgramEqualsReference_Property writes every binding of the
+// property's draws — the FuzzConstruct seeds and 400 more — with the
+// template's compiled program into one document, compact and indented by
+// 2, the way the engine streams an answer: after each binding the
+// document holds exactly what WriteChild of the reference results wrote,
+// a failed binding adds nothing (also when the program failed part way
+// through writing it) and its error is the reference's.
+func TestProgramEqualsReference_Property(t *testing.T) {
 	seeds := []int64{0, 1, 7, 42, 20010402}
-	for s := int64(100); s < 400; s++ {
+	for s := int64(100); s < 500; s++ {
 		seeds = append(seeds, s)
 	}
-	built, failed := 0, 0
-	for _, seed := range seeds {
-		tmpl, bs, _ := drawConstruct(rand.New(rand.NewSource(seed)))
-		ctx := constructCtx()
-		want, wantErr := refBuildAll(ctx, tmpl, bs)
-		bld := NewBuilder(tmpl, 1)
-		for i, b := range bs {
-			got, err := bld.Build(ctx, b)
-			if (err == nil) != (wantErr[i] == nil) || (err != nil && err.Error() != wantErr[i].Error()) {
-				t.Fatalf("seed %d binding %d: error %v, want %v", seed, i, err, wantErr[i])
-			}
-			if err == nil {
-				built++
-				if g, w := xmlparse.SerializeString(got, 2), xmlparse.SerializeString(want[i], 2); g != w {
-					t.Fatalf("seed %d binding %d:\nbuilt:\n%s\nreference:\n%s", seed, i, g, w)
+	var built, failed, partial, tuples, emptied int
+	for _, indent := range []int{0, 2} {
+		for _, seed := range seeds {
+			tmpl, bs, _ := drawConstruct(rand.New(rand.NewSource(seed)))
+			ctx := constructCtx()
+			want, wantErr := refBuildAll(ctx, tmpl, bs)
+			prog := CompileProgram(tmpl, indent)
+			got, ref := xmlparse.NewBuffer(), xmlparse.NewBuffer()
+			got.StartDocument(indent)
+			ref.StartDocument(indent)
+			for i, b := range bs {
+				err := got.AppendChild(func(dst []byte) ([]byte, error) {
+					out, err := prog.Append(dst, ctx, b)
+					if err != nil && len(out) > len(dst) {
+						partial++
+					}
+					return out, err
+				})
+				if (err == nil) != (wantErr[i] == nil) || (err != nil && err.Error() != wantErr[i].Error()) {
+					t.Fatalf("indent %d seed %d binding %d: error %v, want %v", indent, seed, i, err, wantErr[i])
 				}
-			} else {
-				failed++
+				if err == nil {
+					built++
+					ref.WriteChild(want[i])
+					if strings.Contains(want[i].String(), "<tuple") {
+						tuples++
+					}
+					want[i].Walk(func(n *xmldm.Node) bool {
+						if len(n.Children) == 0 {
+							emptied++
+						}
+						return true
+					})
+				} else {
+					failed++
+				}
+				if g, w := string(got.Bytes()), string(ref.Bytes()); g != w {
+					t.Fatalf("indent %d seed %d binding %d %v:\nprogram:\n%s\nreference:\n%s", indent, seed, i, b, g, w)
+				}
 			}
-			bld.Rewind()
+			got.Release()
+			ref.Release()
 		}
 	}
-	if built < 600 || failed < 100 {
-		t.Fatalf("built %d, failed %d: the generator no longer exercises the rewound builder", built, failed)
+	t.Logf("built %d, failed %d (%d part way), tuples %d, empty elements %d", built, failed, partial, tuples, emptied)
+	if built < 1500 || failed < 200 || partial < 100 || tuples < 100 || emptied < 500 {
+		t.Fatalf("built %d, failed %d (%d part way), tuples %d, empty elements %d: the generator no longer exercises the program",
+			built, failed, partial, tuples, emptied)
 	}
 }
 
@@ -416,27 +441,31 @@ func TestBuilderAllocatesThreeSlabs(t *testing.T) {
 	}
 }
 
-// TestBuilderRewindAllocatesOnce pins the rewound builder's point: any
-// number of results built one at a time, each rewound after use, cost
-// the three slabs of one result and the builder, not three per result.
-func TestBuilderRewindAllocatesOnce(t *testing.T) {
+// TestProgramAllocatesNothingPerRow pins the program's point: compiled
+// once, it writes bulk-export's template under 2000 bindings into a
+// buffer that has room without allocating at all — no tree, no string.
+func TestProgramAllocatesNothingPerRow(t *testing.T) {
 	if testkit.Race {
 		t.Skip("the race detector allocates")
 	}
 	tmpl := xmlql.MustParse(bulkExportTemplate).Construct
-	b := bind("i", xmldm.String("7"), "w", xmldm.String("Ada"), "c", xmldm.String("London"), "t", xmldm.String("gold"))
+	b := bind("i", xmldm.String("7"), "w", xmldm.String("Ada & Co"), "c", xmldm.String("London"), "t", xmldm.String("gold"))
 	ctx := &Context{}
-	for _, rows := range []int{1, 100, 2000} {
-		if n := testing.AllocsPerRun(10, func() {
-			bld := NewBuilder(tmpl, 1)
-			for i := 0; i < rows; i++ {
-				if _, err := bld.Build(ctx, b); err != nil {
+	for _, indent := range []int{0, 2} {
+		prog := CompileProgram(tmpl, indent)
+		var dst []byte
+		write := func() {
+			dst = dst[:0]
+			for i := 0; i < 2000; i++ {
+				var err error
+				if dst, err = prog.Append(dst, ctx, b); err != nil {
 					t.Fatal(err)
 				}
-				bld.Rewind()
 			}
-		}); n > 4 {
-			t.Errorf("%d rewound results allocate %v times, want 3 slabs and the builder", rows, n)
+		}
+		write() // grows dst once
+		if n := testing.AllocsPerRun(10, write); n != 0 {
+			t.Errorf("indent %d: 2000 rows allocate %v times, want 0", indent, n)
 		}
 	}
 }

@@ -161,15 +161,24 @@ type buffered interface {
 	BufferedTuples() int
 }
 
+// nextSample is how often Instrumented reads the clock around Next: on
+// the first call and every nextSample-th after it.
+const nextSample = 16
+
 // Instrumented wraps an operator, recording per-call statistics into its
 // ExplainNode. It preserves the Operator contract exactly: Open/Next/
 // Close delegate 1:1, so operator lifecycle invariants (opclose) hold
-// through the wrapper.
+// through the wrapper. RowsOut and PeakBuffered are exact; NextNanos is
+// an estimate, since timing every Next would cost two clock reads a row:
+// each timed call counts for every call since the one timed before it.
 type Instrumented struct {
 	Inner Operator
 	Node  *ExplainNode
 
 	buf buffered // Inner's buffering view, nil when it has none
+	// calls counts the Next calls, and timed is the count at the last
+	// one timed.
+	calls, timed int64
 }
 
 // Open implements Operator.
@@ -183,9 +192,17 @@ func (i *Instrumented) Open(ctx *Context) error {
 
 // Next implements Operator.
 func (i *Instrumented) Next() (Binding, error) {
-	start := time.Now()
-	b, err := i.Inner.Next()
-	i.Node.NextNanos += time.Since(start).Nanoseconds()
+	i.calls++
+	var b Binding
+	var err error
+	if (i.calls-1)%nextSample == 0 {
+		start := time.Now()
+		b, err = i.Inner.Next()
+		i.Node.NextNanos += time.Since(start).Nanoseconds() * (i.calls - i.timed)
+		i.timed = i.calls
+	} else {
+		b, err = i.Inner.Next()
+	}
 	if b != nil {
 		i.Node.RowsOut++
 	}

@@ -28,6 +28,37 @@ func joinFixture() (*HashJoin, int) {
 	return &HashJoin{Left: left, Right: right, On: []string{"k"}}, 2
 }
 
+// TestInstrumentedSamplesNextTime: the shim times 1 Next in nextSample,
+// yet counts every row it hands on, and its time estimate is not zero.
+func TestInstrumentedSamplesNextTime(t *testing.T) {
+	const rows = 1000
+	row := bindRow("x", "v")
+	sink := 0
+	op, node := Instrument(&FuncScan{OpenFn: func(*Context) (func() (Binding, error), error) {
+		n := 0
+		return func() (Binding, error) {
+			if n == rows {
+				return nil, nil
+			}
+			n++
+			for i := 0; i < 1000; i++ { // a row's worth of work for the clock to see
+				sink += i ^ n
+			}
+			return row, nil
+		}, nil
+	}})
+	bs, err := Drain(&Context{}, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bs) != rows || node.RowsOut != rows {
+		t.Errorf("drained %d bindings, RowsOut = %d, want %d", len(bs), node.RowsOut, rows)
+	}
+	if node.NextNanos <= 0 {
+		t.Errorf("NextNanos = %d (sink %d), want an estimate above 0", node.NextNanos, sink)
+	}
+}
+
 func TestInstrumentRecordsRowsAndStructure(t *testing.T) {
 	join, want := joinFixture()
 	op, node := Instrument(join)

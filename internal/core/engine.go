@@ -305,11 +305,12 @@ type QueryOptions struct {
 	// Buffer, when set, takes the answer in place of Result.Values if
 	// its order is final as it is built (no ORDER-BY, or one the source
 	// sorted): each binding is taken from the plan as it is produced, and
-	// its result element appended with WriteChild as soon as it is built,
-	// from one builder slab rewound for the next, so neither a binding
-	// list nor a result tree is held. The caller has begun the document
+	// its result element written into the buffer by the rewrite's
+	// CONSTRUCT program (algebra.Program), so neither a binding list nor
+	// a result tree is held. The caller has begun the document
 	// (StartDocument) and ends it under the Result's root; a query that
-	// fails part way leaves what it appended, for the caller to discard.
+	// fails part way leaves the rows written before the failing one, for
+	// the caller to discard.
 	Buffer *xmlparse.Buffer
 }
 
@@ -324,7 +325,11 @@ func (e *Engine) Query(ctx context.Context, src string) (*Result, error) {
 // the prepared rewrites (PreparedStats); planning runs per call.
 func (e *Engine) QueryOpt(ctx context.Context, src string, qo QueryOptions) (*Result, error) {
 	sh := shapes.Get().(*xmlql.Shape)
-	defer shapes.Put(sh)
+	defer func() {
+		if sh.Poolable() {
+			shapes.Put(sh)
+		}
+	}()
 	if err := sh.Scan(src); err != nil {
 		return nil, err
 	}
@@ -624,8 +629,12 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 			planRoot, node = algebra.Instrument(plan.Root)
 			ex.Children = append(ex.Children, node)
 		}
-		// construct builds one binding's result and writes or holds it.
+		// construct writes one binding's result, or builds and holds it.
 		var bld *algebra.Builder
+		var prog *algebra.Program
+		if stream {
+			prog = qs.call.program(ri, plan.Construct, qs.buf.Indent())
+		}
 		construct := func(b algebra.Binding) error {
 			if len(q.OrderBy) > 0 {
 				// Evaluated when the sources sorted too: a key that fails
@@ -642,15 +651,18 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 					keys = append(keys, k)
 				}
 			}
+			if stream {
+				if err := qs.buf.AppendChild(func(dst []byte) ([]byte, error) {
+					return prog.Append(dst, actx, b)
+				}); err != nil {
+					return err
+				}
+				qs.streamed++
+				return nil
+			}
 			v, err := bld.Build(actx, b)
 			if err != nil {
 				return err
-			}
-			if stream {
-				qs.buf.WriteChild(v)
-				qs.streamed++
-				bld.Rewind()
-				return nil
 			}
 			out = append(out, v)
 			return nil
@@ -665,7 +677,6 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 			// The streamed answer takes each binding from the plan as it
 			// is produced and holds no binding list. The eval span covers
 			// construction too.
-			bld = algebra.NewBuilder(plan.Construct, 1)
 			_, err = algebra.Pull(actx, planRoot, construct)
 			actx.Trace = prevTrace
 			spRw.Finish()

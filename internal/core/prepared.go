@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/mediator"
 	"repro/internal/xmlql"
@@ -59,6 +60,9 @@ type prepared struct {
 	// hit asks the predicate again rather than waiting to be told.
 	gen   uint64
 	skips []skipAnswer
+	// progs holds each rewrite's CONSTRUCT program, compiled at the
+	// rewrite's first streamed answer (program).
+	progs []atomic.Pointer[algebra.Program]
 }
 
 type skipAnswer struct {
@@ -87,6 +91,24 @@ type preparedCall struct {
 	*prepared
 	bound []mediator.Rewrite
 	hit   bool
+}
+
+// program returns the CONSTRUCT program that writes tmpl, the template of
+// rewrite ri's plan, at indent: the entry's own, compiled once, when tmpl
+// is the entry's template (the usual case, which Rebind keeps), or one
+// compiled for this call alone (a query not run from text, or a template
+// holding a rebound literal).
+func (c *preparedCall) program(ri int, tmpl *xmlql.TmplElem, indent int) *algebra.Program {
+	if c == nil || ri >= len(c.progs) || tmpl != c.rewrites[ri].Query.Construct {
+		return algebra.CompileProgram(tmpl, indent)
+	}
+	slot := &c.progs[ri]
+	if prog := slot.Load(); prog.Serves(tmpl, indent) {
+		return prog
+	}
+	prog := algebra.CompileProgram(tmpl, indent)
+	slot.Store(prog)
+	return prog
 }
 
 // shapes recycles the shape buffers QueryOpt scans query texts into.
@@ -145,6 +167,7 @@ func (e *Engine) unfold(call *preparedCall, q *xmlql.Query, skip func(string) bo
 		return nil, err
 	}
 	p.rewrites = rewrites
+	p.progs = make([]atomic.Pointer[algebra.Program], len(rewrites))
 	e.prepared.put(p)
 	return rewrites, nil
 }

@@ -6,9 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/mediator"
 	"repro/internal/sources"
+	"repro/internal/xmldm"
 	"repro/internal/xmlparse"
 	"repro/internal/xmlql"
 )
@@ -209,4 +211,69 @@ func BenchmarkPreparedWarm(b *testing.B) {
 // benchTexts are three texts of cityQuery's shape.
 func benchTexts() []string {
 	return []string{cityQuery("London", 0), cityQuery("Cambridge", 1), cityQuery("New York", 2)}
+}
+
+// TestStreamedShapeCompilesItsProgramOnce: a shape's streamed answers are
+// written by one CONSTRUCT program, compiled at the first and held on the
+// prepared entry, which eight goroutines then stream through at once with
+// other literals: each answer is the materialized one's bytes, and the
+// entry holds the same program throughout.
+func TestStreamedShapeCompilesItsProgramOnce(t *testing.T) {
+	e, _ := newTestEngine(t)
+	// render writes q's answer as /query does: streamed into the buffer
+	// when stream is set, else appended from Values.
+	render := func(q string, stream bool) (string, error) {
+		buf := xmlparse.NewBuffer()
+		defer buf.Release()
+		buf.StartDocument(2)
+		qo := QueryOptions{}
+		if stream {
+			qo.Buffer = buf
+		}
+		res, err := e.QueryOpt(context.Background(), q, qo)
+		if err != nil {
+			return "", err
+		}
+		for _, v := range res.Values {
+			buf.WriteChild(v.(*xmldm.Node))
+		}
+		return string(buf.EndDocument(res.View())), nil
+	}
+	held := func() []*algebra.Program {
+		e.prepared.mu.RLock()
+		defer e.prepared.mu.RUnlock()
+		var progs []*algebra.Program
+		for _, ps := range e.prepared.entries {
+			for _, p := range ps {
+				progs = append(progs, p.progs[0].Load())
+			}
+		}
+		return progs
+	}
+	if _, err := render(cityQuery("London", 0), true); err != nil {
+		t.Fatal(err)
+	}
+	first := held()
+	if len(first) != 1 || first[0] == nil {
+		t.Fatalf("programs held after the first streamed call: %v, want one", first)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, city := range []string{"London", "Cambridge", "New York", "Nowhere"} {
+				q := cityQuery(city, g%3)
+				got, err := render(q, true)
+				want, err2 := render(q, false)
+				if err != nil || err2 != nil || got != want {
+					t.Errorf("%s: streamed %q (%v), materialized %q (%v)", q, got, err, want, err2)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if last := held(); len(last) != 1 || last[0] != first[0] {
+		t.Errorf("programs held after every call: %v, want the first, %v", last, first[0])
+	}
 }

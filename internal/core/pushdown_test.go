@@ -243,3 +243,50 @@ func TestTwinEnginesSendTheSameSQL(t *testing.T) {
 		t.Errorf("the twin sent %q and the engine %q, want both %q", sent[0], sent[1], want)
 	}
 }
+
+// TestPushedJoinedLeafAnswersAsTheMediator: a relational leaf joined onto
+// an earlier group runs its predicates above the join unpushed, on the
+// joined rows alone, and in its source pushed, on every row of the
+// table. So a predicate that can fail is not pushed there, nor any after
+// it: 1 / $k > 0 fails on the NULL and the 0 of rows the join drops, and
+// answers the one row id 1 joins, pushdown on or off.
+func TestPushedJoinedLeafAnswersAsTheMediator(t *testing.T) {
+	db := rdb.NewDatabase("m")
+	db.MustExec(`CREATE TABLE items (id INT PRIMARY KEY, k INT)`)
+	db.MustExec(`INSERT INTO items VALUES (1, 5), (2, NULL), (3, 0)`)
+	doc, err := sources.NewXMLSource("x", `<d><t><a>p</a><b>q</b><c>r</c><e>s</e><f>u</f><id>1</id></t></d>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New()
+	for _, src := range []catalog.Source{sources.NewRelationalSource("m", db), doc} {
+		if err := cat.AddSource(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Five literal constraints put the XML group first (two predicates
+	// over the table's variables count four).
+	const pat = `WHERE <t><a>"p"</a><b>"q"</b><c>"r"</c><e>"s"</e><f>"u"</f><id>$i</id></t> IN "x",
+		<item><id>$i</id><k>$k</k></item> IN "m", `
+	for _, tc := range []struct{ preds, sql string }{
+		{`1 / $k > 0`, "FROM items"},
+		{`1 / $k > 0, $k = 5`, "FROM items"},
+		// Before the first that can fail, a predicate is still pushed.
+		{`$k > 1, 1 / $k > 0`, "FROM items WHERE (k > 1)"},
+	} {
+		q := pat + tc.preds + ` CONSTRUCT <r>$i</r>`
+		for _, cfg := range []Config{{}, {DisablePushdown: true}} {
+			res, err := New(cat, cfg).Query(context.Background(), q)
+			if err != nil {
+				t.Errorf("%s, pushdown off %v: %v", tc.preds, cfg.DisablePushdown, err)
+				continue
+			}
+			if len(res.Values) != 1 || xmldm.Stringify(res.Values[0]) != "1" {
+				t.Errorf("%s, pushdown off %v: %v, want the one row of id 1", tc.preds, cfg.DisablePushdown, res.Values)
+			}
+			if plan := pushedSQL(res.Explain); !cfg.DisablePushdown && !strings.HasSuffix(plan, tc.sql) {
+				t.Errorf("%s: the plan does not push %s:\n%s", tc.preds, tc.sql, plan)
+			}
+		}
+	}
+}

@@ -177,7 +177,7 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 				inAcc[v] = true
 			}
 		}
-		groupPlan, err := p.planSourceGroup(plan, g, &pendingPreds, bound, singleFragment && p.Opts.PushOrder, rw.Query.OrderBy)
+		groupPlan, err := p.planSourceGroup(plan, g, &pendingPreds, bound, acc != nil, singleFragment && p.Opts.PushOrder, rw.Query.OrderBy)
 		if err != nil {
 			return nil, err
 		}
@@ -205,9 +205,10 @@ func (p *Planner) Plan(rw mediator.Rewrite, preBound []string, input algebra.Ope
 	return plan, nil
 }
 
-// planSourceGroup builds the access path for one source's patterns.
+// planSourceGroup builds the access path for one source's patterns;
+// joined says the group is joined onto what the plan built before it.
 func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlql.Expr,
-	bound map[string]bool, tryPushOrder bool, orderBy []xmlql.OrderKey) (algebra.Operator, error) {
+	bound map[string]bool, joined, tryPushOrder bool, orderBy []xmlql.OrderKey) (algebra.Operator, error) {
 
 	isSchema := p.Cat.IsSchema(g.Source)
 	var rel catalog.Relational
@@ -230,7 +231,7 @@ func (p *Planner) planSourceGroup(plan *Plan, g *mediator.Group, pending *[]xmlq
 
 		if rel != nil {
 			// Offer the predicates this pattern alone can satisfy.
-			offer, offerIdx := predsFor(*pending, patVars)
+			offer, offerIdx := predsFor(*pending, patVars, joined || i > 0)
 			sgOpts := sqlgen.Options{
 				PushSelections:  p.Opts.PushSelections,
 				PushProjections: p.Opts.PushProjections,
@@ -496,8 +497,12 @@ func markBound(bound map[string]bool, vars []string) {
 // stays in the mediator, which runs it on every row; one that can fail
 // holds back every predicate after it, as Compile's order rule does for
 // the predicates it keeps: pushed, a later predicate would take away the
-// rows it fails on.
-func predsFor(pending []xmlql.Expr, vars []string) ([]xmlql.Expr, []int) {
+// rows it fails on. A leaf joined onto an earlier pattern (joined) is
+// offered nothing from the first predicate that can fail on: unpushed,
+// its predicates run above the join, on the joined rows alone, and
+// pushed, on every row of the table, where one can fail on a row the
+// join drops.
+func predsFor(pending []xmlql.Expr, vars []string, joined bool) ([]xmlql.Expr, []int) {
 	set := map[string]bool{}
 	for _, v := range vars {
 		set[v] = true
@@ -505,6 +510,9 @@ func predsFor(pending []xmlql.Expr, vars []string) ([]xmlql.Expr, []int) {
 	var out []xmlql.Expr
 	var idx []int
 	for i, pred := range pending {
+		if joined && sqlgen.CanFail(pred) {
+			break
+		}
 		ok := true
 		pv := xmlql.ExprVars(pred)
 		if len(pv) == 0 {

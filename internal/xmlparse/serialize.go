@@ -72,6 +72,25 @@ func (b *Buffer) WriteChild(n *xmldm.Node) {
 	b.b = appendNode(b.b, -1, n, b.indent, 1)
 }
 
+// Indent is the indentation StartDocument began the document with.
+func (b *Buffer) Indent() int { return b.indent }
+
+// AppendChild appends the next child element of the root StartDocument
+// began as write renders it: write appends the element to the bytes it is
+// handed — as AppendElement, AppendPad and AppendEscaped do, at depth 1 —
+// and returns them, also when it fails. A failed write leaves the buffer
+// as it was before the call.
+func (b *Buffer) AppendChild(write func([]byte) ([]byte, error)) error {
+	n := len(b.b)
+	out, err := write(b.b)
+	if err != nil {
+		b.b = out[:n] // keeping whatever the write grew the buffer to
+		return err
+	}
+	b.b = out
+	return nil
+}
+
 // EndDocument closes the document StartDocument began under root's name
 // and attributes and returns its bytes: what WriteNode writes for root
 // with the children WriteChild wrote (root's own Children are not read).
@@ -139,15 +158,29 @@ func appendNode(dst []byte, start int, n *xmldm.Node, indent, depth int) []byte 
 			onlyText = false
 			dst = appendNode(dst, start, v, indent, depth+1)
 		case xmldm.String:
-			dst = appendEscaped(dst, string(v))
+			dst = AppendEscaped(dst, string(v))
 		default:
-			dst = appendEscaped(dst, xmldm.Stringify(v))
+			dst = AppendEscaped(dst, xmldm.Stringify(v))
 		}
 	}
 	if !onlyText {
 		dst = appendPad(dst, start, indent, depth)
 	}
 	return appendEndTag(dst, n.Name)
+}
+
+// AppendElement appends n as an element at depth below the root
+// StartDocument began, on a line of its own when indenting: what
+// WriteChild writes for a child at depth 1.
+func AppendElement(dst []byte, n *xmldm.Node, indent, depth int) []byte {
+	return appendNode(dst, -1, n, indent, depth)
+}
+
+// AppendPad appends what starts a line at depth below the root
+// StartDocument began: a line break and depth*indent spaces when
+// indenting, nothing when compact.
+func AppendPad(dst []byte, indent, depth int) []byte {
+	return appendPad(dst, -1, indent, depth)
 }
 
 // appendStartTag appends n's start tag up to its closing bracket: the
@@ -159,7 +192,7 @@ func appendStartTag(dst []byte, n *xmldm.Node) []byte {
 		dst = append(dst, ' ')
 		dst = append(dst, a.Name...)
 		dst = append(dst, `="`...)
-		dst = appendEscaped(dst, a.Value)
+		dst = AppendEscaped(dst, a.Value)
 		dst = append(dst, '"')
 	}
 	return dst
@@ -188,11 +221,11 @@ func appendPad(dst []byte, start, indent, depth int) []byte {
 	return dst
 }
 
-// appendEscaped appends s escaped exactly as encoding/xml.EscapeText
+// AppendEscaped appends s escaped exactly as encoding/xml.EscapeText
 // escapes it (the same in text and in attribute position): the five
 // markup characters and tab, LF and CR become references, and bytes that
 // are not valid UTF-8 or not XML characters become U+FFFD.
-func appendEscaped(dst []byte, s string) []byte {
+func AppendEscaped(dst []byte, s string) []byte {
 	last := 0
 	for i := 0; i < len(s); {
 		if plainByte[s[i]] {
@@ -238,7 +271,7 @@ func appendEscaped(dst []byte, s string) []byte {
 	return append(dst, s[last:]...)
 }
 
-// plainByte marks the bytes appendEscaped copies as they are: printable
+// plainByte marks the bytes AppendEscaped copies as they are: printable
 // ASCII but the five markup characters.
 var plainByte = func() (t [256]bool) {
 	for c := ' '; c < utf8.RuneSelf; c++ {

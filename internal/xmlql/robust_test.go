@@ -88,13 +88,18 @@ func TestParseDeepNesting(t *testing.T) {
 
 // nestingShapes are the ways a query nests: each body opens one level
 // per unit and never closes it.
-var nestingShapes = []struct{ name, head, unit string }{
-	{"paren", "WHERE ", "("},
-	{"call", "WHERE ", "not("},
-	{"sum", "WHERE ", "1 + ("},
-	{"pattern", "WHERE ", "<a>"},
-	{"template", `WHERE <a>$x</a> IN "s" CONSTRUCT `, "<a>"},
-	{"query", `WHERE <a>$x</a> IN "s" CONSTRUCT `, `<r>WHERE <a>$x</a> IN "s" CONSTRUCT `},
+// brackets marks the shapes that open a '(' per unit, which the lexer
+// stops at.
+var nestingShapes = []struct {
+	name, head, unit string
+	brackets         bool
+}{
+	{"paren", "WHERE ", "(", true},
+	{"call", "WHERE ", "not(", true},
+	{"sum", "WHERE ", "1 + (", true},
+	{"pattern", "WHERE ", "<a>", false},
+	{"template", `WHERE <a>$x</a> IN "s" CONSTRUCT `, "<a>", false},
+	{"query", `WHERE <a>$x</a> IN "s" CONSTRUCT `, `<r>WHERE <a>$x</a> IN "s" CONSTRUCT `, false},
 }
 
 // nestedBody is head followed by as many units as fit in size bytes.
@@ -114,8 +119,9 @@ func allocatedBytes(f func()) uint64 {
 // TestParseBoundsNesting: a body of every nesting shape just under the
 // 1 MB a query body may hold fails with ErrTooDeep instead of recursing
 // once per level, and what parsing allocates grows with the body's
-// length alone: twice the bytes allocate under 2.5 times as much. A
-// query nested maxDepth levels still parses.
+// length alone: twice the bytes allocate under 2.5 times as much. A body
+// of brackets allocates under 4 MB: the lexer stops once more than
+// maxDepth are open. A query nested maxDepth levels still parses.
 func TestParseBoundsNesting(t *testing.T) {
 	const limit = 1<<20 - 1
 	for _, sh := range nestingShapes {
@@ -129,6 +135,9 @@ func TestParseBoundsNesting(t *testing.T) {
 		if n2*2 >= n*5 {
 			t.Errorf("%s: %d bytes allocate %d, %d bytes %d: more than 2.5 times as much", sh.name, len(half), n, len(whole), n2)
 		}
+		if sh.brackets && n2 >= 4<<20 {
+			t.Errorf("%s: %d bytes allocate %d, want under 4 MB: the lexer stops past maxDepth open brackets", sh.name, len(whole), n2)
+		}
 	}
 	deepest := "WHERE " + strings.Repeat("(", maxDepth-1) + "$x = 1" + strings.Repeat(")", maxDepth-1) + ` CONSTRUCT <r/>`
 	if _, err := Parse(deepest); err != nil {
@@ -140,15 +149,34 @@ func TestParseBoundsNesting(t *testing.T) {
 }
 
 // TestShapeScanIsLinear: Scan only lexes, so what it allocates for the
-// deepest bodies also grows with their length alone.
+// deepest bodies also grows with their length alone, and a body of
+// brackets fails with ErrTooDeep under 4 MB.
 func TestShapeScanIsLinear(t *testing.T) {
 	const limit = 1<<20 - 1
 	for _, sh := range nestingShapes {
 		half, whole := nestedBody(sh.head, sh.unit, limit/2), nestedBody(sh.head, sh.unit, limit)
+		var err error
 		n := allocatedBytes(func() { new(Shape).Scan(half) })
-		n2 := allocatedBytes(func() { new(Shape).Scan(whole) })
+		n2 := allocatedBytes(func() { err = new(Shape).Scan(whole) })
 		if n2*2 >= n*5 {
 			t.Errorf("%s: %d bytes allocate %d, %d bytes %d: more than 2.5 times as much", sh.name, len(half), n, len(whole), n2)
 		}
+		if sh.brackets && (n2 >= 4<<20 || !errors.Is(err, ErrTooDeep)) {
+			t.Errorf("%s: %d bytes allocate %d and scan to %v, want under 4 MB and ErrTooDeep", sh.name, len(whole), n2, err)
+		}
+	}
+}
+
+// TestHugeShapeIsNotPooled: a Shape that lexed a huge text is not reused,
+// so its token slice is not held for every later query; one that lexed
+// an ordinary query is.
+func TestHugeShapeIsNotPooled(t *testing.T) {
+	var sh Shape
+	if err := sh.Scan(`WHERE <a>$x</a> IN "s", $x = "y" CONSTRUCT <r>$x</r>`); err != nil || !sh.Poolable() {
+		t.Fatalf("a small query: %v, poolable %v", err, sh.Poolable())
+	}
+	sh.Scan(nestedBody("WHERE ", "<a>", 1<<20-1))
+	if sh.Poolable() {
+		t.Errorf("a 1 MB body of patterns: %d tokens held, and poolable", cap(sh.toks))
 	}
 }

@@ -30,6 +30,21 @@ type Shape struct {
 	toks []token
 }
 
+// maxPooledTokens and maxPooledKey are the most tokens and key bytes a
+// Shape may have room for to be pooled (Poolable): the benchmark's
+// longest query texts lex to a few hundred tokens.
+const (
+	maxPooledTokens = 4096
+	maxPooledKey    = 64 << 10
+)
+
+// Poolable reports whether s's buffers are small enough to reuse: ones
+// grown by a huge query text must not pin their memory in a pool for
+// every later small one.
+func (s *Shape) Poolable() bool {
+	return cap(s.toks) <= maxPooledTokens && cap(s.Key) <= maxPooledKey
+}
+
 // Scan lexes src into s. It fails where Parse fails lexing.
 func (s *Shape) Scan(src string) error {
 	toks, err := lexInto(s.toks, src)
