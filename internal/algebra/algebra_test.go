@@ -696,7 +696,7 @@ func TestMatchPatternNilRoot(t *testing.T) {
 func TestConstructAllOrder(t *testing.T) {
 	tmpl := xmlql.MustParse(`WHERE <a>$x</a> IN "s" CONSTRUCT <v>$x</v>`).Construct
 	bs := []Binding{bind("x", xmldm.Int(1)), bind("x", xmldm.Int(2))}
-	bld := NewBuilder(tmpl, len(bs))
+	bld := CompileProgram(tmpl, 0).Builder(len(bs))
 	var sb strings.Builder
 	for _, b := range bs {
 		n, err := bld.Build(&Context{}, b)

@@ -1,22 +1,20 @@
 package algebra
 
 import (
-	"fmt"
+	"cmp"
 
 	"repro/internal/xmldm"
 	"repro/internal/xmlql"
 )
 
 // BuildResult instantiates a CONSTRUCT template under one binding and
-// returns the constructed element: a Builder for one result.
+// returns the constructed element: the template compiled, then built once.
 func BuildResult(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, error) {
-	return NewBuilder(tmpl, 1).Build(ctx, b)
+	return CompileProgram(tmpl, 0).Builder(1).Build(ctx, b)
 }
 
-// Builder instantiates one CONSTRUCT template under a run of bindings.
-// The template's shape is counted once — one element per TmplElem, and
-// for each element one child slot per content item and its attributes —
-// and every result's elements, Children and Attrs are carved from three
+// Builder builds a program's results as node trees: the program's node
+// sink. Every result's elements, Children and Attrs are carved from three
 // slabs sized for rows results: three allocations per rows results
 // whatever the template, refilled for another rows only when Build is
 // called more often. Every sub-slice is capped at its own length
@@ -27,21 +25,18 @@ func BuildResult(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, er
 // afterwards, since CopyNode leaves Ord unset.
 //
 // A Builder serves answers that stay materialized: an answer written
-// while it is built never becomes a tree (Program).
+// while it is built never becomes a tree (Program.Append).
 //
 // Nodes spliced from bindings are deep-copied: constructed trees own
 // their children, and the source documents must never be mutated (the
 // paper's virtual integration leaves "the source data unchanged", §3.2).
 // A retained result keeps its whole slab alive.
 type Builder struct {
-	tmpl                   *xmlql.TmplElem
-	rows                   int
-	nNodes, nSlots, nAttrs int // per result
-	slabs                      // what is left of the slabs; results are carved from its front
-	// ord is the last ordinal assigned in the result being built; copied
-	// records that a splice copied a node into it.
-	ord    int
-	copied bool
+	prog *Program
+	rows int
+	// w is the node sink; its slabs are what is left of the slabs, and
+	// results are carved from their front.
+	w writer
 }
 
 type slabs struct {
@@ -50,143 +45,93 @@ type slabs struct {
 	attrs []xmldm.Attr
 }
 
-// NewBuilder returns a Builder for tmpl whose slabs hold rows results.
-func NewBuilder(tmpl *xmlql.TmplElem, rows int) *Builder {
-	bld := &Builder{tmpl: tmpl, rows: max(rows, 1)}
-	bld.count(tmpl)
-	return bld
+// slabSize is what a result takes of each slab: one element per TmplElem,
+// and for each element one child slot per content item and its attributes.
+type slabSize struct{ nodes, slots, attrs int }
+
+func (s *slabSize) add(t *xmlql.TmplElem) {
+	s.nodes++
+	s.slots += len(t.Content)
+	s.attrs += len(t.Attrs)
 }
 
-func (bld *Builder) count(t *xmlql.TmplElem) {
-	bld.nNodes++
-	bld.nSlots += len(t.Content)
-	bld.nAttrs += len(t.Attrs)
-	for _, item := range t.Content {
-		if c, ok := item.(*xmlql.TmplChild); ok {
-			bld.count(c.Elem)
-		}
-	}
+// Builder returns a Builder for p's results whose slabs hold rows results.
+func (p *Program) Builder(rows int) *Builder {
+	return &Builder{prog: p, rows: max(rows, 1), w: writer{tree: true}}
 }
 
 // Build instantiates the template under one binding.
 func (bld *Builder) Build(ctx *Context, b Binding) (*xmldm.Node, error) {
 	// A result that failed part way leaves a partly used slab; the check
 	// is for a whole result's worth, not for a count of calls.
-	if len(bld.nodes) < bld.nNodes || len(bld.slots) < bld.nSlots || len(bld.attrs) < bld.nAttrs {
-		bld.slabs = slabs{nodes: make([]xmldm.Node, bld.rows*bld.nNodes)}
-		if bld.nSlots > 0 {
-			bld.slots = make([]xmldm.Value, bld.rows*bld.nSlots)
+	per, w := bld.prog.per, &bld.w
+	if len(w.nodes) < per.nodes || len(w.slots) < per.slots || len(w.attrs) < per.attrs {
+		w.slabs = slabs{nodes: make([]xmldm.Node, bld.rows*per.nodes)}
+		if per.slots > 0 {
+			w.slots = make([]xmldm.Value, bld.rows*per.slots)
 		}
-		if bld.nAttrs > 0 {
-			bld.attrs = make([]xmldm.Attr, bld.rows*bld.nAttrs)
+		if per.attrs > 0 {
+			w.attrs = make([]xmldm.Attr, bld.rows*per.attrs)
 		}
 	}
-	bld.ord, bld.copied = 0, false
-	n, err := bld.elem(ctx, bld.tmpl, b, nil)
+	w.ctx, w.b, w.cur, w.ord, w.copied = ctx, b, nil, 0, false
+	root := &w.nodes[0] // the first element carved
+	_, err := w.elem(nil, bld.prog.root)
+	w.ctx, w.b = nil, nil
 	if err != nil {
 		return nil, err
 	}
-	if bld.copied {
-		xmldm.Finalize(n)
+	if w.copied {
+		xmldm.Finalize(root)
 	}
-	return n, nil
+	return root, nil
 }
 
-func (bld *Builder) elem(ctx *Context, tmpl *xmlql.TmplElem, b Binding, parent *xmldm.Node) (*xmldm.Node, error) {
-	name := tmpl.Tag
-	if tmpl.TagVar != "" {
-		v, ok := b.Get(tmpl.TagVar)
-		if !ok {
-			return nil, fmt.Errorf("algebra: construct tag variable $%s is unbound", tmpl.TagVar)
-		}
-		name = xmldm.Stringify(v)
-		if name == "" {
-			return nil, fmt.Errorf("algebra: construct tag variable $%s is empty", tmpl.TagVar)
-		}
-	}
-	n := &bld.nodes[0]
-	bld.nodes = bld.nodes[1:]
-	bld.ord++
-	*n = xmldm.Node{Name: name, Parent: parent, Ord: bld.ord}
-	if k := len(tmpl.Attrs); k > 0 {
-		n.Attrs, bld.attrs = bld.attrs[:0:k], bld.attrs[k:]
-		for _, a := range tmpl.Attrs {
-			v, err := Eval(ctx, a.Value, b)
-			if err != nil {
-				return nil, err
-			}
-			n.Attrs = append(n.Attrs, xmldm.Attr{Name: a.Name, Value: xmldm.Stringify(v)})
-		}
+// treeState is the node sink's part of a writer: the slabs being carved,
+// the element open, the last ordinal assigned, and whether a splice
+// copied a node in.
+type treeState struct {
+	slabs
+	cur    *xmldm.Node
+	ord    int
+	copied bool
+}
+
+// open carves t's element, named name (t's own name when ""), from the
+// slabs as the last child of the element open (none for the root), and
+// opens it.
+func (ts *treeState) open(t *xmlql.TmplElem, name string) {
+	n := &ts.nodes[0]
+	ts.nodes = ts.nodes[1:]
+	ts.ord++
+	*n = xmldm.Node{Name: cmp.Or(name, t.Tag), Parent: ts.cur, Ord: ts.ord}
+	if k := len(t.Attrs); k > 0 {
+		n.Attrs, ts.attrs = ts.attrs[:0:k], ts.attrs[k:]
 	}
 	// Most template items yield exactly one child; spliced collections
 	// and nested queries grow past the slots reserved.
-	if k := len(tmpl.Content); k > 0 {
-		n.Children, bld.slots = bld.slots[:0:k], bld.slots[k:]
+	if k := len(t.Content); k > 0 {
+		n.Children, ts.slots = ts.slots[:0:k], ts.slots[k:]
 	}
-	for _, item := range tmpl.Content {
-		switch it := item.(type) {
-		case *xmlql.TmplChild:
-			child, err := bld.elem(ctx, it.Elem, b, n)
-			if err != nil {
-				return nil, err
-			}
-			n.Children = append(n.Children, child)
-		case *xmlql.TmplText:
-			n.Children = append(n.Children, xmldm.String(it.Text))
-		case *xmlql.TmplExpr:
-			v, err := Eval(ctx, it.Expr, b)
-			if err != nil {
-				return nil, err
-			}
-			bld.splice(n, v)
-		case *xmlql.TmplQuery:
-			if ctx == nil || ctx.SubqueryEval == nil {
-				return nil, fmt.Errorf("algebra: nested query requires a subquery evaluator")
-			}
-			vals, err := ctx.SubqueryEval(it.Query, b)
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range vals {
-				bld.splice(n, v)
-			}
-		default:
-			return nil, fmt.Errorf("algebra: unknown template content %T", item)
-		}
+	if ts.cur != nil {
+		ts.cur.Children = append(ts.cur.Children, n)
 	}
-	return n, nil
+	ts.cur = n
 }
 
-// splice appends a computed value into constructed content: nodes are
-// deep-copied, collections splice item by item, nulls vanish, atoms
-// become text, and a tuple becomes a <tuple> element whose nodes are
-// copies too.
-func (bld *Builder) splice(n *xmldm.Node, v xmldm.Value) {
-	switch x := v.(type) {
-	case nil, xmldm.Null:
-		// nothing
-	case *xmldm.Node:
-		c := CopyNode(x)
-		c.Parent = n
-		n.Children = append(n.Children, c)
-		bld.copied = true
-	case *xmldm.Collection:
-		for _, it := range x.Items() {
-			bld.splice(n, it)
+// replay builds what a literal stands for.
+func (ts *treeState) replay(nodes []nodeOp) {
+	for i := range nodes {
+		switch nd := &nodes[i]; {
+		case nd.open != nil:
+			ts.open(nd.open, "")
+		case nd.attr != "":
+			ts.cur.Attrs = append(ts.cur.Attrs, xmldm.Attr{Name: nd.attr, Value: nd.val})
+		case nd.text != nil:
+			ts.cur.Children = append(ts.cur.Children, nd.text)
+		default:
+			ts.cur = ts.cur.Parent
 		}
-	case *xmldm.Tuple:
-		// TupleToNode's element holds the fields' nodes by reference;
-		// copying it takes them off their source tree.
-		c := CopyNode(xmldm.TupleToNode("tuple", x))
-		c.Parent = n
-		n.Children = append(n.Children, c)
-		bld.copied = true
-	case xmldm.String:
-		if x != "" {
-			n.Children = append(n.Children, v) // v, not x: already boxed
-		}
-	default:
-		n.Children = append(n.Children, xmldm.String(v.String()))
 	}
 }
 

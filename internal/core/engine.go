@@ -697,7 +697,7 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		if len(q.OrderBy) > 0 {
 			keys = slices.Grow(keys, len(bindings))
 		}
-		bld = algebra.NewBuilder(plan.Construct, len(bindings))
+		bld = qs.call.program(ri, plan.Construct, -1).Builder(len(bindings))
 		for _, b := range bindings {
 			if err := construct(b); err != nil {
 				spCons.Finish()

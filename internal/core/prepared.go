@@ -61,7 +61,7 @@ type prepared struct {
 	gen   uint64
 	skips []skipAnswer
 	// progs holds each rewrite's CONSTRUCT program, compiled at the
-	// rewrite's first streamed answer (program).
+	// rewrite's first answer (program).
 	progs []atomic.Pointer[algebra.Program]
 }
 
@@ -94,10 +94,12 @@ type preparedCall struct {
 }
 
 // program returns the CONSTRUCT program that writes tmpl, the template of
-// rewrite ri's plan, at indent: the entry's own, compiled once, when tmpl
-// is the entry's template (the usual case, which Rebind keeps), or one
-// compiled for this call alone (a query not run from text, or a template
-// holding a rebound literal).
+// rewrite ri's plan, at indent — at any indentation when indent < 0, as
+// for a materialized answer, whose node sink ignores it: the entry's own,
+// compiled once per indentation asked for, when tmpl is the entry's
+// template (the usual case, which Rebind keeps), or one compiled for this
+// call alone (a query not run from text, or a template holding a rebound
+// literal).
 func (c *preparedCall) program(ri int, tmpl *xmlql.TmplElem, indent int) *algebra.Program {
 	if c == nil || ri >= len(c.progs) || tmpl != c.rewrites[ri].Query.Construct {
 		return algebra.CompileProgram(tmpl, indent)

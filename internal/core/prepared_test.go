@@ -213,47 +213,53 @@ func benchTexts() []string {
 	return []string{cityQuery("London", 0), cityQuery("Cambridge", 1), cityQuery("New York", 2)}
 }
 
+// renderAnswer writes q's answer as /query does, indented by 2: streamed
+// into the buffer when stream is set (unless the mediator sorts it), else
+// appended from Values.
+func renderAnswer(e *Engine, q string, stream bool) (string, error) {
+	buf := xmlparse.NewBuffer()
+	defer buf.Release()
+	buf.StartDocument(2)
+	qo := QueryOptions{}
+	if stream {
+		qo.Buffer = buf
+	}
+	res, err := e.QueryOpt(context.Background(), q, qo)
+	if err != nil {
+		return "", err
+	}
+	for _, v := range res.Values {
+		buf.WriteChild(v.(*xmldm.Node))
+	}
+	return string(buf.EndDocument(res.View())), nil
+}
+
+// heldPrograms is the CONSTRUCT program each of e's prepared entries
+// holds for its first rewrite.
+func heldPrograms(e *Engine) []*algebra.Program {
+	e.prepared.mu.RLock()
+	defer e.prepared.mu.RUnlock()
+	var progs []*algebra.Program
+	for _, ps := range e.prepared.entries {
+		for _, p := range ps {
+			progs = append(progs, p.progs[0].Load())
+		}
+	}
+	return progs
+}
+
 // TestStreamedShapeCompilesItsProgramOnce: a shape's streamed answers are
 // written by one CONSTRUCT program, compiled at the first and held on the
 // prepared entry, which eight goroutines then stream through at once with
-// other literals: each answer is the materialized one's bytes, and the
-// entry holds the same program throughout.
+// other literals, beside materialized answers built through it: each
+// streamed answer is the materialized one's bytes, and the entry holds the
+// same program throughout.
 func TestStreamedShapeCompilesItsProgramOnce(t *testing.T) {
 	e, _ := newTestEngine(t)
-	// render writes q's answer as /query does: streamed into the buffer
-	// when stream is set, else appended from Values.
-	render := func(q string, stream bool) (string, error) {
-		buf := xmlparse.NewBuffer()
-		defer buf.Release()
-		buf.StartDocument(2)
-		qo := QueryOptions{}
-		if stream {
-			qo.Buffer = buf
-		}
-		res, err := e.QueryOpt(context.Background(), q, qo)
-		if err != nil {
-			return "", err
-		}
-		for _, v := range res.Values {
-			buf.WriteChild(v.(*xmldm.Node))
-		}
-		return string(buf.EndDocument(res.View())), nil
-	}
-	held := func() []*algebra.Program {
-		e.prepared.mu.RLock()
-		defer e.prepared.mu.RUnlock()
-		var progs []*algebra.Program
-		for _, ps := range e.prepared.entries {
-			for _, p := range ps {
-				progs = append(progs, p.progs[0].Load())
-			}
-		}
-		return progs
-	}
-	if _, err := render(cityQuery("London", 0), true); err != nil {
+	if _, err := renderAnswer(e, cityQuery("London", 0), true); err != nil {
 		t.Fatal(err)
 	}
-	first := held()
+	first := heldPrograms(e)
 	if len(first) != 1 || first[0] == nil {
 		t.Fatalf("programs held after the first streamed call: %v, want one", first)
 	}
@@ -264,8 +270,8 @@ func TestStreamedShapeCompilesItsProgramOnce(t *testing.T) {
 			defer wg.Done()
 			for _, city := range []string{"London", "Cambridge", "New York", "Nowhere"} {
 				q := cityQuery(city, g%3)
-				got, err := render(q, true)
-				want, err2 := render(q, false)
+				got, err := renderAnswer(e, q, true)
+				want, err2 := renderAnswer(e, q, false)
 				if err != nil || err2 != nil || got != want {
 					t.Errorf("%s: streamed %q (%v), materialized %q (%v)", q, got, err, want, err2)
 				}
@@ -273,7 +279,68 @@ func TestStreamedShapeCompilesItsProgramOnce(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if last := held(); len(last) != 1 || last[0] != first[0] {
+	if last := heldPrograms(e); len(last) != 1 || last[0] != first[0] {
 		t.Errorf("programs held after every call: %v, want the first, %v", last, first[0])
+	}
+}
+
+// TestMaterializedShapeCompilesItsProgramOnce: a materialized answer is
+// built through its prepared entry's program, at whatever indentation the
+// program was compiled (the node sink ignores it). So a shape answered
+// first materialized and then streamed compiles once per indentation:
+// the first materialized call compiles the entry's program, the first
+// streamed call (indented by 2) one more, and every later call of either
+// kind takes that one. A shape whose ORDER-BY the mediator sorts stays
+// materialized when given a buffer, and keeps its first program. Every
+// answer is a fresh engine's materialized one.
+func TestMaterializedShapeCompilesItsProgramOnce(t *testing.T) {
+	type call struct {
+		q      string
+		stream bool
+		// indent is the indentation the entry's program is compiled at
+		// after the call, and compiled whether this call compiled it.
+		indent   int
+		compiled bool
+	}
+	for name, calls := range map[string][]call{
+		"streamed later": {
+			{cityQuery("London", 0), false, 0, true},
+			{cityQuery("Cambridge", 1), false, 0, false},
+			{cityQuery("New York", 0), true, 2, true},
+			{cityQuery("London", 2), false, 2, false},
+			{cityQuery("Cambridge", 0), true, 2, false},
+			{cityQuery("Nowhere", 0), false, 2, false},
+		},
+		"sorted by the mediator": {
+			{ticketQuery("high", "London"), true, 0, true},
+			{ticketQuery("high", "Boston"), true, 0, false},
+			{ticketQuery("high", "New York"), false, 0, false},
+		},
+	} {
+		e, _ := newTestEngine(t)
+		var prev *algebra.Program
+		for i, c := range calls {
+			got, err := renderAnswer(e, c.q, c.stream)
+			fresh, _ := newTestEngine(t)
+			want, err2 := renderAnswer(fresh, c.q, false)
+			if err != nil || err2 != nil || got != want {
+				t.Errorf("%s call %d: %q (%v), a fresh engine's materialized answer %q (%v)", name, i, got, err, want, err2)
+			}
+			held := heldPrograms(e)
+			if len(held) != 1 {
+				t.Fatalf("%s call %d: programs held %v, want one", name, i, held)
+			}
+			e.prepared.mu.RLock()
+			var tmpl *xmlql.TmplElem
+			for _, ps := range e.prepared.entries {
+				tmpl = ps[0].rewrites[0].Query.Construct
+			}
+			e.prepared.mu.RUnlock()
+			if !held[0].Serves(tmpl, c.indent) || (held[0] != prev) != c.compiled {
+				t.Errorf("%s call %d (streamed %v): program %p (before %p) serves indent %d: %v, want a program compiled %v",
+					name, i, c.stream, held[0], prev, c.indent, held[0].Serves(tmpl, c.indent), c.compiled)
+			}
+			prev = held[0]
+		}
 	}
 }

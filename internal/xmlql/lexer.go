@@ -103,6 +103,8 @@ func lex(src string) ([]token, error) {
 // alternation in a pattern, an attribute or content expression in a
 // template), and the query itself is a level with none. So more than
 // maxDepth open brackets mean more than maxDepth levels.
+//
+// It fails with ErrTooLong past maxTokens tokens, so no text costs more.
 func lexInto(toks []token, src string) ([]token, error) {
 	l := &lexer{src: src, toks: toks[:0]}
 	open := 0 // '(' and '{' not closed yet
@@ -113,6 +115,9 @@ func lexInto(toks []token, src string) ([]token, error) {
 			return l.toks, nil
 		}
 		start := l.pos
+		if len(l.toks) == maxTokens {
+			return l.toks, fmt.Errorf("xmlql: offset %d: %w: more than %d tokens", start, ErrTooLong, maxTokens)
+		}
 		c := l.src[l.pos]
 		switch {
 		case c == '<':

@@ -88,18 +88,18 @@ func TestParseDeepNesting(t *testing.T) {
 
 // nestingShapes are the ways a query nests: each body opens one level
 // per unit and never closes it.
-// brackets marks the shapes that open a '(' per unit, which the lexer
-// stops at.
-var nestingShapes = []struct {
-	name, head, unit string
-	brackets         bool
-}{
-	{"paren", "WHERE ", "(", true},
-	{"call", "WHERE ", "not(", true},
-	{"sum", "WHERE ", "1 + (", true},
-	{"pattern", "WHERE ", "<a>", false},
-	{"template", `WHERE <a>$x</a> IN "s" CONSTRUCT `, "<a>", false},
-	{"query", `WHERE <a>$x</a> IN "s" CONSTRUCT `, `<r>WHERE <a>$x</a> IN "s" CONSTRUCT `, false},
+var nestingShapes = []struct{ name, head, unit string }{
+	{"paren", "WHERE ", "("},
+	{"call", "WHERE ", "not("},
+	{"sum", "WHERE ", "1 + ("},
+	{"pattern", "WHERE ", "<a>"},
+	{"template", `WHERE <a>$x</a> IN "s" CONSTRUCT `, "<a>"},
+	{"query", `WHERE <a>$x</a> IN "s" CONSTRUCT `, `<r>WHERE <a>$x</a> IN "s" CONSTRUCT `},
+}
+
+// tooBig reports whether err is one of the bounds a query text fails.
+func tooBig(err error) bool {
+	return errors.Is(err, ErrTooDeep) || errors.Is(err, ErrTooLong)
 }
 
 // nestedBody is head followed by as many units as fit in size bytes.
@@ -117,11 +117,12 @@ func allocatedBytes(f func()) uint64 {
 }
 
 // TestParseBoundsNesting: a body of every nesting shape just under the
-// 1 MB a query body may hold fails with ErrTooDeep instead of recursing
-// once per level, and what parsing allocates grows with the body's
-// length alone: twice the bytes allocate under 2.5 times as much. A body
-// of brackets allocates under 4 MB: the lexer stops once more than
-// maxDepth are open. A query nested maxDepth levels still parses.
+// 1 MB a query body may hold fails with ErrTooDeep or ErrTooLong instead
+// of recursing once per level, and what parsing allocates grows with the
+// body's length alone: twice the bytes allocate under 2.5 times as much.
+// Every body allocates under 4 MB: the lexer stops once more than
+// maxDepth brackets are open, or past maxTokens tokens. A query nested
+// maxDepth levels still parses.
 func TestParseBoundsNesting(t *testing.T) {
 	const limit = 1<<20 - 1
 	for _, sh := range nestingShapes {
@@ -129,14 +130,14 @@ func TestParseBoundsNesting(t *testing.T) {
 		var err error
 		n := allocatedBytes(func() { Parse(half) })
 		n2 := allocatedBytes(func() { _, err = Parse(whole) })
-		if !errors.Is(err, ErrTooDeep) {
-			t.Errorf("%s: %d bytes parse to %v, want ErrTooDeep", sh.name, len(whole), err)
+		if !tooBig(err) {
+			t.Errorf("%s: %d bytes parse to %v, want ErrTooDeep or ErrTooLong", sh.name, len(whole), err)
 		}
 		if n2*2 >= n*5 {
 			t.Errorf("%s: %d bytes allocate %d, %d bytes %d: more than 2.5 times as much", sh.name, len(half), n, len(whole), n2)
 		}
-		if sh.brackets && n2 >= 4<<20 {
-			t.Errorf("%s: %d bytes allocate %d, want under 4 MB: the lexer stops past maxDepth open brackets", sh.name, len(whole), n2)
+		if n2 >= 4<<20 {
+			t.Errorf("%s: %d bytes allocate %d, want under 4 MB: the lexer stops past maxDepth open brackets or maxTokens tokens", sh.name, len(whole), n2)
 		}
 	}
 	deepest := "WHERE " + strings.Repeat("(", maxDepth-1) + "$x = 1" + strings.Repeat(")", maxDepth-1) + ` CONSTRUCT <r/>`
@@ -149,8 +150,8 @@ func TestParseBoundsNesting(t *testing.T) {
 }
 
 // TestShapeScanIsLinear: Scan only lexes, so what it allocates for the
-// deepest bodies also grows with their length alone, and a body of
-// brackets fails with ErrTooDeep under 4 MB.
+// deepest bodies also grows with their length alone, and every body fails
+// with ErrTooDeep or ErrTooLong under 4 MB.
 func TestShapeScanIsLinear(t *testing.T) {
 	const limit = 1<<20 - 1
 	for _, sh := range nestingShapes {
@@ -161,8 +162,8 @@ func TestShapeScanIsLinear(t *testing.T) {
 		if n2*2 >= n*5 {
 			t.Errorf("%s: %d bytes allocate %d, %d bytes %d: more than 2.5 times as much", sh.name, len(half), n, len(whole), n2)
 		}
-		if sh.brackets && (n2 >= 4<<20 || !errors.Is(err, ErrTooDeep)) {
-			t.Errorf("%s: %d bytes allocate %d and scan to %v, want under 4 MB and ErrTooDeep", sh.name, len(whole), n2, err)
+		if n2 >= 4<<20 || !tooBig(err) {
+			t.Errorf("%s: %d bytes allocate %d and scan to %v, want under 4 MB and ErrTooDeep or ErrTooLong", sh.name, len(whole), n2, err)
 		}
 	}
 }
