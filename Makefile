@@ -106,11 +106,13 @@ sched-race:
 # last against WriteNode, the no-copy <results> root against Document()
 # byte for byte, and eight goroutines serving one cached answer in place
 # while a ninth copies and edits it — any write to a node shared with the
-# cache is a reported race. An answer serialized while it is built is
-# held to the materialized one over HTTP (empty, partial, escaped,
-# spliced, nested, union, sorted, failing on a late row in CONSTRUCT or
-# in a WHERE predicate, filtered by a chain of Selects the source cannot
-# run, one a correlated aggregate), and reports to
+# cache is a reported race. An answer written into the response buffer
+# is held to the materialized one over HTTP (empty, partial, escaped,
+# spliced, nested, union, failing on a late row in CONSTRUCT or in a
+# WHERE predicate, filtered by a chain of Selects the source cannot run,
+# one a correlated aggregate; sorted by the mediator, also failing on a
+# late row, with a nested query, and with keys tying across two
+# rewrites, which keep the held order), and reports to
 # the Document copy they were appended to. The compiled CONSTRUCT
 # program, the one evaluator of a template, is held to one reference by
 # a property per sink over the same draws (and the fuzz seeds, which
@@ -144,8 +146,12 @@ sched-race:
 # before binding k+1 is produced; an error on row
 # k leaves k+1 produced), and Pull hands each on as produced; a fragment
 # scan under a chain of Selects refills one tuple and writes what the
-# materialized answer holds (ten rounds). The pins on bytes per streamed
-# row (a bare scan and one under a Select), bytes and allocations per
+# materialized answer holds (ten rounds). A mediator-sorted answer past
+# the sort's gate, sorted by granted workers into a buffer, is the serial
+# twin's bytes (ten rounds), and a sorted answer reports the same error
+# into a buffer as materialized. The pins on bytes per streamed
+# row (a bare scan and one under a Select), bytes per sorted row written
+# without a tree, bytes and allocations per
 # scanned SELECT, fragment scan allocations (from the export and from
 # answers over an INT key, unfiltered and filtered) and the allocations
 # of an answer's export run without the race detector.
@@ -162,8 +168,9 @@ resultpath-race:
 	$(call run-named,-count=1,TestProgramAllocatesNothingPerRow,./internal/algebra)
 	$(call run-named,-race -count=1,TestView|TestBuilderSlabsDoNotAlias|TestTupleSpliceCopiesBoundNodes,./internal/core)
 	$(call run-named,-race -count=10,TestRowFetchUnderChaosMatchesXMLTwin,./internal/core)
-	$(call run-named,-race -count=10,TestStreamedAnswerPullsBindingsOneAtATime|TestStreamedRowWrittenBeforeNextBinding|TestStreamedSelectChainEqualsMaterialized,./internal/core)
-	$(call run-named,-count=1,TestStreamedAnswerHoldsNoBindingPerRow,./internal/core)
+	$(call run-named,-race -count=10,TestStreamedAnswerPullsBindingsOneAtATime|TestStreamedRowWrittenBeforeNextBinding|TestStreamedSelectChainEqualsMaterialized|TestParallelSortedAnswerEqualsSerialTwin,./internal/core)
+	$(call run-named,-race -count=1,TestSortedAnswerErrorsAreTheSameInBothSinks,./internal/core)
+	$(call run-named,-count=1,TestStreamedAnswerHoldsNoBindingPerRow|TestSortedAnswerBuildsNoTree,./internal/core)
 	$(call run-named,-race -count=1,TestBindRowsEqualsExportReadBack|TestBindRowsEqualsExportReadBack_Property,./internal/opt)
 	$(call run-named,-race -count=10,TestTransientScanRefillsOneTuple,./internal/opt)
 	$(call run-named,-count=1,TestFragmentScanAllocations,./internal/opt)
@@ -175,7 +182,7 @@ resultpath-race:
 	$(call run-named,-race -count=10,TestScanEqualsMaterializedPath|TestIndexEqFindsWhatCompareMatches|TestConcurrentRangeSelectsOnFreshIndex|TestInsertIsAllOrNothing|TestViewSurvivesLaterWrites,./internal/rdb)
 	$(call run-named,-count=1,TestScanAllocatesOnlyTheResult,./internal/rdb)
 	$(call run-named,-race -count=10,TestCachedValuesStayImmutable|TestQueryContentLength|TestStreamedAnswerEqualsMaterialized,./internal/server)
-	$(call run-named,-race -count=1,TestReportsRenderAsTheDocumentCopy,./internal/server)
+	$(call run-named,-race -count=1,TestReportsRenderAsTheDocumentCopy|TestSortedTiesKeepHeldOrder,./internal/server)
 	$(call run-named,-race -count=1,TestAdminChangesReachEveryCache|TestCachingOnQueryEndpoint|TestAdminEndpoints|TestAdminDefineSchema,./internal/server)
 	$(call run-named,-race -count=1,TestFacadeRenderLensConcurrent|TestFacadeRegisterFunctionsWhileQuerying|TestFacadeDropInvalidatesCache|TestFacadeCacheTTL|TestFacadeRefreshReachesCache|TestFacadeDefineSchemaReachesCache|TestFacadeWhitespaceVariantsShareAnEntry,.)
 	$(call run-named,-race -count=1,TestInvalidateReachesDependents|TestSharedCacheHitTakesNoSlot|TestCacheMetricsCoverEveryCache|TestPerInstanceCacheHits,./internal/cluster)

@@ -24,8 +24,8 @@ func BuildResult(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, er
 // building; a result into which a node was copied is finalized
 // afterwards, since CopyNode leaves Ord unset.
 //
-// A Builder serves answers that stay materialized: an answer written
-// while it is built never becomes a tree (Program.Append).
+// A Builder serves answers that stay materialized: an answer given a
+// buffer to go into never becomes a tree (Program.Append).
 //
 // Nodes spliced from bindings are deep-copied: constructed trees own
 // their children, and the source documents must never be mutated (the

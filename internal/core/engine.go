@@ -238,7 +238,7 @@ type ExplainTree = algebra.ExplainNode
 // Result is a query's answer.
 type Result struct {
 	// Values are the constructed result elements, in result order; nil
-	// when they went into QueryOptions.Buffer instead.
+	// whenever QueryOptions.Buffer was given, which takes them instead.
 	Values []xmldm.Value
 	// Rows counts the result elements, in Values or in the buffer.
 	Rows int
@@ -302,12 +302,13 @@ type QueryOptions struct {
 	// query: "interactive" or "batch" (empty keeps the engine default).
 	// The HTTP front end maps the X-Nimble-Class header here.
 	Class string
-	// Buffer, when set, takes the answer in place of Result.Values if
-	// its order is final as it is built (no ORDER-BY, or one the source
-	// sorted): each binding is taken from the plan as it is produced, and
-	// its result element written into the buffer by the rewrite's
-	// CONSTRUCT program (algebra.Program), so neither a binding list nor
-	// a result tree is held. The caller has begun the document
+	// Buffer, when set, takes the answer in place of Result.Values: each
+	// result element is written into it by its rewrite's CONSTRUCT
+	// program (algebra.Program), and no result tree is built. An answer
+	// in its final order (no ORDER-BY, or one the source sorted) is
+	// written as the plan produces each binding, so no binding list is
+	// held either; one the mediator sorts holds its bindings and is
+	// written after the sort. The caller has begun the document
 	// (StartDocument) and ends it under the Result's root; a query that
 	// fails part way leaves the rows written before the failing one, for
 	// the caller to discard.
@@ -427,7 +428,7 @@ func (e *Engine) QueryOpt(ctx context.Context, src string, qo QueryOptions) (*Re
 		root.SetAttr("error", err.Error())
 	} else {
 		res.Values = values
-		res.Rows = len(values) + qs.streamed
+		res.Rows = len(values) + qs.written
 		res.Completeness = access.Report()
 		res.Stats.TuplesEmitted = snap.TuplesEmitted
 		res.Stats.PatternMatches = snap.PatternMatches
@@ -514,13 +515,14 @@ type queryState struct {
 	aq    *ActiveQuery
 	ex    *algebra.ExplainNode
 	// buf is QueryOptions.Buffer, set for the query itself alone;
-	// streamed counts the results written to it.
-	buf      *xmlparse.Buffer
-	streamed int
+	// written counts the results written to it.
+	buf     *xmlparse.Buffer
+	written int
 }
 
 // run executes one query (possibly correlated under an outer binding)
-// and returns the constructed values in result order.
+// and returns the constructed values in result order, or writes them
+// into qs.buf and returns none.
 func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]xmldm.Value, error) {
 	ctx, access, actx := qs.ctx, qs.access, qs.actx
 	stats, aq, ex := qs.stats, qs.aq, qs.ex
@@ -554,11 +556,76 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		ex.Detail = fmt.Sprintf("rewrites=%d", len(rewrites))
 	}
 
-	// out holds the results in the order they are built; with an ORDER-BY,
-	// keys[i] holds out[i]'s sort keys.
+	// The answer loop. Only the caller picks the sink: with a buffer every
+	// row is written into it by its rewrite's CONSTRUCT program (the byte
+	// sink) and no Values are returned; without one every row is built as
+	// a Value (the node sink). A row is written as it is pulled when it
+	// goes into the buffer in its final order (no ORDER-BY, or one the
+	// single rewrite's source sorted). Any other row's binding is held and
+	// written once its rewrite has run, or, when the mediator sorts, after
+	// the sort, which permutes the held rows; ends says where each
+	// rewrite's rows end, so that a row goes through its own rewrite's
+	// program. A final-order row's ORDER-BY keys are evaluated just before
+	// it is written (a key that fails fails the query on either path); a
+	// sorted row's as it is pulled, nk per row into keys. So the error
+	// reported is the first key error in production order, or else the
+	// first template error in answer order.
 	var out []xmldm.Value
-	var keys [][]xmldm.Value
-	orderPushed := len(rewrites) == 1
+	var held []algebra.Binding
+	var ends []int
+	var keys []xmldm.Value
+	var sorts bool
+	nk := len(q.OrderBy)
+	var progs []*algebra.Program // per rewrite, with a buffer
+	var blds []*algebra.Builder  // per rewrite, without one
+	appendKeys := func(b algebra.Binding, ri int) error {
+		for _, key := range rewrites[ri].Query.OrderBy {
+			v, err := algebra.Eval(actx, key.Expr, b)
+			if err != nil {
+				return err
+			}
+			keys = append(keys, v)
+		}
+		return nil
+	}
+	// write writes one row into the sink. A row that fails fails the
+	// query, so what it leaves in out or in the count is never read.
+	write := func(b algebra.Binding, ri int) error {
+		if nk > 0 && !sorts {
+			keys = keys[:0]
+			if err := appendKeys(b, ri); err != nil {
+				return err
+			}
+		}
+		if qs.buf != nil {
+			qs.written++
+			return qs.buf.AppendChild(func(dst []byte) ([]byte, error) {
+				return progs[ri].Append(dst, actx, b)
+			})
+		}
+		v, err := blds[ri].Build(actx, b)
+		out = append(out, v)
+		return err
+	}
+	// flush writes the held rows under a construct span of parent: those
+	// of rewrite ri, or, after a sort, every rewrite's in perm's order.
+	flush := func(parent obs.SpanRef, ri int, perm []int) error {
+		aq.SetPhase("construct")
+		spCons := parent.StartChild("construct")
+		defer spCons.Finish()
+		for i, b := range held {
+			if perm != nil {
+				b = held[perm[i]]
+				ri, _ = slices.BinarySearch(ends, perm[i]+1)
+			}
+			if err := write(b, ri); err != nil {
+				return err
+			}
+		}
+		spCons.SetInt("values", int64(len(held)))
+		held = held[:0]
+		return nil
+	}
 
 	for ri, rw := range rewrites {
 		spRw := sp.StartChildAt("rewrite", ri)
@@ -585,9 +652,7 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		if stats != nil {
 			stats.Fetches += len(plan.Fetches)
 		}
-		if !plan.OrderPushed {
-			orderPushed = false
-		}
+		sorts = nk > 0 && (len(rewrites) > 1 || !plan.OrderPushed)
 		specs := make([]exec.FetchSpec, len(plan.Fetches))
 		for i, f := range plan.Fetches {
 			specs[i] = exec.FetchSpec{Source: f.Source, Req: f.Req}
@@ -601,15 +666,14 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 			return nil, err
 		}
 		spPre.Finish()
-		// An answer in its final order is serialized as it is built, when
-		// the caller gave a buffer; one the mediator sorts is held whole.
-		// A streamed binding is done with once its result is written, so a
-		// fragment scan at the plan's root, or under a chain of Selects,
+		// A row is held unless it goes into the buffer in its final order.
+		// One written as it is pulled is done with once it is written, so
+		// a fragment scan at the plan's root, or under a chain of Selects,
 		// refills one tuple: a Select hands on the binding it was handed,
 		// and its predicate, nested queries included, is done with it
 		// before Next returns. Marked before the shims wrap the inputs.
-		stream := qs.buf != nil && (len(q.OrderBy) == 0 || orderPushed)
-		if stream {
+		hold := qs.buf == nil || sorts
+		if !hold {
 			op := plan.Root
 			for sel, ok := op.(*algebra.Select); ok; sel, ok = op.(*algebra.Select) {
 				op = sel.Input
@@ -618,7 +682,10 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 				scan.Transient = true
 			}
 		}
-		// The plan is instrumented before draining — per-operator stats
+		if qs.buf != nil {
+			progs = append(progs, qs.call.program(ri, plan.Construct, qs.buf.Indent()))
+		}
+		// The plan is instrumented before it runs — per-operator stats
 		// accumulate into the EXPLAIN tree under the query root, and
 		// QueryOpt's Finalize describes each operator once it has run.
 		// The shims are transparent (1:1 Open/Next/Close delegation), so
@@ -629,118 +696,64 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 			planRoot, node = algebra.Instrument(plan.Root)
 			ex.Children = append(ex.Children, node)
 		}
-		// construct writes one binding's result, or builds and holds it.
-		var bld *algebra.Builder
-		var prog *algebra.Program
-		if stream {
-			prog = qs.call.program(ri, plan.Construct, qs.buf.Indent())
-		}
-		construct := func(b algebra.Binding) error {
-			if len(q.OrderBy) > 0 {
-				// Evaluated when the sources sorted too: a key that fails
-				// fails the query on either path.
-				k := make([]xmldm.Value, 0, len(plan.OrderBy))
-				for _, key := range plan.OrderBy {
-					v, err := algebra.Eval(actx, key.Expr, b)
-					if err != nil {
-						return err
-					}
-					k = append(k, v)
-				}
-				if !stream {
-					keys = append(keys, k)
-				}
-			}
-			if stream {
-				if err := qs.buf.AppendChild(func(dst []byte) ([]byte, error) {
-					return prog.Append(dst, actx, b)
-				}); err != nil {
-					return err
-				}
-				qs.streamed++
-				return nil
-			}
-			v, err := bld.Build(actx, b)
-			if err != nil {
-				return err
-			}
-			out = append(out, v)
-			return nil
-		}
 		// Operator evaluation records its span under this rewrite; the
 		// previous parent (the query root, or an outer rewrite during
-		// correlated subquery evaluation) is restored afterwards.
+		// correlated subquery evaluation) is restored afterwards. The eval
+		// span covers writing the rows written as they are pulled.
 		prevTrace := actx.Trace
 		actx.Trace = spRw
 		aq.SetPhase("eval")
-		if stream {
-			// The streamed answer takes each binding from the plan as it
-			// is produced and holds no binding list. The eval span covers
-			// construction too.
-			_, err = algebra.Pull(actx, planRoot, construct)
-			actx.Trace = prevTrace
-			spRw.Finish()
-			if err != nil {
-				return nil, err
+		start := len(held)
+		_, err = algebra.Pull(actx, planRoot, func(b algebra.Binding) error {
+			if !hold {
+				return write(b, ri)
 			}
-			continue
-		}
-		bindings, err := algebra.Drain(actx, planRoot)
+			held = append(held, b)
+			if sorts {
+				return appendKeys(b, ri)
+			}
+			return nil
+		})
 		actx.Trace = prevTrace
+		if sorts {
+			ends = append(ends, len(held))
+		}
+		if qs.buf == nil {
+			// The node sink ignores indentation: any program serves.
+			blds = append(blds, qs.call.program(ri, plan.Construct, -1).Builder(len(held)-start))
+			out = slices.Grow(out, len(held)-start)
+			if err == nil && !sorts {
+				err = flush(spRw, ri, nil)
+			}
+		}
+		spRw.Finish()
 		if err != nil {
-			spRw.Finish()
 			return nil, err
 		}
-		aq.SetPhase("construct")
-		spCons := spRw.StartChild("construct")
-		out = slices.Grow(out, len(bindings))
-		if len(q.OrderBy) > 0 {
-			keys = slices.Grow(keys, len(bindings))
-		}
-		bld = qs.call.program(ri, plan.Construct, -1).Builder(len(bindings))
-		for _, b := range bindings {
-			if err := construct(b); err != nil {
-				spCons.Finish()
-				spRw.Finish()
-				return nil, err
-			}
-		}
-		spCons.SetInt("values", int64(len(bindings)))
-		spCons.Finish()
-		spRw.Finish()
 	}
 
-	if len(q.OrderBy) > 0 && !orderPushed {
+	if sorts {
 		aq.SetPhase("sort")
-		descs := make([]bool, len(q.OrderBy))
-		for i, k := range q.OrderBy {
-			descs[i] = k.Desc
-		}
-		// Keys were precomputed serially during construction, so the
+		// Keys were evaluated serially as the rows were pulled, so the
 		// comparator only reads them — safe for the parallel chunk sorts
-		// of StableSortIndices, whose index tie-break reproduces exactly
-		// the sort.SliceStable order.
-		perm := actx.SortIndices(len(out), qs.par, func(i, j int) int {
-			for k := range descs {
-				if k >= len(keys[i]) || k >= len(keys[j]) {
-					return 0
-				}
-				c := xmldm.Compare(keys[i][k], keys[j][k])
+		// of StableSortIndices, whose index tie-break keeps the held
+		// order (rewrite by rewrite, in production order) among ties.
+		perm := actx.SortIndices(len(held), qs.par, func(i, j int) int {
+			for k, key := range q.OrderBy {
+				c := xmldm.Compare(keys[i*nk+k], keys[j*nk+k])
 				if c == 0 {
 					continue
 				}
-				if descs[k] {
+				if key.Desc {
 					return -c
 				}
 				return c
 			}
 			return 0
 		})
-		sorted := make([]xmldm.Value, len(out))
-		for i, p := range perm {
-			sorted[i] = out[p]
+		if err := flush(sp, 0, perm); err != nil {
+			return nil, err
 		}
-		out = sorted
 	}
 	return out, nil
 }

@@ -213,9 +213,9 @@ func benchTexts() []string {
 	return []string{cityQuery("London", 0), cityQuery("Cambridge", 1), cityQuery("New York", 2)}
 }
 
-// renderAnswer writes q's answer as /query does, indented by 2: streamed
-// into the buffer when stream is set (unless the mediator sorts it), else
-// appended from Values.
+// renderAnswer writes q's answer as /query does, indented by 2: written
+// into the buffer by the engine when stream is set, else appended from
+// Values.
 func renderAnswer(e *Engine, q string, stream bool) (string, error) {
 	buf := xmlparse.NewBuffer()
 	defer buf.Release()
@@ -290,9 +290,10 @@ func TestStreamedShapeCompilesItsProgramOnce(t *testing.T) {
 // first materialized and then streamed compiles once per indentation:
 // the first materialized call compiles the entry's program, the first
 // streamed call (indented by 2) one more, and every later call of either
-// kind takes that one. A shape whose ORDER-BY the mediator sorts stays
-// materialized when given a buffer, and keeps its first program. Every
-// answer is a fresh engine's materialized one.
+// kind takes that one. A shape whose ORDER-BY the mediator sorts is
+// written into the buffer it is given after the sort, so it compiles its
+// program at the buffer's indentation (2), which a later materialized
+// call keeps. Every answer is a fresh engine's materialized one.
 func TestMaterializedShapeCompilesItsProgramOnce(t *testing.T) {
 	type call struct {
 		q      string
@@ -312,9 +313,9 @@ func TestMaterializedShapeCompilesItsProgramOnce(t *testing.T) {
 			{cityQuery("Nowhere", 0), false, 2, false},
 		},
 		"sorted by the mediator": {
-			{ticketQuery("high", "London"), true, 0, true},
-			{ticketQuery("high", "Boston"), true, 0, false},
-			{ticketQuery("high", "New York"), false, 0, false},
+			{ticketQuery("high", "London"), true, 2, true},
+			{ticketQuery("high", "Boston"), true, 2, false},
+			{ticketQuery("high", "New York"), false, 2, false},
 		},
 	} {
 		e, _ := newTestEngine(t)

@@ -111,3 +111,32 @@ func TestTracerRetainsQueries(t *testing.T) {
 		t.Error("failed query trace missing error attr")
 	}
 }
+
+// TestSortedConstructSpanFollowsTheSort: rows the mediator sorts are
+// written after the sort, so the query's one construct span sits under
+// the query span, after every rewrite, and no rewrite has one; an answer
+// in its final order writes its rows under its rewrite.
+func TestSortedConstructSpanFollowsTheSort(t *testing.T) {
+	eng, _ := newTestEngineOver(t, testTickets, Config{Metrics: obs.NewRegistry()})
+	for q, sorted := range map[string]bool{
+		ticketQuery("high", "London"):                                         true,
+		`WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`: false,
+	} {
+		res, err := eng.QueryOpt(context.Background(), q, QueryOptions{Profile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top []string
+		for _, sp := range res.Trace.Children() {
+			top = append(top, sp.Name())
+		}
+		last := top[len(top)-1] == "construct"
+		underRewrite := 0
+		for _, rw := range res.Trace.FindAll("rewrite[") {
+			underRewrite += len(rw.FindAll("construct"))
+		}
+		if last != sorted || (underRewrite == 0) != sorted {
+			t.Errorf("%s: query span's children %v, construct spans under a rewrite %d; sorted %v", q, top, underRewrite, sorted)
+		}
+	}
+}

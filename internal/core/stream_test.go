@@ -7,12 +7,14 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/rdb"
+	"repro/internal/sched"
 	"repro/internal/sources"
 	"repro/internal/testkit"
 	"repro/internal/xmldm"
@@ -222,5 +224,142 @@ func TestStreamedAnswerHoldsNoBindingPerRow(t *testing.T) {
 			t.Errorf("%s: a streamed answer allocates %.0f bytes per row, want at most %.0f", tc.name, perRow, tc.max)
 		}
 		t.Logf("%s: %.0f bytes per row", tc.name, perRow)
+	}
+}
+
+// TestSortedAnswerBuildsNoTree pins what a mediator-sorted answer given a
+// buffer allocates per row: the binding held until the sort (a tuple of
+// its own), its key, its place in the permutation and late()'s argument
+// list, but no result tree — each row is written by the byte sink once
+// the rows are sorted. It reads 219 bytes; building the rows as trees and
+// serializing them after the sort read 456. It is measured as TestStreamedAnswerHoldsNoBindingPerRow
+// measures: the difference between 2n rows and n, each side the least of
+// three rounds.
+func TestSortedAnswerBuildsNoTree(t *testing.T) {
+	if testkit.Race {
+		t.Skip("the race detector allocates")
+	}
+	const q = `WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb" CONSTRUCT <r id=$i><n>$n</n></r> ORDER-BY late($n) DESC`
+	bytesPerQuery := func(n int) float64 {
+		e := newStreamEngine(t, n, -1, nil)
+		run := func() {
+			buf := xmlparse.NewBuffer()
+			buf.StartDocument(0)
+			res, err := e.QueryOpt(context.Background(), q, QueryOptions{Buffer: buf})
+			if err != nil || res.Rows != n || res.Values != nil {
+				t.Fatalf("%d rows: %v, %v", n, res, err)
+			}
+			buf.Release()
+		}
+		run() // prepare the shape and grow the buffer
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		const runs = 10
+		least := math.Inf(1)
+		for round := 0; round < 3; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return least
+	}
+	const n = 1000
+	perRow := (bytesPerQuery(2*n) - bytesPerQuery(n)) / n
+	if perRow > 320 {
+		t.Errorf("a sorted answer allocates %.0f bytes per row, want at most 320", perRow)
+	}
+	t.Logf("%.0f bytes per row", perRow)
+}
+
+// TestSortedAnswerErrorsAreTheSameInBothSinks: one error rule for both
+// sinks. A final-order row's ORDER-BY keys are evaluated just before it
+// is written, and a mediator-sorted row's as it is pulled, its template
+// once the rows are sorted: the error reported is the first key error in
+// production order, or else the first template error in answer order.
+// Here two rows fail with different messages, and the call given a
+// buffer reports what the materialized call reports.
+func TestSortedAnswerErrorsAreTheSameInBothSinks(t *testing.T) {
+	e := newStreamEngine(t, 10, -1, nil)
+	fails := func(prefix string, names ...string) func([]xmldm.Value) (xmldm.Value, error) {
+		return func(args []xmldm.Value) (xmldm.Value, error) {
+			if s := xmldm.Stringify(args[0]); slices.Contains(names, s) {
+				return nil, errors.New(prefix + s)
+			}
+			return args[0], nil
+		}
+	}
+	e.RegisterFunc("boom", fails("boom: ", "N2", "N7"))
+	e.RegisterFunc("key", fails("key: ", "N8"))
+	const match = `WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb" `
+	for _, tc := range []struct{ q, want string }{
+		// Production order.
+		{match + `CONSTRUCT <r>{ boom($n) }</r>`, "boom: N2"},
+		// The source sorts: answer order is production order.
+		{match + `CONSTRUCT <r>{ boom($n) }</r> ORDER-BY $n`, "boom: N2"},
+		// The mediator sorts (late() cannot be pushed): N7 is written
+		// before N2.
+		{match + `CONSTRUCT <r>{ boom($n) }</r> ORDER-BY late($n) DESC`, "boom: N7"},
+		// A key error, on a row pulled after N2, wins over the template's.
+		{match + `CONSTRUCT <r>{ boom($n) }</r> ORDER-BY key($n)`, "key: N8"},
+	} {
+		_, err := e.Query(context.Background(), tc.q)
+		buf := xmlparse.NewBuffer()
+		buf.StartDocument(0)
+		_, errBuf := e.QueryOpt(context.Background(), tc.q, QueryOptions{Buffer: buf})
+		buf.Release()
+		if err == nil || errBuf == nil || !strings.Contains(err.Error(), tc.want) || err.Error() != errBuf.Error() {
+			t.Errorf("%s: materialized error %v, buffered %v; want both %q", tc.q, err, errBuf, tc.want)
+		}
+	}
+}
+
+// TestParallelSortedAnswerEqualsSerialTwin: a mediator-sorted answer past
+// the sort's gate, its keys tying in long runs, sorted by the workers the
+// scheduler grants and written into a buffer, is byte for byte what the
+// serial twin writes and what it builds (run under -race, ten rounds).
+func TestParallelSortedAnswerEqualsSerialTwin(t *testing.T) {
+	const rows = 600
+	const q = `WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb" CONSTRUCT <r id=$i>$n</r> ORDER-BY length(late($n)) DESC`
+	cat := newStreamEngine(t, rows, -1, nil).Catalog()
+	schd := sched.New(sched.Config{Budget: 2})
+	engine := func(par int) *Engine {
+		e := New(cat, Config{Metrics: obs.NewRegistry(), Parallelism: par, Scheduler: schd})
+		e.RegisterFunc("late", func(args []xmldm.Value) (xmldm.Value, error) { return args[0], nil })
+		return e
+	}
+	render := func(e *Engine, buffered bool) string {
+		buf := xmlparse.NewBuffer()
+		defer buf.Release()
+		buf.StartDocument(2)
+		qo := QueryOptions{}
+		if buffered {
+			qo.Buffer = buf
+		}
+		res, err := e.QueryOpt(context.Background(), q, qo)
+		if err != nil || res.Rows != rows {
+			t.Fatalf("%v, %v; want %d rows", res, err, rows)
+		}
+		for _, v := range res.Values {
+			buf.WriteChild(v.(*xmldm.Node))
+		}
+		return string(buf.EndDocument(res.View()))
+	}
+	serial := engine(1)
+	want := render(serial, false)
+	if got := render(serial, true); got != want {
+		t.Fatalf("the serial twin writes\n%s\nand builds\n%s", got, want)
+	}
+	parallel := engine(4)
+	before := schd.Snap().Downgrades
+	if got := render(parallel, true); got != want {
+		t.Errorf("at parallelism 4 the sorted answer is\n%s\nthe serial twin's\n%s", got, want)
+	}
+	// The sort asked for 4 and was granted 3 (the budget's two slots and
+	// itself): it ran in parallel.
+	if d := schd.Snap().Downgrades - before; d != 1 {
+		t.Errorf("the sort was downgraded %d times, want once (granted workers)", d)
 	}
 }

@@ -424,9 +424,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	// The answer is assembled in one pooled buffer, the <results> root
 	// last, once the query knows whether it is complete. A plain answer
-	// in its final order is appended by the engine row by row as it is
-	// built; a sorted, cached, explained or profiled one comes back as
-	// Values — the cache's own, on a hit — and is appended from them.
+	// is appended by the engine row by row, sorted or not; a cached,
+	// explained or profiled one comes back as Values — the cache's own,
+	// on a hit — and is appended from them.
 	buf := xmlparse.NewBuffer()
 	defer buf.Release()
 	buf.StartDocument(2)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -81,32 +83,39 @@ func newStreamServer(t *testing.T) (*Server, *httptest.Server) {
 }
 
 // streamCorpus is what TestStreamedAnswerEqualsMaterialized serves; rows
-// is the row count, or -1 for a query that fails, and sorted marks the
-// one answer the mediator sorts (two rewrites), which is never streamed;
-// the source sorts order-pushed's.
+// is the row count, or -1 for a query that fails. The source sorts
+// order-pushed's answer; the mediator sorts the sorted ones (two
+// rewrites, or a source that cannot sort), whose rows are written after
+// the sort.
 var streamCorpus = []struct {
 	name, query string
 	rows        int
-	sorted      bool
 }{
-	{"empty", `WHERE <cust><who>$w</who><where>$p</where></cust> IN "customers", $p = "Nowhere" CONSTRUCT <r>$w</r>`, 0, false},
-	{"partial", `WHERE <person><name>$n</name></person> IN "everyone" CONSTRUCT <p>$n</p>`, 4, false},
-	{"escaping", `WHERE <cust><who>$w</who><where>$p</where></cust> IN "customers" CONSTRUCT <r name=$w at=$p><city>$p</city>$w</r>`, 4, false},
-	{"splice", `WHERE <book><title>$t</title></book> ELEMENT_AS $e IN "books" CONSTRUCT <r>$e<w>{ wrap($e) }</w></r>`, 2, false},
-	{"subquery", `WHERE <book><title>$t</title></book> ELEMENT_AS $e IN "books" CONSTRUCT <b>$t{ WHERE <note>$x</note> IN $e CONSTRUCT <n>$x</n> }</b>`, 2, false},
-	{"union", `WHERE <person><name>$n</name></person> IN "people" CONSTRUCT <p>$n</p>`, 6, false},
+	{"empty", `WHERE <cust><who>$w</who><where>$p</where></cust> IN "customers", $p = "Nowhere" CONSTRUCT <r>$w</r>`, 0},
+	{"partial", `WHERE <person><name>$n</name></person> IN "everyone" CONSTRUCT <p>$n</p>`, 4},
+	{"escaping", `WHERE <cust><who>$w</who><where>$p</where></cust> IN "customers" CONSTRUCT <r name=$w at=$p><city>$p</city>$w</r>`, 4},
+	{"splice", `WHERE <book><title>$t</title></book> ELEMENT_AS $e IN "books" CONSTRUCT <r>$e<w>{ wrap($e) }</w></r>`, 2},
+	{"subquery", `WHERE <book><title>$t</title></book> ELEMENT_AS $e IN "books" CONSTRUCT <b>$t{ WHERE <note>$x</note> IN $e CONSTRUCT <n>$x</n> }</b>`, 2},
+	{"union", `WHERE <person><name>$n</name></person> IN "people" CONSTRUCT <p>$n</p>`, 6},
 	{"cross", `WHERE <cust><who>$a</who></cust> IN "customers", <cust><who>$b</who></cust> IN "customers",
-		<cust><who>$c</who></cust> IN "customers" CONSTRUCT <combo n=$a><x>$b</x><y>$c</y></combo>`, 64, false},
-	{"order-pushed", `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r> ORDER-BY $w DESC`, 4, false},
-	{"sorted", `WHERE <person><name>$n</name></person> IN "people" CONSTRUCT <p>$n</p> ORDER-BY $n DESC`, 6, true},
-	{"late-error", `WHERE <customer><name>$n</name></customer> IN "crmdb" CONSTRUCT <r>{ late($n) }</r>`, -1, false},
-	{"late-predicate", `WHERE <customer><name>$n</name></customer> IN "crmdb", late($n) = $n CONSTRUCT <r>$n</r>`, -1, false},
+		<cust><who>$c</who></cust> IN "customers" CONSTRUCT <combo n=$a><x>$b</x><y>$c</y></combo>`, 64},
+	{"order-pushed", `WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r> ORDER-BY $w DESC`, 4},
+	{"sorted", `WHERE <person><name>$n</name></person> IN "people" CONSTRUCT <p>$n</p> ORDER-BY $n DESC`, 6},
+	{"sorted-late-error", `WHERE <person><name>$n</name></person> IN "people" CONSTRUCT <p>{ late($n) }</p> ORDER-BY $n`, -1},
+	// The nested query runs as its row is written, after every rewrite's
+	// plan has closed.
+	{"sorted-subquery", `WHERE <book><title>$t</title></book> ELEMENT_AS $e IN "books"
+		CONSTRUCT <b>$t{ WHERE <note>$x</note> IN $e CONSTRUCT <n>$x</n> }</b> ORDER-BY $t DESC`, 2},
+	// Keys that tie within and across the two rewrites (TestSortedTiesKeepHeldOrder).
+	{"sorted-ties", sortedTies, 6},
+	{"late-error", `WHERE <customer><name>$n</name></customer> IN "crmdb" CONSTRUCT <r>{ late($n) }</r>`, -1},
+	{"late-predicate", `WHERE <customer><name>$n</name></customer> IN "crmdb", late($n) = $n CONSTRUCT <r>$n</r>`, -1},
 	// A Select the source cannot run above a streamed fragment scan, which
 	// then refills one tuple; then a chain of two, one a correlated
 	// aggregate that runs a nested query on that tuple.
-	{"select-chain", `WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb", $i < 4, late($n) = $n CONSTRUCT <r id=$i>$n</r>`, 3, false},
+	{"select-chain", `WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb", $i < 4, late($n) = $n CONSTRUCT <r id=$i>$n</r>`, 3},
 	{"select-aggregate", `WHERE <customer><id>$i</id><name>$n</name></customer> IN "crmdb", $i < 4, late($n) = $n,
-		count({ WHERE <customer><name>$m</name></customer> IN "crmdb", $m = $n CONSTRUCT <o/> }) = 1 CONSTRUCT <r id=$i>$n</r>`, 3, false},
+		count({ WHERE <customer><name>$m</name></customer> IN "crmdb", $m = $n CONSTRUCT <o/> }) = 1 CONSTRUCT <r id=$i>$n</r>`, 3},
 }
 
 // TestStreamedAnswerEqualsMaterialized serves each query of the corpus
@@ -114,8 +123,8 @@ var streamCorpus = []struct {
 // it builds them, and holds the response to the materialized path's —
 // writeXML of the View of Cluster.QueryOpt's Values, or writeQueryError
 // of its error — byte for byte, with the same status and Content-Length.
-// The engine call with a buffer is checked too: a streamed answer has no
-// Values, and the sorted one keeps them.
+// The engine call with a buffer is checked too: an answer given a buffer
+// has no Values, sorted or not.
 func TestStreamedAnswerEqualsMaterialized(t *testing.T) {
 	srv, ts := newStreamServer(t)
 	ctx := context.Background()
@@ -151,11 +160,45 @@ func TestStreamedAnswerEqualsMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if res.Rows != c.rows || (res.Values == nil) == c.sorted {
-			t.Errorf("%s: %d rows, %d held as Values; sorted=%v", c.name, res.Rows, len(res.Values), c.sorted)
+		if res.Rows != c.rows || res.Values != nil {
+			t.Errorf("%s: %d rows, %d held as Values; want %d rows written", c.name, res.Rows, len(res.Values), c.rows)
 		}
 		if got := string(endAnswer(buf, res, false, false)); got != want.Body.String() {
 			t.Errorf("%s: answer from Cluster.QueryOpt with a buffer\n%s\nwant\n%s", c.name, got, want.Body)
+		}
+		buf.Release()
+	}
+}
+
+// sortedTies is ordered by a key on which rows of both rewrites of
+// "people" tie: false for Zed (crmdb) and both book titles, true for the
+// other customers.
+const sortedTies = `WHERE <person><name>$n</name></person> IN "people" CONSTRUCT <p>$n</p> ORDER-BY contains($n, "a")`
+
+// TestSortedTiesKeepHeldOrder: rows whose keys tie keep the order they
+// were held in, rewrite by rewrite and each in production order, given a
+// buffer or not.
+func TestSortedTiesKeepHeldOrder(t *testing.T) {
+	srv, _ := newStreamServer(t)
+	want := []string{"Zed", "T &amp; U", "V", "Ada &amp; &#34;Co&#34;", "Alan &lt;Turing&gt;", "Grace&#x9;Hopper"}
+	for _, buffered := range []bool{false, true} {
+		buf := xmlparse.NewBuffer()
+		buf.StartDocument(0)
+		qo := core.QueryOptions{}
+		if buffered {
+			qo.Buffer = buf
+		}
+		res, err := srv.Cluster.QueryOpt(context.Background(), sortedTies, qo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := string(endAnswer(buf, res, false, false))
+		var got []string
+		for _, part := range strings.Split(body, "<p>")[1:] {
+			got = append(got, part[:strings.Index(part, "</p>")])
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("buffered %v: rows %q, want %q", buffered, got, want)
 		}
 		buf.Release()
 	}
