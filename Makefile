@@ -142,19 +142,23 @@ sched-race:
 # later INSERTs (into the list's spare capacity, past it, several rows at
 # once), also while they run; a Malformed cut of one to keeping its
 # column map.
-# A streamed answer pulls one binding at a time (row k is written
-# before binding k+1 is produced; an error on row
-# k leaves k+1 produced), and Pull hands each on as produced; a fragment
-# scan under a chain of Selects refills one tuple and writes what the
-# materialized answer holds (ten rounds). A mediator-sorted answer past
-# the sort's gate, sorted by granted workers into a buffer, is the serial
-# twin's bytes (ten rounds), and a sorted answer reports the same error
-# into a buffer as materialized. The pins on bytes per streamed
-# row (a bare scan and one under a Select), bytes per sorted row written
-# without a tree, bytes and allocations per
-# scanned SELECT, fragment scan allocations (from the export and from
-# answers over an INT key, unfiltered and filtered) and the allocations
-# of an answer's export run without the race detector.
+# An answer in its final order pulls one binding at a time in either
+# sink (row k is written before binding k+1 is produced; an error on row
+# k leaves k+1 produced, so a template error wins over the plan's on the
+# next row), and Pull hands each on as produced; a fragment scan under a
+# chain of Selects refills one tuple and writes what the materialized
+# answer holds (ten rounds). A mediator-sorted answer past the sort's
+# gate, of one rewrite or two, sorted by granted workers, built or
+# written into a buffer, is the serial twin's bytes (ten rounds); a
+# sorted answer reports the same error into a buffer as materialized, and
+# only a sorted answer has a construct span. An explained or profiled
+# answer over HTTP has the plain answer's rows and the spans of its kept
+# trace. The pins on bytes per final-order row (a bare scan and one under
+# a Select, streamed and materialized), bytes per sorted row written
+# without a tree, allocations of a one-row answer in each sink, bytes and
+# allocations per scanned SELECT, fragment scan allocations (from the
+# export and from answers over an INT key, unfiltered and filtered) and
+# the allocations of an answer's export run without the race detector.
 # Cached answers: eight goroutines render one lens from cached nodes,
 # cleaning functions are re-registered under running queries, and every
 # change to what a name answers (materialize, refresh, drop, a schema
@@ -168,9 +172,9 @@ resultpath-race:
 	$(call run-named,-count=1,TestProgramAllocatesNothingPerRow,./internal/algebra)
 	$(call run-named,-race -count=1,TestView|TestBuilderSlabsDoNotAlias|TestTupleSpliceCopiesBoundNodes,./internal/core)
 	$(call run-named,-race -count=10,TestRowFetchUnderChaosMatchesXMLTwin,./internal/core)
-	$(call run-named,-race -count=10,TestStreamedAnswerPullsBindingsOneAtATime|TestStreamedRowWrittenBeforeNextBinding|TestStreamedSelectChainEqualsMaterialized|TestParallelSortedAnswerEqualsSerialTwin,./internal/core)
-	$(call run-named,-race -count=1,TestSortedAnswerErrorsAreTheSameInBothSinks,./internal/core)
-	$(call run-named,-count=1,TestStreamedAnswerHoldsNoBindingPerRow|TestSortedAnswerBuildsNoTree,./internal/core)
+	$(call run-named,-race -count=10,TestStreamedAnswerPullsBindingsOneAtATime|TestStreamedRowWrittenBeforeNextBinding|TestStreamedSelectChainEqualsMaterialized|TestParallelSortedAnswerEqualsSerialTwin|TestParallelSortedUnionEqualsSerialTwin,./internal/core)
+	$(call run-named,-race -count=1,TestSortedAnswerErrorsAreTheSameInBothSinks|TestFinalOrderTemplateErrorStopsThePlan|TestSortedConstructSpanFollowsTheSort,./internal/core)
+	$(call run-named,-count=1,TestStreamedAnswerHoldsNoBindingPerRow|TestMaterializedAnswerHoldsNoBindingPerRow|TestSortedAnswerBuildsNoTree|TestOneRowAnswerAllocations,./internal/core)
 	$(call run-named,-race -count=1,TestBindRowsEqualsExportReadBack|TestBindRowsEqualsExportReadBack_Property,./internal/opt)
 	$(call run-named,-race -count=10,TestTransientScanRefillsOneTuple,./internal/opt)
 	$(call run-named,-count=1,TestFragmentScanAllocations,./internal/opt)
@@ -182,7 +186,7 @@ resultpath-race:
 	$(call run-named,-race -count=10,TestScanEqualsMaterializedPath|TestIndexEqFindsWhatCompareMatches|TestConcurrentRangeSelectsOnFreshIndex|TestInsertIsAllOrNothing|TestViewSurvivesLaterWrites,./internal/rdb)
 	$(call run-named,-count=1,TestScanAllocatesOnlyTheResult,./internal/rdb)
 	$(call run-named,-race -count=10,TestCachedValuesStayImmutable|TestQueryContentLength|TestStreamedAnswerEqualsMaterialized,./internal/server)
-	$(call run-named,-race -count=1,TestReportsRenderAsTheDocumentCopy|TestSortedTiesKeepHeldOrder,./internal/server)
+	$(call run-named,-race -count=1,TestReportsRenderAsTheDocumentCopy|TestReportsKeepThePlainRows|TestProfileIsThePlainQuerysTrace|TestSortedTiesKeepHeldOrder,./internal/server)
 	$(call run-named,-race -count=1,TestAdminChangesReachEveryCache|TestCachingOnQueryEndpoint|TestAdminEndpoints|TestAdminDefineSchema,./internal/server)
 	$(call run-named,-race -count=1,TestFacadeRenderLensConcurrent|TestFacadeRegisterFunctionsWhileQuerying|TestFacadeDropInvalidatesCache|TestFacadeCacheTTL|TestFacadeRefreshReachesCache|TestFacadeDefineSchemaReachesCache|TestFacadeWhitespaceVariantsShareAnEntry,.)
 	$(call run-named,-race -count=1,TestInvalidateReachesDependents|TestSharedCacheHitTakesNoSlot|TestCacheMetricsCoverEveryCache|TestPerInstanceCacheHits,./internal/cluster)

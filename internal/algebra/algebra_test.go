@@ -410,6 +410,24 @@ func TestEvalNavigationFunctions(t *testing.T) {
 	if err != nil || !xmldm.Truthy(v) {
 		t.Errorf("root of root: %v, %v", v, err)
 	}
+	// A root element has no siblings: an empty collection. Text between
+	// siblings is not one, and a text value is not a node: Null.
+	mixed := mustDoc(t, `<r><a>1</a>x<b>2</b>y<c>3</c></r>`)
+	for _, c := range []struct {
+		e    xmldm.Value
+		kind xmldm.Kind
+		want string
+	}{
+		{doc, xmldm.KindCollection, ""},
+		{mixed.ChildElements()[0], xmldm.KindCollection, "23"},
+		{mixed.Children[1], xmldm.KindNull, ""},
+	} {
+		q := xmlql.MustParse(`WHERE <x>$q</x> IN "s", siblings($e) = "zz" CONSTRUCT <r/>`)
+		v, err := Eval(ctx, q.Where[1].(*xmlql.PredicateCond).Expr.(*xmlql.BinExpr).L, bind("e", c.e))
+		if err != nil || v.Kind() != c.kind || xmldm.Stringify(v) != c.want {
+			t.Errorf("siblings(%v) = %v (%v), %v; want a %v of %q", c.e, v, v.Kind(), err, c.kind, c.want)
+		}
+	}
 }
 
 func TestEvalErrors(t *testing.T) {

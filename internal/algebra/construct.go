@@ -15,9 +15,12 @@ func BuildResult(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, er
 
 // Builder builds a program's results as node trees: the program's node
 // sink. Every result's elements, Children and Attrs are carved from three
-// slabs sized for rows results: three allocations per rows results
-// whatever the template, refilled for another rows only when Build is
-// called more often. Every sub-slice is capped at its own length
+// slabs, the first sized for rows results: three allocations per slab
+// whatever the template. A Builder called more often refills them, each
+// time for half as many results again as the last: a caller that does not
+// know how many results it builds pays three allocations per refill and
+// leaves part of its last slab unused, and one that does (rows) never
+// refills. Every sub-slice is capped at its own length
 // (CopyNode's rule), so an append past it — a spliced collection or
 // nested query, or a caller editing the result — reallocates instead of
 // writing into a neighbour. Parent and Ord are assigned in preorder while
@@ -33,7 +36,7 @@ func BuildResult(ctx *Context, tmpl *xmlql.TmplElem, b Binding) (*xmldm.Node, er
 // A retained result keeps its whole slab alive.
 type Builder struct {
 	prog *Program
-	rows int
+	rows int // what the next slabs hold
 	// w is the node sink; its slabs are what is left of the slabs, and
 	// results are carved from their front.
 	w writer
@@ -55,7 +58,8 @@ func (s *slabSize) add(t *xmlql.TmplElem) {
 	s.attrs += len(t.Attrs)
 }
 
-// Builder returns a Builder for p's results whose slabs hold rows results.
+// Builder returns a Builder for p's results whose first slabs hold rows
+// results.
 func (p *Program) Builder(rows int) *Builder {
 	return &Builder{prog: p, rows: max(rows, 1), w: writer{tree: true}}
 }
@@ -73,6 +77,7 @@ func (bld *Builder) Build(ctx *Context, b Binding) (*xmldm.Node, error) {
 		if per.attrs > 0 {
 			w.attrs = make([]xmldm.Attr, bld.rows*per.attrs)
 		}
+		bld.rows += max(bld.rows/2, 1)
 	}
 	w.ctx, w.b, w.cur, w.ord, w.copied = ctx, b, nil, 0, false
 	root := &w.nodes[0] // the first element carved

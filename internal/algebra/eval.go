@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/xmldm"
@@ -227,8 +228,17 @@ func applyFunc(name string, args []xmldm.Value) (xmldm.Value, error) {
 		if !ok {
 			return xmldm.Null{}, nil
 		}
-		vals := (xmldm.Path{{Axis: xmldm.AxisFollowingSibling, Name: "*"}}).Eval(n)
-		return xmldm.NewCollection(vals...), nil
+		var after []xmldm.Value
+		if p := n.Parent; p != nil {
+			if i := slices.Index(p.Children, xmldm.Value(n)); i >= 0 {
+				for _, c := range p.Children[i+1:] {
+					if e, ok := c.(*xmldm.Node); ok {
+						after = append(after, e)
+					}
+				}
+			}
+		}
+		return xmldm.NewCollection(after...), nil
 	case "root":
 		// root($e): the document root of a bound node.
 		if err := arity(1); err != nil {

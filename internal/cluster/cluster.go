@@ -339,8 +339,9 @@ func (c *Cluster) Query(ctx context.Context, q string) (*core.Result, error) {
 
 // QueryOpt is Query with per-query options. A cached answer's values are
 // shared with every later hit: render them through View, or edit a
-// Document copy. Where a result cache is in use the answer is always
-// materialized, so qo.Buffer is dropped and Values set, hit or miss.
+// Document copy. An answer the cache answers or stores is materialized,
+// so qo.Buffer is dropped and Values set, hit or miss; a profiled or
+// explained one goes into qo.Buffer as a plain answer does.
 func (c *Cluster) QueryOpt(ctx context.Context, q string, qo core.QueryOptions) (*core.Result, error) {
 	key := qcache.Key(q)
 	// The cluster hop hangs under the caller's span (nil-safe: without a
@@ -376,12 +377,13 @@ func (c *Cluster) QueryOpt(ctx context.Context, q string, qo core.QueryOptions) 
 	// An Invalidate while the engine runs may have dropped what its
 	// answer read: the answer is stored only if none did.
 	var gen uint64
-	if cache != nil {
+	store := useCache && cache != nil
+	if store {
 		gen = cache.Generation()
 		qo.Buffer = nil // the cache stores Values
 	}
 	res, err := m.engine.QueryOpt(ctx, q, qo)
-	if err == nil && useCache && cache != nil && res.Completeness.Complete {
+	if err == nil && store && res.Completeness.Complete {
 		cache.PutAt(key, qcache.Result{Values: res.Values, Sources: cacheTags(res)}, gen)
 	}
 	return res, err

@@ -520,6 +520,14 @@ type queryState struct {
 	written int
 }
 
+// firstSlab is how many results the first slabs of a final-order
+// answer's node sink hold (algebra.Builder grows them by half on each
+// refill). Measured over answers of 10 to 49 rows of a three-element
+// template, as cached-mix's misses are: 2 to 4 left the bytes allocated
+// per answer below those of building from held bindings into exact
+// slabs, and 6 or more above, as did doubling from any size.
+const firstSlab = 3
+
 // run executes one query (possibly correlated under an outer binding)
 // and returns the constructed values in result order, or writes them
 // into qs.buf and returns none.
@@ -559,25 +567,27 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 	// The answer loop. Only the caller picks the sink: with a buffer every
 	// row is written into it by its rewrite's CONSTRUCT program (the byte
 	// sink) and no Values are returned; without one every row is built as
-	// a Value (the node sink). A row is written as it is pulled when it
-	// goes into the buffer in its final order (no ORDER-BY, or one the
-	// single rewrite's source sorted). Any other row's binding is held and
-	// written once its rewrite has run, or, when the mediator sorts, after
-	// the sort, which permutes the held rows; ends says where each
-	// rewrite's rows end, so that a row goes through its own rewrite's
-	// program. A final-order row's ORDER-BY keys are evaluated just before
-	// it is written (a key that fails fails the query on either path); a
-	// sorted row's as it is pulled, nk per row into keys. So the error
-	// reported is the first key error in production order, or else the
-	// first template error in answer order.
+	// a Value by the program's Builder (the node sink). Either way a row
+	// is written as it is pulled, unless the mediator sorts (an ORDER-BY
+	// the single rewrite's source did not sort, or several rewrites). Then
+	// each row's binding is held, its ORDER-BY keys evaluated as it is
+	// pulled, nk per row into keys, and the rows are written after the
+	// sort, which permutes them; ends says where each rewrite's rows end,
+	// so that a row goes through its own rewrite's program or builder. A
+	// final-order row's keys are evaluated just before it is written (a
+	// key that fails fails the query either way). So in both sinks the
+	// error reported is the first plan or key error in production order,
+	// or else the first template error in answer order.
 	var out []xmldm.Value
-	var held []algebra.Binding
-	var ends []int
 	var keys []xmldm.Value
 	var sorts bool
 	nk := len(q.OrderBy)
-	var progs []*algebra.Program // per rewrite, with a buffer
-	var blds []*algebra.Builder  // per rewrite, without one
+	// Held for a sort alone: the bindings, where each rewrite's rows end,
+	// and each rewrite's program (with a buffer) or builder (without).
+	var held []algebra.Binding
+	var ends []int
+	var progs []*algebra.Program
+	var blds []*algebra.Builder
 	appendKeys := func(b algebra.Binding, ri int) error {
 		for _, key := range rewrites[ri].Query.OrderBy {
 			v, err := algebra.Eval(actx, key.Expr, b)
@@ -588,43 +598,19 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		}
 		return nil
 	}
-	// write writes one row into the sink. A row that fails fails the
-	// query, so what it leaves in out or in the count is never read.
-	write := func(b algebra.Binding, ri int) error {
-		if nk > 0 && !sorts {
-			keys = keys[:0]
-			if err := appendKeys(b, ri); err != nil {
-				return err
-			}
-		}
-		if qs.buf != nil {
+	// write writes one row through prog into the buffer, or else through
+	// bld into out. A row that fails fails the query, so what it leaves in
+	// out or in the count is never read.
+	write := func(b algebra.Binding, prog *algebra.Program, bld *algebra.Builder) error {
+		if prog != nil {
 			qs.written++
 			return qs.buf.AppendChild(func(dst []byte) ([]byte, error) {
-				return progs[ri].Append(dst, actx, b)
+				return prog.Append(dst, actx, b)
 			})
 		}
-		v, err := blds[ri].Build(actx, b)
+		v, err := bld.Build(actx, b)
 		out = append(out, v)
 		return err
-	}
-	// flush writes the held rows under a construct span of parent: those
-	// of rewrite ri, or, after a sort, every rewrite's in perm's order.
-	flush := func(parent obs.SpanRef, ri int, perm []int) error {
-		aq.SetPhase("construct")
-		spCons := parent.StartChild("construct")
-		defer spCons.Finish()
-		for i, b := range held {
-			if perm != nil {
-				b = held[perm[i]]
-				ri, _ = slices.BinarySearch(ends, perm[i]+1)
-			}
-			if err := write(b, ri); err != nil {
-				return err
-			}
-		}
-		spCons.SetInt("values", int64(len(held)))
-		held = held[:0]
-		return nil
 	}
 
 	for ri, rw := range rewrites {
@@ -666,14 +652,12 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 			return nil, err
 		}
 		spPre.Finish()
-		// A row is held unless it goes into the buffer in its final order.
-		// One written as it is pulled is done with once it is written, so
+		// A row written as it is pulled is done with once it is written, so
 		// a fragment scan at the plan's root, or under a chain of Selects,
 		// refills one tuple: a Select hands on the binding it was handed,
 		// and its predicate, nested queries included, is done with it
 		// before Next returns. Marked before the shims wrap the inputs.
-		hold := qs.buf == nil || sorts
-		if !hold {
+		if !sorts {
 			op := plan.Root
 			for sel, ok := op.(*algebra.Select); ok; sel, ok = op.(*algebra.Select) {
 				op = sel.Input
@@ -682,8 +666,15 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 				scan.Transient = true
 			}
 		}
+		// The node sink ignores indentation: any program serves. A builder
+		// for rows written as they are pulled starts at firstSlab results;
+		// one for held rows is made once they are counted.
+		var prog *algebra.Program
+		var bld *algebra.Builder
 		if qs.buf != nil {
-			progs = append(progs, qs.call.program(ri, plan.Construct, qs.buf.Indent()))
+			prog = qs.call.program(ri, plan.Construct, qs.buf.Indent())
+		} else if !sorts {
+			bld = qs.call.program(ri, plan.Construct, -1).Builder(firstSlab)
 		}
 		// The plan is instrumented before it runs — per-operator stats
 		// accumulate into the EXPLAIN tree under the query root, and
@@ -705,30 +696,31 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		aq.SetPhase("eval")
 		start := len(held)
 		_, err = algebra.Pull(actx, planRoot, func(b algebra.Binding) error {
-			if !hold {
-				return write(b, ri)
-			}
-			held = append(held, b)
 			if sorts {
+				held = append(held, b)
 				return appendKeys(b, ri)
 			}
-			return nil
+			if nk > 0 {
+				keys = keys[:0]
+				if err := appendKeys(b, ri); err != nil {
+					return err
+				}
+			}
+			return write(b, prog, bld)
 		})
 		actx.Trace = prevTrace
-		if sorts {
-			ends = append(ends, len(held))
-		}
-		if qs.buf == nil {
-			// The node sink ignores indentation: any program serves.
-			blds = append(blds, qs.call.program(ri, plan.Construct, -1).Builder(len(held)-start))
-			out = slices.Grow(out, len(held)-start)
-			if err == nil && !sorts {
-				err = flush(spRw, ri, nil)
-			}
-		}
 		spRw.Finish()
 		if err != nil {
 			return nil, err
+		}
+		if sorts {
+			ends = append(ends, len(held))
+			progs = append(progs, prog)
+			var sorted *algebra.Builder // not bld, which stays on the stack
+			if prog == nil {
+				sorted = qs.call.program(ri, plan.Construct, -1).Builder(len(held) - start)
+			}
+			blds = append(blds, sorted)
 		}
 	}
 
@@ -737,7 +729,10 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 		// Keys were evaluated serially as the rows were pulled, so the
 		// comparator only reads them — safe for the parallel chunk sorts
 		// of StableSortIndices, whose index tie-break keeps the held
-		// order (rewrite by rewrite, in production order) among ties.
+		// order (rewrite by rewrite, in production order) among ties. The
+		// comparator takes a copy of the slice header, so that keys itself
+		// stays on the stack for every query.
+		keys := keys
 		perm := actx.SortIndices(len(held), qs.par, func(i, j int) int {
 			for k, key := range q.OrderBy {
 				c := xmldm.Compare(keys[i*nk+k], keys[j*nk+k])
@@ -751,9 +746,19 @@ func (e *Engine) run(qs *queryState, q *xmlql.Query, outer algebra.Binding) ([]x
 			}
 			return 0
 		})
-		if err := flush(sp, 0, perm); err != nil {
-			return nil, err
+		aq.SetPhase("construct")
+		spCons := sp.StartChild("construct")
+		defer spCons.Finish()
+		if qs.buf == nil {
+			out = make([]xmldm.Value, 0, len(held))
 		}
+		for _, i := range perm {
+			ri, _ := slices.BinarySearch(ends, i+1)
+			if err := write(held[i], progs[ri], blds[ri]); err != nil {
+				return nil, err
+			}
+		}
+		spCons.SetInt("values", int64(len(held)))
 	}
 	return out, nil
 }

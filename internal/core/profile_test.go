@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/xmlparse"
 )
 
 // TestProfileSpanTree checks the acceptance contract of the profile
 // option: the span tree returned by Profile agrees with the
 // completeness report (same sources, rows, local/error flags), and the
-// tree carries the planning/prefetch/eval structure.
+// tree carries the planning/prefetch/eval structure. A construct span
+// follows a sort alone: an answer in its final order is built under eval.
 func TestProfileSpanTree(t *testing.T) {
 	eng, _ := newTestEngineOver(t, testTickets, Config{Metrics: obs.NewRegistry()})
 	res, err := eng.QueryOpt(context.Background(),
@@ -61,13 +63,23 @@ func TestProfileSpanTree(t *testing.T) {
 	}
 
 	// Structural spans from every layer.
-	for _, prefix := range []string{"unfold", "rewrite[0]", "plan", "prefetch", "eval ", "construct"} {
+	for _, prefix := range []string{"unfold", "rewrite[0]", "plan", "prefetch", "eval "} {
 		if len(root.FindAll(prefix)) == 0 {
 			t.Errorf("missing %q span in tree", prefix)
 		}
 	}
+	if cons := root.FindAll("construct"); len(cons) != 0 {
+		t.Errorf("an unsorted answer has %d construct spans, want none", len(cons))
+	}
 	if v, ok := root.Attr("complete"); !ok || v != "true" {
 		t.Errorf("complete attr = %q %v", v, ok)
+	}
+	sorted, err := eng.QueryOpt(context.Background(), ticketQuery("high", "London"), QueryOptions{Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cons := sorted.Trace.FindAll("construct"); len(cons) != 1 {
+		t.Errorf("a sorted answer has %d construct spans, want one", len(cons))
 	}
 }
 
@@ -115,28 +127,39 @@ func TestTracerRetainsQueries(t *testing.T) {
 // TestSortedConstructSpanFollowsTheSort: rows the mediator sorts are
 // written after the sort, so the query's one construct span sits under
 // the query span, after every rewrite, and no rewrite has one; an answer
-// in its final order writes its rows under its rewrite.
+// in its final order writes each row as it is pulled, under eval, and has
+// no construct span. So it is in either sink.
 func TestSortedConstructSpanFollowsTheSort(t *testing.T) {
 	eng, _ := newTestEngineOver(t, testTickets, Config{Metrics: obs.NewRegistry()})
 	for q, sorted := range map[string]bool{
 		ticketQuery("high", "London"):                                         true,
 		`WHERE <cust><who>$w</who></cust> IN "customers" CONSTRUCT <r>$w</r>`: false,
 	} {
-		res, err := eng.QueryOpt(context.Background(), q, QueryOptions{Profile: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var top []string
-		for _, sp := range res.Trace.Children() {
-			top = append(top, sp.Name())
-		}
-		last := top[len(top)-1] == "construct"
-		underRewrite := 0
-		for _, rw := range res.Trace.FindAll("rewrite[") {
-			underRewrite += len(rw.FindAll("construct"))
-		}
-		if last != sorted || (underRewrite == 0) != sorted {
-			t.Errorf("%s: query span's children %v, construct spans under a rewrite %d; sorted %v", q, top, underRewrite, sorted)
+		for _, buffered := range []bool{false, true} {
+			qo := QueryOptions{Profile: true}
+			if buffered {
+				qo.Buffer = xmlparse.NewBuffer()
+				qo.Buffer.StartDocument(0)
+			}
+			res, err := eng.QueryOpt(context.Background(), q, qo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if buffered {
+				qo.Buffer.Release()
+			}
+			var top []string
+			for _, sp := range res.Trace.Children() {
+				top = append(top, sp.Name())
+			}
+			want := 0
+			if sorted {
+				want = 1
+			}
+			last := top[len(top)-1] == "construct"
+			if n := len(res.Trace.FindAll("construct")); last != sorted || n != want {
+				t.Errorf("%s, buffered %v: query span's children %v, %d construct spans; sorted %v", q, buffered, top, n, sorted)
+			}
 		}
 	}
 }

@@ -423,17 +423,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.finishTrace(sp)
 	start := time.Now()
 	// The answer is assembled in one pooled buffer, the <results> root
-	// last, once the query knows whether it is complete. A plain answer
-	// is appended by the engine row by row, sorted or not; a cached,
-	// explained or profiled one comes back as Values — the cache's own,
-	// on a hit — and is appended from them.
+	// last, once the query knows whether it is complete. The engine
+	// appends the rows, sorted or not, explained, profiled or plain; an
+	// answer the cache answers or stores comes back as Values — the
+	// cache's own, on a hit — and is appended from them.
 	buf := xmlparse.NewBuffer()
 	defer buf.Release()
 	buf.StartDocument(2)
-	qo := core.QueryOptions{Profile: profile, Explain: explain, Class: class}
-	if !profile && !explain {
-		qo.Buffer = buf
-	}
+	qo := core.QueryOptions{Profile: profile, Explain: explain, Class: class, Buffer: buf}
 	res, err := s.Cluster.QueryOpt(ctx, q, qo)
 	if err != nil {
 		sp.SetAttr("error", err.Error())

@@ -13,6 +13,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rdb"
 	"repro/internal/sources"
 	"repro/internal/xmldm"
@@ -244,6 +245,93 @@ func TestReportsRenderAsTheDocumentCopy(t *testing.T) {
 				t.Errorf("%s %+v:\n%s\nwant\n%s", c.name, qo, got, want.Body)
 			}
 			buf.Release()
+		}
+	}
+}
+
+// spanPaths is every span of a span tree rendered as spanNode renders
+// it, as the path of names from its root, sorted, so that spans recorded
+// concurrently (fetches) compare as a set.
+func spanPaths(root *xmldm.Node) []string {
+	var paths []string
+	var walk func(prefix string, n *xmldm.Node)
+	walk = func(prefix string, n *xmldm.Node) {
+		name, _ := n.Attr("name")
+		paths = append(paths, prefix+"/"+name)
+		for _, c := range n.ChildElements() {
+			walk(prefix+"/"+name, c)
+		}
+	}
+	walk("", root)
+	slices.Sort(paths)
+	return paths
+}
+
+// TestProfileIsThePlainQuerysTrace: a query served with ?profile=1 takes
+// the path it takes served plain, so the span tree in its <profile> names
+// the spans of the engine span in the kept trace of the plain request,
+// construct spans included (only after a sort).
+func TestProfileIsThePlainQuerysTrace(t *testing.T) {
+	srv, ts := newStreamServer(t)
+	srv.Traces = obs.NewTraceStore(obs.StoreConfig{})
+	for _, c := range streamCorpus {
+		if c.rows < 0 {
+			continue
+		}
+		postResp(t, ts.URL+"/query", c.query)
+		var engine []*obs.Span
+		for _, root := range srv.Traces.Last(1) {
+			engine = root.FindAll("engine")
+		}
+		if len(engine) != 1 {
+			t.Fatalf("%s: %d engine spans in the kept trace, want one", c.name, len(engine))
+		}
+		plain := spanPaths(spanNode(engine[0]))
+
+		_, body := postResp(t, ts.URL+"/query?profile=1", c.query)
+		doc, err := xmlparse.ParseString(body)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		prof := doc.Child("profile")
+		if prof == nil || len(prof.ChildElements()) != 1 {
+			t.Fatalf("%s: no span tree in\n%s", c.name, body)
+		}
+		if profiled := spanPaths(prof.ChildElements()[0]); !slices.Equal(profiled, plain) {
+			t.Errorf("%s: ?profile=1 spans\n%s\nthe plain query's\n%s", c.name, strings.Join(profiled, "\n"), strings.Join(plain, "\n"))
+		}
+	}
+}
+
+// answerRows is an answer body's <results> start tag and rows: what comes
+// before its first report (<explain> or <profile>) or its end tag, an
+// empty root written open.
+func answerRows(body string) string {
+	body = strings.Replace(body, "<results/>", "<results>", 1)
+	for _, end := range []string{"\n  <explain ", "\n  <profile>", "\n</results>"} {
+		if i := strings.Index(body, end); i >= 0 {
+			body = body[:i]
+		}
+	}
+	return body
+}
+
+// TestReportsKeepThePlainRows: an explained or profiled answer is served
+// as a plain one is, its reports appended after the rows, so over HTTP its
+// root and rows are the plain answer's byte for byte.
+func TestReportsKeepThePlainRows(t *testing.T) {
+	_, ts := newStreamServer(t)
+	for _, c := range streamCorpus {
+		if c.rows < 0 {
+			continue
+		}
+		_, plain := postResp(t, ts.URL+"/query", c.query)
+		want := answerRows(plain)
+		for _, opts := range []string{"explain=1", "profile=1", "explain=1&profile=1"} {
+			_, body := postResp(t, ts.URL+"/query?"+opts, c.query)
+			if got := answerRows(body); got != want {
+				t.Errorf("%s ?%s: rows\n%s\nthe plain answer's\n%s", c.name, opts, got, want)
+			}
 		}
 	}
 }

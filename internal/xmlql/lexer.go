@@ -95,19 +95,9 @@ func lex(src string) ([]token, error) {
 // lexes without allocating once it has grown. It returns the slice even
 // on error, for the same reuse.
 //
-// It fails with ErrTooDeep once more than maxDepth '(' and '{' are open,
-// so a body of brackets costs tokens for maxDepth of them, not for all.
-// No query the parser accepts is lost: every '(' and '{' either enters a
-// nesting level (a parenthesized expression, a call, a nested query) or
-// sits, one at a time, inside a level entered without one (a tag
-// alternation in a pattern, an attribute or content expression in a
-// template), and the query itself is a level with none. So more than
-// maxDepth open brackets mean more than maxDepth levels.
-//
 // It fails with ErrTooLong past maxTokens tokens, so no text costs more.
 func lexInto(toks []token, src string) ([]token, error) {
 	l := &lexer{src: src, toks: toks[:0]}
-	open := 0 // '(' and '{' not closed yet
 	for {
 		l.skipSpaceAndComments()
 		if l.pos >= len(l.src) {
@@ -157,9 +147,6 @@ func lexInto(toks []token, src string) ([]token, error) {
 				l.emitAt(tokOp, "/", start)
 			}
 		case c == '{' || c == '(':
-			if open++; open > maxDepth {
-				return l.toks, fmt.Errorf("xmlql: offset %d: %w: more than %d brackets open", start, ErrTooDeep, maxDepth)
-			}
 			l.pos++
 			if c == '{' {
 				l.emitAt(tokLBrace, "{", start)
@@ -167,7 +154,6 @@ func lexInto(toks []token, src string) ([]token, error) {
 				l.emitAt(tokLParen, "(", start)
 			}
 		case c == '}' || c == ')':
-			open = max(open-1, 0)
 			l.pos++
 			if c == '}' {
 				l.emitAt(tokRBrace, "}", start)

@@ -20,11 +20,11 @@ const maxDepth = 1000
 var ErrTooDeep = errors.New("query nested too deeply")
 
 // maxTokens bounds how many tokens a query text lexes to, so a huge body
-// costs that many tokens before it fails, whatever it holds: the bracket
-// bound of lexInto cannot see a body of tags or nested queries, since '<'
-// is a comparison operator too. The longest query of the tests lexes to
-// about 2000 tokens (maxDepth brackets around a comparison), and the
-// longest of the benchmark's query pools and views to a few hundred.
+// costs that many tokens before it fails, whatever it holds; one nested
+// past maxDepth within them fails at the parser's enter. The longest
+// query of the tests lexes to about 2000 tokens (maxDepth brackets around
+// a comparison), and the longest of the benchmark's query pools and views
+// to a few hundred.
 const maxTokens = 1 << 14
 
 // ErrTooLong is the error of a query text past maxTokens tokens.

@@ -120,9 +120,9 @@ func allocatedBytes(f func()) uint64 {
 // 1 MB a query body may hold fails with ErrTooDeep or ErrTooLong instead
 // of recursing once per level, and what parsing allocates grows with the
 // body's length alone: twice the bytes allocate under 2.5 times as much.
-// Every body allocates under 4 MB: the lexer stops once more than
-// maxDepth brackets are open, or past maxTokens tokens. A query nested
-// maxDepth levels still parses.
+// Every body allocates under 4 MB: the lexer stops past maxTokens tokens,
+// and the parser past maxDepth levels. A query nested maxDepth levels
+// still parses.
 func TestParseBoundsNesting(t *testing.T) {
 	const limit = 1<<20 - 1
 	for _, sh := range nestingShapes {
@@ -137,7 +137,7 @@ func TestParseBoundsNesting(t *testing.T) {
 			t.Errorf("%s: %d bytes allocate %d, %d bytes %d: more than 2.5 times as much", sh.name, len(half), n, len(whole), n2)
 		}
 		if n2 >= 4<<20 {
-			t.Errorf("%s: %d bytes allocate %d, want under 4 MB: the lexer stops past maxDepth open brackets or maxTokens tokens", sh.name, len(whole), n2)
+			t.Errorf("%s: %d bytes allocate %d, want under 4 MB: the lexer stops past maxTokens tokens, the parser past maxDepth levels", sh.name, len(whole), n2)
 		}
 	}
 	deepest := "WHERE " + strings.Repeat("(", maxDepth-1) + "$x = 1" + strings.Repeat(")", maxDepth-1) + ` CONSTRUCT <r/>`
